@@ -1,7 +1,7 @@
 # Tier-1 verify and CI entry points for the intra-replication workspace.
 #
 #   make verify   — exactly the tier-1 gate from ROADMAP.md
-#   make ci       — everything CI runs (verify + benches/examples + fmt)
+#   make ci       — everything CI runs (verify + examples + gates + fmt)
 
 CARGO ?= cargo
 CAMPAIGN_JOBS ?= 4
@@ -10,12 +10,9 @@ CAMPAIGN_JOBS ?= 4
 CAMPAIGN_TOL ?= 0
 
 .PHONY: all build test verify bench-build docs fmt fmt-check clippy \
-        campaign-smoke failures-smoke weak-smoke serve-smoke bench-smoke \
-        ckpt-smoke golden golden-failures golden-weak golden-ckpt bench-json \
+        campaign-smoke failures-smoke weak-smoke serve-smoke benchmark-quick \
+        ckpt-smoke golden golden-failures golden-weak golden-ckpt benchmark \
         api-surface api-surface-check ci clean
-
-# Label recorded with the BENCH.json entry (CI passes its own).
-BENCH_LABEL ?= local
 
 all: build
 
@@ -29,10 +26,9 @@ test:
 verify:
 	$(CARGO) build --release && $(CARGO) test -q
 
-# All seven Criterion bench targets, the `figures` bin and the five examples
-# must keep compiling even when not run.
+# The examples must keep compiling even when not run.
 bench-build:
-	$(CARGO) build --benches --examples
+	$(CARGO) build --examples
 
 # API docs for the whole workspace; warnings are errors (ipr-core and
 # kernels additionally deny missing_docs at compile time).
@@ -45,7 +41,7 @@ fmt:
 fmt-check:
 	$(CARGO) fmt --check
 
-# Lints are errors, everywhere (lib/bins/tests/benches/examples).
+# Lints are errors, everywhere (lib/bins/tests/examples).
 clippy:
 	$(CARGO) clippy --workspace --all-targets -- -D warnings
 
@@ -125,22 +121,16 @@ ckpt-smoke:
 	./target/release/campaign diff crates/campaign/golden/ckpt.json \
 		target/campaign-ckpt.json --tol $(CAMPAIGN_TOL)
 
-# Structural benchmark gate: the fabric + kernel suites at tiny scale,
-# asserting only structural invariants — the zero-copy byte budgets, finite
-# checksums and the BENCH.json entry schema.  Never wall-clock numbers, so
-# it stays green on arbitrarily slow shared runners.
-bench-smoke:
-	$(CARGO) build --release -p campaign
-	./target/release/bench-json --smoke
+# The benchmark BENCHMARK.json declares (benchmarks/README.md): every
+# workload at full size, end-to-end metrics on standard output.
+benchmark:
+	bash benchmarks/run.sh
 
-# Wall-clock benchmark harness: runs the fabric microbenchmarks and a timed
-# smoke campaign, appending one entry to the checked-in BENCH.json trajectory
-# (see the README for the schema).  Commit the new entry when a PR changes
-# host performance; discard it otherwise.
-bench-json:
-	$(CARGO) build --release -p campaign
-	./target/release/bench-json --append BENCH.json --label $(BENCH_LABEL) \
-		--jobs $(CAMPAIGN_JOBS)
+# The CI form: every workload at tiny sizes, checks only — never wall-clock
+# numbers, so it stays green on arbitrarily slow shared runners — then the
+# benchmark crate's own unit tests.
+benchmark-quick:
+	bash benchmarks/run.sh --quick && cd benchmarks && $(CARGO) test --offline -q
 
 # Regenerate the checked-in dump of the workspace's `pub` API surface
 # (grep-based, no network; see scripts/api-surface.sh).  Run it whenever a
@@ -180,7 +170,7 @@ golden-ckpt:
 	./target/release/campaign run --grid ckpt --jobs $(CAMPAIGN_JOBS) \
 		--strip-informational --out crates/campaign/golden/ckpt.json
 
-ci: verify bench-build docs fmt-check clippy api-surface-check campaign-smoke failures-smoke weak-smoke ckpt-smoke serve-smoke bench-smoke
+ci: verify bench-build docs fmt-check clippy api-surface-check campaign-smoke failures-smoke weak-smoke ckpt-smoke serve-smoke benchmark-quick
 
 clean:
 	$(CARGO) clean

@@ -1,8 +1,8 @@
 //! Experiment scale selection.
 //!
 //! The paper's experiments use 128 nodes (252–512 physical processes).  The
-//! simulator reproduces those process counts on threads, but the Criterion
-//! benches and the test suite use a reduced scale so they stay fast.  The
+//! simulator reproduces those process counts on threads, but the benchmark
+//! and the test suite use a reduced scale so they stay fast.  The
 //! scale is one axis of the root facade's `Experiment` builder, which is why
 //! this type lives here (the lowest layer that knows about workloads) rather
 //! than in the bench harness.  The
@@ -15,7 +15,7 @@
 pub enum ExperimentScale {
     /// Paper-scale process counts (up to 512 simulated processes).
     Full,
-    /// Reduced process counts for quick runs (tests, Criterion).
+    /// Reduced process counts for quick runs (tests, `benchmarks/`).
     Small,
     /// Minimal process counts for the campaign smoke grid and CI gates:
     /// every run finishes in a fraction of a second.

@@ -13,10 +13,8 @@
 //! reports messages per wall-clock second plus the number of payload bytes
 //! the datatype layer really copied ([`simmpi::copied_bytes`]).
 //!
-//! The `bench-json` binary (campaign crate) runs these benchmarks together
-//! with a wall-clock-timed smoke campaign and emits the schema'd
-//! `BENCH.json` described in the repository README, which is how the
-//! repository tracks its host-performance trajectory across PRs.
+//! The repository's benchmark (`benchmarks/`, `simmpi.*` and `replication.*`
+//! per-layer metrics) calls these functions in its traced run.
 
 use replication::ReplicatedComm;
 use simmpi::{run_cluster, ClusterConfig, Tag};
@@ -25,7 +23,7 @@ use std::time::Instant;
 /// Result of one fabric microbenchmark.
 #[derive(Debug, Clone)]
 pub struct FabricBench {
-    /// Benchmark name (stable identifier used in `BENCH.json`).
+    /// Benchmark name (stable identifier).
     pub name: String,
     /// Logical messages moved end-to-end (sender-side count).
     pub messages: u64,
@@ -53,21 +51,6 @@ pub struct FabricBench {
     /// payload bytes per message (persistent-payload send path): its copy
     /// budget is then independent of the message count.
     pub zero_copy: bool,
-}
-
-/// Runs `bench` `reps` times and keeps the fastest repetition.  The CI hosts
-/// this runs on are small (often a single shared core), so individual
-/// repetitions see large scheduler noise; the minimum wall time is the
-/// standard robust estimator for microbenchmarks.
-pub fn best_of<F: Fn() -> FabricBench>(reps: usize, bench: F) -> FabricBench {
-    let mut best = bench();
-    for _ in 1..reps.max(1) {
-        let b = bench();
-        if b.wall_s < best.wall_s {
-            best = b;
-        }
-    }
-    best
 }
 
 fn finish(
@@ -221,18 +204,7 @@ pub fn replica_fanout(degree: usize, messages: usize, payload_elems: usize) -> F
     )
 }
 
-/// The default fabric suite at full (BENCH.json) scale.  Each benchmark is
-/// the best of three repetitions (see [`best_of`]).
-pub fn default_suite() -> Vec<FabricBench> {
-    vec![
-        best_of(3, || p2p_throughput(100_000, 256)),
-        best_of(3, || mailbox_depth(4096, 8, 32)),
-        best_of(3, || replica_fanout(2, 6_000, 256)),
-        best_of(3, || replica_fanout(4, 2_000, 256)),
-    ]
-}
-
-/// A reduced suite for quick regression runs (Criterion bench + tests).
+/// A reduced suite for the structural unit test.
 pub fn smoke_suite() -> Vec<FabricBench> {
     vec![
         p2p_throughput(2_000, 64),
@@ -243,7 +215,7 @@ pub fn smoke_suite() -> Vec<FabricBench> {
 }
 
 /// Structural invariant on a finished benchmark.  Wall-clock numbers are
-/// never asserted; this is the check `make bench-smoke` gates CI on.
+/// never asserted, so the unit test over [`smoke_suite`] holds on any host.
 ///
 /// Copying benchmarks (plain send path) must have copied each logical
 /// payload at least once (serialization is real) but no more than O(degree)

@@ -5,7 +5,8 @@
 //! kernels crate moves on the machine running the simulator.  The modeled
 //! [`kernels::KernelCost`] descriptors — and therefore every virtual-time
 //! report — are untouched by kernel implementation changes; these benchmarks
-//! are how such changes are held to account in `BENCH.json`.
+//! are how such changes are held to account (the `kernels.*` per-layer
+//! metrics of `benchmarks/`).
 //!
 //! Scales are chosen to match the paper's applications: the stencil runs on
 //! a MiniGhost-sized local subgrid (64³, ~2 MiB of f64 per grid — well out
@@ -21,7 +22,7 @@ use std::time::Instant;
 /// Result of one kernel throughput microbenchmark.
 #[derive(Debug, Clone)]
 pub struct KernelBench {
-    /// Benchmark name (stable identifier used in `BENCH.json`).
+    /// Benchmark name (stable identifier).
     pub name: String,
     /// Timed iterations of the kernel.
     pub iters: usize,
@@ -36,19 +37,6 @@ pub struct KernelBench {
     /// A value derived from the kernel output: keeps the compiler from
     /// discarding the work and gives the smoke gate a sanity check.
     pub checksum: f64,
-}
-
-/// Runs `bench` `reps` times and keeps the fastest repetition (same robust
-/// minimum-wall-time estimator as [`crate::fabric::best_of`]).
-pub fn best_of<F: Fn() -> KernelBench>(reps: usize, bench: F) -> KernelBench {
-    let mut best = bench();
-    for _ in 1..reps.max(1) {
-        let b = bench();
-        if b.wall_s < best.wall_s {
-            best = b;
-        }
-    }
-    best
 }
 
 fn finish(
@@ -196,19 +184,7 @@ pub fn ddot_lanes_throughput(n: usize, iters: usize) -> KernelBench {
     )
 }
 
-/// The default kernel suite at full (BENCH.json) scale.
-pub fn default_suite() -> Vec<KernelBench> {
-    vec![
-        best_of(3, || stencil27_throughput(64, 8)),
-        best_of(3, || stencil27_pool_throughput(64, 8)),
-        best_of(3, || spmv_throughput(32, 32, 64, 10)),
-        best_of(3, || waxpby_throughput(1 << 20, 40)),
-        best_of(3, || ddot_throughput(1 << 20, 80)),
-        best_of(3, || ddot_lanes_throughput(1 << 20, 80)),
-    ]
-}
-
-/// A reduced suite for quick regression runs and the `bench-smoke` gate.
+/// A reduced suite for the structural unit test.
 pub fn smoke_suite() -> Vec<KernelBench> {
     vec![
         stencil27_throughput(12, 2),
@@ -220,9 +196,8 @@ pub fn smoke_suite() -> Vec<KernelBench> {
     ]
 }
 
-/// Structural invariant on a finished kernel benchmark (the `bench-smoke`
-/// check): the kernel did real work and produced a finite result.  Never a
-/// wall-clock assertion.
+/// Structural invariant on a finished kernel benchmark: the kernel did real
+/// work and produced a finite result.  Never a wall-clock assertion.
 pub fn check_kernel_result(b: &KernelBench) -> Result<(), String> {
     if b.n == 0 || b.iters == 0 {
         return Err(format!("{}: no work configured", b.name));

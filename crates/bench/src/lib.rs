@@ -12,13 +12,11 @@
 //! | 6c | [`fig6::run`] (`Fig6App::Gtc`) | GTC charge/push |
 //! | 6d | [`fig6::run`] (`Fig6App::MiniGhost`) | MiniGhost stencil + sum |
 //! | — | [`ablations`] | task granularity, bandwidth, scheduler, adaptive-scheduling (`ABL-ADAPT`) ablations |
-//! | — | [`fabric`] | wall-clock microbenchmarks of the simulator host's message fabric (feeds `BENCH.json`) |
-//! | — | [`kernels`] | wall-clock throughput of the compute kernels at HPCCG/MiniGhost scales (feeds `BENCH.json`) |
+//! | — | [`fabric`] | wall-clock microbenchmarks of the simulator host's message fabric (called by `benchmarks/`) |
+//! | — | [`kernels`] | wall-clock throughput of the compute kernels at HPCCG/MiniGhost scales (called by `benchmarks/`) |
 //!
 //! The `figures` binary prints the rows in the same form as the paper
-//! (normalized time / execution time plus the efficiency above each bar);
-//! the Criterion benches under `benches/` wrap the same generators at a
-//! reduced scale so they can run repeatedly.
+//! (normalized time / execution time plus the efficiency above each bar).
 
 #![warn(missing_docs)]
 

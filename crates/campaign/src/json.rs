@@ -8,6 +8,10 @@
 
 use std::fmt::Write as _;
 
+/// The largest integer below which every integer is an exact `f64` (2^53):
+/// the bound on counts and seeds that survive the JSON number form.
+pub(crate) const MAX_EXACT_INT: u64 = 1 << 53;
+
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -50,6 +54,14 @@ impl Json {
             Json::Num(v) => Some(*v),
             _ => None,
         }
+    }
+
+    /// The value as a count, if it is a number that is one exactly:
+    /// non-negative, whole and at most 2^53 ([`MAX_EXACT_INT`]).  An `as`
+    /// cast would saturate or round anything else into a different count.
+    pub(crate) fn as_exact_u64(&self) -> Option<u64> {
+        let v = self.as_f64()?;
+        (v >= 0.0 && v.fract() == 0.0 && v <= MAX_EXACT_INT as f64).then_some(v as u64)
     }
 
     /// The value as a string, if a string.

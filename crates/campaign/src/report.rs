@@ -386,7 +386,12 @@ pub mod v1 {
                     .and_then(Json::as_f64)
                     .ok_or_else(|| format!("run record: missing numeric field '{name}'"))
             };
-            let count = |name: &str| -> Result<usize, String> { Ok(num(name)? as usize) };
+            let int = |name: &str| -> Result<u64, String> {
+                doc.get(name).and_then(Json::as_exact_u64).ok_or_else(|| {
+                    format!("run record: field '{name}' must be an integer in 0..=2^53")
+                })
+            };
+            let count = |name: &str| -> Result<usize, String> { Ok(int(name)? as usize) };
             let ckpt = if doc.get("ckpt").is_some() {
                 Some(CkptColumns {
                     ckpt: str_field("ckpt")?,
@@ -406,7 +411,7 @@ pub mod v1 {
                 mode: str_field("mode")?,
                 scheduler: str_field("scheduler")?,
                 failure: str_field("failure")?,
-                seed: num("seed")? as u64,
+                seed: int("seed")?,
                 procs: count("procs")?,
                 completed: count("completed")?,
                 crashed: count("crashed")?,
@@ -638,6 +643,21 @@ mod tests {
         // A missing deterministic field is an error, not a default.
         let broken = Json::obj(vec![("id", Json::Str("x".into()))]);
         assert!(RunRecord::from_json(&broken).is_err());
+        // A count or seed the number form cannot carry exactly is an
+        // error, not a saturated or truncated different value.
+        for (field, value) in [
+            ("procs", -3.0),
+            ("seed", -1.0),
+            ("completed", 1.5),
+            ("update_bytes_sent", 1e300),
+        ] {
+            let mut damaged = doc.clone();
+            if let Json::Obj(fields) = &mut damaged {
+                fields.iter_mut().find(|(k, _)| k == field).unwrap().1 = Json::Num(value);
+            }
+            let err = RunRecord::from_json(&damaged).unwrap_err();
+            assert!(err.contains(field), "{field}: {err}");
+        }
     }
 
     #[test]

@@ -215,8 +215,16 @@ impl Spool {
         )
     }
 
-    /// Submits an explicit list of run specs as job `id`.
+    /// Submits an explicit list of run specs as job `id`.  A seed above
+    /// 2^53 is `InvalidInput`: the job file's number form would round it
+    /// and the server would run a different seed than was submitted.
     pub fn submit_specs(&self, id: &str, specs: &[RunSpec]) -> io::Result<()> {
+        if let Some(spec) = specs.iter().find(|s| s.seed > crate::json::MAX_EXACT_INT) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("spec {}: seed {} exceeds 2^53", spec.index, spec.seed),
+            ));
+        }
         self.submit(
             id,
             Json::obj(vec![

@@ -198,8 +198,8 @@ impl RunSpec {
             })?;
         let seed = doc
             .get("seed")
-            .and_then(Json::as_f64)
-            .ok_or("run spec: missing numeric field 'seed'")? as u64;
+            .and_then(Json::as_exact_u64)
+            .ok_or("run spec: 'seed' must be an integer in 0..=2^53")?;
         let ckpt = match doc.get("ckpt").map(|v| v.as_str()) {
             None => None,
             Some(Some(label)) => Some(
@@ -332,6 +332,21 @@ mod tests {
         )
         .unwrap();
         assert!(RunSpec::from_json(0, &bad).unwrap_err().contains("app"));
+        // A seed the wire form cannot carry exactly is an error, not a
+        // saturated or truncated different seed.
+        for seed in ["-1", "1.5", "9007199254740994", "\"7\"", "null"] {
+            let text = doc
+                .render()
+                .replace("\"seed\": 99", &format!("\"seed\": {seed}"));
+            let bad = crate::json::Json::parse(&text).unwrap();
+            let err = RunSpec::from_json(0, &bad).unwrap_err();
+            assert!(err.contains("seed"), "seed {seed}: {err}");
+        }
+        let edge = RunSpec {
+            seed: crate::json::MAX_EXACT_INT,
+            ..spec
+        };
+        assert_eq!(RunSpec::from_json(5, &edge.to_json()).unwrap(), edge);
     }
 
     #[test]

@@ -148,7 +148,17 @@ fn stale_or_corrupt_entries_read_as_misses() {
     std::fs::write(&path, "{ not json").unwrap();
     assert_eq!(cache.get(spec), None);
     cache.put(spec, &result).unwrap();
-    assert_eq!(cache.get(spec), Some(result));
+    assert_eq!(cache.get(spec), Some(result.clone()));
+
+    // A well-formed entry whose counts are damaged (negative, fractional):
+    // miss, never a hit carrying the saturated or truncated count.
+    let text = std::fs::read_to_string(&path).unwrap();
+    let procs = format!("\"procs\": {}", result.procs);
+    assert!(text.contains(&procs));
+    for damaged in ["\"procs\": -3", "\"procs\": 2.5"] {
+        std::fs::write(&path, text.replace(&procs, damaged)).unwrap();
+        assert_eq!(cache.get(spec), None, "{damaged}");
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

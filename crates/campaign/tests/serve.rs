@@ -247,4 +247,10 @@ fn bad_jobs_fail_with_a_recorded_error() {
     // Duplicate ids are rejected at submission time.
     let err = spool.submit_grid("oops", "smoke").unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::AlreadyExists);
+    // So is a seed the job file's number form would round.
+    let err = spool
+        .submit_specs("wide", &mini_specs(&[(1 << 53) + 2]))
+        .unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    assert_eq!(spool.status().unwrap().queued, Vec::<String>::new());
 }
