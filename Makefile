@@ -70,7 +70,9 @@ failures-smoke:
 
 # The event-engine determinism gate: run the weak-scaling smoke sweep at
 # two engine worker counts and require both to match the checked-in golden
-# baseline bit-exactly, then prove the 10k-logical-rank sweep still runs.
+# baseline bit-exactly, prove the 10k-logical-rank sweep still runs, then
+# require the 200 000-rank point to agree with itself across worker counts
+# (no golden that size: the two reports are diffed against each other).
 weak-smoke:
 	$(CARGO) build --release -p campaign
 	./target/release/campaign weak --sweep weak-smoke --workers 1 \
@@ -82,6 +84,12 @@ weak-smoke:
 	./target/release/campaign diff crates/campaign/golden/weak_scaling.json \
 		target/weak-smoke-w8.json --tol 0
 	./target/release/campaign weak --sweep weak-10k > /dev/null
+	./target/release/campaign weak --sweep weak-100k --workers 1 \
+		--strip-informational --out target/weak-100k-w1.json
+	./target/release/campaign weak --sweep weak-100k --workers 2 \
+		--strip-informational --out target/weak-100k-w2.json
+	./target/release/campaign diff target/weak-100k-w1.json \
+		target/weak-100k-w2.json --tol 0
 
 # The campaign-service gate: submit the smoke grid to a fresh spool twice
 # and drain it through `campaign serve` with a fresh run cache.  The second

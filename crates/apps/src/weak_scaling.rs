@@ -193,7 +193,8 @@ enum Pc {
 /// One logical rank of the weak-scaling workload, as a cooperative state
 /// machine.
 pub struct WeakScalingProgram {
-    spec: WeakScalingSpec,
+    /// One copy per run, shared by all its ranks.
+    spec: Arc<WeakScalingSpec>,
     /// Logical id within the replica set.
     l: usize,
     /// Replica set (0 or 1).
@@ -227,9 +228,15 @@ impl WeakScalingProgram {
     /// Builds the program with a shared per-boundary C/R charge vector
     /// (computed once by [`ckpt_charges`] and cloned into every rank).
     pub fn with_charges(spec: &WeakScalingSpec, rank: usize, charges: Arc<[f64]>) -> Self {
+        Self::sharing(Arc::new(spec.clone()), rank, charges)
+    }
+
+    /// [`with_charges`](Self::with_charges) on a spec the caller shares
+    /// between all ranks of the run.
+    fn sharing(spec: Arc<WeakScalingSpec>, rank: usize, charges: Arc<[f64]>) -> Self {
         let logical = spec.logical;
         WeakScalingProgram {
-            spec: spec.clone(),
+            spec,
             l: rank % logical,
             rep: rank / logical,
             iter: 0,
@@ -477,8 +484,9 @@ pub fn run_weak_scaling(
             Arc::from(Vec::new())
         }
     };
+    let spec = Arc::new(spec.clone());
     run_virtual_cluster(&config, |rank| {
-        WeakScalingProgram::with_charges(spec, rank, Arc::clone(&charges))
+        WeakScalingProgram::sharing(Arc::clone(&spec), rank, Arc::clone(&charges))
     })
 }
 

@@ -181,8 +181,9 @@ impl WeakSweep {
 
     /// One million logical ranks, native, one iteration — the headline
     /// scale point proving the event-driven engine holds a 1M-rank world
-    /// (release-mode only; the run is minutes of wall clock and gigabytes
-    /// of rank state, gated structurally, never on wall clock).
+    /// (release-mode only; measured at one worker on a 2-vCPU guest the run
+    /// is 14 s of wall clock and 0.6 GB of rank state; gated structurally,
+    /// never on wall clock).
     pub fn scale_1m() -> Self {
         WeakSweep {
             name: "weak-1m".to_string(),

@@ -33,11 +33,18 @@ fn large_allocs(elems: usize, sends: u64) -> u64 {
     let report = run_cluster(&config, move |proc| {
         let world = proc.world();
         let rcomm = ReplicatedComm::new(world, DEGREE).unwrap();
+        // Sends are eager, so the barrier forces one interleaving: every
+        // message is queued before the first receive.  Left to the host
+        // scheduler, a receiver that keeps pace empties its mailbox lane
+        // after every message and each send re-creates the lane's queue —
+        // an allocation per send that has nothing to do with the payload.
         if rcomm.logical_rank() == 0 {
             for _ in 0..sends {
                 rcomm.send_logical(&data, 1, 9).unwrap();
             }
+            rcomm.world().barrier().unwrap();
         } else {
+            rcomm.world().barrier().unwrap();
             for _ in 0..sends {
                 let v: Vec<f64> = rcomm.recv_logical(0, 9).unwrap();
                 assert_eq!(v.len(), elems);

@@ -271,9 +271,9 @@ where
 }
 
 /// [`run_cluster`] with the configuration validated up front: invalid
-/// configurations (a zero runnable bound, an empty cluster) return a typed
-/// [`ConfigError`] before any thread is spawned, instead of hanging or
-/// panicking.
+/// configurations (a zero runnable bound, an empty cluster, a topology
+/// smaller than the cluster) return a typed [`ConfigError`] before any
+/// thread is spawned, instead of hanging or panicking.
 pub fn try_run_cluster<R, F>(
     config: &ClusterConfig,
     body: F,
@@ -289,12 +289,12 @@ where
         return Err(ConfigError::ZeroRunnable);
     }
     let topology = config.resolved_topology();
-    assert!(
-        topology.num_procs() >= config.num_procs,
-        "topology covers {} ranks but the cluster has {}",
-        topology.num_procs(),
-        config.num_procs
-    );
+    if topology.num_procs() < config.num_procs {
+        return Err(ConfigError::TopologyTooSmall {
+            covers: topology.num_procs(),
+            ranks: config.num_procs,
+        });
+    }
     let failures = FailureStatusBoard::new(config.num_procs);
     let router = Arc::new(
         Router::new(config.num_procs, failures.clone())
@@ -422,6 +422,25 @@ mod tests {
         );
         let empty = try_run_cluster(&ClusterConfig::ideal(0), |_proc| 0usize).unwrap_err();
         assert_eq!(empty, crate::ConfigError::NoProcesses);
+    }
+
+    /// Regression: an explicit topology placing fewer ranks than the cluster
+    /// runs used to trip an `assert!` after the "up front" validation.
+    #[test]
+    fn undersized_topology_is_a_typed_config_error() {
+        let config = ClusterConfig::ideal(4).with_topology(Topology::one_per_node(2));
+        let err = try_run_cluster(&config, |_proc| 0usize).unwrap_err();
+        assert_eq!(
+            err,
+            crate::ConfigError::TopologyTooSmall {
+                covers: 2,
+                ranks: 4
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "topology covers 2 ranks but the cluster has 4"
+        );
     }
 
     /// Regression: a spurious condvar wakeup before the deadline must

@@ -30,11 +30,10 @@
 //!   arrival) + overhead` regardless of *when* in host time the match
 //!   happened (the conservative-clock rule of [`simcluster::clock`]);
 //! * wildcard receives match in virtual **arrival** order (ties broken by
-//!   source, tag, sender sequence — see
-//!   `MailboxState::take_match_by_arrival`), not host delivery order, when
-//!   the candidates are already queued.  Programs whose wildcard receives
-//!   race with in-flight sends should run with one worker or use exact
-//!   sources (every workload in `apps` uses exact sources);
+//!   source, tag, sender sequence — see `Inbox::take`), not host delivery
+//!   order, when the candidates are already queued.  Programs whose
+//!   wildcard receives race with in-flight sends should run with one worker
+//!   or use exact sources (every workload in `apps` uses exact sources);
 //! * failure injection is rank-local: a crash scheduled at virtual time *t*
 //!   fires at the first step boundary where the rank's own clock has
 //!   reached *t*, mirroring the protocol-point semantics of the
@@ -50,11 +49,8 @@
 //! deadlocked (nothing can ever wake them) and are reported as errored —
 //! deadlock detection falls out of the scheduler for free.
 
-use crate::comm::WORLD_COMM_ID;
 use crate::error::ConfigError;
-use crate::mailbox::MailboxState;
-use crate::message::{Envelope, MatchSelector, Tag};
-use bytes::Bytes;
+use crate::message::Tag;
 use parking_lot::{Condvar, Mutex};
 use simcluster::{
     FailureEvent, MachineModel, SimTime, TaskId, Topology, VirtualClock, VirtualEngine,
@@ -392,8 +388,8 @@ enum Phase {
 /// Rank state only ever touched by the rank's own burst: moved out of the
 /// shared table while a worker steps the program, so the burst runs without
 /// holding the scheduler lock.
-struct RankLocal {
-    program: Box<dyn RankProgram>,
+struct RankLocal<P> {
+    program: P,
     clock: VirtualClock,
     /// Busy-until time of the local copy engine (intra-node sends).
     local_busy: SimTime,
@@ -408,39 +404,105 @@ struct RankLocal {
     seq: u64,
 }
 
-/// Shared per-rank slot: mailbox and scheduling state.
-struct RankSlot {
+/// A message in flight or queued at its destination: exactly the fields the
+/// engine models (no payload, no communicator — every engine message is a
+/// world-communicator message of `modeled_bytes` modeled bytes).
+#[derive(Debug, Clone, Copy)]
+struct Msg {
+    src: usize,
+    dst: usize,
+    tag: Tag,
+    modeled_bytes: usize,
+    /// Virtual time at which the message is fully available at `dst`.
+    arrival: SimTime,
+    /// Sender-local sequence number (virtual-time tie-breaking only).
+    seq: u64,
+}
+
+// Inboxes and burst buffers hold these by value: keep them small.
+const _: () = assert!(std::mem::size_of::<Msg>() <= 48);
+
+/// Receive criteria of a [`Step::Recv`]: `None` is a wildcard.
+#[derive(Debug, Clone, Copy)]
+struct Selector {
+    src: Option<usize>,
+    tag: Option<Tag>,
+}
+
+impl Selector {
+    fn matches(&self, msg: &Msg) -> bool {
+        self.src.is_none_or(|s| s == msg.src) && self.tag.is_none_or(|t| t == msg.tag)
+    }
+}
+
+/// One rank's queued messages: a single contiguous queue in delivery order,
+/// scanned linearly.  It stays shallow — a receiver consumes about as fast
+/// as its peers send; the `apps` workload peaks at 16 queued messages with
+/// 100 000 logical ranks — which is why a scan beats any index.
+#[derive(Default)]
+struct Inbox {
+    queue: Vec<Msg>,
+}
+
+impl Inbox {
+    fn push(&mut self, msg: Msg) {
+        self.queue.push(msg);
+    }
+
+    /// Removes and returns the message a receive on `sel` consumes.
+    ///
+    /// One sender's back-to-back sends serialize on its channel and are
+    /// delivered in order, so the messages of one `(src, tag)` pair queue in
+    /// arrival order: an exact selector takes its first match.  A wildcard
+    /// takes the match with the smallest `(arrival, src, tag, seq)` — a pure
+    /// function of the queued virtual-time stamps, independent of the host
+    /// order in which worker threads applied deliveries, which is what keeps
+    /// wildcard receives deterministic at any worker count.
+    fn take(&mut self, sel: &Selector) -> Option<Msg> {
+        let mut matches = self
+            .queue
+            .iter()
+            .enumerate()
+            .filter(|(_, msg)| sel.matches(msg));
+        let at = if sel.src.is_some() && sel.tag.is_some() {
+            matches.next()
+        } else {
+            matches.min_by_key(|(_, msg)| (msg.arrival, msg.src, msg.tag, msg.seq))
+        }
+        .map(|(at, _)| at)?;
+        Some(self.queue.remove(at))
+    }
+}
+
+/// Shared per-rank slot: inbox and scheduling state.
+struct RankSlot<P> {
     phase: Phase,
-    mailbox: MailboxState,
-    parked_on: Option<MatchSelector>,
-    local: Option<RankLocal>,
+    inbox: Inbox,
+    parked_on: Option<Selector>,
+    local: Option<RankLocal<P>>,
     error: Option<String>,
 }
 
 /// Scheduler state shared by the worker pool, behind one mutex.
-struct Shared {
+struct Shared<P> {
     engine: VirtualEngine,
-    ranks: Vec<RankSlot>,
+    ranks: Vec<RankSlot<P>>,
     failed: Vec<bool>,
     failures: Vec<FailureEvent>,
     /// Bursts currently executing outside the lock.
     in_flight: usize,
+    /// Workers parked on the condvar, so an apply only pays for a
+    /// notification when somebody can hear it.
+    waiting: usize,
     messages: u64,
 }
 
 /// Why a burst ended.
 enum BurstEnd {
-    NeedRecv(MatchSelector),
+    NeedRecv(Selector),
     Done,
     Crashed(SimTime),
     Errored(String),
-}
-
-/// Outcome of one lock-free burst: buffered outgoing envelopes plus the
-/// reason the rank stopped stepping.
-struct Burst {
-    end: BurstEnd,
-    outgoing: Vec<Envelope>,
 }
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -458,15 +520,15 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// intra-node) serializes back-to-back sends, the sender CPU is charged only
 /// the fixed overhead, and the message arrives one latency after injection
 /// completes.
-fn inject(
-    local: &mut RankLocal,
+fn inject<P>(
+    local: &mut RankLocal<P>,
     rank: usize,
     dst: usize,
     tag: Tag,
     bytes: usize,
     topology: &Topology,
     machine: &MachineModel,
-) -> Envelope {
+) -> Msg {
     let same_node = topology.same_node(rank, dst);
     let link = *machine.link(same_node);
     let channel = if same_node {
@@ -492,13 +554,10 @@ fn inject(
     let arrival = done + SimTime::from_secs(link.latency_s);
     let seq = local.seq;
     local.seq += 1;
-    Envelope {
-        src_world: rank,
-        dst_world: dst,
-        comm: WORLD_COMM_ID,
+    Msg {
+        src: rank,
+        dst,
         tag,
-        payload: Bytes::new(),
-        head: None,
         modeled_bytes: bytes,
         arrival,
         seq,
@@ -508,51 +567,46 @@ fn inject(
 /// Completes a matched receive on the rank's clock (conservative rule:
 /// `max(clock, arrival)` plus the receiver overhead) and records the
 /// outcome for the program's next step.
-fn complete_recv(
-    local: &mut RankLocal,
-    env: &Envelope,
+fn complete_recv<P>(
+    local: &mut RankLocal<P>,
+    msg: &Msg,
     rank: usize,
     topology: &Topology,
     machine: &MachineModel,
 ) {
-    let same_node = topology.same_node(rank, env.src_world);
+    let same_node = topology.same_node(rank, msg.src);
     let link = machine.link(same_node);
-    local.clock.wait_until(env.arrival);
+    local.clock.wait_until(msg.arrival);
     local.clock.advance_comm(link.receiver_overhead());
     local.last_recv = Some(RecvOutcome::Message(RecvDone {
-        src: env.src_world,
-        tag: env.tag,
-        bytes: env.modeled_bytes,
+        src: msg.src,
+        tag: msg.tag,
+        bytes: msg.modeled_bytes,
         at: local.clock.now(),
     }));
 }
 
 /// Runs one rank as far as it can go without touching shared state: compute
-/// charges and sends are rank-local, so the burst only ends on a receive, a
-/// crash, completion, or an error.
-fn run_burst(
-    local: &mut RankLocal,
+/// charges and sends are rank-local (sends are buffered in `outgoing`, the
+/// worker's reused buffer), so the burst only ends on a receive, a crash,
+/// completion, or an error.
+fn run_burst<P: RankProgram>(
+    local: &mut RankLocal<P>,
+    outgoing: &mut Vec<Msg>,
     rank: usize,
     world: usize,
     topology: &Topology,
     machine: &MachineModel,
     step_limit: u64,
-) -> Burst {
-    let mut outgoing = Vec::new();
+) -> BurstEnd {
     loop {
         if let Some(at) = local.crash_at {
             if local.clock.now() >= at {
-                return Burst {
-                    end: BurstEnd::Crashed(local.clock.now()),
-                    outgoing,
-                };
+                return BurstEnd::Crashed(local.clock.now());
             }
         }
         if step_limit > 0 && local.steps >= step_limit {
-            return Burst {
-                end: BurstEnd::Errored(format!("exceeded step budget of {step_limit}")),
-                outgoing,
-            };
+            return BurstEnd::Errored(format!("exceeded step budget of {step_limit}"));
         }
         local.steps += 1;
         let ctx = RankCtx {
@@ -563,12 +617,7 @@ fn run_burst(
         };
         let step = match catch_unwind(AssertUnwindSafe(|| local.program.step(&ctx))) {
             Ok(step) => step,
-            Err(payload) => {
-                return Burst {
-                    end: BurstEnd::Errored(panic_message(payload)),
-                    outgoing,
-                }
-            }
+            Err(payload) => return BurstEnd::Errored(panic_message(payload)),
         };
         match step {
             Step::Compute { flops, mem_bytes } => {
@@ -584,43 +633,29 @@ fn run_burst(
                 // drops them; crashed destinations are filtered at apply
                 // time, where liveness is known.
             }
-            Step::Recv { src, tag } => {
-                return Burst {
-                    end: BurstEnd::NeedRecv(MatchSelector {
-                        comm: WORLD_COMM_ID,
-                        src_world: src,
-                        tag,
-                    }),
-                    outgoing,
-                };
-            }
-            Step::Done => {
-                return Burst {
-                    end: BurstEnd::Done,
-                    outgoing,
-                }
-            }
+            Step::Recv { src, tag } => return BurstEnd::NeedRecv(Selector { src, tag }),
+            Step::Done => return BurstEnd::Done,
         }
     }
 }
 
 /// Tries to hand a parked or freshly-recv-blocked rank its receive outcome:
-/// a queued matching envelope (earliest virtual arrival first) or a
+/// a queued matching message (earliest virtual arrival first) or a
 /// `PeerFailed` for a crashed named source.  Returns `false` if the rank
 /// must (stay) park(ed).
-fn try_satisfy_recv(
-    local: &mut RankLocal,
-    mailbox: &mut MailboxState,
+fn try_satisfy_recv<P>(
+    local: &mut RankLocal<P>,
+    inbox: &mut Inbox,
     failed: &[bool],
-    sel: &MatchSelector,
+    sel: &Selector,
     rank: usize,
     topology: &Topology,
     machine: &MachineModel,
 ) -> bool {
-    if let Some(env) = mailbox.take_match_by_arrival(sel) {
-        complete_recv(local, &env, rank, topology, machine);
+    if let Some(msg) = inbox.take(sel) {
+        complete_recv(local, &msg, rank, topology, machine);
         true
-    } else if let Some(src) = sel.src_world.filter(|&s| s < failed.len() && failed[s]) {
+    } else if let Some(src) = sel.src.filter(|&s| s < failed.len() && failed[s]) {
         local.last_recv = Some(RecvOutcome::PeerFailed { src });
         true
     } else {
@@ -628,43 +663,41 @@ fn try_satisfy_recv(
     }
 }
 
-/// Applies a finished burst under the scheduler lock: delivers buffered
-/// sends (waking parked receivers at the message arrival time), then parks,
+/// Applies a finished burst under the scheduler lock: delivers the sends
+/// buffered in `outgoing` (waking parked receivers at the message arrival
+/// time) and leaves the buffer empty for the next burst, then parks,
 /// re-readies, or retires the rank.
-fn apply_burst(
-    sh: &mut Shared,
+fn apply_burst<P>(
+    sh: &mut Shared<P>,
     rank: usize,
-    mut local: RankLocal,
-    burst: Burst,
+    mut local: RankLocal<P>,
+    end: BurstEnd,
+    outgoing: &mut Vec<Msg>,
     topology: &Topology,
     machine: &MachineModel,
 ) {
-    for env in burst.outgoing {
+    for msg in outgoing.drain(..) {
         sh.messages += 1;
-        let dst = env.dst_world;
-        if sh.failed[dst] {
+        if sh.failed[msg.dst] {
             continue; // crashed destination: dropped, like the router
         }
-        let arrival = env.arrival;
-        let matches_parked = sh.ranks[dst].phase == Phase::Parked
-            && sh.ranks[dst]
-                .parked_on
-                .as_ref()
-                .is_some_and(|sel| env.matches(sel));
-        sh.ranks[dst].mailbox.push(env);
+        let slot = &mut sh.ranks[msg.dst];
+        let matches_parked = slot.phase == Phase::Parked
+            && slot.parked_on.as_ref().is_some_and(|sel| sel.matches(&msg));
+        slot.inbox.push(msg);
         if matches_parked {
             // Resume the receiver no earlier than the message's virtual
             // arrival.  Duplicate wakeups are harmless: a dispatch that
             // finds nothing to do re-parks.
-            sh.engine.schedule_at(TaskId(dst), arrival);
+            sh.engine.schedule_at(TaskId(msg.dst), msg.arrival);
         }
     }
-    match burst.end {
+    match end {
         BurstEnd::NeedRecv(sel) => {
             let slot = &mut sh.ranks[rank];
             if try_satisfy_recv(
                 &mut local,
-                &mut slot.mailbox,
+                &mut slot.inbox,
                 &sh.failed,
                 &sel,
                 rank,
@@ -701,10 +734,10 @@ fn apply_burst(
 /// rank parked on a receive naming it so the parked rank can observe
 /// `PeerFailed` (the continuation equivalent of the failure board waking
 /// blocked receivers through its registered wakers).
-fn retire_failed(
-    sh: &mut Shared,
+fn retire_failed<P>(
+    sh: &mut Shared<P>,
     rank: usize,
-    local: RankLocal,
+    local: RankLocal<P>,
     at: SimTime,
     phase: Phase,
     error: Option<String>,
@@ -720,7 +753,7 @@ fn retire_failed(
             && sh.ranks[q]
                 .parked_on
                 .as_ref()
-                .is_some_and(|sel| sel.src_world == Some(rank))
+                .is_some_and(|sel| sel.src == Some(rank))
         {
             sh.engine.make_ready(TaskId(q));
         }
@@ -730,14 +763,17 @@ fn retire_failed(
 /// One worker of the pool: pops dispatches, runs bursts outside the lock,
 /// applies them under it.  Returns when the event queue is drained and no
 /// burst is in flight.
-fn worker(
-    shared: &Mutex<Shared>,
+fn worker<P: RankProgram>(
+    shared: &Mutex<Shared<P>>,
     cv: &Condvar,
     world: usize,
     topology: &Topology,
     machine: &MachineModel,
     step_limit: u64,
 ) {
+    // Send buffer of this worker's bursts: filled outside the lock, drained
+    // by the apply, its allocation reused for the whole run.
+    let mut outgoing = Vec::new();
     let mut guard = shared.lock();
     loop {
         let dispatch = loop {
@@ -749,7 +785,9 @@ fn worker(
             }
             // Another worker's in-flight burst may enqueue more work (or
             // finish the run); wait for its apply.
+            guard.waiting += 1;
             cv.wait(&mut guard);
+            guard.waiting -= 1;
         };
         let Some(dispatch) = dispatch else {
             cv.notify_all();
@@ -771,7 +809,7 @@ fn worker(
                 let mut local = slot.local.take().expect("parked rank has local state");
                 if try_satisfy_recv(
                     &mut local,
-                    &mut slot.mailbox,
+                    &mut slot.inbox,
                     &sh.failed,
                     &sel,
                     rank,
@@ -794,13 +832,25 @@ fn worker(
         sh.in_flight += 1;
         drop(guard);
 
-        let burst = run_burst(&mut local, rank, world, topology, machine, step_limit);
+        let end = run_burst(
+            &mut local,
+            &mut outgoing,
+            rank,
+            world,
+            topology,
+            machine,
+            step_limit,
+        );
 
         guard = shared.lock();
         let sh = &mut *guard;
         sh.in_flight -= 1;
-        apply_burst(sh, rank, local, burst, topology, machine);
-        cv.notify_all();
+        apply_burst(sh, rank, local, end, &mut outgoing, topology, machine);
+        // `waiting` only changes under this lock, so a worker is either
+        // counted here or has yet to look at the queue this apply filled.
+        if sh.waiting > 0 {
+            cv.notify_all();
+        }
     }
 }
 
@@ -824,9 +874,9 @@ where
 }
 
 /// [`run_virtual_cluster`] with the configuration validated up front:
-/// invalid configurations (zero worker threads, an empty cluster) return a
-/// typed [`ConfigError`] before any thread is spawned, instead of hanging
-/// or panicking.
+/// invalid configurations (zero worker threads, an empty cluster, a topology
+/// smaller than the cluster) return a typed [`ConfigError`] before any
+/// thread is spawned, instead of hanging or panicking.
 pub fn try_run_virtual_cluster<P, F>(
     config: &EngineConfig,
     make: F,
@@ -843,12 +893,12 @@ where
         return Err(ConfigError::ZeroWorkers);
     }
     let topology = config.resolved_topology();
-    assert!(
-        topology.num_procs() >= n,
-        "topology covers {} ranks but the cluster has {}",
-        topology.num_procs(),
-        n
-    );
+    if topology.num_procs() < n {
+        return Err(ConfigError::TopologyTooSmall {
+            covers: topology.num_procs(),
+            ranks: n,
+        });
+    }
 
     // Fair-share divisor of each node's NIC, computed in one O(n) pass
     // (`Topology::ranks_on` per rank would be quadratic at 1M ranks).
@@ -866,15 +916,15 @@ where
     }
 
     let mut engine = VirtualEngine::new();
-    let ranks: Vec<RankSlot> = (0..n)
+    let ranks: Vec<RankSlot<P>> = (0..n)
         .map(|rank| {
             engine.make_ready(TaskId(rank));
             RankSlot {
                 phase: Phase::Runnable,
-                mailbox: MailboxState::default(),
+                inbox: Inbox::default(),
                 parked_on: None,
                 local: Some(RankLocal {
-                    program: Box::new(make(rank)),
+                    program: make(rank),
                     clock: VirtualClock::new(),
                     local_busy: SimTime::ZERO,
                     nic_busy: SimTime::ZERO,
@@ -895,6 +945,7 @@ where
         failed: vec![false; n],
         failures: Vec::new(),
         in_flight: 0,
+        waiting: 0,
         messages: 0,
     });
     let cv = Condvar::new();
@@ -970,17 +1021,18 @@ where
 mod tests {
     use super::*;
 
+    struct Noop;
+    impl RankProgram for Noop {
+        fn step(&mut self, _ctx: &RankCtx) -> Step {
+            Step::Done
+        }
+    }
+
     /// Regression: `workers == Some(0)` used to be unrepresentable (the
     /// `0` sentinel meant "auto"); now it is a typed config error instead
     /// of an engine that can never dispatch a rank.
     #[test]
     fn zero_workers_is_a_typed_config_error() {
-        struct Noop;
-        impl RankProgram for Noop {
-            fn step(&mut self, _ctx: &RankCtx) -> Step {
-                Step::Done
-            }
-        }
         let mut config = EngineConfig::ideal(2);
         config.workers = Some(0);
         let err = try_run_virtual_cluster(&config, |_rank| Noop).unwrap_err();
@@ -990,6 +1042,152 @@ mod tests {
         assert_eq!(EngineConfig::ideal(2).with_workers(0).workers, None);
         let empty = try_run_virtual_cluster(&EngineConfig::ideal(0), |_rank| Noop).unwrap_err();
         assert_eq!(empty, ConfigError::NoProcesses);
+    }
+
+    /// Regression: an explicit topology placing fewer ranks than the cluster
+    /// runs used to trip an `assert!` after the "up front" validation.
+    #[test]
+    fn undersized_topology_is_a_typed_config_error() {
+        let config = EngineConfig::ideal(4).with_topology(Topology::one_per_node(2));
+        let err = try_run_virtual_cluster(&config, |_rank| Noop).unwrap_err();
+        assert_eq!(
+            err,
+            ConfigError::TopologyTooSmall {
+                covers: 2,
+                ranks: 4
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "topology covers 2 ranks but the cluster has 4"
+        );
+    }
+
+    fn msg_at(src: usize, tag: Tag, arrival: f64, seq: u64) -> Msg {
+        Msg {
+            src,
+            dst: 0,
+            tag,
+            modeled_bytes: 0,
+            arrival: SimTime::from_secs(arrival),
+            seq,
+        }
+    }
+
+    const ANY: Selector = Selector {
+        src: None,
+        tag: None,
+    };
+
+    #[test]
+    fn delivery_order_and_arrival_order_can_differ() {
+        // Source 1 delivered first but arrives later than source 0.
+        let mut inbox = Inbox::default();
+        inbox.push(msg_at(1, 5, 3.0, 0));
+        inbox.push(msg_at(0, 5, 1.0, 0));
+        // A wildcard returns the earliest arrival, not the first delivery.
+        assert_eq!(inbox.take(&ANY).unwrap().src, 0);
+        assert_eq!(inbox.take(&ANY).unwrap().src, 1);
+        assert!(inbox.queue.is_empty());
+    }
+
+    #[test]
+    fn arrival_order_breaks_ties_by_source_then_tag() {
+        let mut inbox = Inbox::default();
+        inbox.push(msg_at(2, 1, 1.0, 0));
+        inbox.push(msg_at(1, 7, 1.0, 0));
+        inbox.push(msg_at(1, 3, 1.0, 0));
+        let first = inbox.take(&ANY).unwrap();
+        assert_eq!((first.src, first.tag), (1, 3));
+        let second = inbox.take(&ANY).unwrap();
+        assert_eq!((second.src, second.tag), (1, 7));
+        assert_eq!(inbox.take(&ANY).unwrap().src, 2);
+    }
+
+    #[test]
+    fn arrival_order_respects_exact_lane_fifo() {
+        let mut inbox = Inbox::default();
+        inbox.push(msg_at(0, 5, 1.0, 0));
+        inbox.push(msg_at(0, 5, 2.0, 1));
+        let sel = Selector {
+            src: Some(0),
+            tag: Some(5),
+        };
+        assert_eq!(inbox.take(&sel).unwrap().seq, 0);
+        assert_eq!(inbox.take(&sel).unwrap().seq, 1);
+        assert!(inbox.take(&sel).is_none());
+    }
+
+    /// Reference model of the inbox: one FIFO lane per `(src, tag)`; a take
+    /// pops the matching lane front with the smallest `(arrival, src, tag,
+    /// seq)`.
+    #[derive(Default)]
+    struct LaneModel {
+        lanes: std::collections::BTreeMap<(usize, Tag), std::collections::VecDeque<Msg>>,
+    }
+
+    impl LaneModel {
+        fn push(&mut self, msg: Msg) {
+            self.lanes
+                .entry((msg.src, msg.tag))
+                .or_default()
+                .push_back(msg);
+        }
+
+        fn take(&mut self, sel: &Selector) -> Option<Msg> {
+            let key = self
+                .lanes
+                .values()
+                .filter_map(|lane| lane.front())
+                .filter(|front| sel.matches(front))
+                .min_by_key(|m| (m.arrival, m.src, m.tag, m.seq))
+                .map(|m| (m.src, m.tag))?;
+            self.lanes.get_mut(&key)?.pop_front()
+        }
+    }
+
+    proptest::proptest! {
+        /// Random interleavings of pushes (arrivals monotone per `(src,
+        /// tag)`, as one sender's channel guarantees) and takes under all
+        /// four selector shapes: the flat inbox and the lane model must hand
+        /// out the same message every time, `None` included.
+        #[test]
+        fn inbox_agrees_with_the_lane_model(ops in proptest::collection::vec(0u32..216, 1..120)) {
+            let mut inbox = Inbox::default();
+            let mut model = LaneModel::default();
+            // Per-sender sequence numbers and per-lane latest arrivals.
+            let mut seq = [0u64; 3];
+            let mut latest = [[0u32; 3]; 3];
+            for op in ops {
+                // Mixed-radix digits: action (6), source (3), tag (3), and
+                // the arrival step or selector shape (4).
+                let (action, src, tag, extra) =
+                    (op % 6, (op / 6 % 3) as usize, op / 18 % 3, op / 54);
+                if action < 4 {
+                    let lane = &mut latest[src][tag as usize];
+                    *lane += extra % 3; // 0 keeps cross-lane ties frequent
+                    let msg = msg_at(src, tag, f64::from(*lane), seq[src]);
+                    seq[src] += 1;
+                    inbox.push(msg);
+                    model.push(msg);
+                } else {
+                    let sel = Selector {
+                        src: (extra & 1 == 0).then_some(src),
+                        tag: (extra & 2 == 0).then_some(tag),
+                    };
+                    let (got, want) = (inbox.take(&sel), model.take(&sel));
+                    proptest::prop_assert_eq!(
+                        got.map(|m| (m.src, m.tag, m.seq)),
+                        want.map(|m| (m.src, m.tag, m.seq)),
+                        "selector {:?}", sel
+                    );
+                }
+            }
+            proptest::prop_assert_eq!(
+                inbox.queue.len(),
+                model.lanes.values().map(|lane| lane.len()).sum::<usize>()
+            );
+        }
     }
 
     /// A ring pass: every rank sends a token right, receives from the left,

@@ -102,6 +102,14 @@ pub enum ConfigError {
     ZeroRunnable,
     /// The cluster has no processes to run.
     NoProcesses,
+    /// The explicit topology places fewer ranks than the cluster runs, so
+    /// some rank would have no node.
+    TopologyTooSmall {
+        /// Ranks the topology places.
+        covers: usize,
+        /// Ranks the cluster runs.
+        ranks: usize,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -118,6 +126,10 @@ impl fmt::Display for ConfigError {
                  parallelism or a positive runnable bound"
             ),
             ConfigError::NoProcesses => write!(f, "cluster needs at least one process"),
+            ConfigError::TopologyTooSmall { covers, ranks } => write!(
+                f,
+                "topology covers {covers} ranks but the cluster has {ranks}"
+            ),
         }
     }
 }

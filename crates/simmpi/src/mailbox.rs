@@ -1,41 +1,34 @@
-//! Indexed mailbox state shared by the two execution strategies.
+//! Indexed mailbox state of the thread world's router.
 //!
-//! [`MailboxState`] implements the matching semantics of one rank's mailbox:
-//! envelopes queue in per-`(communicator, source, tag)` FIFO lanes, and a
-//! lazily-compacted arrival-order index remembers the order in which lanes
-//! received envelopes.  An exact receive (explicit source and tag) is a
-//! single lane lookup plus a pop — O(1) amortized regardless of how many
-//! unrelated messages are queued — while a wildcard receive walks an index.
+//! [`MailboxState`] implements the matching semantics of one mailbox shard:
+//! envelopes queue in per-`(communicator, source, tag)` FIFO lanes, each
+//! stamped with the arrival id the [`Router`](crate::router::Router) drew
+//! for it.  An exact receive (explicit source and tag) is a single lane
+//! lookup plus a pop — O(1) amortized regardless of how many unrelated
+//! messages are queued — while a wildcard receive scans the lanes.
 //!
-//! Two wildcard disciplines are offered, one per execution strategy:
+//! Matching is in **delivery order** (the order the router stamped the
+//! envelopes): with one OS thread per rank, delivery order is the natural
+//! analogue of a flat mailbox scan.  Arrival ids are assigned in delivery
+//! order and each lane's ids are strictly increasing, so the
+//! earliest-delivered match is simply the matching lane front with the
+//! smallest id.  Keeping *only* the lanes (no auxiliary delivery-order
+//! index) makes a push a single map operation — the fabric's per-copy hot
+//! path — at the cost of an O(lanes) scan per wildcard receive, which
+//! profiling shows is the right trade: exact receives outnumber wildcards by
+//! orders of magnitude in every workload in this repository.
 //!
-//! * [`take_match`](MailboxState::take_match) matches in **delivery order**
-//!   (the order `push` was called).  The condvar-based
-//!   [`Router`](crate::router::Router) uses it: with one OS thread per rank,
-//!   delivery order is the natural analogue of a flat mailbox scan.
-//! * [`take_match_by_arrival`](MailboxState::take_match_by_arrival) matches
-//!   in **virtual arrival order**, ties broken by `(source, tag, sender
-//!   sequence)`.  The event-driven engine ([`crate::engine`]) uses it so
-//!   that wildcard matching depends only on virtual time, never on the host
-//!   order in which worker threads happened to apply deliveries.
-//!
-//! Both disciplines reduce to a minimum over the lanes' front envelopes:
-//! arrival ids are assigned in delivery order and each lane's ids are
-//! strictly increasing, so the earliest-delivered match is simply the
-//! matching lane front with the smallest id.  Keeping *only* the lanes (no
-//! auxiliary delivery-order index) makes `push` a single map operation —
-//! the fabric's per-copy hot path — at the cost of an O(lanes) scan per
-//! wildcard receive, which profiling shows is the right trade: exact
-//! receives outnumber wildcards by orders of magnitude in every workload in
-//! this repository.
+//! The event-driven engine ([`crate::engine`]) does not queue here: its
+//! messages carry no payload and its inboxes stay a dozen messages deep, so
+//! it keeps a flat queue of its own and matches wildcards in virtual arrival
+//! order instead.
 
 use crate::fxhash::FxBuildHasher;
 use crate::message::{Envelope, LaneKey, MatchSelector};
 use std::collections::{HashMap, VecDeque};
 
-/// The matching core of one rank's mailbox.  Not synchronized: the router
-/// wraps it in a mutex/condvar pair, the engine drives it under its
-/// scheduler lock.
+/// The matching core of one mailbox shard.  Not synchronized: the router
+/// wraps it in a mutex/condvar pair.
 #[derive(Default)]
 pub(crate) struct MailboxState {
     /// Per-`(comm, src, tag)` FIFO lanes.  Values are `(arrival id,
@@ -49,19 +42,12 @@ pub(crate) struct MailboxState {
 }
 
 impl MailboxState {
-    /// Queues an envelope, assigning the next internal arrival id.
-    pub(crate) fn push(&mut self, env: Envelope) {
-        let id = self.next_arrival;
-        self.push_with_arrival(id, env);
-    }
-
     /// Queues an envelope under an externally-assigned arrival id.  The
     /// sharded router stamps ids from one per-mailbox atomic counter so that
     /// delivery order stays totally ordered *across* shards; each shard's
     /// `MailboxState` then only ever sees a monotone subsequence of those
     /// ids.  The caller must never reuse or reorder ids within one state
-    /// (the internal counter is advanced past `id` to keep the two entry
-    /// points composable).
+    /// (checked in debug builds against the last id seen).
     pub(crate) fn push_with_arrival(&mut self, id: u64, env: Envelope) {
         debug_assert!(id >= self.next_arrival, "arrival ids must be monotone");
         let key = env.lane_key();
@@ -127,38 +113,6 @@ impl MailboxState {
             .filter_map(|(_, lane)| lane.front().map(|&(id, _)| id))
             .min()
     }
-
-    /// Removes and returns the envelope matching `sel` with the smallest
-    /// **virtual arrival time**, ties broken by `(source, tag, sender
-    /// sequence)`.
-    ///
-    /// Unlike [`take_match`](Self::take_match), the selection is a pure
-    /// function of the queued envelopes' virtual-time stamps — it does not
-    /// depend on the host order in which concurrent worker threads applied
-    /// deliveries, which is what lets the event-driven engine keep wildcard
-    /// receives deterministic at any worker count.  Within one lane the
-    /// delivery FIFO *is* arrival order (one sender's back-to-back sends
-    /// serialize on its channel, so arrivals are monotone per lane), so only
-    /// the cross-lane choice differs from delivery order.
-    pub(crate) fn take_match_by_arrival(&mut self, sel: &MatchSelector) -> Option<Envelope> {
-        if let Some(key) = sel.exact_lane() {
-            return self.pop_lane(&key);
-        }
-        // The candidate set is each matching lane's front.  `(arrival, src,
-        // tag, seq)` totally orders the candidates (two lanes never share
-        // `(src, tag)` under one selector comm), so the minimum is
-        // well-defined no matter what order the hash map iterates in.
-        let best = self
-            .lanes
-            .iter()
-            .filter(|(key, _)| sel.matches_lane(key))
-            .filter_map(|(key, lane)| lane.front().map(|(_, env)| (key, env)))
-            .min_by(|(ka, a), (kb, b)| {
-                (a.arrival, ka.1, ka.2, a.seq).cmp(&(b.arrival, kb.1, kb.2, b.seq))
-            })
-            .map(|(key, _)| *key)?;
-        self.pop_lane(&best)
-    }
 }
 
 #[cfg(test)]
@@ -167,71 +121,36 @@ mod tests {
     use bytes::Bytes;
     use simcluster::SimTime;
 
-    fn env_at(src: usize, tag: u32, arrival: f64, seq: u64) -> Envelope {
+    fn env_at(src: usize, arrival: f64) -> Envelope {
         Envelope {
             src_world: src,
             dst_world: 0,
             comm: 9,
-            tag,
+            tag: 5,
             payload: Bytes::new(),
             head: None,
             modeled_bytes: 0,
             arrival: SimTime::from_secs(arrival),
-            seq,
+            seq: 0,
         }
     }
 
-    fn any(comm: u64) -> MatchSelector {
-        MatchSelector {
-            comm,
-            src_world: None,
-            tag: None,
-        }
-    }
-
+    /// The router's discipline is delivery order even when virtual arrival
+    /// order disagrees (the engine's inbox makes the opposite choice).
     #[test]
-    fn delivery_order_and_arrival_order_can_differ() {
+    fn wildcard_matches_in_delivery_order_not_arrival_order() {
         // Lane (src 1) delivered first but arrives later than lane (src 0).
         let mut mb = MailboxState::default();
-        mb.push(env_at(1, 5, 3.0, 0));
-        mb.push(env_at(0, 5, 1.0, 0));
-        let mut by_delivery = MailboxState::default();
-        by_delivery.push(env_at(1, 5, 3.0, 0));
-        by_delivery.push(env_at(0, 5, 1.0, 0));
-
-        // Delivery-order wildcard returns the first-delivered envelope…
-        assert_eq!(by_delivery.take_match(&any(9)).unwrap().src_world, 1);
-        // …while arrival-order wildcard returns the earliest arrival.
-        assert_eq!(mb.take_match_by_arrival(&any(9)).unwrap().src_world, 0);
-        assert_eq!(mb.take_match_by_arrival(&any(9)).unwrap().src_world, 1);
-        assert_eq!(mb.queued(), 0);
-    }
-
-    #[test]
-    fn arrival_order_breaks_ties_by_source_then_tag() {
-        let mut mb = MailboxState::default();
-        mb.push(env_at(2, 1, 1.0, 0));
-        mb.push(env_at(1, 7, 1.0, 0));
-        mb.push(env_at(1, 3, 1.0, 0));
-        let first = mb.take_match_by_arrival(&any(9)).unwrap();
-        assert_eq!((first.src_world, first.tag), (1, 3));
-        let second = mb.take_match_by_arrival(&any(9)).unwrap();
-        assert_eq!((second.src_world, second.tag), (1, 7));
-        assert_eq!(mb.take_match_by_arrival(&any(9)).unwrap().src_world, 2);
-    }
-
-    #[test]
-    fn arrival_order_respects_exact_lane_fifo() {
-        let mut mb = MailboxState::default();
-        mb.push(env_at(0, 5, 1.0, 0));
-        mb.push(env_at(0, 5, 2.0, 1));
-        let sel = MatchSelector {
+        mb.push_with_arrival(0, env_at(1, 3.0));
+        mb.push_with_arrival(1, env_at(0, 1.0));
+        let any = MatchSelector {
             comm: 9,
-            src_world: Some(0),
-            tag: Some(5),
+            src_world: None,
+            tag: None,
         };
-        assert_eq!(mb.take_match_by_arrival(&sel).unwrap().seq, 0);
-        assert_eq!(mb.take_match_by_arrival(&sel).unwrap().seq, 1);
-        assert!(mb.take_match_by_arrival(&sel).is_none());
+        assert_eq!(mb.peek_match(&any), Some(0));
+        assert_eq!(mb.take_match(&any).unwrap().src_world, 1);
+        assert_eq!(mb.take_match(&any).unwrap().src_world, 0);
+        assert_eq!(mb.queued(), 0);
     }
 }
