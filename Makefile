@@ -68,28 +68,21 @@ failures-smoke:
 	./target/release/campaign diff crates/campaign/golden/failures.json \
 		target/campaign-failures.json --tol $(CAMPAIGN_TOL)
 
-# The event-engine determinism gate: run the weak-scaling smoke sweep at
-# two engine worker counts and require both to match the checked-in golden
-# baseline bit-exactly, prove the 10k-logical-rank sweep still runs, then
-# require the 200 000-rank point to agree with itself across worker counts
-# (no golden that size: the two reports are diffed against each other).
+# The event-engine gate: the weak-scaling smoke sweep and the 200 000-rank
+# point must each match their checked-in golden baseline bit-exactly, and
+# the 10k-logical-rank sweep must still run.  Each sweep runs once: the
+# engine is one loop, there is no second configuration to compare against.
 weak-smoke:
 	$(CARGO) build --release -p campaign
-	./target/release/campaign weak --sweep weak-smoke --workers 1 \
-		--out target/weak-smoke-w1.json
-	./target/release/campaign weak --sweep weak-smoke --workers 8 \
-		--out target/weak-smoke-w8.json
+	./target/release/campaign weak --sweep weak-smoke \
+		--out target/weak-smoke.json
 	./target/release/campaign diff crates/campaign/golden/weak_scaling.json \
-		target/weak-smoke-w1.json --tol 0
-	./target/release/campaign diff crates/campaign/golden/weak_scaling.json \
-		target/weak-smoke-w8.json --tol 0
+		target/weak-smoke.json --tol 0
 	./target/release/campaign weak --sweep weak-10k > /dev/null
-	./target/release/campaign weak --sweep weak-100k --workers 1 \
-		--strip-informational --out target/weak-100k-w1.json
-	./target/release/campaign weak --sweep weak-100k --workers 2 \
-		--strip-informational --out target/weak-100k-w2.json
-	./target/release/campaign diff target/weak-100k-w1.json \
-		target/weak-100k-w2.json --tol 0
+	./target/release/campaign weak --sweep weak-100k \
+		--out target/weak-100k.json
+	./target/release/campaign diff crates/campaign/golden/weak_100k.json \
+		target/weak-100k.json --tol 0
 
 # The campaign-service gate: submit the smoke grid to a fresh spool twice
 # and drain it through `campaign serve` with a fresh run cache.  The second
@@ -166,11 +159,13 @@ golden-failures:
 	./target/release/campaign run --grid failures --jobs $(CAMPAIGN_JOBS) \
 		--strip-informational --out crates/campaign/golden/failures.json
 
-# Same, for the event-engine weak-scaling baseline.
+# Same, for the two event-engine weak-scaling baselines.
 golden-weak:
 	$(CARGO) build --release -p campaign
-	./target/release/campaign weak --sweep weak-smoke --workers 1 \
+	./target/release/campaign weak --sweep weak-smoke \
 		--strip-informational --out crates/campaign/golden/weak_scaling.json
+	./target/release/campaign weak --sweep weak-100k \
+		--strip-informational --out crates/campaign/golden/weak_100k.json
 
 # Same, for the checkpoint/restart sweep baseline.
 golden-ckpt:

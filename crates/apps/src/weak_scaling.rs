@@ -25,8 +25,7 @@
 //!
 //! Classic replication (`Replicated`) runs the full computation and
 //! communication in *both* replica sets; native runs one set.  All receives
-//! name exact sources and tags, which keeps the engine's virtual-time
-//! results byte-identical at any worker count (see `simmpi::engine`).
+//! name exact sources and tags.
 //!
 //! Failures are crash-stop: a receive naming a dead peer resolves as
 //! [`RecvOutcome::PeerFailed`] and the survivor *continues with a hole* —
@@ -93,9 +92,6 @@ pub struct WeakScalingSpec {
     pub flops_per_iter: f64,
     /// Memory traffic of one full compute region in bytes.
     pub mem_bytes_per_iter: f64,
-    /// Engine worker threads (`0` = host parallelism).  Virtual-time
-    /// results are identical for every value.
-    pub workers: usize,
     /// Coordinated checkpoint/restart plan.  When set, crash events feed a
     /// deterministic rollback-recovery replay instead of killing ranks:
     /// every rank elapses the identical checkpoint/restart/re-execution
@@ -119,7 +115,6 @@ impl WeakScalingSpec {
             update_bytes: 64 << 10,
             flops_per_iter: 2.0e7,
             mem_bytes_per_iter: 1.6e8,
-            workers: 0,
             ckpt: None,
             ckpt_mtbf_s: f64::INFINITY,
         }
@@ -137,12 +132,6 @@ impl WeakScalingSpec {
     /// Sets the iteration count.
     pub fn with_iters(mut self, iters: usize) -> Self {
         self.iters = iters;
-        self
-    }
-
-    /// Sets the engine worker-thread count.
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
         self
     }
 
@@ -475,8 +464,7 @@ pub fn run_weak_scaling(
     let machine = MachineModel::grid5000_ib20g();
     let mut config = EngineConfig::new(spec.num_procs())
         .with_machine(machine)
-        .with_topology(spec.topology(&machine))
-        .with_workers(spec.workers);
+        .with_topology(spec.topology(&machine));
     let charges = match ckpt_charges(spec, crashes) {
         Some((charges, _stats)) => charges,
         None => {
@@ -497,7 +485,7 @@ mod tests {
 
     #[test]
     fn native_ring_completes_at_modest_scale() {
-        let spec = WeakScalingSpec::new(64, WeakMode::Native).with_workers(2);
+        let spec = WeakScalingSpec::new(64, WeakMode::Native);
         let report = run_weak_scaling(&spec, &[]);
         assert_eq!(report.num_completed(), 64);
         assert!(report.errors().is_empty(), "{:?}", report.errors());
@@ -541,21 +529,12 @@ mod tests {
     }
 
     #[test]
-    fn results_are_identical_across_worker_counts() {
-        let base = run_weak_scaling(
-            &WeakScalingSpec::new(48, WeakMode::Intra).with_workers(1),
-            &[],
-        );
-        for workers in [2, 4] {
-            let spec = WeakScalingSpec::new(48, WeakMode::Intra).with_workers(workers);
-            let report = run_weak_scaling(&spec, &[]);
-            for (a, b) in base.ranks.iter().zip(&report.ranks) {
-                assert_eq!(a.final_time, b.final_time, "rank {}", a.rank);
-                assert_eq!(a.compute_time, b.compute_time);
-                assert_eq!(a.comm_time, b.comm_time);
-                assert_eq!(a.wait_time, b.wait_time);
-            }
-            assert_eq!(base.messages, report.messages);
+    fn results_are_identical_across_repeated_runs() {
+        let spec = WeakScalingSpec::new(48, WeakMode::Intra);
+        // Reports compare on every field, `dispatches` included.
+        let base = run_weak_scaling(&spec, &[]);
+        for _ in 0..2 {
+            assert_eq!(run_weak_scaling(&spec, &[]), base);
         }
     }
 
@@ -594,7 +573,7 @@ mod tests {
     }
 
     #[test]
-    fn engine_checkpoint_results_are_identical_across_worker_counts() {
+    fn engine_checkpoint_results_are_identical_across_repeated_runs() {
         // Ranks 5 and 21 are the two replicas of logical rank 5: a replica
         // defeat, so the replay must roll back even in a replicated mode.
         let plan = CheckpointPlan::fixed(0.01, 0.001, 0.002);
@@ -602,20 +581,14 @@ mod tests {
             (5usize, SimTime::from_secs(0.02)),
             (21usize, SimTime::from_secs(0.05)),
         ];
-        let base_spec = WeakScalingSpec::new(16, WeakMode::Intra)
+        let spec = WeakScalingSpec::new(16, WeakMode::Intra)
             .with_iters(3)
-            .with_checkpointing(plan, f64::INFINITY)
-            .with_workers(1);
-        let base = run_weak_scaling(&base_spec, &crashes);
+            .with_checkpointing(plan, f64::INFINITY);
+        let base = run_weak_scaling(&spec, &crashes);
         assert_eq!(base.num_crashed(), 0);
-        assert_eq!(base.num_completed(), base_spec.num_procs());
-        for workers in [2usize, 4] {
-            let spec = base_spec.clone().with_workers(workers);
-            let report = run_weak_scaling(&spec, &crashes);
-            for (a, b) in base.ranks.iter().zip(&report.ranks) {
-                assert_eq!(a.final_time, b.final_time, "rank {}", a.rank);
-            }
-            assert_eq!(base.messages, report.messages);
+        assert_eq!(base.num_completed(), spec.num_procs());
+        for _ in 0..2 {
+            assert_eq!(run_weak_scaling(&spec, &crashes), base);
         }
     }
 

@@ -7,7 +7,7 @@
 //! campaign run --grid smoke --jobs 4 --out smoke.json [--csv smoke.csv]
 //! campaign run --grid smoke --cache-dir target/campaign-cache  # reuse cached runs
 //! campaign weak list                   # built-in weak-scaling sweeps
-//! campaign weak --sweep weak-smoke --workers 4 --out weak.json
+//! campaign weak --sweep weak-smoke --out weak.json
 //! campaign diff golden/smoke.json smoke.json [--tol 1e-9]
 //!
 //! campaign serve  --spool DIR [--cache-dir DIR] [--jobs N] [--drain]
@@ -36,7 +36,7 @@ use std::sync::Arc;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  campaign list [GRID]\n  campaign run --grid NAME [--jobs N] [--out FILE] [--csv FILE] [--cache-dir DIR] [--strip-informational]\n  campaign weak list\n  campaign weak [--sweep NAME] [--workers N] [--out FILE] [--strip-informational]\n  campaign diff BASELINE CANDIDATE [--tol REL]\n  campaign serve --spool DIR [--cache-dir DIR] [--jobs N] [--drain] [--poll-ms N]\n  campaign submit --spool DIR --id ID --grid NAME\n  campaign status --spool DIR\n  campaign results --spool DIR --id ID [--stream]\n  campaign stop --spool DIR\n\n--strip-informational drops the non-deterministic wall-clock fields from\nthe JSON report (used when regenerating golden baselines).\n\nbuilt-in grids: {}\nbuilt-in weak sweeps: {}",
+        "usage:\n  campaign list [GRID]\n  campaign run --grid NAME [--jobs N] [--out FILE] [--csv FILE] [--cache-dir DIR] [--strip-informational]\n  campaign weak list\n  campaign weak [--sweep NAME] [--out FILE] [--strip-informational]\n  campaign diff BASELINE CANDIDATE [--tol REL]\n  campaign serve --spool DIR [--cache-dir DIR] [--jobs N] [--drain] [--poll-ms N]\n  campaign submit --spool DIR --id ID --grid NAME\n  campaign status --spool DIR\n  campaign results --spool DIR --id ID [--stream]\n  campaign stop --spool DIR\n\n--strip-informational drops the informational fields (host wall clock,\nengine dispatch count) from the JSON report (used when regenerating golden\nbaselines).\n\nbuilt-in grids: {}\nbuilt-in weak sweeps: {}",
         CampaignGrid::builtin_names().join(", "),
         WeakSweep::builtin_names().join(", ")
     );
@@ -198,7 +198,6 @@ fn cmd_weak(args: &[String]) -> ExitCode {
         return ExitCode::SUCCESS;
     }
     let mut sweep_name = "weak-smoke".to_string();
-    let mut workers = 0usize;
     let mut out: Option<String> = None;
     let mut strip = false;
     let mut it = args.iter();
@@ -214,13 +213,6 @@ fn cmd_weak(args: &[String]) -> ExitCode {
             "--sweep" => match value("--sweep") {
                 Some(v) => sweep_name = v,
                 None => return ExitCode::from(2),
-            },
-            "--workers" => match value("--workers").and_then(|v| v.parse().ok()) {
-                Some(v) => workers = v,
-                None => {
-                    eprintln!("--workers needs a non-negative integer (0 = host parallelism)");
-                    return ExitCode::from(2);
-                }
             },
             "--out" => match value("--out") {
                 Some(v) => out = Some(v),
@@ -241,9 +233,9 @@ fn cmd_weak(args: &[String]) -> ExitCode {
         return ExitCode::from(2);
     };
     let num_runs = sweep.expand().len();
-    eprintln!("weak sweep '{sweep_name}': {num_runs} runs, {workers} engine worker(s) (0 = auto)");
+    eprintln!("weak sweep '{sweep_name}': {num_runs} runs");
     let started = std::time::Instant::now();
-    let report = run_weak_sweep(&sweep, workers);
+    let report = run_weak_sweep(&sweep, 0);
     eprintln!(
         "weak sweep '{sweep_name}' finished in {:.2}s wall-clock",
         started.elapsed().as_secs_f64()

@@ -1,35 +1,40 @@
 //! Golden-baseline gate for the event-driven weak-scaling campaign.
 //!
-//! The checked-in `golden/weak_scaling.json` was recorded with one engine
-//! worker; these tests prove the report is a pure function of the virtual
-//! execution — byte-identical at every worker count — and that the engine
-//! actually delivers the scale the sweep presets promise (10k logical
-//! ranks well inside a debug-build test budget).
+//! These tests prove the report is a pure function of the sweep —
+//! byte-identical to the checked-in `golden/weak_scaling.json` run after
+//! run, whatever the ignored compatibility argument of `run_weak_sweep`
+//! says — and that the engine actually delivers the scale the sweep presets
+//! promise (10k logical ranks well inside a debug-build test budget).
 
 use campaign::{diff_reports, run_weak_sweep, strip_informational, Json, WeakSweep};
 
 /// The golden baseline, recorded via
-/// `campaign weak --sweep weak-smoke --workers 1 --strip-informational`.
+/// `campaign weak --sweep weak-smoke --strip-informational`.
 const GOLDEN: &str = include_str!("../golden/weak_scaling.json");
 
-/// Renders a sweep execution the way the golden was recorded: informational
-/// host-side fields stripped, so the bytes are comparable.
-fn render_stripped(sweep: &WeakSweep, workers: usize) -> String {
-    let mut doc = run_weak_sweep(sweep, workers).to_json();
+/// Renders a sweep execution the way the golden was recorded — the
+/// informational fields stripped, so the bytes are comparable — next to its
+/// per-row `dispatches`, which the golden does not carry.
+fn render_stripped(sweep: &WeakSweep, workers: usize) -> (String, Vec<u64>) {
+    let report = run_weak_sweep(sweep, workers);
+    let dispatches = report.rows.iter().map(|row| row.dispatches).collect();
+    let mut doc = report.to_json();
     strip_informational(&mut doc);
-    doc.render()
+    (doc.render(), dispatches)
 }
 
 #[test]
 fn weak_smoke_is_byte_identical_to_golden_at_any_worker_count() {
     let sweep = WeakSweep::smoke();
-    // 1 is the recording configuration, 4 forces real interleaving on any
-    // host, 0 is "auto" (whatever parallelism this machine offers).
-    for workers in [1, 4, 0] {
+    // The values that used to mean one worker, a real pool and "auto": the
+    // argument is ignored, so this is three repeated runs.
+    let (first, dispatches) = render_stripped(&sweep, 1);
+    assert_eq!(first, GOLDEN, "weak-smoke diverged from golden");
+    for workers in [4, 0] {
         assert_eq!(
             render_stripped(&sweep, workers),
-            GOLDEN,
-            "weak-smoke diverged from golden at workers={workers}"
+            (first.clone(), dispatches.clone()),
+            "weak-smoke is not reproducible (argument {workers})"
         );
     }
 }

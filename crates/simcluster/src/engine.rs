@@ -1,8 +1,9 @@
 //! Discrete-event virtual-time scheduling core.
 //!
 //! [`VirtualEngine`] is the deterministic heart of the event-driven
-//! execution strategy: a priority queue of *timers* keyed by virtual time
-//! plus a FIFO *ready list* of tasks that can run immediately.  It knows
+//! execution strategy: a queue of *timers* keyed by virtual time (one FIFO
+//! bucket per distinct time) plus a FIFO *ready list* of tasks that can run
+//! immediately.  It knows
 //! nothing about MPI, mailboxes or failure semantics — `simmpi::engine`
 //! builds the cooperative rank scheduler on top of it.
 //!
@@ -12,17 +13,16 @@
 //!
 //! * ready tasks dispatch strictly FIFO in the order they were made ready;
 //! * timers dispatch in virtual-time order, ties broken by insertion order
-//!   (a strictly monotone sequence number), never by heap internals;
+//!   (each time's bucket is a FIFO), never by container internals;
 //! * virtual *now* only moves when a timer fires, and never backwards.
 //!
-//! The engine is single-threaded by construction (callers wrap it in a lock
-//! when driving it from a worker pool); all determinism obligations beyond
-//! dispatch order — e.g. that task *results* do not depend on dispatch
-//! interleaving — belong to the layer above.
+//! The engine is single-threaded by construction, and so is its one caller
+//! (`simmpi::engine` drives it from a plain loop); all determinism
+//! obligations beyond dispatch order belong to the layer above.
 
 use crate::time::SimTime;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, VecDeque};
 
 /// Identifier of a task registered with a [`VirtualEngine`].
 ///
@@ -40,6 +40,13 @@ pub struct Dispatch {
     /// Virtual time of the resumption (the engine's `now`).
     pub at: SimTime,
 }
+
+/// Largest capacity (in tasks) an emptied bucket may have and still be kept
+/// for reuse; anything bigger is freed.  Reuse is what spares the
+/// all-distinct case an allocation per timer; the cap is what keeps a few
+/// million-task buckets from outliving their instant (a 1M-rank run peaked
+/// at 665 MB with an uncapped pool, 605 MB with this one).
+const POOLED_CAPACITY: usize = 1 << 12;
 
 /// Deterministic discrete-event scheduler: a virtual-time timer queue plus
 /// a FIFO ready list.
@@ -60,14 +67,37 @@ pub struct Dispatch {
 /// assert_eq!(engine.next().unwrap().task, TaskId(0));
 /// assert!(engine.next().is_none());
 /// ```
+///
+/// ## Cost of the timer queue
+///
+/// Timers are stored as one FIFO bucket per *distinct* time, so
+/// [`schedule_at`](Self::schedule_at) and a timer [`next`](Self::next) cost
+/// `O(log distinct-times)`, not `O(log pending)`.  That is the right trade
+/// for the workloads above it: symmetric collectives make whole rank sets
+/// resume at the same instant.  Measured on the `apps` weak-scaling runs: 40
+/// distinct times for 1.83 M timer dispatches with up to 199 979 pending at
+/// 200 000 ranks, 41 for 9.88 M dispatches at 1 M ranks, 122–155 for the
+/// two-iteration 10 000-rank runs.  Against the binary heap this replaced
+/// (one `(time, sequence, task)` entry per timer), filling and draining 1 M
+/// timers costs 17 ns per timer instead of 300 over 32 distinct times, and
+/// 94 instead of 490 over 10 007.
+///
+/// It is the wrong trade when every time is distinct, and there is
+/// deliberately no second structure to switch to: 1 M timers at 1 M distinct
+/// times cost 605 ns each instead of 366, and with 10 000 timers pending,
+/// all distinct, a pop followed by a push costs 155 ns instead of 88 (same
+/// 2-vCPU host, best of seven).
 #[derive(Debug, Default)]
 pub struct VirtualEngine {
     now: SimTime,
     ready: VecDeque<TaskId>,
-    /// Min-heap over `(time, seq, task)` — `seq` makes equal-time pops
-    /// follow insertion order exactly.
-    timers: BinaryHeap<Reverse<(SimTime, u64, TaskId)>>,
-    seq: u64,
+    /// The pending timers of each distinct time, in insertion order.  Never
+    /// holds an empty bucket.
+    buckets: BTreeMap<SimTime, VecDeque<TaskId>>,
+    /// Emptied buckets of at most [`POOLED_CAPACITY`], kept for reuse.
+    pool: Vec<VecDeque<TaskId>>,
+    /// Timers pending across all buckets.
+    timed: usize,
     dispatched: u64,
 }
 
@@ -94,9 +124,14 @@ impl VirtualEngine {
     /// global virtual time — and dispatches at the current `now` without
     /// moving time backwards.
     pub fn schedule_at(&mut self, task: TaskId, at: SimTime) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.timers.push(Reverse((at, seq, task)));
+        match self.buckets.entry(at) {
+            Entry::Occupied(mut bucket) => bucket.get_mut().push_back(task),
+            Entry::Vacant(slot) => {
+                slot.insert(self.pool.pop().unwrap_or_default())
+                    .push_back(task);
+            }
+        }
+        self.timed += 1;
     }
 
     /// Pops the next task to run: the oldest ready task if any, otherwise
@@ -108,25 +143,36 @@ impl VirtualEngine {
     /// iterator adapters would hide behind a borrow.
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Option<Dispatch> {
-        let dispatch = if let Some(task) = self.ready.pop_front() {
-            Dispatch { task, at: self.now }
+        let task = if let Some(task) = self.ready.pop_front() {
+            task
         } else {
-            let Reverse((at, _, task)) = self.timers.pop()?;
-            self.now = self.now.max(at);
-            Dispatch { task, at: self.now }
+            // The earliest bucket stays in the map while it drains, so a
+            // same-time `schedule_at` made by a task it dispatched joins its
+            // tail — behind the timers already waiting there.
+            let mut earliest = self.buckets.first_entry()?;
+            let task = earliest.get_mut().pop_front().expect("no empty bucket");
+            self.now = self.now.max(*earliest.key());
+            if earliest.get().is_empty() {
+                let emptied = earliest.remove();
+                if emptied.capacity() <= POOLED_CAPACITY {
+                    self.pool.push(emptied);
+                }
+            }
+            self.timed -= 1;
+            task
         };
         self.dispatched += 1;
-        Some(dispatch)
+        Some(Dispatch { task, at: self.now })
     }
 
     /// True if neither the ready list nor the timer queue holds a task.
     pub fn is_idle(&self) -> bool {
-        self.ready.is_empty() && self.timers.is_empty()
+        self.ready.is_empty() && self.timed == 0
     }
 
     /// Number of tasks waiting (ready + timed).
     pub fn pending(&self) -> usize {
-        self.ready.len() + self.timers.len()
+        self.ready.len() + self.timed
     }
 
     /// Total dispatches served so far (diagnostic; one per `next`).
@@ -220,5 +266,90 @@ mod tests {
             std::iter::from_fn(move || e.next().map(|d| d.task)).collect::<Vec<_>>()
         };
         assert_eq!(run(), run());
+    }
+
+    /// The specification: the binary heap over `(time, insertion, task)`
+    /// this queue used to be, plus the FIFO ready list.
+    #[derive(Default)]
+    struct HeapModel {
+        now: SimTime,
+        ready: VecDeque<TaskId>,
+        timers: std::collections::BinaryHeap<std::cmp::Reverse<(SimTime, u64, TaskId)>>,
+        seq: u64,
+        dispatched: u64,
+    }
+
+    impl HeapModel {
+        fn schedule_at(&mut self, task: TaskId, at: SimTime) {
+            self.timers.push(std::cmp::Reverse((at, self.seq, task)));
+            self.seq += 1;
+        }
+
+        fn next(&mut self) -> Option<Dispatch> {
+            let task = match self.ready.pop_front() {
+                Some(task) => task,
+                None => {
+                    let std::cmp::Reverse((at, _, task)) = self.timers.pop()?;
+                    self.now = self.now.max(at);
+                    task
+                }
+            };
+            self.dispatched += 1;
+            Some(Dispatch { task, at: self.now })
+        }
+    }
+
+    proptest::proptest! {
+        /// Random interleavings of `make_ready`, `schedule_at` and `next`
+        /// against the heap model: few distinct times and many, times in the
+        /// past, one task scheduled twice, and a `schedule_at` for the very
+        /// time whose bucket is being drained.  Every dispatch and every
+        /// counter must agree.
+        #[test]
+        fn queue_agrees_with_the_heap_model(
+            ops in proptest::collection::vec(0u32..60_000, 1..200),
+            few in 0u32..2,
+        ) {
+            let few = few == 1;
+            let mut engine = VirtualEngine::new();
+            let mut model = HeapModel::default();
+            for op in ops {
+                // Mixed-radix digits: action (10), task (6), time (1000).
+                // Tasks come from a handful of ids, so the same task is
+                // often pending twice.
+                let (action, task, raw) = (op % 10, TaskId((op / 10 % 6) as usize), op / 60);
+                match action {
+                    0 => {
+                        engine.make_ready(task);
+                        model.ready.push_back(task);
+                    }
+                    1..=4 => {
+                        // Either 4 distinct times (deep buckets) or 1000
+                        // (mostly singletons); both reach behind `now`.
+                        let at = t(f64::from(if few { raw % 4 } else { raw }));
+                        engine.schedule_at(task, at);
+                        model.schedule_at(task, at);
+                    }
+                    5 => {
+                        // The time being drained: joins that bucket's tail.
+                        engine.schedule_at(task, engine.now());
+                        model.schedule_at(task, model.now);
+                    }
+                    _ => proptest::prop_assert_eq!(engine.next(), model.next()),
+                }
+                proptest::prop_assert_eq!(engine.now(), model.now);
+                proptest::prop_assert_eq!(engine.pending(), model.ready.len() + model.timers.len());
+                proptest::prop_assert_eq!(engine.dispatched(), model.dispatched);
+                proptest::prop_assert_eq!(engine.is_idle(), engine.pending() == 0);
+            }
+            // Drain: the tails must agree too.
+            loop {
+                let (got, want) = (engine.next(), model.next());
+                proptest::prop_assert_eq!(got, want);
+                if got.is_none() {
+                    break;
+                }
+            }
+        }
     }
 }

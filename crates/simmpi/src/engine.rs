@@ -1,19 +1,22 @@
-//! Event-driven execution strategy: N logical ranks on a small worker pool.
+//! Event-driven execution strategy: N logical ranks in one event loop.
 //!
 //! The thread-per-rank launcher ([`crate::cluster::run_cluster`]) maps every
 //! simulated rank onto one OS thread, which caps experiments at a few
 //! thousand ranks.  This module lifts that ceiling: rank bodies are
 //! *cooperatively scheduled state machines* ([`RankProgram`]) driven by the
 //! discrete-event core of [`simcluster::VirtualEngine`], so 10k–1M logical
-//! ranks run on a handful of worker threads.
+//! ranks run in a single loop on the calling thread.  (Cores are used where
+//! they scale — across runs, by the campaign executor — not inside one: a
+//! burst lasts ~100 ns, far too short to pay for a hand-off.)
 //!
 //! ## Execution model
 //!
 //! A [`RankProgram`] yields one [`Step`] at a time: charge compute, send a
-//! message, receive a message, or finish.  The driver runs each rank in
+//! message, receive a message, or finish.  The loop runs each rank in
 //! *bursts*: compute charges and sends are rank-local (the sender's channel
-//! busy-until times live with the rank), so a burst proceeds lock-free until
-//! the program posts a `Recv` — the engine's only continuation point.  A
+//! busy-until times live with the rank), so a burst touches nothing but its
+//! own rank until the program posts a `Recv` — the engine's only
+//! continuation point; the sends it buffered are delivered when it ends.  A
 //! receive that cannot be matched parks the rank; the matching delivery
 //! later schedules a resumption at the message's virtual arrival time.
 //! Where the router blocks an OS thread on a mailbox condvar, the engine
@@ -22,24 +25,30 @@
 //!
 //! ## Determinism
 //!
-//! Virtual-time results are independent of the number of worker threads and
-//! of host scheduling:
+//! A run is a pure function of its configuration and programs — every
+//! report field, the `dispatches` diagnostic included, and every program's
+//! sequence of receive outcomes.  The dispatch order is fixed (ready ranks
+//! FIFO, then resumptions by `(virtual time, insertion)`), and on top of it:
 //!
 //! * every per-rank quantity (clock, channel busy-until) is touched only by
 //!   the rank itself, and a receive completes at `max(receiver clock,
 //!   arrival) + overhead` regardless of *when* in host time the match
 //!   happened (the conservative-clock rule of [`simcluster::clock`]);
-//! * wildcard receives match in virtual **arrival** order (ties broken by
-//!   source, tag, sender sequence — see `Inbox::take`), not host delivery
-//!   order, when the candidates are already queued.  Programs whose
-//!   wildcard receives race with in-flight sends should run with one worker
-//!   or use exact sources (every workload in `apps` uses exact sources);
+//! * a wildcard receive takes, among the matching messages *queued when it
+//!   is attempted*, the one with the smallest `(arrival, source, tag, sender
+//!   sequence)` — see `Inbox::take` — not the one delivered first.  A
+//!   message a sender has not yet been dispatched to send is not a
+//!   candidate, however early its arrival stamp will be: a parked wildcard
+//!   receiver is resumed at the arrival time of the first delivery that
+//!   matches and then chooses among everything queued by that point.  Racing
+//!   senders therefore always resolve the same way, run after run (every
+//!   workload in `apps` still uses exact sources);
 //! * failure injection is rank-local: a crash scheduled at virtual time *t*
 //!   fires at the first step boundary where the rank's own clock has
 //!   reached *t*, mirroring the protocol-point semantics of the
 //!   thread-world failure injector;
 //! * the report sorts failure events by `(time, rank)` and rank rows by
-//!   rank, so serialized output is byte-stable across worker counts.
+//!   rank.
 //!
 //! ## Liveness
 //!
@@ -51,7 +60,6 @@
 
 use crate::error::ConfigError;
 use crate::message::Tag;
-use parking_lot::{Condvar, Mutex};
 use simcluster::{
     FailureEvent, MachineModel, SimTime, TaskId, Topology, VirtualClock, VirtualEngine,
 };
@@ -158,10 +166,8 @@ impl RankCtx {
 /// [`Step`] per call instead of running on a dedicated OS thread.
 ///
 /// Programs must be deterministic functions of their own state and the
-/// [`RankCtx`] they are shown (ARCHITECTURE.md determinism rules); they are
-/// `Send` because bursts migrate between worker threads, but never run
-/// concurrently with themselves.
-pub trait RankProgram: Send {
+/// [`RankCtx`] they are shown (ARCHITECTURE.md determinism rules).
+pub trait RankProgram {
     /// Produces the next step.  If the previous step was a `Recv`,
     /// [`RankCtx::last_recv`] says how it ended.
     fn step(&mut self, ctx: &RankCtx) -> Step;
@@ -183,11 +189,6 @@ pub struct EngineConfig {
     /// Placement of ranks on nodes.  Defaults to block placement with
     /// `machine.cores_per_node` ranks per node.
     pub topology: Option<Topology>,
-    /// Worker threads driving the ranks; `None` picks the host parallelism.
-    /// Virtual-time results are identical for every value.  `Some(0)` is
-    /// rejected as [`crate::ConfigError::ZeroWorkers`] (it could never make
-    /// progress).
-    pub workers: Option<usize>,
     /// Crash-stop failures to inject: `(rank, virtual time)`.  The crash
     /// fires at the first step boundary at which the rank's clock has
     /// reached the given time.
@@ -206,7 +207,6 @@ impl EngineConfig {
             num_ranks,
             machine: MachineModel::grid5000_ib20g(),
             topology: None,
-            workers: None,
             crashes: Vec::new(),
             step_limit: 0,
         }
@@ -233,11 +233,12 @@ impl EngineConfig {
         self
     }
 
-    /// Sets the worker-thread count (`0` = host parallelism, kept for
-    /// backward compatibility with the old sentinel encoding; it maps to
-    /// `None`).
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = (workers > 0).then_some(workers);
+    /// Has no effect: the engine is one loop on the calling thread, and the
+    /// worker pool this used to size is gone.  The signature remains only
+    /// because `benchmarks/` (which a PR may not edit) calls it; it goes
+    /// when that fence is next opened.
+    #[deprecated(note = "the engine has no worker pool; delete the call")]
+    pub fn with_workers(self, _workers: usize) -> Self {
         self
     }
 
@@ -273,7 +274,7 @@ pub enum RankEnd {
 }
 
 /// Per-rank summary of an event-driven run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VirtualRankReport {
     /// World rank.
     pub rank: usize,
@@ -293,19 +294,19 @@ pub struct VirtualRankReport {
     pub result: Option<f64>,
 }
 
-/// Result of an event-driven virtual cluster run.
-#[derive(Debug)]
+/// Result of an event-driven virtual cluster run.  Two runs of one
+/// configuration compare equal, `dispatches` included.
+#[derive(Debug, PartialEq)]
 pub struct VirtualClusterReport {
     /// Per-rank summaries, ordered by rank.
     pub ranks: Vec<VirtualRankReport>,
-    /// Failure history, sorted by `(time, rank)` so it is identical at any
-    /// worker count.
+    /// Failure history, sorted by `(time, rank)`.
     pub failures: Vec<FailureEvent>,
-    /// Scheduler dispatches served.  A *host-execution* diagnostic, not a
-    /// virtual-time result: duplicate wakeups (a failure retirement racing
-    /// a message delivery for the same parked rank) are consumed as
-    /// harmless stale dispatches, so the count can vary with worker
-    /// interleaving even though every virtual-time field is identical.
+    /// Scheduler dispatches served, stale ones included (a duplicate wakeup
+    /// of a rank that already resumed is consumed as a no-op dispatch).  A
+    /// diagnostic of the engine rather than a virtual-time result, but as
+    /// deterministic as one: the dispatch order is a pure function of the
+    /// configuration and the programs.
     pub dispatches: u64,
     /// Messages injected (deterministic: each rank's send sequence is a
     /// pure function of virtual time).
@@ -373,10 +374,8 @@ impl VirtualClusterReport {
 /// Scheduling phase of one rank.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
-    /// On the ready list (or about to be), `local` present.
+    /// On the ready list, or running its burst right now.
     Runnable,
-    /// A worker is running a burst; `local` is taken.
-    Stepping,
     /// Waiting for a receive to become satisfiable.
     Parked,
     /// Terminal states.
@@ -385,9 +384,8 @@ enum Phase {
     Errored,
 }
 
-/// Rank state only ever touched by the rank's own burst: moved out of the
-/// shared table while a worker steps the program, so the burst runs without
-/// holding the scheduler lock.
+/// Rank state only ever touched by the rank's own burst, stepped in place
+/// in its slot.
 struct RankLocal<P> {
     program: P,
     clock: VirtualClock,
@@ -455,9 +453,8 @@ impl Inbox {
     /// delivered in order, so the messages of one `(src, tag)` pair queue in
     /// arrival order: an exact selector takes its first match.  A wildcard
     /// takes the match with the smallest `(arrival, src, tag, seq)` — a pure
-    /// function of the queued virtual-time stamps, independent of the host
-    /// order in which worker threads applied deliveries, which is what keeps
-    /// wildcard receives deterministic at any worker count.
+    /// function of the queued virtual-time stamps, whatever order the
+    /// deliveries were applied in.
     fn take(&mut self, sel: &Selector) -> Option<Msg> {
         let mut matches = self
             .queue
@@ -474,26 +471,21 @@ impl Inbox {
     }
 }
 
-/// Shared per-rank slot: inbox and scheduling state.
+/// Per-rank slot: inbox, scheduling state and the rank's own state.
 struct RankSlot<P> {
     phase: Phase,
     inbox: Inbox,
     parked_on: Option<Selector>,
-    local: Option<RankLocal<P>>,
+    local: RankLocal<P>,
     error: Option<String>,
 }
 
-/// Scheduler state shared by the worker pool, behind one mutex.
-struct Shared<P> {
+/// Everything the engine loop owns.
+struct Scheduler<P> {
     engine: VirtualEngine,
     ranks: Vec<RankSlot<P>>,
     failed: Vec<bool>,
     failures: Vec<FailureEvent>,
-    /// Bursts currently executing outside the lock.
-    in_flight: usize,
-    /// Workers parked on the condvar, so an apply only pays for a
-    /// notification when somebody can hear it.
-    waiting: usize,
     messages: u64,
 }
 
@@ -586,9 +578,9 @@ fn complete_recv<P>(
     }));
 }
 
-/// Runs one rank as far as it can go without touching shared state: compute
+/// Runs one rank as far as it can go without touching another rank: compute
 /// charges and sends are rank-local (sends are buffered in `outgoing`, the
-/// worker's reused buffer), so the burst only ends on a receive, a crash,
+/// loop's reused buffer), so the burst only ends on a receive, a crash,
 /// completion, or an error.
 fn run_burst<P: RankProgram>(
     local: &mut RankLocal<P>,
@@ -663,25 +655,24 @@ fn try_satisfy_recv<P>(
     }
 }
 
-/// Applies a finished burst under the scheduler lock: delivers the sends
+/// Applies a finished burst to the rest of the world: delivers the sends
 /// buffered in `outgoing` (waking parked receivers at the message arrival
 /// time) and leaves the buffer empty for the next burst, then parks,
 /// re-readies, or retires the rank.
 fn apply_burst<P>(
-    sh: &mut Shared<P>,
+    sched: &mut Scheduler<P>,
     rank: usize,
-    mut local: RankLocal<P>,
     end: BurstEnd,
     outgoing: &mut Vec<Msg>,
     topology: &Topology,
     machine: &MachineModel,
 ) {
     for msg in outgoing.drain(..) {
-        sh.messages += 1;
-        if sh.failed[msg.dst] {
+        sched.messages += 1;
+        if sched.failed[msg.dst] {
             continue; // crashed destination: dropped, like the router
         }
-        let slot = &mut sh.ranks[msg.dst];
+        let slot = &mut sched.ranks[msg.dst];
         let matches_parked = slot.phase == Phase::Parked
             && slot.parked_on.as_ref().is_some_and(|sel| sel.matches(&msg));
         slot.inbox.push(msg);
@@ -689,43 +680,34 @@ fn apply_burst<P>(
             // Resume the receiver no earlier than the message's virtual
             // arrival.  Duplicate wakeups are harmless: a dispatch that
             // finds nothing to do re-parks.
-            sh.engine.schedule_at(TaskId(msg.dst), msg.arrival);
+            sched.engine.schedule_at(TaskId(msg.dst), msg.arrival);
         }
     }
     match end {
         BurstEnd::NeedRecv(sel) => {
-            let slot = &mut sh.ranks[rank];
+            let slot = &mut sched.ranks[rank];
             if try_satisfy_recv(
-                &mut local,
+                &mut slot.local,
                 &mut slot.inbox,
-                &sh.failed,
+                &sched.failed,
                 &sel,
                 rank,
                 topology,
                 machine,
             ) {
-                slot.phase = Phase::Runnable;
-                slot.local = Some(local);
-                sh.engine.make_ready(TaskId(rank));
+                sched.engine.make_ready(TaskId(rank));
             } else {
                 slot.phase = Phase::Parked;
                 slot.parked_on = Some(sel);
-                slot.local = Some(local);
             }
         }
-        BurstEnd::Done => {
-            let slot = &mut sh.ranks[rank];
-            slot.phase = Phase::Done;
-            slot.local = Some(local);
-        }
-        BurstEnd::Crashed(at) => {
-            retire_failed(sh, rank, local, at, Phase::Crashed, None);
-        }
+        BurstEnd::Done => sched.ranks[rank].phase = Phase::Done,
+        BurstEnd::Crashed(at) => retire_failed(sched, rank, at, Phase::Crashed, None),
         BurstEnd::Errored(msg) => {
             // Mirror the thread world: a panicked rank is marked failed so
             // peers blocked on it observe the failure instead of hanging.
-            let at = local.clock.now();
-            retire_failed(sh, rank, local, at, Phase::Errored, Some(msg));
+            let at = sched.ranks[rank].local.clock.now();
+            retire_failed(sched, rank, at, Phase::Errored, Some(msg));
         }
     }
 }
@@ -735,105 +717,68 @@ fn apply_burst<P>(
 /// `PeerFailed` (the continuation equivalent of the failure board waking
 /// blocked receivers through its registered wakers).
 fn retire_failed<P>(
-    sh: &mut Shared<P>,
+    sched: &mut Scheduler<P>,
     rank: usize,
-    local: RankLocal<P>,
     at: SimTime,
     phase: Phase,
     error: Option<String>,
 ) {
-    sh.failed[rank] = true;
-    sh.failures.push(FailureEvent { rank, time: at });
-    let slot = &mut sh.ranks[rank];
+    sched.failed[rank] = true;
+    sched.failures.push(FailureEvent { rank, time: at });
+    let slot = &mut sched.ranks[rank];
     slot.phase = phase;
     slot.error = error;
-    slot.local = Some(local);
-    for q in 0..sh.ranks.len() {
-        if sh.ranks[q].phase == Phase::Parked
-            && sh.ranks[q]
+    for q in 0..sched.ranks.len() {
+        if sched.ranks[q].phase == Phase::Parked
+            && sched.ranks[q]
                 .parked_on
                 .as_ref()
                 .is_some_and(|sel| sel.src == Some(rank))
         {
-            sh.engine.make_ready(TaskId(q));
+            sched.engine.make_ready(TaskId(q));
         }
     }
 }
 
-/// One worker of the pool: pops dispatches, runs bursts outside the lock,
-/// applies them under it.  Returns when the event queue is drained and no
-/// burst is in flight.
-fn worker<P: RankProgram>(
-    shared: &Mutex<Shared<P>>,
-    cv: &Condvar,
-    world: usize,
+/// The engine loop: pops dispatches (ready FIFO, then timers by `(time,
+/// insertion)`), runs each rank's burst in place and applies it.  Returns
+/// when the event queue is drained.
+fn drive<P: RankProgram>(
+    sched: &mut Scheduler<P>,
     topology: &Topology,
     machine: &MachineModel,
     step_limit: u64,
 ) {
-    // Send buffer of this worker's bursts: filled outside the lock, drained
-    // by the apply, its allocation reused for the whole run.
+    let world = sched.ranks.len();
+    // Send buffer of every burst: filled by the burst, drained by the apply,
+    // its allocation reused for the whole run.
     let mut outgoing = Vec::new();
-    let mut guard = shared.lock();
-    loop {
-        let dispatch = loop {
-            if let Some(d) = guard.engine.next() {
-                break Some(d);
-            }
-            if guard.in_flight == 0 {
-                break None;
-            }
-            // Another worker's in-flight burst may enqueue more work (or
-            // finish the run); wait for its apply.
-            guard.waiting += 1;
-            cv.wait(&mut guard);
-            guard.waiting -= 1;
-        };
-        let Some(dispatch) = dispatch else {
-            cv.notify_all();
-            return;
-        };
+    while let Some(dispatch) = sched.engine.next() {
         let rank = dispatch.task.0;
-        let sh = &mut *guard;
-        let local = match sh.ranks[rank].phase {
-            Phase::Runnable => {
-                let slot = &mut sh.ranks[rank];
-                slot.phase = Phase::Stepping;
-                slot.local.take()
-            }
+        let slot = &mut sched.ranks[rank];
+        match slot.phase {
+            Phase::Runnable => {}
             Phase::Parked => {
-                let sel = sh.ranks[rank]
-                    .parked_on
-                    .expect("parked rank has a selector");
-                let slot = &mut sh.ranks[rank];
-                let mut local = slot.local.take().expect("parked rank has local state");
-                if try_satisfy_recv(
-                    &mut local,
+                let sel = slot.parked_on.expect("parked rank has a selector");
+                if !try_satisfy_recv(
+                    &mut slot.local,
                     &mut slot.inbox,
-                    &sh.failed,
+                    &sched.failed,
                     &sel,
                     rank,
                     topology,
                     machine,
                 ) {
-                    slot.phase = Phase::Stepping;
-                    slot.parked_on = None;
-                    Some(local)
-                } else {
-                    // Spurious wakeup (e.g. a duplicate resume): re-park.
-                    slot.local = Some(local);
-                    None
+                    continue; // spurious wakeup (e.g. a duplicate resume): stay parked
                 }
+                slot.phase = Phase::Runnable;
+                slot.parked_on = None;
             }
-            // Stale dispatch for a rank that already resumed or retired.
-            _ => None,
-        };
-        let Some(mut local) = local else { continue };
-        sh.in_flight += 1;
-        drop(guard);
-
+            // Stale dispatch for a rank that already retired.
+            _ => continue,
+        }
         let end = run_burst(
-            &mut local,
+            &mut slot.local,
             &mut outgoing,
             rank,
             world,
@@ -841,21 +786,12 @@ fn worker<P: RankProgram>(
             machine,
             step_limit,
         );
-
-        guard = shared.lock();
-        let sh = &mut *guard;
-        sh.in_flight -= 1;
-        apply_burst(sh, rank, local, end, &mut outgoing, topology, machine);
-        // `waiting` only changes under this lock, so a worker is either
-        // counted here or has yet to look at the queue this apply filled.
-        if sh.waiting > 0 {
-            cv.notify_all();
-        }
+        apply_burst(sched, rank, end, &mut outgoing, topology, machine);
     }
 }
 
 /// Runs `num_ranks` logical ranks, each executing the program built by
-/// `make(rank)`, on a pool of `config.workers` worker threads, and collects
+/// `make(rank)`, in one loop on the calling thread, and collects
 /// virtual-time reports.
 ///
 /// This is the scalable sibling of [`crate::run_cluster`]: same machine
@@ -874,9 +810,9 @@ where
 }
 
 /// [`run_virtual_cluster`] with the configuration validated up front:
-/// invalid configurations (zero worker threads, an empty cluster, a topology
-/// smaller than the cluster) return a typed [`ConfigError`] before any
-/// thread is spawned, instead of hanging or panicking.
+/// invalid configurations (an empty cluster, a topology smaller than the
+/// cluster) return a typed [`ConfigError`] before any rank runs, instead of
+/// panicking.
 pub fn try_run_virtual_cluster<P, F>(
     config: &EngineConfig,
     make: F,
@@ -888,9 +824,6 @@ where
     let n = config.num_ranks;
     if n == 0 {
         return Err(ConfigError::NoProcesses);
-    }
-    if config.workers == Some(0) {
-        return Err(ConfigError::ZeroWorkers);
     }
     let topology = config.resolved_topology();
     if topology.num_procs() < n {
@@ -923,7 +856,7 @@ where
                 phase: Phase::Runnable,
                 inbox: Inbox::default(),
                 parked_on: None,
-                local: Some(RankLocal {
+                local: RankLocal {
                     program: make(rank),
                     clock: VirtualClock::new(),
                     local_busy: SimTime::ZERO,
@@ -933,54 +866,30 @@ where
                     crash_at: crash_at[rank],
                     steps: 0,
                     seq: 0,
-                }),
+                },
                 error: None,
             }
         })
         .collect();
 
-    let shared = Mutex::new(Shared {
+    let mut sched = Scheduler {
         engine,
         ranks,
         failed: vec![false; n],
         failures: Vec::new(),
-        in_flight: 0,
-        waiting: 0,
         messages: 0,
-    });
-    let cv = Condvar::new();
+    };
+    drive(&mut sched, &topology, &config.machine, config.step_limit);
 
-    let workers = config
-        .workers
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(4, |p| p.get()))
-        .min(n)
-        .max(1);
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                worker(
-                    &shared,
-                    &cv,
-                    n,
-                    &topology,
-                    &config.machine,
-                    config.step_limit,
-                )
-            });
-        }
-    });
-
-    let mut sh = shared.into_inner();
-    let mut failures = std::mem::take(&mut sh.failures);
+    let mut failures = std::mem::take(&mut sched.failures);
     failures.sort_by_key(|f| (f.time, f.rank));
-    let dispatches = sh.engine.dispatched();
-    let ranks = sh
+    let dispatches = sched.engine.dispatched();
+    let ranks = sched
         .ranks
         .into_iter()
         .enumerate()
         .map(|(rank, slot)| {
-            let local = slot.local.expect("retired rank keeps its local state");
+            let local = slot.local;
             let end = match slot.phase {
                 Phase::Done => RankEnd::Completed,
                 Phase::Crashed => RankEnd::Crashed,
@@ -992,9 +901,7 @@ where
                 Phase::Parked => RankEnd::Errored(
                     "deadlock: parked on a receive when the event queue drained".to_string(),
                 ),
-                Phase::Runnable | Phase::Stepping => {
-                    unreachable!("rank {rank} left neither parked nor retired")
-                }
+                Phase::Runnable => unreachable!("rank {rank} left neither parked nor retired"),
             };
             VirtualRankReport {
                 rank,
@@ -1013,13 +920,15 @@ where
         ranks,
         failures,
         dispatches,
-        messages: sh.messages,
+        messages: sched.messages,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     struct Noop;
     impl RankProgram for Noop {
@@ -1028,20 +937,10 @@ mod tests {
         }
     }
 
-    /// Regression: `workers == Some(0)` used to be unrepresentable (the
-    /// `0` sentinel meant "auto"); now it is a typed config error instead
-    /// of an engine that can never dispatch a rank.
     #[test]
-    fn zero_workers_is_a_typed_config_error() {
-        let mut config = EngineConfig::ideal(2);
-        config.workers = Some(0);
-        let err = try_run_virtual_cluster(&config, |_rank| Noop).unwrap_err();
-        assert_eq!(err, ConfigError::ZeroWorkers);
-        assert!(err.to_string().contains("workers"));
-        // The builder keeps the old `0 = auto` sentinel working.
-        assert_eq!(EngineConfig::ideal(2).with_workers(0).workers, None);
-        let empty = try_run_virtual_cluster(&EngineConfig::ideal(0), |_rank| Noop).unwrap_err();
-        assert_eq!(empty, ConfigError::NoProcesses);
+    fn empty_cluster_is_a_typed_config_error() {
+        let err = try_run_virtual_cluster(&EngineConfig::ideal(0), |_rank| Noop).unwrap_err();
+        assert_eq!(err, ConfigError::NoProcesses);
     }
 
     /// Regression: an explicit topology placing fewer ranks than the cluster
@@ -1233,9 +1132,8 @@ mod tests {
         }
     }
 
-    fn ring_report(workers: usize) -> VirtualClusterReport {
-        let config = EngineConfig::new(8).with_workers(workers);
-        run_virtual_cluster(&config, |_| RingProgram {
+    fn ring_report(config: &EngineConfig) -> VirtualClusterReport {
+        run_virtual_cluster(config, |_| RingProgram {
             state: 0,
             bytes: 4096,
         })
@@ -1243,7 +1141,7 @@ mod tests {
 
     #[test]
     fn ring_pass_completes_with_symmetric_times() {
-        let report = ring_report(1);
+        let report = ring_report(&EngineConfig::new(8));
         assert_eq!(report.num_completed(), 8);
         assert_eq!(report.messages, 8);
         assert!(report.makespan() > SimTime::ZERO);
@@ -1257,17 +1155,105 @@ mod tests {
     }
 
     #[test]
+    fn repeated_runs_are_identical_in_every_report_field() {
+        let baseline = ring_report(&EngineConfig::new(8));
+        assert_eq!(baseline.dispatches, 16);
+        for _ in 0..3 {
+            assert_eq!(ring_report(&EngineConfig::new(8)), baseline);
+        }
+    }
+
+    /// The deprecated builder is a no-op at the values that used to mean
+    /// "host parallelism", one worker and a real pool.
+    #[test]
+    #[allow(deprecated)]
     fn virtual_times_are_identical_at_any_worker_count() {
-        let baseline = ring_report(1);
-        for workers in [2, 4, 8] {
-            let report = ring_report(workers);
-            for (a, b) in baseline.ranks.iter().zip(&report.ranks) {
-                assert_eq!(a.final_time, b.final_time, "rank {} diverged", a.rank);
-                assert_eq!(a.compute_time, b.compute_time);
-                assert_eq!(a.comm_time, b.comm_time);
-                assert_eq!(a.wait_time, b.wait_time);
+        let baseline = ring_report(&EngineConfig::new(8));
+        for workers in [0, 1, 8] {
+            let config = EngineConfig::new(8).with_workers(workers);
+            assert_eq!(ring_report(&config), baseline);
+        }
+    }
+
+    /// Two senders race a wildcard receiver.  The match rule: among the
+    /// matching messages queued when the receive is attempted, the earliest
+    /// virtual arrival wins — delivery order does not matter, and a message
+    /// whose sender has not run yet is not a candidate.
+    struct Race {
+        receiver: usize,
+        state: u8,
+        /// The receiver's `RecvDone`s in match order (the report only
+        /// carries a scalar per rank).
+        seen: Rc<RefCell<Vec<RecvDone>>>,
+    }
+
+    impl RankProgram for Race {
+        fn step(&mut self, ctx: &RankCtx) -> Step {
+            if let Some(RecvOutcome::Message(done)) = ctx.last_recv() {
+                self.seen.borrow_mut().push(done);
             }
-            assert_eq!(baseline.messages, report.messages);
+            self.state += 1;
+            if ctx.rank() == self.receiver {
+                return match self.state {
+                    1 | 2 => Step::Recv {
+                        src: None,
+                        tag: Some(9),
+                    },
+                    _ => Step::Done,
+                };
+            }
+            // The lower-ranked sender runs (and delivers) first but its
+            // message arrives later in virtual time.
+            let lower = (0..3).find(|&r| r != self.receiver) == Some(ctx.rank());
+            match self.state {
+                1 => Step::Elapse(SimTime::from_secs(if lower { 2.0 } else { 1.0 })),
+                2 => Step::Send {
+                    dst: self.receiver,
+                    tag: 9,
+                    bytes: 64,
+                },
+                _ => Step::Done,
+            }
+        }
+    }
+
+    fn race(receiver: usize) -> (Vec<RecvDone>, VirtualClusterReport) {
+        let seen = Rc::new(RefCell::new(Vec::new()));
+        let report = run_virtual_cluster(&EngineConfig::new(3), |_| Race {
+            receiver,
+            state: 0,
+            seen: Rc::clone(&seen),
+        });
+        assert_eq!(report.num_completed(), 3, "{:?}", report.errors());
+        (seen.take(), report)
+    }
+
+    #[test]
+    fn racing_senders_resolve_a_wildcard_receive_identically_every_run() {
+        for receiver in 0..3 {
+            let (first, report) = race(receiver);
+            for _ in 0..9 {
+                let (again, report_again) = race(receiver);
+                assert_eq!((&again, &report_again), (&first, &report));
+            }
+            let sources: Vec<usize> = first.iter().map(|m| m.src).collect();
+            let lower = (0..3).find(|&r| r != receiver).unwrap();
+            let upper = (0..3).rfind(|&r| r != receiver).unwrap();
+            if receiver == 1 {
+                // Rank 0 has delivered, rank 2 has not run yet: the receive
+                // takes what is queued, although rank 2's message will carry
+                // the earlier arrival stamp.
+                assert_eq!(sources, vec![lower, upper]);
+                assert!(first[0].at > SimTime::from_secs(2.0));
+            } else {
+                // Both messages are queued by the time the receiver is
+                // resumed (rank 0: parked, woken at the earlier arrival;
+                // rank 2: dispatched last): earliest arrival first, although
+                // it was delivered second.
+                assert_eq!(sources, vec![upper, lower]);
+                assert!(first[0].at < SimTime::from_secs(2.0));
+            }
+            assert!(first[0].at <= first[1].at);
         }
     }
 
@@ -1308,8 +1294,7 @@ mod tests {
         let link = *machine.link(false);
         let config = EngineConfig::new(2)
             .with_machine(machine)
-            .with_topology(Topology::one_per_node(2))
-            .with_workers(1);
+            .with_topology(Topology::one_per_node(2));
         let report = run_virtual_cluster(&config, |_| Ping(0));
         let occupancy = link.sender_occupancy(1_000_000);
         let overhead = SimTime::from_secs(link.send_overhead_s);
@@ -1369,9 +1354,7 @@ mod tests {
 
     #[test]
     fn crash_wakes_parked_receiver_with_peer_failed() {
-        let config = EngineConfig::ideal(2)
-            .with_workers(2)
-            .with_crash(1, SimTime::from_secs(1.0));
+        let config = EngineConfig::ideal(2).with_crash(1, SimTime::from_secs(1.0));
         let report = run_virtual_cluster(&config, |_| WaitForPeer {
             state: 0,
             saw_failure: false,
@@ -1432,8 +1415,7 @@ mod tests {
                 }
             }
         }
-        let config = EngineConfig::ideal(2).with_workers(2);
-        let report = run_virtual_cluster(&config, |rank| Stuck(rank == 0));
+        let report = run_virtual_cluster(&EngineConfig::ideal(2), |rank| Stuck(rank == 0));
         // Rank 0 finishes immediately; rank 1 waits for a message that is
         // never sent and must be reported as deadlocked, not hang the run.
         assert_eq!(report.ranks[0].end, RankEnd::Completed);
@@ -1456,8 +1438,7 @@ mod tests {
                 }
             }
         }
-        let config = EngineConfig::ideal(2).with_workers(1);
-        let report = run_virtual_cluster(&config, |_| Faulty(0));
+        let report = run_virtual_cluster(&EngineConfig::ideal(2), |_| Faulty(0));
         assert!(matches!(report.ranks[0].end, RankEnd::Errored(ref m) if m.contains("bug")));
         // The peer observed the failure instead of deadlocking.
         assert_eq!(report.ranks[1].end, RankEnd::Completed);

@@ -94,9 +94,6 @@ pub type MpiResult<T> = Result<T, MpiError>;
 /// with the error's message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConfigError {
-    /// `EngineConfig::workers == Some(0)`: an engine with zero worker
-    /// threads could never dispatch a rank, so the run would hang.
-    ZeroWorkers,
     /// `ClusterConfig::max_runnable == Some(0)`: no rank thread could ever
     /// hold a runnable permit, so the run would hang.
     ZeroRunnable,
@@ -115,11 +112,6 @@ pub enum ConfigError {
 impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ConfigError::ZeroWorkers => write!(
-                f,
-                "EngineConfig::workers is Some(0); use None for host parallelism \
-                 or a positive worker count"
-            ),
             ConfigError::ZeroRunnable => write!(
                 f,
                 "ClusterConfig::max_runnable is Some(0); use None for host \
