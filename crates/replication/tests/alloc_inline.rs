@@ -1,19 +1,17 @@
 //! Allocation budget of *small* logical sends: the inline-payload path.
 //!
 //! Payloads that fit [`bytes::Bytes::INLINE_CAP`] (64 bytes) are carried
-//! inline in the envelope — no heap, no arena, nothing for the allocator to
-//! do per message.  One byte over the cap and the receiver must materialize
-//! a real vector, so the boundary is observable from allocation counts
-//! alone.  This binary (separate from `alloc_counting.rs` so each test
+//! inline in the envelope — nothing for the allocator to do per message.
+//! One byte over the cap and both ends must materialize a real vector, so
+//! the boundary is observable from allocation counts alone.  This binary (separate from `alloc_counting.rs` so each test
 //! binary owns its `#[global_allocator]` and threshold) measures the
 //! *marginal* allocation cost of a logical send by differencing two runs
 //! that differ only in message count — cluster setup, replica spawning and
 //! warmup cancel out exactly.
 //!
-//! Note the frame itself never hits the global allocator in either case:
-//! sub-threshold frames are inline and larger frames come from the
-//! thread-local arena (mmap-backed).  What the boundary case counts is the
-//! receiver-side vector the payload is deserialized into.
+//! What the boundary case counts: the sender's frame (one `Vec` per logical
+//! send, shared by reference count across the fan-out) and the vector each
+//! consuming receiver deserializes the payload into.
 
 use replication::ReplicatedComm;
 use simmpi::{run_cluster, ClusterConfig};
@@ -87,13 +85,13 @@ fn inline_threshold_separates_free_sends_from_allocating_sends() {
     );
 
     // Threshold boundary: one element more (72-byte body) spills.  The
-    // frame still bypasses the global allocator (arena), but each consuming
-    // receiver replica now materializes a payload-sized vector, so the
-    // marginal cost jumps to at least one allocation per logical send.
+    // sender builds a heap frame and each consuming receiver replica
+    // materializes a payload-sized vector, so the marginal cost jumps to at
+    // least one allocation per logical send.
     let spilled = marginal_allocs_per_send(INLINE_CAP / 8 + 1);
     assert!(
         spilled >= 1.0,
-        "a just-over-threshold payload must allocate on the receive side, \
+        "a just-over-threshold payload must allocate, \
          measured {spilled:.2} large allocations per send"
     );
 }

@@ -1,12 +1,11 @@
 //! Cluster launcher: spawns one OS thread per simulated physical process and
 //! collects results, virtual-time breakdowns and statistics.
 //!
-//! Although every rank gets its own thread (bodies are arbitrary blocking
-//! closures), only [`ClusterConfig::max_runnable`] of them are *runnable*
-//! at once: each thread holds a permit from the router's runnable gate and
-//! releases it whenever it parks in a blocking receive, so large clusters
-//! behave like a small worker pool instead of thrashing the host scheduler.
-//! For rank counts beyond a few thousand, use the event-driven engine
+//! Every rank gets its own thread (bodies are arbitrary blocking closures)
+//! and the host scheduler runs them as it sees fit: a rank blocked in a
+//! receive sleeps on its mailbox's condvar and costs nothing until a
+//! matching delivery wakes it.  That model serves the rank counts the
+//! figures need (4–128); beyond that, use the event-driven engine
 //! ([`crate::engine`]), which drops the thread-per-rank model entirely.
 
 use crate::error::ConfigError;
@@ -36,16 +35,6 @@ pub struct ClusterConfig {
     /// duration, all pending operations abort with `MpiError::Aborted`
     /// (protects the test suite against protocol deadlocks).
     pub watchdog: Option<Duration>,
-    /// Upper bound on simultaneously *runnable* rank threads.  One OS
-    /// thread per rank still exists, but only this many hold a runnable
-    /// permit at once — a thread parked in a blocking receive gives its
-    /// permit back, so the host scheduler juggles a small worker-pool's
-    /// worth of active threads instead of all `num_procs`.  `None` (the
-    /// default) resolves to the host's available parallelism; `Some(0)` is
-    /// rejected as [`crate::ConfigError::ZeroRunnable`] (no thread could
-    /// ever run).  Virtual-time results are identical for every value;
-    /// only host wall clock and scheduler load change.
-    pub max_runnable: Option<usize>,
 }
 
 impl ClusterConfig {
@@ -58,7 +47,6 @@ impl ClusterConfig {
             topology: None,
             seed: 42,
             watchdog: Some(Duration::from_secs(300)),
-            max_runnable: None,
         }
     }
 
@@ -93,33 +81,6 @@ impl ClusterConfig {
     pub fn with_watchdog(mut self, watchdog: Option<Duration>) -> Self {
         self.watchdog = watchdog;
         self
-    }
-
-    /// Sets the runnable-thread bound (`0` = host parallelism, kept for
-    /// backward compatibility with the old sentinel encoding; it maps to
-    /// `None`).
-    pub fn with_max_runnable(mut self, max_runnable: usize) -> Self {
-        self.max_runnable = (max_runnable > 0).then_some(max_runnable);
-        self
-    }
-
-    fn resolved_max_runnable(&self) -> usize {
-        if let Some(max_runnable) = self.max_runnable {
-            return max_runnable;
-        }
-        // Small clusters run ungated: with only a handful of rank threads the
-        // host scheduler juggles them fine, and the permit handoff on every
-        // blocking receive costs more wall clock than it saves (measured ~40%
-        // on the fan-out microbenchmark of an 8-rank cluster gated at 2).
-        // Large clusters keep the gate so a 4096-rank campaign does not pile
-        // thousands of runnable threads onto a small CI host.
-        if self.num_procs <= 64 {
-            return self.num_procs.max(1);
-        }
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(8)
-            .max(2)
     }
 
     fn resolved_topology(&self) -> Topology {
@@ -271,9 +232,9 @@ where
 }
 
 /// [`run_cluster`] with the configuration validated up front: invalid
-/// configurations (a zero runnable bound, an empty cluster, a topology
-/// smaller than the cluster) return a typed [`ConfigError`] before any
-/// thread is spawned, instead of hanging or panicking.
+/// configurations (an empty cluster, a topology smaller than the cluster)
+/// return a typed [`ConfigError`] before any thread is spawned, instead of
+/// hanging or panicking.
 pub fn try_run_cluster<R, F>(
     config: &ClusterConfig,
     body: F,
@@ -285,9 +246,6 @@ where
     if config.num_procs == 0 {
         return Err(ConfigError::NoProcesses);
     }
-    if config.max_runnable == Some(0) {
-        return Err(ConfigError::ZeroRunnable);
-    }
     let topology = config.resolved_topology();
     if topology.num_procs() < config.num_procs {
         return Err(ConfigError::TopologyTooSmall {
@@ -296,10 +254,7 @@ where
         });
     }
     let failures = FailureStatusBoard::new(config.num_procs);
-    let router = Arc::new(
-        Router::new(config.num_procs, failures.clone())
-            .with_runnable_limit(config.resolved_max_runnable()),
-    );
+    let router = Arc::new(Router::new(config.num_procs, failures.clone()));
     let stats = StatsRegistry::new();
 
     let cores: Vec<Arc<ProcCore>> = (0..config.num_procs)
@@ -339,10 +294,6 @@ where
                 scope.spawn(move || {
                     let handle = ProcHandle::new(Arc::clone(&core));
                     let rank = handle.rank();
-                    // Hold a runnable permit for the body's lifetime (given
-                    // back transparently around every blocking receive, and
-                    // on panic via RAII).
-                    let _permit = router.enter_runnable();
                     let out = catch_unwind(AssertUnwindSafe(|| body(handle)));
                     match out {
                         Ok(v) => Ok(v),
@@ -405,23 +356,11 @@ mod tests {
     use super::*;
     use std::thread;
 
-    /// Regression: `max_runnable == Some(0)` used to be unrepresentable
-    /// gibberish (the `0` sentinel meant "auto"); now it is a typed config
-    /// error instead of a hang.
     #[test]
-    fn zero_runnable_bound_is_a_typed_config_error() {
-        let mut config = ClusterConfig::ideal(2);
-        config.max_runnable = Some(0);
-        let err = try_run_cluster(&config, |_proc| 0usize).unwrap_err();
-        assert_eq!(err, crate::ConfigError::ZeroRunnable);
-        assert!(err.to_string().contains("max_runnable"));
-        // The builder keeps the old `0 = auto` sentinel working.
-        assert_eq!(
-            ClusterConfig::ideal(2).with_max_runnable(0).max_runnable,
-            None
-        );
-        let empty = try_run_cluster(&ClusterConfig::ideal(0), |_proc| 0usize).unwrap_err();
-        assert_eq!(empty, crate::ConfigError::NoProcesses);
+    fn empty_cluster_is_a_typed_config_error() {
+        let err = try_run_cluster(&ClusterConfig::ideal(0), |_proc| 0usize).unwrap_err();
+        assert_eq!(err, crate::ConfigError::NoProcesses);
+        assert_eq!(err.to_string(), "cluster needs at least one process");
     }
 
     /// Regression: an explicit topology placing fewer ranks than the cluster
@@ -488,32 +427,6 @@ mod tests {
         assert!(report.all_crashed());
         assert_eq!(report.makespan(), report.max_time());
         assert_eq!(report.makespan().as_secs(), 2.0);
-    }
-
-    /// The runnable gate is a host-scheduling knob only: a message-passing
-    /// run produces identical virtual times whether one thread is runnable
-    /// at a time or all of them are.
-    #[test]
-    fn gate_width_does_not_change_virtual_results() {
-        let run = |max_runnable: usize| {
-            run_cluster(
-                &ClusterConfig::new(6).with_max_runnable(max_runnable),
-                |proc| {
-                    let world = proc.world();
-                    world.allreduce_sum_f64(proc.rank() as f64).unwrap()
-                },
-            )
-        };
-        let baseline = run(1);
-        for width in [2, 3, 64] {
-            let report = run(width);
-            assert_eq!(report.results, baseline.results);
-            for (a, b) in baseline.procs.iter().zip(&report.procs) {
-                assert_eq!(a.final_time, b.final_time, "rank {}", a.rank);
-                assert_eq!(a.compute_time, b.compute_time);
-                assert_eq!(a.comm_time, b.comm_time);
-            }
-        }
     }
 
     /// The survivor filter is unchanged: crashed ranks still do not drag the

@@ -165,8 +165,8 @@ pub fn to_payload_framed<T: Pod>(header: &[u8], data: &[T]) -> bytes::Bytes {
         bytes::Bytes::copy_from_slice(&buf[..total])
     } else if wire_layout_matches::<T>() {
         note_copied(wire);
-        // Serialize straight into a `Bytes` buffer (arena-backed for medium
-        // frames — no allocator call, no page fault; see
+        // Serialize straight into the `Bytes` buffer (one zeroed `Vec` that
+        // becomes the payload without a further copy; see
         // [`bytes::Bytes::with_len`]).
         bytes::Bytes::with_len(total, |buf| {
             buf[..header.len()].copy_from_slice(header);

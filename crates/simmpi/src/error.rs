@@ -94,9 +94,6 @@ pub type MpiResult<T> = Result<T, MpiError>;
 /// with the error's message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConfigError {
-    /// `ClusterConfig::max_runnable == Some(0)`: no rank thread could ever
-    /// hold a runnable permit, so the run would hang.
-    ZeroRunnable,
     /// The cluster has no processes to run.
     NoProcesses,
     /// The explicit topology places fewer ranks than the cluster runs, so
@@ -112,11 +109,6 @@ pub enum ConfigError {
 impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ConfigError::ZeroRunnable => write!(
-                f,
-                "ClusterConfig::max_runnable is Some(0); use None for host \
-                 parallelism or a positive runnable bound"
-            ),
             ConfigError::NoProcesses => write!(f, "cluster needs at least one process"),
             ConfigError::TopologyTooSmall { covers, ranks } => write!(
                 f,

@@ -69,4 +69,4 @@ pub use fxhash::{FxBuildHasher, FxHasher};
 pub use message::{CommId, Envelope, MatchSelector, Tag, RESERVED_TAG_BASE};
 pub use proc::ProcHandle;
 pub use request::{RecvRequest, SendRequest};
-pub use router::{Router, RunnablePermit};
+pub use router::Router;

@@ -1,16 +1,16 @@
 //! Indexed mailbox state of the thread world's router.
 //!
-//! [`MailboxState`] implements the matching semantics of one mailbox shard:
+//! [`MailboxState`] implements the matching semantics of one mailbox:
 //! envelopes queue in per-`(communicator, source, tag)` FIFO lanes, each
-//! stamped with the arrival id the [`Router`](crate::router::Router) drew
-//! for it.  An exact receive (explicit source and tag) is a single lane
-//! lookup plus a pop — O(1) amortized regardless of how many unrelated
-//! messages are queued — while a wildcard receive scans the lanes.
+//! stamped with an arrival id at [`push`](MailboxState::push).  An exact
+//! receive (explicit source and tag) is a single lane lookup plus a pop —
+//! O(1) amortized regardless of how many unrelated messages are queued —
+//! while a wildcard receive scans the lanes.
 //!
-//! Matching is in **delivery order** (the order the router stamped the
-//! envelopes): with one OS thread per rank, delivery order is the natural
-//! analogue of a flat mailbox scan.  Arrival ids are assigned in delivery
-//! order and each lane's ids are strictly increasing, so the
+//! Matching is in **delivery order** (the order the envelopes were pushed):
+//! with one OS thread per rank, delivery order is the natural analogue of a
+//! flat mailbox scan.  Arrival ids are assigned in delivery order and each
+//! lane's ids are strictly increasing, so the
 //! earliest-delivered match is simply the matching lane front with the
 //! smallest id.  Keeping *only* the lanes (no auxiliary delivery-order
 //! index) makes a push a single map operation — the fabric's per-copy hot
@@ -27,8 +27,8 @@ use crate::fxhash::FxBuildHasher;
 use crate::message::{Envelope, LaneKey, MatchSelector};
 use std::collections::{HashMap, VecDeque};
 
-/// The matching core of one mailbox shard.  Not synchronized: the router
-/// wraps it in a mutex/condvar pair.
+/// The matching core of one mailbox.  Not synchronized: the router wraps it
+/// in a mutex/condvar pair.
 #[derive(Default)]
 pub(crate) struct MailboxState {
     /// Per-`(comm, src, tag)` FIFO lanes.  Values are `(arrival id,
@@ -42,17 +42,15 @@ pub(crate) struct MailboxState {
 }
 
 impl MailboxState {
-    /// Queues an envelope under an externally-assigned arrival id.  The
-    /// sharded router stamps ids from one per-mailbox atomic counter so that
-    /// delivery order stays totally ordered *across* shards; each shard's
-    /// `MailboxState` then only ever sees a monotone subsequence of those
-    /// ids.  The caller must never reuse or reorder ids within one state
-    /// (checked in debug builds against the last id seen).
-    pub(crate) fn push_with_arrival(&mut self, id: u64, env: Envelope) {
-        debug_assert!(id >= self.next_arrival, "arrival ids must be monotone");
-        let key = env.lane_key();
-        self.next_arrival = id + 1;
-        self.lanes.entry(key).or_default().push_back((id, env));
+    /// Queues an envelope at the back of its lane, stamped with the next
+    /// arrival id.
+    pub(crate) fn push(&mut self, env: Envelope) {
+        let id = self.next_arrival;
+        self.next_arrival += 1;
+        self.lanes
+            .entry(env.lane_key())
+            .or_default()
+            .push_back((id, env));
         self.queued += 1;
     }
 
@@ -93,26 +91,6 @@ impl MailboxState {
             .map(|(_, key)| key)?;
         self.pop_lane(&best)
     }
-
-    /// Returns the arrival id of the earliest-**delivered** envelope
-    /// matching `sel` without removing it — the id `take_match` would
-    /// consume next.  The sharded router uses this to pick the winning
-    /// shard for a wildcard receive: each shard reports its earliest match
-    /// and the globally smallest arrival id wins.
-    pub(crate) fn peek_match(&self, sel: &MatchSelector) -> Option<u64> {
-        if let Some(key) = sel.exact_lane() {
-            return self
-                .lanes
-                .get(&key)
-                .and_then(|lane| lane.front())
-                .map(|&(id, _)| id);
-        }
-        self.lanes
-            .iter()
-            .filter(|(key, _)| sel.matches_lane(key))
-            .filter_map(|(_, lane)| lane.front().map(|&(id, _)| id))
-            .min()
-    }
 }
 
 #[cfg(test)]
@@ -141,14 +119,13 @@ mod tests {
     fn wildcard_matches_in_delivery_order_not_arrival_order() {
         // Lane (src 1) delivered first but arrives later than lane (src 0).
         let mut mb = MailboxState::default();
-        mb.push_with_arrival(0, env_at(1, 3.0));
-        mb.push_with_arrival(1, env_at(0, 1.0));
+        mb.push(env_at(1, 3.0));
+        mb.push(env_at(0, 1.0));
         let any = MatchSelector {
             comm: 9,
             src_world: None,
             tag: None,
         };
-        assert_eq!(mb.peek_match(&any), Some(0));
         assert_eq!(mb.take_match(&any).unwrap().src_world, 1);
         assert_eq!(mb.take_match(&any).unwrap().src_world, 0);
         assert_eq!(mb.queued(), 0);

@@ -9,35 +9,23 @@
 //! matching lane front with the smallest arrival id, which is exactly the
 //! envelope a scan of one flat queue would have found.  Matching is purely
 //! receiver-side and per-lane FIFO, which preserves MPI's non-overtaking
-//! guarantee.  The matching core lives in the private `mailbox` module, shared
-//! with the event-driven engine ([`crate::engine`]); the router adds the
-//! blocking layer around it.
+//! guarantee.  The matching core lives in the private `mailbox` module; the
+//! router adds the blocking layer around it.  (The event-driven engine,
+//! [`crate::engine`], keeps flat inboxes of its own and shares none of this.)
 //!
-//! ## Sharded synchronization
+//! ## Synchronization
 //!
-//! Each mailbox is split into `LANE_SHARDS` (16) independently-locked shards;
-//! a lane hashes to one shard, so senders delivering into different lanes of
-//! the same mailbox — and the receiver matching a third lane — never contend
-//! on one mutex.  Delivery order stays totally ordered *across* shards
-//! because arrival ids come from one per-mailbox atomic counter, stamped
-//! while holding the destination shard's lock (so each shard still sees a
-//! monotone id sequence, which the per-shard matching core relies on).
+//! A mailbox is one mutex and one condvar around the lane index and the
+//! selectors of the receivers currently parked on it.  The lock is contended
+//! only by the owning rank's receive and the ranks sending to it at that
+//! moment — a handful of halo neighbours and one collective peer in every
+//! application here — and the thread world runs at most ~128 ranks; larger
+//! runs belong to [`crate::engine`].
 //!
-//! Blocked receivers never sleep-poll, and wakeups are *precise*:
-//!
-//! * An **exact** receiver parks inside its lane's shard, registering a
-//!   ticketed waiter tagged with the lane it wants.  Delivery wakes a shard's
-//!   condvar only when a waiter for the delivered lane exists, so the
-//!   thousands of unrelated deliveries of a deep-mailbox workload cost the
-//!   parked receiver nothing.
-//! * A **wildcard** receiver cannot bind to one shard, so it parks on a
-//!   per-mailbox eventcount: it snapshots the arrival counter (which doubles
-//!   as the eventcount generation — every delivery bumps it anyway to stamp
-//!   its envelope), scans every shard (locking them in index order), and
-//!   sleeps only if the counter is still unchanged under the eventcount
-//!   mutex.  Delivery only takes the eventcount mutex when a wildcard
-//!   waiter is registered — the common wildcard-free path pays nothing
-//!   beyond the arrival stamp it needs anyway.
+//! Blocked receivers never sleep-poll, and wakeups are *precise*: a delivery
+//! notifies the condvar only when the envelope matches the selector of a
+//! parked receiver, so the unrelated deliveries of a deep-mailbox workload
+//! cost a parked receiver nothing.
 //!
 //! The router registers a waker on the shared [`FailureStatusBoard`] at
 //! construction time, so a crash signaled on the board — by the failure
@@ -45,196 +33,38 @@
 //! receiver immediately; there is no re-check interval to wait out.
 
 use crate::error::{MpiError, MpiResult};
-use crate::fxhash::FxBuildHasher;
 use crate::mailbox::MailboxState;
-use crate::message::{Envelope, LaneKey, MatchSelector};
+use crate::message::{Envelope, MatchSelector};
 use parking_lot::{Condvar, Mutex};
 use simcluster::FailureStatusBoard;
-use std::cell::Cell;
-use std::hash::BuildHasher;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
-/// Number of independently-locked lane shards per mailbox (power of two).
-/// Sixteen keeps the per-mailbox footprint small while making same-shard
-/// collisions between concurrently-active lanes rare.
-const LANE_SHARDS: usize = 16;
-
-thread_local! {
-    /// True while the current thread holds a [`RunnablePermit`].  Lets
-    /// [`Router::recv_blocking`] know whether it must release a runnable
-    /// slot around its sleep (threads without a permit — tests, external
-    /// callers — wait without touching the gate).
-    static HOLDS_PERMIT: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Counting gate that bounds how many rank threads are *runnable* at once.
-///
-/// With one OS thread per simulated rank, an ungated cluster makes the host
-/// scheduler juggle all N threads even though most are asleep in a receive;
-/// past a few hundred ranks the wakeup storms and context-switch overhead
-/// dominate.  The gate caps concurrency: each rank thread holds a permit
-/// while it executes and *releases it for the duration of every blocking
-/// receive*, so a small worker-pool's worth of threads makes progress while
-/// the rest stay parked.  Virtual-time results are unaffected — they are a
-/// pure function of the messages exchanged, not of host scheduling.
-///
-/// A limit of `0` disables the gate entirely (every operation is a no-op).
-struct RunnableGate {
-    limit: usize,
-    running: Mutex<usize>,
-    cv: Condvar,
-}
-
-impl RunnableGate {
-    fn new(limit: usize) -> Self {
-        RunnableGate {
-            limit,
-            running: Mutex::new(0),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Blocks until a runnable slot is free and claims it.
-    fn acquire(&self) {
-        if self.limit == 0 {
-            return;
-        }
-        let mut running = self.running.lock();
-        while *running >= self.limit {
-            self.cv.wait(&mut running);
-        }
-        *running += 1;
-    }
-
-    /// Returns a claimed slot.
-    fn release(&self) {
-        if self.limit == 0 {
-            return;
-        }
-        let mut running = self.running.lock();
-        *running -= 1;
-        self.cv.notify_one();
-    }
-}
-
-/// RAII claim on one runnable slot of a router's gate, held by a rank
-/// thread for the duration of its body (see [`Router::enter_runnable`]).
-/// Dropping the permit — including during a panic unwind — returns the
-/// slot.
-pub struct RunnablePermit<'r> {
-    router: &'r Router,
-}
-
-impl Drop for RunnablePermit<'_> {
-    fn drop(&mut self) {
-        HOLDS_PERMIT.with(|h| h.set(false));
-        self.router.gate.release();
-    }
-}
-
-/// A parked exact receiver, registered in the shard that owns its lane.
-struct Waiter {
-    /// The lane this receiver is blocked on; delivery only marks waiters of
-    /// the delivered lane (precise wakeups).
-    lane: LaneKey,
-    /// Distinguishes this waiter from others on the same lane.
-    ticket: u64,
-    /// Set by delivery into the lane or by [`Mailbox::wake_all`]; the waiter
-    /// re-checks its mailbox once the flag is set.
-    woken: bool,
-}
-
-/// One shard's lock-protected state: a slice of the mailbox's lanes plus the
-/// exact receivers currently parked on them.
+/// The lock-protected state of one mailbox.
 #[derive(Default)]
-struct ShardState {
+struct MailboxInner {
     mail: MailboxState,
-    waiting: Vec<Waiter>,
-    next_ticket: u64,
+    /// Selector of every receiver currently parked on this mailbox (one
+    /// entry per receiver); delivery consults it to decide whether anybody
+    /// needs waking.
+    parked: Vec<MatchSelector>,
 }
 
-struct Shard {
-    state: Mutex<ShardState>,
-    cv: Condvar,
-}
-
-impl Shard {
-    fn new() -> Self {
-        Shard {
-            state: Mutex::new(ShardState::default()),
-            cv: Condvar::new(),
-        }
-    }
-}
-
+#[derive(Default)]
 struct Mailbox {
-    shards: Vec<Shard>,
-    /// Per-mailbox arrival-id counter.  Stamped while holding the
-    /// destination shard's lock, so ids are assigned in shard-lock
-    /// acquisition order and each shard observes a monotone subsequence.
-    /// Doubles as the wildcard eventcount generation: every delivery bumps
-    /// it (to stamp its envelope) before any wildcard sleep re-check can
-    /// observe an unchanged value, and `wake_all` bumps it once more (ids
-    /// may skip values; only monotonicity matters).  SeqCst pairs with the
-    /// `wild_waiters` accesses so a delivery that reads "no waiters" is
-    /// ordered before a registering waiter's generation re-check.
-    arrival: AtomicU64,
-    /// Number of wildcard receivers currently between registration and
-    /// deregistration; delivery skips the eventcount mutex when zero.
-    wild_waiters: AtomicUsize,
-    /// Guards the sleep/notify race of the eventcount.
-    wild_mutex: Mutex<()>,
-    wild_cv: Condvar,
+    inner: Mutex<MailboxInner>,
+    cv: Condvar,
 }
 
 impl Mailbox {
-    fn new() -> Self {
-        Mailbox {
-            shards: (0..LANE_SHARDS).map(|_| Shard::new()).collect(),
-            arrival: AtomicU64::new(0),
-            wild_waiters: AtomicUsize::new(0),
-            wild_mutex: Mutex::new(()),
-            wild_cv: Condvar::new(),
-        }
-    }
-
-    fn shard_of(key: &LaneKey) -> usize {
-        let h = FxBuildHasher::default().hash_one(key);
-        // Fx mixes into the high bits; take the top log2(LANE_SHARDS) of them.
-        (h >> (64 - LANE_SHARDS.trailing_zeros())) as usize
-    }
-
-    /// Wakes parked wildcard receivers, if any.  The caller must already
-    /// have bumped the eventcount generation (the `arrival` counter).
-    /// Locking `wild_mutex` before notifying closes the race against a
-    /// receiver that has re-checked the generation but not yet entered
-    /// `wild_cv.wait` (the wait releases the mutex atomically).
-    fn signal_wildcards(&self) {
-        if self.wild_waiters.load(Ordering::SeqCst) > 0 {
-            drop(self.wild_mutex.lock());
-            self.wild_cv.notify_all();
-        }
-    }
-
-    /// Wakes every receiver parked on this mailbox (exact and wildcard) so
-    /// it can re-check abort/failure status.
+    /// Wakes every receiver parked on this mailbox so it can re-check
+    /// abort/failure status.  Taking the lock first orders the wake-up after
+    /// the failure checks of any receiver that is about to park.
     fn wake_all(&self) {
-        for shard in &self.shards {
-            let mut st = shard.state.lock();
-            if st.waiting.is_empty() {
-                continue;
-            }
-            for w in st.waiting.iter_mut() {
-                w.woken = true;
-            }
-            shard.cv.notify_all();
+        let inner = self.inner.lock();
+        if !inner.parked.is_empty() {
+            self.cv.notify_all();
         }
-        // Bump the eventcount generation so a wildcard receiver that already
-        // scanned re-checks instead of sleeping (arrival ids may skip
-        // values; the matching core only needs monotonicity).
-        self.arrival.fetch_add(1, Ordering::SeqCst);
-        self.signal_wildcards();
     }
 }
 
@@ -244,7 +74,6 @@ pub struct Router {
     seq: AtomicU64,
     aborted: AtomicBool,
     failures: FailureStatusBoard,
-    gate: RunnableGate,
 }
 
 impl Router {
@@ -253,7 +82,7 @@ impl Router {
     /// signaled on it (by whatever path) immediately wake blocked receivers.
     pub fn new(num_procs: usize, failures: FailureStatusBoard) -> Self {
         let mailboxes: Arc<Vec<Mailbox>> =
-            Arc::new((0..num_procs).map(|_| Mailbox::new()).collect());
+            Arc::new((0..num_procs).map(|_| Mailbox::default()).collect());
         let weak: Weak<Vec<Mailbox>> = Arc::downgrade(&mailboxes);
         failures.register_waker(Arc::new(move || {
             if let Some(mailboxes) = weak.upgrade() {
@@ -267,28 +96,7 @@ impl Router {
             seq: AtomicU64::new(0),
             aborted: AtomicBool::new(false),
             failures,
-            gate: RunnableGate::new(0),
         }
-    }
-
-    /// Bounds how many permit-holding rank threads are runnable at once
-    /// (`0` = unbounded).  Permits are claimed with
-    /// [`enter_runnable`](Router::enter_runnable) and transparently released
-    /// around every blocking receive, so the limit caps host-scheduler load
-    /// without changing any virtual-time result.
-    pub fn with_runnable_limit(mut self, limit: usize) -> Self {
-        self.gate = RunnableGate::new(limit);
-        self
-    }
-
-    /// Claims a runnable slot for the current thread, blocking until one is
-    /// free.  The slot is held until the returned permit drops and is
-    /// temporarily given back for the duration of every
-    /// [`recv_blocking`](Router::recv_blocking) sleep on this thread.
-    pub fn enter_runnable(&self) -> RunnablePermit<'_> {
-        self.gate.acquire();
-        HOLDS_PERMIT.with(|h| h.set(true));
-        RunnablePermit { router: self }
     }
 
     /// Number of ranks served.
@@ -315,41 +123,24 @@ impl Router {
 
     /// Delivers an envelope to its destination mailbox.
     ///
-    /// Messages addressed to failed processes are dropped silently (the peer
-    /// will never receive them), mirroring a crashed destination.
+    /// Messages addressed to failed processes — or to a rank outside the
+    /// router — are dropped silently (the peer will never receive them),
+    /// mirroring a crashed destination.
     pub fn deliver(&self, env: Envelope) {
         let dst = env.dst_world;
-        if dst >= self.mailboxes.len() {
+        let Some(mb) = self.mailboxes.get(dst) else {
             return;
-        }
+        };
         if self.failures.is_failed(dst) {
             return;
         }
-        let mb = &self.mailboxes[dst];
-        let key = env.lane_key();
-        let shard = &mb.shards[Mailbox::shard_of(&key)];
-        let woke_exact = {
-            let mut st = shard.state.lock();
-            // Stamp the arrival id while holding the shard lock: ids are
-            // handed out in lock-acquisition order, so this shard's matching
-            // core sees them monotone even though the counter is shared with
-            // the mailbox's other shards.  SeqCst because the counter doubles
-            // as the wildcard eventcount generation (see `Mailbox::arrival`).
-            let id = mb.arrival.fetch_add(1, Ordering::SeqCst);
-            st.mail.push_with_arrival(id, env);
-            let mut woke = false;
-            for w in st.waiting.iter_mut() {
-                if !w.woken && w.lane == key {
-                    w.woken = true;
-                    woke = true;
-                }
-            }
-            woke
-        };
-        if woke_exact {
-            shard.cv.notify_all();
+        let mut inner = mb.inner.lock();
+        let wake = inner.parked.iter().any(|sel| env.matches(sel));
+        inner.mail.push(env);
+        drop(inner);
+        if wake {
+            mb.cv.notify_all();
         }
-        mb.signal_wildcards();
     }
 
     /// Marks the simulation as aborted and wakes every blocked receiver.
@@ -373,34 +164,11 @@ impl Router {
         }
     }
 
-    /// Removes and returns the earliest-delivered wildcard match across all
-    /// shards of `dst`'s mailbox, if any.  Locks every shard in index order
-    /// (a fixed order, so concurrent wildcard receivers cannot deadlock);
-    /// exclusive access to all shards makes the cross-shard minimum exact —
-    /// no delivery can slip in between the per-shard peeks.
-    fn take_any(&self, dst: usize, sel: &MatchSelector) -> Option<Envelope> {
-        let mb = &self.mailboxes[dst];
-        let mut guards: Vec<_> = mb.shards.iter().map(|s| s.state.lock()).collect();
-        let mut best: Option<(u64, usize)> = None;
-        for (i, guard) in guards.iter_mut().enumerate() {
-            if let Some(id) = guard.mail.peek_match(sel) {
-                if best.is_none_or(|(b, _)| id < b) {
-                    best = Some((id, i));
-                }
-            }
-        }
-        let (_, i) = best?;
-        guards[i].mail.take_match(sel)
-    }
-
     /// Non-blocking probe: removes and returns the earliest envelope in
-    /// `dst`'s mailbox matching `sel`, if any.
+    /// `dst`'s mailbox matching `sel`, if any (`None` also when `dst` is not
+    /// a rank of this router).
     pub fn try_match(&self, dst: usize, sel: &MatchSelector) -> Option<Envelope> {
-        if let Some(key) = sel.exact_lane() {
-            let shard = &self.mailboxes[dst].shards[Mailbox::shard_of(&key)];
-            return shard.state.lock().mail.take_match(sel);
-        }
-        self.take_any(dst, sel)
+        self.mailboxes.get(dst)?.inner.lock().mail.take_match(sel)
     }
 
     /// Checks the terminal conditions a blocked receiver must surface, in
@@ -424,6 +192,7 @@ impl Router {
     /// in `dst`'s mailbox and removes it.
     ///
     /// Returns
+    /// * `Err(InvalidRank)` if `dst` is not a rank of this router;
     /// * `Err(ProcessFailed)` if the selector names a specific source, that
     ///   source has crashed, and no matching message is queued (messages sent
     ///   before the crash remain deliverable);
@@ -431,119 +200,43 @@ impl Router {
     ///   failed;
     /// * `Err(Aborted)` if the simulation watchdog fired.
     ///
-    /// The wait is event-driven.  An exact receiver registers a ticketed
-    /// waiter in its lane's shard and sleeps on the shard condvar until a
-    /// delivery into that lane (or a failure/abort broadcast) marks it
-    /// woken; a wildcard receiver sleeps on the mailbox eventcount.  The
-    /// failure checks run *before* every wait, and the wakers take the same
-    /// locks the checks are sequenced against, so a crash signaled between
-    /// two waits is observed immediately.
+    /// The wait is event-driven: the receiver registers its selector and
+    /// sleeps on the mailbox condvar until a matching delivery (or a
+    /// failure/abort broadcast) notifies it.  The failure checks run under
+    /// the mailbox lock *before* every wait, and the wakers take that same
+    /// lock before notifying, so a crash signaled after the checks finds the
+    /// receiver already parked — the wakeup cannot be lost.
     pub fn recv_blocking(&self, dst: usize, sel: &MatchSelector) -> MpiResult<Envelope> {
-        match sel.exact_lane() {
-            Some(key) => self.recv_blocking_exact(dst, sel, key),
-            None => self.recv_blocking_wildcard(dst, sel),
-        }
-    }
-
-    fn recv_blocking_exact(
-        &self,
-        dst: usize,
-        sel: &MatchSelector,
-        key: LaneKey,
-    ) -> MpiResult<Envelope> {
-        let shard = &self.mailboxes[dst].shards[Mailbox::shard_of(&key)];
-        let gated = HOLDS_PERMIT.with(Cell::get);
-        let mut st = shard.state.lock();
+        let mb = self.mailboxes.get(dst).ok_or(MpiError::InvalidRank {
+            rank: dst,
+            size: self.mailboxes.len(),
+        })?;
+        let mut inner = mb.inner.lock();
         loop {
-            if let Some(env) = st.mail.take_match(sel) {
-                return Ok(env);
-            }
-            // The failure checks happen under the shard lock.  `wake_all`
-            // also takes the shard lock, so a failure signaled after these
-            // checks can only mark waiters once this receiver is registered
-            // and parked — the wakeup cannot be lost.
-            if let Some(err) = self.recv_error(dst, sel) {
-                return Err(err);
-            }
-            let ticket = st.next_ticket;
-            st.next_ticket += 1;
-            st.waiting.push(Waiter {
-                lane: key,
-                ticket,
-                woken: false,
-            });
-            loop {
-                if gated {
-                    // Give the runnable slot back while asleep so another
-                    // rank thread can make the progress this one is waiting
-                    // for.  Reacquire only *after* unlocking the shard:
-                    // holding the shard lock while blocked on the gate would
-                    // deadlock against a permit-holding sender trying to
-                    // deliver into this very shard.
-                    self.gate.release();
-                    shard.cv.wait(&mut st);
-                    drop(st);
-                    self.gate.acquire();
-                    st = shard.state.lock();
-                } else {
-                    shard.cv.wait(&mut st);
-                }
-                let idx = st
-                    .waiting
-                    .iter()
-                    .position(|w| w.ticket == ticket)
-                    .expect("parked waiter entry disappeared");
-                if st.waiting[idx].woken {
-                    st.waiting.swap_remove(idx);
-                    break;
-                }
-            }
-        }
-    }
-
-    fn recv_blocking_wildcard(&self, dst: usize, sel: &MatchSelector) -> MpiResult<Envelope> {
-        let mb = &self.mailboxes[dst];
-        let gated = HOLDS_PERMIT.with(Cell::get);
-        loop {
-            // Snapshot the generation *before* scanning: a delivery the scan
-            // misses must have stamped its arrival id (bumping the counter)
-            // after the scan released that shard's lock — hence after this
-            // snapshot — so the re-check under `wild_mutex` below cannot
-            // sleep through it.
-            let gen = mb.arrival.load(Ordering::SeqCst);
-            if let Some(env) = self.take_any(dst, sel) {
+            if let Some(env) = inner.mail.take_match(sel) {
                 return Ok(env);
             }
             if let Some(err) = self.recv_error(dst, sel) {
                 return Err(err);
             }
-            mb.wild_waiters.fetch_add(1, Ordering::SeqCst);
-            let mut guard = mb.wild_mutex.lock();
-            if mb.arrival.load(Ordering::SeqCst) == gen {
-                if gated {
-                    self.gate.release();
-                    mb.wild_cv.wait(&mut guard);
-                    drop(guard);
-                    self.gate.acquire();
-                } else {
-                    mb.wild_cv.wait(&mut guard);
-                    drop(guard);
-                }
-            } else {
-                drop(guard);
-            }
-            mb.wild_waiters.fetch_sub(1, Ordering::SeqCst);
+            inner.parked.push(*sel);
+            mb.cv.wait(&mut inner);
+            let idx = inner
+                .parked
+                .iter()
+                .position(|parked| parked == sel)
+                .expect("parked selector disappeared");
+            inner.parked.swap_remove(idx);
         }
     }
 
     /// Number of queued (unmatched) envelopes currently sitting in `dst`'s
-    /// mailbox.  Diagnostic only.
+    /// mailbox (`0` when `dst` is not a rank of this router).  Diagnostic
+    /// only.
     pub fn queued(&self, dst: usize) -> usize {
-        self.mailboxes[dst]
-            .shards
-            .iter()
-            .map(|s| s.state.lock().mail.queued())
-            .sum()
+        self.mailboxes
+            .get(dst)
+            .map_or(0, |mb| mb.inner.lock().mail.queued())
     }
 }
 
@@ -615,8 +308,8 @@ mod tests {
         assert_eq!(got.tag, 3);
     }
 
-    /// Wildcard receivers park on the mailbox eventcount rather than a
-    /// shard condvar; a delivery into *any* lane must wake them.
+    /// A delivery into *any* lane a parked wildcard selector matches must
+    /// wake it.
     #[test]
     fn blocking_wildcard_recv_wakes_on_delivery() {
         let board = FailureStatusBoard::new(2);
@@ -662,8 +355,8 @@ mod tests {
         assert_eq!(err, MpiError::ProcessFailed { rank: 0 });
     }
 
-    /// Same regression for the wildcard path, which parks on the mailbox
-    /// eventcount instead of a shard condvar.
+    /// Same regression for a wildcard receiver, woken here by its *own*
+    /// rank's failure.
     #[test]
     fn failure_signaled_mid_wait_wakes_blocked_wildcard_receiver() {
         let board = FailureStatusBoard::new(2);
@@ -683,6 +376,18 @@ mod tests {
         board.mark_failed(1, SimTime::ZERO);
         r.deliver(env(0, 1, 9, 3, 0));
         assert_eq!(r.queued(1), 0);
+    }
+
+    /// A `dst` outside the router is handled the same way by every entry
+    /// point instead of indexing out of bounds.
+    #[test]
+    fn out_of_range_destination_is_rejected_not_indexed() {
+        let r = Router::new(2, FailureStatusBoard::new(2));
+        r.deliver(env(0, 2, 9, 3, 0));
+        assert_eq!(r.queued(2), 0);
+        assert!(r.try_match(2, &sel(9, None, None)).is_none());
+        let err = r.recv_blocking(2, &sel(9, Some(0), Some(3))).unwrap_err();
+        assert_eq!(err, MpiError::InvalidRank { rank: 2, size: 2 });
     }
 
     #[test]
@@ -707,8 +412,7 @@ mod tests {
     #[test]
     fn wildcard_takes_earliest_delivery_across_lanes() {
         let r = Router::new(3, FailureStatusBoard::new(3));
-        // Three lanes, delivered in interleaved order.  The lanes hash to
-        // different shards, so this exercises the cross-shard minimum.
+        // Three lanes, delivered in interleaved order.
         r.deliver(env(1, 2, 9, 5, 10));
         r.deliver(env(0, 2, 9, 7, 11));
         r.deliver(env(1, 2, 9, 5, 12));
@@ -768,89 +472,6 @@ mod tests {
         let c = r.next_seq_block(2);
         assert_eq!(b, a + 4);
         assert_eq!(c, a + 5);
-    }
-
-    #[test]
-    fn runnable_gate_bounds_concurrency() {
-        use std::sync::atomic::AtomicUsize;
-        let r = Arc::new(Router::new(1, FailureStatusBoard::new(1)).with_runnable_limit(2));
-        let concurrent = Arc::new(AtomicUsize::new(0));
-        let peak = Arc::new(AtomicUsize::new(0));
-        let handles: Vec<_> = (0..6)
-            .map(|_| {
-                let r = Arc::clone(&r);
-                let concurrent = Arc::clone(&concurrent);
-                let peak = Arc::clone(&peak);
-                thread::spawn(move || {
-                    let _permit = r.enter_runnable();
-                    let now = concurrent.fetch_add(1, Ordering::SeqCst) + 1;
-                    peak.fetch_max(now, Ordering::SeqCst);
-                    thread::sleep(Duration::from_millis(5));
-                    concurrent.fetch_sub(1, Ordering::SeqCst);
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let peak = peak.load(Ordering::SeqCst);
-        assert!(peak <= 2, "gate of 2 admitted {peak} concurrent threads");
-    }
-
-    /// The load-bearing property of the gate: a receiver parked in
-    /// `recv_blocking` must give its runnable slot back, otherwise a
-    /// 1-permit cluster would deadlock the moment any rank waits for a
-    /// message whose sender has not run yet.
-    #[test]
-    fn parked_receiver_releases_its_runnable_slot() {
-        let board = FailureStatusBoard::new(2);
-        let r = Arc::new(Router::new(2, board).with_runnable_limit(1));
-        let receiver = {
-            let r = Arc::clone(&r);
-            thread::spawn(move || {
-                let _permit = r.enter_runnable();
-                r.recv_blocking(1, &sel(9, Some(0), Some(3)))
-            })
-        };
-        // Let the receiver claim the only permit and park.
-        thread::sleep(Duration::from_millis(10));
-        let sender = {
-            let r = Arc::clone(&r);
-            thread::spawn(move || {
-                // Only acquirable because the parked receiver released it.
-                let _permit = r.enter_runnable();
-                r.deliver(env(0, 1, 9, 3, 0));
-            })
-        };
-        sender.join().unwrap();
-        let got = receiver.join().unwrap().unwrap();
-        assert_eq!(got.tag, 3);
-    }
-
-    /// Same property for a gated *wildcard* receiver, whose sleep sits on
-    /// the mailbox eventcount instead of a shard condvar.
-    #[test]
-    fn parked_wildcard_receiver_releases_its_runnable_slot() {
-        let board = FailureStatusBoard::new(2);
-        let r = Arc::new(Router::new(2, board).with_runnable_limit(1));
-        let receiver = {
-            let r = Arc::clone(&r);
-            thread::spawn(move || {
-                let _permit = r.enter_runnable();
-                r.recv_blocking(1, &sel(9, None, None))
-            })
-        };
-        thread::sleep(Duration::from_millis(10));
-        let sender = {
-            let r = Arc::clone(&r);
-            thread::spawn(move || {
-                let _permit = r.enter_runnable();
-                r.deliver(env(0, 1, 9, 3, 0));
-            })
-        };
-        sender.join().unwrap();
-        let got = receiver.join().unwrap().unwrap();
-        assert_eq!(got.tag, 3);
     }
 
     /// Long deliver/exact-receive churn leaves nothing behind: lanes are

@@ -177,7 +177,10 @@ mod mailbox_lanes {
     use bytes::Bytes;
     use proptest::prelude::*;
     use simcluster::{FailureStatusBoard, SimTime};
-    use simmpi::{Envelope, MatchSelector, Router};
+    use simmpi::{Envelope, MatchSelector, MpiError, Router};
+    use std::sync::Arc;
+    use std::thread;
+    use std::time::Duration;
 
     fn env(src: usize, tag: u32, seq: u64) -> Envelope {
         Envelope {
@@ -284,5 +287,96 @@ mod mailbox_lanes {
             prop_assert_eq!(received, deliveries.len());
             prop_assert_eq!(router.queued(0), 0);
         }
+    }
+
+    /// Three receivers parked on one mailbox under one lock — two exact
+    /// selectors on different lanes and a tag-only wildcard — while four
+    /// sender threads interleave deliveries into all of them.  Each receiver
+    /// must get exactly its own messages, in per-lane FIFO order, and the
+    /// mailbox must end empty; a lost or misdirected wake-up hangs a receiver.
+    #[test]
+    fn receivers_parked_on_one_mailbox_each_get_exactly_their_messages() {
+        const PER_LANE: u64 = 200;
+        const WILD_TAG: u32 = 7;
+        let router = Arc::new(Router::new(5, FailureStatusBoard::new(5)));
+
+        let receive = |selector: MatchSelector, count: u64| {
+            let router = Arc::clone(&router);
+            thread::spawn(move || {
+                (0..count)
+                    .map(|_| router.recv_blocking(0, &selector).unwrap())
+                    .collect::<Vec<Envelope>>()
+            })
+        };
+        let exact_a = receive(sel(Some(1), Some(0)), PER_LANE);
+        let exact_b = receive(sel(Some(2), Some(0)), PER_LANE);
+        let wildcard = receive(sel(None, Some(WILD_TAG)), 4 * PER_LANE);
+        // Let the receivers park before the first delivery.
+        thread::sleep(Duration::from_millis(10));
+
+        let senders: Vec<_> = (1..=4usize)
+            .map(|src| {
+                let router = Arc::clone(&router);
+                thread::spawn(move || {
+                    for seq in 0..PER_LANE {
+                        // Sources 1 and 2 feed an exact lane and the
+                        // wildcard alternately; 3 and 4 only the wildcard.
+                        if src <= 2 {
+                            router.deliver(env(src, 0, seq));
+                        }
+                        router.deliver(env(src, WILD_TAG, seq));
+                    }
+                })
+            })
+            .collect();
+        for sender in senders {
+            sender.join().unwrap();
+        }
+
+        for (src, got) in [(1, exact_a), (2, exact_b)] {
+            let got = got.join().unwrap();
+            let lane: Vec<_> = got.iter().map(|e| (e.src_world, e.tag, e.seq)).collect();
+            let want: Vec<_> = (0..PER_LANE).map(|seq| (src, 0, seq)).collect();
+            assert_eq!(lane, want);
+        }
+        let got = wildcard.join().unwrap();
+        assert!(got.iter().all(|e| e.tag == WILD_TAG));
+        for src in 1..=4usize {
+            let seqs: Vec<u64> = got
+                .iter()
+                .filter(|e| e.src_world == src)
+                .map(|e| e.seq)
+                .collect();
+            assert_eq!(seqs, (0..PER_LANE).collect::<Vec<_>>(), "source {src}");
+        }
+        assert_eq!(router.queued(0), 0);
+    }
+
+    /// Failures signalled on the board while an exact and a wildcard receiver
+    /// are parked on the same mailbox: the peer's crash ends only the receive
+    /// that names it (`ProcessFailed`), the rank's own crash ends the other
+    /// (`SelfFailed`).
+    #[test]
+    fn board_failure_wakes_exact_and_wildcard_receivers_on_one_mailbox() {
+        let board = FailureStatusBoard::new(2);
+        let router = Arc::new(Router::new(2, board.clone()));
+        let park = |selector: MatchSelector| {
+            let router = Arc::clone(&router);
+            thread::spawn(move || router.recv_blocking(0, &selector))
+        };
+        let exact = park(sel(Some(1), Some(3)));
+        let wildcard = park(sel(None, None));
+        thread::sleep(Duration::from_millis(30));
+
+        board.mark_failed(1, SimTime::ZERO);
+        assert_eq!(
+            exact.join().unwrap().unwrap_err(),
+            MpiError::ProcessFailed { rank: 1 }
+        );
+        thread::sleep(Duration::from_millis(10));
+        assert!(!wildcard.is_finished(), "no source named, nothing to fail");
+
+        board.mark_failed(0, SimTime::ZERO);
+        assert_eq!(wildcard.join().unwrap().unwrap_err(), MpiError::SelfFailed);
     }
 }

@@ -17,13 +17,13 @@
 //! Equality, ordering, and hashing are by *content* (as in the real crate),
 //! so the two representations are indistinguishable to users.
 
+#![forbid(unsafe_code)]
+
 use std::borrow::Borrow;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::{Deref, RangeBounds};
 use std::sync::Arc;
-
-mod arena;
 
 /// A cheaply-clonable immutable contiguous slice of memory.
 #[derive(Clone)]
@@ -45,17 +45,6 @@ enum Repr {
     /// Reference-counted view into a shared backing vector.
     Shared {
         data: Arc<Vec<u8>>,
-        start: usize,
-        end: usize,
-    },
-    /// Reference-counted view into a thread-local bump-arena chunk (see the
-    /// `arena` module); built by [`Bytes::with_len`].  The chunk's pages are
-    /// populated in bulk when the chunk is mapped, so carving a payload from
-    /// it never takes a page fault — the property that keeps serialization
-    /// fast when queued messages pin the heap and defeat normal allocator
-    /// reuse.
-    Arena {
-        chunk: Arc<arena::Chunk>,
         start: usize,
         end: usize,
     },
@@ -99,23 +88,17 @@ impl Bytes {
         }
     }
 
-    /// Builds a `Bytes` of exactly `len` bytes by handing `fill` a mutable
-    /// buffer to write.  This is the allocation-conscious constructor for
-    /// message payloads:
+    /// Builds a `Bytes` of exactly `len` bytes by handing `fill` a mutable,
+    /// zero-initialised buffer to write, so a serializer can produce its
+    /// frame in place instead of assembling a temporary vector:
     ///
     /// * `len <= INLINE_CAP` — `fill` writes the inline representation; no
-    ///   heap allocation at all.
-    /// * medium sizes — the buffer is carved from a thread-local,
-    ///   bulk-populated bump arena (see the `arena` module), so the
-    ///   construction takes no allocator call and no page fault even when
-    ///   earlier payloads are still alive.
-    /// * large sizes — an ordinary zeroed `Vec` (one allocation).
-    ///
-    /// The buffer's contents are unspecified before `fill` runs (arena
-    /// chunks are recycled, so it may contain bytes of earlier dropped
-    /// payloads built by this thread); `fill` must overwrite every byte it
-    /// wants defined.  The buffer of the inline and arena paths is 8-byte
-    /// aligned, so typed `f64`/`u64` views over the result are zero-copy.
+    ///   heap allocation at all, and the buffer is 8-byte aligned.
+    /// * anything larger — one zeroed `Vec` (a single allocation) that
+    ///   becomes the shared representation without a copy.  Its alignment
+    ///   is whatever the global allocator returns; callers that reinterpret
+    ///   the bytes as wider elements must check it (`simmpi::typed_view`
+    ///   does, and falls back to a copy).
     pub fn with_len(len: usize, fill: impl FnOnce(&mut [u8])) -> Self {
         if len <= Self::INLINE_CAP {
             let mut buf = InlineBuf([0u8; Self::INLINE_CAP]);
@@ -124,21 +107,6 @@ impl Bytes {
                 repr: Repr::Inline {
                     len: len as u8,
                     buf,
-                },
-            };
-        }
-        if len <= arena::MAX_ARENA_ALLOC {
-            let (chunk, start) = arena::carve(len);
-            // SAFETY: `carve` hands out each region exactly once and no
-            // `Bytes` view of it exists yet, so this is the region's unique
-            // reference; the chunk outlives the slice via the Arc held here.
-            let buf = unsafe { std::slice::from_raw_parts_mut(chunk.ptr().add(start), len) };
-            fill(buf);
-            return Self {
-                repr: Repr::Arena {
-                    chunk,
-                    start,
-                    end: start + len,
                 },
             };
         }
@@ -162,7 +130,7 @@ impl Bytes {
     pub fn len(&self) -> usize {
         match &self.repr {
             Repr::Inline { len, .. } => *len as usize,
-            Repr::Shared { start, end, .. } | Repr::Arena { start, end, .. } => end - start,
+            Repr::Shared { start, end, .. } => end - start,
         }
     }
 
@@ -202,15 +170,6 @@ impl Bytes {
                     end: base + end,
                 },
             },
-            Repr::Arena {
-                chunk, start: base, ..
-            } => Self {
-                repr: Repr::Arena {
-                    chunk: Arc::clone(chunk),
-                    start: base + start,
-                    end: base + end,
-                },
-            },
         }
     }
 
@@ -232,14 +191,6 @@ impl Deref for Bytes {
         match &self.repr {
             Repr::Inline { len, buf } => &buf.0[..*len as usize],
             Repr::Shared { data, start, end } => &data[*start..*end],
-            // SAFETY: the region `[start, end)` was initialized by
-            // `with_len` before this value (or its slicing ancestor)
-            // existed, is never written again while any view of it is alive
-            // (see the arena module's safety model), and the chunk outlives
-            // the borrow via the Arc held in `self`.
-            Repr::Arena { chunk, start, end } => unsafe {
-                std::slice::from_raw_parts(chunk.ptr().add(*start), end - start)
-            },
         }
     }
 }
@@ -391,8 +342,8 @@ mod tests {
 
     #[test]
     fn with_len_round_trips_across_representations() {
-        // Spans inline (<= 64), arena (medium), and Vec (large) paths.
-        for n in [0, 1, 64, 65, 1000, 2056, 32 << 10, (32 << 10) + 1, 100_000] {
+        // Spans the inline (<= 64) and Vec-backed paths.
+        for n in [0, 1, 64, 65, 1000, 100_000] {
             let b = Bytes::with_len(n, |buf| {
                 for (i, x) in buf.iter_mut().enumerate() {
                     *x = (i % 251) as u8;
@@ -400,9 +351,7 @@ mod tests {
             });
             assert_eq!(b.len(), n);
             assert!(b.iter().enumerate().all(|(i, &x)| x == (i % 251) as u8));
-            // Typed views over the payload need word alignment.
-            assert_eq!(b.as_ref().as_ptr() as usize % 8, 0, "len {n}");
-            // Slicing an arena-backed value stays zero-copy and correct.
+            // Slicing stays correct on either representation.
             let s = b.slice(n / 3..n - n / 3);
             assert_eq!(&s[..], &b[n / 3..n - n / 3]);
             let c = b.clone();
@@ -411,37 +360,11 @@ mod tests {
     }
 
     #[test]
-    fn arena_frames_do_not_overlap_and_survive_chunk_turnover() {
-        // Enough live medium frames to span several arena chunks; every
-        // frame must keep its own contents.
-        let frames: Vec<Bytes> = (0..200u32)
-            .map(|i| {
-                Bytes::with_len(1024, |buf| {
-                    buf.fill(i as u8);
-                })
-            })
-            .collect();
-        for (i, f) in frames.iter().enumerate() {
-            assert_eq!(f.len(), 1024);
-            assert!(f.iter().all(|&x| x == i as u8), "frame {i} corrupted");
+    fn with_len_hands_fill_a_zeroed_buffer() {
+        for n in [1, Bytes::INLINE_CAP, Bytes::INLINE_CAP + 1, 4096] {
+            let b = Bytes::with_len(n, |buf| assert!(buf.iter().all(|&x| x == 0)));
+            assert_eq!(b, vec![0u8; n]);
         }
-    }
-
-    #[test]
-    fn arena_recycles_released_chunks() {
-        // Drain-heavy pattern: frames dropped promptly.  The arena should
-        // settle into reusing chunks rather than growing without bound —
-        // observable as identical backing addresses reappearing.
-        let mut seen = std::collections::HashSet::new();
-        let mut reused = false;
-        for i in 0..2_000u32 {
-            let b = Bytes::with_len(4096, |buf| buf.fill(i as u8));
-            assert!(b.iter().all(|&x| x == i as u8));
-            if !seen.insert(b.as_ref().as_ptr() as usize) {
-                reused = true;
-            }
-        }
-        assert!(reused, "arena never recycled a released chunk");
     }
 
     #[test]
