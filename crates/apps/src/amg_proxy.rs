@@ -18,7 +18,9 @@
 //! sections-vs-others split and the compute-to-update ratios that drive the
 //! paper's Figure 6a/6b results.
 
-use crate::driver::{task_cost, AppContext, ScaledWorkload};
+use crate::driver::{
+    copy_var, dot_task_args, task_cost, waxpby_in_place, AppContext, ScaledWorkload,
+};
 use crate::report::AppRunReport;
 use ipr_core::{ArgSpec, IntraResult, TaskDef, VarId, Workspace};
 use kernels::dense::{back_substitute, Givens};
@@ -193,10 +195,7 @@ impl AmgKernels {
                     "amg-spmv",
                     move |c| {
                         let rows = c.scalar_usize(0)..c.scalar_usize(1);
-                        let x = &c.inputs[0];
-                        let mut scratch = vec![0.0; rows.end];
-                        matrix.spmv_rows(rows.clone(), x, &mut scratch);
-                        c.outputs[0].copy_from_slice(&scratch[rows]);
+                        matrix.spmv_rows_into(rows, &c.inputs[0], &mut c.outputs[0]);
                     },
                     vec![
                         ArgSpec::input(xv, 0..ncols),
@@ -209,10 +208,9 @@ impl AmgKernels {
             let _ = section.end()?;
         } else {
             ctx.run_redundant(spmv_cost(self.modeled_n, self.modeled_nnz), || ());
-            let x = ws.read_range(xv, 0..ncols);
-            let mut y = vec![0.0; n];
-            self.matrix.spmv(&x, &mut y);
-            ws.write_range(yv, 0..n, &y);
+            let mut y = ws.take(yv);
+            self.matrix.spmv(&ws.get(xv)[..ncols], &mut y[..n]);
+            ws.replace(yv, y);
         }
         Ok(())
     }
@@ -233,11 +231,6 @@ impl AmgKernels {
             let chunks = ipr_core::split_ranges(n, self.tasks);
             for (t, chunk) in chunks.into_iter().enumerate() {
                 let same = xv == yv;
-                let mut args = vec![ArgSpec::input(xv, chunk.clone())];
-                if !same {
-                    args.push(ArgSpec::input(yv, chunk));
-                }
-                args.push(ArgSpec::output(partial, t..t + 1));
                 section.add_task(
                     TaskDef::new(
                         "amg-dot",
@@ -246,7 +239,7 @@ impl AmgKernels {
                             let y = if same { &c.inputs[0] } else { &c.inputs[1] };
                             c.outputs[0][0] = x.iter().zip(y.iter()).map(|(a, b)| a * b).sum();
                         },
-                        args,
+                        dot_task_args(xv, yv, chunk, partial, t),
                     )
                     .with_cost(cost),
                 )?;
@@ -255,15 +248,13 @@ impl AmgKernels {
             ws.get(partial).iter().sum::<f64>()
         } else {
             ctx.run_redundant(ddot_cost(self.modeled_n), || ());
-            let x = ws.read_range(xv, 0..n);
-            let y = ws.read_range(yv, 0..n);
-            vecops::ddot(&x, &y)
+            vecops::ddot(&ws.get(xv)[..n], &ws.get(yv)[..n])
         };
         Ok(ctx.env.rcomm().logical_allreduce_sum_f64(local)?)
     }
 
     /// Redundant (non-intra) vector update: w = alpha*x + beta*y over the
-    /// local range, where `wv` may alias `xv` or `yv`.
+    /// local range, where `wv` is `xv` or `yv`.
     #[allow(clippy::too_many_arguments)]
     fn waxpby_redundant(
         &self,
@@ -275,16 +266,11 @@ impl AmgKernels {
         yv: VarId,
         wv: VarId,
     ) {
-        let n = self.dist.n;
         ctx.run_redundant(waxpby_cost(self.modeled_n), || ());
-        let x = ws.read_range(xv, 0..n);
-        let y = ws.read_range(yv, 0..n);
-        let mut w = vec![0.0; n];
-        vecops::waxpby(alpha, &x, beta, &y, &mut w);
-        ws.write_range(wv, 0..n, &w);
+        waxpby_in_place(ws, self.dist.n, alpha, xv, beta, yv, wv);
     }
 
-    /// Redundant axpy: y += alpha * x.
+    /// Redundant axpy: y += alpha * x (`xv` and `yv` distinct).
     fn axpy_redundant(
         &self,
         ctx: &AppContext,
@@ -295,19 +281,16 @@ impl AmgKernels {
     ) {
         let n = self.dist.n;
         ctx.run_redundant(axpy_cost(self.modeled_n), || ());
-        let x = ws.read_range(xv, 0..n);
-        let mut y = ws.read_range(yv, 0..n);
-        vecops::axpy(alpha, &x, &mut y);
-        ws.write_range(yv, 0..n, &y);
+        let mut y = ws.take(yv);
+        vecops::axpy(alpha, &ws.get(xv)[..n], &mut y[..n]);
+        ws.replace(yv, y);
     }
 
     /// Redundant scale: x *= alpha.
     fn scale_redundant(&self, ctx: &AppContext, ws: &mut Workspace, alpha: f64, xv: VarId) {
         let n = self.dist.n;
         ctx.run_redundant(scale_cost(self.modeled_n), || ());
-        let mut x = ws.read_range(xv, 0..n);
-        vecops::scale(alpha, &mut x);
-        ws.write_range(xv, 0..n, &x);
+        vecops::scale(alpha, &mut ws.get_mut(xv)[..n]);
     }
 }
 
@@ -386,16 +369,15 @@ fn run_pcg(
     // z = M^{-1} r (Jacobi preconditioner), p = z.
     let apply_precond = |ctx: &AppContext, ws: &mut Workspace| {
         ctx.run_redundant(scale_cost(kernels.modeled_n), || ());
-        let r = ws.read_range(r_v, 0..n);
-        let z: Vec<f64> = r.iter().zip(&diag).map(|(ri, di)| ri / di).collect();
-        ws.write_range(z_v, 0..n, &z);
+        let mut z = ws.take(z_v);
+        for ((zi, ri), di) in z.iter_mut().zip(ws.get(r_v)).zip(&diag) {
+            *zi = ri / di;
+        }
+        ws.replace(z_v, z);
     };
 
     apply_precond(ctx, &mut ws);
-    {
-        let z = ws.read_range(z_v, 0..n);
-        ws.write_range(p_v, 0..n, &z);
-    }
+    copy_var(&mut ws, n, z_v, p_v);
     let mut rz = kernels.dot(ctx, &mut ws, r_v, z_v)?;
     let mut iterations = 0usize;
 
@@ -457,16 +439,15 @@ fn run_gmres(
         // C/R-only coordinated point (see run_pcg).
         ctx.checkpoint_boundary()?;
         // r = b - A x
-        {
-            let x = ws.read_range(x_v, 0..n);
-            ws.write_range(v_vs[0], 0..n, &x);
-        }
+        copy_var(&mut ws, n, x_v, v_vs[0]);
         kernels.spmv(ctx, &mut ws, v_vs[0], w_v)?;
         {
             ctx.run_redundant(waxpby_cost(kernels.modeled_n), || ());
-            let ax = ws.read_range(w_v, 0..n);
-            let r: Vec<f64> = b.iter().zip(&ax).map(|(bi, axi)| bi - axi).collect();
-            ws.write_range(r_v, 0..n, &r);
+            let mut r = ws.take(r_v);
+            for ((ri, bi), axi) in r.iter_mut().zip(&b).zip(ws.get(w_v)) {
+                *ri = bi - axi;
+            }
+            ws.replace(r_v, r);
         }
         let beta = kernels.dot(ctx, &mut ws, r_v, r_v)?.sqrt();
         residual = beta;
@@ -474,10 +455,7 @@ fn run_gmres(
             break;
         }
         // v0 = r / beta
-        {
-            let r = ws.read_range(r_v, 0..n);
-            ws.write_range(v_vs[0], 0..n, &r);
-        }
+        copy_var(&mut ws, n, r_v, v_vs[0]);
         kernels.scale_redundant(ctx, &mut ws, 1.0 / beta, v_vs[0]);
 
         let mut h: Vec<Vec<f64>> = vec![vec![0.0; m + 1]; m];
@@ -502,10 +480,7 @@ fn run_gmres(
                 break;
             }
             // v_{j+1} = w / wnorm
-            {
-                let w = ws.read_range(w_v, 0..n);
-                ws.write_range(v_vs[j + 1], 0..n, &w);
-            }
+            copy_var(&mut ws, n, w_v, v_vs[j + 1]);
             kernels.scale_redundant(ctx, &mut ws, 1.0 / wnorm, v_vs[j + 1]);
 
             // Apply the previous Givens rotations to the new column, compute

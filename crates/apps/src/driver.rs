@@ -9,16 +9,86 @@
 
 use crate::report::AppRunReport;
 use ckpt::{CkptSession, CkptStats};
-use ipr_core::{IntraConfig, IntraError, IntraResult, IntraRuntime, SectionsView, TaskCost};
+use ipr_core::{
+    ArgSpec, IntraConfig, IntraError, IntraResult, IntraRuntime, SectionsView, TaskCost, VarId,
+    Workspace,
+};
 use kernels::KernelCost;
 use replication::{ExecutionMode, FailureInjector, ProtocolPoint, ReplicatedEnv};
 use simcluster::SimTime;
 use simmpi::{MpiResult, ProcHandle};
+use std::ops::Range;
 
 /// Converts a kernel cost descriptor into the task cost charged by the
 /// intra-parallelization runtime.
 pub fn task_cost(cost: KernelCost) -> TaskCost {
     TaskCost::new(cost.flops, cost.mem_bytes())
+}
+
+/// `w[..n] = alpha * x[..n] + beta * y[..n]` on workspace variables, where `wv`
+/// is `xv` or `yv` (HPCCG's `p = r + beta * p`, `x = x + alpha * p`): every
+/// redundant vector update of the solvers overwrites one of its operands.  The
+/// other operand is read where it is and the result is written in place: no
+/// vector is copied.  Element for element the arithmetic is
+/// [`kernels::vecops::waxpby`]'s, whose special-casing of a unit factor does
+/// not change a result bit.
+///
+/// # Panics
+/// Panics unless `wv` is exactly one of `xv` and `yv`; an update into a third
+/// variable is [`kernels::vecops::waxpby`] on the three slices.
+pub(crate) fn waxpby_in_place(
+    ws: &mut Workspace,
+    n: usize,
+    alpha: f64,
+    xv: VarId,
+    beta: f64,
+    yv: VarId,
+    wv: VarId,
+) {
+    assert!(
+        (wv == xv) != (wv == yv),
+        "waxpby_in_place: w must alias exactly one operand"
+    );
+    let mut w = ws.take(wv);
+    if wv == xv {
+        for (w, y) in w[..n].iter_mut().zip(&ws.get(yv)[..n]) {
+            *w = alpha * *w + beta * y;
+        }
+    } else {
+        for (w, x) in w[..n].iter_mut().zip(&ws.get(xv)[..n]) {
+            *w = alpha * x + beta * *w;
+        }
+    }
+    ws.replace(wv, w);
+}
+
+/// Copies `src[..n]` over `dst[..n]` between two distinct workspace variables
+/// without an intermediate vector.
+pub(crate) fn copy_var(ws: &mut Workspace, n: usize, src: VarId, dst: VarId) {
+    let mut d = ws.take(dst);
+    d[..n].copy_from_slice(&ws.get(src)[..n]);
+    ws.replace(dst, d);
+}
+
+/// The argument list of one dot-product task over `chunk`: the operand
+/// chunk(s) — one when `xv == yv` — and slot `t` of the partial-sum variable.
+pub(crate) fn dot_task_args(
+    xv: VarId,
+    yv: VarId,
+    chunk: Range<usize>,
+    partial: VarId,
+    t: usize,
+) -> Vec<ArgSpec> {
+    let slot = ArgSpec::output(partial, t..t + 1);
+    if xv == yv {
+        vec![ArgSpec::input(xv, chunk), slot]
+    } else {
+        vec![
+            ArgSpec::input(xv, chunk.clone()),
+            ArgSpec::input(yv, chunk),
+            slot,
+        ]
+    }
 }
 
 /// Per-process context shared by all the mini-applications.

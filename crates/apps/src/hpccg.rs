@@ -13,7 +13,9 @@
 //! logical channel before every `sparsemv` (outside the intra-parallel
 //! sections, as the paper requires).
 
-use crate::driver::{task_cost, AppContext, ScaledWorkload};
+use crate::driver::{
+    copy_var, dot_task_args, task_cost, waxpby_in_place, AppContext, ScaledWorkload,
+};
 use crate::report::AppRunReport;
 use ipr_core::{ArgSpec, IntraResult, TaskDef};
 use kernels::sparse::{spmv_cost, CsrMatrix};
@@ -244,10 +246,11 @@ pub fn run_hpccg(ctx: &mut AppContext, params: &HpccgParams) -> IntraResult<Hpcc
 
     // Kernel helpers ------------------------------------------------------
 
-    // waxpby over the local range of two workspace vectors, writing a third
-    // (which may alias one of the inputs, as in HPCCG's `p = r + beta*p`).
-    // Aliased inputs are declared `inout` so that re-execution after a
-    // failure is safe (Section III-B2 of the paper).
+    // waxpby over the local range of two workspace vectors, written over one
+    // of them, as every update of the CG loop is (`p = r + beta*p`).  The
+    // aliased input is declared `inout` so that re-execution after a failure
+    // is safe (Section III-B2 of the paper).  The section path would take a
+    // distinct `w` too; the redundant one (`waxpby_in_place`) does not.
     let do_waxpby = |ctx: &mut AppContext,
                      ws: &mut ipr_core::Workspace,
                      alpha: f64,
@@ -317,11 +320,7 @@ pub fn run_hpccg(ctx: &mut AppContext, params: &HpccgParams) -> IntraResult<Hpcc
             let _ = section.end()?;
         } else {
             ctx.run_redundant(waxpby_cost(modeled_n), || ());
-            let x = ws.read_range(xv, 0..n);
-            let y = ws.read_range(yv, 0..n);
-            let mut w = vec![0.0; n];
-            vecops::waxpby(alpha, &x, beta, &y, &mut w);
-            ws.write_range(wv, 0..n, &w);
+            waxpby_in_place(ws, n, alpha, xv, beta, yv, wv);
         }
         Ok(())
     };
@@ -339,11 +338,6 @@ pub fn run_hpccg(ctx: &mut AppContext, params: &HpccgParams) -> IntraResult<Hpcc
             let chunks = ipr_core::split_ranges(n, tasks);
             for (t, chunk) in chunks.into_iter().enumerate() {
                 let same = xv == yv;
-                let mut args = vec![ArgSpec::input(xv, chunk.clone())];
-                if !same {
-                    args.push(ArgSpec::input(yv, chunk));
-                }
-                args.push(ArgSpec::output(partial_v, t..t + 1));
                 section.add_task(
                     TaskDef::new(
                         "ddot",
@@ -352,7 +346,7 @@ pub fn run_hpccg(ctx: &mut AppContext, params: &HpccgParams) -> IntraResult<Hpcc
                             let y = if same { &c.inputs[0] } else { &c.inputs[1] };
                             c.outputs[0][0] = x.iter().zip(y.iter()).map(|(a, b)| a * b).sum();
                         },
-                        args,
+                        dot_task_args(xv, yv, chunk, partial_v, t),
                     )
                     .with_cost(ddot_task_cost),
                 )?;
@@ -361,9 +355,7 @@ pub fn run_hpccg(ctx: &mut AppContext, params: &HpccgParams) -> IntraResult<Hpcc
             ws.get(partial_v).iter().sum::<f64>()
         } else {
             ctx.run_redundant(ddot_cost(modeled_n), || ());
-            let x = ws.read_range(xv, 0..n);
-            let y = ws.read_range(yv, 0..n);
-            vecops::ddot(&x, &y)
+            vecops::ddot(&ws.get(xv)[..n], &ws.get(yv)[..n])
         };
         Ok(ctx.env.rcomm().logical_allreduce_sum_f64(local)?)
     };
@@ -378,14 +370,9 @@ pub fn run_hpccg(ctx: &mut AppContext, params: &HpccgParams) -> IntraResult<Hpcc
                 TaskDef::new(
                     "sparsemv",
                     move |c| {
+                        // The output buffer covers exactly `rows`.
                         let rows = c.scalar_usize(0)..c.scalar_usize(1);
-                        let p = &c.inputs[0];
-                        let y = &mut c.outputs[0];
-                        // The output buffer covers exactly `rows`; compute
-                        // into a full-length scratch then copy the slice.
-                        let mut scratch = vec![0.0; rows.end];
-                        matrix.spmv_rows(rows.clone(), p, &mut scratch);
-                        y.copy_from_slice(&scratch[rows]);
+                        matrix.spmv_rows_into(rows, &c.inputs[0], &mut c.outputs[0]);
                     },
                     vec![
                         ArgSpec::input(p_v, 0..ncols),
@@ -398,20 +385,16 @@ pub fn run_hpccg(ctx: &mut AppContext, params: &HpccgParams) -> IntraResult<Hpcc
             let _ = section.end()?;
         } else {
             ctx.run_redundant(spmv_cost(modeled_n, modeled_nnz), || ());
-            let p = ws.read_range(p_v, 0..ncols);
-            let mut ap = vec![0.0; n];
-            matrix.spmv(&p, &mut ap);
-            ws.write_range(ap_v, 0..n, &ap);
+            let mut ap = ws.take(ap_v);
+            matrix.spmv(&ws.get(p_v)[..ncols], &mut ap[..n]);
+            ws.replace(ap_v, ap);
         }
         Ok(())
     };
 
     // CG iterations --------------------------------------------------------
     // p = r ; rtrans = <r, r>
-    {
-        let r = ws.read_range(r_v, 0..n);
-        ws.write_range(p_v, 0..n, &r);
-    }
+    copy_var(&mut ws, n, r_v, p_v);
     let mut rtrans = do_ddot(ctx, &mut ws, r_v, r_v)?;
     let mut iterations = 0usize;
 

@@ -44,7 +44,7 @@ pub struct TaskHandle<const N: usize> {
 }
 
 struct TaskType {
-    name: String,
+    name: &'static str,
     func: TaskFn,
     tags: Vec<ArgTag>,
 }
@@ -70,7 +70,7 @@ impl<'a> IntraSession<'a> {
     /// type.
     pub fn register<const N: usize, F>(
         &mut self,
-        name: &str,
+        name: &'static str,
         tags: [ArgTag; N],
         func: F,
     ) -> TaskHandle<N>
@@ -78,7 +78,7 @@ impl<'a> IntraSession<'a> {
         F: Fn(&mut crate::task::TaskCtx) + Send + Sync + 'static,
     {
         self.types.push(TaskType {
-            name: name.to_string(),
+            name,
             func: Arc::new(func),
             tags: tags.to_vec(),
         });
@@ -101,18 +101,13 @@ impl<'a> IntraSession<'a> {
         scalars: Vec<f64>,
         cost: impl Into<CostHint>,
     ) -> IntraResult<()> {
-        self.launch_impl(
-            handle.id,
-            bindings.into_iter().collect(),
-            scalars,
-            cost.into(),
-        )
+        self.launch_impl(handle.id, &mut bindings.into_iter(), scalars, cost.into())
     }
 
     fn launch_impl(
         &mut self,
         id: usize,
-        bindings: Vec<(VarId, Range<usize>)>,
+        bindings: &mut dyn ExactSizeIterator<Item = (VarId, Range<usize>)>,
         scalars: Vec<f64>,
         cost: CostHint,
     ) -> IntraResult<()> {
@@ -129,12 +124,11 @@ impl<'a> IntraSession<'a> {
             )));
         }
         let args = bindings
-            .into_iter()
             .zip(ty.tags.iter())
             .map(|((var, range), &tag)| ArgSpec { var, range, tag })
             .collect();
         let task = TaskDef {
-            name: ty.name.clone(),
+            name: ty.name,
             func: Arc::clone(&ty.func),
             args,
             scalars,

@@ -25,7 +25,7 @@ use simcluster::SimTime;
 #[derive(Debug, Clone, PartialEq)]
 pub struct TaskCostSample {
     /// Task name.
-    pub name: String,
+    pub name: &'static str,
     /// Occurrence index of the name among same-named tasks of the section
     /// (launch order), so heterogeneous same-named chunks learn independent
     /// histories.  `(name, occurrence)` is the cost-model identity of the
@@ -47,7 +47,7 @@ impl TaskCostSample {
     /// The human-readable cost-model key of this sample
     /// (`"name#occurrence"`, see [`crate::cost::instance_key`]).
     pub fn key(&self) -> String {
-        crate::cost::instance_key(&self.name, self.occurrence as usize)
+        crate::cost::instance_key(self.name, self.occurrence as usize)
     }
 }
 
@@ -295,7 +295,7 @@ mod tests {
             end_time: SimTime::from_secs(end),
             task_costs: vec![
                 TaskCostSample {
-                    name: "t".into(),
+                    name: "t",
                     occurrence: 0,
                     declared_weight: 1.0,
                     observed_seconds: 0.5,
@@ -303,7 +303,7 @@ mod tests {
                     executed_locally: true,
                 },
                 TaskCostSample {
-                    name: "t".into(),
+                    name: "t",
                     occurrence: 1,
                     declared_weight: 1.0,
                     observed_seconds: 0.25,

@@ -4,6 +4,7 @@ use crate::cost::{CostModel, DEFAULT_EMA_ALPHA};
 use crate::report::RuntimeReport;
 use crate::sched::{Scheduler, SchedulerKind, StaticBlockScheduler};
 use crate::section::Section;
+use crate::task::TaskCtx;
 use crate::workspace::Workspace;
 use replication::ReplicatedEnv;
 use std::sync::Arc;
@@ -126,6 +127,9 @@ pub struct IntraRuntime {
     section_count: usize,
     report: RuntimeReport,
     cost_model: CostModel,
+    /// The one task context of this process: every section borrows it and
+    /// refills its buffers for each task it executes.
+    task_ctx: TaskCtx,
 }
 
 impl IntraRuntime {
@@ -138,6 +142,7 @@ impl IntraRuntime {
             section_count: 0,
             report: RuntimeReport::default(),
             cost_model,
+            task_ctx: TaskCtx::default(),
         }
     }
 
@@ -191,17 +196,27 @@ impl IntraRuntime {
         idx
     }
 
-    pub(crate) fn record(&mut self, report: crate::report::SectionReport) {
+    pub(crate) fn take_task_ctx(&mut self) -> TaskCtx {
+        std::mem::take(&mut self.task_ctx)
+    }
+
+    pub(crate) fn put_task_ctx(&mut self, ctx: TaskCtx) {
+        self.task_ctx = ctx;
+    }
+
+    pub(crate) fn record(&mut self, report: &crate::report::SectionReport) {
         // Fold the section's per-task costs into the EMA history, in task
         // order (the order is part of the replica-determinism contract —
         // including the first-sighting order of interned names).
         for sample in &report.task_costs {
             let key = self
                 .cost_model
-                .key_for(&sample.name, sample.occurrence as usize);
+                .key_for(sample.name, sample.occurrence as usize);
             self.cost_model.observe_key(key, sample.observed_seconds);
         }
-        self.report.push(report);
+        // The one per-section copy: `Section::end` returns the report by
+        // value and `IntraRuntime::report` keeps every section's.
+        self.report.push(report.clone());
     }
 }
 

@@ -84,11 +84,8 @@ pub struct Section<'a> {
 
 impl<'a> Section<'a> {
     pub(crate) fn new(rt: &'a mut IntraRuntime, ws: &'a mut Workspace) -> Self {
-        Section {
-            rt,
-            ws,
-            tasks: Vec::new(),
-        }
+        let tasks = Vec::with_capacity(rt.config().tasks_per_section);
+        Section { rt, ws, tasks }
     }
 
     /// Adds a task instance to the section (`Intra_Task_launch`).
@@ -137,43 +134,42 @@ impl<'a> Section<'a> {
     /// protocol and returns the section report.
     pub fn end(self) -> IntraResult<SectionReport> {
         let Section { rt, ws, tasks } = self;
-        execute_section(rt, ws, tasks)
+        execute_section(rt, ws, &tasks)
     }
 }
 
-/// Builds the execution context for a task from the workspace, restoring
-/// `inout` ranges from their snapshots ("loading a' into a" in Figure 2c).
-fn build_ctx(ws: &mut Workspace, task: &TaskDef, snapshots: &[Option<Vec<f64>>]) -> TaskCtx {
-    // First restore inout snapshots into the workspace so that both the
-    // workspace and the context see the pre-section values.
-    for (arg, snap) in task.args.iter().zip(snapshots) {
-        if let Some(values) = snap {
-            ws.write_range(arg.var, arg.range.clone(), values);
-        }
-    }
-    let mut ctx = TaskCtx {
-        inputs: Vec::new(),
-        outputs: Vec::new(),
-        scalars: task.scalars.clone(),
-    };
+/// Refills the reused context for `task` from the workspace: scalars and
+/// one buffer per argument, each overwritten in place (`clear` +
+/// `extend_from_slice`), so nothing is allocated once the buffers have grown
+/// to the largest argument seen.  The buffer lists end up exactly as long as
+/// the task's `In` and `Out`/`InOut` argument lists.
+fn fill_ctx(ctx: &mut TaskCtx, ws: &Workspace, task: &TaskDef) {
+    ctx.scalars.clear();
+    ctx.scalars.extend_from_slice(&task.scalars);
+    let (mut inputs, mut outputs) = (0, 0);
     for arg in &task.args {
-        let data = ws.read_range(arg.var, arg.range.clone());
-        match arg.tag {
-            ArgTag::In => ctx.inputs.push(data),
-            ArgTag::Out | ArgTag::InOut => ctx.outputs.push(data),
+        let (bufs, used) = match arg.tag {
+            ArgTag::In => (&mut ctx.inputs, &mut inputs),
+            ArgTag::Out | ArgTag::InOut => (&mut ctx.outputs, &mut outputs),
+        };
+        if *used == bufs.len() {
+            bufs.push(Vec::new());
         }
+        let buf = &mut bufs[*used];
+        buf.clear();
+        buf.extend_from_slice(&ws.get(arg.var)[arg.range.clone()]);
+        *used += 1;
     }
-    ctx
+    ctx.inputs.truncate(inputs);
+    ctx.outputs.truncate(outputs);
 }
 
 /// Writes the output buffers of a finished task back into the workspace.
 fn write_back(ws: &mut Workspace, task: &TaskDef, ctx: &TaskCtx) -> IntraResult<()> {
-    let mut out_idx = 0;
-    for arg in &task.args {
-        if !arg.tag.is_output() {
-            continue;
-        }
-        let buf = &ctx.outputs[out_idx];
+    let outputs = task.args.iter().filter(|arg| arg.tag.is_output());
+    for (out_idx, arg) in outputs.enumerate() {
+        // A buffer the body removed reads as one resized to nothing.
+        let buf = ctx.outputs.get(out_idx).map_or(&[][..], Vec::as_slice);
         if buf.len() != arg.len() {
             return Err(IntraError::InvalidTask(format!(
                 "task '{}' resized output argument {} ({} -> {} elements)",
@@ -184,26 +180,69 @@ fn write_back(ws: &mut Workspace, task: &TaskDef, ctx: &TaskCtx) -> IntraResult<
             )));
         }
         ws.write_range(arg.var, arg.range.clone(), buf);
-        out_idx += 1;
     }
     Ok(())
+}
+
+/// The `inout` snapshots of one work-sharing section (the extra copy of
+/// Section III-B2): every `inout` range of every task, back to back in one
+/// buffer, in launch order.
+struct Snapshots {
+    data: Vec<f64>,
+    /// Offset in `data` of each task's first `inout` range.
+    start: Vec<usize>,
+    /// Modeled size of the copy, as charged to the virtual clock.
+    modeled_bytes: usize,
+}
+
+impl Snapshots {
+    /// Copies the `inout` ranges of `tasks` out of the workspace and charges
+    /// the copy to the virtual clock.
+    fn take(rt: &IntraRuntime, ws: &Workspace, tasks: &[TaskDef]) -> Self {
+        let modeled_scale = rt.config().modeled_scale;
+        let mut data = Vec::new();
+        let mut start = Vec::with_capacity(tasks.len());
+        let mut modeled_bytes = 0usize;
+        for task in tasks {
+            start.push(data.len());
+            for arg in task.args.iter().filter(|arg| arg.tag == ArgTag::InOut) {
+                data.extend_from_slice(&ws.get(arg.var)[arg.range.clone()]);
+                let bytes = (arg.bytes() as f64 * modeled_scale) as usize;
+                modeled_bytes += bytes;
+                rt.env().proc().charge_memcpy(bytes);
+            }
+        }
+        Snapshots {
+            data,
+            start,
+            modeled_bytes,
+        }
+    }
+
+    /// Loads the pre-section values of task `i`'s `inout` ranges back into
+    /// the workspace ("loading a' into a" in Figure 2c).
+    fn restore(&self, ws: &mut Workspace, task: &TaskDef, i: usize) {
+        let mut at = self.start[i];
+        for arg in task.args.iter().filter(|arg| arg.tag == ArgTag::InOut) {
+            ws.write_range(arg.var, arg.range.clone(), &self.data[at..at + arg.len()]);
+            at += arg.len();
+        }
+    }
 }
 
 /// Occurrence indices for the tasks of one section, in launch order: the
 /// i-th task named `n` gets occurrence `i`.  Launch order is identical on
 /// every replica, so the indices are too.  Together with the task name this
 /// is the cost-model identity of each instance (interned as
-/// [`crate::cost::TaskKey`]); no strings are formatted on this path.
+/// [`crate::cost::TaskKey`]); no strings are formatted here and none hashed:
+/// names are compared pairwise, because sections are small (the paper's have
+/// 8 tasks; the largest in this tree, the granularity ablation, 64; never
+/// more than [`MAX_TASKS_PER_SECTION`]).
 fn occurrence_indices(tasks: &[TaskDef]) -> Vec<u32> {
-    let mut occurrence: std::collections::HashMap<&str, u32> = std::collections::HashMap::new();
     tasks
         .iter()
-        .map(|t| {
-            let n = occurrence.entry(t.name.as_str()).or_insert(0);
-            let o = *n;
-            *n += 1;
-            o
-        })
+        .enumerate()
+        .map(|(i, t)| tasks[..i].iter().filter(|p| p.name == t.name).count() as u32)
         .collect()
 }
 
@@ -233,50 +272,62 @@ fn modeled_task_seconds(rt: &IntraRuntime, task: &TaskDef) -> f64 {
     0.0
 }
 
-/// Executes one task locally: restore snapshots, build the context, charge
-/// the modeled cost, run the body, write the outputs back.
+/// Executes one task locally: refill the context, charge the modeled cost,
+/// run the body, write the outputs back.
 fn run_task(
     rt: &IntraRuntime,
     ws: &mut Workspace,
     task: &TaskDef,
-    snapshots: &[Option<Vec<f64>>],
+    ctx: &mut TaskCtx,
 ) -> IntraResult<()> {
-    let mut ctx = build_ctx(ws, task, snapshots);
+    fill_ctx(ctx, ws, task);
     if rt.config().charge_costs {
         if let Some(cost) = task.cost {
             rt.env().charge_compute(cost.flops, cost.mem_bytes);
         }
     }
-    (task.func)(&mut ctx);
-    write_back(ws, task, &ctx)
+    (task.func)(ctx);
+    write_back(ws, task, ctx)
 }
 
 fn execute_section(
     rt: &mut IntraRuntime,
     ws: &mut Workspace,
-    tasks: Vec<TaskDef>,
-) -> IntraResult<SectionReport> {
-    let result = execute_section_inner(rt, ws, tasks);
-    if let Err(e) = &result {
-        // A replica that cannot complete the section protocol (bad task
-        // definition, unexpected MPI error, …) can no longer stay consistent
-        // with its peers; converting the local error into a crash-stop
-        // failure lets the surviving replicas detect it and re-execute the
-        // affected tasks instead of blocking on updates that will never
-        // arrive.
-        if *e != IntraError::Crashed && !rt.env().is_failed() {
-            rt.env().proc().fail_here();
-        }
-    }
-    result
-}
-
-fn execute_section_inner(
-    rt: &mut IntraRuntime,
-    ws: &mut Workspace,
-    tasks: Vec<TaskDef>,
+    tasks: &[TaskDef],
 ) -> IntraResult<SectionReport> {
     let section = rt.next_section_index();
+    // The runtime's one task context is lent to the section and handed back
+    // whatever the outcome, so its buffers serve every later section.
+    let mut ctx = rt.take_task_ctx();
+    let result = run_protocol(rt, ws, tasks, section, &mut ctx);
+    rt.put_task_ctx(ctx);
+    match result {
+        Ok(report) => {
+            rt.record(&report);
+            Ok(report)
+        }
+        Err(e) => {
+            // A replica that cannot complete the section protocol (bad task
+            // definition, unexpected MPI error, …) can no longer stay
+            // consistent with its peers; converting the local error into a
+            // crash-stop failure lets the surviving replicas detect it and
+            // re-execute the affected tasks instead of blocking on updates
+            // that will never arrive.
+            if e != IntraError::Crashed && !rt.env().is_failed() {
+                rt.env().proc().fail_here();
+            }
+            Err(e)
+        }
+    }
+}
+
+fn run_protocol(
+    rt: &IntraRuntime,
+    ws: &mut Workspace,
+    tasks: &[TaskDef],
+    section: usize,
+    ctx: &mut TaskCtx,
+) -> IntraResult<SectionReport> {
     let start_time = rt.env().now();
 
     if rt.env().maybe_fail(ProtocolPoint::SectionEnter { section }) {
@@ -286,36 +337,19 @@ fn execute_section_inner(
         return Err(IntraError::Crashed);
     }
 
-    let share = rt.env().mode().shares_work() && rt.env().rcomm().degree() > 1;
-    let modeled_scale = rt.config().modeled_scale;
-
-    // --- inout snapshots (only needed when work is shared) -------------
-    let mut snapshots: Vec<Vec<Option<Vec<f64>>>> = Vec::with_capacity(tasks.len());
-    let mut inout_snapshot_bytes = 0usize;
-    for task in &tasks {
-        let mut per_arg = Vec::with_capacity(task.args.len());
-        for arg in &task.args {
-            if share && arg.tag == ArgTag::InOut {
-                per_arg.push(Some(ws.read_range(arg.var, arg.range.clone())));
-                let bytes = (arg.bytes() as f64 * modeled_scale) as usize;
-                inout_snapshot_bytes += bytes;
-                rt.env().proc().charge_memcpy(bytes);
-            } else {
-                per_arg.push(None);
-            }
-        }
-        snapshots.push(per_arg);
-    }
+    let rcomm = rt.env().rcomm();
+    let share = rt.env().mode().shares_work() && rcomm.degree() > 1;
+    let n = tasks.len();
+    let occurrences = occurrence_indices(tasks);
 
     // --- non-sharing modes: execute everything locally -----------------
     if !share {
         let my_replica = rt.env().replica_id();
-        let occurrences = occurrence_indices(&tasks);
-        let mut task_costs = Vec::with_capacity(tasks.len());
+        let mut task_costs = Vec::with_capacity(n);
         for (task, occurrence) in tasks.iter().zip(occurrences) {
-            run_task(rt, ws, task, &vec![None; task.args.len()])?;
+            run_task(rt, ws, task, ctx)?;
             task_costs.push(TaskCostSample {
-                name: task.name.clone(),
+                name: task.name,
                 occurrence,
                 declared_weight: task.weight(),
                 observed_seconds: modeled_task_seconds(rt, task),
@@ -327,10 +361,10 @@ fn execute_section_inner(
         if rt.env().maybe_fail(ProtocolPoint::SectionExit { section }) {
             return Err(IntraError::Crashed);
         }
-        let report = SectionReport {
+        return Ok(SectionReport {
             section_index: section,
-            num_tasks: tasks.len(),
-            tasks_executed_locally: tasks.len(),
+            num_tasks: n,
+            tasks_executed_locally: n,
             tasks_received: 0,
             tasks_reexecuted: 0,
             update_bytes_sent: 0,
@@ -341,14 +375,13 @@ fn execute_section_inner(
             local_work_done: end,
             end_time: end,
             task_costs,
-        };
-        rt.record(report.clone());
-        return Ok(report);
+        });
     }
 
     // --- work-sharing protocol ------------------------------------------
-    let rcomm = rt.env().rcomm().clone();
-    let rc = rcomm.replica_comm().clone();
+    let modeled_scale = rt.config().modeled_scale;
+    let snapshots = Snapshots::take(rt, ws, tasks);
+    let rc = rcomm.replica_comm();
     let my = rcomm.replica_id();
 
     // Scheduling is a pure function of the task weights and the *full*
@@ -361,40 +394,38 @@ fn execute_section_inner(
     // itself replica-deterministic (see `modeled_task_seconds`), so the
     // no-coordination property is preserved.
     let all_replicas: Vec<usize> = (0..rcomm.degree()).collect();
-    let occurrences = occurrence_indices(&tasks);
     let declared_weights: Vec<f64> = tasks.iter().map(TaskDef::weight).collect();
-    let weights: Vec<f64> = if rt.config().scheduler.wants_measured_weights() {
+    let measured_weights: Vec<f64>;
+    let weights: &[f64] = if rt.config().scheduler.wants_measured_weights() {
         // Read-only key lookup: a name with no history has no interned id
         // either, and falls back to the declared weight.
         let model = rt.cost_model();
-        tasks
+        measured_weights = tasks
             .iter()
             .zip(&occurrences)
             .zip(&declared_weights)
             .map(
-                |((t, &occ), &d)| match model.lookup_key(&t.name, occ as usize) {
+                |((t, &occ), &d)| match model.lookup_key(t.name, occ as usize) {
                     Some(key) => model.effective_weight_key(key, d),
                     None => d,
                 },
             )
-            .collect()
+            .collect();
+        &measured_weights
     } else {
-        declared_weights.clone()
+        &declared_weights
     };
-    let mut assignment = rt.config().scheduler.assign(&weights, &all_replicas);
-    debug_assert_eq!(assignment.len(), tasks.len());
+    let mut assignment = rt.config().scheduler.assign(weights, &all_replicas);
+    debug_assert_eq!(assignment.len(), n);
     // Per-task observed costs: the deterministic modeled time of every task
     // (identical on each replica, whoever executes it).
     let observed_seconds: Vec<f64> = tasks.iter().map(|t| modeled_task_seconds(rt, t)).collect();
 
-    let n = tasks.len();
     let mut done = vec![false; n];
     // Peer replicas whose crash this section observed through a failed
     // update receive (the deterministic, protocol-level notion of an
     // observed failure).
     let mut dead_owners = std::collections::BTreeSet::new();
-    let mut received_args: Vec<Vec<bool>> =
-        tasks.iter().map(|t| vec![false; t.args.len()]).collect();
     let mut send_reqs: Vec<SendRequest> = Vec::new();
     let mut update_bytes_sent = 0usize;
     let mut update_bytes_received = 0usize;
@@ -402,32 +433,29 @@ fn execute_section_inner(
     let mut tasks_received = 0usize;
     let mut tasks_reexecuted = 0usize;
 
-    // Sends the updates of task `i` to every peer replica.  Crashed peers
-    // are served too — the sender has no failure detector, so consulting the
-    // (real-time-racy) failure board here would make the charged send time
-    // depend on thread scheduling; the network drops copies addressed to
-    // crashed replicas.
+    // Sends the updates of task `i` to every peer replica, serialized
+    // straight from the workspace.  Crashed peers are served too — the
+    // sender has no failure detector, so consulting the (real-time-racy)
+    // failure board here would make the charged send time depend on thread
+    // scheduling; the network drops copies addressed to crashed replicas.
     let send_updates = |ws: &Workspace,
                         i: usize,
-                        rt: &IntraRuntime,
                         send_reqs: &mut Vec<SendRequest>,
                         update_bytes_sent: &mut usize|
      -> IntraResult<()> {
-        let task = &tasks[i];
         let mut vars_sent = 0usize;
-        for (ai, arg) in task.args.iter().enumerate() {
+        for (ai, arg) in tasks[i].args.iter().enumerate() {
             if !arg.tag.is_output() {
                 continue;
             }
-            let data = ws.read_range(arg.var, arg.range.clone());
-            let modeled =
-                ((data.len() * std::mem::size_of::<f64>()) as f64 * modeled_scale) as usize;
+            let data = &ws.get(arg.var)[arg.range.clone()];
+            let modeled = (arg.bytes() as f64 * modeled_scale) as usize;
             for peer in 0..rcomm.degree() {
                 if peer == my {
                     continue;
                 }
                 let tag = update_tag(section, i, ai);
-                let req = rc.isend_with_modeled_size(&data, peer, tag, modeled)?;
+                let req = rc.isend_with_modeled_size(data, peer, tag, modeled)?;
                 send_reqs.push(req);
                 *update_bytes_sent += modeled;
             }
@@ -456,7 +484,8 @@ fn execute_section_inner(
             continue;
         }
         let task_started = rt.env().now();
-        run_task(rt, ws, &tasks[i], &snapshots[i])?;
+        snapshots.restore(ws, &tasks[i], i);
+        run_task(rt, ws, &tasks[i], ctx)?;
         // The clock delta of a locally executed task must agree with the
         // modeled time fed to the cost model (the determinism contract).
         debug_assert!(
@@ -473,7 +502,7 @@ fn execute_section_inner(
         {
             return Err(IntraError::Crashed);
         }
-        send_updates(ws, i, rt, &mut send_reqs, &mut update_bytes_sent)?;
+        send_updates(ws, i, &mut send_reqs, &mut update_bytes_sent)?;
     }
     let local_work_done = rt.env().now();
 
@@ -490,28 +519,27 @@ fn execute_section_inner(
         // the receive returns an error immediately if nothing was sent.
         let mut adopt = owner == my;
         if !adopt {
-            // Receive every output argument of the task from its owner.
+            // Receive every output argument of the task from its owner,
+            // straight from the payload into the workspace.
             let mut receive_failed = false;
             for (ai, arg) in tasks[i].args.iter().enumerate() {
-                if !arg.tag.is_output() || received_args[i][ai] {
+                if !arg.tag.is_output() {
                     continue;
                 }
                 let tag = update_tag(section, i, ai);
-                match rc.recv::<f64>(owner, tag) {
-                    Ok(data) => {
-                        if data.len() != arg.len() {
+                match rc.recv_payload(Some(owner), Some(tag)) {
+                    Ok((payload, _)) => {
+                        if payload.len() != arg.bytes() {
                             return Err(IntraError::InvalidTask(format!(
-                                "update for task '{}' arg {ai} has {} elements, expected {}",
+                                "update for task '{}' arg {ai} has {} bytes, expected {}",
                                 tasks[i].name,
-                                data.len(),
-                                arg.len()
+                                payload.len(),
+                                arg.bytes()
                             )));
                         }
-                        ws.write_range(arg.var, arg.range.clone(), &data);
-                        received_args[i][ai] = true;
-                        update_bytes_received += ((data.len() * std::mem::size_of::<f64>()) as f64
-                            * modeled_scale)
-                            as usize;
+                        let dst = &mut ws.get_mut(arg.var)[arg.range.clone()];
+                        simmpi::datatype::copy_into(&payload, dst)?;
+                        update_bytes_received += (arg.bytes() as f64 * modeled_scale) as usize;
                     }
                     Err(MpiError::ProcessFailed { .. }) => {
                         // Owner crashed before completing this update: adopt
@@ -533,10 +561,11 @@ fn execute_section_inner(
         }
         if adopt {
             assignment[i] = my;
-            // Re-execute locally.  `run_task` restores the inout snapshots
-            // first, so a partial update applied above cannot create the
-            // true-dependence problem of Figure 2b.
-            run_task(rt, ws, &tasks[i], &snapshots[i])?;
+            // Re-execute locally, from the restored inout snapshots, so a
+            // partial update applied above cannot create the true-dependence
+            // problem of Figure 2b.
+            snapshots.restore(ws, &tasks[i], i);
+            run_task(rt, ws, &tasks[i], ctx)?;
             tasks_local += 1;
             tasks_reexecuted += 1;
             done[i] = true;
@@ -556,7 +585,7 @@ fn execute_section_inner(
         .zip(occurrences)
         .enumerate()
         .map(|(i, (t, occurrence))| TaskCostSample {
-            name: t.name.clone(),
+            name: t.name,
             occurrence,
             declared_weight: declared_weights[i],
             observed_seconds: observed_seconds[i],
@@ -565,7 +594,7 @@ fn execute_section_inner(
         })
         .collect();
 
-    let report = SectionReport {
+    Ok(SectionReport {
         section_index: section,
         num_tasks: n,
         tasks_executed_locally: tasks_local,
@@ -573,15 +602,13 @@ fn execute_section_inner(
         tasks_reexecuted,
         update_bytes_sent,
         update_bytes_received,
-        inout_snapshot_bytes,
+        inout_snapshot_bytes: snapshots.modeled_bytes,
         replica_failures_observed: dead_owners.len(),
         start_time,
         local_work_done,
         end_time,
         task_costs,
-    };
-    rt.record(report.clone());
-    Ok(report)
+    })
 }
 
 #[cfg(test)]

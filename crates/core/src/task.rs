@@ -185,6 +185,17 @@ impl From<Option<TaskCost>> for CostHint {
 /// * `outputs[j]` is the j-th `Out` or `InOut` argument (in declaration
 ///   order), pre-filled with the current value of the range;
 /// * `scalars[k]` are the scalar parameters passed at launch time.
+///
+/// The runtime owns one context per physical process and *refills* it for
+/// every task it executes, so running a task allocates nothing once the
+/// buffers have grown to the largest argument seen.  A body may assume
+/// exactly the three points above — the right number of buffers, each of
+/// exactly its argument's length — and nothing else: spare capacity, and
+/// whatever a body leaves behind (a buffer it emptied with `mem::take`, a
+/// value it wrote to an input), never reach the next task, which finds
+/// every buffer rewritten from the workspace.  An output must come back
+/// with the length it was handed out with; a body that resizes one fails
+/// its section with [`IntraError::InvalidTask`].
 #[derive(Debug, Default)]
 pub struct TaskCtx {
     /// Read-only argument buffers (declaration order of `In` args).
@@ -208,8 +219,10 @@ pub type TaskFn = Arc<dyn Fn(&mut TaskCtx) + Send + Sync>;
 /// A fully specified task instance, ready to be scheduled on a replica.
 #[derive(Clone)]
 pub struct TaskDef {
-    /// Human-readable name (diagnostics and reports).
-    pub name: String,
+    /// Human-readable name (diagnostics, reports and, with the occurrence
+    /// index, the cost-model identity).  Static, so launching a task and
+    /// reporting on it copy a pointer, never a string.
+    pub name: &'static str,
     /// The code to execute.
     pub func: TaskFn,
     /// Tagged variable ranges accessed by the task.
@@ -233,12 +246,12 @@ impl fmt::Debug for TaskDef {
 
 impl TaskDef {
     /// Creates a task with the given name, body and arguments.
-    pub fn new<F>(name: &str, func: F, args: Vec<ArgSpec>) -> Self
+    pub fn new<F>(name: &'static str, func: F, args: Vec<ArgSpec>) -> Self
     where
         F: Fn(&mut TaskCtx) + Send + Sync + 'static,
     {
         TaskDef {
-            name: name.to_string(),
+            name,
             func: Arc::new(func),
             args,
             scalars: Vec::new(),

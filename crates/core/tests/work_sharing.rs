@@ -409,3 +409,72 @@ fn invalid_ranges_are_rejected_at_launch() {
     });
     assert!(report.unwrap_results()[0]);
 }
+
+/// The runtime refills one `TaskCtx` for every task it runs.  Whatever a
+/// body does to the buffers it was lent — empty an input with `mem::take`,
+/// scribble over one, grow the scalar list — stays with that task: the
+/// workspace keeps its inputs, and the next task (here with fewer and
+/// shorter arguments, so every buffer is a reused one) finds exactly its own
+/// arguments.  An output that comes back shorter than it was handed out is
+/// still the `InvalidTask` error it always was.
+#[test]
+fn reused_task_context_leaks_nothing_between_tasks() {
+    let report = run_cluster(&ClusterConfig::ideal(1), |proc| {
+        let mut rt = make_rt(proc, ExecutionMode::Native, IntraConfig::paper());
+        let mut ws = Workspace::new();
+        let x = ws.add("x", vec![1.0, 2.0, 3.0, 4.0]);
+        let y = ws.add("y", vec![5.0, 6.0]);
+        let w = ws.add_zeros("w", 6);
+
+        let mut section = rt.section(&mut ws);
+        section
+            .add_task(
+                TaskDef::new(
+                    "greedy",
+                    |c| {
+                        let mut stolen = std::mem::take(&mut c.inputs[0]);
+                        c.outputs[0].copy_from_slice(&stolen);
+                        stolen[0] = -1.0;
+                        c.inputs[1][0] = -1.0;
+                        c.scalars.push(99.0);
+                    },
+                    vec![
+                        ArgSpec::input(x, 0..4),
+                        ArgSpec::input(y, 0..2),
+                        ArgSpec::output(w, 0..4),
+                    ],
+                )
+                .with_scalars(vec![7.0]),
+            )
+            .unwrap();
+        section
+            .add_task(TaskDef::new(
+                "frugal",
+                |c| {
+                    assert_eq!(c.inputs, vec![vec![5.0, 6.0]]);
+                    assert_eq!(c.outputs, vec![vec![0.0, 0.0]]);
+                    assert!(c.scalars.is_empty());
+                    let (inputs, outputs) = (&c.inputs, &mut c.outputs);
+                    outputs[0].copy_from_slice(&inputs[0]);
+                },
+                vec![ArgSpec::input(y, 0..2), ArgSpec::output(w, 4..6)],
+            ))
+            .unwrap();
+        let _ = section.end().unwrap();
+        assert_eq!(ws.get(x), [1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(ws.get(y), [5.0, 6.0]);
+        assert_eq!(ws.get(w), [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+
+        let mut section = rt.section(&mut ws);
+        section
+            .add_task(TaskDef::new(
+                "shrinks",
+                |c| c.outputs[0].truncate(1),
+                vec![ArgSpec::output(w, 0..4)],
+            ))
+            .unwrap();
+        section.end().unwrap_err()
+    });
+    let err = report.unwrap_results().pop().unwrap();
+    assert!(matches!(err, IntraError::InvalidTask(_)), "{err}");
+}

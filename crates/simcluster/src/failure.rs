@@ -15,6 +15,7 @@
 use crate::time::SimTime;
 use parking_lot::{Condvar, Mutex};
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Liveness of one simulated physical process.
@@ -55,9 +56,17 @@ pub type FailureWaker = Arc<dyn Fn() + Send + Sync>;
 ///
 /// Cloning the board is cheap (it is an `Arc`); all clones observe the same
 /// state.
+///
+/// The locked board (states, events, epoch, condvar) is the writer-side
+/// truth; one atomic flag per rank mirrors its state so that
+/// [`Self::is_failed`] — asked several times per message by the fabric — is
+/// an atomic load instead of a trip through the mutex every rank of the run
+/// shares.  Writers store the flag while they hold the board lock, before
+/// they call the registered wakers.
 #[derive(Clone)]
 pub struct FailureStatusBoard {
     inner: Arc<(Mutex<Board>, Condvar)>,
+    failed: Arc<[AtomicBool]>,
     wakers: Arc<Mutex<Vec<FailureWaker>>>,
 }
 
@@ -81,6 +90,7 @@ impl FailureStatusBoard {
                 }),
                 Condvar::new(),
             )),
+            failed: (0..num_procs).map(|_| AtomicBool::new(false)).collect(),
             wakers: Arc::new(Mutex::new(Vec::new())),
         }
     }
@@ -116,6 +126,7 @@ impl FailureStatusBoard {
                 return;
             }
             board.states[rank] = ProcessState::Failed;
+            self.failed[rank].store(true, Ordering::SeqCst);
             board.events.push(FailureEvent { rank, time });
             board.epoch += 1;
             cvar.notify_all();
@@ -133,6 +144,7 @@ impl FailureStatusBoard {
                 return;
             }
             board.states[rank] = ProcessState::Alive;
+            self.failed[rank].store(false, Ordering::SeqCst);
             board.epoch += 1;
             cvar.notify_all();
         }
@@ -144,9 +156,10 @@ impl FailureStatusBoard {
         self.inner.0.lock().states[rank]
     }
 
-    /// True if `rank` has crashed.
+    /// True if `rank` has crashed.  Lock-free: reads the rank's flag, which
+    /// the `mark_*` writers keep equal to [`Self::state_of`].
     pub fn is_failed(&self, rank: usize) -> bool {
-        self.state_of(rank) == ProcessState::Failed
+        self.failed[rank].load(Ordering::SeqCst)
     }
 
     /// All ranks currently alive.
@@ -234,6 +247,34 @@ mod tests {
         // Recovering an alive process is a no-op.
         b.mark_recovered(0);
         assert_eq!(b.epoch(), 2);
+    }
+
+    /// The lock-free flag behind `is_failed` and the locked board answer the
+    /// same question after every transition, on every clone.
+    #[test]
+    fn is_failed_agrees_with_the_locked_views() {
+        let a = FailureStatusBoard::new(3);
+        let b = a.clone();
+        let check = |failed: &[usize], epoch: u64, events: usize| {
+            for board in [&a, &b] {
+                for rank in 0..3 {
+                    let expect = failed.contains(&rank);
+                    assert_eq!(board.is_failed(rank), expect);
+                    assert_eq!(board.state_of(rank) == ProcessState::Failed, expect);
+                }
+                assert_eq!(board.failed_ranks(), failed);
+                assert_eq!(board.alive_ranks().len(), 3 - failed.len());
+                assert_eq!(board.epoch(), epoch);
+                assert_eq!(board.events().len(), events);
+            }
+        };
+        check(&[], 0, 0);
+        a.mark_failed(2, SimTime::from_secs(1.0));
+        check(&[2], 1, 1);
+        b.mark_failed(0, SimTime::from_secs(2.0));
+        check(&[0, 2], 2, 2);
+        b.mark_recovered(2);
+        check(&[0], 3, 2);
     }
 
     #[test]

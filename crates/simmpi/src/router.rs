@@ -22,10 +22,17 @@
 //! application here — and the thread world runs at most ~128 ranks; larger
 //! runs belong to [`crate::engine`].
 //!
-//! Blocked receivers never sleep-poll, and wakeups are *precise*: a delivery
-//! notifies the condvar only when the envelope matches the selector of a
-//! parked receiver, so the unrelated deliveries of a deep-mailbox workload
-//! cost a parked receiver nothing.
+//! A receive that finds no match checks, yields, then parks: it gives up its
+//! time slice at most `YIELDS_BEFORE_PARK` (4) times (`sched_yield`, the
+//! mailbox lock released, failure checks before every yield) and only then
+//! sleeps on the condvar.  A run has more rank threads than cores, so the
+//! yield usually runs the very thread that is about to deliver; the sender
+//! then finds nobody parked and skips the notify, and neither side pays a
+//! futex call or an idle-core wake-up.  Once parked, a receiver never
+//! polls, and wakeups are *precise*: a delivery notifies the condvar only
+//! when the envelope matches the selector of a parked receiver, so the
+//! unrelated deliveries of a deep-mailbox workload cost a parked receiver
+//! nothing.
 //!
 //! The router registers a waker on the shared [`FailureStatusBoard`] at
 //! construction time, so a crash signaled on the board — by the failure
@@ -39,6 +46,25 @@ use parking_lot::{Condvar, Mutex};
 use simcluster::FailureStatusBoard;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
+
+/// How often a receive that found no match yields its time slice before it
+/// parks on the mailbox condvar.
+///
+/// A first sweep on a 2-vCPU host, before the section path stopped
+/// allocating (mean wall of a pass over the twelve `figs-thread` points, 4–8
+/// rank threads each, and of the same pass at the `tiny` scale): 0 yields
+/// 86.7 / 28.5 ms, 1: 70.7 / 21.9, 2: 59.3 / 23.7, 4: 64.9 / 23.9,
+/// 8: 66.7 / 46.6.  A couple of yields cut the parked share of blocking
+/// receives by 50–70 % on every `small` point; many more only burn the
+/// slices of the threads the receiver waits for.  {1, 2, 4} re-measured on
+/// the final code with the benchmark itself (`scripts/ab-pairs.sh`, six
+/// interleaved 25 s pairs against 2, `figs-thread` `runs_per_s`): 1: 248.6
+/// against 269.8, 2 ahead in 4 pairs of 6, not resolved; 4: 302.4 against
+/// 255.9, 4 ahead in 6 of 6 and on every other timing metric.  4 against 2
+/// elsewhere: `sweep-serve` 4 171 against 4 021 (4 of 6) and `faults-ckpt`
+/// 270.7 against 275.6 (4 of 6), neither resolved; `figures fig6 full`
+/// (64–128 threads) 3.5–4.5 s against 3.8–4.2 s, alike.  Hence 4.
+const YIELDS_BEFORE_PARK: u32 = 4;
 
 /// The lock-protected state of one mailbox.
 #[derive(Default)]
@@ -200,17 +226,26 @@ impl Router {
     ///   failed;
     /// * `Err(Aborted)` if the simulation watchdog fired.
     ///
-    /// The wait is event-driven: the receiver registers its selector and
-    /// sleeps on the mailbox condvar until a matching delivery (or a
-    /// failure/abort broadcast) notifies it.  The failure checks run under
+    /// The receiver looks for a match and runs the failure checks under the
+    /// mailbox lock; with neither, it first releases the lock and yields its
+    /// time slice, `YIELDS_BEFORE_PARK` times at most, then registers its
+    /// selector and sleeps on the mailbox condvar until a matching delivery
+    /// (or a failure/abort broadcast) notifies it.  A yielding receiver is
+    /// not parked and needs no wake-up: it re-runs both checks itself.  For
+    /// a parked one the wake-up cannot be lost: the failure checks run under
     /// the mailbox lock *before* every wait, and the wakers take that same
     /// lock before notifying, so a crash signaled after the checks finds the
-    /// receiver already parked — the wakeup cannot be lost.
+    /// receiver already parked.  That the board's `is_failed` is a lock-free
+    /// flag does not weaken this — `mark_failed` stores the flag before it
+    /// calls the waker, which takes this mailbox's lock after the store, so
+    /// a receiver that locks later sees the flag and one that locked earlier
+    /// is parked by the time the waker gets the lock.
     pub fn recv_blocking(&self, dst: usize, sel: &MatchSelector) -> MpiResult<Envelope> {
         let mb = self.mailboxes.get(dst).ok_or(MpiError::InvalidRank {
             rank: dst,
             size: self.mailboxes.len(),
         })?;
+        let mut yields_left = YIELDS_BEFORE_PARK;
         let mut inner = mb.inner.lock();
         loop {
             if let Some(env) = inner.mail.take_match(sel) {
@@ -219,14 +254,23 @@ impl Router {
             if let Some(err) = self.recv_error(dst, sel) {
                 return Err(err);
             }
+            if yields_left > 0 {
+                yields_left -= 1;
+                drop(inner);
+                std::thread::yield_now();
+                inner = mb.inner.lock();
+                continue;
+            }
             inner.parked.push(*sel);
             mb.cv.wait(&mut inner);
-            let idx = inner
-                .parked
-                .iter()
-                .position(|parked| parked == sel)
-                .expect("parked selector disappeared");
-            inner.parked.swap_remove(idx);
+            // A missing entry would be a bookkeeping slip, not a reason to
+            // poison the mailbox: the cost is a stale selector and a
+            // spurious notify.
+            let idx = inner.parked.iter().position(|parked| parked == sel);
+            debug_assert!(idx.is_some(), "parked selector disappeared");
+            if let Some(idx) = idx {
+                inner.parked.swap_remove(idx);
+            }
         }
     }
 

@@ -178,7 +178,7 @@ mod mailbox_lanes {
     use proptest::prelude::*;
     use simcluster::{FailureStatusBoard, SimTime};
     use simmpi::{Envelope, MatchSelector, MpiError, Router};
-    use std::sync::Arc;
+    use std::sync::{Arc, Barrier};
     use std::thread;
     use std::time::Duration;
 
@@ -378,5 +378,88 @@ mod mailbox_lanes {
 
         board.mark_failed(0, SimTime::ZERO);
         assert_eq!(wildcard.join().unwrap().unwrap_err(), MpiError::SelfFailed);
+    }
+    /// A receive checks, yields a bounded number of times, then parks.  A
+    /// delivery can land in any of the three phases; the barrier releases
+    /// receiver and sender together each round and the sender gives up a
+    /// varying number of time slices first, so over the rounds the delivery
+    /// falls before the first check, between two yields and after the park.
+    /// Wherever it lands the envelope comes back exactly once, in order, and
+    /// the mailbox ends empty; a wake-up lost between the last check and the
+    /// park hangs the receiver.
+    #[test]
+    fn delivery_in_any_receive_phase_is_returned_exactly_once() {
+        const ROUNDS: u64 = 600;
+        let router = Arc::new(Router::new(2, FailureStatusBoard::new(2)));
+        let start = Arc::new(Barrier::new(2));
+        let receiver = {
+            let (router, start) = (Arc::clone(&router), Arc::clone(&start));
+            thread::spawn(move || {
+                for round in 0..ROUNDS {
+                    start.wait();
+                    let got = router.recv_blocking(0, &sel(Some(1), Some(3))).unwrap();
+                    assert_eq!(got.seq, round);
+                }
+            })
+        };
+        for round in 0..ROUNDS {
+            start.wait();
+            for _ in 0..round % 6 {
+                thread::yield_now();
+            }
+            router.deliver(env(1, 3, round));
+        }
+        receiver.join().unwrap();
+        assert_eq!(router.queued(0), 0);
+        assert!(router.try_match(0, &sel(None, None)).is_none());
+    }
+
+    /// The three terminal conditions of a receive, raised while the receiver
+    /// may be anywhere between its first check and its park (same barrier
+    /// and varying head start as above, a fresh router per round): each
+    /// surfaces its documented error — the yield phase re-runs the failure
+    /// checks itself, the parked phase is woken by the board or by `abort`.
+    #[test]
+    fn failure_in_any_receive_phase_surfaces_the_documented_error() {
+        const ROUNDS: usize = 150;
+        type Raise = fn(&Router, &FailureStatusBoard);
+        let cases: [(MatchSelector, Raise, MpiError); 3] = [
+            (
+                sel(Some(1), Some(3)),
+                |_, board| board.mark_failed(1, SimTime::ZERO),
+                MpiError::ProcessFailed { rank: 1 },
+            ),
+            (
+                sel(None, None),
+                |_, board| board.mark_failed(0, SimTime::ZERO),
+                MpiError::SelfFailed,
+            ),
+            (
+                sel(Some(1), Some(3)),
+                |router, _| router.abort(),
+                MpiError::Aborted,
+            ),
+        ];
+        for (selector, raise, expected) in cases {
+            for round in 0..ROUNDS {
+                let board = FailureStatusBoard::new(2);
+                let router = Router::new(2, board.clone());
+                let start = Barrier::new(2);
+                let got = thread::scope(|scope| {
+                    let receiver = scope.spawn(|| {
+                        start.wait();
+                        router.recv_blocking(0, &selector)
+                    });
+                    start.wait();
+                    for _ in 0..round % 6 {
+                        thread::yield_now();
+                    }
+                    raise(&router, &board);
+                    receiver.join().unwrap()
+                });
+                assert_eq!(got.unwrap_err(), expected, "round {round}");
+                assert_eq!(router.queued(0), 0);
+            }
+        }
     }
 }
