@@ -11,6 +11,7 @@ CAMPAIGN_TOL ?= 0
 
 .PHONY: all build test verify bench-build docs fmt fmt-check clippy \
         campaign-smoke failures-smoke weak-smoke serve-smoke benchmark-quick \
+        stuck-smoke \
         ckpt-smoke golden golden-failures golden-weak golden-ckpt benchmark \
         api-surface api-surface-check ci clean
 
@@ -122,6 +123,14 @@ ckpt-smoke:
 	./target/release/campaign diff crates/campaign/golden/ckpt.json \
 		target/campaign-ckpt.json --tol $(CAMPAIGN_TOL)
 
+# The stuck-run gate: thread-world runs that can no longer make progress
+# (45 crash specs of the catalog apps without a checkpoint plan, four
+# hand-built stuck shapes) must end by themselves within their in-test
+# deadlines.  `timeout` is the backstop: a regression fails, never stalls.
+# (One command: the facade and `simmpi` each have a `stuck_runs` test target.)
+stuck-smoke:
+	timeout 120 $(CARGO) test --release --test stuck_runs
+
 # The benchmark BENCHMARK.json declares (benchmarks/README.md): every
 # workload at full size, end-to-end metrics on standard output.
 benchmark:
@@ -173,7 +182,7 @@ golden-ckpt:
 	./target/release/campaign run --grid ckpt --jobs $(CAMPAIGN_JOBS) \
 		--strip-informational --out crates/campaign/golden/ckpt.json
 
-ci: verify bench-build docs fmt-check clippy api-surface-check campaign-smoke failures-smoke weak-smoke ckpt-smoke serve-smoke benchmark-quick
+ci: verify stuck-smoke bench-build docs fmt-check clippy api-surface-check campaign-smoke failures-smoke weak-smoke ckpt-smoke serve-smoke benchmark-quick
 
 clean:
 	$(CARGO) clean

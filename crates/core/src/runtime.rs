@@ -23,14 +23,8 @@ pub struct IntraConfig {
     /// that run the protocol on reduced actual arrays (see DESIGN.md); 1.0
     /// means "charge exactly what is really transferred".
     pub modeled_scale: f64,
-    /// Whether to charge modeled task compute costs to the virtual clock.
-    pub charge_costs: bool,
     /// Scheduler deciding which replica executes which task.
     pub scheduler: Arc<dyn Scheduler>,
-    /// Smoothing factor of the measured-cost EMA history fed to schedulers
-    /// that ask for measured weights (see
-    /// [`crate::sched::Scheduler::wants_measured_weights`]).
-    pub cost_ema_alpha: f64,
 }
 
 impl std::fmt::Debug for IntraConfig {
@@ -38,9 +32,7 @@ impl std::fmt::Debug for IntraConfig {
         f.debug_struct("IntraConfig")
             .field("tasks_per_section", &self.tasks_per_section)
             .field("modeled_scale", &self.modeled_scale)
-            .field("charge_costs", &self.charge_costs)
             .field("scheduler", &self.scheduler.name())
-            .field("cost_ema_alpha", &self.cost_ema_alpha)
             .finish()
     }
 }
@@ -50,9 +42,7 @@ impl Default for IntraConfig {
         IntraConfig {
             tasks_per_section: 8,
             modeled_scale: 1.0,
-            charge_costs: true,
             scheduler: Arc::new(StaticBlockScheduler),
-            cost_ema_alpha: DEFAULT_EMA_ALPHA,
         }
     }
 }
@@ -80,12 +70,6 @@ impl IntraConfig {
         self
     }
 
-    /// Enables or disables charging modeled compute costs.
-    pub fn with_charge_costs(mut self, charge: bool) -> Self {
-        self.charge_costs = charge;
-        self
-    }
-
     /// Sets the scheduler.
     pub fn with_scheduler(mut self, scheduler: Arc<dyn Scheduler>) -> Self {
         self.scheduler = scheduler;
@@ -105,13 +89,6 @@ impl IntraConfig {
     /// ```
     pub fn with_scheduler_kind(mut self, kind: SchedulerKind) -> Self {
         self.scheduler = kind.scheduler();
-        self
-    }
-
-    /// Sets the smoothing factor of the measured-cost EMA (clamped to
-    /// `(0, 1]` by the cost model).
-    pub fn with_cost_ema_alpha(mut self, alpha: f64) -> Self {
-        self.cost_ema_alpha = alpha;
         self
     }
 }
@@ -135,7 +112,7 @@ pub struct IntraRuntime {
 impl IntraRuntime {
     /// Creates the runtime for this physical process.
     pub fn new(env: ReplicatedEnv, config: IntraConfig) -> Self {
-        let cost_model = CostModel::new(config.cost_ema_alpha);
+        let cost_model = CostModel::new(DEFAULT_EMA_ALPHA);
         IntraRuntime {
             env,
             config,
@@ -229,9 +206,7 @@ mod tests {
         let c = IntraConfig::paper();
         assert_eq!(c.tasks_per_section, 8);
         assert_eq!(c.modeled_scale, 1.0);
-        assert!(c.charge_costs);
         assert_eq!(c.scheduler.name(), "static-block");
-        assert_eq!(c.cost_ema_alpha, DEFAULT_EMA_ALPHA);
     }
 
     #[test]
@@ -249,9 +224,8 @@ mod tests {
             .with_modeled_scale(-3.0);
         assert_eq!(c.tasks_per_section, 1);
         assert_eq!(c.modeled_scale, 1.0);
-        let c = c.with_modeled_scale(64.0).with_charge_costs(false);
+        let c = c.with_modeled_scale(64.0);
         assert_eq!(c.modeled_scale, 64.0);
-        assert!(!c.charge_costs);
     }
 
     #[test]

@@ -248,7 +248,7 @@ fn occurrence_indices(tasks: &[TaskDef]) -> Vec<u32> {
 
 /// The virtual-time cost of executing `task`, in seconds: exactly what
 /// [`run_task`] charges to the clock (the roofline time of the declared
-/// cost, or zero for cost-less tasks / disabled charging).
+/// cost, or zero for cost-less tasks).
 ///
 /// This is a pure function of the task and the cluster-wide machine model,
 /// so every replica computes the same value for every task — including the
@@ -258,18 +258,14 @@ fn occurrence_indices(tasks: &[TaskDef]) -> Vec<u32> {
 /// coordination messages.  A debug assertion in the execution loop checks
 /// that the actual clock delta of each locally executed task agrees.
 fn modeled_task_seconds(rt: &IntraRuntime, task: &TaskDef) -> f64 {
-    if rt.config().charge_costs {
-        if let Some(cost) = task.cost {
-            return rt
-                .env()
-                .proc()
-                .machine()
-                .compute
-                .region_time(cost.flops, cost.mem_bytes)
-                .as_secs();
-        }
-    }
-    0.0
+    task.cost.map_or(0.0, |cost| {
+        rt.env()
+            .proc()
+            .machine()
+            .compute
+            .region_time(cost.flops, cost.mem_bytes)
+            .as_secs()
+    })
 }
 
 /// Executes one task locally: refill the context, charge the modeled cost,
@@ -281,10 +277,8 @@ fn run_task(
     ctx: &mut TaskCtx,
 ) -> IntraResult<()> {
     fill_ctx(ctx, ws, task);
-    if rt.config().charge_costs {
-        if let Some(cost) = task.cost {
-            rt.env().charge_compute(cost.flops, cost.mem_bytes);
-        }
+    if let Some(cost) = task.cost {
+        rt.env().charge_compute(cost.flops, cost.mem_bytes);
     }
     (task.func)(ctx);
     write_back(ws, task, ctx)

@@ -13,7 +13,7 @@
 //! semantics the paper relies on for partially transmitted task updates.
 
 use crate::time::SimTime;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -41,9 +41,6 @@ pub struct FailureEvent {
 struct Board {
     states: Vec<ProcessState>,
     events: Vec<FailureEvent>,
-    /// Monotonic counter bumped at every failure; cheap "something changed"
-    /// check for detectors.
-    epoch: u64,
 }
 
 /// A callback invoked (outside the board lock) every time the failure state
@@ -57,15 +54,14 @@ pub type FailureWaker = Arc<dyn Fn() + Send + Sync>;
 /// Cloning the board is cheap (it is an `Arc`); all clones observe the same
 /// state.
 ///
-/// The locked board (states, events, epoch, condvar) is the writer-side
-/// truth; one atomic flag per rank mirrors its state so that
-/// [`Self::is_failed`] — asked several times per message by the fabric — is
+/// The locked board (states, events) is the writer-side truth; one atomic
+/// flag per rank mirrors its state so that [`Self::is_failed`] — asked several times per message by the fabric — is
 /// an atomic load instead of a trip through the mutex every rank of the run
 /// shares.  Writers store the flag while they hold the board lock, before
 /// they call the registered wakers.
 #[derive(Clone)]
 pub struct FailureStatusBoard {
-    inner: Arc<(Mutex<Board>, Condvar)>,
+    inner: Arc<Mutex<Board>>,
     failed: Arc<[AtomicBool]>,
     wakers: Arc<Mutex<Vec<FailureWaker>>>,
 }
@@ -73,7 +69,7 @@ pub struct FailureStatusBoard {
 impl std::fmt::Debug for FailureStatusBoard {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FailureStatusBoard")
-            .field("board", &*self.inner.0.lock())
+            .field("board", &*self.inner.lock())
             .finish_non_exhaustive()
     }
 }
@@ -82,14 +78,10 @@ impl FailureStatusBoard {
     /// Creates a board for `num_procs` processes, all alive.
     pub fn new(num_procs: usize) -> Self {
         FailureStatusBoard {
-            inner: Arc::new((
-                Mutex::new(Board {
-                    states: vec![ProcessState::Alive; num_procs],
-                    events: Vec::new(),
-                    epoch: 0,
-                }),
-                Condvar::new(),
-            )),
+            inner: Arc::new(Mutex::new(Board {
+                states: vec![ProcessState::Alive; num_procs],
+                events: Vec::new(),
+            })),
             failed: (0..num_procs).map(|_| AtomicBool::new(false)).collect(),
             wakers: Arc::new(Mutex::new(Vec::new())),
         }
@@ -113,23 +105,20 @@ impl FailureStatusBoard {
 
     /// Number of processes tracked.
     pub fn num_procs(&self) -> usize {
-        self.inner.0.lock().states.len()
+        self.inner.lock().states.len()
     }
 
     /// Marks `rank` as failed at virtual time `time`.  Idempotent: marking an
-    /// already-failed process again is a no-op and does not bump the epoch.
+    /// already-failed process again is a no-op (no event, no wake-up).
     pub fn mark_failed(&self, rank: usize, time: SimTime) {
         {
-            let (lock, cvar) = &*self.inner;
-            let mut board = lock.lock();
+            let mut board = self.inner.lock();
             if board.states[rank] == ProcessState::Failed {
                 return;
             }
             board.states[rank] = ProcessState::Failed;
             self.failed[rank].store(true, Ordering::SeqCst);
             board.events.push(FailureEvent { rank, time });
-            board.epoch += 1;
-            cvar.notify_all();
         }
         self.wake_all();
     }
@@ -138,22 +127,19 @@ impl FailureStatusBoard {
     /// section points out that restarting failed replicas quickly matters).
     pub fn mark_recovered(&self, rank: usize) {
         {
-            let (lock, cvar) = &*self.inner;
-            let mut board = lock.lock();
+            let mut board = self.inner.lock();
             if board.states[rank] == ProcessState::Alive {
                 return;
             }
             board.states[rank] = ProcessState::Alive;
             self.failed[rank].store(false, Ordering::SeqCst);
-            board.epoch += 1;
-            cvar.notify_all();
         }
         self.wake_all();
     }
 
     /// Liveness of `rank`.
     pub fn state_of(&self, rank: usize) -> ProcessState {
-        self.inner.0.lock().states[rank]
+        self.inner.lock().states[rank]
     }
 
     /// True if `rank` has crashed.  Lock-free: reads the rank's flag, which
@@ -165,7 +151,6 @@ impl FailureStatusBoard {
     /// All ranks currently alive.
     pub fn alive_ranks(&self) -> Vec<usize> {
         self.inner
-            .0
             .lock()
             .states
             .iter()
@@ -177,7 +162,6 @@ impl FailureStatusBoard {
     /// All ranks currently failed.
     pub fn failed_ranks(&self) -> Vec<usize> {
         self.inner
-            .0
             .lock()
             .states
             .iter()
@@ -188,31 +172,13 @@ impl FailureStatusBoard {
 
     /// Complete failure history.
     pub fn events(&self) -> Vec<FailureEvent> {
-        self.inner.0.lock().events.clone()
-    }
-
-    /// Current epoch (bumped on every state change).
-    pub fn epoch(&self) -> u64 {
-        self.inner.0.lock().epoch
-    }
-
-    /// Blocks the calling thread until the epoch differs from
-    /// `observed_epoch` (i.e. until at least one failure/recovery happened
-    /// after the caller last looked).  Intended for test harnesses; the
-    /// protocol layers use non-blocking queries.
-    pub fn wait_for_change(&self, observed_epoch: u64) {
-        let (lock, cvar) = &*self.inner;
-        let mut board = lock.lock();
-        while board.epoch == observed_epoch {
-            cvar.wait(&mut board);
-        }
+        self.inner.lock().events.clone()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::thread;
 
     #[test]
     fn everyone_starts_alive() {
@@ -220,7 +186,6 @@ mod tests {
         assert_eq!(b.num_procs(), 4);
         assert_eq!(b.alive_ranks(), vec![0, 1, 2, 3]);
         assert!(b.failed_ranks().is_empty());
-        assert_eq!(b.epoch(), 0);
     }
 
     #[test]
@@ -229,10 +194,8 @@ mod tests {
         b.mark_failed(1, SimTime::from_secs(2.0));
         assert!(b.is_failed(1));
         assert!(!b.is_failed(0));
-        assert_eq!(b.epoch(), 1);
         b.mark_failed(1, SimTime::from_secs(3.0));
-        assert_eq!(b.epoch(), 1, "re-marking must not bump the epoch");
-        assert_eq!(b.events().len(), 1);
+        assert_eq!(b.events().len(), 1, "re-marking must not record an event");
         assert_eq!(b.failed_ranks(), vec![1]);
     }
 
@@ -243,10 +206,9 @@ mod tests {
         assert!(b.is_failed(0));
         b.mark_recovered(0);
         assert!(!b.is_failed(0));
-        assert_eq!(b.epoch(), 2);
         // Recovering an alive process is a no-op.
         b.mark_recovered(0);
-        assert_eq!(b.epoch(), 2);
+        assert_eq!(b.state_of(0), ProcessState::Alive);
     }
 
     /// The lock-free flag behind `is_failed` and the locked board answer the
@@ -255,7 +217,7 @@ mod tests {
     fn is_failed_agrees_with_the_locked_views() {
         let a = FailureStatusBoard::new(3);
         let b = a.clone();
-        let check = |failed: &[usize], epoch: u64, events: usize| {
+        let check = |failed: &[usize], events: usize| {
             for board in [&a, &b] {
                 for rank in 0..3 {
                     let expect = failed.contains(&rank);
@@ -264,17 +226,16 @@ mod tests {
                 }
                 assert_eq!(board.failed_ranks(), failed);
                 assert_eq!(board.alive_ranks().len(), 3 - failed.len());
-                assert_eq!(board.epoch(), epoch);
                 assert_eq!(board.events().len(), events);
             }
         };
-        check(&[], 0, 0);
+        check(&[], 0);
         a.mark_failed(2, SimTime::from_secs(1.0));
-        check(&[2], 1, 1);
+        check(&[2], 1);
         b.mark_failed(0, SimTime::from_secs(2.0));
-        check(&[0, 2], 2, 2);
+        check(&[0, 2], 2);
         b.mark_recovered(2);
-        check(&[0], 3, 2);
+        check(&[0], 2);
     }
 
     #[test]
@@ -283,24 +244,6 @@ mod tests {
         let b = a.clone();
         a.mark_failed(1, SimTime::ZERO);
         assert!(b.is_failed(1));
-    }
-
-    #[test]
-    fn wait_for_change_wakes_on_failure() {
-        let b = FailureStatusBoard::new(2);
-        let observed = b.epoch();
-        let waiter = {
-            let b = b.clone();
-            thread::spawn(move || {
-                b.wait_for_change(observed);
-                b.failed_ranks()
-            })
-        };
-        // Give the waiter a moment to block, then inject.
-        thread::sleep(std::time::Duration::from_millis(10));
-        b.mark_failed(0, SimTime::from_secs(1.0));
-        let failed = waiter.join().expect("waiter thread panicked");
-        assert_eq!(failed, vec![0]);
     }
 
     #[test]

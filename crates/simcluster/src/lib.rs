@@ -34,7 +34,7 @@ pub mod stats;
 pub mod time;
 pub mod topology;
 
-pub use clock::VirtualClock;
+pub use clock::{Endpoint, VirtualClock};
 pub use engine::{Dispatch, TaskId, VirtualEngine};
 pub use failure::{FailureEvent, FailureStatusBoard, FailureWaker, ProcessState};
 pub use model::{ComputeModel, MachineModel, NetworkModel};

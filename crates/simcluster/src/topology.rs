@@ -125,6 +125,17 @@ impl Topology {
             .collect()
     }
 
+    /// Number of ranks placed on each node, indexed by node, in one pass
+    /// over the placement.  A node's population is the fair-share divisor
+    /// of its network card ([`crate::Endpoint::new`]).
+    pub fn node_populations(&self) -> Vec<usize> {
+        let mut populations = vec![0; self.num_nodes()];
+        for &node in &self.placement {
+            populations[node] += 1;
+        }
+        populations
+    }
+
     /// Rack hosting `node` when racks group `nodes_per_rack` consecutive
     /// nodes (rack r hosts nodes `r*n .. (r+1)*n`) — the correlated
     /// failure-domain view of the machine.
@@ -228,6 +239,18 @@ mod tests {
         assert_eq!(t.ranks_on(0), vec![0, 1, 2, 3]);
         assert_eq!(t.ranks_on(1), vec![4, 5, 6, 7]);
         assert!(t.ranks_on(7).is_empty());
+    }
+
+    #[test]
+    fn node_populations_count_every_placed_rank() {
+        assert_eq!(Topology::block(10, 4).node_populations(), vec![4, 4, 2]);
+        assert_eq!(Topology::round_robin(5, 2).node_populations(), vec![3, 2]);
+        assert_eq!(Topology::single_node(3).node_populations(), vec![3]);
+        assert!(Topology::block(0, 4).node_populations().is_empty());
+        let t = Topology::replica_disjoint(6, 2, 4);
+        for (node, &population) in t.node_populations().iter().enumerate() {
+            assert_eq!(population, t.ranks_on(node).len());
+        }
     }
 
     #[test]

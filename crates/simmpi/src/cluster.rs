@@ -4,20 +4,22 @@
 //! Every rank gets its own thread (bodies are arbitrary blocking closures)
 //! and the host scheduler runs them as it sees fit: a rank blocked in a
 //! receive sleeps on its mailbox's condvar and costs nothing until a
-//! matching delivery wakes it.  That model serves the rank counts the
+//! matching delivery wakes it.  A run whose ranks have all parked or
+//! returned cannot make progress; the router notices the moment the last
+//! runner stops and ends every parked receive with `MpiError::Aborted`
+//! ([`crate::router`], § Liveness), so a stuck run returns at once and the
+//! same way every time.  That model serves the rank counts the
 //! figures need (4–128); beyond that, use the event-driven engine
 //! ([`crate::engine`]), which drops the thread-per-rank model entirely.
 
 use crate::error::ConfigError;
 use crate::proc::{ProcCore, ProcHandle};
 use crate::router::Router;
-use parking_lot::{Condvar, Mutex};
 use simcluster::{
     FailureEvent, FailureStatusBoard, MachineModel, SimTime, StatsRegistry, Topology,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Configuration of a simulated cluster run.
 #[derive(Debug, Clone)]
@@ -31,10 +33,6 @@ pub struct ClusterConfig {
     pub topology: Option<Topology>,
     /// Global seed for deterministic per-process randomness.
     pub seed: u64,
-    /// Real-time watchdog: if the run has not finished after this wall-clock
-    /// duration, all pending operations abort with `MpiError::Aborted`
-    /// (protects the test suite against protocol deadlocks).
-    pub watchdog: Option<Duration>,
 }
 
 impl ClusterConfig {
@@ -46,7 +44,6 @@ impl ClusterConfig {
             machine: MachineModel::grid5000_ib20g(),
             topology: None,
             seed: 42,
-            watchdog: Some(Duration::from_secs(300)),
         }
     }
 
@@ -74,12 +71,6 @@ impl ClusterConfig {
     /// Sets the seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Sets (or disables) the real-time watchdog.
-    pub fn with_watchdog(mut self, watchdog: Option<Duration>) -> Self {
-        self.watchdog = watchdog;
         self
     }
 
@@ -184,27 +175,6 @@ impl<R> ClusterReport<R> {
     }
 }
 
-/// Blocks until the run signals completion or `timeout` of wall-clock time
-/// has elapsed.  Returns `true` if the watchdog expired with the run still
-/// unfinished (the caller must abort), `false` if the run finished in time.
-///
-/// The wait loops against one *absolute* deadline: a spurious condvar wakeup
-/// (permitted by every condvar implementation) re-enters the wait for the
-/// remaining time instead of being mistaken for a timeout.  A single
-/// `wait_for` here once aborted healthy runs whose condvar woke spuriously
-/// before the deadline.
-fn watchdog_expired(done: &(Mutex<bool>, Condvar), timeout: Duration) -> bool {
-    let deadline = std::time::Instant::now() + timeout;
-    let (lock, cvar) = done;
-    let mut finished = lock.lock();
-    while !*finished {
-        if cvar.wait_until(&mut finished, deadline).timed_out() {
-            break;
-        }
-    }
-    !*finished
-}
-
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
@@ -219,7 +189,8 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 ///
 /// `body` receives a [`ProcHandle`] giving access to the world communicator,
 /// virtual time, failure injection and statistics.  The call returns when
-/// every process has returned (or panicked, or the watchdog fired).
+/// every process has returned or panicked; a run that can no longer make
+/// progress is aborted (see the module docs).
 pub fn run_cluster<R, F>(config: &ClusterConfig, body: F) -> ClusterReport<R>
 where
     R: Send,
@@ -254,84 +225,56 @@ where
         });
     }
     let failures = FailureStatusBoard::new(config.num_procs);
-    let router = Arc::new(Router::new(config.num_procs, failures.clone()));
+    let router = Arc::new(Router::for_rank_threads(config.num_procs, failures.clone()));
     let stats = StatsRegistry::new();
+    let node_populations = topology.node_populations();
 
     let cores: Vec<Arc<ProcCore>> = (0..config.num_procs)
         .map(|rank| {
             Arc::new(ProcCore::new(
                 rank,
-                config.num_procs,
                 Arc::clone(&router),
                 config.machine,
                 topology.clone(),
+                node_populations[topology.node_of(rank)],
                 stats.clone(),
                 config.seed,
             ))
         })
         .collect();
 
-    // Watchdog bookkeeping: signalled when all workers have joined.
-    let done = Arc::new((Mutex::new(false), Condvar::new()));
-
     let results: Vec<Result<R, String>> = std::thread::scope(|scope| {
-        let watchdog_handle = config.watchdog.map(|timeout| {
-            let router = Arc::clone(&router);
-            let done = Arc::clone(&done);
-            scope.spawn(move || {
-                if watchdog_expired(&done, timeout) {
-                    router.abort();
-                }
-            })
-        });
-
         let handles: Vec<_> = cores
             .iter()
             .map(|core| {
-                let core = Arc::clone(core);
                 let body = &body;
-                let router = Arc::clone(&router);
                 scope.spawn(move || {
-                    let handle = ProcHandle::new(Arc::clone(&core));
-                    let rank = handle.rank();
-                    let out = catch_unwind(AssertUnwindSafe(|| body(handle)));
-                    match out {
-                        Ok(v) => Ok(v),
-                        Err(payload) => {
-                            // Mark the rank as failed so peers blocked on it
-                            // observe ProcessFailed instead of hanging.
-                            let now = core.clock.lock().now();
-                            router.failures().mark_failed(rank, now);
-                            router.notify_all();
-                            Err(panic_message(payload))
-                        }
-                    }
+                    let out =
+                        catch_unwind(AssertUnwindSafe(|| body(ProcHandle::new(Arc::clone(core)))))
+                            .map_err(|payload| {
+                                // Mark the rank as failed so peers blocked on it
+                                // observe ProcessFailed instead of hanging.
+                                let failures = core.router.failures();
+                                failures.mark_failed(core.world_rank, core.now());
+                                panic_message(payload)
+                            });
+                    core.router.rank_returned();
+                    out
                 })
             })
             .collect();
 
-        let results: Vec<Result<R, String>> = handles
+        handles
             .into_iter()
             .map(|h| h.join().unwrap_or_else(|_| Err("join failed".to_string())))
-            .collect();
-
-        // Release the watchdog.
-        {
-            let (lock, cvar) = &*done;
-            *lock.lock() = true;
-            cvar.notify_all();
-        }
-        if let Some(w) = watchdog_handle {
-            let _ = w.join();
-        }
-        results
+            .collect()
     });
 
     let procs = cores
         .iter()
         .enumerate()
         .map(|(rank, core)| {
-            let clock = core.clock.lock();
+            let clock = &core.endpoint.lock().clock;
             ProcReport {
                 rank,
                 final_time: clock.now(),
@@ -354,7 +297,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::thread;
 
     #[test]
     fn empty_cluster_is_a_typed_config_error() {
@@ -382,37 +324,28 @@ mod tests {
         );
     }
 
-    /// Regression: a spurious condvar wakeup before the deadline must
-    /// re-enter the wait, not abort a healthy run.  The notifies below do
-    /// *not* set `finished`, exactly like a spurious wakeup.
+    /// No false positives: ranks that park and wake thousands of times in a
+    /// ring plus a collective never look stuck — the count of running ranks
+    /// cannot read zero while a wake-up is in flight.
     #[test]
-    fn watchdog_survives_spurious_wakeups() {
-        let done = Arc::new((Mutex::new(false), Condvar::new()));
-        let waiter = {
-            let done = Arc::clone(&done);
-            thread::spawn(move || watchdog_expired(&done, Duration::from_secs(60)))
-        };
-        for _ in 0..5 {
-            thread::sleep(Duration::from_millis(2));
-            done.1.notify_all();
+    fn a_busy_healthy_run_is_never_aborted() {
+        const RANKS: usize = 128;
+        const ITERATIONS: u64 = 200;
+        let report = run_cluster(&ClusterConfig::ideal(RANKS), |proc| {
+            let world = proc.world();
+            let (rank, size) = (world.rank(), world.size());
+            let mut sum = 0;
+            for i in 0..ITERATIONS {
+                world.send_one(i, (rank + 1) % size, 3).unwrap();
+                let got: u64 = world.recv_one((rank + size - 1) % size, 3).unwrap();
+                sum += world.allreduce_sum_u64(got).unwrap();
+            }
+            (sum, Arc::clone(proc.core()))
+        });
+        for (sum, core) in report.unwrap_results() {
+            assert_eq!(sum, RANKS as u64 * (0..ITERATIONS).sum::<u64>());
+            assert!(!core.router.is_aborted());
         }
-        // Now genuinely finish the run, well before the deadline.
-        *done.0.lock() = true;
-        done.1.notify_all();
-        let expired = waiter.join().unwrap();
-        assert!(!expired, "spurious wakeups must not trip the watchdog");
-    }
-
-    #[test]
-    fn watchdog_expires_when_the_run_never_finishes() {
-        let done = (Mutex::new(false), Condvar::new());
-        assert!(watchdog_expired(&done, Duration::from_millis(20)));
-    }
-
-    #[test]
-    fn watchdog_sees_a_run_that_finished_before_it_waited() {
-        let done = (Mutex::new(true), Condvar::new());
-        assert!(!watchdog_expired(&done, Duration::from_millis(1)));
     }
 
     /// Regression: when every rank crashed, the makespan must report the

@@ -117,7 +117,7 @@ impl Comm {
 
     /// Current virtual time of the calling process.
     pub fn now(&self) -> SimTime {
-        self.core.clock.lock().now()
+        self.core.now()
     }
 
     /// True if the member with communicator rank `r` has crashed.
@@ -387,7 +387,7 @@ impl Comm {
     /// where the NIC finished injecting the message.
     pub fn wait_send(&self, req: SendRequest) -> MpiResult<()> {
         let t = req.consume()?;
-        self.core.clock.lock().wait_until(t);
+        self.core.endpoint.lock().clock.wait_until(t);
         Ok(())
     }
 

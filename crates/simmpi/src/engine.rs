@@ -52,17 +52,16 @@
 //!
 //! ## Liveness
 //!
-//! The thread world needs a wall-clock watchdog because a deadlocked
-//! protocol leaves threads blocked forever.  The engine does not: when the
-//! event queue drains with ranks still parked, those ranks are *provably*
-//! deadlocked (nothing can ever wake them) and are reported as errored —
-//! deadlock detection falls out of the scheduler for free.
+//! When the event queue drains with ranks still parked, those ranks are
+//! *provably* deadlocked (nothing can ever wake them) and are reported as
+//! errored — deadlock detection falls out of the scheduler for free.  The
+//! thread world applies the same rule with a count of the rank threads that
+//! are neither parked nor returned (see [`crate::router`]): when it reaches
+//! zero, every parked receive returns [`crate::MpiError::Aborted`].
 
 use crate::error::ConfigError;
 use crate::message::Tag;
-use simcluster::{
-    FailureEvent, MachineModel, SimTime, TaskId, Topology, VirtualClock, VirtualEngine,
-};
+use simcluster::{Endpoint, FailureEvent, MachineModel, SimTime, TaskId, Topology, VirtualEngine};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// One cooperative step of a rank program.
@@ -194,8 +193,7 @@ pub struct EngineConfig {
     /// reached the given time.
     pub crashes: Vec<(usize, SimTime)>,
     /// Per-rank step budget guarding against non-terminating programs
-    /// (`0` = unlimited).  A rank exceeding it is reported as errored, the
-    /// virtual-time analogue of the thread world's wall-clock watchdog.
+    /// (`0` = unlimited).  A rank exceeding it is reported as errored.
     pub step_limit: u64,
 }
 
@@ -388,13 +386,9 @@ enum Phase {
 /// in its slot.
 struct RankLocal<P> {
     program: P,
-    clock: VirtualClock,
-    /// Busy-until time of the local copy engine (intra-node sends).
-    local_busy: SimTime,
-    /// Busy-until time of this rank's share of the node NIC.
-    nic_busy: SimTime,
-    /// Fair-share divisor of the node NIC (ranks co-located on the node).
-    nic_sharing: f64,
+    /// Clock and sending channels — the record a thread-world rank keeps in
+    /// its `ProcCore`.
+    endpoint: Endpoint,
     last_recv: Option<RecvOutcome>,
     crash_at: Option<SimTime>,
     steps: u64,
@@ -507,11 +501,8 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Models message injection exactly like `ProcCore::inject`: the sending
-/// channel (node-NIC fair share for inter-node, local copy engine for
-/// intra-node) serializes back-to-back sends, the sender CPU is charged only
-/// the fixed overhead, and the message arrives one latency after injection
-/// completes.
+/// Injects one message on the rank's endpoint ([`Endpoint::inject`]) and
+/// stamps it with the sender-local sequence number.
 fn inject<P>(
     local: &mut RankLocal<P>,
     rank: usize,
@@ -522,28 +513,9 @@ fn inject<P>(
     machine: &MachineModel,
 ) -> Msg {
     let same_node = topology.same_node(rank, dst);
-    let link = *machine.link(same_node);
-    let channel = if same_node {
-        &mut local.local_busy
-    } else {
-        &mut local.nic_busy
-    };
-    let start = (*channel).max(local.clock.now());
-    let occupancy = if same_node {
-        link.sender_occupancy(bytes)
-    } else {
-        let serialization = link
-            .wire_time(bytes)
-            .saturating_sub(SimTime::from_secs(link.latency_s))
-            * local.nic_sharing;
-        SimTime::from_secs(link.send_overhead_s) + serialization
-    };
-    let done = start + occupancy;
-    *channel = done;
-    local
-        .clock
-        .advance_comm(SimTime::from_secs(link.send_overhead_s));
-    let arrival = done + SimTime::from_secs(link.latency_s);
+    let (arrival, _) = local
+        .endpoint
+        .inject(machine.link(same_node), same_node, bytes);
     let seq = local.seq;
     local.seq += 1;
     Msg {
@@ -556,9 +528,9 @@ fn inject<P>(
     }
 }
 
-/// Completes a matched receive on the rank's clock (conservative rule:
-/// `max(clock, arrival)` plus the receiver overhead) and records the
-/// outcome for the program's next step.
+/// Completes a matched receive on the rank's endpoint
+/// ([`Endpoint::complete_recv`]) and records the outcome for the program's
+/// next step.
 fn complete_recv<P>(
     local: &mut RankLocal<P>,
     msg: &Msg,
@@ -567,14 +539,14 @@ fn complete_recv<P>(
     machine: &MachineModel,
 ) {
     let same_node = topology.same_node(rank, msg.src);
-    let link = machine.link(same_node);
-    local.clock.wait_until(msg.arrival);
-    local.clock.advance_comm(link.receiver_overhead());
+    local
+        .endpoint
+        .complete_recv(machine.link(same_node), msg.arrival);
     local.last_recv = Some(RecvOutcome::Message(RecvDone {
         src: msg.src,
         tag: msg.tag,
         bytes: msg.modeled_bytes,
-        at: local.clock.now(),
+        at: local.endpoint.clock.now(),
     }));
 }
 
@@ -593,8 +565,8 @@ fn run_burst<P: RankProgram>(
 ) -> BurstEnd {
     loop {
         if let Some(at) = local.crash_at {
-            if local.clock.now() >= at {
-                return BurstEnd::Crashed(local.clock.now());
+            if local.endpoint.clock.now() >= at {
+                return BurstEnd::Crashed(local.endpoint.clock.now());
             }
         }
         if step_limit > 0 && local.steps >= step_limit {
@@ -604,7 +576,7 @@ fn run_burst<P: RankProgram>(
         let ctx = RankCtx {
             rank,
             world,
-            now: local.clock.now(),
+            now: local.endpoint.clock.now(),
             last_recv: local.last_recv.take(),
         };
         let step = match catch_unwind(AssertUnwindSafe(|| local.program.step(&ctx))) {
@@ -614,9 +586,9 @@ fn run_burst<P: RankProgram>(
         match step {
             Step::Compute { flops, mem_bytes } => {
                 let dt = machine.compute.region_time(flops, mem_bytes);
-                local.clock.advance_compute(dt);
+                local.endpoint.clock.advance_compute(dt);
             }
-            Step::Elapse(dt) => local.clock.advance_other(dt),
+            Step::Elapse(dt) => local.endpoint.clock.advance_other(dt),
             Step::Send { dst, tag, bytes } => {
                 if dst < world {
                     outgoing.push(inject(local, rank, dst, tag, bytes, topology, machine));
@@ -706,7 +678,7 @@ fn apply_burst<P>(
         BurstEnd::Errored(msg) => {
             // Mirror the thread world: a panicked rank is marked failed so
             // peers blocked on it observe the failure instead of hanging.
-            let at = sched.ranks[rank].local.clock.now();
+            let at = sched.ranks[rank].local.endpoint.clock.now();
             retire_failed(sched, rank, at, Phase::Errored, Some(msg));
         }
     }
@@ -833,12 +805,7 @@ where
         });
     }
 
-    // Fair-share divisor of each node's NIC, computed in one O(n) pass
-    // (`Topology::ranks_on` per rank would be quadratic at 1M ranks).
-    let mut per_node = vec![0usize; topology.num_nodes().max(1)];
-    for rank in 0..n {
-        per_node[topology.node_of(rank)] += 1;
-    }
+    let node_populations = topology.node_populations();
 
     let mut crash_at: Vec<Option<SimTime>> = vec![None; n];
     for &(rank, at) in &config.crashes {
@@ -858,10 +825,7 @@ where
                 parked_on: None,
                 local: RankLocal {
                     program: make(rank),
-                    clock: VirtualClock::new(),
-                    local_busy: SimTime::ZERO,
-                    nic_busy: SimTime::ZERO,
-                    nic_sharing: per_node[topology.node_of(rank)].max(1) as f64,
+                    endpoint: Endpoint::new(node_populations[topology.node_of(rank)]),
                     last_recv: None,
                     crash_at: crash_at[rank],
                     steps: 0,
@@ -905,10 +869,10 @@ where
             };
             VirtualRankReport {
                 rank,
-                final_time: local.clock.now(),
-                compute_time: local.clock.compute_time(),
-                comm_time: local.clock.comm_time(),
-                wait_time: local.clock.wait_time(),
+                final_time: local.endpoint.clock.now(),
+                compute_time: local.endpoint.clock.compute_time(),
+                comm_time: local.endpoint.clock.comm_time(),
+                wait_time: local.endpoint.clock.wait_time(),
                 failed: matches!(slot.phase, Phase::Crashed | Phase::Errored),
                 end,
                 result: local.program.result(),

@@ -40,8 +40,9 @@ pub enum MpiError {
         /// Size of one element of the requested type.
         elem_size: usize,
     },
-    /// The simulation was aborted (watchdog deadline exceeded or explicit
-    /// abort), so the pending operation cannot complete.
+    /// The simulation was aborted — no rank of the run can make progress
+    /// any more (every rank thread is parked in a receive or has returned),
+    /// or an explicit abort — so the pending operation cannot complete.
     Aborted,
     /// A collective was attempted on an empty communicator or with an
     /// otherwise invalid configuration.
@@ -73,7 +74,10 @@ impl fmt::Display for MpiError {
                     "payload of {bytes} bytes is not a multiple of element size {elem_size}"
                 )
             }
-            MpiError::Aborted => write!(f, "simulation aborted"),
+            MpiError::Aborted => write!(
+                f,
+                "simulation aborted: no rank can make progress, or explicit abort"
+            ),
             MpiError::InvalidCommunicator(msg) => write!(f, "invalid communicator: {msg}"),
             MpiError::RequestConsumed => write!(f, "request handle already completed"),
         }

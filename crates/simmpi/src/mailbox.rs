@@ -59,6 +59,11 @@ impl MailboxState {
         self.queued
     }
 
+    /// True if an envelope matching `sel` is queued.
+    pub(crate) fn has_match(&self, sel: &MatchSelector) -> bool {
+        self.lanes.keys().any(|key| sel.matches_lane(key))
+    }
+
     /// Pops the front envelope of one lane, dropping the lane once empty so
     /// the map does not accumulate dead `(comm, src, tag)` combinations.
     fn pop_lane(&mut self, key: &LaneKey) -> Option<Envelope> {

@@ -4,37 +4,23 @@ use crate::error::{MpiError, MpiResult};
 use crate::router::Router;
 use parking_lot::Mutex;
 use simcluster::{
-    Counter, FailureStatusBoard, MachineModel, SimTime, StatsRegistry, Topology, VirtualClock,
+    Counter, Endpoint, FailureStatusBoard, MachineModel, SimTime, StatsRegistry, Topology,
 };
 use std::sync::Arc;
 
 /// Internal per-process state shared by every communicator owned by one
 /// simulated process.  One `ProcCore` exists per physical rank; it is only
 /// ever touched from that rank's thread plus (read-only) from the report
-/// collector once the run has finished, hence the plain mutexes.
+/// collector once the run has finished, hence the plain mutex.
 pub struct ProcCore {
     pub(crate) world_rank: usize,
     pub(crate) num_procs: usize,
     pub(crate) router: Arc<Router>,
     pub(crate) machine: MachineModel,
     pub(crate) topology: Topology,
-    pub(crate) clock: Mutex<VirtualClock>,
-    /// Virtual time until which this process's local copy engine is busy
-    /// (used for intra-node messages, which do not touch the network card).
-    pub(crate) local_channel_busy_until: Mutex<SimTime>,
-    /// Virtual time until which this process's share of the node NIC is busy
-    /// injecting inter-node messages.
-    pub(crate) nic_busy_until: Mutex<SimTime>,
-    /// Number of processes co-located on this process's node.  The node's
-    /// network card is fair-shared between them, so each process sees
-    /// `1/nic_sharing` of the inter-node bandwidth — this contention is what
-    /// makes update-heavy kernels (waxpby) perform poorly under
-    /// intra-parallelization in the paper's Figure 5a.  (A static fair share
-    /// is used instead of a dynamically shared busy-until timestamp so that
-    /// virtual time stays causally consistent regardless of thread
-    /// scheduling; the experiments are SPMD, so every co-located process is
-    /// communicating at the same points anyway.)
-    pub(crate) nic_sharing: f64,
+    /// The rank's clock and sending channels, with the message-timing
+    /// formulas — the same record the event engine keeps per rank.
+    pub(crate) endpoint: Mutex<Endpoint>,
     pub(crate) stats: StatsRegistry,
     /// Hot-path message counters, resolved once at construction.  The
     /// registry lookup (`RwLock` + name-keyed map) is far too expensive to
@@ -48,27 +34,24 @@ pub struct ProcCore {
 }
 
 impl ProcCore {
+    /// `node_population` is the number of ranks the topology places on this
+    /// rank's node ([`Topology::node_populations`]).
     pub(crate) fn new(
         world_rank: usize,
-        num_procs: usize,
         router: Arc<Router>,
         machine: MachineModel,
         topology: Topology,
+        node_population: usize,
         stats: StatsRegistry,
         seed: u64,
     ) -> Self {
-        let node = topology.node_of(world_rank);
-        let nic_sharing = topology.ranks_on(node).len().max(1) as f64;
         ProcCore {
             world_rank,
-            num_procs,
+            num_procs: router.num_procs(),
             router,
             machine,
             topology,
-            clock: Mutex::new(VirtualClock::new()),
-            local_channel_busy_until: Mutex::new(SimTime::ZERO),
-            nic_busy_until: Mutex::new(SimTime::ZERO),
-            nic_sharing,
+            endpoint: Mutex::new(Endpoint::new(node_population)),
             ctr_messages_sent: stats.counter("mpi.messages_sent"),
             ctr_bytes_sent: stats.counter("mpi.bytes_sent"),
             ctr_messages_received: stats.counter("mpi.messages_received"),
@@ -81,91 +64,38 @@ impl ProcCore {
     /// Charges the local clock for a compute region.
     pub(crate) fn charge_compute(&self, flops: f64, mem_bytes: f64) {
         let dt = self.machine.compute.region_time(flops, mem_bytes);
-        self.clock.lock().advance_compute(dt);
+        self.endpoint.lock().clock.advance_compute(dt);
     }
 
     /// Charges the local clock for a plain memory copy of `bytes` bytes.
     pub(crate) fn charge_memcpy(&self, bytes: usize) {
         let dt = self.machine.compute.memcpy_time(bytes);
-        self.clock.lock().advance_compute(dt);
+        self.endpoint.lock().clock.advance_compute(dt);
     }
 
-    /// Models the injection of a message of `bytes` bytes towards `dest`.
-    ///
-    /// Returns `(arrival, inject_done)`: the virtual time at which the
-    /// message is fully available at the destination, and the virtual time
-    /// at which the sending channel (node NIC for inter-node messages, local
-    /// copy engine for intra-node messages) finishes injecting it.  The
-    /// channel serializes back-to-back sends — and, for the node NIC, sends
-    /// from *all* processes on the node — while the sender's CPU is only
-    /// charged the fixed per-message overhead, so computation posted after a
-    /// non-blocking send overlaps with the transfer (the overlap the paper's
-    /// implementation exploits when shipping task updates).
+    /// Current virtual time of this process.
+    pub(crate) fn now(&self) -> SimTime {
+        self.endpoint.lock().clock.now()
+    }
+
+    /// Models the injection of a message of `bytes` bytes towards `dest`;
+    /// returns `(arrival, inject_done)`, see [`Endpoint::inject`].
     pub(crate) fn inject(&self, bytes: usize, dest: usize) -> (SimTime, SimTime) {
         let same_node = self.topology.same_node(self.world_rank, dest);
-        let link = *self.machine.link(same_node);
-        let mut clock = self.clock.lock();
-        let inject_done = {
-            let mut channel = if same_node {
-                self.local_channel_busy_until.lock()
-            } else {
-                self.nic_busy_until.lock()
-            };
-            let start = (*channel).max(clock.now());
-            // Inter-node messages only get this process's fair share of the
-            // node's network card.
-            let occupancy = if same_node {
-                link.sender_occupancy(bytes)
-            } else {
-                let serialization = link
-                    .wire_time(bytes)
-                    .saturating_sub(SimTime::from_secs(link.latency_s))
-                    * self.nic_sharing;
-                SimTime::from_secs(link.send_overhead_s) + serialization
-            };
-            let done = start + occupancy;
-            *channel = done;
-            done
-        };
-        clock.advance_comm(SimTime::from_secs(link.send_overhead_s));
-        let arrival = inject_done + SimTime::from_secs(link.latency_s);
-        (arrival, inject_done)
+        let link = self.machine.link(same_node);
+        self.endpoint.lock().inject(link, same_node, bytes)
     }
 
-    /// Batched [`ProcCore::inject`]: charges one send per destination, in
-    /// order, under a single clock acquisition.  Bit-identical in virtual
-    /// time with calling `inject` once per destination (the per-destination
-    /// channel reservation and the clock advance interleave in exactly the
-    /// same sequence); only the host-side lock traffic is batched.  Returns
-    /// the per-destination arrival times via `out`.
+    /// Batched [`ProcCore::inject`]: one send per destination, in order,
+    /// under a single lock acquisition; the per-destination arrival times
+    /// are returned via `out`.
     pub(crate) fn inject_multi(&self, bytes: usize, dests: &[usize], out: &mut [SimTime]) {
         debug_assert_eq!(dests.len(), out.len());
-        let mut clock = self.clock.lock();
+        let mut endpoint = self.endpoint.lock();
         for (&dest, arrival) in dests.iter().zip(out.iter_mut()) {
             let same_node = self.topology.same_node(self.world_rank, dest);
-            let link = *self.machine.link(same_node);
-            let inject_done = {
-                let mut channel = if same_node {
-                    self.local_channel_busy_until.lock()
-                } else {
-                    self.nic_busy_until.lock()
-                };
-                let start = (*channel).max(clock.now());
-                let occupancy = if same_node {
-                    link.sender_occupancy(bytes)
-                } else {
-                    let serialization = link
-                        .wire_time(bytes)
-                        .saturating_sub(SimTime::from_secs(link.latency_s))
-                        * self.nic_sharing;
-                    SimTime::from_secs(link.send_overhead_s) + serialization
-                };
-                let done = start + occupancy;
-                *channel = done;
-                done
-            };
-            clock.advance_comm(SimTime::from_secs(link.send_overhead_s));
-            *arrival = inject_done + SimTime::from_secs(link.latency_s);
+            let link = self.machine.link(same_node);
+            *arrival = endpoint.inject(link, same_node, bytes).0;
         }
     }
 
@@ -174,9 +104,7 @@ impl ProcCore {
     pub(crate) fn complete_recv(&self, arrival: SimTime, src: usize) {
         let same_node = self.topology.same_node(self.world_rank, src);
         let link = self.machine.link(same_node);
-        let mut clock = self.clock.lock();
-        clock.wait_until(arrival);
-        clock.advance_comm(link.receiver_overhead());
+        self.endpoint.lock().complete_recv(link, arrival);
     }
 
     /// Returns an error if this process has been marked as failed.
@@ -226,7 +154,7 @@ impl ProcHandle {
 
     /// Current virtual time of this process.
     pub fn now(&self) -> SimTime {
-        self.core.clock.lock().now()
+        self.core.now()
     }
 
     /// Charges virtual time for a compute region described by its flop count
@@ -244,12 +172,13 @@ impl ProcHandle {
     /// nor communication); used by applications to model phases that are not
     /// broken down.
     pub fn charge_other(&self, dt: SimTime) {
-        self.core.clock.lock().advance_other(dt);
+        self.core.endpoint.lock().clock.advance_other(dt);
     }
 
     /// Virtual-time breakdown: (now, compute, comm, wait).
     pub fn time_breakdown(&self) -> (SimTime, SimTime, SimTime, SimTime) {
-        let c = self.core.clock.lock();
+        let endpoint = self.core.endpoint.lock();
+        let c = &endpoint.clock;
         (c.now(), c.compute_time(), c.comm_time(), c.wait_time())
     }
 
@@ -293,7 +222,6 @@ impl ProcHandle {
     pub fn fail_here(&self) {
         let now = self.now();
         self.core.router.failures().mark_failed(self.rank(), now);
-        self.core.router.notify_all();
     }
 
     /// Marks another rank as failed (used by test harnesses that simulate an
@@ -301,6 +229,5 @@ impl ProcHandle {
     pub fn kill_rank(&self, rank: usize) {
         let now = self.now();
         self.core.router.failures().mark_failed(rank, now);
-        self.core.router.notify_all();
     }
 }

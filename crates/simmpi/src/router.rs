@@ -38,13 +38,36 @@
 //! construction time, so a crash signaled on the board — by the failure
 //! injector, a panicking process, or a test harness — wakes every blocked
 //! receiver immediately; there is no re-check interval to wait out.
+//!
+//! ## Liveness: quiescence is deadlock
+//!
+//! Only a rank that is running can send or fail, so once every rank thread
+//! of a run is parked in a receive or has returned, nothing can ever wake
+//! the parked ones: the application is lost (the paper's crash-stop model,
+//! §III-B2, loses it once every replica of a logical process is dead, and
+//! the survivors' neighbours end up here).  The router [`run_cluster`]
+//! builds counts the rank threads that are *neither parked nor returned*.
+//! A receiver leaves the count when it registers its selector, a rank when
+//! its body returns or panics; whoever wakes a parked receiver — a matching
+//! delivery, the failure-board waker, [`Router::abort`] — removes the
+//! selector and re-enters the receiver in the count *before* notifying,
+//! all under the mailbox lock, so the count cannot read zero while a
+//! wake-up is in flight.  The thread that takes it to zero with a selector
+//! still registered aborts the run and every parked receive returns
+//! [`MpiError::Aborted`] — the rule the event engine states as "queue
+//! drained with ranks parked".  No wall-clock input is involved, so a stuck
+//! run ends the same way every time, microseconds after its last runner
+//! stopped.  A `Router` built with [`Router::new`] keeps no count: whoever
+//! drives it from threads of their own decides when it is stuck.
+//!
+//! [`run_cluster`]: crate::cluster::run_cluster
 
 use crate::error::{MpiError, MpiResult};
 use crate::mailbox::MailboxState;
 use crate::message::{Envelope, MatchSelector};
 use parking_lot::{Condvar, Mutex};
 use simcluster::FailureStatusBoard;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 
 /// How often a receive that found no match yields its time slice before it
@@ -70,10 +93,12 @@ const YIELDS_BEFORE_PARK: u32 = 4;
 #[derive(Default)]
 struct MailboxInner {
     mail: MailboxState,
-    /// Selector of every receiver currently parked on this mailbox (one
-    /// entry per receiver); delivery consults it to decide whether anybody
-    /// needs waking.
-    parked: Vec<MatchSelector>,
+    /// Ticket and selector of every receiver currently parked on this
+    /// mailbox.  A waker *removes* the entries it wakes, so a receiver whose
+    /// ticket is still here was not the one meant and keeps waiting.
+    /// Invariant (under the lock): no entry matches a queued envelope.
+    parked: Vec<(u64, MatchSelector)>,
+    next_ticket: u64,
 }
 
 #[derive(Default)]
@@ -82,21 +107,49 @@ struct Mailbox {
     cv: Condvar,
 }
 
-impl Mailbox {
-    /// Wakes every receiver parked on this mailbox so it can re-check
-    /// abort/failure status.  Taking the lock first orders the wake-up after
-    /// the failure checks of any receiver that is about to park.
+/// What the router shares with the waker it registers on the failure board.
+struct Fabric {
+    mailboxes: Vec<Mailbox>,
+    /// Rank threads neither parked nor returned; `None` for a router whose
+    /// receivers are not the rank threads of one run.
+    running: Option<AtomicUsize>,
+}
+
+impl Fabric {
+    /// Re-enters `n` woken receivers in the count.  Called under the lock
+    /// of the mailbox they were parked on, before they are notified.
+    fn resumed(&self, n: usize) {
+        if let Some(running) = &self.running {
+            running.fetch_add(n, Ordering::SeqCst);
+        }
+    }
+
+    /// Takes the calling rank thread out of the count; `true` if it was the
+    /// last one running.
+    fn stopped(&self) -> bool {
+        self.running
+            .as_ref()
+            .is_some_and(|running| running.fetch_sub(1, Ordering::SeqCst) == 1)
+    }
+
+    /// Wakes every parked receiver so it can re-check abort/failure status.
+    /// Taking each lock first orders the wake-up after the failure checks
+    /// of any receiver that is about to park.
     fn wake_all(&self) {
-        let inner = self.inner.lock();
-        if !inner.parked.is_empty() {
-            self.cv.notify_all();
+        for mb in &self.mailboxes {
+            let mut inner = mb.inner.lock();
+            if !inner.parked.is_empty() {
+                self.resumed(inner.parked.len());
+                inner.parked.clear();
+                mb.cv.notify_all();
+            }
         }
     }
 }
 
 /// The shared message router of a simulated cluster.
 pub struct Router {
-    mailboxes: Arc<Vec<Mailbox>>,
+    fabric: Arc<Fabric>,
     seq: AtomicU64,
     aborted: AtomicBool,
     failures: FailureStatusBoard,
@@ -107,27 +160,70 @@ impl Router {
     /// board.  The router registers a waker on the board so that failures
     /// signaled on it (by whatever path) immediately wake blocked receivers.
     pub fn new(num_procs: usize, failures: FailureStatusBoard) -> Self {
-        let mailboxes: Arc<Vec<Mailbox>> =
-            Arc::new((0..num_procs).map(|_| Mailbox::default()).collect());
-        let weak: Weak<Vec<Mailbox>> = Arc::downgrade(&mailboxes);
+        Self::build(num_procs, failures, None)
+    }
+
+    /// The router of one [`run_cluster`](crate::cluster::run_cluster) run:
+    /// its receivers are exactly the run's `num_procs` rank threads, each of
+    /// which calls [`Router::rank_returned`] when its body ends, so the
+    /// router can tell a stuck run (see the module docs).
+    pub(crate) fn for_rank_threads(num_procs: usize, failures: FailureStatusBoard) -> Self {
+        Self::build(num_procs, failures, Some(AtomicUsize::new(num_procs)))
+    }
+
+    fn build(num_procs: usize, failures: FailureStatusBoard, running: Option<AtomicUsize>) -> Self {
+        let fabric = Arc::new(Fabric {
+            mailboxes: (0..num_procs).map(|_| Mailbox::default()).collect(),
+            running,
+        });
+        let weak: Weak<Fabric> = Arc::downgrade(&fabric);
         failures.register_waker(Arc::new(move || {
-            if let Some(mailboxes) = weak.upgrade() {
-                for mb in mailboxes.iter() {
-                    mb.wake_all();
-                }
+            if let Some(fabric) = weak.upgrade() {
+                fabric.wake_all();
             }
         }));
         Router {
-            mailboxes,
+            fabric,
             seq: AtomicU64::new(0),
             aborted: AtomicBool::new(false),
             failures,
         }
     }
 
+    /// The calling rank thread's body has returned or panicked (after the
+    /// panic was recorded on the failure board): it will never send again.
+    pub(crate) fn rank_returned(&self) {
+        if self.fabric.stopped() {
+            self.quiesced();
+        }
+    }
+
+    /// The caller just took the last running rank thread out of the count,
+    /// so the set of parked receivers is final: if there is one, nothing can
+    /// ever wake it and the run is aborted.  A parked receiver with a
+    /// matching envelope queued would be a lost wake-up, not a deadlock —
+    /// that must fail loudly.
+    fn quiesced(&self) {
+        let mut stuck = false;
+        for mb in &self.fabric.mailboxes {
+            let inner = mb.inner.lock();
+            debug_assert!(
+                inner
+                    .parked
+                    .iter()
+                    .all(|(_, sel)| !inner.mail.has_match(sel)),
+                "receiver parked with a matching envelope queued"
+            );
+            stuck |= !inner.parked.is_empty();
+        }
+        if stuck {
+            self.abort();
+        }
+    }
+
     /// Number of ranks served.
     pub fn num_procs(&self) -> usize {
-        self.mailboxes.len()
+        self.fabric.mailboxes.len()
     }
 
     /// Allocates the next global sequence number.
@@ -154,22 +250,27 @@ impl Router {
     /// mirroring a crashed destination.
     pub fn deliver(&self, env: Envelope) {
         let dst = env.dst_world;
-        let Some(mb) = self.mailboxes.get(dst) else {
+        let Some(mb) = self.fabric.mailboxes.get(dst) else {
             return;
         };
         if self.failures.is_failed(dst) {
             return;
         }
         let mut inner = mb.inner.lock();
-        let wake = inner.parked.iter().any(|sel| env.matches(sel));
+        let parked = inner.parked.len();
+        inner.parked.retain(|(_, sel)| !env.matches(sel));
+        let woken = parked - inner.parked.len();
         inner.mail.push(env);
-        drop(inner);
-        if wake {
+        if woken > 0 {
+            self.fabric.resumed(woken);
+            drop(inner);
             mb.cv.notify_all();
         }
     }
 
-    /// Marks the simulation as aborted and wakes every blocked receiver.
+    /// Marks the simulation as aborted and wakes every blocked receiver;
+    /// from here on a receive with no queued match returns
+    /// [`MpiError::Aborted`] instead of parking.
     pub fn abort(&self) {
         self.aborted.store(true, Ordering::SeqCst);
         self.notify_all();
@@ -185,16 +286,20 @@ impl Router {
     /// automatically via the registered waker; the method stays public for
     /// callers that change other observable state.
     pub fn notify_all(&self) {
-        for mb in self.mailboxes.iter() {
-            mb.wake_all();
-        }
+        self.fabric.wake_all();
     }
 
     /// Non-blocking probe: removes and returns the earliest envelope in
     /// `dst`'s mailbox matching `sel`, if any (`None` also when `dst` is not
     /// a rank of this router).
     pub fn try_match(&self, dst: usize, sel: &MatchSelector) -> Option<Envelope> {
-        self.mailboxes.get(dst)?.inner.lock().mail.take_match(sel)
+        self.fabric
+            .mailboxes
+            .get(dst)?
+            .inner
+            .lock()
+            .mail
+            .take_match(sel)
     }
 
     /// Checks the terminal conditions a blocked receiver must surface, in
@@ -224,27 +329,35 @@ impl Router {
     ///   before the crash remain deliverable);
     /// * `Err(SelfFailed)` if the receiving rank itself has been marked
     ///   failed;
-    /// * `Err(Aborted)` if the simulation watchdog fired.
+    /// * `Err(Aborted)` if no rank of the run can make progress any more
+    ///   (module docs, § Liveness) or [`Router::abort`] was called.
     ///
     /// The receiver looks for a match and runs the failure checks under the
     /// mailbox lock; with neither, it first releases the lock and yields its
     /// time slice, `YIELDS_BEFORE_PARK` times at most, then registers its
     /// selector and sleeps on the mailbox condvar until a matching delivery
-    /// (or a failure/abort broadcast) notifies it.  A yielding receiver is
-    /// not parked and needs no wake-up: it re-runs both checks itself.  For
-    /// a parked one the wake-up cannot be lost: the failure checks run under
-    /// the mailbox lock *before* every wait, and the wakers take that same
-    /// lock before notifying, so a crash signaled after the checks finds the
-    /// receiver already parked.  That the board's `is_failed` is a lock-free
-    /// flag does not weaken this — `mark_failed` stores the flag before it
-    /// calls the waker, which takes this mailbox's lock after the store, so
-    /// a receiver that locks later sees the flag and one that locked earlier
+    /// (or a failure/abort broadcast) removes the selector and notifies it
+    /// — unless it was the run's last running rank, in which case it aborts
+    /// the run instead of sleeping (module docs, § Liveness).  A yielding
+    /// receiver is not parked (it still counts as running) and needs no
+    /// wake-up: it re-runs both checks itself.  For a parked one the
+    /// wake-up cannot be lost: the failure checks run under the mailbox
+    /// lock *before* every wait, and the wakers take that same lock before
+    /// notifying, so a crash signaled after the checks finds the receiver
+    /// already parked.  That the board's `is_failed` is a lock-free flag
+    /// does not weaken this — `mark_failed` stores the flag before it calls
+    /// the waker, which takes this mailbox's lock after the store, so a
+    /// receiver that locks later sees the flag and one that locked earlier
     /// is parked by the time the waker gets the lock.
     pub fn recv_blocking(&self, dst: usize, sel: &MatchSelector) -> MpiResult<Envelope> {
-        let mb = self.mailboxes.get(dst).ok_or(MpiError::InvalidRank {
-            rank: dst,
-            size: self.mailboxes.len(),
-        })?;
+        let mb = self
+            .fabric
+            .mailboxes
+            .get(dst)
+            .ok_or(MpiError::InvalidRank {
+                rank: dst,
+                size: self.fabric.mailboxes.len(),
+            })?;
         let mut yields_left = YIELDS_BEFORE_PARK;
         let mut inner = mb.inner.lock();
         loop {
@@ -261,15 +374,23 @@ impl Router {
                 inner = mb.inner.lock();
                 continue;
             }
-            inner.parked.push(*sel);
-            mb.cv.wait(&mut inner);
-            // A missing entry would be a bookkeeping slip, not a reason to
-            // poison the mailbox: the cost is a stale selector and a
-            // spurious notify.
-            let idx = inner.parked.iter().position(|parked| parked == sel);
-            debug_assert!(idx.is_some(), "parked selector disappeared");
-            if let Some(idx) = idx {
-                inner.parked.swap_remove(idx);
+            let ticket = inner.next_ticket;
+            inner.next_ticket += 1;
+            inner.parked.push((ticket, *sel));
+            if self.fabric.stopped() {
+                // Every other rank is parked or gone and this one just
+                // joined them.  The abort wakes this receiver like any
+                // other; the next round of the loop returns `Aborted`.
+                drop(inner);
+                self.quiesced();
+                inner = mb.inner.lock();
+                continue;
+            }
+            // Whoever wakes this receiver removes its entry first; a
+            // wake-up that leaves it registered was meant for another
+            // receiver of this mailbox, or is spurious.
+            while inner.parked.iter().any(|&(t, _)| t == ticket) {
+                mb.cv.wait(&mut inner);
             }
         }
     }
@@ -278,7 +399,8 @@ impl Router {
     /// mailbox (`0` when `dst` is not a rank of this router).  Diagnostic
     /// only.
     pub fn queued(&self, dst: usize) -> usize {
-        self.mailboxes
+        self.fabric
+            .mailboxes
             .get(dst)
             .map_or(0, |mb| mb.inner.lock().mail.queued())
     }
@@ -443,6 +565,32 @@ mod tests {
         thread::sleep(Duration::from_millis(5));
         r.abort();
         assert_eq!(h.join().unwrap().unwrap_err(), MpiError::Aborted);
+    }
+
+    /// A router built by hand keeps no count of running ranks: with every
+    /// receiver parked it waits for the harness, which delivers later.
+    #[test]
+    fn hand_built_router_with_every_receiver_parked_is_not_aborted() {
+        let r = Arc::new(Router::new(3, FailureStatusBoard::new(3)));
+        let receivers: Vec<_> = (0..3)
+            .map(|dst| {
+                let r = Arc::clone(&r);
+                thread::spawn(move || r.recv_blocking(dst, &sel(9, None, Some(3))))
+            })
+            .collect();
+        for mb in &r.fabric.mailboxes {
+            while mb.inner.lock().parked.is_empty() {
+                thread::yield_now();
+            }
+        }
+        assert!(!r.is_aborted());
+        for dst in 0..3 {
+            r.deliver(env(7, dst, 9, 3, dst as u64));
+        }
+        for (dst, h) in receivers.into_iter().enumerate() {
+            assert_eq!(h.join().unwrap().unwrap().seq, dst as u64);
+        }
+        assert!(!r.is_aborted());
     }
 
     #[test]
