@@ -144,7 +144,13 @@ fn cmd_run(args: &[String]) -> ExitCode {
                 }
             };
             let specs = grid.expand();
-            let batch = run_specs_cached(&specs, jobs, &cache);
+            let batch = match run_specs_cached(&specs, jobs, &cache) {
+                Ok(batch) => batch,
+                Err(e) => {
+                    eprintln!("campaign '{grid_name}' failed: {e}");
+                    return ExitCode::FAILURE;
+                }
+            };
             eprintln!("cache: {} hit(s), {} executed", batch.hits, batch.executed);
             CampaignReport {
                 campaign: grid.name.clone(),

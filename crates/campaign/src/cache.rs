@@ -25,10 +25,9 @@
 
 use crate::queue::ExecutorPool;
 use crate::report::v1;
-use crate::runner::{run_spec, RunResult};
+use crate::runner::{run_batch, RunResult};
 use crate::spec::RunSpec;
 use crate::Json;
-use parking_lot::Mutex;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -163,93 +162,27 @@ impl RunCache {
     }
 }
 
-/// Outcome of a cache-aware batch: the results in spec order plus how many
-/// came from the cache versus fresh execution.
+/// Outcome of a batch ([`run_batch`]): the results in spec order plus how
+/// many came from the cache versus fresh execution.
 pub struct CachedBatch {
     /// Results in spec order (grid order for an expanded grid).
     pub runs: Vec<RunResult>,
-    /// Runs actually executed (cache misses).
+    /// Runs actually executed (cache misses; every run without a cache).
     pub executed: usize,
     /// Runs replayed from the cache.
     pub hits: usize,
 }
 
-/// Executes `specs` through `cache` on an existing pool: hits replay
-/// immediately, misses run concurrently and are stored for next time.
-/// `on_complete(index, cached, result)` fires once per spec in completion
-/// order (hits first, then misses as they finish) — the serve loop streams
-/// its JSONL from this.
-pub fn run_specs_cached_on<F>(
-    pool: &ExecutorPool,
+/// Cache-aware batch on a transient pool of `jobs` workers (what
+/// `campaign run --cache-dir` uses): [`run_batch`] with this cache.  A
+/// cache entry that cannot be written is an error, not a lost run.
+pub fn run_specs_cached(
     specs: &[RunSpec],
+    jobs: usize,
     cache: &Arc<RunCache>,
-    on_complete: F,
-) -> CachedBatch
-where
-    F: Fn(usize, bool, &RunResult) + Send + Sync + 'static,
-{
-    let slots: Arc<Vec<Mutex<Option<RunResult>>>> =
-        Arc::new(specs.iter().map(|_| Mutex::new(None)).collect());
-    let on_complete = Arc::new(on_complete);
-    let mut hits = 0;
-    let mut misses = Vec::new();
-    for (i, spec) in specs.iter().enumerate() {
-        if let Some(result) = cache.get(spec) {
-            on_complete(i, true, &result);
-            *slots[i].lock() = Some(result);
-            hits += 1;
-        } else {
-            misses.push((i, spec.clone()));
-        }
-    }
-    let executed = misses.len();
-    let done = Arc::new((Mutex::new(0usize), parking_lot::Condvar::new()));
-    for (i, spec) in misses {
-        let slots = Arc::clone(&slots);
-        let cache = Arc::clone(cache);
-        let on_complete = Arc::clone(&on_complete);
-        let done = Arc::clone(&done);
-        pool.submit(move || {
-            let result = run_spec(&spec);
-            cache.put(&spec, &result).expect("cache write");
-            on_complete(i, false, &result);
-            *slots[i].lock() = Some(result);
-            let (count, cond) = &*done;
-            *count.lock() += 1;
-            cond.notify_all();
-        });
-    }
-    let (count, cond) = &*done;
-    let mut finished = count.lock();
-    while *finished < executed {
-        cond.wait(&mut finished);
-    }
-    drop(finished);
-    let runs = slots
-        .iter()
-        .map(|slot| slot.lock().take().expect("every slot was filled"))
-        .collect();
-    CachedBatch {
-        runs,
-        executed,
-        hits,
-    }
-}
-
-/// Convenience wrapper: cache-aware batch on a transient pool of `jobs`
-/// workers (what `campaign run --cache-dir` uses).
-pub fn run_specs_cached(specs: &[RunSpec], jobs: usize, cache: &Arc<RunCache>) -> CachedBatch {
-    if specs.is_empty() {
-        return CachedBatch {
-            runs: Vec::new(),
-            executed: 0,
-            hits: 0,
-        };
-    }
+) -> std::io::Result<CachedBatch> {
     let pool = ExecutorPool::new(jobs.max(1).min(specs.len()));
-    let batch = run_specs_cached_on(&pool, specs, cache, |_, _, _| {});
-    pool.shutdown();
-    batch
+    run_batch(&pool, specs, Some(cache), |_, _, _| {})
 }
 
 #[cfg(test)]

@@ -29,9 +29,9 @@
 //! * [`cache`] — a content-addressed run cache (fingerprint = experiment
 //!   axes + report schema + determinism epoch) so re-sweeps execute only
 //!   the delta;
-//! * [`queue`] + [`mod@serve`] — a long-running, work-stealing sweep service
-//!   with a file-queue submit/status/results protocol and streaming JSONL
-//!   output.
+//! * [`queue`] + [`mod@serve`] — a long-running sweep service over one
+//!   shared executor pool, with a file-queue submit/status/results protocol
+//!   and streaming JSONL output.
 //!
 //! The `campaign` binary exposes `run` / `list` / `diff` plus the service
 //! verbs `serve` / `submit` / `status` / `results` / `stop` on the command
@@ -58,7 +58,7 @@ pub use grid::CampaignGrid;
 pub use json::Json;
 pub use queue::ExecutorPool;
 pub use report::{v1, CampaignReport};
-pub use runner::{run_campaign, run_spec, run_specs, run_specs_on, RunResult};
+pub use runner::{run_batch, run_campaign, run_spec, run_specs, RunResult};
 pub use serve::{serve, JobSummary, ServeOptions, Spool, SpoolStatus};
 pub use spec::{FailureSpec, RunSpec};
 pub use weak::{run_weak_spec, run_weak_sweep, WeakReport, WeakRow, WeakRunSpec, WeakSweep};

@@ -1,103 +1,58 @@
-//! A long-running, work-stealing executor pool.
+//! The host-side executor: a long-running pool over one locked FIFO.
 //!
-//! The batch runner ([`crate::runner::run_specs`]) and the sweep service
-//! ([`mod@crate::serve`]) share this pool: a fixed set of worker threads, one
-//! double-ended job queue per worker, and stealing between them.  Submitted
-//! jobs are distributed round-robin across the per-worker queues; each
-//! worker pops its own queue from the *front* and, when empty, steals from
-//! the *back* of a sibling's queue — the classic work-stealing shape, here
-//! built from mutex-guarded deques because the crate forbids `unsafe`
-//! (`#![deny(unsafe_code)]`), so a lock-free Chase–Lev deque is not on the
-//! table.  Campaign runs are milliseconds long, so per-job lock traffic is
-//! noise; what matters is that many concurrent submitters keep every worker
-//! busy without a single contended queue.
-//!
-//! The pool is *long-running*: it accepts submissions from any thread at
-//! any time, [`ExecutorPool::drain`] waits for quiescence without stopping
-//! the workers (the serve loop drains between jobs), and
-//! [`ExecutorPool::shutdown`] drains and joins gracefully.
+//! The batch runner ([`crate::runner::run_batch`]) and the sweep service
+//! ([`mod@crate::serve`]) share it: a fixed set of worker threads popping
+//! one queue, oldest job first, behind one mutex — a campaign run is
+//! ≥ 0.3 ms of simulation, a push or pop holds the lock for tens of
+//! nanoseconds (measurements: ARCHITECTURE.md, § "Host-side executor").
+//! Submissions come from any thread at any time.  A job that panics is
+//! caught on its worker, which keeps serving, and still counts as finished,
+//! so [`ExecutorPool::drain`] and [`ExecutorPool::shutdown`] return.
 
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use std::time::Duration;
 
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// How long an idle worker sleeps before re-checking the queues on its
-/// own.  Wakeups are signalled on every submit, so this is a backstop, not
-/// the scheduling mechanism.
-const IDLE_RECHECK: Duration = Duration::from_millis(25);
-
-struct Shared {
-    /// One deque per worker; owner pops the front, thieves pop the back.
-    queues: Vec<Mutex<VecDeque<Job>>>,
+#[derive(Default)]
+struct State {
+    queue: VecDeque<Box<dyn FnOnce() + Send>>,
     /// Jobs submitted and not yet finished executing.
-    pending: AtomicUsize,
-    /// Set once by [`ExecutorPool::shutdown`]; workers exit when the queues
-    /// are empty and this is set.
-    stopping: AtomicBool,
-    /// Round-robin cursor for submissions.
-    next: AtomicUsize,
-    /// Workers sleep here when every queue is empty.
-    work_mutex: Mutex<()>,
-    work_cond: Condvar,
+    pending: usize,
+    /// Set on drop; workers exit once the queue is empty and this is set.
+    stopping: bool,
+}
+
+#[derive(Default)]
+struct Shared {
+    state: Mutex<State>,
+    /// Workers sleep here while the queue is empty.
+    work: Condvar,
     /// Drainers sleep here until `pending` reaches zero.
-    idle_mutex: Mutex<()>,
-    idle_cond: Condvar,
+    idle: Condvar,
 }
 
-impl Shared {
-    fn pop_any(&self, own: usize) -> Option<Job> {
-        // Own queue first, from the front (the oldest job submitted to us).
-        if let Some(job) = self.queues[own].lock().pop_front() {
-            return Some(job);
-        }
-        // Then steal from siblings, from the back, scanning round-robin
-        // starting after our own slot so thieves spread out.
-        let n = self.queues.len();
-        for offset in 1..n {
-            let victim = (own + offset) % n;
-            if let Some(job) = self.queues[victim].lock().pop_back() {
-                return Some(job);
-            }
-        }
-        None
-    }
-
-    fn finish_one(&self) {
-        if self.pending.fetch_sub(1, Ordering::SeqCst) == 1 {
-            let _quiet = self.idle_mutex.lock();
-            self.idle_cond.notify_all();
-        }
-    }
-}
-
-fn worker_loop(shared: &Shared, own: usize) {
+fn worker_loop(shared: &Shared) {
+    let mut state = shared.state.lock();
     loop {
-        if let Some(job) = shared.pop_any(own) {
-            job();
-            shared.finish_one();
-            continue;
-        }
-        // Nothing to do: re-check under the signal lock so a submission
-        // racing with this check cannot slip between "queues are empty"
-        // and "wait" (submitters take the same lock before notifying).
-        let mut guard = shared.work_mutex.lock();
-        let queues_empty = shared.queues.iter().all(|q| q.lock().is_empty());
-        if !queues_empty {
-            continue;
-        }
-        if shared.stopping.load(Ordering::SeqCst) {
+        if let Some(job) = state.queue.pop_front() {
+            drop(state);
+            // A panic is caught (the hook has reported it): worker and count go on.
+            let _ = catch_unwind(AssertUnwindSafe(job));
+            state = shared.state.lock();
+            state.pending -= 1;
+            if state.pending == 0 {
+                shared.idle.notify_all();
+            }
+        } else if state.stopping {
             return;
+        } else {
+            shared.work.wait(&mut state);
         }
-        let _ = shared.work_cond.wait_for(&mut guard, IDLE_RECHECK);
     }
 }
 
-/// A fixed-size pool of work-stealing executor threads (see the module
-/// docs for the queueing discipline).
+/// A fixed-size pool of executor threads over one FIFO (module docs).
 pub struct ExecutorPool {
     shared: Arc<Shared>,
     workers: Vec<std::thread::JoinHandle<()>>,
@@ -106,30 +61,17 @@ pub struct ExecutorPool {
 impl ExecutorPool {
     /// Starts a pool of `workers` threads (at least one).
     pub fn new(workers: usize) -> Self {
-        let workers = workers.max(1);
-        let shared = Arc::new(Shared {
-            queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            pending: AtomicUsize::new(0),
-            stopping: AtomicBool::new(false),
-            next: AtomicUsize::new(0),
-            work_mutex: Mutex::new(()),
-            work_cond: Condvar::new(),
-            idle_mutex: Mutex::new(()),
-            idle_cond: Condvar::new(),
-        });
-        let handles = (0..workers)
+        let shared = Arc::new(Shared::default());
+        let workers = (0..workers.max(1))
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("campaign-exec-{i}"))
-                    .spawn(move || worker_loop(&shared, i))
+                    .spawn(move || worker_loop(&shared))
                     .expect("spawn executor worker")
             })
             .collect();
-        ExecutorPool {
-            shared,
-            workers: handles,
-        }
+        ExecutorPool { shared, workers }
     }
 
     /// Number of worker threads.
@@ -139,64 +81,37 @@ impl ExecutorPool {
 
     /// Jobs submitted and not yet finished.
     pub fn pending(&self) -> usize {
-        self.shared.pending.load(Ordering::SeqCst)
+        self.shared.state.lock().pending
     }
 
-    /// Enqueues a job.  Callable from any thread, including from inside a
-    /// running job (workers never block on submission).  Panics if called
-    /// after [`ExecutorPool::shutdown`] began (jobs would be dropped).
+    /// Enqueues a job; callable from any thread, a running job included.
     pub fn submit(&self, job: impl FnOnce() + Send + 'static) {
-        assert!(
-            !self.shared.stopping.load(Ordering::SeqCst),
-            "submit to a stopping ExecutorPool"
-        );
-        // Count before enqueueing so `drain` can never observe the queue
-        // with the job but `pending` without it.
-        self.shared.pending.fetch_add(1, Ordering::SeqCst);
-        let slot = self.shared.next.fetch_add(1, Ordering::SeqCst) % self.workers.len();
-        self.shared.queues[slot].lock().push_back(Box::new(job));
-        // Pair with the worker's check-then-wait under the same lock.
-        drop(self.shared.work_mutex.lock());
-        self.shared.work_cond.notify_one();
+        let mut state = self.shared.state.lock();
+        state.pending += 1;
+        state.queue.push_back(Box::new(job));
+        drop(state);
+        self.shared.work.notify_one();
     }
 
-    /// Blocks until every submitted job has finished.  The workers stay
-    /// alive; more jobs can be submitted afterwards (or concurrently — in
-    /// that case drain waits for those too, returning at *a* quiescent
-    /// point).
+    /// Blocks until every submitted job has finished, those submitted
+    /// meanwhile included.  The workers stay alive for more.
     pub fn drain(&self) {
-        let mut guard = self.shared.idle_mutex.lock();
-        while self.shared.pending.load(Ordering::SeqCst) != 0 {
-            let _ = self.shared.idle_cond.wait_for(&mut guard, IDLE_RECHECK);
+        let mut state = self.shared.state.lock();
+        while state.pending != 0 {
+            self.shared.idle.wait(&mut state);
         }
     }
 
-    /// Drains outstanding work, then stops and joins every worker.
-    pub fn shutdown(mut self) {
-        self.drain();
-        self.shared.stopping.store(true, Ordering::SeqCst);
-        {
-            let _guard = self.shared.work_mutex.lock();
-        }
-        self.shared.work_cond.notify_all();
-        for handle in self.workers.drain(..) {
-            handle.join().expect("executor worker panicked");
-        }
-    }
+    /// Finishes outstanding work, then stops and joins every worker (`Drop`).
+    pub fn shutdown(self) {}
 }
 
 impl Drop for ExecutorPool {
+    /// Workers empty the queue before they look at `stopping`, so a pool
+    /// dropped without `shutdown` (a test panicking past it) is as graceful.
     fn drop(&mut self) {
-        // Graceful even when dropped without an explicit shutdown (e.g. a
-        // test panicking past it): finish queued work, then join.
-        if self.workers.is_empty() {
-            return;
-        }
-        self.shared.stopping.store(true, Ordering::SeqCst);
-        {
-            let _guard = self.shared.work_mutex.lock();
-        }
-        self.shared.work_cond.notify_all();
+        self.shared.state.lock().stopping = true;
+        self.shared.work.notify_all();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
@@ -206,6 +121,8 @@ impl Drop for ExecutorPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::time::Duration;
 
     #[test]
     fn executes_every_job_exactly_once() {
@@ -263,10 +180,9 @@ mod tests {
     }
 
     #[test]
-    fn siblings_steal_from_a_loaded_queue() {
-        // One long job pins worker 0 while round-robin keeps handing it
-        // every even-numbered submission; the only way the batch finishes
-        // promptly is siblings stealing worker 0's backlog.
+    fn a_pinned_worker_does_not_hold_up_queued_jobs() {
+        // One long job pins a worker; everything submitted behind it must
+        // still complete on the other worker.
         let pool = ExecutorPool::new(2);
         let counter = Arc::new(AtomicUsize::new(0));
         let gate = Arc::new(AtomicBool::new(false));
@@ -284,7 +200,7 @@ mod tests {
                 counter.fetch_add(1, Ordering::SeqCst);
             });
         }
-        // All 40 short jobs must complete while worker 0 is still pinned.
+        // All 40 short jobs must complete while that worker is still pinned.
         let start = std::time::Instant::now();
         while counter.load(Ordering::SeqCst) != 40 {
             assert!(
@@ -311,5 +227,48 @@ mod tests {
         }
         pool.shutdown();
         assert_eq!(counter.load(Ordering::SeqCst), 50);
+    }
+
+    #[test]
+    fn a_panicking_job_leaves_the_pool_usable() {
+        // On a helper thread under a deadline: a pool that lost a worker or
+        // a `pending` count to the panic would block here forever.
+        use std::sync::mpsc::{channel, RecvTimeoutError};
+        let (done, finished) = channel();
+        let helper = std::thread::spawn(move || {
+            const WORKERS: usize = 2;
+            let pool = ExecutorPool::new(WORKERS);
+            // The barrier makes every worker take one of the panicking jobs.
+            let barrier = Arc::new(std::sync::Barrier::new(WORKERS));
+            for _ in 0..WORKERS {
+                let barrier = Arc::clone(&barrier);
+                pool.submit(move || {
+                    barrier.wait();
+                    panic!("job panic (expected by this test)");
+                });
+            }
+            pool.drain();
+            assert_eq!(pool.pending(), 0);
+            // 100 further jobs that only complete in pairs: every worker
+            // must still be serving.
+            let counter = Arc::new(AtomicUsize::new(0));
+            for _ in 0..100 {
+                let barrier = Arc::clone(&barrier);
+                let counter = Arc::clone(&counter);
+                pool.submit(move || {
+                    barrier.wait();
+                    counter.fetch_add(1, Ordering::SeqCst);
+                });
+            }
+            pool.drain();
+            assert_eq!(counter.load(Ordering::SeqCst), 100);
+            pool.shutdown();
+            done.send(()).unwrap();
+        });
+        if finished.recv_timeout(Duration::from_secs(10)) == Err(RecvTimeoutError::Timeout) {
+            panic!("pool still blocked 10 s after a job panicked");
+        }
+        // A failed assertion on the helper surfaces here.
+        helper.join().unwrap();
     }
 }

@@ -1,5 +1,5 @@
 //! Campaign execution: one deterministic virtual-time simulation per
-//! [`RunSpec`], fanned out over the work-stealing executor pool.
+//! [`RunSpec`], fanned out over the executor pool ([`crate::queue`]).
 //!
 //! Every run is self-contained — its own simulated cluster, its own seed,
 //! its own failure traces — so runs can execute concurrently without
@@ -7,11 +7,12 @@
 //! byte-identical to the one produced with `--jobs 1` (results are placed
 //! by grid index, never by completion order).
 
+use crate::cache::{CachedBatch, RunCache};
 use crate::grid::CampaignGrid;
 use crate::queue::ExecutorPool;
 use crate::spec::RunSpec;
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::io;
+use std::sync::{mpsc, Arc};
 
 /// Aggregated result of one campaign run — the campaign-historical name of
 /// the versioned report model's row type ([`crate::report::v1::RunRecord`]).
@@ -30,46 +31,78 @@ pub fn run_spec(spec: &RunSpec) -> RunResult {
 }
 
 /// Executes `specs` on a transient pool of up to `jobs` workers and returns
-/// the results in grid order (independent of completion order).
+/// the results in grid order (independent of completion order).  Panics if
+/// a run panicked.
 pub fn run_specs(specs: &[RunSpec], jobs: usize) -> Vec<RunResult> {
-    if specs.is_empty() {
-        return Vec::new();
-    }
     let pool = ExecutorPool::new(jobs.max(1).min(specs.len()));
-    let results = run_specs_on(&pool, specs);
-    pool.shutdown();
-    results
+    run_batch(&pool, specs, None, |_, _, _| {})
+        .expect("campaign run")
+        .runs
 }
 
-/// Executes `specs` on an existing pool (the long-running serve pool, or a
-/// transient one), returning results in spec order.  Blocks until every
-/// one of *these* specs finished; other traffic on the pool proceeds
-/// concurrently and is not waited for.
-pub fn run_specs_on(pool: &ExecutorPool, specs: &[RunSpec]) -> Vec<RunResult> {
-    let slots: Arc<Vec<Mutex<Option<RunResult>>>> =
-        Arc::new(specs.iter().map(|_| Mutex::new(None)).collect());
-    let done = Arc::new((Mutex::new(0usize), parking_lot::Condvar::new()));
-    for (i, spec) in specs.iter().cloned().enumerate() {
-        let slots = Arc::clone(&slots);
-        let done = Arc::clone(&done);
+/// The one batch path: executes `specs` on an existing pool (the
+/// long-running serve pool, or a transient one), through `cache` when there
+/// is one — hits replay immediately, misses run concurrently and are stored
+/// for next time.  Blocks until every one of *these* specs finished; other
+/// traffic on the pool proceeds concurrently and is not waited for.
+///
+/// Workers send `(index, result, cache-write outcome)` back to the calling
+/// thread, which places results by index and calls
+/// `on_complete(index, cached, result)` once per spec in completion order
+/// (hits first, then misses as they finish) — the serve loop streams its
+/// JSONL from this.  The first failed cache write, or a run that panicked
+/// (its worker survives, see [`crate::queue`]), is returned as the error
+/// once every other run of the batch has finished.
+pub fn run_batch(
+    pool: &ExecutorPool,
+    specs: &[RunSpec],
+    cache: Option<&Arc<RunCache>>,
+    mut on_complete: impl FnMut(usize, bool, &RunResult),
+) -> io::Result<CachedBatch> {
+    let mut slots: Vec<Option<RunResult>> = specs.iter().map(|_| None).collect();
+    let (results, completed) = mpsc::channel();
+    let mut hits = 0;
+    for (i, spec) in specs.iter().enumerate() {
+        if let Some(result) = cache.and_then(|c| c.get(spec)) {
+            on_complete(i, true, &result);
+            slots[i] = Some(result);
+            hits += 1;
+            continue;
+        }
+        let (spec, cache, results) = (spec.clone(), cache.cloned(), results.clone());
         pool.submit(move || {
             let result = run_spec(&spec);
-            *slots[i].lock() = Some(result);
-            let (count, cond) = &*done;
-            *count.lock() += 1;
-            cond.notify_all();
+            let stored = cache.map_or(Ok(()), |c| c.put(&spec, &result));
+            // The receiver outlives every job of its batch.
+            let _ = results.send((i, result, stored));
         });
     }
-    let (count, cond) = &*done;
-    let mut finished = count.lock();
-    while *finished < specs.len() {
-        cond.wait(&mut finished);
+    // Only the jobs hold senders now: the loop ends when the last one has
+    // reported or unwound.
+    drop(results);
+    let mut failure = None;
+    for (i, result, stored) in completed {
+        if let Err(e) = stored {
+            failure.get_or_insert(e);
+        }
+        on_complete(i, false, &result);
+        slots[i] = Some(result);
     }
-    drop(finished);
-    slots
+    if let Some(e) = failure {
+        return Err(io::Error::new(e.kind(), format!("run cache write: {e}")));
+    }
+    let runs = specs
         .iter()
-        .map(|slot| slot.lock().take().expect("every slot was executed"))
-        .collect()
+        .zip(slots)
+        .map(|(spec, slot)| {
+            slot.ok_or_else(|| io::Error::other(format!("run {} panicked", spec.id())))
+        })
+        .collect::<io::Result<Vec<_>>>()?;
+    Ok(CachedBatch {
+        executed: runs.len() - hits,
+        runs,
+        hits,
+    })
 }
 
 /// Expands and executes a whole grid, producing the campaign report.

@@ -18,7 +18,7 @@
 //! [`Spool::submit_specs`]); claiming moves the job file into `active/`,
 //! so exactly one server instance owns each job even if several servers
 //! share a spool.  The server executes every job through the shared
-//! work-stealing pool ([`crate::queue::ExecutorPool`]) and the
+//! executor pool ([`crate::queue::ExecutorPool`]) and the
 //! content-addressed run cache ([`crate::cache::RunCache`]): a re-submitted
 //! sweep replays its cached runs verbatim and executes only the delta, and
 //! because cached rows carry their originally measured values, the warm
@@ -28,10 +28,11 @@
 //! deterministic (modulo informational fields); `results/<id>.jsonl` is in
 //! *completion* order — it exists for progress streaming, not for gating.
 
-use crate::cache::{run_specs_cached_on, RunCache};
+use crate::cache::RunCache;
 use crate::grid::CampaignGrid;
 use crate::queue::ExecutorPool;
 use crate::report::v1;
+use crate::runner::run_batch;
 use crate::spec::RunSpec;
 use crate::Json;
 use parking_lot::Mutex;
@@ -67,7 +68,8 @@ pub struct JobSummary {
     /// Host wall-clock for the whole job, in milliseconds (informational).
     pub wall_ms: f64,
     /// Failure description if the job could not run (bad grid name,
-    /// malformed spec list); `None` on success.
+    /// malformed or invalid spec list) or did not finish (a run panicked,
+    /// a cache entry could not be written); `None` on success.
     pub error: Option<String>,
 }
 
@@ -372,33 +374,38 @@ fn process_job(
         Err(error) => fail(id, error),
         Ok((campaign, scale, specs)) => {
             // Stream per-run records (completion order) while the batch runs.
-            let stream = std::fs::File::create(spool.stream_path(id))?;
-            let stream = Arc::new(Mutex::new(stream));
-            let batch = run_specs_cached_on(pool, &specs, cache, move |index, cached, run| {
+            let mut stream = std::fs::File::create(spool.stream_path(id))?;
+            let batch = run_batch(pool, &specs, Some(cache), |index, cached, run| {
                 let line = Json::obj(vec![
                     ("index", Json::Num(index as f64)),
                     ("cached", Json::Bool(cached)),
                     ("run", run.to_json()),
                 ])
                 .render_compact();
-                let mut file = stream.lock();
-                let _ = writeln!(file, "{line}");
-                let _ = file.flush();
+                let _ = writeln!(stream, "{line}");
+                let _ = stream.flush();
             });
-            let report = v1::Report {
-                campaign: campaign.clone(),
-                scale,
-                runs: batch.runs,
-            };
-            write_atomic(&spool.result_path(id), &report.to_json().render())?;
-            JobSummary {
-                id: id.to_string(),
-                campaign,
-                runs: report.runs.len(),
-                executed: batch.executed,
-                cache_hits: batch.hits,
-                wall_ms: started.elapsed().as_secs_f64() * 1e3,
-                error: None,
+            match batch {
+                // A run that panicked or a cache that cannot be written
+                // fails this job, on record; the server keeps serving.
+                Err(e) => fail(&campaign, format!("job '{id}': {e}")),
+                Ok(batch) => {
+                    let report = v1::Report {
+                        campaign: campaign.clone(),
+                        scale,
+                        runs: batch.runs,
+                    };
+                    write_atomic(&spool.result_path(id), &report.to_json().render())?;
+                    JobSummary {
+                        id: id.to_string(),
+                        campaign,
+                        runs: report.runs.len(),
+                        executed: batch.executed,
+                        cache_hits: batch.hits,
+                        wall_ms: started.elapsed().as_secs_f64() * 1e3,
+                        error: None,
+                    }
+                }
             }
         }
     };
@@ -407,8 +414,8 @@ fn process_job(
     Ok(summary)
 }
 
-/// Runs the server loop over `spool`: claim queued jobs, execute them on a
-/// shared work-stealing pool through the run cache, repeat.  Returns the
+/// Runs the server loop over `spool`: claim queued jobs, execute them on
+/// one shared executor pool through the run cache, repeat.  Returns the
 /// summaries of every job processed in this session, in completion order.
 ///
 /// Exits when a stop marker appears ([`Spool::request_stop`]; consumed on

@@ -153,7 +153,8 @@ impl RunSpec {
     /// Parses the output of [`RunSpec::to_json`], assigning `index`.
     /// Every axis label goes through the same parser that accepts it on
     /// the command line, so the wire form can express exactly what the CLI
-    /// can.
+    /// can, and the result is a valid experiment
+    /// ([`RunSpec::experiment`] is `Ok`).
     pub fn from_json(index: usize, doc: &crate::json::Json) -> Result<Self, String> {
         use crate::json::Json;
         let label = |name: &str| -> Result<&str, String> {
@@ -208,7 +209,7 @@ impl RunSpec {
             ),
             Some(None) => return Err("run spec: 'ckpt' must be a string label".to_string()),
         };
-        Ok(RunSpec {
+        let spec = RunSpec {
             index,
             app,
             scale,
@@ -217,7 +218,12 @@ impl RunSpec {
             failure,
             seed,
             ckpt,
-        })
+        };
+        // Labels that each parse can still combine into no experiment
+        // (`replicated1`): everything downstream relies on this check.
+        spec.experiment()
+            .map_err(|e| format!("run spec '{}': {e}", spec.id()))?;
+        Ok(spec)
     }
 
     /// The inverse of [`RunSpec::experiment`] on the six grid axes:
@@ -332,6 +338,11 @@ mod tests {
         )
         .unwrap();
         assert!(RunSpec::from_json(0, &bad).unwrap_err().contains("app"));
+        // So do labels that parse but are not an experiment together.
+        let text = doc.render().replace("replicated2", "replicated1");
+        let bad = crate::json::Json::parse(&text).unwrap();
+        let err = RunSpec::from_json(0, &bad).unwrap_err();
+        assert!(err.contains("replicated1"), "{err}");
         // A seed the wire form cannot carry exactly is an error, not a
         // saturated or truncated different seed.
         for seed in ["-1", "1.5", "9007199254740994", "\"7\"", "null"] {

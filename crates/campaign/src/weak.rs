@@ -54,37 +54,19 @@ impl WeakRunSpec {
         self.logical * self.mode.degree()
     }
 
-    /// Per-rank crash times of this run.  Poisson plans take the first
-    /// arrival of each physical rank's trace (same sampler, seed discipline
-    /// and labels as the classic grid's failure axis); correlated plans
-    /// expand each group's first event over the co-located ranks of the
-    /// run's topology — the same one [`apps::run_weak_scaling`] places the
-    /// ranks on.
+    /// Per-rank crash times of this run: the first of each physical rank's
+    /// [`FailureSpec::arrivals`] (an engine rank is crash-stop, so only its
+    /// first arrival can fire) on the run's topology — the same one
+    /// [`apps::run_weak_scaling`] places the ranks on — with the sampler,
+    /// seed discipline and labels of the classic grid's failure axis.
     pub fn crashes(&self) -> Vec<(usize, SimTime)> {
-        match self.failure {
-            FailureSpec::None => Vec::new(),
-            FailureSpec::Poisson { rate, horizon_s } => {
-                let horizon = SimTime::from_secs(horizon_s);
-                (0..self.procs())
-                    .filter_map(|rank| {
-                        replication::sample_failure_trace(rate, horizon, self.seed, rank)
-                            .first()
-                            .map(|&t| (rank, t))
-                    })
-                    .collect()
-            }
-            FailureSpec::Correlated {
-                domain,
-                rate,
-                horizon_s,
-            } => {
-                let topology = self
-                    .workload()
-                    .topology(&simcluster::MachineModel::grid5000_ib20g());
-                replication::CorrelatedPlan::new(domain, rate, SimTime::from_secs(horizon_s))
-                    .crashes(&topology, self.seed)
-            }
-        }
+        let topology = self
+            .workload()
+            .topology(&simcluster::MachineModel::grid5000_ib20g());
+        let mut crashes = self.failure.arrivals(&topology, self.seed);
+        // A rank's arrivals are adjacent, earliest first.
+        crashes.dedup_by_key(|&mut (rank, _)| rank);
+        crashes
     }
 
     /// The workload spec this run executes.
@@ -445,6 +427,46 @@ mod tests {
             assert!(t < SimTime::from_secs(FailureSpec::DEFAULT_HORIZON_S));
         }
         assert!(spec_none_has_no_crashes());
+    }
+
+    #[test]
+    fn crashes_are_the_first_arrival_of_each_rank() {
+        let plans: Vec<FailureSpec> = WeakSweep::failures()
+            .failures
+            .into_iter()
+            .chain(crate::CampaignGrid::failures().failures)
+            .collect();
+        let mut later_arrivals_dropped = 0;
+        for failure in plans {
+            for mode in [WeakMode::Native, WeakMode::Intra] {
+                let spec = WeakRunSpec {
+                    index: 0,
+                    logical: 48,
+                    mode,
+                    iters: 2,
+                    failure,
+                    seed: 42,
+                };
+                let topology = spec
+                    .workload()
+                    .topology(&simcluster::MachineModel::grid5000_ib20g());
+                assert_eq!(topology.num_procs(), spec.procs());
+                let arrivals = failure.arrivals(&topology, spec.seed);
+                let mut seen = std::collections::HashSet::new();
+                let firsts: Vec<_> = arrivals
+                    .iter()
+                    .copied()
+                    .filter(|&(rank, _)| seen.insert(rank))
+                    .collect();
+                assert_eq!(spec.crashes(), firsts, "{}", spec.id());
+                for &(rank, first) in &firsts {
+                    let earliest = arrivals.iter().filter(|a| a.0 == rank).map(|a| a.1).min();
+                    assert_eq!(Some(first), earliest, "{} rank {rank}", spec.id());
+                }
+                later_arrivals_dropped += arrivals.len() - firsts.len();
+            }
+        }
+        assert!(later_arrivals_dropped > 0, "no plan had a second arrival");
     }
 
     fn spec_none_has_no_crashes() -> bool {

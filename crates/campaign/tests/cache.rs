@@ -60,12 +60,12 @@ fn warm_hits_are_byte_identical_to_the_cold_run() {
     let cache = Arc::new(RunCache::open(&dir).unwrap());
     let specs = mini_specs();
 
-    let cold = run_specs_cached(&specs, 2, &cache);
+    let cold = run_specs_cached(&specs, 2, &cache).unwrap();
     assert_eq!(cold.executed, specs.len());
     assert_eq!(cold.hits, 0);
     assert_eq!(cache.len(), specs.len());
 
-    let warm = run_specs_cached(&specs, 1, &cache);
+    let warm = run_specs_cached(&specs, 1, &cache).unwrap();
     assert_eq!(warm.executed, 0, "warm re-sweep must execute nothing");
     assert_eq!(warm.hits, specs.len());
 
@@ -82,8 +82,8 @@ fn cached_results_are_jobs_invariant() {
     let dir1 = temp_dir("j1");
     let dir8 = temp_dir("j8");
     let specs = mini_specs();
-    let c1 = run_specs_cached(&specs, 1, &Arc::new(RunCache::open(&dir1).unwrap()));
-    let c8 = run_specs_cached(&specs, 8, &Arc::new(RunCache::open(&dir8).unwrap()));
+    let c1 = run_specs_cached(&specs, 1, &Arc::new(RunCache::open(&dir1).unwrap())).unwrap();
+    let c8 = run_specs_cached(&specs, 8, &Arc::new(RunCache::open(&dir8).unwrap())).unwrap();
     let strip = |runs| {
         let mut doc = Json::parse(&render(runs)).unwrap();
         strip_informational(&mut doc);
@@ -99,12 +99,42 @@ fn smoke_grid_warm_resweep_executes_zero_runs() {
     let dir = temp_dir("smoke");
     let cache = Arc::new(RunCache::open(&dir).unwrap());
     let specs = CampaignGrid::smoke().expand();
-    let cold = run_specs_cached(&specs, 4, &cache);
+    let cold = run_specs_cached(&specs, 4, &cache).unwrap();
     assert_eq!((cold.executed, cold.hits), (specs.len(), 0));
-    let warm = run_specs_cached(&specs, 4, &cache);
+    let warm = run_specs_cached(&specs, 4, &cache).unwrap();
     assert_eq!((warm.executed, warm.hits), (0, specs.len()));
     assert_eq!(render(cold.runs), render(warm.runs));
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_vanished_cache_directory_is_an_error_not_a_hang() {
+    // On a helper thread under a deadline: before, the failed writes
+    // panicked the pool's workers and the batch waited for them forever.
+    let (done, finished) = std::sync::mpsc::channel();
+    let helper = std::thread::spawn(move || {
+        let dir = temp_dir("vanished");
+        let cache = Arc::new(RunCache::open(&dir).unwrap());
+        std::fs::remove_dir_all(&dir).unwrap();
+        let specs = mini_specs();
+        let err = run_specs_cached(&specs, 2, &cache)
+            .err()
+            .expect("no cache to write to");
+        assert!(err.to_string().contains("run cache write"), "{err}");
+        // Nothing is left broken: the next batch, on a cache that exists,
+        // runs everything.
+        let cache = Arc::new(RunCache::open(&dir).unwrap());
+        let batch = run_specs_cached(&specs, 2, &cache).unwrap();
+        assert_eq!((batch.executed, batch.hits), (specs.len(), 0));
+        std::fs::remove_dir_all(&dir).unwrap();
+        done.send(()).unwrap();
+    });
+    let deadline = std::time::Duration::from_secs(5);
+    if finished.recv_timeout(deadline) == Err(std::sync::mpsc::RecvTimeoutError::Timeout) {
+        panic!("batch on a vanished cache still blocked after {deadline:?}");
+    }
+    // A failed assertion on the helper surfaces here.
+    helper.join().unwrap();
 }
 
 #[test]

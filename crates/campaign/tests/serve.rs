@@ -236,14 +236,34 @@ fn bad_jobs_fail_with_a_recorded_error() {
     let spool = Spool::open(tree.path("spool")).unwrap();
     let cache = Arc::new(RunCache::open(tree.path("cache")).unwrap());
     spool.submit_grid("oops", "no-such-grid").unwrap();
-    let summaries = serve(&spool, &cache, &drain_options()).unwrap();
-    assert_eq!(summaries.len(), 1);
+    // Labels that parse but are not an experiment (replication degree 1).
+    let mut poison = mini_specs(&[43]);
+    poison[0].mode = ExecutionMode::Replicated { degree: 1 };
+    spool.submit_specs("poison", &poison).unwrap();
+    let mut summaries = serve(&spool, &cache, &drain_options()).unwrap();
+    summaries.sort_by(|a, b| a.id.cmp(&b.id));
+    assert_eq!(summaries.len(), 2);
     let error = summaries[0].error.as_deref().unwrap();
     assert!(error.contains("no-such-grid"), "{error}");
-    // The failure is durable: visible in a fresh status scan.
+    let error = summaries[1].error.as_deref().unwrap();
+    assert!(error.contains("replicated1"), "{error}");
+    // The failures are durable: visible in a fresh status scan, and
+    // nothing is left in `active/` to be re-queued at the next start.
     let status = spool.status().unwrap();
-    assert_eq!(status.done.len(), 1);
-    assert!(status.done[0].error.is_some());
+    assert_eq!(status.done.len(), 2);
+    assert!(status.done.iter().all(|s| s.error.is_some()));
+    assert_eq!(status.active, Vec::<String>::new());
+    // The server still serves a good job afterwards.
+    spool.submit_specs("good", &mini_specs(&[43])).unwrap();
+    let summaries = serve(&spool, &cache, &drain_options()).unwrap();
+    assert_eq!(summaries.len(), 1);
+    assert_eq!((summaries[0].executed, &summaries[0].error), (1, &None));
+    // A job whose runs cannot be stored fails on record too.
+    std::fs::remove_dir_all(tree.path("cache")).unwrap();
+    spool.submit_specs("uncached", &mini_specs(&[44])).unwrap();
+    let summaries = serve(&spool, &cache, &drain_options()).unwrap();
+    let error = summaries[0].error.as_deref().unwrap();
+    assert!(error.contains("run cache write"), "{error}");
     // Duplicate ids are rejected at submission time.
     let err = spool.submit_grid("oops", "smoke").unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::AlreadyExists);

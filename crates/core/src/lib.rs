@@ -80,7 +80,7 @@ pub use runtime::{IntraConfig, IntraRuntime};
 #[allow(deprecated)]
 pub use sched::{
     assignment_makespan, AdaptiveScheduler, CostAwareScheduler, LocalityAwareScheduler,
-    RoundRobinScheduler, Scheduler, SchedulerKind, SchedulerRegistry, StaticBlockScheduler,
+    RoundRobinScheduler, Scheduler, SchedulerKind, StaticBlockScheduler,
 };
 pub use section::{split_ranges, Section, MAX_ARGS_PER_TASK, MAX_TASKS_PER_SECTION};
 pub use task::{ArgSpec, ArgTag, CostHint, TaskCost, TaskCtx, TaskDef, TaskFn};
@@ -95,7 +95,7 @@ pub mod prelude {
     pub use crate::runtime::{IntraConfig, IntraRuntime};
     pub use crate::sched::{
         AdaptiveScheduler, CostAwareScheduler, LocalityAwareScheduler, RoundRobinScheduler,
-        Scheduler, SchedulerKind, SchedulerRegistry, StaticBlockScheduler,
+        Scheduler, SchedulerKind, StaticBlockScheduler,
     };
     pub use crate::section::{split_ranges, Section};
     pub use crate::task::{ArgSpec, ArgTag, CostHint, TaskCost, TaskCtx, TaskDef};

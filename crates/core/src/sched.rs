@@ -11,9 +11,9 @@
 //! learned across section instances (see [`crate::cost::CostModel`]), the
 //! latter keeps assignments contiguous and stable across iterations.
 //! [`SchedulerKind`] is the typed selection knob for the five built-ins
-//! (CLIs parse it from strings at the edge with `FromStr`), and
-//! [`SchedulerRegistry`] remains the extension point for custom scheduler
-//! implementations that need name-based lookup.
+//! (CLIs parse it from strings at the edge with `FromStr`); a custom
+//! [`Scheduler`] implementation plugs in through
+//! [`crate::IntraConfig::with_scheduler`].
 //!
 //! A scheduler is a pure function of the task weights and the set of alive
 //! replicas, so all replicas of a logical process independently compute the
@@ -393,84 +393,6 @@ impl FromStr for SchedulerKind {
     }
 }
 
-/// Name → scheduler registry: the extension point for *custom*
-/// [`Scheduler`] implementations.
-///
-/// The built-in schedulers are selected with the typed [`SchedulerKind`]
-/// enum; the registry remains for embedders that register their own
-/// schedulers and need name-based lookup for them.
-///
-/// # Examples
-///
-/// ```
-/// use ipr_core::SchedulerRegistry;
-///
-/// let registry = SchedulerRegistry::builtin();
-/// assert_eq!(
-///     registry.names(),
-///     vec!["static-block", "round-robin", "cost-aware", "adaptive", "locality"]
-/// );
-/// let sched = registry.get("adaptive").expect("registered");
-/// assert_eq!(sched.name(), "adaptive");
-/// assert!(registry.get("no-such-scheduler").is_none());
-/// ```
-pub struct SchedulerRegistry {
-    entries: Vec<Arc<dyn Scheduler>>,
-}
-
-impl SchedulerRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        SchedulerRegistry {
-            entries: Vec::new(),
-        }
-    }
-
-    /// The registry of the five built-in schedulers, in documentation order.
-    pub fn builtin() -> Self {
-        let mut r = SchedulerRegistry::new();
-        r.register(Arc::new(StaticBlockScheduler));
-        r.register(Arc::new(RoundRobinScheduler));
-        r.register(Arc::new(CostAwareScheduler));
-        r.register(Arc::new(AdaptiveScheduler));
-        r.register(Arc::new(LocalityAwareScheduler));
-        r
-    }
-
-    /// Registers a scheduler under its [`Scheduler::name`].  A scheduler
-    /// with the same name replaces the previous entry.
-    pub fn register(&mut self, scheduler: Arc<dyn Scheduler>) {
-        if let Some(slot) = self
-            .entries
-            .iter_mut()
-            .find(|e| e.name() == scheduler.name())
-        {
-            *slot = scheduler;
-        } else {
-            self.entries.push(scheduler);
-        }
-    }
-
-    /// Looks a scheduler up by name.
-    pub fn get(&self, name: &str) -> Option<Arc<dyn Scheduler>> {
-        self.entries
-            .iter()
-            .find(|e| e.name() == name)
-            .map(Arc::clone)
-    }
-
-    /// The registered names, in registration order.
-    pub fn names(&self) -> Vec<&'static str> {
-        self.entries.iter().map(|e| e.name()).collect()
-    }
-}
-
-impl Default for SchedulerRegistry {
-    fn default() -> Self {
-        SchedulerRegistry::builtin()
-    }
-}
-
 /// Makespan of an assignment: the maximum, over the replicas, of the summed
 /// weights of the tasks assigned to that replica.  Used by the scheduler
 /// tests and the `ABL-ADAPT` ablation.
@@ -502,7 +424,16 @@ mod tests {
             assert_eq!(kind.to_string(), kind.name());
             assert_eq!(kind.scheduler().name(), kind.name());
         }
-        assert_eq!(SchedulerKind::names(), SchedulerRegistry::builtin().names());
+        assert_eq!(
+            SchedulerKind::names(),
+            [
+                "static-block",
+                "round-robin",
+                "cost-aware",
+                "adaptive",
+                "locality"
+            ]
+        );
     }
 
     #[test]
@@ -621,26 +552,6 @@ mod tests {
             .map(|(i, w)| w * (1.0 + 0.01 * ((i % 3) as f64 - 1.0)))
             .collect();
         assert_eq!(s.assign(&base, &[0, 1]), s.assign(&wiggled, &[0, 1]));
-    }
-
-    #[test]
-    fn registry_roundtrips_names() {
-        let r = SchedulerRegistry::builtin();
-        for name in r.names() {
-            assert_eq!(r.get(name).unwrap().name(), name);
-        }
-        assert!(r.get("unknown").is_none());
-        assert!(SchedulerKind::Locality.scheduler().name() == "locality");
-        assert_eq!(SchedulerRegistry::default().names().len(), 5);
-        assert!(SchedulerRegistry::new().names().is_empty());
-    }
-
-    #[test]
-    fn registry_replaces_same_name_entries() {
-        let mut r = SchedulerRegistry::new();
-        r.register(Arc::new(StaticBlockScheduler));
-        r.register(Arc::new(StaticBlockScheduler));
-        assert_eq!(r.names(), vec!["static-block"]);
     }
 
     #[test]

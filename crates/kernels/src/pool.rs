@@ -1,36 +1,31 @@
-//! A small intra-rank work-stealing pool for kernel tiles.
+//! A small intra-rank fork-join pool for kernel tiles.
 //!
 //! The paper's intra-parallelization executes a kernel as a set of
 //! independent tiles (plane ranges, row ranges) inside one rank.  This pool
-//! is the host-side executor for that shape of work: a fixed task set is
-//! distributed round-robin over per-worker deques, each worker drains its
-//! own deque from the front and steals from siblings' backs when it runs
-//! dry — the same discipline as the campaign crate's `ExecutorPool`, but
-//! scoped: tasks may borrow the caller's data (the grids and vectors being
-//! swept), which a long-lived `'static` pool cannot allow without `unsafe`.
-//!
-//! Because the task set of one [`KernelPool::run`] call is fixed up front
-//! and kernel tiles never spawn new tiles, an idle worker that finds every
-//! deque empty can simply exit: no condition variables, no idle backstop.
-//! [`std::thread::scope`] joins the workers before `run` returns, so the
-//! borrow checker sees the borrows end there — the whole pool is safe code
-//! (this crate is `#![deny(unsafe_code)]`).
+//! is the host-side executor for that shape of work: the tiles of one
+//! [`KernelPool::run`] call go into one locked queue and scoped workers pop
+//! it, first tile first — the queue discipline of the campaign crate's
+//! `ExecutorPool`, but scoped: tasks may borrow the caller's data (the
+//! grids and vectors being swept), which a long-lived `'static` pool cannot
+//! allow without `unsafe`.  The task set is fixed up front and tiles never
+//! spawn tiles, so a worker that finds the queue empty is done (no
+//! condition variables), and [`std::thread::scope`] joins the workers
+//! before `run` returns, which is where the borrows end — the whole pool is
+//! safe code (this crate is `#![deny(unsafe_code)]`).
 //!
 //! Determinism: tiles write disjoint outputs and their arithmetic does not
 //! depend on which worker executes them, so pool-driven sweeps are
 //! bit-identical to sequential ones for *any* worker count (the property
-//! tests pin this down).  The modeled [`crate::KernelCost`] descriptors are
-//! untouched by host-side execution: virtual-time reports cannot observe
-//! the pool.
+//! tests pin this down), and the modeled [`crate::KernelCost`] descriptors
+//! are untouched: virtual-time reports cannot observe the pool.
 
-use std::collections::VecDeque;
 use std::sync::Mutex;
 
 /// One unit of kernel work: a closure borrowing the caller's data for the
 /// lifetime of a single [`KernelPool::run`] call.
 pub type Task<'scope> = Box<dyn FnOnce() + Send + 'scope>;
 
-/// A fork-join work-stealing executor for kernel tiles.
+/// A fork-join executor for kernel tiles.
 #[derive(Debug, Clone)]
 pub struct KernelPool {
     workers: usize,
@@ -60,70 +55,26 @@ impl KernelPool {
 
     /// Executes every task, returning when all have finished.
     ///
-    /// Tasks are dealt round-robin onto per-worker deques; worker `w` pops
-    /// its own deque from the front (oldest first) and steals from other
-    /// deques' backs when its own is empty.  With one worker — or with an
-    /// empty or single-task set, which skips the thread machinery entirely —
-    /// this degenerates to in-order sequential execution on the calling
-    /// thread.
+    /// The calling thread is one of the workers and no more workers start
+    /// than there are tasks, so one worker — or an empty or single-task
+    /// set — is in-order sequential execution on the calling thread.
     pub fn run(&self, tasks: Vec<Task<'_>>) {
-        let n = self.workers;
-        if n == 1 || tasks.len() <= 1 {
-            for t in tasks {
-                t();
+        let workers = self.workers.min(tasks.len());
+        let queue = Mutex::new(tasks.into_iter());
+        let work = || loop {
+            // A statement of its own: the guard must drop before the task runs.
+            let next = queue.lock().expect("tasks run outside the lock").next();
+            match next {
+                Some(task) => task(),
+                None => return,
             }
-            return;
-        }
-        let queues: Vec<Mutex<VecDeque<Task<'_>>>> =
-            (0..n).map(|_| Mutex::new(VecDeque::new())).collect();
-        for (i, t) in tasks.into_iter().enumerate() {
-            queues[i % n]
-                .lock()
-                .expect("kernel pool queue poisoned")
-                .push_back(t);
-        }
+        };
         std::thread::scope(|s| {
-            // The calling thread acts as worker 0; only n-1 threads spawn.
-            for w in 1..n {
-                let queues = &queues;
-                s.spawn(move || worker_loop(queues, w));
+            for _ in 1..workers {
+                s.spawn(work);
             }
-            worker_loop(&queues, 0);
+            work();
         });
-    }
-}
-
-fn worker_loop(queues: &[Mutex<VecDeque<Task<'_>>>], own: usize) {
-    let n = queues.len();
-    loop {
-        if let Some(t) = queues[own]
-            .lock()
-            .expect("kernel pool queue poisoned")
-            .pop_front()
-        {
-            t();
-            continue;
-        }
-        // Steal from siblings' backs, scanning round-robin starting after
-        // our own slot so concurrent thieves spread out.
-        let mut stolen = false;
-        for offset in 1..n {
-            let victim = (own + offset) % n;
-            if let Some(t) = queues[victim]
-                .lock()
-                .expect("kernel pool queue poisoned")
-                .pop_back()
-            {
-                t();
-                stolen = true;
-                break;
-            }
-        }
-        if !stolen {
-            // Every deque is empty and tiles never enqueue new tiles: no
-            // more work can ever appear, so this worker is done.
-            return;
-        }
     }
 }
 

@@ -107,7 +107,7 @@ impl CsrMatrix {
 
     /// Like [`CsrMatrix::spmv_rows`], but writes the products into a
     /// zero-based chunk: `out[i - rows.start] = (A x)[rows.start + i]`.
-    /// This is the form a work-stealing pool wants — each tile borrows its
+    /// This is the form a tile pool wants — each tile borrows its
     /// own disjoint slice of `y` (e.g. from `chunks_mut`) with no index
     /// offsetting at the call site.
     ///

@@ -106,7 +106,7 @@ fn stencil27_plane_into(input: &Grid3d, z: usize, slab: &mut [f64]) {
 }
 
 /// Full 27-point sweep executed on a [`KernelPool`]: the interior planes
-/// are tiled across the pool's workers (one task per plane, stolen freely),
+/// are tiled across the pool's workers (one task per plane, any worker),
 /// each writing its own disjoint output slab.  Bit-identical to the
 /// sequential sweep for any worker count — every cell's arithmetic is
 /// unchanged; only *which thread* computes a plane varies.

@@ -201,6 +201,35 @@ impl FailurePlan {
         matches!(self, FailurePlan::None)
     }
 
+    /// The timed crashes the plan schedules for the ranks placed on
+    /// `topology`, as `(physical rank, virtual crash time)` pairs — a pure
+    /// function of `(plan, topology, seed)`.  Poisson plans contribute every
+    /// arrival of each rank's trace, ranks ascending; correlated plans
+    /// contribute the first event of every failure group, expanded to the
+    /// group's co-located ranks, groups ascending.  Either way a rank's
+    /// entries are adjacent and in time order.
+    pub fn arrivals(&self, topology: &Topology, seed: u64) -> Vec<(usize, SimTime)> {
+        match *self {
+            FailurePlan::None => Vec::new(),
+            FailurePlan::Poisson { rate, horizon_s } => {
+                let horizon = SimTime::from_secs(horizon_s);
+                (0..topology.num_procs())
+                    .flat_map(|rank| {
+                        sample_failure_trace(rate, horizon, seed, rank)
+                            .into_iter()
+                            .map(move |at| (rank, at))
+                    })
+                    .collect()
+            }
+            FailurePlan::Correlated {
+                domain,
+                rate,
+                horizon_s,
+            } => CorrelatedPlan::new(domain, rate, SimTime::from_secs(horizon_s))
+                .crashes(topology, seed),
+        }
+    }
+
     /// Compact label used in run ids and reports, e.g. `none`,
     /// `poisson-const-0.5-h2` or `corr-rack4-weibull-0.7-360-h1`.
     pub fn label(&self) -> String {
@@ -461,31 +490,11 @@ impl Experiment {
     /// The timed crashes the failure plan schedules for this experiment,
     /// as `(physical rank, virtual crash time)` pairs — a pure function of
     /// the experiment axes (and in particular of the seed), computed
-    /// without running anything.  Poisson plans contribute every arrival
-    /// of each rank's trace; correlated plans contribute the first event
-    /// of every failure group, expanded to the group's co-located ranks.
-    /// Hand-placed [`ExperimentBuilder::inject_failure`] points are not
+    /// without running anything: [`FailurePlan::arrivals`] on the
+    /// experiment's placement and seed.  Hand-placed [`ExperimentBuilder::inject_failure`] points are not
     /// timed and do not appear here.
     pub fn scheduled_crashes(&self) -> Vec<(usize, SimTime)> {
-        match self.failures {
-            FailurePlan::None => Vec::new(),
-            FailurePlan::Poisson { rate, horizon_s } => {
-                let horizon = SimTime::from_secs(horizon_s);
-                (0..self.procs())
-                    .flat_map(|rank| {
-                        sample_failure_trace(rate, horizon, self.seed, rank)
-                            .into_iter()
-                            .map(move |at| (rank, at))
-                    })
-                    .collect()
-            }
-            FailurePlan::Correlated {
-                domain,
-                rate,
-                horizon_s,
-            } => CorrelatedPlan::new(domain, rate, SimTime::from_secs(horizon_s))
-                .crashes(&self.topology(), self.seed),
-        }
+        self.failures.arrivals(&self.topology(), self.seed)
     }
 
     /// Runs the experiment's catalog application on the simulated cluster
