@@ -11,8 +11,8 @@ CAMPAIGN_TOL ?= 0
 
 .PHONY: all build test verify bench-build docs fmt fmt-check clippy \
         campaign-smoke failures-smoke weak-smoke serve-smoke benchmark-quick \
-        stuck-smoke \
-        ckpt-smoke golden golden-failures golden-weak golden-ckpt benchmark \
+        stuck-smoke figures-smoke \
+        ckpt-smoke golden golden-failures golden-weak golden-ckpt golden-figures benchmark \
         api-surface api-surface-check loc ci clean
 
 all: build
@@ -123,6 +123,13 @@ ckpt-smoke:
 	./target/release/campaign diff crates/campaign/golden/ckpt.json \
 		target/campaign-ckpt.json --tol $(CAMPAIGN_TOL)
 
+# The figure gate: every table the `figures` binary prints at scale `small`
+# (fig5, fig5a, fig5b, fig6a-d and the four ablations) must match the
+# checked-in text byte for byte — virtual time does not depend on the host.
+figures-smoke:
+	$(CARGO) run --release -q -p ipr-bench --bin figures -- all small | \
+		cmp - crates/bench/golden/figures_small.txt
+
 # The stuck-run gate: thread-world runs that can no longer make progress
 # (45 crash specs of the catalog apps without a checkpoint plan, four
 # hand-built stuck shapes) must end by themselves within their in-test
@@ -182,12 +189,17 @@ golden-ckpt:
 	./target/release/campaign run --grid ckpt --jobs $(CAMPAIGN_JOBS) \
 		--strip-informational --out crates/campaign/golden/ckpt.json
 
+# Same, for the figure tables.
+golden-figures:
+	$(CARGO) run --release -q -p ipr-bench --bin figures -- all small \
+		> crates/bench/golden/figures_small.txt
+
 # The two sizes ROADMAP.md says must go down (non-test Rust lines, API
 # surface lines), printed for every PR to see; never gating.
 loc:
 	-bash scripts/loc.sh
 
-ci: verify stuck-smoke bench-build docs fmt-check clippy api-surface-check campaign-smoke failures-smoke weak-smoke ckpt-smoke serve-smoke benchmark-quick loc
+ci: verify stuck-smoke bench-build docs fmt-check clippy api-surface-check campaign-smoke figures-smoke failures-smoke weak-smoke ckpt-smoke serve-smoke benchmark-quick loc
 
 clean:
 	$(CARGO) clean
