@@ -18,14 +18,13 @@
 //! sections-vs-others split and the compute-to-update ratios that drive the
 //! paper's Figure 6a/6b results.
 
-use crate::driver::{
-    copy_var, dot_task_args, task_cost, waxpby_in_place, AppContext, ScaledWorkload,
-};
+use crate::driver::{copy_var, AppContext, ScaledWorkload};
 use crate::report::AppRunReport;
-use ipr_core::{ArgSpec, IntraResult, TaskDef, VarId, Workspace};
+use crate::sections::{exchange_ghost_planes, tasks_per_section, KernelSpec, Reduction};
+use ipr_core::{IntraResult, VarId, Workspace};
 use kernels::dense::{back_substitute, Givens};
-use kernels::sparse::{spmv_cost, CsrMatrix};
-use kernels::vecops::{self, axpy_cost, ddot_cost, scale_cost, waxpby_cost};
+use kernels::sparse::CsrMatrix;
+use kernels::vecops::{self, axpy_cost, scale_cost, waxpby_cost};
 use simmpi::Tag;
 use std::sync::Arc;
 
@@ -101,7 +100,7 @@ impl AmgParams {
         self.n_modeled * self.n_modeled * self.n_modeled
     }
 
-    fn workload(&self) -> ScaledWorkload {
+    fn workload(&self) -> IntraResult<ScaledWorkload> {
         ScaledWorkload::scaled(self.local_n(), self.modeled_n())
     }
 }
@@ -115,55 +114,21 @@ pub struct AmgOutput {
     pub residual: f64,
 }
 
-struct Dist {
-    n: usize,
-    plane: usize,
-    ncols: usize,
-    has_below: bool,
-    has_above: bool,
-}
-
-fn exchange_halo(
-    ctx: &AppContext,
-    dist: &Dist,
-    values: &mut [f64],
-    workload: &ScaledWorkload,
-) -> IntraResult<()> {
-    let rcomm = ctx.env.rcomm();
-    let logical = rcomm.logical_rank();
-    let modeled_plane = workload.scale_count(dist.plane) * std::mem::size_of::<f64>();
-    if dist.has_above {
-        let top = &values[(dist.n - dist.plane)..dist.n];
-        rcomm.send_logical_with_modeled_size(top, logical + 1, HALO_TAG_UP, modeled_plane)?;
-    }
-    if dist.has_below {
-        let bottom = &values[0..dist.plane];
-        rcomm.send_logical_with_modeled_size(bottom, logical - 1, HALO_TAG_DOWN, modeled_plane)?;
-    }
-    if dist.has_below {
-        let incoming: Vec<f64> = rcomm.recv_logical(logical - 1, HALO_TAG_UP)?;
-        values[dist.n..dist.n + dist.plane].copy_from_slice(&incoming);
-    }
-    if dist.has_above {
-        let base = dist.n + if dist.has_below { dist.plane } else { 0 };
-        let incoming: Vec<f64> = rcomm.recv_logical(logical + 1, HALO_TAG_DOWN)?;
-        values[base..base + dist.plane].copy_from_slice(&incoming);
-    }
-    Ok(())
-}
-
 /// Shared state for the kernel helpers.
 struct AmgKernels {
     matrix: Arc<CsrMatrix>,
-    dist: Dist,
-    workload: ScaledWorkload,
-    tasks: usize,
-    intra_spmv: bool,
-    intra_dots: bool,
+    /// Local rows; vectors multiplied by the matrix carry `matrix.ncols()`
+    /// values (ghost planes appended).
+    n: usize,
+    plane: usize,
+    modeled_plane_bytes: usize,
     modeled_n: usize,
-    modeled_nnz: usize,
+    /// The good section candidates, and the vector update that is not one.
+    matvec: KernelSpec,
+    dots: KernelSpec,
+    updates: KernelSpec,
     /// Workspace variable holding the per-task partial dot products.
-    partial: Option<VarId>,
+    partial: VarId,
 }
 
 impl AmgKernels {
@@ -175,44 +140,15 @@ impl AmgKernels {
         xv: VarId,
         yv: VarId,
     ) -> IntraResult<()> {
-        {
-            let mut x = ws.take(xv);
-            exchange_halo(ctx, &self.dist, &mut x, &self.workload)?;
-            ws.replace(xv, x);
-        }
-        let n = self.dist.n;
-        let ncols = self.dist.ncols;
-        if self.intra_spmv {
-            let cost = task_cost(spmv_cost(
-                self.modeled_n / self.tasks,
-                self.modeled_nnz / self.tasks,
-            ));
-            let matrix = Arc::clone(&self.matrix);
-            let mut section = ctx.rt.section(ws);
-            section.add_split(n, |chunk| {
-                let matrix = Arc::clone(&matrix);
-                TaskDef::new(
-                    "amg-spmv",
-                    move |c| {
-                        let rows = c.scalar_usize(0)..c.scalar_usize(1);
-                        matrix.spmv_rows_into(rows, &c.inputs[0], &mut c.outputs[0]);
-                    },
-                    vec![
-                        ArgSpec::input(xv, 0..ncols),
-                        ArgSpec::output(yv, chunk.clone()),
-                    ],
-                )
-                .with_scalars(vec![chunk.start as f64, chunk.end as f64])
-                .with_cost(cost)
-            })?;
-            let _ = section.end()?;
-        } else {
-            ctx.run_redundant(spmv_cost(self.modeled_n, self.modeled_nnz), || ());
-            let mut y = ws.take(yv);
-            self.matrix.spmv(&ws.get(xv)[..ncols], &mut y[..n]);
-            ws.replace(yv, y);
-        }
-        Ok(())
+        exchange_ghost_planes(
+            ctx.env.rcomm(),
+            (HALO_TAG_UP, HALO_TAG_DOWN),
+            self.modeled_plane_bytes,
+            ws.get_mut(xv),
+            self.n,
+            self.plane,
+        )?;
+        self.matvec.spmv(ctx, ws, &self.matrix, xv, yv)
     }
 
     /// Global dot product of two local vectors.
@@ -223,51 +159,10 @@ impl AmgKernels {
         xv: VarId,
         yv: VarId,
     ) -> IntraResult<f64> {
-        let n = self.dist.n;
-        let local = if self.intra_dots {
-            let cost = task_cost(ddot_cost(self.modeled_n / self.tasks));
-            let partial = self.partial.expect("partial-dot variable not registered");
-            let mut section = ctx.rt.section(ws);
-            let chunks = ipr_core::split_ranges(n, self.tasks);
-            for (t, chunk) in chunks.into_iter().enumerate() {
-                let same = xv == yv;
-                section.add_task(
-                    TaskDef::new(
-                        "amg-dot",
-                        move |c| {
-                            let x = &c.inputs[0];
-                            let y = if same { &c.inputs[0] } else { &c.inputs[1] };
-                            c.outputs[0][0] = x.iter().zip(y.iter()).map(|(a, b)| a * b).sum();
-                        },
-                        dot_task_args(xv, yv, chunk, partial, t),
-                    )
-                    .with_cost(cost),
-                )?;
-            }
-            let _ = section.end()?;
-            ws.get(partial).iter().sum::<f64>()
-        } else {
-            ctx.run_redundant(ddot_cost(self.modeled_n), || ());
-            vecops::ddot(&ws.get(xv)[..n], &ws.get(yv)[..n])
-        };
+        let local = self
+            .dots
+            .reduce(ctx, ws, Reduction::Dot, xv, yv, self.partial)?;
         Ok(ctx.env.rcomm().logical_allreduce_sum_f64(local)?)
-    }
-
-    /// Redundant (non-intra) vector update: w = alpha*x + beta*y over the
-    /// local range, where `wv` is `xv` or `yv`.
-    #[allow(clippy::too_many_arguments)]
-    fn waxpby_redundant(
-        &self,
-        ctx: &AppContext,
-        ws: &mut Workspace,
-        alpha: f64,
-        xv: VarId,
-        beta: f64,
-        yv: VarId,
-        wv: VarId,
-    ) {
-        ctx.run_redundant(waxpby_cost(self.modeled_n), || ());
-        waxpby_in_place(ws, self.dist.n, alpha, xv, beta, yv, wv);
     }
 
     /// Redundant axpy: y += alpha * x (`xv` and `yv` distinct).
@@ -279,7 +174,7 @@ impl AmgKernels {
         xv: VarId,
         yv: VarId,
     ) {
-        let n = self.dist.n;
+        let n = self.n;
         ctx.run_redundant(axpy_cost(self.modeled_n), || ());
         let mut y = ws.take(yv);
         vecops::axpy(alpha, &ws.get(xv)[..n], &mut y[..n]);
@@ -288,7 +183,7 @@ impl AmgKernels {
 
     /// Redundant scale: x *= alpha.
     fn scale_redundant(&self, ctx: &AppContext, ws: &mut Workspace, alpha: f64, xv: VarId) {
-        let n = self.dist.n;
+        let n = self.n;
         ctx.run_redundant(scale_cost(self.modeled_n), || ());
         vecops::scale(alpha, &mut ws.get_mut(xv)[..n]);
     }
@@ -296,12 +191,10 @@ impl AmgKernels {
 
 /// Runs the AMG proxy on this physical process.
 pub fn run_amg(ctx: &mut AppContext, params: &AmgParams) -> IntraResult<AmgOutput> {
-    let workload = params.workload();
-    let rcomm = ctx.env.rcomm().clone();
-    let logical = rcomm.logical_rank();
-    let num_logical = rcomm.num_logical();
+    let workload = params.workload()?;
+    let logical = ctx.env.logical_rank();
     let has_below = logical > 0;
-    let has_above = logical + 1 < num_logical;
+    let has_above = logical + 1 < ctx.env.num_logical();
 
     let edge = params.n_actual;
     let n = params.local_n();
@@ -311,26 +204,24 @@ pub fn run_amg(ctx: &mut AppContext, params: &AmgParams) -> IntraResult<AmgOutpu
         AmgSolver::Gmres7 => CsrMatrix::stencil7(edge, edge, edge, has_below, has_above),
     });
     let ncols = matrix.ncols();
-    let dist = Dist {
-        n,
-        plane,
-        ncols,
-        has_below,
-        has_above,
-    };
-    let tasks = ctx.rt.config().tasks_per_section.max(1);
     let modeled_n = params.modeled_n();
-    let nnz_per_row = matrix.nnz() as f64 / n as f64;
+    let kernel = |name, intra| KernelSpec {
+        name,
+        intra,
+        n,
+        modeled_n,
+    };
+    let mut ws = Workspace::new();
     let kernels = AmgKernels {
         matrix: Arc::clone(&matrix),
-        dist,
-        workload,
-        tasks,
-        intra_spmv: params.intra_spmv,
-        intra_dots: params.intra_dots,
+        n,
+        plane,
+        modeled_plane_bytes: workload.scale_count(plane) * std::mem::size_of::<f64>(),
         modeled_n,
-        modeled_nnz: (modeled_n as f64 * nnz_per_row) as usize,
-        partial: None,
+        matvec: kernel("amg-spmv", params.intra_spmv),
+        dots: kernel("amg-dot", params.intra_dots),
+        updates: kernel("amg-waxpby", false),
+        partial: ws.add_zeros("partial", tasks_per_section(ctx)),
     };
 
     // b = A * ones, exact solution = ones.
@@ -339,30 +230,27 @@ pub fn run_amg(ctx: &mut AppContext, params: &AmgParams) -> IntraResult<AmgOutpu
     matrix.spmv(&ones, &mut b);
 
     match params.solver {
-        AmgSolver::Pcg27 => run_pcg(ctx, params, kernels, b),
-        AmgSolver::Gmres7 => run_gmres(ctx, params, kernels, b),
+        AmgSolver::Pcg27 => run_pcg(ctx, params, kernels, ws, b),
+        AmgSolver::Gmres7 => run_gmres(ctx, params, kernels, ws, b),
     }
 }
 
 fn run_pcg(
     ctx: &mut AppContext,
     params: &AmgParams,
-    mut kernels: AmgKernels,
+    kernels: AmgKernels,
+    mut ws: Workspace,
     b: Vec<f64>,
 ) -> IntraResult<AmgOutput> {
-    let n = kernels.dist.n;
-    let ncols = kernels.dist.ncols;
+    let n = kernels.n;
+    let ncols = kernels.matrix.ncols();
     let diag = kernels.matrix.diagonal();
-    let tasks = kernels.tasks;
 
-    let mut ws = Workspace::new();
     let x_v = ws.add_zeros("x", n);
     let r_v = ws.add("r", b);
     let z_v = ws.add_zeros("z", n);
     let p_v = ws.add_zeros("p", ncols);
     let ap_v = ws.add_zeros("Ap", n);
-    let partial_v = ws.add_zeros("partial", tasks);
-    kernels.partial = Some(partial_v);
 
     ctx.start_measurement();
 
@@ -399,7 +287,9 @@ fn run_pcg(
         let beta = rz_new / rz;
         rz = rz_new;
         // p = z + beta * p
-        kernels.waxpby_redundant(ctx, &mut ws, 1.0, z_v, beta, p_v, p_v);
+        kernels
+            .updates
+            .waxpby(ctx, &mut ws, 1.0, z_v, beta, p_v, p_v)?;
         iterations = iter + 1;
     }
 
@@ -412,15 +302,14 @@ fn run_pcg(
 fn run_gmres(
     ctx: &mut AppContext,
     params: &AmgParams,
-    mut kernels: AmgKernels,
+    kernels: AmgKernels,
+    mut ws: Workspace,
     b: Vec<f64>,
 ) -> IntraResult<AmgOutput> {
-    let n = kernels.dist.n;
-    let ncols = kernels.dist.ncols;
+    let n = kernels.n;
+    let ncols = kernels.matrix.ncols();
     let m = params.restart.max(2);
-    let tasks = kernels.tasks;
 
-    let mut ws = Workspace::new();
     let x_v = ws.add_zeros("x", n);
     let r_v = ws.add("r", b.clone());
     let w_v = ws.add_zeros("w", n);
@@ -428,8 +317,6 @@ fn run_gmres(
     let v_vs: Vec<VarId> = (0..=m)
         .map(|j| ws.add_zeros(&format!("v{j}"), ncols))
         .collect();
-    let partial_v = ws.add_zeros("partial", tasks);
-    kernels.partial = Some(partial_v);
 
     ctx.start_measurement();
 

@@ -10,56 +10,17 @@
 use crate::report::AppRunReport;
 use ckpt::{CkptSession, CkptStats};
 use ipr_core::{
-    ArgSpec, IntraConfig, IntraError, IntraResult, IntraRuntime, SectionsView, TaskCost, VarId,
-    Workspace,
+    IntraConfig, IntraError, IntraResult, IntraRuntime, SectionsView, TaskCost, VarId, Workspace,
 };
 use kernels::KernelCost;
 use replication::{ExecutionMode, FailureInjector, ProtocolPoint, ReplicatedEnv};
 use simcluster::SimTime;
 use simmpi::{MpiResult, ProcHandle};
-use std::ops::Range;
 
 /// Converts a kernel cost descriptor into the task cost charged by the
 /// intra-parallelization runtime.
 pub fn task_cost(cost: KernelCost) -> TaskCost {
     TaskCost::new(cost.flops, cost.mem_bytes())
-}
-
-/// `w[..n] = alpha * x[..n] + beta * y[..n]` on workspace variables, where `wv`
-/// is `xv` or `yv` (HPCCG's `p = r + beta * p`, `x = x + alpha * p`): every
-/// redundant vector update of the solvers overwrites one of its operands.  The
-/// other operand is read where it is and the result is written in place: no
-/// vector is copied.  Element for element the arithmetic is
-/// [`kernels::vecops::waxpby`]'s, whose special-casing of a unit factor does
-/// not change a result bit.
-///
-/// # Panics
-/// Panics unless `wv` is exactly one of `xv` and `yv`; an update into a third
-/// variable is [`kernels::vecops::waxpby`] on the three slices.
-pub(crate) fn waxpby_in_place(
-    ws: &mut Workspace,
-    n: usize,
-    alpha: f64,
-    xv: VarId,
-    beta: f64,
-    yv: VarId,
-    wv: VarId,
-) {
-    assert!(
-        (wv == xv) != (wv == yv),
-        "waxpby_in_place: w must alias exactly one operand"
-    );
-    let mut w = ws.take(wv);
-    if wv == xv {
-        for (w, y) in w[..n].iter_mut().zip(&ws.get(yv)[..n]) {
-            *w = alpha * *w + beta * y;
-        }
-    } else {
-        for (w, x) in w[..n].iter_mut().zip(&ws.get(xv)[..n]) {
-            *w = alpha * x + beta * *w;
-        }
-    }
-    ws.replace(wv, w);
 }
 
 /// Copies `src[..n]` over `dst[..n]` between two distinct workspace variables
@@ -68,27 +29,6 @@ pub(crate) fn copy_var(ws: &mut Workspace, n: usize, src: VarId, dst: VarId) {
     let mut d = ws.take(dst);
     d[..n].copy_from_slice(&ws.get(src)[..n]);
     ws.replace(dst, d);
-}
-
-/// The argument list of one dot-product task over `chunk`: the operand
-/// chunk(s) — one when `xv == yv` — and slot `t` of the partial-sum variable.
-pub(crate) fn dot_task_args(
-    xv: VarId,
-    yv: VarId,
-    chunk: Range<usize>,
-    partial: VarId,
-    t: usize,
-) -> Vec<ArgSpec> {
-    let slot = ArgSpec::output(partial, t..t + 1);
-    if xv == yv {
-        vec![ArgSpec::input(xv, chunk), slot]
-    } else {
-        vec![
-            ArgSpec::input(xv, chunk.clone()),
-            ArgSpec::input(yv, chunk),
-            slot,
-        ]
-    }
 }
 
 /// Per-process context shared by all the mini-applications.
@@ -138,11 +78,6 @@ impl AppContext {
         intra: IntraConfig,
     ) -> MpiResult<Self> {
         Self::new(proc, mode, intra, FailureInjector::none())
-    }
-
-    /// Name of the scheduler the intra runtime is using (for reports).
-    pub fn scheduler_name(&self) -> &'static str {
-        self.rt.config().scheduler.name()
     }
 
     /// Attaches a coordinated checkpoint/restart session.  Collective in
@@ -274,14 +209,15 @@ impl ScaledWorkload {
         }
     }
 
-    /// A workload running on `actual` elements while modeling `modeled`.
-    pub fn scaled(actual: usize, modeled: usize) -> Self {
-        assert!(actual > 0, "actual size must be positive");
-        assert!(
-            modeled >= actual,
-            "modeled size must be at least the actual size"
-        );
-        ScaledWorkload { actual, modeled }
+    /// A workload running on `actual` elements while modeling `modeled`:
+    /// `actual` must be positive and `modeled` at least as large.
+    pub fn scaled(actual: usize, modeled: usize) -> IntraResult<Self> {
+        if actual == 0 || modeled < actual {
+            return Err(IntraError::InvalidConfig(format!(
+                "a scaled workload needs 0 < actual <= modeled, got actual {actual}, modeled {modeled}"
+            )));
+        }
+        Ok(ScaledWorkload { actual, modeled })
     }
 
     /// The ratio modeled / actual, used as the `modeled_scale` of the intra
@@ -307,15 +243,15 @@ mod tests {
     fn scaled_workload_ratios() {
         let w = ScaledWorkload::exact(1000);
         assert_eq!(w.scale(), 1.0);
-        let w = ScaledWorkload::scaled(1000, 8000);
+        let w = ScaledWorkload::scaled(1000, 8000).unwrap();
         assert_eq!(w.scale(), 8.0);
         assert_eq!(w.scale_count(10), 80);
     }
 
     #[test]
-    #[should_panic]
     fn modeled_smaller_than_actual_is_rejected() {
-        let _ = ScaledWorkload::scaled(100, 10);
+        assert!(ScaledWorkload::scaled(100, 10).is_err());
+        assert!(ScaledWorkload::scaled(0, 10).is_err());
     }
 
     #[test]

@@ -79,7 +79,7 @@ impl GtcParams {
         }
     }
 
-    fn workload(&self) -> ScaledWorkload {
+    fn workload(&self) -> IntraResult<ScaledWorkload> {
         ScaledWorkload::scaled(self.particles, self.modeled_particles)
     }
 }
@@ -98,7 +98,7 @@ pub struct GtcOutput {
 
 /// Runs the GTC proxy on this physical process.
 pub fn run_gtc(ctx: &mut AppContext, params: &GtcParams) -> IntraResult<GtcOutput> {
-    let workload = params.workload();
+    let workload = params.workload()?;
     let rcomm = ctx.env.rcomm().clone();
     let logical = rcomm.logical_rank();
     let num_logical = rcomm.num_logical();

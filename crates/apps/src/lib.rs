@@ -10,8 +10,10 @@
 //! * [`minighost`] — 27-point stencil + grid summation proxy for MiniGhost
 //!   (Figure 6d).
 //!
-//! [`driver`] holds the shared per-process plumbing ([`driver::AppContext`])
-//! and [`report::AppRunReport`] the per-process results that the benchmark
+//! [`driver`] holds the shared per-process plumbing ([`driver::AppContext`]),
+//! [`sections`] the paper's section shapes (waxpby, reduction, sparsemv) and
+//! the z-plane halo exchange that the applications and the figure harness
+//! share, and [`report::AppRunReport`] the per-process results that the benchmark
 //! harness aggregates into the paper's efficiency figures.
 
 #![warn(missing_docs)]
@@ -25,6 +27,7 @@ pub mod hpccg;
 pub mod minighost;
 pub mod report;
 pub mod scale;
+pub mod sections;
 pub mod weak_scaling;
 
 pub use amg_proxy::{run_amg, AmgOutput, AmgParams, AmgSolver};

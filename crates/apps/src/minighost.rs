@@ -10,12 +10,12 @@
 //! exactly that split: the stencil is executed redundantly on every replica,
 //! the grid summation is intra-parallelized.
 
-use crate::driver::{task_cost, AppContext, ScaledWorkload};
+use crate::driver::{AppContext, ScaledWorkload};
 use crate::report::AppRunReport;
-use ipr_core::{ArgSpec, IntraResult, TaskDef, Workspace};
+use crate::sections::{exchange_z_planes, tasks_per_section, KernelSpec, Reduction};
+use ipr_core::{IntraResult, Workspace};
 use kernels::grid::{Face, Grid3d};
-use kernels::stencil::{grid_sum_cost, stencil27_planes, stencil_cost};
-use kernels::vecops::grid_sum;
+use kernels::stencil::{stencil27_planes, stencil_cost};
 use simmpi::Tag;
 
 const HALO_TAG_UP: Tag = 131;
@@ -84,7 +84,7 @@ impl MiniGhostParams {
         self.modeled_nx * self.modeled_ny * self.modeled_nz
     }
 
-    fn workload(&self) -> ScaledWorkload {
+    fn workload(&self) -> IntraResult<ScaledWorkload> {
         ScaledWorkload::scaled(self.local_n(), self.modeled_n())
     }
 }
@@ -103,13 +103,9 @@ pub fn run_minighost(
     ctx: &mut AppContext,
     params: &MiniGhostParams,
 ) -> IntraResult<MiniGhostOutput> {
-    let workload = params.workload();
+    let workload = params.workload()?;
     let rcomm = ctx.env.rcomm().clone();
     let logical = rcomm.logical_rank();
-    let num_logical = rcomm.num_logical();
-    let has_below = logical > 0;
-    let has_above = logical + 1 < num_logical;
-    let tasks = ctx.rt.config().tasks_per_section.max(1);
 
     let (nx, ny, nz) = (params.nx, params.ny, params.nz);
     let n = params.local_n();
@@ -127,10 +123,15 @@ pub fn run_minighost(
     // per-task partial sums.
     let mut ws = Workspace::new();
     let interior_v = ws.add_zeros("interior", n);
-    let partial_v = ws.add_zeros("partial", tasks);
+    let partial_v = ws.add_zeros("partial", tasks_per_section(ctx));
 
     let stencil_full_cost = stencil_cost(modeled_n, 27);
-    let sum_task_cost = task_cost(grid_sum_cost(modeled_n / tasks));
+    let grid_sum = KernelSpec {
+        name: "grid-sum",
+        intra: params.intra_sum,
+        n,
+        modeled_n,
+    };
 
     ctx.start_measurement();
 
@@ -139,29 +140,18 @@ pub fn run_minighost(
         ctx.iteration_boundary(step)?;
 
         // --- boundary exchange (outside sections) --------------------------
-        if has_above {
-            rcomm.send_logical_with_modeled_size(
-                &current.extract_face(Face::Up),
-                logical + 1,
-                HALO_TAG_UP,
-                modeled_face_bytes,
-            )?;
+        let [below, above] = exchange_z_planes(
+            &rcomm,
+            (HALO_TAG_UP, HALO_TAG_DOWN),
+            modeled_face_bytes,
+            || current.extract_face(Face::Up),
+            || current.extract_face(Face::Down),
+        )?;
+        if let Some(face) = below {
+            current.fill_ghost(Face::Down, &face);
         }
-        if has_below {
-            rcomm.send_logical_with_modeled_size(
-                &current.extract_face(Face::Down),
-                logical - 1,
-                HALO_TAG_DOWN,
-                modeled_face_bytes,
-            )?;
-        }
-        if has_below {
-            let incoming: Vec<f64> = rcomm.recv_logical(logical - 1, HALO_TAG_UP)?;
-            current.fill_ghost(Face::Down, &incoming);
-        }
-        if has_above {
-            let incoming: Vec<f64> = rcomm.recv_logical(logical + 1, HALO_TAG_DOWN)?;
-            current.fill_ghost(Face::Up, &incoming);
+        if let Some(face) = above {
+            current.fill_ghost(Face::Up, &face);
         }
         // Charge the (small) copy cost of packing/unpacking the faces.
         ctx.charge_other(kernels::KernelCost::new(
@@ -179,30 +169,14 @@ pub fn run_minighost(
         // --- grid summation (intra-parallel) --------------------------------
         if params.sum_every > 0 && (step + 1) % params.sum_every == 0 {
             ws.write_range(interior_v, 0..n, &current.interior_to_vec());
-            let local_sum = if params.intra_sum {
-                let mut section = ctx.rt.section(&mut ws);
-                let chunks = ipr_core::split_ranges(n, tasks);
-                for (t, chunk) in chunks.into_iter().enumerate() {
-                    section.add_task(
-                        TaskDef::new(
-                            "grid-sum",
-                            |c| {
-                                c.outputs[0][0] = grid_sum(&c.inputs[0]);
-                            },
-                            vec![
-                                ArgSpec::input(interior_v, chunk),
-                                ArgSpec::output(partial_v, t..t + 1),
-                            ],
-                        )
-                        .with_cost(sum_task_cost),
-                    )?;
-                }
-                let _ = section.end()?;
-                ws.get(partial_v).iter().sum::<f64>()
-            } else {
-                ctx.run_redundant(grid_sum_cost(modeled_n), || ());
-                grid_sum(ws.get(interior_v))
-            };
+            let local_sum = grid_sum.reduce(
+                ctx,
+                &mut ws,
+                Reduction::Sum,
+                interior_v,
+                interior_v,
+                partial_v,
+            )?;
             last_sum = rcomm.logical_allreduce_sum_f64(local_sum)?;
         }
     }

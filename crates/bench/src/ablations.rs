@@ -1,4 +1,5 @@
-//! Ablation studies for the design choices called out in DESIGN.md.
+//! Ablation studies for the design choices called out in
+//! `docs/ARCHITECTURE.md`.
 //!
 //! * **Task granularity** (`ABL-GRAN`) — the paper uses 8 tasks per section
 //!   (4 per replica) and argues that fewer tasks reduce transfer/compute
@@ -15,17 +16,18 @@
 //!   `AdaptiveScheduler` (it must match `CostAwareScheduler` on the first
 //!   instance and match-or-beat it afterwards).
 //!
-//! The studies that run intra-parallel sections are driven through the
-//! facade's [`Experiment`] builder (custom bodies via
-//! [`Experiment::run_with`], typed [`SchedulerKind`] axes); only the
-//! bandwidth sweep stays on the kernel-level Figure 5a harness because it
-//! perturbs the machine model itself.
+//! Every study is driven through the facade's [`Experiment`] builder
+//! (custom bodies via [`Experiment::run_with`], typed [`SchedulerKind`]
+//! axes); the bandwidth sweep is the Figure 5a generator on a perturbed
+//! machine model.
 
 use crate::fig5a;
 use crate::scale::ExperimentScale;
+use apps::sections::KernelSpec;
 use apps::AppId;
 use intra_replication::Experiment;
 use ipr_core::{ArgSpec, SchedulerKind, TaskCost, TaskDef, Workspace};
+use kernels::sparse::CsrMatrix;
 use replication::ExecutionMode;
 use std::sync::Arc;
 
@@ -47,22 +49,19 @@ pub fn granularity(scale: ExperimentScale, task_counts: &[usize]) -> Vec<Granula
         ExperimentScale::Small => 8,
         ExperimentScale::Tiny => 4,
     };
-    let actual_edge = scale.actual_grid_edge();
-    let modeled_edge = 128;
+    let edge = scale.actual_grid_edge();
     let reps = scale.kernel_reps();
 
     let time_for = |tasks: usize, mode: ExecutionMode| -> f64 {
         let degree = mode.degree();
-        let num_logical = procs / degree;
-        let (ax, ay, az) = (actual_edge, actual_edge, actual_edge * degree);
-        let (mx, my, mz) = (modeled_edge, modeled_edge, modeled_edge * degree);
+        let (ax, ay, az) = (edge, edge, edge * degree);
         let actual_n = ax * ay * az;
-        let modeled_n = mx * my * mz;
+        let modeled_n = 128 * 128 * 128 * degree;
         let run = Experiment::builder()
             .app(AppId::Hpccg) // sparsemv is HPCCG's dominant kernel
             .scale(scale)
             .execution_mode(mode)
-            .logical_procs(num_logical)
+            .logical_procs(procs / degree)
             .tasks_per_section(tasks)
             .modeled_scale(modeled_n as f64 / actual_n as f64)
             .build()
@@ -71,37 +70,17 @@ pub fn granularity(scale: ExperimentScale, task_counts: &[usize]) -> Vec<Granula
                 let mut ws = Workspace::new();
                 let x = ws.add("x", vec![1.0; actual_n]);
                 let w = ws.add_zeros("w", actual_n);
-                let matrix = Arc::new(kernels::sparse::CsrMatrix::stencil27(
-                    ax, ay, az, false, false,
-                ));
-                let nnz_ratio = matrix.nnz() as f64 / actual_n as f64;
-                let cost = kernels::sparse::spmv_cost(
-                    modeled_n / tasks,
-                    ((modeled_n as f64 * nnz_ratio) as usize) / tasks,
-                );
-                let cost = TaskCost::new(cost.flops, cost.mem_bytes());
+                let matrix = Arc::new(CsrMatrix::stencil27(ax, ay, az, false, false));
+                let sparsemv = KernelSpec {
+                    name: "sparsemv",
+                    intra: true,
+                    n: actual_n,
+                    modeled_n,
+                };
                 for _ in 0..reps {
-                    let matrix = Arc::clone(&matrix);
-                    let mut section = ctx.rt.section(&mut ws);
-                    section.add_split(actual_n, |chunk| {
-                        let matrix = Arc::clone(&matrix);
-                        let (start, end) = (chunk.start, chunk.end);
-                        TaskDef::new(
-                            "sparsemv",
-                            move |c| {
-                                let rows = c.scalar_usize(0)..c.scalar_usize(1);
-                                let mut scratch = vec![0.0; rows.end];
-                                matrix.spmv_rows(rows.clone(), &c.inputs[0], &mut scratch);
-                                c.outputs[0].copy_from_slice(&scratch[rows]);
-                            },
-                            vec![ArgSpec::input(x, 0..actual_n), ArgSpec::output(w, chunk)],
-                        )
-                        .with_scalars(vec![start as f64, end as f64])
-                        .with_cost(cost)
-                    })?;
-                    let _ = section.end()?;
+                    sparsemv.spmv(ctx, &mut ws, &matrix, x, w)?;
                 }
-                Ok(ctx.rt.report().total_section_time().as_secs() / reps as f64)
+                Ok(ctx.rt.report().view().total_section_time().as_secs() / reps as f64)
             })
             .expect("ablation experiments execute");
         let results = run.unwrap_results();
@@ -201,7 +180,7 @@ pub fn scheduler(scale: ExperimentScale) -> Vec<SchedulerRow> {
                     }
                     let _ = section.end()?;
                 }
-                Ok(ctx.rt.report().total_section_time().as_secs() / reps as f64)
+                Ok(ctx.rt.report().view().total_section_time().as_secs() / reps as f64)
             })
             .expect("ablation experiments execute");
         let results = run.unwrap_results();

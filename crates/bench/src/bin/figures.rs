@@ -17,7 +17,7 @@
 //! the application figures (fig5b / fig6): `static-block` (paper default),
 //! `round-robin`, `cost-aware`, `adaptive` or `locality`.
 
-use ipr_bench::fig6::Fig6App;
+use apps::AppId;
 use ipr_bench::table::{f2, f3, render};
 use ipr_bench::{ablations, fig5, fig5a, fig5b, fig6, ExperimentScale};
 use ipr_core::SchedulerKind;
@@ -102,7 +102,7 @@ fn print_fig5a(scale: ExperimentScale) {
 }
 
 fn print_fig5b(scale: ExperimentScale, scheduler: Option<SchedulerKind>) {
-    let rows = fig5b::run_with_scheduler(scale, scheduler);
+    let rows = fig5b::run(scale, scheduler);
     let table_rows: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
@@ -127,8 +127,41 @@ fn print_fig5b(scale: ExperimentScale, scheduler: Option<SchedulerKind>) {
     );
 }
 
-fn print_fig6(app: Fig6App, scale: ExperimentScale, scheduler: Option<SchedulerKind>) {
-    let rows = fig6::run_with_scheduler(app, scale, scheduler);
+/// The four Figure 6 sub-plots: figure label, application, display name
+/// and the paper's published outcome.
+const FIG6: [(&str, AppId, &str, &str); 4] = [
+    (
+        "6a",
+        AppId::AmgPcg27,
+        "AMG2013 (27-pt PCG)",
+        "paper: 0.48 / 0.61 (SDR / intra), sections ≈ 62% of native time",
+    ),
+    (
+        "6b",
+        AppId::AmgGmres7,
+        "AMG2013 (7-pt GMRES)",
+        "paper: 0.49 / 0.59 (SDR / intra), sections ≈ 42% of native time",
+    ),
+    (
+        "6c",
+        AppId::Gtc,
+        "GTC",
+        "paper: 0.49 / 0.71 (SDR / intra), sections ≈ 75% of native time",
+    ),
+    (
+        "6d",
+        AppId::MiniGhost,
+        "MiniGhost",
+        "paper: 0.49 / 0.51 (SDR / intra), sections ≈ 10% of native time",
+    ),
+];
+
+fn print_fig6(
+    (figure, app, name, reference): (&str, AppId, &str, &str),
+    scale: ExperimentScale,
+    scheduler: Option<SchedulerKind>,
+) {
+    let rows = fig6::run(app, scale, scheduler);
     let table_rows: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
@@ -145,7 +178,7 @@ fn print_fig6(app: Fig6App, scale: ExperimentScale, scheduler: Option<SchedulerK
     println!(
         "{}",
         render(
-            &format!("Figure {} — {}", app.figure(), app.name()),
+            &format!("Figure {figure} — {name}"),
             &[
                 "config",
                 "procs",
@@ -157,12 +190,6 @@ fn print_fig6(app: Fig6App, scale: ExperimentScale, scheduler: Option<SchedulerK
             &table_rows,
         )
     );
-    let reference = match app {
-        Fig6App::AmgPcg27 => "paper: 0.48 / 0.61 (SDR / intra), sections ≈ 62% of native time",
-        Fig6App::AmgGmres7 => "paper: 0.49 / 0.59 (SDR / intra), sections ≈ 42% of native time",
-        Fig6App::Gtc => "paper: 0.49 / 0.71 (SDR / intra), sections ≈ 75% of native time",
-        Fig6App::MiniGhost => "paper: 0.49 / 0.51 (SDR / intra), sections ≈ 10% of native time",
-    };
     println!("Paper reference: {reference}\n");
 }
 
@@ -305,13 +332,13 @@ fn main() {
         "fig5" => print_fig5(scale),
         "fig5a" => print_fig5a(scale),
         "fig5b" => print_fig5b(scale, scheduler),
-        "fig6a" => print_fig6(Fig6App::AmgPcg27, scale, scheduler),
-        "fig6b" => print_fig6(Fig6App::AmgGmres7, scale, scheduler),
-        "fig6c" => print_fig6(Fig6App::Gtc, scale, scheduler),
-        "fig6d" => print_fig6(Fig6App::MiniGhost, scale, scheduler),
+        "fig6a" => print_fig6(FIG6[0], scale, scheduler),
+        "fig6b" => print_fig6(FIG6[1], scale, scheduler),
+        "fig6c" => print_fig6(FIG6[2], scale, scheduler),
+        "fig6d" => print_fig6(FIG6[3], scale, scheduler),
         "fig6" => {
-            for app in Fig6App::ALL {
-                print_fig6(app, scale, scheduler);
+            for plot in FIG6 {
+                print_fig6(plot, scale, scheduler);
             }
         }
         "granularity" => print_granularity(scale),
@@ -322,8 +349,8 @@ fn main() {
             print_fig5(scale);
             print_fig5a(scale);
             print_fig5b(scale, scheduler);
-            for app in Fig6App::ALL {
-                print_fig6(app, scale, scheduler);
+            for plot in FIG6 {
+                print_fig6(plot, scale, scheduler);
             }
             print_granularity(scale);
             print_bandwidth(scale);

@@ -13,13 +13,20 @@
 //! | ddot     | 0.50    | 0.99  | ~0                 |
 //! | sparsemv | 0.50    | 0.94  | small              |
 
+//!
+//! Every bar is one [`Experiment::run_with`] run whose body calls the
+//! applications' own section code (`apps::sections`), so the figure
+//! measures what Figures 5b and 6 execute.
+
 use crate::scale::ExperimentScale;
-use ipr_core::{ArgSpec, IntraConfig, IntraRuntime, TaskDef, Workspace};
-use kernels::sparse::{spmv_cost, CsrMatrix};
-use kernels::vecops::{ddot_cost, waxpby_cost};
-use replication::{ExecutionMode, ReplicatedEnv};
-use simcluster::{MachineModel, Topology};
-use simmpi::{run_cluster, ClusterConfig};
+use crate::MODES;
+use apps::sections::{KernelSpec, Reduction};
+use apps::AppId;
+use intra_replication::Experiment;
+use ipr_core::Workspace;
+use kernels::sparse::CsrMatrix;
+use replication::ExecutionMode;
+use simcluster::MachineModel;
 use std::sync::Arc;
 
 /// The kernel under study.
@@ -70,138 +77,61 @@ pub struct KernelRow {
 fn kernel_time(
     kernel: Kernel,
     mode: ExecutionMode,
-    procs: usize,
-    actual_edge: usize,
-    modeled_edge: usize,
-    reps: usize,
+    scale: ExperimentScale,
     machine: MachineModel,
 ) -> (f64, f64) {
     let degree = mode.degree();
-    let num_logical = procs / degree;
+    let num_logical = scale.fig5a_procs() / degree;
     assert!(num_logical > 0, "not enough processes for degree {degree}");
     // Same physical resources for every configuration: replicated runs have
     // half the logical processes, each owning twice the data (z is doubled).
-    let (ax, ay, az) = (actual_edge, actual_edge, actual_edge * degree);
-    let (mx, my, mz) = (modeled_edge, modeled_edge, modeled_edge * degree);
+    let edge = scale.actual_grid_edge();
+    let (ax, ay, az) = (edge, edge, edge * degree);
     let actual_n = ax * ay * az;
-    let modeled_n = mx * my * mz;
-    let scale = modeled_n as f64 / actual_n as f64;
+    let modeled_n = 128 * 128 * 128 * degree;
+    let reps = scale.kernel_reps();
 
-    let topology = if degree > 1 {
-        Topology::replica_disjoint(num_logical, degree, machine.cores_per_node)
-    } else {
-        Topology::block(procs, machine.cores_per_node)
-    };
-    let config = ClusterConfig::new(procs)
-        .with_machine(machine)
-        .with_topology(topology);
-
-    let report = run_cluster(&config, move |proc| {
-        let env = ReplicatedEnv::without_failures(proc, mode).unwrap();
-        let intra_config = IntraConfig::paper().with_modeled_scale(scale);
-        let tasks = intra_config.tasks_per_section;
-        let mut rt = IntraRuntime::new(env, intra_config);
-
-        let mut ws = Workspace::new();
-        let x = ws.add("x", (0..actual_n).map(|i| (i % 13) as f64).collect());
-        let y = ws.add("y", (0..actual_n).map(|i| (i % 7) as f64 * 0.5).collect());
-        let w = ws.add_zeros("w", actual_n);
-        let partial = ws.add_zeros("partial", tasks);
-        let matrix = Arc::new(CsrMatrix::stencil27(ax, ay, az, false, false));
-        let nnz = matrix.nnz();
-
-        for _ in 0..reps {
-            match kernel {
-                Kernel::Waxpby => {
-                    let cost = crate::fig6::to_task_cost(waxpby_cost(modeled_n / tasks));
-                    let mut section = rt.section(&mut ws);
-                    section
-                        .add_split(actual_n, |chunk| {
-                            TaskDef::new(
-                                "waxpby",
-                                |c| {
-                                    let xs = &c.inputs[0];
-                                    let ys = &c.inputs[1];
-                                    let ws_ = &mut c.outputs[0];
-                                    for i in 0..ws_.len() {
-                                        ws_[i] = 2.0 * xs[i] + 0.5 * ys[i];
-                                    }
-                                },
-                                vec![
-                                    ArgSpec::input(x, chunk.clone()),
-                                    ArgSpec::input(y, chunk.clone()),
-                                    ArgSpec::output(w, chunk),
-                                ],
-                            )
-                            .with_cost(cost)
-                        })
-                        .unwrap();
-                    let _ = section.end().unwrap();
-                }
-                Kernel::Ddot => {
-                    let cost = crate::fig6::to_task_cost(ddot_cost(modeled_n / tasks));
-                    let mut section = rt.section(&mut ws);
-                    let chunks = ipr_core::split_ranges(actual_n, tasks);
-                    for (t, chunk) in chunks.into_iter().enumerate() {
-                        section
-                            .add_task(
-                                TaskDef::new(
-                                    "ddot",
-                                    |c| {
-                                        c.outputs[0][0] = c.inputs[0]
-                                            .iter()
-                                            .zip(c.inputs[1].iter())
-                                            .map(|(a, b)| a * b)
-                                            .sum();
-                                    },
-                                    vec![
-                                        ArgSpec::input(x, chunk.clone()),
-                                        ArgSpec::input(y, chunk),
-                                        ArgSpec::output(partial, t..t + 1),
-                                    ],
-                                )
-                                .with_cost(cost),
-                            )
-                            .unwrap();
+    let run = Experiment::builder()
+        .app(AppId::Hpccg) // the three kernels are HPCCG's
+        .scale(scale)
+        .execution_mode(mode)
+        .logical_procs(num_logical)
+        .modeled_scale(modeled_n as f64 / actual_n as f64)
+        .machine(machine)
+        .build()
+        .expect("figure experiments are valid")
+        .run_with(move |ctx| {
+            let mut ws = Workspace::new();
+            let x = ws.add("x", (0..actual_n).map(|i| (i % 13) as f64).collect());
+            let y = ws.add("y", (0..actual_n).map(|i| (i % 7) as f64 * 0.5).collect());
+            let w = ws.add_zeros("w", actual_n);
+            let partial = ws.add_zeros("partial", ctx.rt.config().tasks_per_section);
+            let matrix = Arc::new(CsrMatrix::stencil27(ax, ay, az, false, false));
+            let spec = KernelSpec {
+                name: kernel.name(),
+                intra: true,
+                n: actual_n,
+                modeled_n,
+            };
+            for _ in 0..reps {
+                match kernel {
+                    Kernel::Waxpby => spec.waxpby(ctx, &mut ws, 2.0, x, 0.5, y, w)?,
+                    Kernel::Ddot => {
+                        spec.reduce(ctx, &mut ws, Reduction::Dot, x, y, partial)?;
                     }
-                    let _ = section.end().unwrap();
-                }
-                Kernel::Sparsemv => {
-                    let cost = crate::fig6::to_task_cost(spmv_cost(
-                        modeled_n / tasks,
-                        ((modeled_n as f64) * (nnz as f64 / actual_n as f64)) as usize / tasks,
-                    ));
-                    let matrix = Arc::clone(&matrix);
-                    let mut section = rt.section(&mut ws);
-                    section
-                        .add_split(actual_n, |chunk| {
-                            let matrix = Arc::clone(&matrix);
-                            let (start, end) = (chunk.start, chunk.end);
-                            TaskDef::new(
-                                "sparsemv",
-                                move |c| {
-                                    let rows = c.scalar_usize(0)..c.scalar_usize(1);
-                                    let mut scratch = vec![0.0; rows.end];
-                                    matrix.spmv_rows(rows.clone(), &c.inputs[0], &mut scratch);
-                                    c.outputs[0].copy_from_slice(&scratch[rows]);
-                                },
-                                vec![ArgSpec::input(x, 0..actual_n), ArgSpec::output(w, chunk)],
-                            )
-                            .with_scalars(vec![start as f64, end as f64])
-                            .with_cost(cost)
-                        })
-                        .unwrap();
-                    let _ = section.end().unwrap();
+                    Kernel::Sparsemv => spec.spmv(ctx, &mut ws, &matrix, x, w)?,
                 }
             }
-        }
-        let rep_count = reps.max(1) as f64;
-        let total = rt.report().total_section_time().as_secs() / rep_count;
-        let drain = rt.report().total_update_drain_time().as_secs() / rep_count;
-        (total, drain)
-    });
+            let sections = ctx.rt.report().view();
+            let rep_count = reps.max(1) as f64;
+            Ok((
+                sections.total_section_time().as_secs() / rep_count,
+                sections.total_update_drain_time().as_secs() / rep_count,
+            ))
+        })
+        .expect("figure experiments execute");
 
-    let results = report.unwrap_results();
+    let results = run.unwrap_results();
     let n = results.len() as f64;
     let total: f64 = results.iter().map(|(t, _)| t).sum::<f64>() / n;
     let drain: f64 = results.iter().map(|(_, d)| d).sum::<f64>() / n;
@@ -216,44 +146,11 @@ pub fn run(scale: ExperimentScale) -> Vec<KernelRow> {
 /// Same as [`run`] but with an explicit machine model (used by the bandwidth
 /// ablation).
 pub fn run_with_machine(scale: ExperimentScale, machine: MachineModel) -> Vec<KernelRow> {
-    let procs = scale.fig5a_procs();
-    let actual_edge = scale.actual_grid_edge();
-    let modeled_edge = 128;
-    let reps = scale.kernel_reps();
     let mut rows = Vec::new();
     for kernel in Kernel::ALL {
-        let (t_native, _) = kernel_time(
-            kernel,
-            ExecutionMode::Native,
-            procs,
-            actual_edge,
-            modeled_edge,
-            reps,
-            machine,
-        );
-        let (t_sdr, _) = kernel_time(
-            kernel,
-            ExecutionMode::Replicated { degree: 2 },
-            procs,
-            actual_edge,
-            modeled_edge,
-            reps,
-            machine,
-        );
-        let (t_intra, drain_intra) = kernel_time(
-            kernel,
-            ExecutionMode::IntraParallel { degree: 2 },
-            procs,
-            actual_edge,
-            modeled_edge,
-            reps,
-            machine,
-        );
-        for (mode, time, drain) in [
-            ("Open MPI", t_native, 0.0),
-            ("SDR-MPI", t_sdr, 0.0),
-            ("intra", t_intra, drain_intra),
-        ] {
+        let times = MODES.map(|(_, mode)| kernel_time(kernel, mode, scale, machine));
+        let (t_native, _) = times[0];
+        for ((mode, _), (time, drain)) in MODES.into_iter().zip(times) {
             rows.push(KernelRow {
                 kernel: kernel.name(),
                 mode,

@@ -14,6 +14,7 @@
 //! size instead of using the catalog workload.
 
 use crate::scale::ExperimentScale;
+use crate::MODES;
 use apps::{run_hpccg, AppId, HpccgParams, KernelSelection};
 use intra_replication::Experiment;
 use ipr_core::SchedulerKind;
@@ -73,42 +74,18 @@ fn hpccg_time(
 }
 
 /// Runs the Figure 5b study: one row per (process count, configuration).
-pub fn run(scale: ExperimentScale) -> Vec<ScalingRow> {
-    run_with_scheduler(scale, None)
-}
-
-/// [`run`] with an explicit scheduler (`None` keeps the paper's static
-/// block scheduler).  This is the scheduler knob of the `figures` CLI:
-/// `figures fig5b small adaptive`.
-pub fn run_with_scheduler(
-    scale: ExperimentScale,
-    scheduler: Option<SchedulerKind>,
-) -> Vec<ScalingRow> {
+/// `scheduler` is the scheduler knob of the `figures` CLI (`figures fig5b
+/// small adaptive`); `None` keeps the paper's static block scheduler.
+pub fn run(scale: ExperimentScale, scheduler: Option<SchedulerKind>) -> Vec<ScalingRow> {
     let mut rows = Vec::new();
     for procs in scale.fig5b_procs() {
-        let t_native = hpccg_time(ExecutionMode::Native, procs, scale, scheduler);
-        let t_sdr = hpccg_time(
-            ExecutionMode::Replicated { degree: 2 },
-            procs,
-            scale,
-            scheduler,
-        );
-        let t_intra = hpccg_time(
-            ExecutionMode::IntraParallel { degree: 2 },
-            procs,
-            scale,
-            scheduler,
-        );
-        for (mode, time) in [
-            ("Open MPI", t_native),
-            ("SDR-MPI", t_sdr),
-            ("intra", t_intra),
-        ] {
+        let times = MODES.map(|(_, mode)| hpccg_time(mode, procs, scale, scheduler));
+        for ((mode, _), time) in MODES.into_iter().zip(times) {
             rows.push(ScalingRow {
                 procs,
                 mode,
                 time_s: time,
-                efficiency: t_native / time,
+                efficiency: times[0] / time,
             });
         }
     }

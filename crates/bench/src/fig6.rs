@@ -14,76 +14,17 @@
 //! GTC ≈ 0.71, MiniGhost ≈ 0.51 (plain replication ≈ 0.48–0.49 everywhere).
 
 use crate::scale::ExperimentScale;
+use crate::MODES;
 use apps::AppId;
 use intra_replication::Experiment;
-use ipr_core::{SchedulerKind, TaskCost};
-use kernels::KernelCost;
+use ipr_core::SchedulerKind;
 use replication::ExecutionMode;
-
-/// Converts a kernel cost into a task cost (re-exported for the kernel-level
-/// figure module).
-pub fn to_task_cost(cost: KernelCost) -> TaskCost {
-    TaskCost::new(cost.flops, cost.mem_bytes())
-}
-
-/// The application of one Figure 6 sub-plot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Fig6App {
-    /// Figure 6a: AMG2013, 27-point stencil, PCG solver.
-    AmgPcg27,
-    /// Figure 6b: AMG2013, 7-point stencil, GMRES solver.
-    AmgGmres7,
-    /// Figure 6c: GTC.
-    Gtc,
-    /// Figure 6d: MiniGhost.
-    MiniGhost,
-}
-
-impl Fig6App {
-    /// All four applications in figure order.
-    pub const ALL: [Fig6App; 4] = [
-        Fig6App::AmgPcg27,
-        Fig6App::AmgGmres7,
-        Fig6App::Gtc,
-        Fig6App::MiniGhost,
-    ];
-
-    /// Display name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Fig6App::AmgPcg27 => "AMG2013 (27-pt PCG)",
-            Fig6App::AmgGmres7 => "AMG2013 (7-pt GMRES)",
-            Fig6App::Gtc => "GTC",
-            Fig6App::MiniGhost => "MiniGhost",
-        }
-    }
-
-    /// Figure label in the paper.
-    pub fn figure(&self) -> &'static str {
-        match self {
-            Fig6App::AmgPcg27 => "6a",
-            Fig6App::AmgGmres7 => "6b",
-            Fig6App::Gtc => "6c",
-            Fig6App::MiniGhost => "6d",
-        }
-    }
-
-    /// The catalog application this sub-plot runs.
-    pub fn app_id(&self) -> AppId {
-        match self {
-            Fig6App::AmgPcg27 => AppId::AmgPcg27,
-            Fig6App::AmgGmres7 => AppId::AmgGmres7,
-            Fig6App::Gtc => AppId::Gtc,
-            Fig6App::MiniGhost => AppId::MiniGhost,
-        }
-    }
-}
 
 /// One bar of a Figure 6 sub-plot.
 #[derive(Debug, Clone)]
 pub struct AppRow {
-    /// Application name.
-    pub app: &'static str,
+    /// The application.
+    pub app: AppId,
     /// Configuration label.
     pub mode: &'static str,
     /// Number of physical processes used.
@@ -100,13 +41,13 @@ pub struct AppRow {
 }
 
 fn run_app(
-    app: Fig6App,
+    app: AppId,
     mode: ExecutionMode,
     scale: ExperimentScale,
     scheduler: Option<SchedulerKind>,
 ) -> (f64, f64, usize) {
     let report = Experiment::builder()
-        .app(app.app_id())
+        .app(app)
         .scale(scale)
         .execution_mode(mode)
         .scheduler(scheduler.unwrap_or(SchedulerKind::StaticBlock))
@@ -123,68 +64,24 @@ fn run_app(
 }
 
 /// Runs one Figure 6 sub-plot: native, replicated and intra bars.
-pub fn run(app: Fig6App, scale: ExperimentScale) -> Vec<AppRow> {
-    run_with_scheduler(app, scale, None)
-}
-
-/// [`run`] with an explicit scheduler (`None` keeps the paper's static block
-/// scheduler).  The `figures` CLI parses its `[scheduler]` argument into a
-/// [`SchedulerKind`] at the edge and threads it through here:
-/// `figures fig6c small locality`.
-pub fn run_with_scheduler(
-    app: Fig6App,
-    scale: ExperimentScale,
-    scheduler: Option<SchedulerKind>,
-) -> Vec<AppRow> {
-    let (t_native, sec_native, procs_native) =
-        run_app(app, ExecutionMode::Native, scale, scheduler);
-    let (t_sdr, sec_sdr, procs_sdr) = run_app(
-        app,
-        ExecutionMode::Replicated { degree: 2 },
-        scale,
-        scheduler,
-    );
-    let (t_intra, sec_intra, procs_intra) = run_app(
-        app,
-        ExecutionMode::IntraParallel { degree: 2 },
-        scale,
-        scheduler,
-    );
-    vec![
-        AppRow {
-            app: app.name(),
-            mode: "Open MPI",
-            procs: procs_native,
-            time_s: t_native,
-            sections_s: sec_native,
-            others_s: (t_native - sec_native).max(0.0),
-            efficiency: 1.0,
-        },
-        AppRow {
-            app: app.name(),
-            mode: "SDR-MPI",
-            procs: procs_sdr,
-            time_s: t_sdr,
-            sections_s: sec_sdr,
-            others_s: (t_sdr - sec_sdr).max(0.0),
-            efficiency: 0.5 * t_native / t_sdr,
-        },
-        AppRow {
-            app: app.name(),
-            mode: "intra",
-            procs: procs_intra,
-            time_s: t_intra,
-            sections_s: sec_intra,
-            others_s: (t_intra - sec_intra).max(0.0),
-            efficiency: 0.5 * t_native / t_intra,
-        },
-    ]
-}
-
-/// Runs all four Figure 6 sub-plots.
-pub fn run_all(scale: ExperimentScale) -> Vec<AppRow> {
-    Fig6App::ALL
+/// `scheduler` is the `figures` CLI's scheduler argument (`figures fig6c
+/// small locality`); `None` keeps the paper's static block scheduler.
+pub fn run(app: AppId, scale: ExperimentScale, scheduler: Option<SchedulerKind>) -> Vec<AppRow> {
+    let runs = MODES.map(|(_, mode)| run_app(app, mode, scale, scheduler));
+    let (t_native, _, _) = runs[0];
+    MODES
         .into_iter()
-        .flat_map(|app| run(app, scale))
+        .zip(runs)
+        .map(|((label, mode), (time, sections, procs))| AppRow {
+            app,
+            mode: label,
+            procs,
+            time_s: time,
+            sections_s: sections,
+            others_s: (time - sections).max(0.0),
+            // The replicated configurations use `degree` times the
+            // resources of the native run.
+            efficiency: t_native / (mode.degree() as f64 * time),
+        })
         .collect()
 }

@@ -226,53 +226,6 @@ impl RuntimeReport {
     pub fn num_sections(&self) -> usize {
         self.sections.len()
     }
-
-    /// Total virtual time spent inside sections.
-    pub fn total_section_time(&self) -> SimTime {
-        self.view().total_section_time()
-    }
-
-    /// Total virtual time spent executing local tasks.
-    pub fn total_local_work_time(&self) -> SimTime {
-        self.view().total_local_work_time()
-    }
-
-    /// Total virtual time spent draining update transfers.
-    pub fn total_update_drain_time(&self) -> SimTime {
-        self.view().total_update_drain_time()
-    }
-
-    /// Total modeled update bytes sent.
-    pub fn total_update_bytes_sent(&self) -> usize {
-        self.view().total_update_bytes_sent()
-    }
-
-    /// Total modeled update bytes received.
-    pub fn total_update_bytes_received(&self) -> usize {
-        self.view().total_update_bytes_received()
-    }
-
-    /// Total tasks executed locally across all sections.
-    pub fn total_tasks_executed(&self) -> usize {
-        self.view().total_tasks_executed()
-    }
-
-    /// Total tasks re-executed after failures.
-    pub fn total_tasks_reexecuted(&self) -> usize {
-        self.view().total_tasks_reexecuted()
-    }
-
-    /// Total tasks whose result was received from a peer replica.
-    pub fn total_tasks_received(&self) -> usize {
-        self.view().total_tasks_received()
-    }
-
-    /// Total replica failures of this logical process observed inside
-    /// sections (a crash spanning several sections counts once per section
-    /// that observed it).
-    pub fn total_replica_failures_observed(&self) -> usize {
-        self.view().total_replica_failures_observed()
-    }
 }
 
 #[cfg(test)]
@@ -330,15 +283,16 @@ mod tests {
         rr.push(report(0.0, 1.0, 2.0));
         rr.push(report(2.0, 2.5, 4.0));
         assert_eq!(rr.num_sections(), 2);
-        assert_eq!(rr.total_section_time().as_secs(), 4.0);
-        assert_eq!(rr.total_local_work_time().as_secs(), 1.5);
-        assert_eq!(rr.total_update_drain_time().as_secs(), 2.5);
-        assert_eq!(rr.total_update_bytes_sent(), 200);
-        assert_eq!(rr.total_update_bytes_received(), 400);
-        assert_eq!(rr.total_tasks_executed(), 8);
-        assert_eq!(rr.total_tasks_reexecuted(), 0);
-        assert_eq!(rr.total_tasks_received(), 8);
-        assert_eq!(rr.total_replica_failures_observed(), 0);
+        let view = rr.view();
+        assert_eq!(view.total_section_time().as_secs(), 4.0);
+        assert_eq!(view.total_local_work_time().as_secs(), 1.5);
+        assert_eq!(view.total_update_drain_time().as_secs(), 2.5);
+        assert_eq!(view.total_update_bytes_sent(), 200);
+        assert_eq!(view.total_update_bytes_received(), 400);
+        assert_eq!(view.total_tasks_executed(), 8);
+        assert_eq!(view.total_tasks_reexecuted(), 0);
+        assert_eq!(view.total_tasks_received(), 8);
+        assert_eq!(view.total_replica_failures_observed(), 0);
         assert_eq!(rr.sections().len(), 2);
     }
 

@@ -20,7 +20,7 @@ pub struct IntraConfig {
     pub tasks_per_section: usize,
     /// Scale factor applied to update sizes and `inout` snapshot sizes when
     /// charging the network/memory model.  Used by paper-scale experiments
-    /// that run the protocol on reduced actual arrays (see DESIGN.md); 1.0
+    /// that run the protocol on reduced actual arrays (see `docs/ARCHITECTURE.md`); 1.0
     /// means "charge exactly what is really transferred".
     pub modeled_scale: f64,
     /// Scheduler deciding which replica executes which task.
@@ -157,14 +157,6 @@ impl IntraRuntime {
     /// every replica).
     pub fn cost_model(&self) -> &CostModel {
         &self.cost_model
-    }
-
-    /// Mutable access to the cost history (e.g. to reset it between
-    /// measured regions).  Mutating it identically on every replica is the
-    /// caller's responsibility — the assignment of tasks to replicas is
-    /// derived from this state.
-    pub fn cost_model_mut(&mut self) -> &mut CostModel {
-        &mut self.cost_model
     }
 
     pub(crate) fn next_section_index(&mut self) -> usize {

@@ -163,17 +163,6 @@ impl ReplicatedComm {
         self.replica_comm.is_failed(replica)
     }
 
-    /// True if this process is the lowest-id alive replica of its logical
-    /// process (the replica that covers for failed siblings).
-    ///
-    /// The answer is based on the racy failure board, so it must only be
-    /// used for diagnostics — never to steer protocol decisions (those use
-    /// the deterministic stream-failover discipline of
-    /// [`ReplicatedComm::recv_logical`]).
-    pub fn is_covering_replica(&self) -> bool {
-        self.alive_replicas().first() == Some(&self.my_replica)
-    }
-
     // ------------------------------------------------------------------
     // Logical point-to-point channel
     // ------------------------------------------------------------------

@@ -42,16 +42,6 @@ impl NetworkModel {
         }
     }
 
-    /// 10 Gb Ethernet: ~1.1 GB/s, ~12 us latency.
-    pub fn ethernet_10g() -> Self {
-        NetworkModel {
-            latency_s: 12e-6,
-            bandwidth_bytes_per_s: 1.1e9,
-            send_overhead_s: 1.5e-6,
-            recv_overhead_s: 1.5e-6,
-        }
-    }
-
     /// Shared-memory transfer between two processes on the same node.
     pub fn intra_node() -> Self {
         NetworkModel {

@@ -51,16 +51,6 @@ impl SimTime {
         self.0
     }
 
-    /// The time expressed in microseconds.
-    pub fn as_micros(self) -> f64 {
-        self.0 * 1e6
-    }
-
-    /// The time expressed in milliseconds.
-    pub fn as_millis(self) -> f64 {
-        self.0 * 1e3
-    }
-
     /// Returns the maximum of two times.
     pub fn max(self, other: SimTime) -> SimTime {
         if self.0 >= other.0 {

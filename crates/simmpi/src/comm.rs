@@ -95,16 +95,6 @@ impl Comm {
         self.id
     }
 
-    /// World rank of the process with communicator rank `r`.
-    pub fn world_rank_of(&self, r: usize) -> usize {
-        self.group[r]
-    }
-
-    /// World rank of this process.
-    pub fn my_world_rank(&self) -> usize {
-        self.core.world_rank
-    }
-
     /// Communicator rank of the given world rank, if it is a member.
     pub fn comm_rank_of_world(&self, world: usize) -> Option<usize> {
         self.group.iter().position(|&w| w == world)
@@ -297,7 +287,7 @@ impl Comm {
 
     /// Blocking send that charges the network model for `modeled_bytes`
     /// instead of the actual payload size.  Used by paper-scale experiments
-    /// that run the protocol on reduced arrays (see `DESIGN.md`).
+    /// that run the protocol on reduced arrays (see `docs/ARCHITECTURE.md`).
     pub fn send_with_modeled_size<T: Pod>(
         &self,
         buf: &[T],
@@ -329,18 +319,6 @@ impl Comm {
         Self::validate_tag(tag)?;
         self.send_bytes(payload, modeled_bytes, dest, tag)?;
         Ok(())
-    }
-
-    /// Non-blocking variant of [`Comm::send_payload`].
-    pub fn isend_payload(
-        &self,
-        payload: Bytes,
-        dest: usize,
-        tag: Tag,
-        modeled_bytes: usize,
-    ) -> MpiResult<SendRequest> {
-        Self::validate_tag(tag)?;
-        self.send_bytes(payload, modeled_bytes, dest, tag)
     }
 
     /// Blocking receive of a raw payload (optionally wildcarded source /

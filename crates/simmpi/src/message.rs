@@ -43,7 +43,7 @@ pub struct Envelope {
     /// Number of bytes charged to the network model.  Usually equal to
     /// `payload.len()`, but paper-scale experiments can run the protocol on
     /// reduced actual arrays while charging the modeled size (see
-    /// `DESIGN.md`, "Timing / efficiency methodology").
+    /// `docs/ARCHITECTURE.md`, "Timing / efficiency methodology").
     pub modeled_bytes: usize,
     /// Virtual time at which the message is fully available at the receiver.
     pub arrival: SimTime,

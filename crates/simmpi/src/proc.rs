@@ -223,11 +223,4 @@ impl ProcHandle {
         let now = self.now();
         self.core.router.failures().mark_failed(self.rank(), now);
     }
-
-    /// Marks another rank as failed (used by test harnesses that simulate an
-    /// external failure detector killing a peer).
-    pub fn kill_rank(&self, rank: usize) {
-        let now = self.now();
-        self.core.router.failures().mark_failed(rank, now);
-    }
 }

@@ -213,3 +213,31 @@ fn experiment_runs_are_deterministic_and_seed_sensitive() {
     let c = strip(experiment(44).run().unwrap());
     assert_ne!(a, c, "the seed drives the failure trace");
 }
+
+#[test]
+fn application_parameters_the_model_cannot_scale_are_a_typed_error_on_every_rank() {
+    // A modeled grid smaller than the allocated one is reachable through the
+    // public parameter fields; the run must report it, not panic.
+    use apps::{run_hpccg, HpccgParams};
+    let run = Experiment::builder()
+        .app(AppId::Hpccg)
+        .mode(Mode::IntraReplication)
+        .logical_procs(2)
+        .build()
+        .unwrap()
+        .run_with(|ctx| {
+            let params = HpccgParams {
+                modeled_nz: 2,
+                ..HpccgParams::small(4, 2)
+            };
+            run_hpccg(ctx, &params)
+        })
+        .unwrap();
+    assert_eq!(run.results.len(), 4);
+    for result in &run.results {
+        assert!(
+            matches!(result, Err(Error::Intra(IntraError::InvalidConfig(_)))),
+            "{result:?}"
+        );
+    }
+}
