@@ -69,21 +69,31 @@ failures-smoke:
 	./target/release/campaign diff crates/campaign/golden/failures.json \
 		target/campaign-failures.json --tol $(CAMPAIGN_TOL)
 
-# The event-engine gate: the weak-scaling smoke sweep and the 200 000-rank
-# point must each match their checked-in golden baseline bit-exactly, and
-# the 10k-logical-rank sweep must still run.  Each sweep runs once: the
-# engine is one loop, there is no second configuration to compare against.
+# The event-engine gate: the weak-scaling smoke sweep, the Weibull and
+# rack-correlated failure sweep, the 200 000-rank point and the
+# 1 000 000-rank point must each match their checked-in golden baseline
+# bit-exactly, and the 10k-logical-rank sweep must still run.  Each sweep
+# runs once: the engine is one loop, there is no second configuration to
+# compare against.
 weak-smoke:
 	$(CARGO) build --release -p campaign
 	./target/release/campaign weak --sweep weak-smoke \
 		--out target/weak-smoke.json
 	./target/release/campaign diff crates/campaign/golden/weak_scaling.json \
 		target/weak-smoke.json --tol 0
+	./target/release/campaign weak --sweep weak-failures \
+		--out target/weak-failures.json
+	./target/release/campaign diff crates/campaign/golden/weak_failures.json \
+		target/weak-failures.json --tol 0
 	./target/release/campaign weak --sweep weak-10k > /dev/null
 	./target/release/campaign weak --sweep weak-100k \
 		--out target/weak-100k.json
 	./target/release/campaign diff crates/campaign/golden/weak_100k.json \
 		target/weak-100k.json --tol 0
+	./target/release/campaign weak --sweep weak-1m \
+		--out target/weak-1m.json
+	./target/release/campaign diff crates/campaign/golden/weak_1m.json \
+		target/weak-1m.json --tol 0
 
 # The campaign-service gate: submit the smoke grid to a fresh spool twice
 # and drain it through `campaign serve` with a fresh run cache.  The second
@@ -175,13 +185,17 @@ golden-failures:
 	./target/release/campaign run --grid failures --jobs $(CAMPAIGN_JOBS) \
 		--strip-informational --out crates/campaign/golden/failures.json
 
-# Same, for the two event-engine weak-scaling baselines.
+# Same, for the four event-engine weak-scaling baselines.
 golden-weak:
 	$(CARGO) build --release -p campaign
 	./target/release/campaign weak --sweep weak-smoke \
 		--strip-informational --out crates/campaign/golden/weak_scaling.json
+	./target/release/campaign weak --sweep weak-failures \
+		--strip-informational --out crates/campaign/golden/weak_failures.json
 	./target/release/campaign weak --sweep weak-100k \
 		--strip-informational --out crates/campaign/golden/weak_100k.json
+	./target/release/campaign weak --sweep weak-1m \
+		--strip-informational --out crates/campaign/golden/weak_1m.json
 
 # Same, for the checkpoint/restart sweep baseline.
 golden-ckpt:

@@ -181,6 +181,7 @@ impl WeakSweep {
     /// native vs intra, with the fitted Weibull MTBF hazard per rank and
     /// rack-correlated events (one rack = 8 nodes) — the sweep that shows
     /// replica-disjoint placement absorbing correlated losses at scale.
+    /// Gated against `crates/campaign/golden/weak_failures.json`.
     pub fn failures() -> Self {
         WeakSweep {
             name: "weak-failures".to_string(),
