@@ -23,6 +23,19 @@
 //! parks a task and wakes it by event — the same generation/waker semantics
 //! expressed as continuations.
 //!
+//! ## Data layout
+//!
+//! A rank's slot holds its program and clock inline, its phase (a parked
+//! phase carries the receive's selector) and its inbox — two links into one
+//! message slab shared by the whole run.  Each inbox is a FIFO in delivery
+//! order threaded through the slab, each entry a message plus its link (48
+//! bytes); an entry a receive vacates goes on the slab's free list for the
+//! next delivery, so the slab grows to the run's high-water mark of queued
+//! messages and no rank owns a buffer.  A burst runs under one unwind guard:
+//! a program that panics ends its burst as errored, the sends it made
+//! before the panic are delivered, and its message goes to a sparse error
+//! list, not the slot.
+//!
 //! ## Determinism
 //!
 //! A run is a pure function of its configuration and programs — every
@@ -370,12 +383,12 @@ impl VirtualClusterReport {
 }
 
 /// Scheduling phase of one rank.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 enum Phase {
     /// On the ready list, or running its burst right now.
     Runnable,
-    /// Waiting for a receive to become satisfiable.
-    Parked,
+    /// Waiting for a receive on this selector to become satisfiable.
+    Parked(Selector),
     /// Terminal states.
     Done,
     Crashed,
@@ -398,21 +411,95 @@ struct RankLocal<P> {
 
 /// A message in flight or queued at its destination: exactly the fields the
 /// engine models (no payload, no communicator — every engine message is a
-/// world-communicator message of `modeled_bytes` modeled bytes).
+/// world-communicator message of `modeled_bytes` modeled bytes).  The
+/// destination is where it is queued, or beside it in the send buffer.
 #[derive(Debug, Clone, Copy)]
 struct Msg {
     src: usize,
-    dst: usize,
     tag: Tag,
     modeled_bytes: usize,
-    /// Virtual time at which the message is fully available at `dst`.
+    /// Virtual time at which the message is fully available at its
+    /// destination.
     arrival: SimTime,
     /// Sender-local sequence number (virtual-time tie-breaking only).
     seq: u64,
 }
 
-// Inboxes and burst buffers hold these by value: keep them small.
-const _: () = assert!(std::mem::size_of::<Msg>() <= 48);
+impl Msg {
+    /// The wildcard match order: smallest first.
+    fn order(&self) -> (SimTime, usize, Tag, u64) {
+        (self.arrival, self.src, self.tag, self.seq)
+    }
+}
+
+/// Index into the [`MsgSlab`]; [`NIL`] ends a list.
+type Link = u32;
+
+const NIL: Link = Link::MAX;
+
+/// One slab entry: a queued message and the link to the next message of
+/// the same inbox (or, once vacated, to the next free entry).
+#[derive(Debug, Clone, Copy)]
+struct Queued {
+    msg: Msg,
+    next: Link,
+}
+
+// The slab and the burst buffer hold these by value, the slab one per
+// queued message of the whole run, and every rank carries a slot: keep them
+// small.
+const _: () = assert!(std::mem::size_of::<Msg>() <= 40);
+const _: () = assert!(std::mem::size_of::<Queued>() <= 48);
+const _: () = assert!(std::mem::size_of::<RankSlot<()>>() <= 168);
+
+/// Every queued message of a run, in one table: the inboxes are linked
+/// lists through it, and an entry a receive vacates goes on a free list for
+/// the next delivery, so the table grows to the run's high-water mark of
+/// queued messages and no further.
+struct MsgSlab {
+    entries: Vec<Queued>,
+    /// First vacated entry, chained through `next`.
+    free: Link,
+}
+
+impl Default for MsgSlab {
+    fn default() -> Self {
+        MsgSlab {
+            entries: Vec::new(),
+            free: NIL,
+        }
+    }
+}
+
+impl MsgSlab {
+    /// Stores `msg`, linked to nothing yet, in a vacated entry if there is
+    /// one, and returns its index.
+    fn insert(&mut self, msg: Msg) -> Link {
+        let queued = Queued { msg, next: NIL };
+        if self.free != NIL {
+            let at = self.free;
+            let entry = &mut self.entries[at as usize];
+            self.free = entry.next;
+            *entry = queued;
+            return at;
+        }
+        let at = Link::try_from(self.entries.len())
+            .ok()
+            .filter(|&at| at != NIL)
+            .expect("fewer than 2^32 - 1 messages are queued at once");
+        self.entries.push(queued);
+        at
+    }
+
+    /// Vacates entry `at`, already unlinked from its inbox, and returns its
+    /// message.
+    fn remove(&mut self, at: Link) -> Msg {
+        let entry = &mut self.entries[at as usize];
+        entry.next = self.free;
+        self.free = at;
+        entry.msg
+    }
+}
 
 /// Receive criteria of a [`Step::Recv`]: `None` is a wildcard.
 #[derive(Debug, Clone, Copy)]
@@ -427,18 +514,33 @@ impl Selector {
     }
 }
 
-/// One rank's queued messages: a single contiguous queue in delivery order,
-/// scanned linearly.  It stays shallow — a receiver consumes about as fast
-/// as its peers send; the `apps` workload peaks at 16 queued messages with
-/// 100 000 logical ranks — which is why a scan beats any index.
-#[derive(Default)]
+/// One rank's queued messages: a FIFO in delivery order, linked through the
+/// run's [`MsgSlab`], scanned linearly.  It stays shallow — a receiver
+/// consumes about as fast as its peers send; the `apps` workload peaks at
+/// 16 queued messages with 100 000 logical ranks — which is why a scan
+/// beats any index, and why two links per rank beat a buffer per rank.
 struct Inbox {
-    queue: Vec<Msg>,
+    head: Link,
+    tail: Link,
+}
+
+impl Default for Inbox {
+    fn default() -> Self {
+        Inbox {
+            head: NIL,
+            tail: NIL,
+        }
+    }
 }
 
 impl Inbox {
-    fn push(&mut self, msg: Msg) {
-        self.queue.push(msg);
+    fn push(&mut self, slab: &mut MsgSlab, msg: Msg) {
+        let at = slab.insert(msg);
+        match self.tail {
+            NIL => self.head = at,
+            tail => slab.entries[tail as usize].next = at,
+        }
+        self.tail = at;
     }
 
     /// Removes and returns the message a receive on `sel` consumes.
@@ -446,40 +548,57 @@ impl Inbox {
     /// One sender's back-to-back sends serialize on its channel and are
     /// delivered in order, so the messages of one `(src, tag)` pair queue in
     /// arrival order: an exact selector takes its first match.  A wildcard
-    /// takes the match with the smallest `(arrival, src, tag, seq)` — a pure
-    /// function of the queued virtual-time stamps, whatever order the
-    /// deliveries were applied in.
-    fn take(&mut self, sel: &Selector) -> Option<Msg> {
-        let mut matches = self
-            .queue
-            .iter()
-            .enumerate()
-            .filter(|(_, msg)| sel.matches(msg));
-        let at = if sel.src.is_some() && sel.tag.is_some() {
-            matches.next()
-        } else {
-            matches.min_by_key(|(_, msg)| (msg.arrival, msg.src, msg.tag, msg.seq))
+    /// takes the match with the smallest `(arrival, src, tag, seq)`, the
+    /// first such on ties — a pure function of the queued virtual-time
+    /// stamps, whatever order the deliveries were applied in.
+    fn take(&mut self, slab: &mut MsgSlab, sel: &Selector) -> Option<Msg> {
+        let exact = sel.src.is_some() && sel.tag.is_some();
+        // The message to take and its predecessor in the list.
+        let mut best: Option<(Link, Link)> = None;
+        let (mut prev, mut at) = (NIL, self.head);
+        while at != NIL {
+            let Queued { msg, next } = &slab.entries[at as usize];
+            if sel.matches(msg)
+                && best.is_none_or(|(_, b)| msg.order() < slab.entries[b as usize].msg.order())
+            {
+                best = Some((prev, at));
+                if exact {
+                    break;
+                }
+            }
+            (prev, at) = (at, *next);
         }
-        .map(|(at, _)| at)?;
-        Some(self.queue.remove(at))
+        let (prev, at) = best?;
+        let next = slab.entries[at as usize].next;
+        match prev {
+            NIL => self.head = next,
+            prev => slab.entries[prev as usize].next = next,
+        }
+        if self.tail == at {
+            self.tail = prev;
+        }
+        Some(slab.remove(at))
     }
 }
 
-/// Per-rank slot: inbox, scheduling state and the rank's own state.
+/// Per-rank slot: scheduling state, inbox and the rank's own state.
 struct RankSlot<P> {
     phase: Phase,
     inbox: Inbox,
-    parked_on: Option<Selector>,
     local: RankLocal<P>,
-    error: Option<String>,
 }
 
 /// Everything the engine loop owns.
 struct Scheduler<P> {
     engine: VirtualEngine,
     ranks: Vec<RankSlot<P>>,
+    /// The queued messages of every inbox.
+    slab: MsgSlab,
     failed: Vec<bool>,
     failures: Vec<FailureEvent>,
+    /// Messages of the ranks that errored, in retirement order (sparse:
+    /// kept out of the slots).
+    errors: Vec<(usize, String)>,
     messages: u64,
 }
 
@@ -520,7 +639,6 @@ fn inject<P>(
     local.seq += 1;
     Msg {
         src: rank,
-        dst,
         tag,
         modeled_bytes: bytes,
         arrival,
@@ -552,18 +670,22 @@ fn complete_recv<P>(
 
 /// Runs one rank as far as it can go without touching another rank: compute
 /// charges and sends are rank-local (sends are buffered in `outgoing`, the
-/// loop's reused buffer), so the burst only ends on a receive, a crash,
-/// completion, or an error.
+/// loop's reused buffer, beside their destinations), so the burst only ends
+/// on a receive, a crash, completion, or an error.
+///
+/// One unwind guard covers the whole burst: a program that panics ends it
+/// as `Errored`, and the sends it made before the panic stay in `outgoing`
+/// to be delivered like any other burst's.
 fn run_burst<P: RankProgram>(
     local: &mut RankLocal<P>,
-    outgoing: &mut Vec<Msg>,
+    outgoing: &mut Vec<(usize, Msg)>,
     rank: usize,
     world: usize,
     topology: &Topology,
     machine: &MachineModel,
     step_limit: u64,
 ) -> BurstEnd {
-    loop {
+    catch_unwind(AssertUnwindSafe(|| loop {
         if let Some(at) = local.crash_at {
             if local.endpoint.clock.now() >= at {
                 return BurstEnd::Crashed(local.endpoint.clock.now());
@@ -579,11 +701,7 @@ fn run_burst<P: RankProgram>(
             now: local.endpoint.clock.now(),
             last_recv: local.last_recv.take(),
         };
-        let step = match catch_unwind(AssertUnwindSafe(|| local.program.step(&ctx))) {
-            Ok(step) => step,
-            Err(payload) => return BurstEnd::Errored(panic_message(payload)),
-        };
-        match step {
+        match local.program.step(&ctx) {
             Step::Compute { flops, mem_bytes } => {
                 let dt = machine.compute.region_time(flops, mem_bytes);
                 local.endpoint.clock.advance_compute(dt);
@@ -591,7 +709,8 @@ fn run_burst<P: RankProgram>(
             Step::Elapse(dt) => local.endpoint.clock.advance_other(dt),
             Step::Send { dst, tag, bytes } => {
                 if dst < world {
-                    outgoing.push(inject(local, rank, dst, tag, bytes, topology, machine));
+                    let msg = inject(local, rank, dst, tag, bytes, topology, machine);
+                    outgoing.push((dst, msg));
                 }
                 // Out-of-range destinations are dropped like the router
                 // drops them; crashed destinations are filtered at apply
@@ -600,7 +719,8 @@ fn run_burst<P: RankProgram>(
             Step::Recv { src, tag } => return BurstEnd::NeedRecv(Selector { src, tag }),
             Step::Done => return BurstEnd::Done,
         }
-    }
+    }))
+    .unwrap_or_else(|payload| BurstEnd::Errored(panic_message(payload)))
 }
 
 /// Tries to hand a parked or freshly-recv-blocked rank its receive outcome:
@@ -608,19 +728,19 @@ fn run_burst<P: RankProgram>(
 /// `PeerFailed` for a crashed named source.  Returns `false` if the rank
 /// must (stay) park(ed).
 fn try_satisfy_recv<P>(
-    local: &mut RankLocal<P>,
-    inbox: &mut Inbox,
+    slot: &mut RankSlot<P>,
+    slab: &mut MsgSlab,
     failed: &[bool],
     sel: &Selector,
     rank: usize,
     topology: &Topology,
     machine: &MachineModel,
 ) -> bool {
-    if let Some(msg) = inbox.take(sel) {
-        complete_recv(local, &msg, rank, topology, machine);
+    if let Some(msg) = slot.inbox.take(slab, sel) {
+        complete_recv(&mut slot.local, &msg, rank, topology, machine);
         true
     } else if let Some(src) = sel.src.filter(|&s| s < failed.len() && failed[s]) {
-        local.last_recv = Some(RecvOutcome::PeerFailed { src });
+        slot.local.last_recv = Some(RecvOutcome::PeerFailed { src });
         true
     } else {
         false
@@ -635,32 +755,31 @@ fn apply_burst<P>(
     sched: &mut Scheduler<P>,
     rank: usize,
     end: BurstEnd,
-    outgoing: &mut Vec<Msg>,
+    outgoing: &mut Vec<(usize, Msg)>,
     topology: &Topology,
     machine: &MachineModel,
 ) {
-    for msg in outgoing.drain(..) {
+    for (dst, msg) in outgoing.drain(..) {
         sched.messages += 1;
-        if sched.failed[msg.dst] {
+        if sched.failed[dst] {
             continue; // crashed destination: dropped, like the router
         }
-        let slot = &mut sched.ranks[msg.dst];
-        let matches_parked = slot.phase == Phase::Parked
-            && slot.parked_on.as_ref().is_some_and(|sel| sel.matches(&msg));
-        slot.inbox.push(msg);
+        let slot = &mut sched.ranks[dst];
+        let matches_parked = matches!(slot.phase, Phase::Parked(sel) if sel.matches(&msg));
+        slot.inbox.push(&mut sched.slab, msg);
         if matches_parked {
             // Resume the receiver no earlier than the message's virtual
             // arrival.  Duplicate wakeups are harmless: a dispatch that
             // finds nothing to do re-parks.
-            sched.engine.schedule_at(TaskId(msg.dst), msg.arrival);
+            sched.engine.schedule_at(TaskId(dst), msg.arrival);
         }
     }
     match end {
         BurstEnd::NeedRecv(sel) => {
             let slot = &mut sched.ranks[rank];
             if try_satisfy_recv(
-                &mut slot.local,
-                &mut slot.inbox,
+                slot,
+                &mut sched.slab,
                 &sched.failed,
                 &sel,
                 rank,
@@ -669,17 +788,17 @@ fn apply_burst<P>(
             ) {
                 sched.engine.make_ready(TaskId(rank));
             } else {
-                slot.phase = Phase::Parked;
-                slot.parked_on = Some(sel);
+                slot.phase = Phase::Parked(sel);
             }
         }
         BurstEnd::Done => sched.ranks[rank].phase = Phase::Done,
-        BurstEnd::Crashed(at) => retire_failed(sched, rank, at, Phase::Crashed, None),
+        BurstEnd::Crashed(at) => retire_failed(sched, rank, at, Phase::Crashed),
         BurstEnd::Errored(msg) => {
             // Mirror the thread world: a panicked rank is marked failed so
             // peers blocked on it observe the failure instead of hanging.
             let at = sched.ranks[rank].local.endpoint.clock.now();
-            retire_failed(sched, rank, at, Phase::Errored, Some(msg));
+            sched.errors.push((rank, msg));
+            retire_failed(sched, rank, at, Phase::Errored);
         }
     }
 }
@@ -688,25 +807,12 @@ fn apply_burst<P>(
 /// rank parked on a receive naming it so the parked rank can observe
 /// `PeerFailed` (the continuation equivalent of the failure board waking
 /// blocked receivers through its registered wakers).
-fn retire_failed<P>(
-    sched: &mut Scheduler<P>,
-    rank: usize,
-    at: SimTime,
-    phase: Phase,
-    error: Option<String>,
-) {
+fn retire_failed<P>(sched: &mut Scheduler<P>, rank: usize, at: SimTime, phase: Phase) {
     sched.failed[rank] = true;
     sched.failures.push(FailureEvent { rank, time: at });
-    let slot = &mut sched.ranks[rank];
-    slot.phase = phase;
-    slot.error = error;
-    for q in 0..sched.ranks.len() {
-        if sched.ranks[q].phase == Phase::Parked
-            && sched.ranks[q]
-                .parked_on
-                .as_ref()
-                .is_some_and(|sel| sel.src == Some(rank))
-        {
+    sched.ranks[rank].phase = phase;
+    for (q, slot) in sched.ranks.iter().enumerate() {
+        if matches!(slot.phase, Phase::Parked(sel) if sel.src == Some(rank)) {
             sched.engine.make_ready(TaskId(q));
         }
     }
@@ -730,11 +836,10 @@ fn drive<P: RankProgram>(
         let slot = &mut sched.ranks[rank];
         match slot.phase {
             Phase::Runnable => {}
-            Phase::Parked => {
-                let sel = slot.parked_on.expect("parked rank has a selector");
+            Phase::Parked(sel) => {
                 if !try_satisfy_recv(
-                    &mut slot.local,
-                    &mut slot.inbox,
+                    slot,
+                    &mut sched.slab,
                     &sched.failed,
                     &sel,
                     rank,
@@ -744,7 +849,6 @@ fn drive<P: RankProgram>(
                     continue; // spurious wakeup (e.g. a duplicate resume): stay parked
                 }
                 slot.phase = Phase::Runnable;
-                slot.parked_on = None;
             }
             // Stale dispatch for a rank that already retired.
             _ => continue,
@@ -822,7 +926,6 @@ where
             RankSlot {
                 phase: Phase::Runnable,
                 inbox: Inbox::default(),
-                parked_on: None,
                 local: RankLocal {
                     program: make(rank),
                     endpoint: Endpoint::new(node_populations[topology.node_of(rank)]),
@@ -831,7 +934,6 @@ where
                     steps: 0,
                     seq: 0,
                 },
-                error: None,
             }
         })
         .collect();
@@ -839,8 +941,10 @@ where
     let mut sched = Scheduler {
         engine,
         ranks,
+        slab: MsgSlab::default(),
         failed: vec![false; n],
         failures: Vec::new(),
+        errors: Vec::new(),
         messages: 0,
     };
     drive(&mut sched, &topology, &config.machine, config.step_limit);
@@ -848,6 +952,10 @@ where
     let mut failures = std::mem::take(&mut sched.failures);
     failures.sort_by_key(|f| (f.time, f.rank));
     let dispatches = sched.engine.dispatched();
+    // A rank retires at most once: one message per errored rank, in rank
+    // order to be matched up with the slots.
+    sched.errors.sort_unstable_by_key(|&(rank, _)| rank);
+    let mut errors = sched.errors.into_iter().peekable();
     let ranks = sched
         .ranks
         .into_iter()
@@ -857,12 +965,14 @@ where
             let end = match slot.phase {
                 Phase::Done => RankEnd::Completed,
                 Phase::Crashed => RankEnd::Crashed,
-                Phase::Errored => {
-                    RankEnd::Errored(slot.error.unwrap_or_else(|| "unknown error".to_string()))
-                }
+                Phase::Errored => RankEnd::Errored(
+                    errors
+                        .next_if(|&(errored, _)| errored == rank)
+                        .map_or_else(|| "unknown error".to_string(), |(_, msg)| msg),
+                ),
                 // Still parked when the event queue drained: nothing can
                 // ever wake it — a deadlock, reported instead of hung.
-                Phase::Parked => RankEnd::Errored(
+                Phase::Parked(_) => RankEnd::Errored(
                     "deadlock: parked on a receive when the event queue drained".to_string(),
                 ),
                 Phase::Runnable => unreachable!("rank {rank} left neither parked nor retired"),
@@ -929,12 +1039,21 @@ mod tests {
     fn msg_at(src: usize, tag: Tag, arrival: f64, seq: u64) -> Msg {
         Msg {
             src,
-            dst: 0,
             tag,
             modeled_bytes: 0,
             arrival: SimTime::from_secs(arrival),
             seq,
         }
+    }
+
+    /// Length of the list through `slab` that starts at `at`: an inbox's
+    /// queued messages, or the vacated entries.
+    fn chain_len(slab: &MsgSlab, mut at: Link) -> usize {
+        let mut len = 0;
+        while at != NIL {
+            (len, at) = (len + 1, slab.entries[at as usize].next);
+        }
+        len
     }
 
     const ANY: Selector = Selector {
@@ -945,40 +1064,41 @@ mod tests {
     #[test]
     fn delivery_order_and_arrival_order_can_differ() {
         // Source 1 delivered first but arrives later than source 0.
-        let mut inbox = Inbox::default();
-        inbox.push(msg_at(1, 5, 3.0, 0));
-        inbox.push(msg_at(0, 5, 1.0, 0));
+        let (mut inbox, mut slab) = (Inbox::default(), MsgSlab::default());
+        inbox.push(&mut slab, msg_at(1, 5, 3.0, 0));
+        inbox.push(&mut slab, msg_at(0, 5, 1.0, 0));
         // A wildcard returns the earliest arrival, not the first delivery.
-        assert_eq!(inbox.take(&ANY).unwrap().src, 0);
-        assert_eq!(inbox.take(&ANY).unwrap().src, 1);
-        assert!(inbox.queue.is_empty());
+        assert_eq!(inbox.take(&mut slab, &ANY).unwrap().src, 0);
+        assert_eq!(inbox.take(&mut slab, &ANY).unwrap().src, 1);
+        assert_eq!((inbox.head, inbox.tail), (NIL, NIL));
+        assert_eq!(chain_len(&slab, slab.free), 2);
     }
 
     #[test]
     fn arrival_order_breaks_ties_by_source_then_tag() {
-        let mut inbox = Inbox::default();
-        inbox.push(msg_at(2, 1, 1.0, 0));
-        inbox.push(msg_at(1, 7, 1.0, 0));
-        inbox.push(msg_at(1, 3, 1.0, 0));
-        let first = inbox.take(&ANY).unwrap();
+        let (mut inbox, mut slab) = (Inbox::default(), MsgSlab::default());
+        inbox.push(&mut slab, msg_at(2, 1, 1.0, 0));
+        inbox.push(&mut slab, msg_at(1, 7, 1.0, 0));
+        inbox.push(&mut slab, msg_at(1, 3, 1.0, 0));
+        let first = inbox.take(&mut slab, &ANY).unwrap();
         assert_eq!((first.src, first.tag), (1, 3));
-        let second = inbox.take(&ANY).unwrap();
+        let second = inbox.take(&mut slab, &ANY).unwrap();
         assert_eq!((second.src, second.tag), (1, 7));
-        assert_eq!(inbox.take(&ANY).unwrap().src, 2);
+        assert_eq!(inbox.take(&mut slab, &ANY).unwrap().src, 2);
     }
 
     #[test]
     fn arrival_order_respects_exact_lane_fifo() {
-        let mut inbox = Inbox::default();
-        inbox.push(msg_at(0, 5, 1.0, 0));
-        inbox.push(msg_at(0, 5, 2.0, 1));
+        let (mut inbox, mut slab) = (Inbox::default(), MsgSlab::default());
+        inbox.push(&mut slab, msg_at(0, 5, 1.0, 0));
+        inbox.push(&mut slab, msg_at(0, 5, 2.0, 1));
         let sel = Selector {
             src: Some(0),
             tag: Some(5),
         };
-        assert_eq!(inbox.take(&sel).unwrap().seq, 0);
-        assert_eq!(inbox.take(&sel).unwrap().seq, 1);
-        assert!(inbox.take(&sel).is_none());
+        assert_eq!(inbox.take(&mut slab, &sel).unwrap().seq, 0);
+        assert_eq!(inbox.take(&mut slab, &sel).unwrap().seq, 1);
+        assert!(inbox.take(&mut slab, &sel).is_none());
     }
 
     /// Reference model of the inbox: one FIFO lane per `(src, tag)`; a take
@@ -1010,46 +1130,65 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// Random interleavings of pushes (arrivals monotone per `(src,
-        /// tag)`, as one sender's channel guarantees) and takes under all
-        /// four selector shapes: the flat inbox and the lane model must hand
-        /// out the same message every time, `None` included.
+        /// Three receivers share one slab.  Random interleavings of pushes
+        /// (arrivals monotone per receiver and `(src, tag)`, as one sender's
+        /// channel guarantees) and takes under all four selector shapes,
+        /// across the receivers: each inbox and its receiver's lane model
+        /// must hand out the same message every time, `None` included, and
+        /// the slab must reuse vacated entries, whichever inbox freed them,
+        /// before it grows.
         #[test]
-        fn inbox_agrees_with_the_lane_model(ops in proptest::collection::vec(0u32..216, 1..120)) {
-            let mut inbox = Inbox::default();
-            let mut model = LaneModel::default();
+        fn inboxes_sharing_a_slab_agree_with_the_lane_model(
+            ops in proptest::collection::vec(0u32..648, 1..160)
+        ) {
+            let mut slab = MsgSlab::default();
+            let mut inboxes: [Inbox; 3] = Default::default();
+            let mut models: [LaneModel; 3] = Default::default();
             // Per-sender sequence numbers and per-lane latest arrivals.
             let mut seq = [0u64; 3];
-            let mut latest = [[0u32; 3]; 3];
+            let mut latest = [[[0u32; 3]; 3]; 3];
+            let (mut live, mut high_water) = (0, 0);
             for op in ops {
-                // Mixed-radix digits: action (6), source (3), tag (3), and
-                // the arrival step or selector shape (4).
-                let (action, src, tag, extra) =
-                    (op % 6, (op / 6 % 3) as usize, op / 18 % 3, op / 54);
+                // Mixed-radix digits: action (6), receiver (3), source (3),
+                // tag (3), and the arrival step or selector shape (4).
+                let (action, dst, src, tag, extra) = (
+                    op % 6,
+                    (op / 6 % 3) as usize,
+                    (op / 18 % 3) as usize,
+                    op / 54 % 3,
+                    op / 162,
+                );
                 if action < 4 {
-                    let lane = &mut latest[src][tag as usize];
+                    let lane = &mut latest[dst][src][tag as usize];
                     *lane += extra % 3; // 0 keeps cross-lane ties frequent
                     let msg = msg_at(src, tag, f64::from(*lane), seq[src]);
                     seq[src] += 1;
-                    inbox.push(msg);
-                    model.push(msg);
+                    inboxes[dst].push(&mut slab, msg);
+                    models[dst].push(msg);
+                    live += 1;
+                    high_water = high_water.max(live);
                 } else {
                     let sel = Selector {
                         src: (extra & 1 == 0).then_some(src),
                         tag: (extra & 2 == 0).then_some(tag),
                     };
-                    let (got, want) = (inbox.take(&sel), model.take(&sel));
+                    let (got, want) = (inboxes[dst].take(&mut slab, &sel), models[dst].take(&sel));
                     proptest::prop_assert_eq!(
                         got.map(|m| (m.src, m.tag, m.seq)),
                         want.map(|m| (m.src, m.tag, m.seq)),
-                        "selector {:?}", sel
+                        "receiver {} selector {:?}", dst, sel
                     );
+                    live -= usize::from(got.is_some());
                 }
             }
-            proptest::prop_assert_eq!(
-                inbox.queue.len(),
-                model.lanes.values().map(|lane| lane.len()).sum::<usize>()
-            );
+            for (inbox, model) in inboxes.iter().zip(&models) {
+                proptest::prop_assert_eq!(
+                    chain_len(&slab, inbox.head),
+                    model.lanes.values().map(|lane| lane.len()).sum::<usize>()
+                );
+            }
+            proptest::prop_assert_eq!(slab.entries.len(), high_water);
+            proptest::prop_assert_eq!(chain_len(&slab, slab.free), high_water - live);
         }
     }
 
@@ -1406,6 +1545,54 @@ mod tests {
         assert!(matches!(report.ranks[0].end, RankEnd::Errored(ref m) if m.contains("bug")));
         // The peer observed the failure instead of deadlocking.
         assert_eq!(report.ranks[1].end, RankEnd::Completed);
+    }
+
+    #[test]
+    fn a_panic_mid_burst_still_delivers_the_sends_before_it() {
+        struct SendThenPanic {
+            state: u8,
+            got: Option<RecvOutcome>,
+        }
+        impl RankProgram for SendThenPanic {
+            fn step(&mut self, ctx: &RankCtx) -> Step {
+                self.state += 1;
+                match (ctx.rank(), self.state) {
+                    (0, 1) => Step::Send {
+                        dst: 1,
+                        tag: 4,
+                        bytes: 8,
+                    },
+                    (0, _) => panic!("bug after the send"),
+                    (1, 1) => Step::Recv {
+                        src: Some(0),
+                        tag: Some(4),
+                    },
+                    _ => {
+                        self.got = ctx.last_recv();
+                        Step::Done
+                    }
+                }
+            }
+
+            fn result(&self) -> Option<f64> {
+                match self.got {
+                    Some(RecvOutcome::Message(done)) => Some(done.src as f64),
+                    _ => None,
+                }
+            }
+        }
+        let report = run_virtual_cluster(&EngineConfig::ideal(2), |_| SendThenPanic {
+            state: 0,
+            got: None,
+        });
+        assert!(
+            matches!(report.ranks[0].end, RankEnd::Errored(ref m) if m.contains("after the send"))
+        );
+        assert_eq!(report.failures.len(), 1);
+        assert_eq!(report.messages, 1);
+        // Rank 1 received the message, not `PeerFailed`.
+        assert_eq!(report.ranks[1].end, RankEnd::Completed);
+        assert_eq!(report.ranks[1].result, Some(0.0));
     }
 
     #[test]
