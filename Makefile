@@ -99,7 +99,9 @@ weak-smoke:
 # and drain it through `campaign serve` with a fresh run cache.  The second
 # pass must be a pure cache replay (0 runs executed), its final report must
 # be byte-identical to the first pass, and both must diff clean against the
-# checked-in golden baseline.
+# checked-in golden baseline.  The cache directory must hold its one log and
+# nothing else, with one line per run the first pass executed: no per-entry
+# files, and a warm pass appends nothing.
 serve-smoke:
 	$(CARGO) build --release -p campaign
 	rm -rf target/serve-smoke
@@ -113,6 +115,12 @@ serve-smoke:
 		--cache-dir target/serve-smoke/cache --jobs $(CAMPAIGN_JOBS) --drain
 	@grep -q '"executed": 0,' target/serve-smoke/spool/done/second.json || \
 		(echo "error: warm re-sweep executed runs (expected 100% cache hits)" && exit 1)
+	@test "$$(ls -A target/serve-smoke/cache)" = entries.jsonl || \
+		(echo "error: the run cache holds more than its one log: $$(ls -A target/serve-smoke/cache)" && exit 1)
+	@runs=$$(sed -n 's/.*"executed": \([0-9]*\),.*/\1/p' target/serve-smoke/spool/done/first.json); \
+		lines=$$(wc -l < target/serve-smoke/cache/entries.jsonl); \
+		test "$$lines" -eq "$$runs" || \
+		(echo "error: the cache log has $$lines lines, the first pass executed $$runs runs" && exit 1)
 	cmp target/serve-smoke/spool/results/first.json \
 		target/serve-smoke/spool/results/second.json
 	./target/release/campaign diff crates/campaign/golden/smoke.json \

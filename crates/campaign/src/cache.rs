@@ -19,17 +19,27 @@
 //! originally measured `wall_time_ms`, so a warm report is byte-identical
 //! to the cold one that populated the cache — and executes only misses.
 //!
-//! The store is a flat directory of self-describing JSON entries (one file
-//! per fingerprint, written atomically via temp-file + rename, safe under
-//! concurrent writers); no database, no new dependencies.
+//! The store is one append-only log, `<dir>/entries.jsonl`: each `put`
+//! appends one self-describing JSON line with a single `O_APPEND` write,
+//! so a cached run costs an append, not a new file.  Each handle keeps an
+//! index from fingerprint to the offset of that fingerprint's latest line,
+//! filled by reading the log forward from where it last stopped (complete
+//! lines only).  The index holds no results: a hit reads its one line and
+//! validates it in full, so a torn or interleaved line — a writer killed
+//! mid-append, another handle or process appending concurrently — can only
+//! cost a miss, never a wrong hit, and the run's re-put heals it.  No
+//! compaction, no database, no new dependencies.
 
 use crate::queue::ExecutorPool;
 use crate::report::v1;
 use crate::runner::{run_batch, RunResult};
 use crate::spec::RunSpec;
 use crate::Json;
+use parking_lot::Mutex;
+use std::collections::HashMap;
+use std::fs::{File, OpenOptions};
+use std::io::{self, BufRead as _, Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The code-determinism epoch.  Part of every fingerprint: bump it (with
@@ -40,6 +50,15 @@ pub const DETERMINISM_EPOCH: u32 = 1;
 
 /// Schema tag of on-disk cache entries.
 const ENTRY_SCHEMA: &str = "ipr-cache-entry/1";
+
+/// The log every entry is appended to, inside the cache directory.
+const LOG_FILE: &str = "entries.jsonl";
+
+/// How every log line begins, up to its 16 hex fingerprint digits: the
+/// compact rendering of an entry's first two fields (it spells out
+/// [`ENTRY_SCHEMA`]; change the two together).  Indexing reads the
+/// fingerprint from here and parses no JSON.
+const LINE_PREFIX: &[u8] = b"{\"schema\": \"ipr-cache-entry/1\", \"fingerprint\": \"";
 
 /// FNV-1a, 64-bit.  In-tree because the fingerprint must be stable across
 /// builds and platforms (no `DefaultHasher`, whose algorithm is
@@ -76,7 +95,82 @@ pub fn fingerprint(spec: &RunSpec) -> u64 {
 /// An on-disk, content-addressed store of completed [`RunResult`]s.
 pub struct RunCache {
     dir: PathBuf,
-    writes: AtomicU64,
+    log: Mutex<LogIndex>,
+}
+
+/// A read handle on the log and where each fingerprint's latest line lies
+/// in it — offsets only: results stay on disk until a hit reads them.
+struct LogIndex {
+    file: File,
+    /// Log bytes indexed so far; always the end of a complete line.
+    scanned: u64,
+    /// Fingerprint → `(offset, length)` of its latest line, newline excluded.
+    lines: HashMap<u64, (u64, usize)>,
+}
+
+impl LogIndex {
+    /// Indexes every complete line appended since the last call.  A final
+    /// line without its newline (still being written, or torn) waits.
+    fn catch_up(&mut self) {
+        if self.file.seek(SeekFrom::Start(self.scanned)).is_err() {
+            return;
+        }
+        let mut reader = io::BufReader::new(&self.file);
+        let mut line = Vec::new();
+        while reader.read_until(b'\n', &mut line).is_ok() && line.ends_with(b"\n") {
+            if let Some((start, fp)) = entry_start(&line) {
+                let len = line.len() - 1 - start;
+                self.lines.insert(fp, (self.scanned + start as u64, len));
+            }
+            self.scanned += line.len() as u64;
+            line.clear();
+        }
+    }
+
+    /// The bytes of the latest line for `fp` (`None`: no line names `fp`),
+    /// catching up first when `refresh` is set or `fp` is not indexed yet.
+    fn latest(&mut self, fp: u64, refresh: bool) -> Option<io::Result<Vec<u8>>> {
+        if refresh || !self.lines.contains_key(&fp) {
+            self.catch_up();
+        }
+        let (offset, len) = *self.lines.get(&fp)?;
+        let mut line = vec![0; len];
+        let read = self.file.seek(SeekFrom::Start(offset));
+        Some(
+            read.and_then(|_| self.file.read_exact(&mut line))
+                .map(|()| line),
+        )
+    }
+}
+
+/// Where the last entry of a log line starts, and the fingerprint its
+/// prefix names.  The *last* one: when a writer died mid-append, the next
+/// entry lands on the same line after the torn bytes and must still index.
+fn entry_start(line: &[u8]) -> Option<(usize, u64)> {
+    let start = (0..line.len())
+        .rev()
+        .find(|&i| line[i] == b'{' && line[i..].starts_with(LINE_PREFIX))?;
+    let digits = line.get(start + LINE_PREFIX.len()..)?.get(..17)?;
+    if digits[16] != b'"' {
+        return None;
+    }
+    let fp = u64::from_str_radix(std::str::from_utf8(&digits[..16]).ok()?, 16).ok()?;
+    Some((start, fp))
+}
+
+/// The run a log line stores for `spec` — `None` for any malformed,
+/// mis-tagged or colliding line.
+fn decode(line: &[u8], fp: u64, spec: &RunSpec) -> Option<RunResult> {
+    let doc = Json::parse(std::str::from_utf8(line).ok()?).ok()?;
+    if doc.get("schema").and_then(Json::as_str) != Some(ENTRY_SCHEMA) {
+        return None;
+    }
+    if doc.get("fingerprint").and_then(Json::as_str) != Some(format!("{fp:016x}").as_str()) {
+        return None;
+    }
+    let run = RunResult::from_json(doc.get("run")?).ok()?;
+    // Fingerprint collision guard: the entry must describe this run.
+    (run.id == spec.id()).then_some(run)
 }
 
 impl RunCache {
@@ -84,9 +178,18 @@ impl RunCache {
     pub fn open(dir: impl Into<PathBuf>) -> std::io::Result<Self> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
+        let file = OpenOptions::new()
+            .read(true)
+            .append(true)
+            .create(true)
+            .open(dir.join(LOG_FILE))?;
         Ok(RunCache {
             dir,
-            writes: AtomicU64::new(0),
+            log: Mutex::new(LogIndex {
+                file,
+                scanned: 0,
+                lines: HashMap::new(),
+            }),
         })
     }
 
@@ -100,60 +203,47 @@ impl RunCache {
         &self.dir
     }
 
-    fn entry_path(&self, fp: u64) -> PathBuf {
-        self.dir.join(format!("{fp:016x}.json"))
-    }
-
     /// Looks up the cached result of `spec`, if present.  Any malformed,
     /// mis-tagged, or colliding entry reads as a miss (the run simply
-    /// re-executes and overwrites it).
+    /// re-executes and appends a fresh one).
     pub fn get(&self, spec: &RunSpec) -> Option<RunResult> {
         let fp = fingerprint(spec);
-        let text = std::fs::read_to_string(self.entry_path(fp)).ok()?;
-        let doc = Json::parse(&text).ok()?;
-        if doc.get("schema").and_then(Json::as_str) != Some(ENTRY_SCHEMA) {
-            return None;
+        let line = self.log.lock().latest(fp, false)?;
+        if let Some(run) = line.ok().and_then(|line| decode(&line, fp, spec)) {
+            return Some(run);
         }
-        if doc.get("fingerprint").and_then(Json::as_str) != Some(format!("{fp:016x}").as_str()) {
-            return None;
-        }
-        let run = RunResult::from_json(doc.get("run")?).ok()?;
-        // Fingerprint collision guard: the entry must describe this run.
-        if run.id != spec.id() {
-            return None;
-        }
-        Some(run)
+        // A damaged line: a newer one for `fp` may have been appended since.
+        let line = self.log.lock().latest(fp, true)?.ok()?;
+        decode(&line, fp, spec)
     }
 
-    /// Stores the result of `spec`.  Atomic (temp-file + rename) and safe
-    /// under concurrent writers of the same entry: both write identical
-    /// content, and the rename is a whole-file replacement.
+    /// Stores the result of `spec`: one line, appended with one write, so
+    /// concurrent writers (threads, handles or processes) never interleave
+    /// within a line.
     pub fn put(&self, spec: &RunSpec, result: &RunResult) -> std::io::Result<()> {
-        let fp = fingerprint(spec);
-        let entry = Json::obj(vec![
+        let material = fingerprint_material(spec);
+        let fp = fnv1a(material.as_bytes());
+        let mut line = Json::obj(vec![
             ("schema", Json::Str(ENTRY_SCHEMA.to_string())),
             ("fingerprint", Json::Str(format!("{fp:016x}"))),
-            ("material", Json::Str(fingerprint_material(spec))),
+            ("material", Json::Str(material)),
             ("run", result.to_json()),
-        ]);
-        let serial = self.writes.fetch_add(1, Ordering::SeqCst);
-        let tmp = self
-            .dir
-            .join(format!(".tmp-{fp:016x}-{}-{serial}", std::process::id()));
-        std::fs::write(&tmp, entry.render() + "\n")?;
-        std::fs::rename(&tmp, self.entry_path(fp))
+        ])
+        .render_compact();
+        line.push('\n');
+        // Opened per put, and without `create`: a cache whose directory or
+        // log vanished is an error, never a silently fresh log.
+        OpenOptions::new()
+            .append(true)
+            .open(self.dir.join(LOG_FILE))?
+            .write_all(line.as_bytes())
     }
 
-    /// Number of entries currently stored.
+    /// Number of distinct fingerprints the log holds a line for.
     pub fn len(&self) -> usize {
-        std::fs::read_dir(&self.dir)
-            .map(|entries| {
-                entries
-                    .filter_map(Result::ok)
-                    .filter(|e| e.file_name().to_string_lossy().ends_with(".json"))
-                    .count()
-            })
-            .unwrap_or(0)
+        let mut log = self.log.lock();
+        log.catch_up();
+        log.lines.len()
     }
 
     /// True if the cache holds no entries.

@@ -376,14 +376,16 @@ fn process_job(
             // Stream per-run records (completion order) while the batch runs.
             let mut stream = std::fs::File::create(spool.stream_path(id))?;
             let batch = run_batch(pool, &specs, Some(cache), |index, cached, run| {
-                let line = Json::obj(vec![
+                let mut line = Json::obj(vec![
                     ("index", Json::Num(index as f64)),
                     ("cached", Json::Bool(cached)),
                     ("run", run.to_json()),
                 ])
                 .render_compact();
-                let _ = writeln!(stream, "{line}");
-                let _ = stream.flush();
+                // One write per record: a reader tailing the stream never
+                // sees a record without its newline.
+                line.push('\n');
+                let _ = stream.write_all(line.as_bytes());
             });
             match batch {
                 // A run that panicked or a cache that cannot be written

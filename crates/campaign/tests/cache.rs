@@ -1,6 +1,7 @@
 //! Run-cache correctness: warm hits are byte-identical to the cold runs
 //! that populated them, the fingerprint is sensitive to every `RunSpec`
-//! axis, and stale entries (schema bump, corruption) read as misses.
+//! axis, stale entries (schema bump, corruption, a torn append) read as
+//! misses, and concurrent appenders share one log.
 
 use apps::{AppId, ExperimentScale};
 use campaign::cache::{fingerprint, fingerprint_material, run_specs_cached, RunCache};
@@ -153,42 +154,107 @@ fn schema_bump_changes_the_fingerprint() {
     assert_eq!(fingerprint(spec), fingerprint(&spec.clone()));
 }
 
+/// The cache's one log file.
+fn log_path(dir: &std::path::Path) -> std::path::PathBuf {
+    dir.join("entries.jsonl")
+}
+
 #[test]
 fn stale_or_corrupt_entries_read_as_misses() {
     let dir = temp_dir("stale");
-    let cache = Arc::new(RunCache::open(&dir).unwrap());
+    let cache = RunCache::open(&dir).unwrap();
     let specs = mini_specs();
     let spec = &specs[0];
     let result = campaign::run_spec(spec);
     cache.put(spec, &result).unwrap();
     assert_eq!(cache.get(spec), Some(result.clone()));
-
-    let path = dir.join(format!("{:016x}.json", fingerprint(spec)));
-
-    // An entry written under a *previous* cache-entry schema: miss.
-    let text = std::fs::read_to_string(&path).unwrap();
-    std::fs::write(
-        &path,
-        text.replace("ipr-cache-entry/1", "ipr-cache-entry/0"),
-    )
-    .unwrap();
-    assert_eq!(cache.get(spec), None);
-
-    // A truncated (corrupt) entry: miss, and re-running heals it.
-    std::fs::write(&path, "{ not json").unwrap();
-    assert_eq!(cache.get(spec), None);
-    cache.put(spec, &result).unwrap();
-    assert_eq!(cache.get(spec), Some(result.clone()));
-
-    // A well-formed entry whose counts are damaged (negative, fractional):
-    // miss, never a hit carrying the saturated or truncated count.
-    let text = std::fs::read_to_string(&path).unwrap();
+    let line = std::fs::read_to_string(log_path(&dir)).unwrap();
     let procs = format!("\"procs\": {}", result.procs);
-    assert!(text.contains(&procs));
-    for damaged in ["\"procs\": -3", "\"procs\": 2.5"] {
-        std::fs::write(&path, text.replace(&procs, damaged)).unwrap();
-        assert_eq!(cache.get(spec), None, "{damaged}");
+    assert!(line.contains(&procs));
+
+    for (what, damaged) in [
+        // A line written under a *previous* cache-entry schema.
+        (
+            "schema",
+            line.replace("ipr-cache-entry/1", "ipr-cache-entry/0"),
+        ),
+        // A truncated line (its newline cut off with the rest).
+        ("truncated", line[..line.len() / 2].to_string()),
+        ("not json", "{ not json\n".to_string()),
+        // Well-formed, but counts damaged (negative, fractional): never a
+        // hit carrying the saturated or truncated count.
+        ("negative", line.replace(&procs, "\"procs\": -3")),
+        ("fractional", line.replace(&procs, "\"procs\": 2.5")),
+    ] {
+        std::fs::write(log_path(&dir), damaged).unwrap();
+        assert_eq!(RunCache::open(&dir).unwrap().get(spec), None, "{what}");
+        assert_eq!(cache.get(spec), None, "{what}, writing handle");
     }
+
+    // Re-running heals the damage, also in a handle that indexed the
+    // damaged line: its miss catches up to the line appended after it.
+    let reader = RunCache::open(&dir).unwrap();
+    assert_eq!(reader.get(spec), None);
+    reader.put(spec, &result).unwrap();
+    assert_eq!(reader.get(spec), Some(result));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_torn_tail_reads_as_a_miss_and_a_put_heals_it() {
+    let dir = temp_dir("torn");
+    let specs = mini_specs();
+    let spec = &specs[0];
+    let result = campaign::run_spec(spec);
+    RunCache::open(&dir).unwrap().put(spec, &result).unwrap();
+    let line = std::fs::read_to_string(log_path(&dir)).unwrap();
+    // A writer killed mid-append: cut inside the fingerprint prefix, and
+    // past it.
+    for cut in [20, line.len() / 2] {
+        std::fs::write(log_path(&dir), &line[..cut]).unwrap();
+        let cache = RunCache::open(&dir).unwrap();
+        assert_eq!(cache.get(spec), None, "cut at {cut}");
+        cache.put(spec, &result).unwrap();
+        assert_eq!(cache.get(spec), Some(result.clone()), "cut at {cut}");
+        assert_eq!(
+            RunCache::open(&dir).unwrap().get(spec),
+            Some(result.clone()),
+            "cut at {cut}, fresh handle"
+        );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn two_handles_append_concurrently() {
+    let dir = temp_dir("two-handles");
+    let caches = [RunCache::open(&dir).unwrap(), RunCache::open(&dir).unwrap()];
+    let specs = mini_specs();
+    let results: Vec<_> = specs.iter().map(campaign::run_spec).collect();
+    // Eight appenders, four threads on each handle, released together; each
+    // puts every entry.
+    let start = std::sync::Barrier::new(8);
+    std::thread::scope(|scope| {
+        for cache in &caches {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    start.wait();
+                    for (spec, result) in specs.iter().zip(&results) {
+                        cache.put(spec, result).unwrap();
+                    }
+                });
+            }
+        }
+    });
+    let reader = RunCache::open(&dir).unwrap();
+    for (spec, result) in specs.iter().zip(&results) {
+        assert_eq!(reader.get(spec).as_ref(), Some(result), "{}", spec.id());
+    }
+    assert_eq!(reader.len(), specs.len());
+    // No two appends interleaved: every line is one whole entry.
+    let log = std::fs::read_to_string(log_path(&dir)).unwrap();
+    assert_eq!(log.lines().count(), 8 * specs.len());
+    assert!(log.lines().all(|line| Json::parse(line).is_ok()));
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -21,7 +21,7 @@
 //! [`crate::rate::sample_failure_trace`], so correlated and independent
 //! plans can coexist under one seed without interacting.
 
-use crate::rate::{thinned_candidates, FailureRate, RateFn};
+use crate::rate::{thinned_candidates, FailureRate, HorizonRate, RateFn};
 use simcluster::{SimTime, Topology};
 
 /// RNG stream id reserved for correlated (group-level) failure traces,
@@ -115,6 +115,21 @@ pub fn sample_group_trace_fn(
         .collect()
 }
 
+/// A rate over a horizon with its thinning majorant computed once: the
+/// majorant is a property of the process, not of each group's trace (the
+/// log-normal one is a 4 096-point hazard scan).
+struct PlanRate(HorizonRate, f64);
+
+impl RateFn for PlanRate {
+    fn rate(&self, t: f64) -> f64 {
+        self.0.rate(t)
+    }
+
+    fn majorant(&self, _horizon: f64) -> f64 {
+        self.1
+    }
+}
+
 /// A correlated failure plan: group-level crash events over a topology.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CorrelatedPlan {
@@ -148,9 +163,13 @@ impl CorrelatedPlan {
     /// result is ordered group-ascending, rank-ascending — a pure function
     /// of `(plan, topology, seed)`.
     pub fn crashes(&self, topology: &Topology, seed: u64) -> Vec<(usize, SimTime)> {
+        // `horizon.as_secs()` for rate and majorant alike, as in
+        // `sample_group_trace`: the traces stay bit-identical.
+        let rate = self.rate.over(self.horizon.as_secs());
+        let rate = PlanRate(rate, rate.majorant(rate.horizon_s));
         let mut out = Vec::new();
         for group in 0..self.domain.num_groups(topology) {
-            let Some(&at) = self.group_trace(seed, group).first() else {
+            let Some(&at) = sample_group_trace_fn(&rate, self.horizon, seed, group).first() else {
                 continue;
             };
             for rank in self.domain.ranks_in(topology, group) {
@@ -233,5 +252,25 @@ mod tests {
             assert!(times.windows(2).all(|w| w[0] == w[1]));
         }
         assert_eq!(crashes, plan.crashes(&topo, 42), "pure function of seed");
+    }
+
+    #[test]
+    fn crashes_are_the_group_traces_bit_for_bit() {
+        // The plan computes one majorant for all groups; every group's first
+        // event must still be exactly what the per-group sampler draws.
+        let topo = Topology::block(16, 2);
+        for rate in [
+            FailureRate::Constant(3.0),
+            FailureRate::weibull_hpc(0.5),
+            FailureRate::lognormal_hpc(0.5),
+        ] {
+            let plan = CorrelatedPlan::new(FailureDomain::Node, rate, SimTime::from_secs(1.37));
+            let expected: Vec<_> = (0..8)
+                .filter_map(|node| Some((node, *plan.group_trace(42, node).first()?)))
+                .flat_map(|(node, at)| topo.ranks_on(node).into_iter().map(move |r| (r, at)))
+                .collect();
+            assert!(!expected.is_empty(), "{}", rate.label());
+            assert_eq!(plan.crashes(&topo, 42), expected, "{}", rate.label());
+        }
     }
 }

@@ -39,8 +39,8 @@ use apps::{run_app, AppContext, AppId, AppRunReport, AppWorkload, ExperimentScal
 use ckpt::{system_mtbf, CheckpointPlan, CkptSession, CkptStats};
 use ipr_core::{IntraConfig, IntraError, IntraResult, SchedulerKind};
 use replication::{
-    sample_failure_trace, CorrelatedPlan, ExecutionMode, FailureDomain, FailureInjector,
-    FailureRate, ProtocolPoint,
+    sample_trace_fn, CorrelatedPlan, ExecutionMode, FailureDomain, FailureInjector, FailureRate,
+    HorizonRate, ProtocolPoint, RateFn,
 };
 use simcluster::{MachineModel, SimTime, Topology};
 use simmpi::{run_cluster, ClusterConfig, ClusterReport};
@@ -213,9 +213,13 @@ impl FailurePlan {
             FailurePlan::None => Vec::new(),
             FailurePlan::Poisson { rate, horizon_s } => {
                 let horizon = SimTime::from_secs(horizon_s);
+                // `horizon.as_secs()` for rate and majorant alike, as in
+                // `sample_failure_trace`: the traces stay bit-identical.
+                let rate = rate.over(horizon.as_secs());
+                let rate = PlanRate(rate, rate.majorant(rate.horizon_s));
                 (0..topology.num_procs())
                     .flat_map(|rank| {
-                        sample_failure_trace(rate, horizon, seed, rank)
+                        sample_trace_fn(&rate, horizon, seed, rank)
                             .into_iter()
                             .map(move |at| (rank, at))
                     })
@@ -268,6 +272,21 @@ impl FailurePlan {
         let rate = FailureRate::parse(&rest[..h_at])?;
         let horizon_s = rest[h_at + 2..].parse::<f64>().ok()?;
         Some(FailurePlan::Poisson { rate, horizon_s })
+    }
+}
+
+/// A rate over a horizon with its thinning majorant computed once: the
+/// majorant is a property of the process, not of each rank's trace (the
+/// log-normal one is a 4 096-point hazard scan).
+struct PlanRate(HorizonRate, f64);
+
+impl RateFn for PlanRate {
+    fn rate(&self, t: f64) -> f64 {
+        self.0.rate(t)
+    }
+
+    fn majorant(&self, _horizon: f64) -> f64 {
+        self.1
     }
 }
 
@@ -1431,6 +1450,35 @@ mod tests {
         }
         // Deterministic in the seed.
         assert_eq!(crashes, e.scheduled_crashes());
+    }
+
+    #[test]
+    fn poisson_arrivals_are_the_per_rank_traces_bit_for_bit() {
+        // The plan computes one majorant for all ranks; every trace must
+        // still be exactly what the per-rank sampler draws.
+        let topology = Topology::block(8, 2);
+        for rate in [
+            FailureRate::Constant(3.0),
+            FailureRate::Ramp {
+                start: 0.5,
+                end: 6.0,
+            },
+            FailureRate::weibull_hpc(0.5),
+            FailureRate::lognormal_hpc(0.5),
+        ] {
+            let horizon_s = 1.37;
+            let expected: Vec<_> = (0..8)
+                .flat_map(|rank| {
+                    let horizon = SimTime::from_secs(horizon_s);
+                    replication::sample_failure_trace(rate, horizon, 42, rank)
+                        .into_iter()
+                        .map(move |at| (rank, at))
+                })
+                .collect();
+            assert!(!expected.is_empty(), "{}", rate.label());
+            let plan = FailurePlan::poisson_process(rate, horizon_s);
+            assert_eq!(plan.arrivals(&topology, 42), expected, "{}", rate.label());
+        }
     }
 
     #[test]
