@@ -521,8 +521,8 @@ fn run_protocol(
                     continue;
                 }
                 let tag = update_tag(section, i, ai);
-                match rc.recv_payload(Some(owner), Some(tag)) {
-                    Ok((payload, _)) => {
+                match rc.recv_payload(owner, tag) {
+                    Ok(payload) => {
                         if payload.len() != arg.bytes() {
                             return Err(IntraError::InvalidTask(format!(
                                 "update for task '{}' arg {ai} has {} bytes, expected {}",

@@ -21,7 +21,7 @@
 //! [`crate::rate::sample_failure_trace`], so correlated and independent
 //! plans can coexist under one seed without interacting.
 
-use crate::rate::{thinned_candidates, FailureRate, HorizonRate, RateFn};
+use crate::rate::{thinned_candidates, FailureRate, RateFn};
 use simcluster::{SimTime, Topology};
 
 /// RNG stream id reserved for correlated (group-level) failure traces,
@@ -115,21 +115,6 @@ pub fn sample_group_trace_fn(
         .collect()
 }
 
-/// A rate over a horizon with its thinning majorant computed once: the
-/// majorant is a property of the process, not of each group's trace (the
-/// log-normal one is a 4 096-point hazard scan).
-struct PlanRate(HorizonRate, f64);
-
-impl RateFn for PlanRate {
-    fn rate(&self, t: f64) -> f64 {
-        self.0.rate(t)
-    }
-
-    fn majorant(&self, _horizon: f64) -> f64 {
-        self.1
-    }
-}
-
 /// A correlated failure plan: group-level crash events over a topology.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CorrelatedPlan {
@@ -163,10 +148,9 @@ impl CorrelatedPlan {
     /// result is ordered group-ascending, rank-ascending — a pure function
     /// of `(plan, topology, seed)`.
     pub fn crashes(&self, topology: &Topology, seed: u64) -> Vec<(usize, SimTime)> {
-        // `horizon.as_secs()` for rate and majorant alike, as in
-        // `sample_group_trace`: the traces stay bit-identical.
+        // `horizon.as_secs()`, as in `sample_group_trace`: the traces stay
+        // bit-identical, and the majorant is computed once for all groups.
         let rate = self.rate.over(self.horizon.as_secs());
-        let rate = PlanRate(rate, rate.majorant(rate.horizon_s));
         let mut out = Vec::new();
         for group in 0..self.domain.num_groups(topology) {
             let Some(&at) = sample_group_trace_fn(&rate, self.horizon, seed, group).first() else {

@@ -374,11 +374,15 @@ impl FailureRate {
     }
 
     /// Adapts the rate to a fixed horizon, yielding a [`RateFn`] (the
-    /// fraction-based variants need the horizon to evaluate λ(t)).
+    /// fraction-based variants need the horizon to evaluate λ(t)).  The
+    /// thinning majorant is computed here, once: it is a property of the
+    /// process, not of each trace (the log-normal one is a 4 096-point
+    /// hazard scan).
     pub fn over(self, horizon_s: f64) -> HorizonRate {
         HorizonRate {
             rate: self,
             horizon_s,
+            majorant: self.max_rate(horizon_s),
         }
     }
 }
@@ -403,13 +407,17 @@ fn parse_nums(rest: &str) -> Option<Vec<f64>> {
 }
 
 /// A [`FailureRate`] bound to its observation horizon — the [`RateFn`]
-/// adapter the built-in variants are sampled through.
+/// adapter the built-in variants are sampled through.  Built by
+/// [`FailureRate::over`], which also fixes the majorant: it is
+/// `max_rate(horizon_s)` whatever horizon [`RateFn::majorant`] is asked
+/// about, so sample it over `horizon_s` itself.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HorizonRate {
     /// The intensity family.
     pub rate: FailureRate,
     /// The observation horizon in virtual seconds.
     pub horizon_s: f64,
+    majorant: f64,
 }
 
 impl RateFn for HorizonRate {
@@ -417,8 +425,8 @@ impl RateFn for HorizonRate {
         self.rate.at(t, self.horizon_s)
     }
 
-    fn majorant(&self, horizon: f64) -> f64 {
-        self.rate.max_rate(horizon)
+    fn majorant(&self, _horizon: f64) -> f64 {
+        self.majorant
     }
 }
 

@@ -288,8 +288,8 @@ impl ReplicatedComm {
                 });
             }
             let phys = self.mapping.physical_of(src_logical, src_replica);
-            let (seq, body) = match self.world.recv_framed(Some(phys), Some(tag)) {
-                Ok((seq, body, _)) => (seq, body),
+            let (seq, body) = match self.world.recv_framed(phys, tag) {
+                Ok(framed) => framed,
                 // The consumed stream ran dry mid-wait: fail over to the
                 // next replica id (or error out once none is left).
                 Err(MpiError::ProcessFailed { .. }) => {

@@ -37,12 +37,6 @@ pub struct FailureEvent {
     pub time: SimTime,
 }
 
-#[derive(Debug)]
-struct Board {
-    states: Vec<ProcessState>,
-    events: Vec<FailureEvent>,
-}
-
 /// A callback invoked (outside the board lock) every time the failure state
 /// changes.  Registered by blocking subsystems — the message router wires one
 /// up so that a crash signaled on the board immediately wakes every blocked
@@ -54,22 +48,26 @@ pub type FailureWaker = Arc<dyn Fn() + Send + Sync>;
 /// Cloning the board is cheap (it is an `Arc`); all clones observe the same
 /// state.
 ///
-/// The locked board (states, events) is the writer-side truth; one atomic
-/// flag per rank mirrors its state so that [`Self::is_failed`] — asked several times per message by the fabric — is
-/// an atomic load instead of a trip through the mutex every rank of the run
-/// shares.  Writers store the flag while they hold the board lock, before
-/// they call the registered wakers.
+/// One atomic flag per rank is the only liveness state, so
+/// [`Self::is_failed`] — asked several times per message by the fabric — is
+/// an atomic load instead of a trip through a mutex every rank of the run
+/// shares; the lock guards the event history only.  A writer flips the
+/// flag with one `swap`, so of two racing markers exactly one records the
+/// event and wakes, and it sets the flag *before* it calls the registered
+/// wakers: the message router's lost-wake-up argument relies on that order
+/// (a receiver that checks after the waker ran sees the flag).
 #[derive(Clone)]
 pub struct FailureStatusBoard {
-    inner: Arc<Mutex<Board>>,
     failed: Arc<[AtomicBool]>,
+    events: Arc<Mutex<Vec<FailureEvent>>>,
     wakers: Arc<Mutex<Vec<FailureWaker>>>,
 }
 
 impl std::fmt::Debug for FailureStatusBoard {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FailureStatusBoard")
-            .field("board", &*self.inner.lock())
+            .field("failed", &self.failed_ranks())
+            .field("events", &*self.events.lock())
             .finish_non_exhaustive()
     }
 }
@@ -78,11 +76,8 @@ impl FailureStatusBoard {
     /// Creates a board for `num_procs` processes, all alive.
     pub fn new(num_procs: usize) -> Self {
         FailureStatusBoard {
-            inner: Arc::new(Mutex::new(Board {
-                states: vec![ProcessState::Alive; num_procs],
-                events: Vec::new(),
-            })),
             failed: (0..num_procs).map(|_| AtomicBool::new(false)).collect(),
+            events: Arc::new(Mutex::new(Vec::new())),
             wakers: Arc::new(Mutex::new(Vec::new())),
         }
     }
@@ -105,74 +100,58 @@ impl FailureStatusBoard {
 
     /// Number of processes tracked.
     pub fn num_procs(&self) -> usize {
-        self.inner.lock().states.len()
+        self.failed.len()
     }
 
     /// Marks `rank` as failed at virtual time `time`.  Idempotent: marking an
     /// already-failed process again is a no-op (no event, no wake-up).
     pub fn mark_failed(&self, rank: usize, time: SimTime) {
-        {
-            let mut board = self.inner.lock();
-            if board.states[rank] == ProcessState::Failed {
-                return;
-            }
-            board.states[rank] = ProcessState::Failed;
-            self.failed[rank].store(true, Ordering::SeqCst);
-            board.events.push(FailureEvent { rank, time });
+        if self.failed[rank].swap(true, Ordering::SeqCst) {
+            return;
         }
+        self.events.lock().push(FailureEvent { rank, time });
         self.wake_all();
     }
 
     /// Marks `rank` as alive again (replica restart — the paper's discussion
     /// section points out that restarting failed replicas quickly matters).
     pub fn mark_recovered(&self, rank: usize) {
-        {
-            let mut board = self.inner.lock();
-            if board.states[rank] == ProcessState::Alive {
-                return;
-            }
-            board.states[rank] = ProcessState::Alive;
-            self.failed[rank].store(false, Ordering::SeqCst);
+        if self.failed[rank].swap(false, Ordering::SeqCst) {
+            self.wake_all();
         }
-        self.wake_all();
     }
 
     /// Liveness of `rank`.
     pub fn state_of(&self, rank: usize) -> ProcessState {
-        self.inner.lock().states[rank]
+        if self.is_failed(rank) {
+            ProcessState::Failed
+        } else {
+            ProcessState::Alive
+        }
     }
 
-    /// True if `rank` has crashed.  Lock-free: reads the rank's flag, which
-    /// the `mark_*` writers keep equal to [`Self::state_of`].
+    /// True if `rank` has crashed.  Lock-free: one atomic load.
     pub fn is_failed(&self, rank: usize) -> bool {
         self.failed[rank].load(Ordering::SeqCst)
     }
 
     /// All ranks currently alive.
     pub fn alive_ranks(&self) -> Vec<usize> {
-        self.inner
-            .lock()
-            .states
-            .iter()
-            .enumerate()
-            .filter_map(|(r, &s)| (s == ProcessState::Alive).then_some(r))
+        (0..self.num_procs())
+            .filter(|&r| !self.is_failed(r))
             .collect()
     }
 
     /// All ranks currently failed.
     pub fn failed_ranks(&self) -> Vec<usize> {
-        self.inner
-            .lock()
-            .states
-            .iter()
-            .enumerate()
-            .filter_map(|(r, &s)| (s == ProcessState::Failed).then_some(r))
+        (0..self.num_procs())
+            .filter(|&r| self.is_failed(r))
             .collect()
     }
 
     /// Complete failure history.
     pub fn events(&self) -> Vec<FailureEvent> {
-        self.inner.lock().events.clone()
+        self.events.lock().clone()
     }
 }
 
@@ -211,8 +190,8 @@ mod tests {
         assert_eq!(b.state_of(0), ProcessState::Alive);
     }
 
-    /// The lock-free flag behind `is_failed` and the locked board answer the
-    /// same question after every transition, on every clone.
+    /// Every view of liveness (`is_failed`, `state_of`, the rank lists) and
+    /// the event history agree after every transition, on every clone.
     #[test]
     fn is_failed_agrees_with_the_locked_views() {
         let a = FailureStatusBoard::new(3);

@@ -49,13 +49,7 @@ impl Comm {
     }
 
     fn coll_recv<T: Pod>(&self, src: usize, tag: Tag) -> MpiResult<Vec<T>> {
-        let (payload, _) = self.recv_bytes(Some(src), Some(tag))?;
-        datatype::from_bytes(&payload)
-    }
-
-    fn coll_recv_payload(&self, src: usize, tag: Tag) -> MpiResult<Bytes> {
-        let (payload, _) = self.recv_bytes(Some(src), Some(tag))?;
-        Ok(payload)
+        datatype::from_bytes(&self.recv_bytes(src, tag)?)
     }
 
     /// Synchronizes all members (dissemination algorithm, `ceil(log2 p)`
@@ -105,7 +99,7 @@ impl Comm {
         while mask < size {
             if vrank & mask != 0 {
                 let src = (vrank - mask + root) % size;
-                let incoming = self.coll_recv_payload(src, tag)?;
+                let incoming = self.recv_bytes(src, tag)?;
                 *buf = datatype::from_bytes(&incoming)?;
                 payload = Some(incoming);
                 break;
@@ -156,7 +150,7 @@ impl Comm {
                 let src_v = vrank | mask;
                 if src_v < size {
                     let src = (src_v + root) % size;
-                    let incoming = self.coll_recv_payload(src, tag)?;
+                    let incoming = self.recv_bytes(src, tag)?;
                     if incoming.len() != acc.len() * T::SIZE {
                         return Err(MpiError::TypeMismatch {
                             bytes: incoming.len(),
@@ -241,7 +235,7 @@ impl Comm {
                 if r == rank {
                     out.extend_from_slice(data);
                 } else {
-                    let part = self.coll_recv_payload(r, tag)?;
+                    let part = self.recv_bytes(r, tag)?;
                     datatype::extend_from_bytes(&part, &mut out)?;
                 }
             }

@@ -8,12 +8,13 @@
 //!
 //! Point-to-point operations follow MPI semantics: standard-mode sends are
 //! buffered (they complete locally once the payload has been handed to the
-//! "NIC"), receives match on `(communicator, source, tag)` with optional
-//! wildcards, and message order is non-overtaking per (source, tag).
+//! "NIC"), every receive names one `(communicator, source, tag)` lane (the
+//! programs replication supports are send-deterministic, so none needs
+//! `MPI_ANY_SOURCE`), and message order is non-overtaking per lane.
 
 use crate::datatype::{self, Pod};
 use crate::error::{MpiError, MpiResult};
-use crate::message::{CommId, Envelope, MatchSelector, Tag, RESERVED_TAG_BASE};
+use crate::message::{CommId, Envelope, LaneKey, Tag, RESERVED_TAG_BASE};
 use crate::proc::ProcCore;
 use crate::request::{RecvRequest, SendRequest};
 use bytes::Bytes;
@@ -54,10 +55,10 @@ pub struct Comm {
     child_seq: Arc<AtomicU64>,
 }
 
-/// Status information returned by receives.
+/// Status information returned by [`Comm::recv_into`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecvStatus {
-    /// Communicator rank of the sender.
+    /// Communicator rank of the sender (the one the receive named).
     pub source: usize,
     /// Tag of the received message.
     pub tag: Tag,
@@ -93,11 +94,6 @@ impl Comm {
     /// Identifier of this communicator (diagnostic).
     pub fn id(&self) -> CommId {
         self.id
-    }
-
-    /// Communicator rank of the given world rank, if it is a member.
-    pub fn comm_rank_of_world(&self, world: usize) -> Option<usize> {
-        self.group.iter().position(|&w| w == world)
     }
 
     /// The underlying per-process core (used by higher layers for timing).
@@ -167,7 +163,6 @@ impl Comm {
             head: None,
             modeled_bytes,
             arrival,
-            seq: self.core.router.next_seq(),
         };
         self.core.ctr_messages_sent.incr();
         self.core.ctr_bytes_sent.add(modeled_bytes as u64);
@@ -175,32 +170,20 @@ impl Comm {
         Ok(SendRequest::new(inject_done))
     }
 
-    /// Sends one pre-serialized payload to several destinations (the replica
-    /// fan-out of the replication layer), equivalent to — and bit-identical
-    /// in virtual time with — calling [`Comm::send_payload`] once per
-    /// destination in order, but with the per-send fixed costs paid once:
-    /// one rank/tag/liveness validation, one block of sequence numbers
-    /// (`Router::next_seq_block`), one batched statistics update.  The
-    /// payload is shared by reference count; each destination's envelope
-    /// clones the handle (for inline payloads a bounded memcpy, never an
-    /// allocation).
-    pub fn send_payload_multi(
-        &self,
-        payload: &Bytes,
-        dests: &[usize],
-        tag: Tag,
-        modeled_bytes: usize,
-    ) -> MpiResult<()> {
-        self.send_multi_inner(payload, None, dests, tag, modeled_bytes)
-    }
-
-    /// [`Comm::send_payload_multi`] with an out-of-band 8-byte frame head.
+    /// Sends one pre-serialized payload with an out-of-band 8-byte frame
+    /// head to several destinations (the replica fan-out of the replication
+    /// layer).
     ///
     /// Logically sends `head.to_le_bytes() ++ payload` to every destination,
     /// but carries the head in the envelope (see [`Envelope::head`]) so the
     /// shared payload buffer is never rewritten: a protocol that stamps a
     /// per-message sequence number onto an otherwise reused buffer performs
-    /// zero payload copies per send.  Receive with [`Comm::recv_framed`];
+    /// zero payload copies per send.  Each destination's envelope clones the
+    /// payload handle (for inline payloads a bounded memcpy, never an
+    /// allocation).  Bit-identical in virtual time with one send per
+    /// destination in order, but with the per-send fixed costs paid once:
+    /// one rank/tag/liveness validation, one clock acquisition, one batched
+    /// statistics update.  Receive with [`Comm::recv_framed`];
     /// `modeled_bytes` must already include the head (the wire carries it).
     pub fn send_framed_multi(
         &self,
@@ -210,23 +193,11 @@ impl Comm {
         tag: Tag,
         modeled_bytes: usize,
     ) -> MpiResult<()> {
-        self.send_multi_inner(payload, Some(head), dests, tag, modeled_bytes)
-    }
-
-    fn send_multi_inner(
-        &self,
-        payload: &Bytes,
-        head: Option<u64>,
-        dests: &[usize],
-        tag: Tag,
-        modeled_bytes: usize,
-    ) -> MpiResult<()> {
         Self::validate_tag(tag)?;
         for &d in dests {
             self.validate_rank(d)?;
         }
         self.core.check_alive()?;
-        let seq_base = self.core.router.next_seq_block(dests.len() as u64);
         // Inject per copy — each replica occupies the sending channel in
         // turn, exactly as the one-send-per-destination loop would, so every
         // arrival timestamp is unchanged — but under a single clock
@@ -251,17 +222,16 @@ impl Comm {
             &mut arr_vec[..]
         };
         self.core.inject_multi(modeled_bytes, dst_worlds, arrivals);
-        for (i, (&dst_world, &arrival)) in dst_worlds.iter().zip(arrivals.iter()).enumerate() {
+        for (&dst_world, &arrival) in dst_worlds.iter().zip(arrivals.iter()) {
             let env = Envelope {
                 src_world: self.core.world_rank,
                 dst_world,
                 comm: self.id,
                 tag,
                 payload: payload.clone(),
-                head,
+                head: Some(head),
                 modeled_bytes,
                 arrival,
-                seq: seq_base + i as u64,
             };
             self.core.router.deliver(env);
         }
@@ -301,44 +271,6 @@ impl Comm {
         Ok(())
     }
 
-    /// Blocking send of a pre-serialized payload.
-    ///
-    /// The payload is shared by reference count, never copied: a caller
-    /// fanning one payload out to several destinations (the replication
-    /// layer sends one copy of each logical message to every replica of the
-    /// destination) clones the `Bytes` handle per destination and the
-    /// serialized buffer is allocated exactly once.  `modeled_bytes` is the
-    /// size charged to the network model, usually `payload.len()`.
-    pub fn send_payload(
-        &self,
-        payload: Bytes,
-        dest: usize,
-        tag: Tag,
-        modeled_bytes: usize,
-    ) -> MpiResult<()> {
-        Self::validate_tag(tag)?;
-        self.send_bytes(payload, modeled_bytes, dest, tag)?;
-        Ok(())
-    }
-
-    /// Blocking receive of a raw payload (optionally wildcarded source /
-    /// tag, the `None` cases being `MPI_ANY_SOURCE` / `MPI_ANY_TAG`).
-    ///
-    /// Returns the payload as reference-counted [`Bytes`] — the receiver
-    /// borrows the very buffer the sender serialized, so deserialization can
-    /// be deferred, partial (frame headers), or skipped entirely via
-    /// [`crate::datatype::typed_view`].
-    pub fn recv_payload(
-        &self,
-        src: Option<usize>,
-        tag: Option<Tag>,
-    ) -> MpiResult<(Bytes, RecvStatus)> {
-        if let Some(t) = tag {
-            Self::validate_tag(t)?;
-        }
-        self.recv_bytes(src, tag)
-    }
-
     /// Non-blocking send.  The returned request completes when the NIC has
     /// finished injecting the message (`Comm::wait_send`).
     pub fn isend<T: Pod>(&self, buf: &[T], dest: usize, tag: Tag) -> MpiResult<SendRequest> {
@@ -364,8 +296,11 @@ impl Comm {
     /// Waits for a send request: the sender's clock advances to the point
     /// where the NIC finished injecting the message.
     pub fn wait_send(&self, req: SendRequest) -> MpiResult<()> {
-        let t = req.consume()?;
-        self.core.endpoint.lock().clock.wait_until(t);
+        self.core
+            .endpoint
+            .lock()
+            .clock
+            .wait_until(req.completion_time());
         Ok(())
     }
 
@@ -377,118 +312,85 @@ impl Comm {
         Ok(())
     }
 
-    fn selector(&self, src: Option<usize>, tag: Option<Tag>) -> MpiResult<MatchSelector> {
-        if let Some(s) = src {
-            self.validate_rank(s)?;
-        }
-        Ok(MatchSelector {
-            comm: self.id,
-            src_world: src.map(|s| self.group[s]),
-            tag,
-        })
+    /// The mailbox lane of a receive from communicator rank `src`.
+    fn lane(&self, src: usize, tag: Tag) -> MpiResult<LaneKey> {
+        self.validate_rank(src)?;
+        Ok((self.id, self.group[src], tag))
     }
 
-    /// Internal blocking receive of raw bytes.
-    pub(crate) fn recv_bytes(
-        &self,
-        src: Option<usize>,
-        tag: Option<Tag>,
-    ) -> MpiResult<(Bytes, RecvStatus)> {
-        let sel = self.selector(src, tag)?;
+    /// Takes the next envelope of lane `key` off this rank's mailbox,
+    /// blocking until there is one, and charges its arrival to the clock.
+    fn take(&self, key: &LaneKey) -> MpiResult<Envelope> {
         self.core.check_alive()?;
-        let env = self.core.router.recv_blocking(self.core.world_rank, &sel)?;
+        let env = self.core.router.recv_blocking(self.core.world_rank, key)?;
         self.core.complete_recv(env.arrival, env.src_world);
         self.core.ctr_messages_received.incr();
         self.core.ctr_bytes_received.add(env.modeled_bytes as u64);
-        let source = self
-            .comm_rank_of_world(env.src_world)
-            .expect("sender is not a member of this communicator");
-        // Correctness fallback for framed sends consumed through the plain
-        // byte interface: re-materialize the contiguous `head ++ payload`
-        // frame the sender logically transmitted.  Framed protocols receive
-        // through `recv_framed` instead, which never takes this copy.
-        let payload = match env.head {
-            None => env.payload,
-            Some(h) => Bytes::with_len(8 + env.payload.len(), |buf| {
-                buf[..8].copy_from_slice(&h.to_le_bytes());
-                buf[8..].copy_from_slice(&env.payload);
+        Ok(env)
+    }
+
+    /// The payload of a plain envelope; a framed one is a
+    /// [`MpiError::TypeMismatch`] (no sender produces it for a plain
+    /// receive).
+    fn plain(env: Envelope) -> MpiResult<Bytes> {
+        match env.head {
+            None => Ok(env.payload),
+            Some(_) => Err(MpiError::TypeMismatch {
+                bytes: 8 + env.payload.len(),
+                elem_size: 8,
             }),
-        };
-        let status = RecvStatus {
-            source,
-            tag: env.tag,
-            bytes: payload.len(),
-        };
-        Ok((payload, status))
+        }
     }
 
-    /// Blocking receive of a framed message: returns the 8-byte frame head
-    /// and the message body separately, with zero copies either way.
+    /// Internal blocking receive of raw bytes (used by collectives with
+    /// reserved tags, hence no tag validation).
+    pub(crate) fn recv_bytes(&self, src: usize, tag: Tag) -> MpiResult<Bytes> {
+        Self::plain(self.take(&self.lane(src, tag)?)?)
+    }
+
+    /// Blocking receive of a raw payload from communicator rank `src`.
     ///
-    /// Accepts both representations on the wire — envelopes sent with
-    /// [`Comm::send_framed_multi`] (out-of-band head) are split for free,
-    /// while plain sends whose payload begins with an 8-byte little-endian
-    /// head are split by reference (`slice(8..)`, no copy).  A plain
-    /// message shorter than 8 bytes is a frame error.
-    pub fn recv_framed(
-        &self,
-        src: Option<usize>,
-        tag: Option<Tag>,
-    ) -> MpiResult<(u64, Bytes, RecvStatus)> {
-        if let Some(t) = tag {
-            Self::validate_tag(t)?;
+    /// Returns the payload as reference-counted [`Bytes`] — the receiver
+    /// borrows the very buffer the sender serialized, so deserialization can
+    /// be deferred, partial, or skipped entirely via
+    /// [`crate::datatype::typed_view`].
+    pub fn recv_payload(&self, src: usize, tag: Tag) -> MpiResult<Bytes> {
+        Self::validate_tag(tag)?;
+        self.recv_bytes(src, tag)
+    }
+
+    /// Blocking receive of a message sent with [`Comm::send_framed_multi`]:
+    /// returns the 8-byte frame head and the message body separately, with
+    /// zero copies.  A plain message on the lane is a
+    /// [`MpiError::TypeMismatch`].
+    pub fn recv_framed(&self, src: usize, tag: Tag) -> MpiResult<(u64, Bytes)> {
+        Self::validate_tag(tag)?;
+        let env = self.take(&self.lane(src, tag)?)?;
+        match env.head {
+            Some(head) => Ok((head, env.payload)),
+            None => Err(MpiError::TypeMismatch {
+                bytes: env.payload.len(),
+                elem_size: 8,
+            }),
         }
-        let sel = self.selector(src, tag)?;
-        self.core.check_alive()?;
-        let env = self.core.router.recv_blocking(self.core.world_rank, &sel)?;
-        self.core.complete_recv(env.arrival, env.src_world);
-        self.core.ctr_messages_received.incr();
-        self.core.ctr_bytes_received.add(env.modeled_bytes as u64);
-        let source = self
-            .comm_rank_of_world(env.src_world)
-            .expect("sender is not a member of this communicator");
-        let (head, body) = match env.head {
-            Some(h) => (h, env.payload),
-            None => {
-                if env.payload.len() < 8 {
-                    return Err(MpiError::TypeMismatch {
-                        bytes: env.payload.len(),
-                        elem_size: 8,
-                    });
-                }
-                let mut h = [0u8; 8];
-                h.copy_from_slice(&env.payload[..8]);
-                (u64::from_le_bytes(h), env.payload.slice(8..))
-            }
-        };
-        let status = RecvStatus {
-            source,
-            tag: env.tag,
-            bytes: body.len(),
-        };
-        Ok((head, body, status))
     }
 
     /// Blocking receive returning a freshly allocated typed vector.
     pub fn recv<T: Pod>(&self, src: usize, tag: Tag) -> MpiResult<Vec<T>> {
         Self::validate_tag(tag)?;
-        let (payload, _) = self.recv_bytes(Some(src), Some(tag))?;
-        datatype::from_bytes(&payload)
-    }
-
-    /// Blocking receive from any source.
-    pub fn recv_any<T: Pod>(&self, tag: Tag) -> MpiResult<(Vec<T>, RecvStatus)> {
-        Self::validate_tag(tag)?;
-        let (payload, status) = self.recv_bytes(None, Some(tag))?;
-        Ok((datatype::from_bytes(&payload)?, status))
+        datatype::from_bytes(&self.recv_bytes(src, tag)?)
     }
 
     /// Blocking receive into an existing, exactly-sized buffer.
     pub fn recv_into<T: Pod>(&self, buf: &mut [T], src: usize, tag: Tag) -> MpiResult<RecvStatus> {
         Self::validate_tag(tag)?;
-        let (payload, status) = self.recv_bytes(Some(src), Some(tag))?;
+        let payload = self.recv_bytes(src, tag)?;
         datatype::copy_into(&payload, buf)?;
-        Ok(status)
+        Ok(RecvStatus {
+            source: src,
+            tag,
+            bytes: payload.len(),
+        })
     }
 
     /// Posts a non-blocking receive.  Matching happens at wait time, which is
@@ -496,19 +398,12 @@ impl Comm {
     /// the sender side.
     pub fn irecv(&self, src: usize, tag: Tag) -> MpiResult<RecvRequest> {
         Self::validate_tag(tag)?;
-        let sel = self.selector(Some(src), Some(tag))?;
-        Ok(RecvRequest::new(sel))
+        Ok(RecvRequest::new(self.lane(src, tag)?))
     }
 
     /// Waits for a posted receive and returns the typed payload.
     pub fn wait_recv<T: Pod>(&self, req: RecvRequest) -> MpiResult<Vec<T>> {
-        let sel = req.consume()?;
-        self.core.check_alive()?;
-        let env = self.core.router.recv_blocking(self.core.world_rank, &sel)?;
-        self.core.complete_recv(env.arrival, env.src_world);
-        self.core.ctr_messages_received.incr();
-        self.core.ctr_bytes_received.add(env.modeled_bytes as u64);
-        datatype::from_bytes(&env.payload)
+        datatype::from_bytes(&Self::plain(self.take(req.selector())?)?)
     }
 
     /// Waits for every posted receive, returning the payloads in request

@@ -33,7 +33,9 @@ pub enum MpiError {
         /// Capacity of the receive buffer.
         capacity: usize,
     },
-    /// The incoming payload length is not a multiple of the element size.
+    /// The incoming payload length is not a multiple of the element size,
+    /// or the message is framed where a plain one was expected or the
+    /// reverse (`Comm::recv_framed`; `elem_size` is then the 8-byte head).
     TypeMismatch {
         /// Bytes in the incoming message.
         bytes: usize,
@@ -47,8 +49,6 @@ pub enum MpiError {
     /// A collective was attempted on an empty communicator or with an
     /// otherwise invalid configuration.
     InvalidCommunicator(String),
-    /// A request handle was used twice.
-    RequestConsumed,
 }
 
 impl fmt::Display for MpiError {
@@ -79,7 +79,6 @@ impl fmt::Display for MpiError {
                 "simulation aborted: no rank can make progress, or explicit abort"
             ),
             MpiError::InvalidCommunicator(msg) => write!(f, "invalid communicator: {msg}"),
-            MpiError::RequestConsumed => write!(f, "request handle already completed"),
         }
     }
 }

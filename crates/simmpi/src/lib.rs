@@ -25,7 +25,9 @@
 //! ## Layering
 //!
 //! * [`cluster`] spawns the threads and collects reports;
-//! * [`comm`] implements communicators and point-to-point messaging;
+//! * [`comm`] implements communicators and point-to-point messaging, where
+//!   every receive names its `(communicator, source, tag)` lane — the
+//!   send-deterministic programs replication supports need no wildcard;
 //! * [`collectives`] adds barrier / bcast / reduce / allreduce / (all)gather /
 //!   scatter;
 //! * [`router`] moves envelopes between per-rank mailboxes;
@@ -66,7 +68,7 @@ pub use engine::{
 };
 pub use error::{ConfigError, MpiError, MpiResult};
 pub use fxhash::{FxBuildHasher, FxHasher};
-pub use message::{CommId, Envelope, MatchSelector, Tag, RESERVED_TAG_BASE};
+pub use message::{CommId, Envelope, LaneKey, Tag, RESERVED_TAG_BASE};
 pub use proc::ProcHandle;
 pub use request::{RecvRequest, SendRequest};
 pub use router::Router;

@@ -27,18 +27,17 @@ pub struct Envelope {
     pub tag: Tag,
     /// Actual payload carried (used for correctness).
     pub payload: Bytes,
-    /// Optional 8-byte frame head carried out-of-band.
+    /// 8-byte frame head carried out-of-band, `Some` exactly for the
+    /// envelopes of [`Comm::send_framed_multi`](crate::Comm::send_framed_multi).
     ///
     /// Protocol layers that prefix every message with a small fixed header
     /// (the replication channel's sequence number) would otherwise have to
     /// materialize `header ++ payload` in a fresh buffer for every send —
     /// one allocation and one full payload copy per message.  Carrying the
     /// head in the envelope instead lets all copies of a fan-out share one
-    /// reference-counted payload with **zero** per-send copies.  `None` for
-    /// plain sends.  `Comm::recv_framed` splits either representation
-    /// transparently; a plain `recv_payload` of a headed envelope
-    /// re-materializes the contiguous frame (correctness fallback, off the
-    /// hot path).
+    /// reference-counted payload with **zero** per-send copies.  A framed
+    /// envelope is received with `Comm::recv_framed`, a plain one with the
+    /// other receives; the other way round is a `TypeMismatch`.
     pub head: Option<u64>,
     /// Number of bytes charged to the network model.  Usually equal to
     /// `payload.len()`, but paper-scale experiments can run the protocol on
@@ -47,9 +46,6 @@ pub struct Envelope {
     pub modeled_bytes: usize,
     /// Virtual time at which the message is fully available at the receiver.
     pub arrival: SimTime,
-    /// Global sequence number (used only for deterministic tie-breaking and
-    /// debugging).
-    pub seq: u64,
 }
 
 impl Envelope {
@@ -60,61 +56,13 @@ impl Envelope {
     pub fn lane_key(&self) -> LaneKey {
         (self.comm, self.src_world, self.tag)
     }
-
-    /// True if this envelope matches the given selector.
-    pub fn matches(&self, sel: &MatchSelector) -> bool {
-        if self.comm != sel.comm {
-            return false;
-        }
-        if let Some(src) = sel.src_world {
-            if self.src_world != src {
-                return false;
-            }
-        }
-        if let Some(tag) = sel.tag {
-            if self.tag != tag {
-                return false;
-            }
-        }
-        true
-    }
 }
 
 /// A mailbox lane identifier: `(communicator, source world rank, tag)`.
-/// Every envelope belongs to exactly one lane (see [`Envelope::lane_key`]).
+/// Every envelope belongs to exactly one lane (see [`Envelope::lane_key`]),
+/// and every thread-world receive names exactly one: replication needs
+/// send-deterministic programs, whose receives all name their source.
 pub type LaneKey = (CommId, usize, Tag);
-
-/// Receiver-side matching criteria: communicator plus optional source and
-/// tag wildcards (the equivalents of `MPI_ANY_SOURCE` / `MPI_ANY_TAG`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MatchSelector {
-    /// Communicator to match on (always required).
-    pub comm: CommId,
-    /// World rank of the expected sender, or `None` for any source.
-    pub src_world: Option<usize>,
-    /// Expected tag, or `None` for any tag.
-    pub tag: Option<Tag>,
-}
-
-impl MatchSelector {
-    /// True if this selector is fully determined (no wildcard), i.e. it
-    /// names exactly one mailbox lane.
-    pub fn exact_lane(&self) -> Option<LaneKey> {
-        match (self.src_world, self.tag) {
-            (Some(src), Some(tag)) => Some((self.comm, src, tag)),
-            _ => None,
-        }
-    }
-
-    /// True if every envelope of lane `key` matches this selector (lane
-    /// membership fully determines matching — the selector never inspects
-    /// the payload).
-    pub fn matches_lane(&self, key: &LaneKey) -> bool {
-        self.comm == key.0
-            && self.src_world.is_none_or(|s| s == key.1)
-            && self.tag.is_none_or(|t| t == key.2)
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -130,52 +78,16 @@ mod tests {
             head: None,
             modeled_bytes: 0,
             arrival: SimTime::ZERO,
-            seq: 0,
         }
     }
 
     #[test]
     fn exact_match() {
-        let e = env(2, 7, 5);
-        assert!(e.matches(&MatchSelector {
-            comm: 7,
-            src_world: Some(2),
-            tag: Some(5)
-        }));
+        assert_eq!(env(2, 7, 5).lane_key(), (7, 2, 5));
     }
 
     #[test]
     fn comm_must_match() {
-        let e = env(2, 7, 5);
-        assert!(!e.matches(&MatchSelector {
-            comm: 8,
-            src_world: None,
-            tag: None
-        }));
-    }
-
-    #[test]
-    fn wildcards_match_anything() {
-        let e = env(2, 7, 5);
-        assert!(e.matches(&MatchSelector {
-            comm: 7,
-            src_world: None,
-            tag: None
-        }));
-        assert!(e.matches(&MatchSelector {
-            comm: 7,
-            src_world: None,
-            tag: Some(5)
-        }));
-        assert!(!e.matches(&MatchSelector {
-            comm: 7,
-            src_world: Some(3),
-            tag: None
-        }));
-        assert!(!e.matches(&MatchSelector {
-            comm: 7,
-            src_world: Some(2),
-            tag: Some(6)
-        }));
+        assert_ne!(env(2, 7, 5).lane_key(), (8, 2, 5));
     }
 }

@@ -2,56 +2,45 @@
 //!
 //! Requests are deliberately lightweight: a send request remembers the
 //! virtual time at which the local NIC finishes injecting the message, and a
-//! receive request remembers the matching selector.  `Comm::wait_*` consumes
-//! them.  A request can only be waited on once; waiting twice is a protocol
-//! bug and surfaces as [`crate::MpiError::RequestConsumed`].
+//! receive request remembers the mailbox lane it will take from.
+//! `Comm::wait_*` takes them by value, so a request cannot be waited on
+//! twice.
 
-use crate::error::{MpiError, MpiResult};
-use crate::message::MatchSelector;
+use crate::message::LaneKey;
 use simcluster::SimTime;
 
 /// Handle for a pending (non-blocking) send.
 #[derive(Debug)]
 pub struct SendRequest {
-    complete_at: Option<SimTime>,
+    complete_at: SimTime,
 }
 
 impl SendRequest {
     pub(crate) fn new(complete_at: SimTime) -> Self {
-        SendRequest {
-            complete_at: Some(complete_at),
-        }
+        SendRequest { complete_at }
     }
 
-    /// Virtual time at which the send completes locally, without consuming
-    /// the request.
-    pub fn completion_time(&self) -> Option<SimTime> {
+    /// Virtual time at which the send completes locally.
+    pub fn completion_time(&self) -> SimTime {
         self.complete_at
-    }
-
-    pub(crate) fn consume(mut self) -> MpiResult<SimTime> {
-        self.complete_at.take().ok_or(MpiError::RequestConsumed)
     }
 }
 
 /// Handle for a pending (non-blocking) receive.
 #[derive(Debug)]
 pub struct RecvRequest {
-    sel: Option<MatchSelector>,
+    lane: LaneKey,
 }
 
 impl RecvRequest {
-    pub(crate) fn new(sel: MatchSelector) -> Self {
-        RecvRequest { sel: Some(sel) }
+    pub(crate) fn new(lane: LaneKey) -> Self {
+        RecvRequest { lane }
     }
 
-    /// The matching selector of this request, without consuming it.
-    pub fn selector(&self) -> Option<&MatchSelector> {
-        self.sel.as_ref()
-    }
-
-    pub(crate) fn consume(mut self) -> MpiResult<MatchSelector> {
-        self.sel.take().ok_or(MpiError::RequestConsumed)
+    /// The `(communicator, source world rank, tag)` lane this request
+    /// receives from.
+    pub fn selector(&self) -> &LaneKey {
+        &self.lane
     }
 }
 
@@ -62,19 +51,12 @@ mod tests {
     #[test]
     fn send_request_reports_completion_time() {
         let r = SendRequest::new(SimTime::from_secs(2.0));
-        assert_eq!(r.completion_time().unwrap().as_secs(), 2.0);
-        assert_eq!(r.consume().unwrap().as_secs(), 2.0);
+        assert_eq!(r.completion_time().as_secs(), 2.0);
     }
 
     #[test]
     fn recv_request_carries_selector() {
-        let sel = MatchSelector {
-            comm: 3,
-            src_world: Some(1),
-            tag: Some(7),
-        };
-        let r = RecvRequest::new(sel);
-        assert_eq!(r.selector().unwrap().comm, 3);
-        assert_eq!(r.consume().unwrap(), sel);
+        let r = RecvRequest::new((3, 1, 7));
+        assert_eq!(*r.selector(), (3, 1, 7));
     }
 }

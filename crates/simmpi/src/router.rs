@@ -1,13 +1,11 @@
 //! Message routing between simulated processes (thread-per-rank strategy).
 //!
 //! The router owns one mailbox per physical rank.  A mailbox is *indexed*:
-//! envelopes queue in per-`(communicator, source, tag)` FIFO lanes, stamped
-//! with a per-mailbox delivery-order arrival id.  An exact receive
-//! (`MPI_Recv` with explicit source and tag) is a single lane lookup plus a
-//! pop — O(1) amortized regardless of how many unrelated messages are queued
-//! — while a wildcard receive (`MPI_ANY_SOURCE` / `MPI_ANY_TAG`) takes the
-//! matching lane front with the smallest arrival id, which is exactly the
-//! envelope a scan of one flat queue would have found.  Matching is purely
+//! envelopes queue in per-`(communicator, source, tag)` FIFO lanes, and
+//! every receive names exactly one lane ([`LaneKey`]) — replication needs
+//! send-deterministic programs, whose receives all name their source — so
+//! a receive is a single lane lookup plus a pop, O(1) amortized regardless
+//! of how many unrelated messages are queued.  Matching is purely
 //! receiver-side and per-lane FIFO, which preserves MPI's non-overtaking
 //! guarantee.  The matching core lives in the private `mailbox` module; the
 //! router adds the blocking layer around it.  (The event-driven engine,
@@ -16,7 +14,7 @@
 //! ## Synchronization
 //!
 //! A mailbox is one mutex and one condvar around the lane index and the
-//! selectors of the receivers currently parked on it.  The lock is contended
+//! lanes of the receivers currently parked on it.  The lock is contended
 //! only by the owning rank's receive and the ranks sending to it at that
 //! moment — a handful of halo neighbours and one collective peer in every
 //! application here — and the thread world runs at most ~128 ranks; larger
@@ -30,7 +28,7 @@
 //! then finds nobody parked and skips the notify, and neither side pays a
 //! futex call or an idle-core wake-up.  Once parked, a receiver never
 //! polls, and wakeups are *precise*: a delivery notifies the condvar only
-//! when the envelope matches the selector of a parked receiver, so the
+//! when the envelope's lane is the lane of a parked receiver, so the
 //! unrelated deliveries of a deep-mailbox workload cost a parked receiver
 //! nothing.
 //!
@@ -47,12 +45,12 @@
 //! §III-B2, loses it once every replica of a logical process is dead, and
 //! the survivors' neighbours end up here).  The router [`run_cluster`]
 //! builds counts the rank threads that are *neither parked nor returned*.
-//! A receiver leaves the count when it registers its selector, a rank when
-//! its body returns or panics; whoever wakes a parked receiver — a matching
-//! delivery, the failure-board waker, [`Router::abort`] — removes the
-//! selector and re-enters the receiver in the count *before* notifying,
+//! A receiver leaves the count when it registers its lane, a rank when its
+//! body returns or panics; whoever wakes a parked receiver — a delivery
+//! into its lane, the failure-board waker, [`Router::abort`] — removes the
+//! registration and re-enters the receiver in the count *before* notifying,
 //! all under the mailbox lock, so the count cannot read zero while a
-//! wake-up is in flight.  The thread that takes it to zero with a selector
+//! wake-up is in flight.  The thread that takes it to zero with a lane
 //! still registered aborts the run and every parked receive returns
 //! [`MpiError::Aborted`] — the rule the event engine states as "queue
 //! drained with ranks parked".  No wall-clock input is involved, so a stuck
@@ -64,10 +62,10 @@
 
 use crate::error::{MpiError, MpiResult};
 use crate::mailbox::MailboxState;
-use crate::message::{Envelope, MatchSelector};
+use crate::message::{Envelope, LaneKey};
 use parking_lot::{Condvar, Mutex};
 use simcluster::FailureStatusBoard;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 
 /// How often a receive that found no match yields its time slice before it
@@ -93,11 +91,11 @@ const YIELDS_BEFORE_PARK: u32 = 4;
 #[derive(Default)]
 struct MailboxInner {
     mail: MailboxState,
-    /// Ticket and selector of every receiver currently parked on this
-    /// mailbox.  A waker *removes* the entries it wakes, so a receiver whose
-    /// ticket is still here was not the one meant and keeps waiting.
-    /// Invariant (under the lock): no entry matches a queued envelope.
-    parked: Vec<(u64, MatchSelector)>,
+    /// Ticket and lane of every receiver currently parked on this mailbox.
+    /// A waker *removes* the entries it wakes, so a receiver whose ticket
+    /// is still here was not the one meant and keeps waiting.  Invariant
+    /// (under the lock): no entry names a lane with an envelope queued.
+    parked: Vec<(u64, LaneKey)>,
     next_ticket: u64,
 }
 
@@ -150,7 +148,6 @@ impl Fabric {
 /// The shared message router of a simulated cluster.
 pub struct Router {
     fabric: Arc<Fabric>,
-    seq: AtomicU64,
     aborted: AtomicBool,
     failures: FailureStatusBoard,
 }
@@ -184,7 +181,6 @@ impl Router {
         }));
         Router {
             fabric,
-            seq: AtomicU64::new(0),
             aborted: AtomicBool::new(false),
             failures,
         }
@@ -200,19 +196,16 @@ impl Router {
 
     /// The caller just took the last running rank thread out of the count,
     /// so the set of parked receivers is final: if there is one, nothing can
-    /// ever wake it and the run is aborted.  A parked receiver with a
-    /// matching envelope queued would be a lost wake-up, not a deadlock —
-    /// that must fail loudly.
+    /// ever wake it and the run is aborted.  A parked receiver with an
+    /// envelope queued in its lane would be a lost wake-up, not a deadlock
+    /// — that must fail loudly.
     fn quiesced(&self) {
         let mut stuck = false;
         for mb in &self.fabric.mailboxes {
             let inner = mb.inner.lock();
             debug_assert!(
-                inner
-                    .parked
-                    .iter()
-                    .all(|(_, sel)| !inner.mail.has_match(sel)),
-                "receiver parked with a matching envelope queued"
+                inner.parked.iter().all(|(_, key)| !inner.mail.has(key)),
+                "receiver parked on a lane with an envelope queued"
             );
             stuck |= !inner.parked.is_empty();
         }
@@ -224,18 +217,6 @@ impl Router {
     /// Number of ranks served.
     pub fn num_procs(&self) -> usize {
         self.fabric.mailboxes.len()
-    }
-
-    /// Allocates the next global sequence number.
-    pub fn next_seq(&self) -> u64 {
-        self.seq.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Allocates `n` consecutive global sequence numbers in one atomic
-    /// operation and returns the first.  Batched fan-out uses this to stamp
-    /// a whole replica group with one counter round-trip instead of `n`.
-    pub fn next_seq_block(&self, n: u64) -> u64 {
-        self.seq.fetch_add(n, Ordering::Relaxed)
     }
 
     /// The failure board shared with this router.
@@ -256,9 +237,10 @@ impl Router {
         if self.failures.is_failed(dst) {
             return;
         }
+        let key = env.lane_key();
         let mut inner = mb.inner.lock();
         let parked = inner.parked.len();
-        inner.parked.retain(|(_, sel)| !env.matches(sel));
+        inner.parked.retain(|(_, k)| *k != key);
         let woken = parked - inner.parked.len();
         inner.mail.push(env);
         if woken > 0 {
@@ -289,54 +271,45 @@ impl Router {
         self.fabric.wake_all();
     }
 
-    /// Non-blocking probe: removes and returns the earliest envelope in
-    /// `dst`'s mailbox matching `sel`, if any (`None` also when `dst` is not
-    /// a rank of this router).
-    pub fn try_match(&self, dst: usize, sel: &MatchSelector) -> Option<Envelope> {
-        self.fabric
-            .mailboxes
-            .get(dst)?
-            .inner
-            .lock()
-            .mail
-            .take_match(sel)
+    /// Non-blocking probe: removes and returns the front envelope of lane
+    /// `key` in `dst`'s mailbox, if any (`None` also when `dst` is not a
+    /// rank of this router).
+    pub fn try_match(&self, dst: usize, key: &LaneKey) -> Option<Envelope> {
+        self.fabric.mailboxes.get(dst)?.inner.lock().mail.take(key)
     }
 
     /// Checks the terminal conditions a blocked receiver must surface, in
     /// documented order.
-    fn recv_error(&self, dst: usize, sel: &MatchSelector) -> Option<MpiError> {
+    fn recv_error(&self, dst: usize, &(_, src, _): &LaneKey) -> Option<MpiError> {
         if self.is_aborted() {
-            return Some(MpiError::Aborted);
+            Some(MpiError::Aborted)
+        } else if self.failures.is_failed(dst) {
+            Some(MpiError::SelfFailed)
+        } else if self.failures.is_failed(src) {
+            Some(MpiError::ProcessFailed { rank: src })
+        } else {
+            None
         }
-        if self.failures.is_failed(dst) {
-            return Some(MpiError::SelfFailed);
-        }
-        if let Some(src) = sel.src_world {
-            if self.failures.is_failed(src) {
-                return Some(MpiError::ProcessFailed { rank: src });
-            }
-        }
-        None
     }
 
-    /// Blocking receive: waits until an envelope matching `sel` is available
+    /// Blocking receive: waits until an envelope of lane `key` is available
     /// in `dst`'s mailbox and removes it.
     ///
     /// Returns
     /// * `Err(InvalidRank)` if `dst` is not a rank of this router;
-    /// * `Err(ProcessFailed)` if the selector names a specific source, that
-    ///   source has crashed, and no matching message is queued (messages sent
-    ///   before the crash remain deliverable);
+    /// * `Err(ProcessFailed)` if the lane's source has crashed and nothing
+    ///   is queued in the lane (messages sent before the crash remain
+    ///   deliverable);
     /// * `Err(SelfFailed)` if the receiving rank itself has been marked
     ///   failed;
     /// * `Err(Aborted)` if no rank of the run can make progress any more
     ///   (module docs, § Liveness) or [`Router::abort`] was called.
     ///
-    /// The receiver looks for a match and runs the failure checks under the
-    /// mailbox lock; with neither, it first releases the lock and yields its
-    /// time slice, `YIELDS_BEFORE_PARK` times at most, then registers its
-    /// selector and sleeps on the mailbox condvar until a matching delivery
-    /// (or a failure/abort broadcast) removes the selector and notifies it
+    /// The receiver looks for an envelope and runs the failure checks under
+    /// the mailbox lock; with neither, it first releases the lock and yields
+    /// its time slice, `YIELDS_BEFORE_PARK` times at most, then registers
+    /// its lane and sleeps on the mailbox condvar until a delivery into the
+    /// lane (or a failure/abort broadcast) removes it and notifies it
     /// — unless it was the run's last running rank, in which case it aborts
     /// the run instead of sleeping (module docs, § Liveness).  A yielding
     /// receiver is not parked (it still counts as running) and needs no
@@ -349,7 +322,7 @@ impl Router {
     /// the waker, which takes this mailbox's lock after the store, so a
     /// receiver that locks later sees the flag and one that locked earlier
     /// is parked by the time the waker gets the lock.
-    pub fn recv_blocking(&self, dst: usize, sel: &MatchSelector) -> MpiResult<Envelope> {
+    pub fn recv_blocking(&self, dst: usize, key: &LaneKey) -> MpiResult<Envelope> {
         let mb = self
             .fabric
             .mailboxes
@@ -361,10 +334,10 @@ impl Router {
         let mut yields_left = YIELDS_BEFORE_PARK;
         let mut inner = mb.inner.lock();
         loop {
-            if let Some(env) = inner.mail.take_match(sel) {
+            if let Some(env) = inner.mail.take(key) {
                 return Ok(env);
             }
-            if let Some(err) = self.recv_error(dst, sel) {
+            if let Some(err) = self.recv_error(dst, key) {
                 return Err(err);
             }
             if yields_left > 0 {
@@ -376,7 +349,7 @@ impl Router {
             }
             let ticket = inner.next_ticket;
             inner.next_ticket += 1;
-            inner.parked.push((ticket, *sel));
+            inner.parked.push((ticket, *key));
             if self.fabric.stopped() {
                 // Every other rank is parked or gone and this one just
                 // joined them.  The abort wakes this receiver like any
@@ -415,26 +388,22 @@ mod tests {
     use std::thread;
     use std::time::Duration;
 
-    fn env(src: usize, dst: usize, comm: u64, tag: u32, seq: u64) -> Envelope {
+    /// An envelope whose payload is `id`, the identity the tests check.
+    fn env(src: usize, dst: usize, comm: u64, tag: u32, id: u64) -> Envelope {
         Envelope {
             src_world: src,
             dst_world: dst,
             comm,
             tag,
-            payload: Bytes::from_static(b"x"),
+            payload: Bytes::copy_from_slice(&id.to_le_bytes()),
             head: None,
-            modeled_bytes: 1,
+            modeled_bytes: 8,
             arrival: SimTime::ZERO,
-            seq,
         }
     }
 
-    fn sel(comm: u64, src: Option<usize>, tag: Option<u32>) -> MatchSelector {
-        MatchSelector {
-            comm,
-            src_world: src,
-            tag,
-        }
+    fn id(env: &Envelope) -> u64 {
+        u64::from_le_bytes(env.payload.to_vec().try_into().unwrap())
     }
 
     #[test]
@@ -442,23 +411,21 @@ mod tests {
         let r = Router::new(2, FailureStatusBoard::new(2));
         r.deliver(env(0, 1, 9, 3, 0));
         assert_eq!(r.queued(1), 1);
-        let got = r.try_match(1, &sel(9, Some(0), Some(3))).unwrap();
+        let got = r.try_match(1, &(9, 0, 3)).unwrap();
         assert_eq!(got.src_world, 0);
         assert_eq!(r.queued(1), 0);
-        assert!(r.try_match(1, &sel(9, Some(0), Some(3))).is_none());
+        assert!(r.try_match(1, &(9, 0, 3)).is_none());
     }
 
     #[test]
     fn matching_preserves_fifo_per_sender_and_tag() {
         let r = Router::new(2, FailureStatusBoard::new(2));
-        for seq in 0..3 {
-            let mut e = env(0, 1, 9, 3, seq);
-            e.modeled_bytes = seq as usize;
-            r.deliver(e);
+        for n in 0..3 {
+            r.deliver(env(0, 1, 9, 3, n));
         }
         for expected in 0..3 {
-            let got = r.try_match(1, &sel(9, Some(0), Some(3))).unwrap();
-            assert_eq!(got.seq, expected);
+            let got = r.try_match(1, &(9, 0, 3)).unwrap();
+            assert_eq!(id(&got), expected);
         }
     }
 
@@ -467,25 +434,11 @@ mod tests {
         let board = FailureStatusBoard::new(2);
         let r = Arc::new(Router::new(2, board));
         let r2 = Arc::clone(&r);
-        let h = thread::spawn(move || r2.recv_blocking(1, &sel(9, Some(0), Some(3))));
+        let h = thread::spawn(move || r2.recv_blocking(1, &(9, 0, 3)));
         thread::sleep(Duration::from_millis(5));
         r.deliver(env(0, 1, 9, 3, 0));
         let got = h.join().unwrap().unwrap();
         assert_eq!(got.tag, 3);
-    }
-
-    /// A delivery into *any* lane a parked wildcard selector matches must
-    /// wake it.
-    #[test]
-    fn blocking_wildcard_recv_wakes_on_delivery() {
-        let board = FailureStatusBoard::new(2);
-        let r = Arc::new(Router::new(2, board));
-        let r2 = Arc::clone(&r);
-        let h = thread::spawn(move || r2.recv_blocking(1, &sel(9, None, None)));
-        thread::sleep(Duration::from_millis(5));
-        r.deliver(env(0, 1, 9, 3, 7));
-        let got = h.join().unwrap().unwrap();
-        assert_eq!((got.tag, got.seq), (3, 7));
     }
 
     #[test]
@@ -495,9 +448,9 @@ mod tests {
         // A message sent before the crash is still deliverable.
         r.deliver(env(0, 1, 9, 3, 0));
         board.mark_failed(0, SimTime::ZERO);
-        assert!(r.recv_blocking(1, &sel(9, Some(0), Some(3))).is_ok());
+        assert!(r.recv_blocking(1, &(9, 0, 3)).is_ok());
         // Nothing queued any more: the failure must surface as an error.
-        let err = r.recv_blocking(1, &sel(9, Some(0), Some(3))).unwrap_err();
+        let err = r.recv_blocking(1, &(9, 0, 3)).unwrap_err();
         assert_eq!(err, MpiError::ProcessFailed { rank: 0 });
     }
 
@@ -512,7 +465,7 @@ mod tests {
         let board = FailureStatusBoard::new(2);
         let r = Arc::new(Router::new(2, board.clone()));
         let r2 = Arc::clone(&r);
-        let h = thread::spawn(move || r2.recv_blocking(1, &sel(9, Some(0), Some(3))));
+        let h = thread::spawn(move || r2.recv_blocking(1, &(9, 0, 3)));
         thread::sleep(Duration::from_millis(30));
         // Signal the crash on the board only — deliberately not calling
         // Router::notify_all, as a failure injector outside the router would.
@@ -521,14 +474,14 @@ mod tests {
         assert_eq!(err, MpiError::ProcessFailed { rank: 0 });
     }
 
-    /// Same regression for a wildcard receiver, woken here by its *own*
-    /// rank's failure.
+    /// Same regression, woken here by the receiving rank's *own* failure
+    /// while its source stays alive.
     #[test]
-    fn failure_signaled_mid_wait_wakes_blocked_wildcard_receiver() {
+    fn failure_signaled_mid_wait_wakes_receiver_whose_own_rank_failed() {
         let board = FailureStatusBoard::new(2);
         let r = Arc::new(Router::new(2, board.clone()));
         let r2 = Arc::clone(&r);
-        let h = thread::spawn(move || r2.recv_blocking(1, &sel(9, None, None)));
+        let h = thread::spawn(move || r2.recv_blocking(1, &(9, 0, 3)));
         thread::sleep(Duration::from_millis(30));
         board.mark_failed(1, SimTime::ZERO);
         let err = h.join().unwrap().unwrap_err();
@@ -551,8 +504,8 @@ mod tests {
         let r = Router::new(2, FailureStatusBoard::new(2));
         r.deliver(env(0, 2, 9, 3, 0));
         assert_eq!(r.queued(2), 0);
-        assert!(r.try_match(2, &sel(9, None, None)).is_none());
-        let err = r.recv_blocking(2, &sel(9, Some(0), Some(3))).unwrap_err();
+        assert!(r.try_match(2, &(9, 0, 3)).is_none());
+        let err = r.recv_blocking(2, &(9, 0, 3)).unwrap_err();
         assert_eq!(err, MpiError::InvalidRank { rank: 2, size: 2 });
     }
 
@@ -561,7 +514,7 @@ mod tests {
         let board = FailureStatusBoard::new(2);
         let r = Arc::new(Router::new(2, board));
         let r2 = Arc::clone(&r);
-        let h = thread::spawn(move || r2.recv_blocking(1, &sel(9, Some(0), Some(3))));
+        let h = thread::spawn(move || r2.recv_blocking(1, &(9, 0, 3)));
         thread::sleep(Duration::from_millis(5));
         r.abort();
         assert_eq!(h.join().unwrap().unwrap_err(), MpiError::Aborted);
@@ -575,7 +528,7 @@ mod tests {
         let receivers: Vec<_> = (0..3)
             .map(|dst| {
                 let r = Arc::clone(&r);
-                thread::spawn(move || r.recv_blocking(dst, &sel(9, None, Some(3))))
+                thread::spawn(move || r.recv_blocking(dst, &(9, 0, 3)))
             })
             .collect();
         for mb in &r.fabric.mailboxes {
@@ -585,52 +538,12 @@ mod tests {
         }
         assert!(!r.is_aborted());
         for dst in 0..3 {
-            r.deliver(env(7, dst, 9, 3, dst as u64));
+            r.deliver(env(0, dst, 9, 3, dst as u64));
         }
         for (dst, h) in receivers.into_iter().enumerate() {
-            assert_eq!(h.join().unwrap().unwrap().seq, dst as u64);
+            assert_eq!(id(&h.join().unwrap().unwrap()), dst as u64);
         }
         assert!(!r.is_aborted());
-    }
-
-    #[test]
-    fn wildcard_source_matching() {
-        let r = Router::new(2, FailureStatusBoard::new(2));
-        r.deliver(env(0, 1, 9, 7, 0));
-        let got = r.recv_blocking(1, &sel(9, None, Some(7))).unwrap();
-        assert_eq!(got.src_world, 0);
-    }
-
-    #[test]
-    fn wildcard_takes_earliest_delivery_across_lanes() {
-        let r = Router::new(3, FailureStatusBoard::new(3));
-        // Three lanes, delivered in interleaved order.
-        r.deliver(env(1, 2, 9, 5, 10));
-        r.deliver(env(0, 2, 9, 7, 11));
-        r.deliver(env(1, 2, 9, 5, 12));
-        r.deliver(env(0, 2, 9, 5, 13));
-        // Full wildcard drains in exact delivery order.
-        let seqs: Vec<u64> = (0..4)
-            .map(|_| r.try_match(2, &sel(9, None, None)).unwrap().seq)
-            .collect();
-        assert_eq!(seqs, vec![10, 11, 12, 13]);
-    }
-
-    #[test]
-    fn wildcard_skips_entries_consumed_by_exact_receives() {
-        let r = Router::new(2, FailureStatusBoard::new(2));
-        r.deliver(env(0, 1, 9, 1, 0));
-        r.deliver(env(0, 1, 9, 2, 1));
-        r.deliver(env(0, 1, 9, 1, 2));
-        // Exact receive consumes the earliest tag-1 envelope; its index
-        // entry becomes stale.
-        let got = r.try_match(1, &sel(9, Some(0), Some(1))).unwrap();
-        assert_eq!(got.seq, 0);
-        // Wildcard must now find the tag-2 envelope (earliest live), then
-        // the remaining tag-1 one.
-        assert_eq!(r.try_match(1, &sel(9, None, None)).unwrap().seq, 1);
-        assert_eq!(r.try_match(1, &sel(9, None, None)).unwrap().seq, 2);
-        assert_eq!(r.queued(1), 0);
     }
 
     /// Precise wakeups: deliveries into unrelated lanes must not wake an
@@ -641,7 +554,7 @@ mod tests {
         let board = FailureStatusBoard::new(2);
         let r = Arc::new(Router::new(2, board));
         let r2 = Arc::clone(&r);
-        let h = thread::spawn(move || r2.recv_blocking(1, &sel(9, Some(0), Some(42))));
+        let h = thread::spawn(move || r2.recv_blocking(1, &(9, 0, 42)));
         thread::sleep(Duration::from_millis(5));
         // A burst of deliveries into other lanes of the same mailbox.
         for tag in 0..32 {
@@ -651,35 +564,23 @@ mod tests {
         assert_eq!(r.queued(1), 32);
         r.deliver(env(0, 1, 9, 42, 99));
         let got = h.join().unwrap().unwrap();
-        assert_eq!((got.tag, got.seq), (42, 99));
+        assert_eq!((got.tag, id(&got)), (42, 99));
         // The unrelated envelopes are all still queued.
         assert_eq!(r.queued(1), 32);
     }
 
-    #[test]
-    fn seq_blocks_are_disjoint_and_consecutive() {
-        let r = Router::new(1, FailureStatusBoard::new(1));
-        let a = r.next_seq_block(4);
-        let b = r.next_seq();
-        let c = r.next_seq_block(2);
-        assert_eq!(b, a + 4);
-        assert_eq!(c, a + 5);
-    }
-
-    /// Long deliver/exact-receive churn leaves nothing behind: lanes are
-    /// dropped when drained, so the mailbox holds no per-message state after
-    /// each cycle (the memory-boundedness the old delivery-order index
-    /// needed compaction for now holds structurally).
+    /// Long deliver/receive churn leaves nothing behind: lanes are dropped
+    /// when drained, so the mailbox holds no per-message state after each
+    /// cycle.
     #[test]
     fn exact_receive_churn_leaves_mailbox_empty() {
         let r = Router::new(2, FailureStatusBoard::new(2));
         for round in 0..2_000u64 {
             r.deliver(env(0, 1, 9, 3, round));
-            let got = r.try_match(1, &sel(9, Some(0), Some(3))).unwrap();
-            assert_eq!(got.seq, round);
+            let got = r.try_match(1, &(9, 0, 3)).unwrap();
+            assert_eq!(id(&got), round);
         }
         assert_eq!(r.queued(1), 0);
-        // A wildcard probe after the churn confirms no stale matching state.
-        assert!(r.try_match(1, &sel(9, None, None)).is_none());
+        assert!(!r.fabric.mailboxes[1].inner.lock().mail.has(&(9, 0, 3)));
     }
 }

@@ -286,3 +286,37 @@ fn per_process_compute_charges_accumulate() {
     assert!(compute > 0.0);
     assert!((now - compute).abs() < 1e-12);
 }
+
+/// No sender produces a framed message for a plain receive, or the reverse,
+/// so either mismatch is a typed error rather than a silent re-framing.
+#[test]
+fn framing_mismatch_is_a_type_error() {
+    let report = run_cluster(&ClusterConfig::ideal(2), |proc| {
+        let world = proc.world();
+        if world.rank() == 0 {
+            world.send(&[1u64, 2], 1, 1).unwrap();
+            let body = simmpi::to_payload(&[3u64]);
+            world.send_framed_multi(7, &body, &[1], 2, 16).unwrap();
+            None
+        } else {
+            let plain_on_framed = world.recv_framed(0, 1).unwrap_err();
+            let framed_on_plain = world.recv::<u64>(0, 2).unwrap_err();
+            Some((plain_on_framed, framed_on_plain))
+        }
+    });
+    let (plain_on_framed, framed_on_plain) = report.unwrap_results()[1].clone().unwrap();
+    assert_eq!(
+        plain_on_framed,
+        MpiError::TypeMismatch {
+            bytes: 16,
+            elem_size: 8
+        }
+    );
+    assert_eq!(
+        framed_on_plain,
+        MpiError::TypeMismatch {
+            bytes: 16,
+            elem_size: 8
+        }
+    );
+}

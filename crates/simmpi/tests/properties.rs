@@ -104,24 +104,25 @@ proptest! {
     ) {
         // Ranks 1..=senders all blast rank 0 concurrently (each logical
         // process runs on its own host thread, so this genuinely exercises
-        // the sharded mailbox lanes under contention).  Rank 0 receives with
-        // wildcard source and must observe every source's counter sequence
-        // in send order — the per-lane FIFO guarantee — while the sharding
-        // makes no promise about interleaving *between* sources.
+        // the mailbox lanes under contention).  Rank 0 receives from each
+        // source in turn and must observe every source's counter sequence
+        // in send order — the per-lane FIFO guarantee — while the senders
+        // keep running ahead of it.
         let report = run_cluster(&ClusterConfig::ideal(senders + 1), move |proc| {
             let world = proc.world();
             let rank = world.rank();
             if rank == 0 {
                 let mut next_expected = vec![0u64; senders + 1];
-                for _ in 0..senders * messages {
-                    let (msg, status) = world.recv_any::<u64>(tag).unwrap();
-                    let src = status.source;
-                    assert_eq!(
-                        msg,
-                        vec![src as u64, next_expected[src]],
-                        "source {src} delivered out of send order"
-                    );
-                    next_expected[src] += 1;
+                for _ in 0..messages {
+                    for (src, next) in next_expected.iter_mut().enumerate().skip(1) {
+                        let msg = world.recv::<u64>(src, tag).unwrap();
+                        assert_eq!(
+                            msg,
+                            vec![src as u64, *next],
+                            "source {src} delivered out of send order"
+                        );
+                        *next += 1;
+                    }
                 }
                 next_expected
             } else {
@@ -177,140 +178,115 @@ mod mailbox_lanes {
     use bytes::Bytes;
     use proptest::prelude::*;
     use simcluster::{FailureStatusBoard, SimTime};
-    use simmpi::{Envelope, MatchSelector, MpiError, Router};
+    use simmpi::{Envelope, LaneKey, MpiError, Router};
     use std::sync::{Arc, Barrier};
     use std::thread;
     use std::time::Duration;
 
-    fn env(src: usize, tag: u32, seq: u64) -> Envelope {
+    /// An envelope to rank 0 whose payload is `id`, the identity the tests
+    /// check.
+    fn env(src: usize, tag: u32, id: u64) -> Envelope {
         Envelope {
             src_world: src,
             dst_world: 0,
             comm: 1,
             tag,
-            payload: Bytes::new(),
+            payload: Bytes::copy_from_slice(&id.to_le_bytes()),
             head: None,
-            modeled_bytes: 0,
+            modeled_bytes: 8,
             arrival: SimTime::ZERO,
-            seq,
         }
     }
 
-    fn sel(src: Option<usize>, tag: Option<u32>) -> MatchSelector {
-        MatchSelector {
-            comm: 1,
-            src_world: src,
-            tag,
-        }
+    fn id(env: &Envelope) -> u64 {
+        u64::from_le_bytes(env.payload.to_vec().try_into().unwrap())
+    }
+
+    fn lane(src: usize, tag: u32) -> LaneKey {
+        (1, src, tag)
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Per-(source, tag) FIFO is preserved no matter how exact and
-        /// wildcard receives interleave: for every lane, the envelopes a
-        /// receiver extracts (through any mix of selectors) appear in
-        /// delivery order, and wildcard receives always return the earliest
-        /// delivered live envelope that their selector admits.
+        /// Per-(source, tag) FIFO is preserved no matter how receives on
+        /// different lanes interleave with each other: every lane hands out
+        /// its envelopes in delivery order, a receive takes exactly one
+        /// envelope of the lane it names or none when the lane is empty,
+        /// and draining every lane afterwards returns the rest.
         #[test]
-        fn lane_fifo_survives_interleaved_wildcard_receives(
+        fn lane_fifo_survives_interleaved_receives(
             // Delivery schedule: each element encodes (src in 0..3, tag in
             // 0..3) as src * 3 + tag (the shim proptest has no tuple strategy).
             delivery_codes in proptest::collection::vec(0u8..9, 1..40),
-            // Receive schedule: 0 = exact on a lane picked round-robin,
-            // 1 = wildcard-any, 2 = tag-only wildcard, 3 = src-only wildcard.
-            recv_kinds in proptest::collection::vec(0u8..4, 0..60),
+            // Receive schedule: the lane each receive names, same encoding.
+            recv_codes in proptest::collection::vec(0u8..9, 0..60),
         ) {
-            let deliveries: Vec<(usize, u32)> = delivery_codes
-                .iter()
-                .map(|&c| ((c / 3) as usize, (c % 3) as u32))
-                .collect();
-            let board = FailureStatusBoard::new(4);
-            let router = Router::new(4, board);
-            for (i, &(src, tag)) in deliveries.iter().enumerate() {
-                // The global seq doubles as the delivery index.
-                router.deliver(env(1 + src, tag, i as u64));
+            let decode = |c: u8| (1 + (c / 3) as usize, (c % 3) as u32);
+            let router = Router::new(4, FailureStatusBoard::new(4));
+            // Shadow model: the delivery indices queued per lane.
+            let mut model = std::collections::HashMap::<(usize, u32), Vec<u64>>::new();
+            for (i, &code) in delivery_codes.iter().enumerate() {
+                let (src, tag) = decode(code);
+                router.deliver(env(src, tag, i as u64));
+                model.entry((src, tag)).or_default().push(i as u64);
             }
 
-            // Shadow model: one FIFO per lane plus the global delivery order.
-            let mut last_seq_per_lane = std::collections::HashMap::new();
             let mut received = 0usize;
-            let mut exact_cursor = 0usize;
-            for &kind in &recv_kinds {
-                let selector = match kind {
-                    0 => {
-                        let (src, tag) = deliveries[exact_cursor % deliveries.len()];
-                        exact_cursor += 1;
-                        sel(Some(1 + src), Some(tag))
-                    }
-                    1 => sel(None, None),
-                    2 => sel(None, Some(deliveries[0].1)),
-                    _ => sel(Some(1 + deliveries[0].0), None),
-                };
+            for &code in &recv_codes {
+                let (src, tag) = decode(code);
                 let before = router.queued(0);
-                match router.try_match(0, &selector) {
-                    Some(got) => {
+                let expected = model.get_mut(&(src, tag)).filter(|q| !q.is_empty());
+                match (router.try_match(0, &lane(src, tag)), expected) {
+                    (Some(got), Some(queue)) => {
                         received += 1;
                         prop_assert_eq!(router.queued(0), before - 1);
-                        // The envelope matches what was asked for.
-                        prop_assert!(got.matches(&selector));
-                        // Per-lane FIFO: seq strictly increases within the lane.
-                        let lane = (got.src_world, got.tag);
-                        if let Some(&prev) = last_seq_per_lane.get(&lane) {
-                            prop_assert!(
-                                got.seq > prev,
-                                "lane {:?} delivered seq {} after {}",
-                                lane, got.seq, prev
-                            );
-                        }
-                        last_seq_per_lane.insert(lane, got.seq);
+                        prop_assert_eq!((got.src_world, got.tag), (src, tag));
+                        prop_assert_eq!(id(&got), queue.remove(0));
                     }
-                    None => prop_assert_eq!(router.queued(0), before),
+                    (None, None) => prop_assert_eq!(router.queued(0), before),
+                    (got, want) => panic!("lane ({src}, {tag}) gave {got:?}, model {want:?}"),
                 }
             }
 
-            // Drain with a full wildcard: the remainder comes out in global
-            // delivery order restricted to the live envelopes.
-            let mut last_global = None;
-            while let Some(got) = router.try_match(0, &sel(None, None)) {
-                received += 1;
-                if let Some(prev) = last_global {
-                    prop_assert!(got.seq > prev, "wildcard drain out of delivery order");
+            // Drain lane by lane: each hands out exactly its remainder, in
+            // delivery order.
+            for ((src, tag), queue) in model {
+                for want in queue {
+                    let got = router.try_match(0, &lane(src, tag));
+                    prop_assert_eq!(got.map(|e| id(&e)), Some(want));
+                    received += 1;
                 }
-                last_global = Some(got.seq);
-                let lane = (got.src_world, got.tag);
-                if let Some(&prev) = last_seq_per_lane.get(&lane) {
-                    prop_assert!(got.seq > prev);
-                }
-                last_seq_per_lane.insert(lane, got.seq);
+                prop_assert!(router.try_match(0, &lane(src, tag)).is_none());
             }
-            prop_assert_eq!(received, deliveries.len());
+            prop_assert_eq!(received, delivery_codes.len());
             prop_assert_eq!(router.queued(0), 0);
         }
     }
 
-    /// Three receivers parked on one mailbox under one lock — two exact
-    /// selectors on different lanes and a tag-only wildcard — while four
-    /// sender threads interleave deliveries into all of them.  Each receiver
-    /// must get exactly its own messages, in per-lane FIFO order, and the
-    /// mailbox must end empty; a lost or misdirected wake-up hangs a receiver.
+    /// Four receivers parked on one mailbox under one lock, one per lane,
+    /// while four sender threads interleave deliveries into all of them.
+    /// Each receiver must get exactly its own messages, in per-lane FIFO
+    /// order, and the mailbox must end empty; a lost or misdirected wake-up
+    /// hangs a receiver.
     #[test]
     fn receivers_parked_on_one_mailbox_each_get_exactly_their_messages() {
         const PER_LANE: u64 = 200;
-        const WILD_TAG: u32 = 7;
         let router = Arc::new(Router::new(5, FailureStatusBoard::new(5)));
 
-        let receive = |selector: MatchSelector, count: u64| {
-            let router = Arc::clone(&router);
-            thread::spawn(move || {
-                (0..count)
-                    .map(|_| router.recv_blocking(0, &selector).unwrap())
-                    .collect::<Vec<Envelope>>()
+        // Sources 1 and 2 feed tags 0 and 7 alternately; 3 and 4 only tag 7.
+        let lanes = [lane(1, 0), lane(2, 0), lane(3, 7), lane(4, 7)];
+        let receivers: Vec<_> = lanes
+            .iter()
+            .map(|&key| {
+                let router = Arc::clone(&router);
+                thread::spawn(move || {
+                    (0..PER_LANE)
+                        .map(|_| router.recv_blocking(0, &key).unwrap())
+                        .collect::<Vec<Envelope>>()
+                })
             })
-        };
-        let exact_a = receive(sel(Some(1), Some(0)), PER_LANE);
-        let exact_b = receive(sel(Some(2), Some(0)), PER_LANE);
-        let wildcard = receive(sel(None, Some(WILD_TAG)), 4 * PER_LANE);
+            .collect();
         // Let the receivers park before the first delivery.
         thread::sleep(Duration::from_millis(10));
 
@@ -318,13 +294,11 @@ mod mailbox_lanes {
             .map(|src| {
                 let router = Arc::clone(&router);
                 thread::spawn(move || {
-                    for seq in 0..PER_LANE {
-                        // Sources 1 and 2 feed an exact lane and the
-                        // wildcard alternately; 3 and 4 only the wildcard.
+                    for n in 0..PER_LANE {
                         if src <= 2 {
-                            router.deliver(env(src, 0, seq));
+                            router.deliver(env(src, 0, n));
                         }
-                        router.deliver(env(src, WILD_TAG, seq));
+                        router.deliver(env(src, 7, n));
                     }
                 })
             })
@@ -333,52 +307,57 @@ mod mailbox_lanes {
             sender.join().unwrap();
         }
 
-        for (src, got) in [(1, exact_a), (2, exact_b)] {
-            let got = got.join().unwrap();
-            let lane: Vec<_> = got.iter().map(|e| (e.src_world, e.tag, e.seq)).collect();
-            let want: Vec<_> = (0..PER_LANE).map(|seq| (src, 0, seq)).collect();
-            assert_eq!(lane, want);
-        }
-        let got = wildcard.join().unwrap();
-        assert!(got.iter().all(|e| e.tag == WILD_TAG));
-        for src in 1..=4usize {
-            let seqs: Vec<u64> = got
+        for (key, got) in lanes.iter().zip(receivers) {
+            let got: Vec<_> = got
+                .join()
+                .unwrap()
                 .iter()
-                .filter(|e| e.src_world == src)
-                .map(|e| e.seq)
+                .map(|e| (e.src_world, e.tag, id(e)))
                 .collect();
-            assert_eq!(seqs, (0..PER_LANE).collect::<Vec<_>>(), "source {src}");
+            let want: Vec<_> = (0..PER_LANE).map(|n| (key.1, key.2, n)).collect();
+            assert_eq!(got, want);
+        }
+        // Sources 1 and 2's tag-7 lanes had no receiver: still queued.
+        assert_eq!(router.queued(0), 2 * PER_LANE as usize);
+        for src in 1..=2 {
+            for n in 0..PER_LANE {
+                assert_eq!(router.try_match(0, &lane(src, 7)).map(|e| id(&e)), Some(n));
+            }
         }
         assert_eq!(router.queued(0), 0);
     }
 
-    /// Failures signalled on the board while an exact and a wildcard receiver
-    /// are parked on the same mailbox: the peer's crash ends only the receive
-    /// that names it (`ProcessFailed`), the rank's own crash ends the other
-    /// (`SelfFailed`).
+    /// Failures signalled on the board while two receivers naming different
+    /// sources are parked on the same mailbox: each crash ends only the
+    /// receive that names the crashed rank (`ProcessFailed`), and the other
+    /// keeps waiting until its own source crashes.
     #[test]
-    fn board_failure_wakes_exact_and_wildcard_receivers_on_one_mailbox() {
-        let board = FailureStatusBoard::new(2);
-        let router = Arc::new(Router::new(2, board.clone()));
-        let park = |selector: MatchSelector| {
+    fn board_failure_ends_only_the_receives_it_concerns() {
+        let board = FailureStatusBoard::new(3);
+        let router = Arc::new(Router::new(3, board.clone()));
+        let park = |key: LaneKey| {
             let router = Arc::clone(&router);
-            thread::spawn(move || router.recv_blocking(0, &selector))
+            thread::spawn(move || router.recv_blocking(0, &key))
         };
-        let exact = park(sel(Some(1), Some(3)));
-        let wildcard = park(sel(None, None));
+        let from_one = park(lane(1, 3));
+        let from_two = park(lane(2, 3));
         thread::sleep(Duration::from_millis(30));
 
         board.mark_failed(1, SimTime::ZERO);
         assert_eq!(
-            exact.join().unwrap().unwrap_err(),
+            from_one.join().unwrap().unwrap_err(),
             MpiError::ProcessFailed { rank: 1 }
         );
         thread::sleep(Duration::from_millis(10));
-        assert!(!wildcard.is_finished(), "no source named, nothing to fail");
+        assert!(!from_two.is_finished(), "rank 2 is alive, nothing to fail");
 
-        board.mark_failed(0, SimTime::ZERO);
-        assert_eq!(wildcard.join().unwrap().unwrap_err(), MpiError::SelfFailed);
+        board.mark_failed(2, SimTime::ZERO);
+        assert_eq!(
+            from_two.join().unwrap().unwrap_err(),
+            MpiError::ProcessFailed { rank: 2 }
+        );
     }
+
     /// A receive checks, yields a bounded number of times, then parks.  A
     /// delivery can land in any of the three phases; the barrier releases
     /// receiver and sender together each round and the sender gives up a
@@ -397,8 +376,8 @@ mod mailbox_lanes {
             thread::spawn(move || {
                 for round in 0..ROUNDS {
                     start.wait();
-                    let got = router.recv_blocking(0, &sel(Some(1), Some(3))).unwrap();
-                    assert_eq!(got.seq, round);
+                    let got = router.recv_blocking(0, &lane(1, 3)).unwrap();
+                    assert_eq!(id(&got), round);
                 }
             })
         };
@@ -411,7 +390,7 @@ mod mailbox_lanes {
         }
         receiver.join().unwrap();
         assert_eq!(router.queued(0), 0);
-        assert!(router.try_match(0, &sel(None, None)).is_none());
+        assert!(router.try_match(0, &lane(1, 3)).is_none());
     }
 
     /// The three terminal conditions of a receive, raised while the receiver
@@ -423,22 +402,18 @@ mod mailbox_lanes {
     fn failure_in_any_receive_phase_surfaces_the_documented_error() {
         const ROUNDS: usize = 150;
         type Raise = fn(&Router, &FailureStatusBoard);
-        let cases: [(MatchSelector, Raise, MpiError); 3] = [
+        let cases: [(LaneKey, Raise, MpiError); 3] = [
             (
-                sel(Some(1), Some(3)),
+                lane(1, 3),
                 |_, board| board.mark_failed(1, SimTime::ZERO),
                 MpiError::ProcessFailed { rank: 1 },
             ),
             (
-                sel(None, None),
+                lane(1, 3),
                 |_, board| board.mark_failed(0, SimTime::ZERO),
                 MpiError::SelfFailed,
             ),
-            (
-                sel(Some(1), Some(3)),
-                |router, _| router.abort(),
-                MpiError::Aborted,
-            ),
+            (lane(1, 3), |router, _| router.abort(), MpiError::Aborted),
         ];
         for (selector, raise, expected) in cases {
             for round in 0..ROUNDS {

@@ -40,7 +40,7 @@ use ckpt::{system_mtbf, CheckpointPlan, CkptSession, CkptStats};
 use ipr_core::{IntraConfig, IntraError, IntraResult, SchedulerKind};
 use replication::{
     sample_trace_fn, CorrelatedPlan, ExecutionMode, FailureDomain, FailureInjector, FailureRate,
-    HorizonRate, ProtocolPoint, RateFn,
+    ProtocolPoint,
 };
 use simcluster::{MachineModel, SimTime, Topology};
 use simmpi::{run_cluster, ClusterConfig, ClusterReport};
@@ -213,10 +213,10 @@ impl FailurePlan {
             FailurePlan::None => Vec::new(),
             FailurePlan::Poisson { rate, horizon_s } => {
                 let horizon = SimTime::from_secs(horizon_s);
-                // `horizon.as_secs()` for rate and majorant alike, as in
-                // `sample_failure_trace`: the traces stay bit-identical.
+                // `horizon.as_secs()`, as in `sample_failure_trace`: the
+                // traces stay bit-identical, and the majorant is computed
+                // once for all ranks.
                 let rate = rate.over(horizon.as_secs());
-                let rate = PlanRate(rate, rate.majorant(rate.horizon_s));
                 (0..topology.num_procs())
                     .flat_map(|rank| {
                         sample_trace_fn(&rate, horizon, seed, rank)
@@ -272,21 +272,6 @@ impl FailurePlan {
         let rate = FailureRate::parse(&rest[..h_at])?;
         let horizon_s = rest[h_at + 2..].parse::<f64>().ok()?;
         Some(FailurePlan::Poisson { rate, horizon_s })
-    }
-}
-
-/// A rate over a horizon with its thinning majorant computed once: the
-/// majorant is a property of the process, not of each rank's trace (the
-/// log-normal one is a 4 096-point hazard scan).
-struct PlanRate(HorizonRate, f64);
-
-impl RateFn for PlanRate {
-    fn rate(&self, t: f64) -> f64 {
-        self.0.rate(t)
-    }
-
-    fn majorant(&self, _horizon: f64) -> f64 {
-        self.1
     }
 }
 
