@@ -11,8 +11,9 @@ CAMPAIGN_TOL ?= 0
 
 .PHONY: all build test verify bench-build docs fmt fmt-check clippy \
         campaign-smoke failures-smoke weak-smoke serve-smoke benchmark-quick \
-        stuck-smoke figures-smoke \
-        ckpt-smoke golden golden-failures golden-weak golden-ckpt golden-figures benchmark \
+        stuck-smoke figures-smoke schedulers-smoke \
+        ckpt-smoke golden golden-failures golden-schedulers golden-weak golden-ckpt \
+        golden-figures benchmark \
         api-surface api-surface-check loc ci clean
 
 all: build
@@ -68,6 +69,23 @@ failures-smoke:
 		target/campaign-failures.json --tol 0
 	./target/release/campaign diff crates/campaign/golden/failures.json \
 		target/campaign-failures.json --tol $(CAMPAIGN_TOL)
+
+# The scheduler gate: every scheduler kind on every application (the
+# `schedulers` grid) and the broad `full` grid (adaptive under Poisson
+# failures included), each at two job counts, both reports byte-identical,
+# then each gated on its checked-in golden baseline.
+schedulers-smoke:
+	$(CARGO) build --release -p campaign
+	@set -e; for grid in schedulers full; do \
+		./target/release/campaign run --grid $$grid --jobs 1 \
+			--out target/campaign-$$grid-j1.json; \
+		./target/release/campaign run --grid $$grid --jobs 8 \
+			--out target/campaign-$$grid.json; \
+		./target/release/campaign diff target/campaign-$$grid-j1.json \
+			target/campaign-$$grid.json --tol 0; \
+		./target/release/campaign diff crates/campaign/golden/$$grid.json \
+			target/campaign-$$grid.json --tol $(CAMPAIGN_TOL); \
+	done
 
 # The event-engine gate: the weak-scaling smoke sweep, the Weibull and
 # rack-correlated failure sweep, the 200 000-rank point and the
@@ -193,6 +211,14 @@ golden-failures:
 	./target/release/campaign run --grid failures --jobs $(CAMPAIGN_JOBS) \
 		--strip-informational --out crates/campaign/golden/failures.json
 
+# Same, for the two scheduler-gate baselines.
+golden-schedulers:
+	$(CARGO) build --release -p campaign
+	./target/release/campaign run --grid schedulers --jobs $(CAMPAIGN_JOBS) \
+		--strip-informational --out crates/campaign/golden/schedulers.json
+	./target/release/campaign run --grid full --jobs $(CAMPAIGN_JOBS) \
+		--strip-informational --out crates/campaign/golden/full.json
+
 # Same, for the four event-engine weak-scaling baselines.
 golden-weak:
 	$(CARGO) build --release -p campaign
@@ -221,7 +247,7 @@ golden-figures:
 loc:
 	-bash scripts/loc.sh
 
-ci: verify stuck-smoke bench-build docs fmt-check clippy api-surface-check campaign-smoke figures-smoke failures-smoke weak-smoke ckpt-smoke serve-smoke benchmark-quick loc
+ci: verify stuck-smoke bench-build docs fmt-check clippy api-surface-check campaign-smoke figures-smoke failures-smoke schedulers-smoke weak-smoke ckpt-smoke serve-smoke benchmark-quick loc
 
 clean:
 	$(CARGO) clean

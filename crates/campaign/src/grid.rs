@@ -177,8 +177,8 @@ impl CampaignGrid {
     }
 
     /// The broad grid: every application, all three modes, two schedulers,
-    /// failure-free and failing, at the small scale.  Meant for manual /
-    /// nightly use, not the per-push gate.
+    /// failure-free and failing, at the small scale.  Gated per push with
+    /// the `schedulers` grid (`make schedulers-smoke`).
     pub fn full() -> Self {
         CampaignGrid {
             name: "full".to_string(),
