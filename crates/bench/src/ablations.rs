@@ -10,11 +10,11 @@
 //!   bandwidth-bound, ddot is not).
 //! * **Scheduler** (`ABL-SCHED`) — static block vs round-robin vs cost-aware
 //!   scheduling on a section with heterogeneous task costs.
-//! * **Adaptive scheduling** (`ABL-ADAPT`) — all five built-in schedulers
-//!   on a heterogeneous HPCCG/GTC-like section repeated over iterations,
-//!   showing the warm-up convergence of the history-driven
-//!   `AdaptiveScheduler` (it must match `CostAwareScheduler` on the first
-//!   instance and match-or-beat it afterwards).
+//! * **Adaptive scheduling** (`ABL-ADAPT`) — all five schedulers on a
+//!   heterogeneous HPCCG/GTC-like section repeated over iterations, showing
+//!   the warm-up convergence of the history-driven `adaptive` scheduler (it
+//!   must match `cost-aware` on the first instance and match-or-beat it
+//!   afterwards).
 //!
 //! Every study is driven through the facade's [`Experiment`] builder
 //! (custom bodies via [`Experiment::run_with`], typed [`SchedulerKind`]

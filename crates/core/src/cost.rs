@@ -6,23 +6,20 @@
 //! closes the loop: every executed section records the virtual-time duration
 //! of each of its tasks ([`crate::report::TaskCostSample`]), the runtime
 //! feeds those durations into an exponential-moving-average history keyed
-//! per task instance (this module), and schedulers that opt in (see
-//! [`crate::sched::Scheduler::wants_measured_weights`]) receive the learned
-//! durations instead of the declared weights on the next instance of the
-//! section.
+//! per task instance (this module), and the scheduler that opts in (see
+//! [`crate::sched::SchedulerKind::wants_measured_weights`]) receives the
+//! learned durations instead of the declared weights on the next instance
+//! of the section.
 //!
-//! ## Key interning
+//! ## Task instances
 //!
 //! A task instance is identified by its name plus its occurrence index among
 //! the same-named tasks of its section (HPCCG's `sparsemv` section is eight
 //! identically named chunks; qualifying by occurrence lets each chunk learn
-//! its own history).  The history is keyed by the interned form
-//! [`TaskKey`] — `(u32 name id, u32 occurrence)` — so the per-section hot
-//! path performs no string formatting or string hashing: names are interned
-//! once, and every later section turns `(name, occurrence)` into a copyable
-//! 8-byte key.  The human-readable `"name#occurrence"` spelling
-//! ([`instance_key`]) remains as the display form, and the string-keyed
-//! methods accept it for convenience (tests, diagnostics).
+//! its own history).  Every method takes that pair, `(name, occurrence)`.
+//! Names are interned privately, so the per-section hot path performs no
+//! string formatting: one name lookup, then one lookup of the copyable
+//! `(name id, occurrence)` entry key.
 //!
 //! ## Replica determinism
 //!
@@ -40,46 +37,10 @@
 
 use std::collections::HashMap;
 
-/// Default smoothing factor of the exponential moving average.
-pub const DEFAULT_EMA_ALPHA: f64 = 0.5;
+/// Smoothing factor α of the exponential moving average.
+const EMA_ALPHA: f64 = 0.5;
 
-/// Composes the human-readable history key of one task instance: the task
-/// name qualified by the task's occurrence index among the same-named tasks
-/// of its section (`"sparsemv#3"` is the fourth `sparsemv` task launched).
-///
-/// This is the display form; the model itself is keyed by the interned
-/// [`TaskKey`].  The string-keyed [`CostModel`] methods parse this spelling
-/// back into `(name, occurrence)`.
-pub fn instance_key(name: &str, occurrence: usize) -> String {
-    format!("{name}#{occurrence}")
-}
-
-/// Splits a `"name#occurrence"` display key back into its parts.  A key
-/// without a parseable `#<digits>` suffix is treated as occurrence 0 of the
-/// whole string.
-fn split_display_key(key: &str) -> (&str, usize) {
-    if let Some((name, occ)) = key.rsplit_once('#') {
-        if let Ok(occurrence) = occ.parse::<usize>() {
-            return (name, occurrence);
-        }
-    }
-    (key, 0)
-}
-
-/// Interned identity of one task instance: `(name id, occurrence index)`.
-///
-/// Copyable and 8 bytes, so the scheduling hot path carries keys by value
-/// instead of formatting and hashing strings.  Name ids are only meaningful
-/// relative to the [`CostModel`] that interned them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct TaskKey {
-    /// Interned task-name id (see [`CostModel::intern_name`]).
-    pub name_id: u32,
-    /// Occurrence index of the name within its section (launch order).
-    pub occurrence: u32,
-}
-
-/// One learned per-key cost estimate.
+/// One learned per-instance cost estimate.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostEstimate {
     /// Exponentially smoothed execution time in virtual seconds.
@@ -89,175 +50,93 @@ pub struct CostEstimate {
 }
 
 /// Exponential-moving-average history of measured task execution times,
-/// keyed by interned task instance ([`TaskKey`]).
+/// keyed by task instance `(name, occurrence)`.
 ///
-/// `mean ← α·sample + (1−α)·mean`, with the first observation initializing
-/// the mean directly so a single iteration is enough to start scheduling
-/// from measured costs.
+/// `mean ← α·sample + (1−α)·mean` with α = 0.5, the first observation
+/// initializing the mean directly so a single iteration is enough to start
+/// scheduling from measured costs.
 ///
 /// # Examples
 ///
 /// ```
 /// use ipr_core::CostModel;
 ///
-/// let mut model = CostModel::new(0.5);
-/// model.observe("sparsemv", 0.25);
-/// model.observe("sparsemv", 0.25);
-/// assert_eq!(model.predict("sparsemv"), Some(0.25));
-/// // Unknown names fall back to the declared weight.
-/// assert_eq!(model.effective_weight("ddot", 42.0), 42.0);
+/// let mut model = CostModel::default();
+/// model.observe("sparsemv", 0, 0.25);
+/// model.observe("sparsemv", 0, 0.25);
+/// assert_eq!(model.predict("sparsemv", 0), Some(0.25));
+/// // Unknown instances fall back to the declared weight.
+/// assert_eq!(model.effective_weight("ddot", 0, 42.0), 42.0);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct CostModel {
-    alpha: f64,
     /// Task-name interner; ids are assigned in first-sighting order.
     names: HashMap<String, u32>,
-    entries: HashMap<TaskKey, CostEstimate>,
+    /// Estimates keyed by `(name id, occurrence)`.
+    entries: HashMap<(u32, u32), CostEstimate>,
 }
 
 impl CostModel {
-    /// Creates a model with the given EMA smoothing factor, clamped to
-    /// `(0, 1]` (values outside the range fall back to
-    /// [`DEFAULT_EMA_ALPHA`]).
-    pub fn new(alpha: f64) -> Self {
-        let alpha = if alpha.is_finite() && alpha > 0.0 && alpha <= 1.0 {
-            alpha
-        } else {
-            DEFAULT_EMA_ALPHA
-        };
-        CostModel {
-            alpha,
-            names: HashMap::new(),
-            entries: HashMap::new(),
-        }
-    }
-
-    /// The smoothing factor in effect.
-    pub fn alpha(&self) -> f64 {
-        if self.alpha > 0.0 {
-            self.alpha
-        } else {
-            // `Default` produces alpha == 0.0; treat it as the default.
-            DEFAULT_EMA_ALPHA
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Interned (hot-path) API
-    // ------------------------------------------------------------------
-
-    /// Interns `name`, returning its stable id.  Ids are assigned in
-    /// first-sighting order, so replicas interning the same (launch-ordered)
-    /// name stream derive identical ids.
-    pub fn intern_name(&mut self, name: &str) -> u32 {
-        if let Some(&id) = self.names.get(name) {
-            return id;
-        }
-        let id = u32::try_from(self.names.len()).expect("more than u32::MAX task names");
-        self.names.insert(name.to_string(), id);
-        id
-    }
-
-    /// The interned key of `(name, occurrence)`, interning the name if new.
-    pub fn key_for(&mut self, name: &str, occurrence: usize) -> TaskKey {
-        TaskKey {
-            name_id: self.intern_name(name),
-            occurrence: occurrence as u32,
-        }
-    }
-
-    /// The interned key of `(name, occurrence)` if the name has been seen
+    /// The entry key of `(name, occurrence)` if the name has been seen
     /// before; read-only (never interns).
-    pub fn lookup_key(&self, name: &str, occurrence: usize) -> Option<TaskKey> {
-        self.names.get(name).map(|&name_id| TaskKey {
-            name_id,
-            occurrence: occurrence as u32,
-        })
+    fn key(&self, name: &str, occurrence: u32) -> Option<(u32, u32)> {
+        self.names.get(name).map(|&id| (id, occurrence))
     }
 
     /// Folds one measured duration (virtual seconds) into the history of
-    /// `key`.  Non-finite or negative samples are ignored.
-    pub fn observe_key(&mut self, key: TaskKey, seconds: f64) {
+    /// `(name, occurrence)`.  Non-finite or negative samples are ignored.
+    pub fn observe(&mut self, name: &str, occurrence: u32, seconds: f64) {
         if !seconds.is_finite() || seconds < 0.0 {
             return;
         }
-        let alpha = self.alpha();
-        match self.entries.get_mut(&key) {
-            Some(e) => {
-                e.seconds = alpha * seconds + (1.0 - alpha) * e.seconds;
-                e.samples += 1;
-            }
+        let id = match self.names.get(name) {
+            Some(&id) => id,
             None => {
-                self.entries.insert(
-                    key,
-                    CostEstimate {
-                        seconds,
-                        samples: 1,
-                    },
-                );
+                let id = u32::try_from(self.names.len()).expect("more than u32::MAX task names");
+                self.names.insert(name.to_string(), id);
+                id
             }
-        }
+        };
+        self.entries
+            .entry((id, occurrence))
+            .and_modify(|e| {
+                e.seconds = EMA_ALPHA * seconds + (1.0 - EMA_ALPHA) * e.seconds;
+                e.samples += 1;
+            })
+            .or_insert(CostEstimate {
+                seconds,
+                samples: 1,
+            });
     }
 
-    /// The learned execution time of `key`, if any observation exists.
-    pub fn predict_key(&self, key: TaskKey) -> Option<f64> {
-        self.entries.get(&key).map(|e| e.seconds)
+    /// The full estimate (smoothed seconds + sample count) of
+    /// `(name, occurrence)`, if any observation exists.
+    pub fn estimate(&self, name: &str, occurrence: u32) -> Option<CostEstimate> {
+        self.entries.get(&self.key(name, occurrence)?).copied()
     }
 
-    /// The full estimate (smoothed seconds + sample count) for `key`.
-    pub fn estimate_key(&self, key: TaskKey) -> Option<CostEstimate> {
-        self.entries.get(&key).copied()
+    /// The learned execution time of `(name, occurrence)`, if any
+    /// observation exists.
+    pub fn predict(&self, name: &str, occurrence: u32) -> Option<f64> {
+        self.estimate(name, occurrence).map(|e| e.seconds)
     }
 
-    /// The scheduling weight to use for a task with history key `key` and
-    /// declared weight `declared`: the learned duration when one exists and
-    /// is positive, the declared weight otherwise.
+    /// The scheduling weight to use for task instance `(name, occurrence)`
+    /// with declared weight `declared`: the learned duration when one exists
+    /// and is positive, the declared weight otherwise.
     ///
     /// Falling back on non-positive predictions keeps the adaptive scheduler
     /// well-behaved on idealized machines (where every measured duration is
     /// zero): an all-zero weight vector would make greedy LPT pile every
     /// task onto one replica.
-    pub fn effective_weight_key(&self, key: TaskKey, declared: f64) -> f64 {
-        match self.predict_key(key) {
+    pub fn effective_weight(&self, name: &str, occurrence: u32, declared: f64) -> f64 {
+        match self.predict(name, occurrence) {
             Some(p) if p > 0.0 && p.is_finite() => p,
             _ => declared,
         }
     }
 
-    // ------------------------------------------------------------------
-    // String-keyed (display-form) API
-    // ------------------------------------------------------------------
-
-    /// [`CostModel::observe_key`] addressed by the `"name#occurrence"`
-    /// display form (a bare name means occurrence 0).
-    pub fn observe(&mut self, key: &str, seconds: f64) {
-        let (name, occurrence) = split_display_key(key);
-        let key = self.key_for(name, occurrence);
-        self.observe_key(key, seconds);
-    }
-
-    /// [`CostModel::predict_key`] addressed by the display form.
-    pub fn predict(&self, key: &str) -> Option<f64> {
-        let (name, occurrence) = split_display_key(key);
-        self.predict_key(self.lookup_key(name, occurrence)?)
-    }
-
-    /// [`CostModel::estimate_key`] addressed by the display form.
-    pub fn estimate(&self, key: &str) -> Option<CostEstimate> {
-        let (name, occurrence) = split_display_key(key);
-        self.estimate_key(self.lookup_key(name, occurrence)?)
-    }
-
-    /// [`CostModel::effective_weight_key`] addressed by the display form.
-    pub fn effective_weight(&self, key: &str, declared: f64) -> f64 {
-        let (name, occurrence) = split_display_key(key);
-        match self.lookup_key(name, occurrence) {
-            Some(k) => self.effective_weight_key(k, declared),
-            None => declared,
-        }
-    }
-
-    /// Number of distinct history keys.
+    /// Number of distinct task instances with history.
     pub fn len(&self) -> usize {
         self.entries.len()
     }
@@ -265,12 +144,6 @@ impl CostModel {
     /// True if no observation has been recorded yet.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Drops all history (the name interner is kept, so previously issued
-    /// [`TaskKey`]s remain valid and simply have no estimate).
-    pub fn clear(&mut self) {
-        self.entries.clear();
     }
 }
 
@@ -280,115 +153,80 @@ mod tests {
 
     #[test]
     fn first_observation_initializes_the_mean() {
-        let mut m = CostModel::new(0.25);
-        m.observe("t", 4.0);
-        assert_eq!(m.predict("t"), Some(4.0));
-        assert_eq!(m.estimate("t").unwrap().samples, 1);
+        let mut m = CostModel::default();
+        m.observe("t", 0, 4.0);
+        assert_eq!(m.predict("t", 0), Some(4.0));
+        assert_eq!(m.estimate("t", 0).unwrap().samples, 1);
     }
 
     #[test]
     fn ema_smooths_subsequent_observations() {
-        let mut m = CostModel::new(0.5);
-        m.observe("t", 4.0);
-        m.observe("t", 2.0);
+        let mut m = CostModel::default();
+        m.observe("t", 0, 4.0);
+        m.observe("t", 0, 2.0);
         // 0.5 * 2 + 0.5 * 4 = 3.
-        assert_eq!(m.predict("t"), Some(3.0));
-        assert_eq!(m.estimate("t").unwrap().samples, 2);
+        assert_eq!(m.predict("t", 0), Some(3.0));
+        assert_eq!(m.estimate("t", 0).unwrap().samples, 2);
     }
 
     #[test]
     fn ema_converges_on_stable_workloads() {
         // Regression: starting far from the true cost, the estimate must
         // converge geometrically once the workload stabilizes.
-        let mut m = CostModel::new(0.5);
-        m.observe("t", 100.0);
+        let mut m = CostModel::default();
+        m.observe("t", 0, 100.0);
         for _ in 0..40 {
-            m.observe("t", 0.25);
+            m.observe("t", 0, 0.25);
         }
-        let err = (m.predict("t").unwrap() - 0.25).abs();
+        let err = (m.predict("t", 0).unwrap() - 0.25).abs();
         assert!(err < 1e-9, "EMA did not converge: err = {err}");
     }
 
     #[test]
-    fn invalid_alpha_falls_back_to_default() {
-        for alpha in [0.0, -1.0, 2.0, f64::NAN] {
-            let m = CostModel::new(alpha);
-            assert_eq!(m.alpha(), DEFAULT_EMA_ALPHA);
-        }
-        assert_eq!(CostModel::default().alpha(), DEFAULT_EMA_ALPHA);
-    }
-
-    #[test]
     fn invalid_samples_are_ignored() {
-        let mut m = CostModel::new(0.5);
-        m.observe("t", f64::NAN);
-        m.observe("t", -1.0);
-        m.observe("t", f64::INFINITY);
+        let mut m = CostModel::default();
+        m.observe("t", 0, f64::NAN);
+        m.observe("t", 0, -1.0);
+        m.observe("t", 0, f64::INFINITY);
         assert!(m.is_empty());
-        m.observe("t", 1.0);
+        m.observe("t", 0, 1.0);
         assert_eq!(m.len(), 1);
     }
 
     #[test]
     fn effective_weight_falls_back_when_unknown_or_zero() {
-        let mut m = CostModel::new(0.5);
-        assert_eq!(m.effective_weight("t", 7.0), 7.0);
-        m.observe("t", 0.0);
+        let mut m = CostModel::default();
+        assert_eq!(m.effective_weight("t", 0, 7.0), 7.0);
+        m.observe("t", 0, 0.0);
         // Zero prediction (idealized machine) must not override the declared
         // weight.
-        assert_eq!(m.effective_weight("t", 7.0), 7.0);
-        m.observe("u", 3.0);
-        assert_eq!(m.effective_weight("u", 7.0), 3.0);
+        assert_eq!(m.effective_weight("t", 0, 7.0), 7.0);
+        m.observe("u", 0, 3.0);
+        assert_eq!(m.effective_weight("u", 0, 7.0), 3.0);
     }
 
     #[test]
     fn instance_keys_separate_same_named_tasks() {
-        let mut m = CostModel::new(0.5);
-        m.observe(&instance_key("sparsemv", 0), 1.0);
-        m.observe(&instance_key("sparsemv", 1), 4.0);
-        assert_eq!(m.predict(&instance_key("sparsemv", 0)), Some(1.0));
-        assert_eq!(m.predict(&instance_key("sparsemv", 1)), Some(4.0));
+        let mut m = CostModel::default();
+        m.observe("sparsemv", 0, 1.0);
+        m.observe("sparsemv", 1, 4.0);
+        assert_eq!(m.predict("sparsemv", 0), Some(1.0));
+        assert_eq!(m.predict("sparsemv", 1), Some(4.0));
         assert_eq!(m.len(), 2);
     }
 
     #[test]
-    fn interned_and_display_keys_address_the_same_history() {
-        let mut m = CostModel::new(1.0);
-        let key = m.key_for("sparsemv", 3);
-        m.observe_key(key, 2.5);
-        // The display form reaches the same entry...
-        assert_eq!(m.predict("sparsemv#3"), Some(2.5));
-        // ...and vice versa.
-        m.observe("sparsemv#3", 7.5);
-        assert_eq!(m.predict_key(key), Some(7.5));
-        assert_eq!(m.effective_weight_key(key, 1.0), 7.5);
-        assert_eq!(m.len(), 1, "one history entry, two spellings");
-    }
-
-    #[test]
-    fn interning_is_stable_and_lookup_is_read_only() {
-        let mut m = CostModel::new(0.5);
-        let a = m.intern_name("waxpby");
-        let b = m.intern_name("ddot");
-        assert_ne!(a, b);
-        assert_eq!(m.intern_name("waxpby"), a, "re-interning returns the id");
-        assert_eq!(m.lookup_key("waxpby", 2).unwrap().name_id, a);
-        assert!(m.lookup_key("never-seen", 0).is_none());
-        assert!(m.is_empty(), "interning alone records no history");
-    }
-
-    #[test]
-    fn clear_drops_history() {
-        let mut m = CostModel::new(0.5);
-        let key = m.key_for("t", 0);
-        m.observe("t", 1.0);
-        assert!(!m.is_empty());
-        m.clear();
-        assert!(m.is_empty());
-        assert_eq!(m.predict("t"), None);
-        // Keys issued before the clear stay valid (empty history).
-        assert_eq!(m.predict_key(key), None);
-        m.observe_key(key, 2.0);
-        assert_eq!(m.predict("t#0"), Some(2.0));
+    fn reads_never_record_history() {
+        let mut m = CostModel::default();
+        assert_eq!(m.predict("never-seen", 0), None);
+        assert_eq!(m.estimate("never-seen", 3), None);
+        assert_eq!(m.effective_weight("never-seen", 0, 2.0), 2.0);
+        assert!(m.is_empty() && m.names.is_empty(), "reads intern nothing");
+        m.observe("waxpby", 0, 1.0);
+        // A known name at an unseen occurrence is still unknown.
+        assert_eq!(m.predict("waxpby", 2), None);
+        assert_eq!(m.effective_weight("waxpby", 2, 5.0), 5.0);
+        assert_eq!(m.len(), 1);
+        assert_eq!(m.names.len(), 1);
     }
 }

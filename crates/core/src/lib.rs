@@ -15,7 +15,7 @@
 //! * an intra-parallel [`section::Section`] is a block with no message
 //!   passing, divided into [`task::TaskDef`]s whose arguments carry
 //!   `in`/`out`/`inout` tags;
-//! * at `Section::end`, a deterministic [`sched::Scheduler`] splits the tasks
+//! * at `Section::end`, a deterministic [`sched::SchedulerKind`] splits the tasks
 //!   among the alive replicas; every replica executes its share, ships the
 //!   written ranges to its peers (overlapping transfers with the remaining
 //!   computation) and applies the peers' updates, so all replicas are
@@ -73,15 +73,11 @@ pub mod task;
 pub mod workspace;
 
 pub use api::{IntraSession, TaskHandle};
-pub use cost::{CostEstimate, CostModel, TaskKey, DEFAULT_EMA_ALPHA};
+pub use cost::{CostEstimate, CostModel};
 pub use error::{IntraError, IntraResult};
 pub use report::{RuntimeReport, SectionReport, SectionsView, TaskCostSample};
 pub use runtime::{IntraConfig, IntraRuntime};
-#[allow(deprecated)]
-pub use sched::{
-    assignment_makespan, AdaptiveScheduler, CostAwareScheduler, LocalityAwareScheduler,
-    RoundRobinScheduler, Scheduler, SchedulerKind, StaticBlockScheduler,
-};
+pub use sched::{assignment_makespan, SchedulerKind};
 pub use section::{split_ranges, Section, MAX_ARGS_PER_TASK, MAX_TASKS_PER_SECTION};
 pub use task::{ArgSpec, ArgTag, CostHint, TaskCost, TaskCtx, TaskDef, TaskFn};
 pub use workspace::{VarId, Workspace};
@@ -93,10 +89,7 @@ pub mod prelude {
     pub use crate::error::{IntraError, IntraResult};
     pub use crate::report::{RuntimeReport, SectionReport, SectionsView, TaskCostSample};
     pub use crate::runtime::{IntraConfig, IntraRuntime};
-    pub use crate::sched::{
-        AdaptiveScheduler, CostAwareScheduler, LocalityAwareScheduler, RoundRobinScheduler,
-        Scheduler, SchedulerKind, StaticBlockScheduler,
-    };
+    pub use crate::sched::SchedulerKind;
     pub use crate::section::{split_ranges, Section};
     pub use crate::task::{ArgSpec, ArgTag, CostHint, TaskCost, TaskCtx, TaskDef};
     pub use crate::workspace::{VarId, Workspace};

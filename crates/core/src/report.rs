@@ -29,9 +29,7 @@ pub struct TaskCostSample {
     /// Occurrence index of the name among same-named tasks of the section
     /// (launch order), so heterogeneous same-named chunks learn independent
     /// histories.  `(name, occurrence)` is the cost-model identity of the
-    /// instance; the runtime stores it interned as a
-    /// [`crate::cost::TaskKey`], and [`TaskCostSample::key`] renders the
-    /// human-readable `"name#occurrence"` spelling.
+    /// instance ([`crate::cost::CostModel`]).
     pub occurrence: u32,
     /// The declared scheduling weight ([`crate::task::TaskDef::weight`]).
     pub declared_weight: f64,
@@ -41,14 +39,6 @@ pub struct TaskCostSample {
     pub executed_by: usize,
     /// True if this replica executed the task itself.
     pub executed_locally: bool,
-}
-
-impl TaskCostSample {
-    /// The human-readable cost-model key of this sample
-    /// (`"name#occurrence"`, see [`crate::cost::instance_key`]).
-    pub fn key(&self) -> String {
-        crate::cost::instance_key(self.name, self.occurrence as usize)
-    }
 }
 
 /// Metrics of one executed intra-parallel section.
@@ -274,7 +264,7 @@ mod tests {
         assert_eq!(r.local_work_time().as_secs(), 2.0);
         assert_eq!(r.update_drain_time().as_secs(), 1.5);
         assert_eq!(r.observed_task_seconds(), 0.75);
-        assert_eq!(r.task_costs[1].key(), "t#1");
+        assert_eq!(r.task_costs[1].occurrence, 1);
     }
 
     #[test]

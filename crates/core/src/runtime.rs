@@ -1,16 +1,15 @@
 //! The intra-parallelization runtime owned by one physical process.
 
-use crate::cost::{CostModel, DEFAULT_EMA_ALPHA};
+use crate::cost::CostModel;
 use crate::report::RuntimeReport;
-use crate::sched::{Scheduler, SchedulerKind, StaticBlockScheduler};
+use crate::sched::SchedulerKind;
 use crate::section::Section;
 use crate::task::TaskCtx;
 use crate::workspace::Workspace;
 use replication::ReplicatedEnv;
-use std::sync::Arc;
 
 /// Configuration of the intra-parallelization runtime.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 #[must_use = "IntraConfig is a builder: apply it to an IntraRuntime (or pass it on) to take effect"]
 pub struct IntraConfig {
     /// Default number of tasks per section used by the convenience helpers
@@ -24,17 +23,7 @@ pub struct IntraConfig {
     /// means "charge exactly what is really transferred".
     pub modeled_scale: f64,
     /// Scheduler deciding which replica executes which task.
-    pub scheduler: Arc<dyn Scheduler>,
-}
-
-impl std::fmt::Debug for IntraConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("IntraConfig")
-            .field("tasks_per_section", &self.tasks_per_section)
-            .field("modeled_scale", &self.modeled_scale)
-            .field("scheduler", &self.scheduler.name())
-            .finish()
-    }
+    pub scheduler: SchedulerKind,
 }
 
 impl Default for IntraConfig {
@@ -42,7 +31,7 @@ impl Default for IntraConfig {
         IntraConfig {
             tasks_per_section: 8,
             modeled_scale: 1.0,
-            scheduler: Arc::new(StaticBlockScheduler),
+            scheduler: SchedulerKind::StaticBlock,
         }
     }
 }
@@ -70,14 +59,7 @@ impl IntraConfig {
         self
     }
 
-    /// Sets the scheduler.
-    pub fn with_scheduler(mut self, scheduler: Arc<dyn Scheduler>) -> Self {
-        self.scheduler = scheduler;
-        self
-    }
-
-    /// Sets the scheduler from its typed [`SchedulerKind`] — the
-    /// scheduler-selection knob of the `Experiment` builder, the app drivers
+    /// Sets the scheduler — the scheduler-selection knob of the `Experiment` builder, the app drivers
     /// and the bench harness.  Infallible: an invalid scheduler cannot be
     /// expressed.
     ///
@@ -88,7 +70,7 @@ impl IntraConfig {
     /// assert_eq!(config.scheduler.name(), "adaptive");
     /// ```
     pub fn with_scheduler_kind(mut self, kind: SchedulerKind) -> Self {
-        self.scheduler = kind.scheduler();
+        self.scheduler = kind;
         self
     }
 }
@@ -112,13 +94,12 @@ pub struct IntraRuntime {
 impl IntraRuntime {
     /// Creates the runtime for this physical process.
     pub fn new(env: ReplicatedEnv, config: IntraConfig) -> Self {
-        let cost_model = CostModel::new(DEFAULT_EMA_ALPHA);
         IntraRuntime {
             env,
             config,
             section_count: 0,
             report: RuntimeReport::default(),
-            cost_model,
+            cost_model: CostModel::default(),
             task_ctx: TaskCtx::default(),
         }
     }
@@ -151,8 +132,7 @@ impl IntraRuntime {
 
     /// The measured-cost history learned from the sections executed so far.
     ///
-    /// Keyed by interned task instance ([`crate::cost::TaskKey`]); fed one
-    /// observation per task of every recorded section (see
+    /// Keyed by task instance, `(name, occurrence)`; fed one observation per task of every recorded section (see
     /// [`crate::report::TaskCostSample`] for why the stream is identical on
     /// every replica).
     pub fn cost_model(&self) -> &CostModel {
@@ -178,10 +158,8 @@ impl IntraRuntime {
         // order (the order is part of the replica-determinism contract —
         // including the first-sighting order of interned names).
         for sample in &report.task_costs {
-            let key = self
-                .cost_model
-                .key_for(sample.name, sample.occurrence as usize);
-            self.cost_model.observe_key(key, sample.observed_seconds);
+            self.cost_model
+                .observe(sample.name, sample.occurrence, sample.observed_seconds);
         }
         // The one per-section copy: `Section::end` returns the report by
         // value and `IntraRuntime::report` keeps every section's.
@@ -223,6 +201,6 @@ mod tests {
     #[test]
     fn debug_impl_shows_scheduler_name() {
         let c = IntraConfig::default();
-        assert!(format!("{c:?}").contains("static-block"));
+        assert!(format!("{c:?}").contains("StaticBlock"));
     }
 }

@@ -3,17 +3,16 @@
 //! The paper's prototype uses a simple static strategy ("the N/2 first
 //! launched tasks of a section are executed by replica 1 and the N/2 last
 //! ones are executed by replica 2") and notes that more elaborate strategies
-//! could be designed.  [`StaticBlockScheduler`] is that strategy;
-//! [`RoundRobinScheduler`] and [`CostAwareScheduler`] are the obvious
-//! alternatives, compared in the `ABL-SCHED` ablation; and
-//! [`AdaptiveScheduler`] / [`LocalityAwareScheduler`] are the "more
+//! could be designed.  [`SchedulerKind::StaticBlock`] is that strategy;
+//! [`SchedulerKind::RoundRobin`] and [`SchedulerKind::CostAware`] are the
+//! obvious alternatives, compared in the `ABL-SCHED` ablation; and
+//! [`SchedulerKind::Adaptive`] / [`SchedulerKind::Locality`] are the "more
 //! elaborate" designs: the former schedules from *measured* execution times
 //! learned across section instances (see [`crate::cost::CostModel`]), the
 //! latter keeps assignments contiguous and stable across iterations.
-//! [`SchedulerKind`] is the typed selection knob for the five built-ins
-//! (CLIs parse it from strings at the edge with `FromStr`); a custom
-//! [`Scheduler`] implementation plugs in through
-//! [`crate::IntraConfig::with_scheduler`].
+//! [`SchedulerKind`] is the closed set of schedulers (CLIs parse it from
+//! strings at the edge with `FromStr`), and [`SchedulerKind::assign`] is the
+//! one dispatch point.
 //!
 //! A scheduler is a pure function of the task weights and the set of alive
 //! replicas, so all replicas of a logical process independently compute the
@@ -23,36 +22,41 @@
 use crate::error::{IntraError, IntraResult};
 use std::fmt;
 use std::str::FromStr;
-use std::sync::Arc;
 
-/// Assigns every task of a section to one alive replica.
-pub trait Scheduler: Send + Sync {
-    /// Returns, for each task weight in `task_weights`, the replica id (an
-    /// element of `alive_replicas`) that must execute it.
-    ///
-    /// `alive_replicas` is never empty and is sorted in increasing order.
-    fn assign(&self, task_weights: &[f64], alive_replicas: &[usize]) -> Vec<usize>;
-
-    /// Human-readable name for reports.
-    fn name(&self) -> &'static str;
-
-    /// True if the runtime should hand this scheduler *measured* task
-    /// weights (the learned execution times of [`crate::cost::CostModel`],
-    /// falling back to the declared weight for tasks without history)
-    /// instead of the declared weights.
-    ///
-    /// The default is `false`, which preserves the paper's behaviour for the
-    /// three classic schedulers.
-    fn wants_measured_weights(&self) -> bool {
-        false
+/// The paper's static block split: the first `N/k` tasks go to the first
+/// alive replica, the next block to the second, and so on.
+fn static_block(task_weights: &[f64], alive_replicas: &[usize]) -> Vec<usize> {
+    let n = task_weights.len();
+    let k = alive_replicas.len();
+    let mut out = Vec::with_capacity(n);
+    if n == 0 {
+        return out;
     }
+    // Block sizes differ by at most one (ceil for the first `n % k`
+    // blocks), matching the N/2-first / N/2-last split of the paper.
+    let base = n / k;
+    let extra = n % k;
+    for (i, &replica) in alive_replicas.iter().enumerate() {
+        let count = base + usize::from(i < extra);
+        out.extend(std::iter::repeat_n(replica, count));
+    }
+    debug_assert_eq!(out.len(), n);
+    out
+}
+
+/// Task `i` goes to alive replica `i % k`.
+fn round_robin(task_weights: &[f64], alive_replicas: &[usize]) -> Vec<usize> {
+    let k = alive_replicas.len();
+    (0..task_weights.len())
+        .map(|i| alive_replicas[i % k])
+        .collect()
 }
 
 /// Greedy longest-processing-time list scheduling: sort task indices by
 /// decreasing weight and give each to the currently least-loaded replica.
 /// Ties (both in task weight and in replica load) are broken by index so the
 /// result is deterministic across replicas.
-fn lpt_assign(task_weights: &[f64], alive_replicas: &[usize]) -> Vec<usize> {
+fn lpt(task_weights: &[f64], alive_replicas: &[usize]) -> Vec<usize> {
     let k = alive_replicas.len();
     let mut load = vec![0.0f64; k];
     let mut order: Vec<usize> = (0..task_weights.len()).collect();
@@ -79,216 +83,40 @@ fn lpt_assign(task_weights: &[f64], alive_replicas: &[usize]) -> Vec<usize> {
     out
 }
 
-/// The paper's static block scheduler: the first `N/k` tasks go to the first
-/// alive replica, the next block to the second, and so on.
-///
-/// # Examples
-///
-/// ```
-/// use ipr_core::{Scheduler, StaticBlockScheduler};
-///
-/// // The paper's split: 8 tasks, 2 replicas -> N/2 first / N/2 last.
-/// let assignment = StaticBlockScheduler.assign(&[1.0; 8], &[0, 1]);
-/// assert_eq!(assignment, vec![0, 0, 0, 0, 1, 1, 1, 1]);
-/// ```
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StaticBlockScheduler;
-
-impl Scheduler for StaticBlockScheduler {
-    fn assign(&self, task_weights: &[f64], alive_replicas: &[usize]) -> Vec<usize> {
-        let n = task_weights.len();
-        let k = alive_replicas.len();
-        let mut out = Vec::with_capacity(n);
-        if n == 0 {
-            return out;
-        }
-        // Block sizes differ by at most one (ceil for the first `n % k`
-        // blocks), matching the N/2-first / N/2-last split of the paper.
-        let base = n / k;
-        let extra = n % k;
-        let mut task = 0usize;
-        for (i, &replica) in alive_replicas.iter().enumerate() {
-            let count = base + usize::from(i < extra);
-            for _ in 0..count {
-                out.push(replica);
-                task += 1;
-            }
-        }
-        debug_assert_eq!(task, n);
-        out
+/// Weight-balanced contiguous split (see [`SchedulerKind::Locality`]).
+fn locality(task_weights: &[f64], alive_replicas: &[usize]) -> Vec<usize> {
+    let n = task_weights.len();
+    let k = alive_replicas.len();
+    let total: f64 = task_weights.iter().filter(|w| w.is_finite()).sum();
+    if n == 0 {
+        return Vec::new();
     }
-
-    fn name(&self) -> &'static str {
-        "static-block"
+    if total <= 0.0 || total.is_nan() || k == 1 {
+        // Degenerate weights: fall back to the paper's static block
+        // split, which is contiguous and balanced by task count.
+        return static_block(task_weights, alive_replicas);
     }
+    // Place each task by the midpoint of its weight interval within the
+    // cumulative profile: task t covering [prefix, prefix + w) goes to
+    // the replica whose share of the total contains prefix + w/2.  The
+    // midpoint is monotonically increasing, so the assignment is
+    // contiguous by construction.
+    let mut out = Vec::with_capacity(n);
+    let mut prefix = 0.0f64;
+    for &w in task_weights {
+        let w = if w.is_finite() && w > 0.0 { w } else { 0.0 };
+        let mid = prefix + w * 0.5;
+        let slot = ((mid / total) * k as f64).floor() as usize;
+        out.push(alive_replicas[slot.min(k - 1)]);
+        prefix += w;
+    }
+    out
 }
 
-/// Round-robin assignment: task `i` goes to alive replica `i % k`.
-///
-/// # Examples
-///
-/// ```
-/// use ipr_core::{RoundRobinScheduler, Scheduler};
-///
-/// let assignment = RoundRobinScheduler.assign(&[1.0; 5], &[0, 1]);
-/// assert_eq!(assignment, vec![0, 1, 0, 1, 0]);
-/// ```
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RoundRobinScheduler;
-
-impl Scheduler for RoundRobinScheduler {
-    fn assign(&self, task_weights: &[f64], alive_replicas: &[usize]) -> Vec<usize> {
-        let k = alive_replicas.len();
-        (0..task_weights.len())
-            .map(|i| alive_replicas[i % k])
-            .collect()
-    }
-
-    fn name(&self) -> &'static str {
-        "round-robin"
-    }
-}
-
-/// Greedy longest-processing-time assignment balancing the *declared* task
-/// weights across replicas (useful when tasks are heterogeneous).
-///
-/// # Examples
-///
-/// ```
-/// use ipr_core::{CostAwareScheduler, Scheduler};
-///
-/// // One heavy task and four light ones: LPT isolates the heavy task.
-/// let assignment = CostAwareScheduler.assign(&[8.0, 1.0, 1.0, 1.0, 1.0], &[0, 1]);
-/// assert_eq!(assignment[0], 0);
-/// assert!(assignment[1..].iter().all(|&r| r == 1));
-/// ```
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CostAwareScheduler;
-
-impl Scheduler for CostAwareScheduler {
-    fn assign(&self, task_weights: &[f64], alive_replicas: &[usize]) -> Vec<usize> {
-        lpt_assign(task_weights, alive_replicas)
-    }
-
-    fn name(&self) -> &'static str {
-        "cost-aware"
-    }
-}
-
-/// History-driven longest-processing-time scheduling: identical greedy LPT to
-/// [`CostAwareScheduler`], but [`Scheduler::wants_measured_weights`] returns
-/// `true`, so the runtime substitutes each task's *learned* execution time
-/// (the [`crate::cost::CostModel`] EMA over previous section instances) for
-/// its declared weight.
-///
-/// Declared weights mix units (flops vs bytes) and can mis-rank tasks whose
-/// roofline bottlenecks differ; measured virtual-time durations cannot.  On
-/// the first instance of a section no history exists yet, every task falls
-/// back to its declared weight, and the scheduler behaves exactly like
-/// [`CostAwareScheduler`] — one warm-up iteration later the assignment is
-/// driven by measured costs (see the `ABL-ADAPT` ablation and
-/// `examples/adaptive_sched.rs`).
-///
-/// # Examples
-///
-/// ```
-/// use ipr_core::{AdaptiveScheduler, Scheduler};
-///
-/// let sched = AdaptiveScheduler;
-/// assert!(sched.wants_measured_weights());
-/// // Given (measured) weights, the assignment is plain LPT:
-/// let assignment = sched.assign(&[8.0, 7.0, 2.0, 1.0], &[0, 1]);
-/// assert_eq!(assignment, vec![0, 1, 1, 0]);
-/// ```
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AdaptiveScheduler;
-
-impl Scheduler for AdaptiveScheduler {
-    fn assign(&self, task_weights: &[f64], alive_replicas: &[usize]) -> Vec<usize> {
-        lpt_assign(task_weights, alive_replicas)
-    }
-
-    fn name(&self) -> &'static str {
-        "adaptive"
-    }
-
-    fn wants_measured_weights(&self) -> bool {
-        true
-    }
-}
-
-/// Weight-balanced *contiguous* partitioning: replica `j` receives a
-/// contiguous run of tasks whose cumulative weight is as close as possible
-/// to `j/k .. (j+1)/k` of the total.
-///
-/// Two properties distinguish it from greedy LPT:
-///
-/// * **locality** — each replica owns one contiguous task range, so the
-///   `out`/`inout` ranges it ships form as few contiguous runs per variable
-///   as possible (tasks produced by [`crate::section::split_ranges`] write
-///   adjacent ranges), which is what an implementation that coalesces update
-///   messages wants;
-/// * **stickiness** — the split point moves only when the weight *profile*
-///   moves, so across iterations of a section with stable (or slowly
-///   drifting) weights every task keeps its owner, whereas LPT can permute
-///   ownership on the smallest weight perturbation.  Stable ownership means
-///   iteration `i+1` re-reads the ranges replica `j` already produced in
-///   iteration `i` from local memory, not from a differently shaped peer
-///   update.
-///
-/// # Examples
-///
-/// ```
-/// use ipr_core::{LocalityAwareScheduler, Scheduler};
-///
-/// // A weight gradient: the contiguous split is 4 light tasks / 2 heavy.
-/// let weights = [1.0, 1.0, 1.0, 1.0, 2.0, 2.0];
-/// let assignment = LocalityAwareScheduler.assign(&weights, &[0, 1]);
-/// assert_eq!(assignment, vec![0, 0, 0, 0, 1, 1]);
-/// // Contiguity: the replica id never decreases along the task list.
-/// assert!(assignment.windows(2).all(|w| w[0] <= w[1]));
-/// ```
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LocalityAwareScheduler;
-
-impl Scheduler for LocalityAwareScheduler {
-    fn assign(&self, task_weights: &[f64], alive_replicas: &[usize]) -> Vec<usize> {
-        let n = task_weights.len();
-        let k = alive_replicas.len();
-        let total: f64 = task_weights.iter().filter(|w| w.is_finite()).sum();
-        if n == 0 {
-            return Vec::new();
-        }
-        if total <= 0.0 || total.is_nan() || k == 1 {
-            // Degenerate weights: fall back to the paper's static block
-            // split, which is contiguous and balanced by task count.
-            return StaticBlockScheduler.assign(task_weights, alive_replicas);
-        }
-        // Place each task by the midpoint of its weight interval within the
-        // cumulative profile: task t covering [prefix, prefix + w) goes to
-        // the replica whose share of the total contains prefix + w/2.  The
-        // midpoint is monotonically increasing, so the assignment is
-        // contiguous by construction.
-        let mut out = Vec::with_capacity(n);
-        let mut prefix = 0.0f64;
-        for &w in task_weights {
-            let w = if w.is_finite() && w > 0.0 { w } else { 0.0 };
-            let mid = prefix + w * 0.5;
-            let slot = ((mid / total) * k as f64).floor() as usize;
-            out.push(alive_replicas[slot.min(k - 1)]);
-            prefix += w;
-        }
-        out
-    }
-
-    fn name(&self) -> &'static str {
-        "locality"
-    }
-}
-
-/// Typed identifier of one built-in scheduler: the scheduler-selection knob
-/// of [`crate::runtime::IntraConfig`], the `Experiment` builder of the root
-/// facade and the campaign grids.
+/// One scheduler: the scheduler-selection knob of
+/// [`crate::runtime::IntraConfig`], the `Experiment` builder of the root
+/// facade and the campaign grids, and the assignment itself
+/// ([`SchedulerKind::assign`]).
 ///
 /// Strings exist only at the edges: CLIs parse their arguments with
 /// [`FromStr`] and reports render the kind with [`fmt::Display`]; everything
@@ -303,7 +131,7 @@ impl Scheduler for LocalityAwareScheduler {
 /// let kind: SchedulerKind = "adaptive".parse().unwrap();
 /// assert_eq!(kind, SchedulerKind::Adaptive);
 /// assert_eq!(kind.to_string(), "adaptive");
-/// assert_eq!(kind.scheduler().name(), "adaptive");
+/// assert_eq!(kind.name(), "adaptive");
 /// // Surrounding whitespace is trimmed; empty names are rejected.
 /// assert_eq!("  locality ".parse(), Ok(SchedulerKind::Locality));
 /// assert!("".parse::<SchedulerKind>().is_err());
@@ -311,15 +139,92 @@ impl Scheduler for LocalityAwareScheduler {
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SchedulerKind {
-    /// The paper's static block split ([`StaticBlockScheduler`]).
+    /// The paper's static block split: the first `N/k` tasks go to the
+    /// first alive replica, the next block to the second, and so on.
+    ///
+    /// ```
+    /// use ipr_core::SchedulerKind;
+    ///
+    /// // The paper's split: 8 tasks, 2 replicas -> N/2 first / N/2 last.
+    /// let assignment = SchedulerKind::StaticBlock.assign(&[1.0; 8], &[0, 1]);
+    /// assert_eq!(assignment, vec![0, 0, 0, 0, 1, 1, 1, 1]);
+    /// ```
     StaticBlock,
-    /// Round-robin assignment ([`RoundRobinScheduler`]).
+    /// Round-robin assignment: task `i` goes to alive replica `i % k`.
+    ///
+    /// ```
+    /// use ipr_core::SchedulerKind;
+    ///
+    /// let assignment = SchedulerKind::RoundRobin.assign(&[1.0; 5], &[0, 1]);
+    /// assert_eq!(assignment, vec![0, 1, 0, 1, 0]);
+    /// ```
     RoundRobin,
-    /// Declared-weight LPT ([`CostAwareScheduler`]).
+    /// Greedy longest-processing-time assignment balancing the *declared*
+    /// task weights across replicas (useful when tasks are heterogeneous).
+    ///
+    /// ```
+    /// use ipr_core::SchedulerKind;
+    ///
+    /// // One heavy task and four light ones: LPT isolates the heavy task.
+    /// let assignment = SchedulerKind::CostAware.assign(&[8.0, 1.0, 1.0, 1.0, 1.0], &[0, 1]);
+    /// assert_eq!(assignment[0], 0);
+    /// assert!(assignment[1..].iter().all(|&r| r == 1));
+    /// ```
     CostAware,
-    /// Measured-weight LPT ([`AdaptiveScheduler`]).
+    /// History-driven longest-processing-time scheduling: the same greedy
+    /// LPT as [`SchedulerKind::CostAware`], but
+    /// [`SchedulerKind::wants_measured_weights`] is true, so the runtime
+    /// substitutes each task's *learned* execution time (the
+    /// [`crate::cost::CostModel`] EMA over previous section instances) for
+    /// its declared weight.
+    ///
+    /// Declared weights mix units (flops vs bytes) and can mis-rank tasks
+    /// whose roofline bottlenecks differ; measured virtual-time durations
+    /// cannot.  On the first instance of a section no history exists yet,
+    /// every task falls back to its declared weight, and the scheduler
+    /// behaves exactly like `CostAware` — one warm-up iteration later the
+    /// assignment is driven by measured costs (see the `ABL-ADAPT` ablation
+    /// and `examples/adaptive_sched.rs`).
+    ///
+    /// ```
+    /// use ipr_core::SchedulerKind;
+    ///
+    /// let sched = SchedulerKind::Adaptive;
+    /// assert!(sched.wants_measured_weights());
+    /// // Given (measured) weights, the assignment is plain LPT:
+    /// let assignment = sched.assign(&[8.0, 7.0, 2.0, 1.0], &[0, 1]);
+    /// assert_eq!(assignment, vec![0, 1, 1, 0]);
+    /// ```
     Adaptive,
-    /// Sticky weight-balanced contiguous split ([`LocalityAwareScheduler`]).
+    /// Weight-balanced *contiguous* partitioning: replica `j` receives a
+    /// contiguous run of tasks whose cumulative weight is as close as
+    /// possible to `j/k .. (j+1)/k` of the total.
+    ///
+    /// Two properties distinguish it from greedy LPT:
+    ///
+    /// * **locality** — each replica owns one contiguous task range, so the
+    ///   `out`/`inout` ranges it ships form as few contiguous runs per
+    ///   variable as possible (tasks produced by
+    ///   [`crate::section::split_ranges`] write adjacent ranges), which is
+    ///   what an implementation that coalesces update messages wants;
+    /// * **stickiness** — the split point moves only when the weight
+    ///   *profile* moves, so across iterations of a section with stable (or
+    ///   slowly drifting) weights every task keeps its owner, whereas LPT can
+    ///   permute ownership on the smallest weight perturbation.  Stable
+    ///   ownership means iteration `i+1` re-reads the ranges replica `j`
+    ///   already produced in iteration `i` from local memory, not from a
+    ///   differently shaped peer update.
+    ///
+    /// ```
+    /// use ipr_core::SchedulerKind;
+    ///
+    /// // A weight gradient: the contiguous split is 4 light tasks / 2 heavy.
+    /// let weights = [1.0, 1.0, 1.0, 1.0, 2.0, 2.0];
+    /// let assignment = SchedulerKind::Locality.assign(&weights, &[0, 1]);
+    /// assert_eq!(assignment, vec![0, 0, 0, 0, 1, 1]);
+    /// // Contiguity: the replica id never decreases along the task list.
+    /// assert!(assignment.windows(2).all(|w| w[0] <= w[1]));
+    /// ```
     Locality,
 }
 
@@ -333,7 +238,7 @@ impl SchedulerKind {
         SchedulerKind::Locality,
     ];
 
-    /// Stable name, identical to [`Scheduler::name`] of the instance.
+    /// Stable name, used in run ids, reports and on the command line.
     pub fn name(self) -> &'static str {
         match self {
             SchedulerKind::StaticBlock => "static-block",
@@ -344,15 +249,36 @@ impl SchedulerKind {
         }
     }
 
-    /// Instantiates the scheduler this kind names.
-    pub fn scheduler(self) -> Arc<dyn Scheduler> {
+    /// Returns, for each task weight in `task_weights`, the replica id (an
+    /// element of `alive_replicas`) that must execute it.
+    ///
+    /// `alive_replicas` is never empty and is sorted in increasing order.
+    pub fn assign(self, task_weights: &[f64], alive_replicas: &[usize]) -> Vec<usize> {
         match self {
-            SchedulerKind::StaticBlock => Arc::new(StaticBlockScheduler),
-            SchedulerKind::RoundRobin => Arc::new(RoundRobinScheduler),
-            SchedulerKind::CostAware => Arc::new(CostAwareScheduler),
-            SchedulerKind::Adaptive => Arc::new(AdaptiveScheduler),
-            SchedulerKind::Locality => Arc::new(LocalityAwareScheduler),
+            SchedulerKind::StaticBlock => static_block(task_weights, alive_replicas),
+            SchedulerKind::RoundRobin => round_robin(task_weights, alive_replicas),
+            SchedulerKind::CostAware | SchedulerKind::Adaptive => lpt(task_weights, alive_replicas),
+            SchedulerKind::Locality => locality(task_weights, alive_replicas),
         }
+    }
+
+    /// True if the runtime should hand [`SchedulerKind::assign`] *measured*
+    /// task weights (the learned execution times of
+    /// [`crate::cost::CostModel`], falling back to the declared weight for
+    /// tasks without history) instead of the declared weights: `Adaptive`
+    /// only, which preserves the paper's behaviour for the others.
+    pub fn wants_measured_weights(self) -> bool {
+        self == SchedulerKind::Adaptive
+    }
+
+    /// Returns `self`.
+    ///
+    /// It has no effect: it was the constructor of a boxed scheduler
+    /// object, and the kind itself now assigns.  It remains only because
+    /// `benchmarks/` (which a PR may not edit) calls it; it goes when that
+    /// fence is next opened.
+    pub fn scheduler(self) -> SchedulerKind {
+        self
     }
 
     /// The names of every built-in scheduler, for error messages and CLI
@@ -410,19 +336,12 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn all_schedulers() -> Vec<Arc<dyn Scheduler>> {
-        SchedulerKind::ALL
-            .into_iter()
-            .map(SchedulerKind::scheduler)
-            .collect()
-    }
-
     #[test]
     fn scheduler_kind_round_trips_names_and_instances() {
         for kind in SchedulerKind::ALL {
             assert_eq!(kind.name().parse::<SchedulerKind>(), Ok(kind));
             assert_eq!(kind.to_string(), kind.name());
-            assert_eq!(kind.scheduler().name(), kind.name());
+            assert_eq!(kind.scheduler(), kind);
         }
         assert_eq!(
             SchedulerKind::names(),
@@ -458,7 +377,7 @@ mod tests {
     #[test]
     fn static_block_splits_in_halves_for_degree_two() {
         // The paper's configuration: 8 tasks per section, 2 replicas.
-        let s = StaticBlockScheduler;
+        let s = SchedulerKind::StaticBlock;
         let a = s.assign(&[1.0; 8], &[0, 1]);
         assert_eq!(a, vec![0, 0, 0, 0, 1, 1, 1, 1]);
         assert_eq!(s.name(), "static-block");
@@ -466,7 +385,7 @@ mod tests {
 
     #[test]
     fn static_block_handles_remainders_and_single_replica() {
-        let s = StaticBlockScheduler;
+        let s = SchedulerKind::StaticBlock;
         assert_eq!(s.assign(&[1.0; 5], &[0, 1]), vec![0, 0, 0, 1, 1]);
         assert_eq!(s.assign(&[1.0; 3], &[1]), vec![1, 1, 1]);
         assert_eq!(s.assign(&[], &[0, 1]), Vec::<usize>::new());
@@ -475,20 +394,20 @@ mod tests {
     #[test]
     fn static_block_uses_surviving_replica_ids() {
         // After replica 0 failed, everything must go to replica 1.
-        let s = StaticBlockScheduler;
+        let s = SchedulerKind::StaticBlock;
         assert_eq!(s.assign(&[1.0; 4], &[1]), vec![1; 4]);
     }
 
     #[test]
     fn round_robin_alternates() {
-        let s = RoundRobinScheduler;
+        let s = SchedulerKind::RoundRobin;
         assert_eq!(s.assign(&[1.0; 5], &[0, 1]), vec![0, 1, 0, 1, 0]);
         assert_eq!(s.name(), "round-robin");
     }
 
     #[test]
     fn cost_aware_balances_heterogeneous_tasks() {
-        let s = CostAwareScheduler;
+        let s = SchedulerKind::CostAware;
         // Weights 8, 1, 1, 1, 1, 1, 1, 1, 1: the heavy task goes alone.
         let weights = [8.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0];
         let a = s.assign(&weights, &[0, 1]);
@@ -510,31 +429,34 @@ mod tests {
 
     #[test]
     fn adaptive_is_lpt_and_wants_measured_weights() {
-        let s = AdaptiveScheduler;
+        let s = SchedulerKind::Adaptive;
         assert!(s.wants_measured_weights());
-        assert!(!CostAwareScheduler.wants_measured_weights());
+        assert!(!SchedulerKind::CostAware.wants_measured_weights());
         let weights = [8.0, 7.0, 2.0, 1.0];
-        assert_eq!(s.assign(&weights, &[0, 1]), lpt_assign(&weights, &[0, 1]));
+        assert_eq!(s.assign(&weights, &[0, 1]), lpt(&weights, &[0, 1]));
         assert_eq!(s.name(), "adaptive");
     }
 
     #[test]
     fn locality_is_contiguous_and_weight_balanced() {
-        let s = LocalityAwareScheduler;
+        let s = SchedulerKind::Locality;
         // A strong gradient: the unweighted block split (3|3) would give
         // loads 3 vs 12; the weighted contiguous split must do better.
         let weights = [1.0, 1.0, 1.0, 4.0, 4.0, 4.0];
         let a = s.assign(&weights, &[0, 1]);
         assert!(a.windows(2).all(|w| w[0] <= w[1]), "not contiguous: {a:?}");
         let makespan = assignment_makespan(&weights, &a);
-        let block = assignment_makespan(&weights, &StaticBlockScheduler.assign(&weights, &[0, 1]));
+        let block = assignment_makespan(
+            &weights,
+            &SchedulerKind::StaticBlock.assign(&weights, &[0, 1]),
+        );
         assert!(makespan < block, "locality {makespan} vs block {block}");
         assert_eq!(s.name(), "locality");
     }
 
     #[test]
     fn locality_falls_back_to_block_on_degenerate_weights() {
-        let s = LocalityAwareScheduler;
+        let s = SchedulerKind::Locality;
         assert_eq!(s.assign(&[0.0; 4], &[0, 1]), vec![0, 0, 1, 1]);
         assert_eq!(s.assign(&[], &[0, 1]), Vec::<usize>::new());
         assert_eq!(s.assign(&[1.0; 3], &[2]), vec![2, 2, 2]);
@@ -544,7 +466,7 @@ mod tests {
     fn locality_is_sticky_under_small_perturbations() {
         // LPT permutes ownership when weights wiggle; the contiguous split
         // must not move for a 1 % perturbation of a stable profile.
-        let s = LocalityAwareScheduler;
+        let s = SchedulerKind::Locality;
         let base = [2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0];
         let wiggled: Vec<f64> = base
             .iter()
@@ -557,7 +479,7 @@ mod tests {
     #[test]
     fn schedulers_are_deterministic() {
         let weights = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0];
-        for s in all_schedulers() {
+        for s in SchedulerKind::ALL {
             assert_eq!(s.assign(&weights, &[0, 1]), s.assign(&weights, &[0, 1]));
         }
     }
@@ -569,7 +491,7 @@ mod tests {
             alive_mask in 1u8..7,
         ) {
             let alive: Vec<usize> = (0..3).filter(|i| alive_mask & (1 << i) != 0).collect();
-            for s in all_schedulers() {
+            for s in SchedulerKind::ALL {
                 let a = s.assign(&weights, &alive);
                 prop_assert_eq!(a.len(), weights.len());
                 for r in &a {
@@ -580,7 +502,7 @@ mod tests {
 
         #[test]
         fn static_block_is_contiguous(n in 0usize..64) {
-            let a = StaticBlockScheduler.assign(&vec![1.0; n], &[0, 1, 2]);
+            let a = SchedulerKind::StaticBlock.assign(&vec![1.0; n], &[0, 1, 2]);
             // Once the replica id increases it never goes back down.
             for w in a.windows(2) {
                 prop_assert!(w[0] <= w[1]);
@@ -593,7 +515,7 @@ mod tests {
             alive_mask in 1u8..15,
         ) {
             let alive: Vec<usize> = (0..4).filter(|i| alive_mask & (1 << i) != 0).collect();
-            let a = LocalityAwareScheduler.assign(&weights, &alive);
+            let a = SchedulerKind::Locality.assign(&weights, &alive);
             // Map back to positions within `alive` to check monotonicity.
             let pos: Vec<usize> = a
                 .iter()

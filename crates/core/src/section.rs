@@ -233,8 +233,8 @@ impl Snapshots {
 /// Occurrence indices for the tasks of one section, in launch order: the
 /// i-th task named `n` gets occurrence `i`.  Launch order is identical on
 /// every replica, so the indices are too.  Together with the task name this
-/// is the cost-model identity of each instance (interned as
-/// [`crate::cost::TaskKey`]); no strings are formatted here and none hashed:
+/// is the cost-model identity of each instance ([`crate::cost::CostModel`]);
+/// no strings are formatted here and none hashed:
 /// names are compared pairwise, because sections are small (the paper's have
 /// 8 tasks; the largest in this tree, the granularity ablation, 64; never
 /// more than [`MAX_TASKS_PER_SECTION`]).
@@ -391,19 +391,14 @@ fn run_protocol(
     let declared_weights: Vec<f64> = tasks.iter().map(TaskDef::weight).collect();
     let measured_weights: Vec<f64>;
     let weights: &[f64] = if rt.config().scheduler.wants_measured_weights() {
-        // Read-only key lookup: a name with no history has no interned id
-        // either, and falls back to the declared weight.
+        // Read-only lookups: a task with no history keeps its declared
+        // weight.
         let model = rt.cost_model();
         measured_weights = tasks
             .iter()
             .zip(&occurrences)
             .zip(&declared_weights)
-            .map(
-                |((t, &occ), &d)| match model.lookup_key(t.name, occ as usize) {
-                    Some(key) => model.effective_weight_key(key, d),
-                    None => d,
-                },
-            )
+            .map(|((t, &occ), &d)| model.effective_weight(t.name, occ, d))
             .collect();
         &measured_weights
     } else {

@@ -6,13 +6,12 @@
 //! tasks with memory-bound "sparsemv-like" tasks.  The declared scheduling
 //! weight (`max(flops, mem_bytes)`, a unit-mixing scalar) mis-ranks tasks
 //! across the two roofline regimes, so LPT on declared weights
-//! (`CostAwareScheduler`) is measurably worse than LPT on learned execution
-//! times (`AdaptiveScheduler` after one warm-up iteration).
+//! (`SchedulerKind::CostAware`) is measurably worse than LPT on learned
+//! execution times (`SchedulerKind::Adaptive` after one warm-up iteration).
 
 use ipr_core::prelude::*;
 use replication::{ExecutionMode, FailureInjector, ProtocolPoint, ReplicatedEnv};
 use simmpi::{run_cluster, ClusterConfig};
-use std::sync::Arc;
 
 /// The heterogeneous task set: (name, flops, mem_bytes).  Mirrors
 /// `ipr_bench::ablations::adaptive_task_set` (ipr-core cannot depend on the
@@ -85,12 +84,11 @@ fn run_hetero(
         let learned: Vec<(String, f64)> = tasks
             .iter()
             .map(|(name, _, _)| {
-                // Every name occurs once per section, so the history key is
-                // the first instance of the name.
-                let key = ipr_core::cost::instance_key(name, 0);
+                // Every name occurs once per section, so its history is
+                // that of the first instance of the name.
                 (
                     name.to_string(),
-                    rt.cost_model().predict(&key).unwrap_or(f64::NAN),
+                    rt.cost_model().predict(name, 0).unwrap_or(f64::NAN),
                 )
             })
             .collect();
@@ -176,7 +174,7 @@ fn task_cost_samples_are_recorded_and_replica_identical() {
             .unwrap();
         let mut rt = IntraRuntime::new(
             env.clone(),
-            IntraConfig::paper().with_scheduler(Arc::new(CostAwareScheduler)),
+            IntraConfig::paper().with_scheduler_kind(SchedulerKind::CostAware),
         );
         let mut ws = Workspace::new();
         let tasks = hetero_tasks();
@@ -289,10 +287,7 @@ fn same_named_chunks_learn_independent_histories() {
             .map(|s| s.total_time().as_secs())
             .collect();
         let keys: Vec<Option<f64>> = (0..chunks2.len())
-            .map(|k| {
-                rt.cost_model()
-                    .predict(&ipr_core::cost::instance_key("chunk", k))
-            })
+            .map(|k| rt.cost_model().predict("chunk", k as u32))
             .collect();
         (times, keys)
     });

@@ -199,10 +199,10 @@ proptest! {
         // replica independently, over whatever replica subset it passes in;
         // the adaptive scheduler must be a pure function of its inputs.
         let alive: Vec<usize> = (0..4).filter(|i| alive_mask & (1 << i) != 0).collect();
-        let s = AdaptiveScheduler;
+        let s = SchedulerKind::Adaptive;
         let first = s.assign(&weights, &alive);
         prop_assert_eq!(&first, &s.assign(&weights, &alive));
-        prop_assert_eq!(&first, &AdaptiveScheduler.assign(&weights, &alive));
+        prop_assert_eq!(&first, &SchedulerKind::Adaptive.assign(&weights, &alive));
         prop_assert_eq!(first.len(), weights.len());
         for r in &first {
             prop_assert!(alive.contains(r));
@@ -230,8 +230,8 @@ proptest! {
         // split, which can put all the heavy tasks in the first block.
         let weights: Vec<f64> = (0..n).map(|i| scale * base.powi(-(i as i32))).collect();
         let alive: Vec<usize> = (0..k).collect();
-        let lpt = assignment_makespan(&weights, &AdaptiveScheduler.assign(&weights, &alive));
-        let block = assignment_makespan(&weights, &StaticBlockScheduler.assign(&weights, &alive));
+        let lpt = assignment_makespan(&weights, &SchedulerKind::Adaptive.assign(&weights, &alive));
+        let block = assignment_makespan(&weights, &SchedulerKind::StaticBlock.assign(&weights, &alive));
         prop_assert!(
             lpt <= block * (1.0 + 1e-12),
             "adaptive makespan {} worse than static block {}",

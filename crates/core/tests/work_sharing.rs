@@ -263,11 +263,11 @@ fn three_replicas_share_work() {
 fn schedulers_produce_identical_results() {
     let n = 200;
     for scheduler in [
-        std::sync::Arc::new(StaticBlockScheduler) as std::sync::Arc<dyn Scheduler>,
-        std::sync::Arc::new(RoundRobinScheduler),
-        std::sync::Arc::new(CostAwareScheduler),
+        SchedulerKind::StaticBlock,
+        SchedulerKind::RoundRobin,
+        SchedulerKind::CostAware,
     ] {
-        let config = IntraConfig::paper().with_scheduler(scheduler);
+        let config = IntraConfig::paper().with_scheduler_kind(scheduler);
         let report = run_cluster(&ClusterConfig::ideal(2), move |proc| {
             let mut rt = make_rt(
                 proc,

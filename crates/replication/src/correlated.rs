@@ -21,7 +21,7 @@
 //! [`crate::rate::sample_failure_trace`], so correlated and independent
 //! plans can coexist under one seed without interacting.
 
-use crate::rate::{thinned_candidates, FailureRate, RateFn};
+use crate::rate::FailureRate;
 use simcluster::{SimTime, Topology};
 
 /// RNG stream id reserved for correlated (group-level) failure traces,
@@ -99,17 +99,8 @@ pub fn sample_group_trace(
     seed: u64,
     group: usize,
 ) -> Vec<SimTime> {
-    sample_group_trace_fn(&rate.over(horizon.as_secs()), horizon, seed, group)
-}
-
-/// [`sample_group_trace`] generalized to any user-supplied [`RateFn`].
-pub fn sample_group_trace_fn(
-    rate: &dyn RateFn,
-    horizon: SimTime,
-    seed: u64,
-    group: usize,
-) -> Vec<SimTime> {
-    thinned_candidates(rate, horizon, seed, group, CORRELATED_TRACE_STREAM)
+    rate.over(horizon.as_secs())
+        .thinned(seed, group, CORRELATED_TRACE_STREAM)
         .into_iter()
         .filter_map(|(t, accepted)| accepted.then_some(t))
         .collect()
@@ -153,7 +144,11 @@ impl CorrelatedPlan {
         let rate = self.rate.over(self.horizon.as_secs());
         let mut out = Vec::new();
         for group in 0..self.domain.num_groups(topology) {
-            let Some(&at) = sample_group_trace_fn(&rate, self.horizon, seed, group).first() else {
+            let first = rate
+                .thinned(seed, group, CORRELATED_TRACE_STREAM)
+                .into_iter()
+                .find_map(|(t, accepted)| accepted.then_some(t));
+            let Some(at) = first else {
                 continue;
             };
             for rank in self.domain.ranks_in(topology, group) {

@@ -14,24 +14,16 @@
 //! point.  A timed failure fires at the first protocol point the process
 //! reaches at or after the scheduled time, which is exactly how a crash of
 //! the underlying node would be observed by the protocol.  Timed failures
-//! are what failure *traces* arm: [`sample_failure_trace`] draws crash times
-//! from a homogeneous or inhomogeneous Poisson process (via thinning, in the
-//! spirit of IPPP-style simulation packages) using the deterministic
-//! per-rank streams of [`simcluster::rng`], so a campaign can sweep failure
-//! rates instead of hand-placing crashes while every run stays exactly
-//! reproducible from its seed.
+//! are what failure *traces* arm: [`crate::rate::sample_failure_trace`]
+//! draws crash times from a homogeneous or inhomogeneous Poisson process
+//! (via thinning, in the spirit of IPPP-style simulation packages) using the
+//! deterministic per-rank streams of [`simcluster::rng`], so a campaign can
+//! sweep failure rates instead of hand-placing crashes while every run stays
+//! exactly reproducible from its seed.
 
 use parking_lot::Mutex;
 use simcluster::SimTime;
 use std::sync::Arc;
-
-// The rate functions and trace samplers historically lived in this module;
-// they moved to the dedicated `rate` module when the failure-model library
-// grew, and stay re-exported here for the established paths.
-pub use crate::rate::{
-    majorant_candidates, majorant_candidates_fn, sample_failure_trace, sample_trace_fn,
-    FailureRate, HorizonRate, RateFn,
-};
 
 /// A point in the intra-parallelization / replication protocol at which a
 /// failure can be injected.
@@ -156,8 +148,9 @@ impl FailureInjector {
     }
 
     /// Arms one timed failure per entry of `trace` for `physical_rank`
-    /// (typically the output of [`sample_failure_trace`]).  Since failures
-    /// are crash-stop, only the earliest reachable entry can ever fire.
+    /// (typically the output of [`crate::rate::sample_failure_trace`]).
+    /// Since failures are crash-stop, only the earliest reachable entry can
+    /// ever fire.
     pub fn arm_trace(&self, physical_rank: usize, trace: &[SimTime]) -> &Self {
         let mut plan = self.plan.lock();
         for &at in trace {

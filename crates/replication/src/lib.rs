@@ -39,7 +39,5 @@ pub use correlated::{sample_group_trace, CorrelatedPlan, FailureDomain};
 pub use env::{ExecutionMode, ReplicatedEnv};
 pub use failure::{FailureInjector, ProtocolPoint, TimedFiring};
 pub use mapping::ReplicaMapping;
-pub use rate::{
-    majorant_candidates, sample_failure_trace, sample_trace_fn, FailureRate, HorizonRate, RateFn,
-};
+pub use rate::{majorant_candidates, sample_failure_trace, FailureRate, HorizonRate};
 pub use replicated_comm::ReplicatedComm;

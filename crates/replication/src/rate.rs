@@ -3,10 +3,6 @@
 //! The failure model of a run is an intensity function λ(t) — crashes per
 //! virtual second — observed over a finite horizon.  This module provides:
 //!
-//! * [`RateFn`], the trait any intensity function implements: λ(t) plus an
-//!   explicit *majorant* (a finite upper bound on λ over the horizon), the
-//!   two ingredients Lewis–Shedler thinning needs.  Arbitrary user-supplied
-//!   rate functions plug into the exact same sampler as the built-ins.
 //! * [`FailureRate`], the closed-form intensity family used by the
 //!   campaign axes: homogeneous (`Constant`), piecewise (`Ramp`, `Burst`)
 //!   and the two MTBF-distribution hazards observed on real HPC systems —
@@ -16,7 +12,10 @@
 //!   Blue Gene class systems).  Each variant knows its analytic mean event
 //!   count ([`FailureRate::mean_events`]), which the statistical property
 //!   tests compare empirical traces against.
-//! * [`sample_failure_trace`] / [`sample_trace_fn`], the thinning sampler
+//! * [`HorizonRate`], a rate bound to its horizon together with its
+//!   explicit *majorant* (a finite upper bound on λ over the horizon), the
+//!   two ingredients Lewis–Shedler thinning needs, and
+//!   [`HorizonRate::trace`] / [`sample_failure_trace`], the thinning sampler
 //!   (in the spirit of IPPP-style conditional-density simulation): draw
 //!   candidates from a homogeneous process at the majorant rate and keep
 //!   each candidate at time t with probability λ(t)/λ\*.  The generator is
@@ -26,25 +25,6 @@
 
 use rand::Rng;
 use simcluster::SimTime;
-
-/// An intensity function λ(t) of an inhomogeneous Poisson failure process,
-/// together with the explicit majorant that makes it samplable by
-/// Lewis–Shedler thinning.
-///
-/// Implementations must be deterministic pure functions: the thinning
-/// sampler evaluates them on RNG-drawn candidate times and any hidden state
-/// would break trace reproducibility (determinism rule 5).
-pub trait RateFn: Send + Sync {
-    /// The intensity λ(t) at absolute virtual time `t` seconds, in crashes
-    /// per virtual second.  Must be non-negative.
-    fn rate(&self, t: f64) -> f64;
-
-    /// A finite upper bound on λ(t) over `[0, horizon]` seconds — the
-    /// homogeneous rate the thinning majorant process runs at.  A tighter
-    /// bound only improves sampling efficiency; candidates where the bound
-    /// is momentarily exceeded are simply always accepted.
-    fn majorant(&self, horizon: f64) -> f64;
-}
 
 /// Intensity function λ(t) of a Poisson failure-arrival process, in crashes
 /// per virtual second.  `Constant` gives a homogeneous process; the other
@@ -108,8 +88,8 @@ const WEIBULL_FLOOR_DIV: f64 = 1024.0;
 
 /// Grid resolution used to bound the log-normal hazard over a horizon (the
 /// hazard is smooth and unimodal, so a dense scan plus headroom is a valid
-/// majorant in practice; see [`RateFn::majorant`] for why a momentary
-/// excess is harmless).
+/// majorant in practice; see [`HorizonRate`] for why a momentary excess is
+/// harmless).
 const LOGNORMAL_SCAN_POINTS: usize = 4096;
 
 /// Safety headroom multiplied onto the scanned log-normal hazard maximum.
@@ -230,7 +210,8 @@ impl FailureRate {
         rate.max(0.0)
     }
 
-    /// An upper bound on λ(t) over the horizon (the thinning majorant).
+    /// An upper bound on λ(t) over the horizon (the thinning majorant).  A
+    /// tighter bound only improves sampling efficiency.
     pub fn max_rate(&self, horizon: f64) -> f64 {
         match *self {
             FailureRate::Constant(rate) => rate.max(0.0),
@@ -373,8 +354,9 @@ impl FailureRate {
         }
     }
 
-    /// Adapts the rate to a fixed horizon, yielding a [`RateFn`] (the
-    /// fraction-based variants need the horizon to evaluate λ(t)).  The
+    /// Binds the rate to a fixed horizon, yielding the [`HorizonRate`]
+    /// every trace is sampled through (the fraction-based variants need the
+    /// horizon to evaluate λ(t)).  The
     /// thinning majorant is computed here, once: it is a property of the
     /// process, not of each trace (the log-normal one is a 4 096-point
     /// hazard scan).
@@ -406,11 +388,11 @@ fn parse_nums(rest: &str) -> Option<Vec<f64>> {
     Some(out)
 }
 
-/// A [`FailureRate`] bound to its observation horizon — the [`RateFn`]
-/// adapter the built-in variants are sampled through.  Built by
-/// [`FailureRate::over`], which also fixes the majorant: it is
-/// `max_rate(horizon_s)` whatever horizon [`RateFn::majorant`] is asked
-/// about, so sample it over `horizon_s` itself.
+/// A [`FailureRate`] bound to its observation horizon, with its thinning
+/// majorant computed once: the sampler every failure trace is drawn from.
+/// Built by [`FailureRate::over`]; the majorant is
+/// `max_rate(horizon_s)`.  Where λ momentarily exceeds it (the scanned
+/// log-normal bound), candidates are simply always accepted.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HorizonRate {
     /// The intensity family.
@@ -420,37 +402,63 @@ pub struct HorizonRate {
     majorant: f64,
 }
 
-impl RateFn for HorizonRate {
-    fn rate(&self, t: f64) -> f64 {
-        self.rate.at(t, self.horizon_s)
+/// RNG stream id reserved for per-rank failure traces (keeps trace sampling
+/// independent of any other per-rank randomness derived from the same seed).
+const FAILURE_TRACE_STREAM: usize = 0xFA11;
+
+impl HorizonRate {
+    /// Samples the crash times of one physical rank over
+    /// `[0, horizon_s)` by Lewis–Shedler thinning: candidate arrivals are
+    /// drawn from a homogeneous process at the majorant rate λ\* and each
+    /// candidate at time t is kept with probability λ(t)/λ\*.  The generator
+    /// is a deterministic [`simcluster::rng`] substream of `(seed, rank)`,
+    /// so the trace is a pure function of its arguments: every replica (and
+    /// every re-run) derives the identical trace without coordination.
+    pub fn trace(&self, seed: u64, rank: usize) -> Vec<SimTime> {
+        self.thinned(seed, rank, FAILURE_TRACE_STREAM)
+            .into_iter()
+            .filter_map(|(t, accepted)| accepted.then_some(t))
+            .collect()
     }
 
-    fn majorant(&self, _horizon: f64) -> f64 {
-        self.majorant
+    /// The single thinning loop behind every trace sampler: every candidate
+    /// of the homogeneous majorant process on RNG stream `(seed, id,
+    /// stream)`, paired with its acceptance verdict.  Sharing the loop (and
+    /// its RNG draw order) is what makes "an inhomogeneous trace is a subset
+    /// of its majorant candidates" structural rather than conventional.
+    pub(crate) fn thinned(&self, seed: u64, id: usize, stream: usize) -> Vec<(SimTime, bool)> {
+        let max_rate = self.majorant;
+        let mut candidates = Vec::new();
+        if max_rate <= 0.0 || self.horizon_s <= 0.0 {
+            return candidates;
+        }
+        let mut rng = simcluster::rng::substream(seed, id, stream);
+        let mut t = 0.0f64;
+        loop {
+            // Exponential inter-arrival at the majorant rate; 1 - u is in
+            // (0, 1] so the logarithm is finite.
+            let u: f64 = rng.gen();
+            t += -(1.0 - u).ln() / max_rate;
+            if t >= self.horizon_s {
+                return candidates;
+            }
+            let accept: f64 = rng.gen();
+            let accepted = accept * max_rate < self.rate.at(t, self.horizon_s);
+            candidates.push((SimTime::from_secs(t), accepted));
+        }
     }
 }
 
-/// RNG stream id reserved for per-rank failure traces (keeps trace sampling
-/// independent of any other per-rank randomness derived from the same seed).
-pub(crate) const FAILURE_TRACE_STREAM: usize = 0xFA11;
-
 /// Samples the crash times of one physical rank over `[0, horizon)` virtual
-/// seconds from the Poisson process described by `rate`.
-///
-/// Sampling uses Lewis–Shedler thinning: candidate arrivals are drawn from a
-/// homogeneous process at the majorant rate λ\* = [`FailureRate::max_rate`]
-/// and each candidate at time t is kept with probability λ(t)/λ\*.  The
-/// generator is a deterministic [`simcluster::rng`] substream of
-/// `(seed, rank)`, so the trace is a pure function of its arguments: every
-/// replica (and every re-run) derives the identical trace without
-/// coordination.
+/// seconds from the Poisson process described by `rate`:
+/// [`HorizonRate::trace`] of `rate.over(horizon.as_secs())`.
 pub fn sample_failure_trace(
     rate: FailureRate,
     horizon: SimTime,
     seed: u64,
     rank: usize,
 ) -> Vec<SimTime> {
-    sample_trace_fn(&rate.over(horizon.as_secs()), horizon, seed, rank)
+    rate.over(horizon.as_secs()).trace(seed, rank)
 }
 
 /// Candidate arrival times of the homogeneous majorant process that thinning
@@ -462,68 +470,11 @@ pub fn majorant_candidates(
     seed: u64,
     rank: usize,
 ) -> Vec<SimTime> {
-    majorant_candidates_fn(&rate.over(horizon.as_secs()), horizon, seed, rank)
-}
-
-/// [`sample_failure_trace`] generalized to any user-supplied [`RateFn`]:
-/// the same thinning loop, the same `(seed, rank)` stream discipline.
-pub fn sample_trace_fn(
-    rate: &dyn RateFn,
-    horizon: SimTime,
-    seed: u64,
-    rank: usize,
-) -> Vec<SimTime> {
-    thinned_candidates(rate, horizon, seed, rank, FAILURE_TRACE_STREAM)
-        .into_iter()
-        .filter_map(|(t, accepted)| accepted.then_some(t))
-        .collect()
-}
-
-/// [`majorant_candidates`] generalized to any user-supplied [`RateFn`].
-pub fn majorant_candidates_fn(
-    rate: &dyn RateFn,
-    horizon: SimTime,
-    seed: u64,
-    rank: usize,
-) -> Vec<SimTime> {
-    thinned_candidates(rate, horizon, seed, rank, FAILURE_TRACE_STREAM)
+    rate.over(horizon.as_secs())
+        .thinned(seed, rank, FAILURE_TRACE_STREAM)
         .into_iter()
         .map(|(t, _)| t)
         .collect()
-}
-
-/// The single thinning loop behind every trace sampler: every candidate of
-/// the homogeneous majorant process, paired with its acceptance verdict.
-/// Sharing the loop (and its RNG draw order) is what makes "an
-/// inhomogeneous trace is a subset of its majorant candidates" structural
-/// rather than conventional.
-pub(crate) fn thinned_candidates(
-    rate: &dyn RateFn,
-    horizon: SimTime,
-    seed: u64,
-    id: usize,
-    stream: usize,
-) -> Vec<(SimTime, bool)> {
-    let horizon_s = horizon.as_secs();
-    let max_rate = rate.majorant(horizon_s);
-    let mut candidates = Vec::new();
-    if max_rate <= 0.0 || horizon_s <= 0.0 {
-        return candidates;
-    }
-    let mut rng = simcluster::rng::substream(seed, id, stream);
-    let mut t = 0.0f64;
-    loop {
-        // Exponential inter-arrival at the majorant rate; 1 - u is in (0, 1]
-        // so the logarithm is finite.
-        let u: f64 = rng.gen();
-        t += -(1.0 - u).ln() / max_rate;
-        if t >= horizon_s {
-            return candidates;
-        }
-        let accept: f64 = rng.gen();
-        let accepted = accept * max_rate < rate.rate(t);
-        candidates.push((SimTime::from_secs(t), accepted));
-    }
 }
 
 #[cfg(test)]

@@ -1,8 +1,9 @@
 //! Tests for Poisson failure-trace generation: determinism, rate
 //! monotonicity, and the bounds guaranteed by inhomogeneous thinning.
 
-use replication::failure::{majorant_candidates, sample_failure_trace};
-use replication::{FailureInjector, FailureRate, ProtocolPoint};
+use replication::{
+    majorant_candidates, sample_failure_trace, FailureInjector, FailureRate, ProtocolPoint,
+};
 use simcluster::SimTime;
 
 const HORIZON: f64 = 100.0;
@@ -224,7 +225,6 @@ fn arming_a_trace_consumes_all_entries_of_the_rank_on_the_first_fire() {
 // ---------------------------------------------------------------------------
 
 use proptest::prelude::*;
-use replication::rate::{majorant_candidates_fn, sample_trace_fn, RateFn};
 
 /// Aggregate arrival count of `rate` over `streams` fixed-seed traces.
 fn total_count(rate: FailureRate, horizon: f64, streams: u64) -> usize {
@@ -346,61 +346,104 @@ fn trace_h(rate: FailureRate, horizon: f64, seed: u64) -> Vec<SimTime> {
     sample_failure_trace(rate, SimTime::from_secs(horizon), seed, 0)
 }
 
-/// A custom user-supplied intensity the built-in family cannot express: a
-/// triangle wave with explicit majorant, exercising the `RateFn` surface.
-struct TriangleWave {
-    period: f64,
-    peak: f64,
+/// Trapezoid steps of the numerical integrated intensity over `HORIZON`.
+const LAMBDA_STEPS: usize = 200_000;
+
+/// The integrated intensity Λ(t) = ∫₀ᵗ λ, tabulated by the trapezoid rule
+/// at `LAMBDA_STEPS + 1` evenly spaced points of `[0, HORIZON]`.  Built from
+/// `FailureRate::at` alone, independently of the sampler and of the
+/// closed-form `mean_events`.
+fn integrated_intensity(rate: FailureRate) -> Vec<f64> {
+    let dt = HORIZON / LAMBDA_STEPS as f64;
+    let mut table = Vec::with_capacity(LAMBDA_STEPS + 1);
+    table.push(0.0);
+    let mut prev = rate.at(0.0, HORIZON);
+    for i in 1..=LAMBDA_STEPS {
+        let next = rate.at(i as f64 * dt, HORIZON);
+        table.push(table[i - 1] + 0.5 * (prev + next) * dt);
+        prev = next;
+    }
+    table
 }
 
-impl RateFn for TriangleWave {
-    fn rate(&self, t: f64) -> f64 {
-        let phase = (t / self.period).fract();
-        let tri = 1.0 - (2.0 * phase - 1.0).abs();
-        self.peak * tri
-    }
-
-    fn majorant(&self, _horizon: f64) -> f64 {
-        self.peak
-    }
+/// Λ(t) by linear interpolation in the table.
+fn lambda_at(table: &[f64], t: f64) -> f64 {
+    let x = t / HORIZON * LAMBDA_STEPS as f64;
+    let i = (x.floor() as usize).min(LAMBDA_STEPS - 1);
+    table[i] + (x - i as f64) * (table[i + 1] - table[i])
 }
 
 #[test]
-fn custom_rate_fn_traces_obey_the_thinning_invariants() {
-    let wave = TriangleWave {
-        period: 10.0,
-        peak: 1.5,
-    };
-    let horizon = SimTime::from_secs(HORIZON);
-    let mut accepted_total = 0usize;
-    for seed in 0..50 {
-        let accepted = sample_trace_fn(&wave, horizon, seed, 1);
-        let candidates = majorant_candidates_fn(&wave, horizon, seed, 1);
-        // Thinning subset: every accepted time is a candidate, in order.
-        assert!(accepted.len() <= candidates.len());
-        let mut it = candidates.iter();
-        for a in &accepted {
-            assert!(it.any(|c| c == a), "accepted {a} not a candidate");
-        }
-        // Majorant bound: the candidate process runs at rate `peak`, so its
-        // count is Poisson(peak * horizon); check a generous upper bound,
-        // and that λ never exceeds the declared majorant where sampled.
-        for c in &candidates {
-            assert!(wave.rate(c.as_secs()) <= wave.majorant(HORIZON) + 1e-12);
-        }
-        accepted_total += accepted.len();
+fn thinned_arrivals_are_uniform_in_the_integrated_intensity() {
+    // The IPPP oracle (Hohmann 2019): conditional on N arrivals in
+    // [0, H], the arrival times of a Poisson process with intensity λ are
+    // i.i.d. with density λ/Λ(H), so uᵢ = Λ(tᵢ)/Λ(H) are i.i.d. U(0, 1).
+    // Pool them over many seeds and run a one-sample Kolmogorov–Smirnov
+    // test at α = 0.01 (D < 1.63/√n).
+    let cases = [
+        (FailureRate::Constant(0.8), 200),
+        (
+            FailureRate::Ramp {
+                start: 0.2,
+                end: 1.0,
+            },
+            200,
+        ),
+        (
+            FailureRate::Burst {
+                base: 0.1,
+                peak: 2.0,
+                center: 0.5,
+                width: 0.2,
+            },
+            200,
+        ),
+        (FailureRate::weibull_hpc(HORIZON), 2_000),
+        (
+            FailureRate::Weibull {
+                shape: 1.5,
+                scale_s: HORIZON / 2.0,
+            },
+            2_000,
+        ),
+        (FailureRate::lognormal_hpc(HORIZON / 2.0), 2_000),
+        (
+            FailureRate::LogNormal {
+                mu: 3.0,
+                sigma: 0.5,
+            },
+            2_000,
+        ),
+    ];
+    for (rate, seeds) in cases {
+        let table = integrated_intensity(rate);
+        let total = table[LAMBDA_STEPS];
+        let analytic = rate.mean_events(HORIZON);
+        assert!(
+            (total - analytic).abs() <= 1e-3 * analytic,
+            "{}: numerical Λ(H) {total} vs mean_events {analytic}",
+            rate.label()
+        );
+        let sampler = rate.over(HORIZON);
+        let mut u: Vec<f64> = (0..seeds)
+            .flat_map(|seed| sampler.trace(seed, 0))
+            .map(|t| lambda_at(&table, t.as_secs()) / total)
+            .collect();
+        u.sort_by(f64::total_cmp);
+        let n = u.len() as f64;
+        let d = u
+            .iter()
+            .enumerate()
+            .map(|(i, &x)| ((i + 1) as f64 / n - x).max(x - i as f64 / n))
+            .fold(0.0, f64::max);
+        let critical = 1.63 / n.sqrt();
+        assert!(
+            u.len() >= 1_000 && d < critical,
+            "{}: KS D = {d} over {} arrivals, critical {critical}",
+            rate.label(),
+            u.len()
+        );
     }
-    // ∫λ over a whole number of periods is peak/2 per second.
-    let expected = 50.0 * wave.peak / 2.0 * HORIZON;
-    assert!(
-        (accepted_total as f64) > 0.85 * expected && (accepted_total as f64) < 1.15 * expected,
-        "triangle-wave count {accepted_total} vs expectation {expected}"
-    );
-    // Determinism (rule 5) holds for custom rate functions too.
-    assert_eq!(
-        sample_trace_fn(&wave, horizon, 7, 3),
-        sample_trace_fn(&wave, horizon, 7, 3)
-    );
 }
 
 proptest! {

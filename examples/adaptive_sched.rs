@@ -62,10 +62,9 @@ fn run(scheduler: SchedulerKind, iterations: usize) -> Vec<f64> {
             if ctx.env.replica_id() == 0 {
                 println!("  learned costs (replica 0 of '{scheduler}'):");
                 for (name, _, _) in &set {
-                    // Each name occurs once per section, so its history key
-                    // is the name's first instance.
-                    let key = intra_replication::core::cost::instance_key(name, 0);
-                    if let Some(est) = ctx.rt.cost_model().estimate(&key) {
+                    // Each name occurs once per section, so its history is
+                    // that of the name's first instance.
+                    if let Some(est) = ctx.rt.cost_model().estimate(name, 0) {
                         println!(
                             "    {name}: {:.4} s after {} observation(s)",
                             est.seconds, est.samples

@@ -39,8 +39,7 @@ use apps::{run_app, AppContext, AppId, AppRunReport, AppWorkload, ExperimentScal
 use ckpt::{system_mtbf, CheckpointPlan, CkptSession, CkptStats};
 use ipr_core::{IntraConfig, IntraError, IntraResult, SchedulerKind};
 use replication::{
-    sample_trace_fn, CorrelatedPlan, ExecutionMode, FailureDomain, FailureInjector, FailureRate,
-    ProtocolPoint,
+    CorrelatedPlan, ExecutionMode, FailureDomain, FailureInjector, FailureRate, ProtocolPoint,
 };
 use simcluster::{MachineModel, SimTime, Topology};
 use simmpi::{run_cluster, ClusterConfig, ClusterReport};
@@ -218,11 +217,7 @@ impl FailurePlan {
                 // once for all ranks.
                 let rate = rate.over(horizon.as_secs());
                 (0..topology.num_procs())
-                    .flat_map(|rank| {
-                        sample_trace_fn(&rate, horizon, seed, rank)
-                            .into_iter()
-                            .map(move |at| (rank, at))
-                    })
+                    .flat_map(|rank| rate.trace(seed, rank).into_iter().map(move |at| (rank, at)))
                     .collect()
             }
             FailurePlan::Correlated {
@@ -912,8 +907,11 @@ fn validate_failure_plan(failures: &FailurePlan) -> Result<()> {
         FailureRate::Constant(r) => invalid(r),
         FailureRate::Ramp { start, end } => invalid(start) || invalid(end),
         FailureRate::Burst {
-            base, peak, width, ..
-        } => invalid(base) || invalid(peak) || invalid(width),
+            base,
+            peak,
+            center,
+            width,
+        } => invalid(base) || invalid(peak) || !center.is_finite() || invalid(width),
         FailureRate::Weibull { shape, scale_s } => invalid_pos(shape) || invalid_pos(scale_s),
         FailureRate::LogNormal { mu, sigma } => !mu.is_finite() || invalid_pos(sigma),
     };
@@ -1344,6 +1342,29 @@ mod tests {
             ))
             .build()
             .is_ok());
+    }
+
+    #[test]
+    fn non_finite_burst_center_is_rejected() {
+        // A NaN center never compares inside the window, so the sampler
+        // would run at the base rate while `mean_events` still counts the
+        // peak: the run id would advertise a burst that never happens.
+        for label in [
+            "poisson-burst-0.1-4-nan-0.2-h1",
+            "poisson-burst-0.1-4-inf-0.2-h1",
+        ] {
+            let plan: FailurePlan = label.parse().unwrap();
+            assert!(
+                matches!(
+                    Experiment::builder()
+                        .app(AppId::Hpccg)
+                        .failures(plan)
+                        .build(),
+                    Err(Error::Config(_))
+                ),
+                "{label} must be rejected"
+            );
+        }
     }
 
     #[test]

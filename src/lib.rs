@@ -70,7 +70,7 @@ pub mod prelude {
     pub use ipr_core::prelude::*;
     pub use replication::{
         sample_failure_trace, CorrelatedPlan, ExecutionMode, FailureDomain, FailureInjector,
-        FailureRate, ProtocolPoint, RateFn, ReplicatedEnv,
+        FailureRate, ProtocolPoint, ReplicatedEnv,
     };
     pub use simcluster::{MachineModel, SimTime, Topology};
     pub use simmpi::{run_cluster, ClusterConfig, Comm, MpiError, ProcHandle};

@@ -5,8 +5,6 @@
 //! build wiring itself — if a crate's public API or the facade re-exports
 //! drift, this file is the first thing that stops compiling.
 
-use std::sync::Arc;
-
 use intra_replication::prelude::*;
 
 /// Allreduce round-trip on a cluster built from the given config.
@@ -52,14 +50,14 @@ fn cluster_preset_ideal_compute_round_trips() {
 /// Runs one intra-parallel section (w = 2x over 64 elements, 8 tasks) with
 /// the given scheduler on 2 replicas; both replicas must hold the full,
 /// correct result.
-fn section_round_trip(scheduler: Arc<dyn Scheduler>) {
+fn section_round_trip(scheduler: SchedulerKind) {
     let name = scheduler.name();
     let report = run_cluster(&ClusterConfig::ideal(2), move |proc| {
         let env = ReplicatedEnv::without_failures(proc, ExecutionMode::IntraParallel { degree: 2 })
             .unwrap();
         let config = IntraConfig::paper()
             .with_tasks_per_section(8)
-            .with_scheduler(Arc::clone(&scheduler));
+            .with_scheduler_kind(scheduler);
         let mut rt = IntraRuntime::new(env, config);
         let mut ws = Workspace::new();
         let x = ws.add("x", (0..64).map(|i| i as f64).collect());
@@ -97,27 +95,27 @@ fn section_round_trip(scheduler: Arc<dyn Scheduler>) {
 
 #[test]
 fn static_block_scheduler_section_round_trips() {
-    section_round_trip(Arc::new(StaticBlockScheduler));
+    section_round_trip(SchedulerKind::StaticBlock);
 }
 
 #[test]
 fn round_robin_scheduler_section_round_trips() {
-    section_round_trip(Arc::new(RoundRobinScheduler));
+    section_round_trip(SchedulerKind::RoundRobin);
 }
 
 #[test]
 fn cost_aware_scheduler_section_round_trips() {
-    section_round_trip(Arc::new(CostAwareScheduler));
+    section_round_trip(SchedulerKind::CostAware);
 }
 
 #[test]
 fn adaptive_scheduler_section_round_trips() {
-    section_round_trip(Arc::new(AdaptiveScheduler));
+    section_round_trip(SchedulerKind::Adaptive);
 }
 
 #[test]
 fn locality_scheduler_section_round_trips() {
-    section_round_trip(Arc::new(LocalityAwareScheduler));
+    section_round_trip(SchedulerKind::Locality);
 }
 
 #[test]
@@ -125,7 +123,7 @@ fn every_builtin_scheduler_kind_section_round_trips() {
     // `SchedulerKind` is the typed source of truth for scheduler selection
     // (the `Experiment` builder's scheduler axis); every kind must run.
     for kind in SchedulerKind::ALL {
-        section_round_trip(kind.scheduler());
+        section_round_trip(kind);
     }
 }
 
