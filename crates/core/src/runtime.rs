@@ -59,9 +59,9 @@ impl IntraConfig {
         self
     }
 
-    /// Sets the scheduler — the scheduler-selection knob of the `Experiment` builder, the app drivers
-    /// and the bench harness.  Infallible: an invalid scheduler cannot be
-    /// expressed.
+    /// Sets the scheduler — the scheduler-selection knob of the `Experiment`
+    /// builder, the app drivers and the bench harness.  Infallible: an
+    /// invalid scheduler cannot be expressed.
     ///
     /// ```
     /// use ipr_core::{IntraConfig, SchedulerKind};
@@ -132,9 +132,9 @@ impl IntraRuntime {
 
     /// The measured-cost history learned from the sections executed so far.
     ///
-    /// Keyed by task instance, `(name, occurrence)`; fed one observation per task of every recorded section (see
-    /// [`crate::report::TaskCostSample`] for why the stream is identical on
-    /// every replica).
+    /// Keyed by task instance, `(name, occurrence)`; fed one observation per
+    /// task of every recorded section (see [`crate::report::TaskCostSample`]
+    /// for why the stream is identical on every replica).
     pub fn cost_model(&self) -> &CostModel {
         &self.cost_model
     }

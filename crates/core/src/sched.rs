@@ -271,12 +271,11 @@ impl SchedulerKind {
         self == SchedulerKind::Adaptive
     }
 
-    /// Returns `self`.
+    /// Returns `self`: the kind itself assigns, call
+    /// [`SchedulerKind::assign`] on it.
     ///
-    /// It has no effect: it was the constructor of a boxed scheduler
-    /// object, and the kind itself now assigns.  It remains only because
-    /// `benchmarks/` (which a PR may not edit) calls it; it goes when that
-    /// fence is next opened.
+    /// It remains only because `benchmarks/` (which a PR may not edit)
+    /// calls it; it goes when that fence is next opened.
     pub fn scheduler(self) -> SchedulerKind {
         self
     }

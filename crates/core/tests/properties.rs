@@ -230,8 +230,10 @@ proptest! {
         // split, which can put all the heavy tasks in the first block.
         let weights: Vec<f64> = (0..n).map(|i| scale * base.powi(-(i as i32))).collect();
         let alive: Vec<usize> = (0..k).collect();
-        let lpt = assignment_makespan(&weights, &SchedulerKind::Adaptive.assign(&weights, &alive));
-        let block = assignment_makespan(&weights, &SchedulerKind::StaticBlock.assign(&weights, &alive));
+        let adaptive = SchedulerKind::Adaptive.assign(&weights, &alive);
+        let lpt = assignment_makespan(&weights, &adaptive);
+        let static_block = SchedulerKind::StaticBlock.assign(&weights, &alive);
+        let block = assignment_makespan(&weights, &static_block);
         prop_assert!(
             lpt <= block * (1.0 + 1e-12),
             "adaptive makespan {} worse than static block {}",
