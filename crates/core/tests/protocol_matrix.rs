@@ -284,7 +284,9 @@ fn mtbf_hazard_traces_crash_and_recover_in_every_mode() {
         );
         for mode in ALL_MODES {
             let injector = FailureInjector::none();
-            injector.arm_trace(0, &trace);
+            for &at in &trace {
+                injector.arm_at(0, at);
+            }
             let results = run_workload_on(&ClusterConfig::new(2), mode, &injector, 1e-7);
             assert_eq!(
                 results[0].as_ref().unwrap().as_ref().unwrap_err(),

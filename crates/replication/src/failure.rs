@@ -4,7 +4,7 @@
 //! a task update: before any update bytes were sent, after the full update
 //! reached only a subset of the replicas, and in the middle of an update
 //! (partial update).  To test all of them deterministically, the runtime
-//! layers call [`FailureInjector::should_fail`] at well-defined protocol
+//! layers call [`FailureInjector::consult`] at well-defined protocol
 //! points ([`ProtocolPoint`]); a test arms the injector with (physical rank,
 //! point) pairs and the matching process crashes itself (crash-stop) exactly
 //! there.
@@ -14,7 +14,8 @@
 //! point.  A timed failure fires at the first protocol point the process
 //! reaches at or after the scheduled time, which is exactly how a crash of
 //! the underlying node would be observed by the protocol.  Timed failures
-//! are what failure *traces* arm: [`crate::rate::sample_failure_trace`]
+//! are what failure *traces* arm, one [`FailureInjector::arm_at`] per
+//! sampled time: [`crate::rate::sample_failure_trace`]
 //! draws crash times from a homogeneous or inhomogeneous Poisson process
 //! (via thinning, in the spirit of IPPP-style simulation packages) using the
 //! deterministic per-rank streams of [`simcluster::rng`], so a campaign can
@@ -123,23 +124,6 @@ impl FailureInjector {
         self
     }
 
-    /// Returns true exactly once if a failure is armed for this rank and
-    /// point; the armed entry is consumed.
-    pub fn should_fail(&self, physical_rank: usize, point: ProtocolPoint) -> bool {
-        let mut plan = self.plan.lock();
-        if let Some(pos) = plan
-            .armed
-            .iter()
-            .position(|&(r, p)| r == physical_rank && p == point)
-        {
-            plan.armed.remove(pos);
-            plan.fired.push((physical_rank, point));
-            true
-        } else {
-            false
-        }
-    }
-
     /// Arms a timed failure: `physical_rank` crashes at the first protocol
     /// point it reaches at or after virtual time `at`.
     pub fn arm_at(&self, physical_rank: usize, at: SimTime) -> &Self {
@@ -147,55 +131,14 @@ impl FailureInjector {
         self
     }
 
-    /// Arms one timed failure per entry of `trace` for `physical_rank`
-    /// (typically the output of [`crate::rate::sample_failure_trace`]).
-    /// Since failures are crash-stop, only the earliest reachable entry can
-    /// ever fire.
-    pub fn arm_trace(&self, physical_rank: usize, trace: &[SimTime]) -> &Self {
-        let mut plan = self.plan.lock();
-        for &at in trace {
-            plan.timed.push((physical_rank, at));
-        }
-        self
-    }
-
-    /// Returns true exactly once if a timed failure for this rank is due at
-    /// virtual time `now` (consuming every timed entry of the rank: the
-    /// process is crash-stop, so later entries can never fire).  `point` is
-    /// recorded as the protocol point at which the crash was observed.
-    pub fn should_fail_at(&self, physical_rank: usize, point: ProtocolPoint, now: SimTime) -> bool {
-        Self::check_timed(&mut self.plan.lock(), physical_rank, point, now)
-    }
-
-    fn check_timed(
-        plan: &mut Plan,
-        physical_rank: usize,
-        point: ProtocolPoint,
-        now: SimTime,
-    ) -> bool {
-        let due = plan
-            .timed
-            .iter()
-            .filter(|&&(r, at)| r == physical_rank && at <= now)
-            .map(|&(_, at)| at)
-            .min();
-        if let Some(scheduled) = due {
-            plan.timed.retain(|&(r, _)| r != physical_rank);
-            plan.fired_timed.push(TimedFiring {
-                rank: physical_rank,
-                scheduled,
-                fired_at: now,
-                point,
-            });
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Combined protocol-point consultation (what [`crate::ReplicatedEnv`]'s
-    /// `maybe_fail` calls): fires a point-armed one-shot or a due timed
-    /// failure, whichever matches, under a single lock acquisition.
+    /// The one protocol-point query (what [`crate::ReplicatedEnv`]'s
+    /// `maybe_fail` calls), under a single lock acquisition.  Returns true
+    /// exactly once per armed entry:
+    /// * a one-shot armed for this rank and `point` fires and is consumed;
+    /// * otherwise a timed failure of this rank due at virtual time `now`
+    ///   fires, consuming every timed entry of the rank (the process is
+    ///   crash-stop, so later entries can never fire), with `point` recorded
+    ///   as the protocol point at which the crash was observed.
     pub fn consult(&self, physical_rank: usize, point: ProtocolPoint, now: SimTime) -> bool {
         let mut plan = self.plan.lock();
         if let Some(pos) = plan
@@ -207,7 +150,23 @@ impl FailureInjector {
             plan.fired.push((physical_rank, point));
             return true;
         }
-        Self::check_timed(&mut plan, physical_rank, point, now)
+        let due = plan
+            .timed
+            .iter()
+            .filter(|&&(r, at)| r == physical_rank && at <= now)
+            .map(|&(_, at)| at)
+            .min();
+        let Some(scheduled) = due else {
+            return false;
+        };
+        plan.timed.retain(|&(r, _)| r != physical_rank);
+        plan.fired_timed.push(TimedFiring {
+            rank: physical_rank,
+            scheduled,
+            fired_at: now,
+            point,
+        });
+        true
     }
 
     /// Number of armed injections (point-armed and timed) that have not
@@ -235,7 +194,7 @@ mod tests {
     #[test]
     fn unarmed_injector_never_fires() {
         let inj = FailureInjector::none();
-        assert!(!inj.should_fail(0, ProtocolPoint::SectionEnter { section: 0 }));
+        assert!(!inj.consult(0, ProtocolPoint::SectionEnter { section: 0 }, SimTime::ZERO));
         assert_eq!(inj.pending(), 0);
         assert!(inj.fired().is_empty());
     }
@@ -249,11 +208,14 @@ mod tests {
         };
         inj.arm(3, point);
         assert_eq!(inj.pending(), 1);
-        assert!(!inj.should_fail(2, point), "wrong rank must not fire");
-        assert!(!inj.should_fail(3, ProtocolPoint::SectionEnter { section: 1 }));
-        assert!(inj.should_fail(3, point));
         assert!(
-            !inj.should_fail(3, point),
+            !inj.consult(2, point, SimTime::ZERO),
+            "wrong rank must not fire"
+        );
+        assert!(!inj.consult(3, ProtocolPoint::SectionEnter { section: 1 }, SimTime::ZERO));
+        assert!(inj.consult(3, point, SimTime::ZERO));
+        assert!(
+            !inj.consult(3, point, SimTime::ZERO),
             "one-shot: second query is false"
         );
         assert_eq!(inj.fired(), vec![(3, point)]);
@@ -271,15 +233,16 @@ mod tests {
                 vars_sent: 1,
             },
         );
-        assert!(inj.should_fail(0, ProtocolPoint::SectionEnter { section: 0 }));
+        assert!(inj.consult(0, ProtocolPoint::SectionEnter { section: 0 }, SimTime::ZERO));
         assert_eq!(inj.pending(), 1);
-        assert!(inj.should_fail(
+        assert!(inj.consult(
             1,
             ProtocolPoint::MidUpdateSend {
                 section: 0,
                 task: 1,
                 vars_sent: 1,
-            }
+            },
+            SimTime::ZERO
         ));
         assert_eq!(inj.pending(), 0);
     }
@@ -289,7 +252,7 @@ mod tests {
         let a = FailureInjector::none();
         let b = a.clone();
         a.arm(5, ProtocolPoint::SectionExit { section: 2 });
-        assert!(b.should_fail(5, ProtocolPoint::SectionExit { section: 2 }));
-        assert!(!a.should_fail(5, ProtocolPoint::SectionExit { section: 2 }));
+        assert!(b.consult(5, ProtocolPoint::SectionExit { section: 2 }, SimTime::ZERO));
+        assert!(!a.consult(5, ProtocolPoint::SectionExit { section: 2 }, SimTime::ZERO));
     }
 }

@@ -18,10 +18,13 @@
 //! message sequences per (destination, tag) channel — exactly the partial
 //! (send) determinism assumption the paper makes for its applications.
 //!
-//! On top of the logical point-to-point channel, the logical collectives the
-//! mini-applications need (barrier, broadcast, all-reduce) are implemented
-//! with the usual binomial/dissemination algorithms, so they inherit the
-//! failover behaviour of the channel.
+//! On top of the logical point-to-point channel, the one logical collective
+//! the mini-applications call, the all-reduce, is a binomial reduce to
+//! logical rank 0 followed by a binomial broadcast from it, so it inherits
+//! the failover behaviour of the channel.
+//!
+//! Nothing here can ask whether a peer replica is alive: a crash is seen
+//! only as the `ProcessFailed` of a receive on the crashed replica's stream.
 
 use crate::mapping::ReplicaMapping;
 use parking_lot::Mutex;
@@ -145,22 +148,6 @@ impl ReplicatedComm {
     /// Replication degree.
     pub fn degree(&self) -> usize {
         self.mapping.degree()
-    }
-
-    /// Replica ids of this logical process that are still alive.
-    ///
-    /// The answer is based on the failure board, which is updated at
-    /// real-time (not virtual-time) order; use it for diagnostics and
-    /// post-run assertions only, never to steer protocol decisions.
-    pub fn alive_replicas(&self) -> Vec<usize> {
-        (0..self.degree())
-            .filter(|&r| !self.is_replica_failed(r))
-            .collect()
-    }
-
-    /// True if replica `replica` of this logical process has crashed.
-    pub fn is_replica_failed(&self, replica: usize) -> bool {
-        self.replica_comm.is_failed(replica)
     }
 
     // ------------------------------------------------------------------
@@ -328,53 +315,27 @@ impl ReplicatedComm {
             + (seq % ((RESERVED_TAG_BASE - REPLICATION_TAG_BASE - 1) as u64)) as u32
     }
 
-    /// Barrier over the logical processes (dissemination algorithm on the
-    /// logical channel).
-    pub fn logical_barrier(&self) -> MpiResult<()> {
-        let size = self.num_logical();
-        let rank = self.my_logical;
-        if size <= 1 {
-            return Ok(());
-        }
-        let tag = self.next_coll_tag();
-        let mut step = 1usize;
-        while step < size {
-            let to = (rank + step) % size;
-            let from = (rank + size - step) % size;
-            self.send_logical::<u8>(&[1], to, tag)?;
-            let _ = self.recv_logical::<u8>(from, tag)?;
-            step <<= 1;
-        }
-        Ok(())
-    }
-
-    /// Broadcast over the logical processes from logical root `root`
+    /// Broadcast of `buf` from logical rank 0 over the logical processes
     /// (binomial tree on the logical channel).
-    pub fn logical_bcast<T: Pod>(&self, buf: &mut Vec<T>, root: usize) -> MpiResult<()> {
+    fn logical_bcast<T: Pod>(&self, buf: &mut Vec<T>) -> MpiResult<()> {
         let size = self.num_logical();
         let rank = self.my_logical;
-        if root >= size {
-            return Err(MpiError::InvalidRank { rank: root, size });
-        }
         if size <= 1 {
             return Ok(());
         }
         let tag = self.next_coll_tag();
-        let vrank = (rank + size - root) % size;
         let mut mask = 1usize;
         while mask < size {
-            if vrank & mask != 0 {
-                let src = (vrank - mask + root) % size;
-                *buf = self.recv_logical::<T>(src, tag)?;
+            if rank & mask != 0 {
+                *buf = self.recv_logical::<T>(rank - mask, tag)?;
                 break;
             }
             mask <<= 1;
         }
         mask >>= 1;
         while mask > 0 {
-            if vrank + mask < size {
-                let dst = (vrank + mask + root) % size;
-                self.send_logical::<T>(buf, dst, tag)?;
+            if rank + mask < size {
+                self.send_logical::<T>(buf, rank + mask, tag)?;
             }
             mask >>= 1;
         }
@@ -383,7 +344,7 @@ impl ReplicatedComm {
 
     /// Element-wise all-reduce over the logical processes (binomial reduce to
     /// logical rank 0 followed by a broadcast, both on the logical channel).
-    pub fn logical_allreduce<T: Pod, F>(&self, data: &[T], op: F) -> MpiResult<Vec<T>>
+    fn logical_allreduce<T: Pod, F>(&self, data: &[T], op: F) -> MpiResult<Vec<T>>
     where
         F: Fn(T, T) -> T,
     {
@@ -414,7 +375,7 @@ impl ReplicatedComm {
             }
             mask <<= 1;
         }
-        self.logical_bcast(&mut acc, 0)?;
+        self.logical_bcast(&mut acc)?;
         Ok(acc)
     }
 

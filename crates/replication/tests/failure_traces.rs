@@ -183,12 +183,12 @@ fn timed_injection_fires_at_the_first_point_past_the_scheduled_time() {
     inj.arm_at(3, SimTime::from_secs(5.0));
     let point = ProtocolPoint::SectionEnter { section: 0 };
     // Not due yet.
-    assert!(!inj.should_fail_at(3, point, SimTime::from_secs(4.9)));
+    assert!(!inj.consult(3, point, SimTime::from_secs(4.9)));
     // Wrong rank never fires.
-    assert!(!inj.should_fail_at(2, point, SimTime::from_secs(100.0)));
+    assert!(!inj.consult(2, point, SimTime::from_secs(100.0)));
     // Due: fires exactly once and records the firing.
-    assert!(inj.should_fail_at(3, point, SimTime::from_secs(6.0)));
-    assert!(!inj.should_fail_at(3, point, SimTime::from_secs(7.0)));
+    assert!(inj.consult(3, point, SimTime::from_secs(6.0)));
+    assert!(!inj.consult(3, point, SimTime::from_secs(7.0)));
     let fired = inj.fired_timed();
     assert_eq!(fired.len(), 1);
     assert_eq!(fired[0].rank, 3);
@@ -206,16 +206,18 @@ fn arming_a_trace_consumes_all_entries_of_the_rank_on_the_first_fire() {
         SimTime::from_secs(2.0),
         SimTime::from_secs(3.0),
     ];
-    inj.arm_trace(0, &times);
+    for at in times {
+        inj.arm_at(0, at);
+    }
     inj.arm_at(1, SimTime::from_secs(9.0));
     assert_eq!(inj.pending(), 4);
     // Crash-stop: a fire consumes every timed entry of the rank; the
     // earliest due entry is the one recorded.
     let point = ProtocolPoint::SectionExit { section: 1 };
-    assert!(inj.should_fail_at(0, point, SimTime::from_secs(2.5)));
+    assert!(inj.consult(0, point, SimTime::from_secs(2.5)));
     assert_eq!(inj.fired_timed()[0].scheduled, SimTime::from_secs(1.0));
     assert_eq!(inj.pending(), 1, "only rank 1's entry remains");
-    assert!(!inj.should_fail_at(0, point, SimTime::from_secs(100.0)));
+    assert!(!inj.consult(0, point, SimTime::from_secs(100.0)));
 }
 
 // ---------------------------------------------------------------------------

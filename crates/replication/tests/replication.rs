@@ -80,24 +80,6 @@ fn logical_allreduce_agrees_across_replica_sets() {
 }
 
 #[test]
-fn logical_bcast_and_barrier() {
-    let report = run_cluster(&ClusterConfig::ideal(6), |proc| {
-        let rcomm = ReplicatedComm::new(proc.world(), 2).unwrap();
-        rcomm.logical_barrier().unwrap();
-        let mut data = if rcomm.logical_rank() == 0 {
-            vec![7.5f64, 8.5]
-        } else {
-            vec![0.0; 2]
-        };
-        rcomm.logical_bcast(&mut data, 0).unwrap();
-        data
-    });
-    for v in report.unwrap_results() {
-        assert_eq!(v, vec![7.5, 8.5]);
-    }
-}
-
-#[test]
 fn replica_channel_carries_updates() {
     // The intra-parallelization runtime ships task updates over the replica
     // communicator; check the two replicas of each logical process can talk.

@@ -18,15 +18,6 @@ use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-/// Liveness of one simulated physical process.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ProcessState {
-    /// The process is running normally.
-    Alive,
-    /// The process has crashed (crash-stop).
-    Failed,
-}
-
 /// A recorded failure.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FailureEvent {
@@ -65,8 +56,8 @@ pub struct FailureStatusBoard {
 
 impl std::fmt::Debug for FailureStatusBoard {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // The event history names every failed rank.
         f.debug_struct("FailureStatusBoard")
-            .field("failed", &self.failed_ranks())
             .field("events", &*self.events.lock())
             .finish_non_exhaustive()
     }
@@ -82,9 +73,9 @@ impl FailureStatusBoard {
         }
     }
 
-    /// Registers a waker called after every state change (failure or
-    /// recovery), outside the board lock.  Wakers must be cheap and must not
-    /// block on the board themselves.
+    /// Registers a waker called after every new failure, outside the board
+    /// lock.  Wakers must be cheap and must not block on the board
+    /// themselves.
     pub fn register_waker(&self, waker: FailureWaker) {
         self.wakers.lock().push(waker);
     }
@@ -113,23 +104,6 @@ impl FailureStatusBoard {
         self.wake_all();
     }
 
-    /// Marks `rank` as alive again (replica restart — the paper's discussion
-    /// section points out that restarting failed replicas quickly matters).
-    pub fn mark_recovered(&self, rank: usize) {
-        if self.failed[rank].swap(false, Ordering::SeqCst) {
-            self.wake_all();
-        }
-    }
-
-    /// Liveness of `rank`.
-    pub fn state_of(&self, rank: usize) -> ProcessState {
-        if self.is_failed(rank) {
-            ProcessState::Failed
-        } else {
-            ProcessState::Alive
-        }
-    }
-
     /// True if `rank` has crashed.  Lock-free: one atomic load.
     pub fn is_failed(&self, rank: usize) -> bool {
         self.failed[rank].load(Ordering::SeqCst)
@@ -139,13 +113,6 @@ impl FailureStatusBoard {
     pub fn alive_ranks(&self) -> Vec<usize> {
         (0..self.num_procs())
             .filter(|&r| !self.is_failed(r))
-            .collect()
-    }
-
-    /// All ranks currently failed.
-    pub fn failed_ranks(&self) -> Vec<usize> {
-        (0..self.num_procs())
-            .filter(|&r| self.is_failed(r))
             .collect()
     }
 
@@ -164,7 +131,6 @@ mod tests {
         let b = FailureStatusBoard::new(4);
         assert_eq!(b.num_procs(), 4);
         assert_eq!(b.alive_ranks(), vec![0, 1, 2, 3]);
-        assert!(b.failed_ranks().is_empty());
     }
 
     #[test]
@@ -175,23 +141,11 @@ mod tests {
         assert!(!b.is_failed(0));
         b.mark_failed(1, SimTime::from_secs(3.0));
         assert_eq!(b.events().len(), 1, "re-marking must not record an event");
-        assert_eq!(b.failed_ranks(), vec![1]);
+        assert_eq!(b.alive_ranks(), vec![0, 2]);
     }
 
-    #[test]
-    fn recovery_restores_liveness() {
-        let b = FailureStatusBoard::new(2);
-        b.mark_failed(0, SimTime::ZERO);
-        assert!(b.is_failed(0));
-        b.mark_recovered(0);
-        assert!(!b.is_failed(0));
-        // Recovering an alive process is a no-op.
-        b.mark_recovered(0);
-        assert_eq!(b.state_of(0), ProcessState::Alive);
-    }
-
-    /// Every view of liveness (`is_failed`, `state_of`, the rank lists) and
-    /// the event history agree after every transition, on every clone.
+    /// Both views of liveness (`is_failed`, `alive_ranks`) and the event
+    /// history agree after every transition, on every clone.
     #[test]
     fn is_failed_agrees_with_the_locked_views() {
         let a = FailureStatusBoard::new(3);
@@ -201,9 +155,8 @@ mod tests {
                 for rank in 0..3 {
                     let expect = failed.contains(&rank);
                     assert_eq!(board.is_failed(rank), expect);
-                    assert_eq!(board.state_of(rank) == ProcessState::Failed, expect);
+                    assert_eq!(board.alive_ranks().contains(&rank), !expect);
                 }
-                assert_eq!(board.failed_ranks(), failed);
                 assert_eq!(board.alive_ranks().len(), 3 - failed.len());
                 assert_eq!(board.events().len(), events);
             }
@@ -213,8 +166,8 @@ mod tests {
         check(&[2], 1);
         b.mark_failed(0, SimTime::from_secs(2.0));
         check(&[0, 2], 2);
-        b.mark_recovered(2);
-        check(&[0], 2);
+        a.mark_failed(2, SimTime::from_secs(3.0));
+        check(&[0, 2], 2);
     }
 
     #[test]

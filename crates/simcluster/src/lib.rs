@@ -30,15 +30,13 @@ pub mod engine;
 pub mod failure;
 pub mod model;
 pub mod rng;
-pub mod stats;
 pub mod time;
 pub mod topology;
 
 pub use clock::{Endpoint, VirtualClock};
 pub use engine::{Dispatch, TaskId, VirtualEngine};
-pub use failure::{FailureEvent, FailureStatusBoard, FailureWaker, ProcessState};
+pub use failure::{FailureEvent, FailureStatusBoard, FailureWaker};
 pub use model::{ComputeModel, MachineModel, NetworkModel};
 pub use rng::seeded_rng;
-pub use stats::{Counter, StatsRegistry};
 pub use time::SimTime;
 pub use topology::{NodeId, Topology};

@@ -1,5 +1,5 @@
 //! Cluster launcher: spawns one OS thread per simulated physical process and
-//! collects results, virtual-time breakdowns and statistics.
+//! collects results and virtual-time breakdowns.
 //!
 //! Every rank gets its own thread (bodies are arbitrary blocking closures)
 //! and the host scheduler runs them as it sees fit: a rank blocked in a
@@ -15,9 +15,7 @@
 use crate::error::ConfigError;
 use crate::proc::{ProcCore, ProcHandle};
 use crate::router::Router;
-use simcluster::{
-    FailureEvent, FailureStatusBoard, MachineModel, SimTime, StatsRegistry, Topology,
-};
+use simcluster::{FailureEvent, FailureStatusBoard, MachineModel, SimTime, Topology};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -106,8 +104,6 @@ pub struct ClusterReport<R> {
     pub results: Vec<Result<R, String>>,
     /// Per-rank virtual-time summaries.
     pub procs: Vec<ProcReport>,
-    /// Shared statistics registry.
-    pub stats: StatsRegistry,
     /// Failure history (injected crashes).
     pub failures: Vec<FailureEvent>,
 }
@@ -164,11 +160,6 @@ impl<R> ClusterReport<R> {
             .collect()
     }
 
-    /// Result of a specific rank, if it completed without panicking.
-    pub fn result_of(&self, rank: usize) -> Option<&R> {
-        self.results.get(rank).and_then(|r| r.as_ref().ok())
-    }
-
     /// True if at least one process panicked.
     pub fn any_panicked(&self) -> bool {
         self.results.iter().any(|r| r.is_err())
@@ -188,7 +179,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// Runs `body` once per simulated physical process and collects the results.
 ///
 /// `body` receives a [`ProcHandle`] giving access to the world communicator,
-/// virtual time, failure injection and statistics.  The call returns when
+/// virtual time and failure injection.  The call returns when
 /// every process has returned or panicked; a run that can no longer make
 /// progress is aborted (see the module docs).
 pub fn run_cluster<R, F>(config: &ClusterConfig, body: F) -> ClusterReport<R>
@@ -226,7 +217,6 @@ where
     }
     let failures = FailureStatusBoard::new(config.num_procs);
     let router = Arc::new(Router::for_rank_threads(config.num_procs, failures.clone()));
-    let stats = StatsRegistry::new();
     let node_populations = topology.node_populations();
 
     let cores: Vec<Arc<ProcCore>> = (0..config.num_procs)
@@ -237,7 +227,6 @@ where
                 config.machine,
                 topology.clone(),
                 node_populations[topology.node_of(rank)],
-                stats.clone(),
                 config.seed,
             ))
         })
@@ -289,7 +278,6 @@ where
     Ok(ClusterReport {
         results,
         procs,
-        stats,
         failures: failures.events(),
     })
 }
@@ -334,16 +322,16 @@ mod tests {
         let report = run_cluster(&ClusterConfig::ideal(RANKS), |proc| {
             let world = proc.world();
             let (rank, size) = (world.rank(), world.size());
-            let mut sum = 0;
+            let mut sum = 0.0;
             for i in 0..ITERATIONS {
-                world.send_one(i, (rank + 1) % size, 3).unwrap();
-                let got: u64 = world.recv_one((rank + size - 1) % size, 3).unwrap();
-                sum += world.allreduce_sum_u64(got).unwrap();
+                world.send(&[i as f64], (rank + 1) % size, 3).unwrap();
+                let got: Vec<f64> = world.recv((rank + size - 1) % size, 3).unwrap();
+                sum += world.allreduce_sum_f64(got[0]).unwrap();
             }
             (sum, Arc::clone(proc.core()))
         });
         for (sum, core) in report.unwrap_results() {
-            assert_eq!(sum, RANKS as u64 * (0..ITERATIONS).sum::<u64>());
+            assert_eq!(sum, (RANKS as u64 * (0..ITERATIONS).sum::<u64>()) as f64);
             assert!(!core.router.is_aborted());
         }
     }

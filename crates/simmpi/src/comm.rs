@@ -1,10 +1,11 @@
 //! Communicators and point-to-point communication.
 //!
 //! A [`Comm`] is a group of physical processes with a private communication
-//! context.  The world communicator contains every process; `split` and
-//! `dup` derive sub-communicators with deterministic, globally consistent
-//! identifiers (all members perform the same sequence of collective calls,
-//! as MPI requires, so they derive the same ids without any exchange).
+//! context.  The world communicator contains every process;
+//! [`Comm::split_by`] derives sub-communicators with deterministic, globally
+//! consistent identifiers (all members perform the same sequence of
+//! collective calls, as MPI requires, so they derive the same ids without
+//! any exchange).
 //!
 //! Point-to-point operations follow MPI semantics: standard-mode sends are
 //! buffered (they complete locally once the payload has been handed to the
@@ -16,7 +17,7 @@ use crate::datatype::{self, Pod};
 use crate::error::{MpiError, MpiResult};
 use crate::message::{CommId, Envelope, LaneKey, Tag, RESERVED_TAG_BASE};
 use crate::proc::ProcCore;
-use crate::request::{RecvRequest, SendRequest};
+use crate::request::SendRequest;
 use bytes::Bytes;
 use simcluster::SimTime;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -51,19 +52,8 @@ pub struct Comm {
     /// Per-process counter of collective operations on this communicator
     /// (all members stay in lockstep because collectives are collective).
     coll_seq: Arc<AtomicU64>,
-    /// Per-process counter of split/dup operations on this communicator.
+    /// Per-process counter of split operations on this communicator.
     child_seq: Arc<AtomicU64>,
-}
-
-/// Status information returned by [`Comm::recv_into`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecvStatus {
-    /// Communicator rank of the sender (the one the receive named).
-    pub source: usize,
-    /// Tag of the received message.
-    pub tag: Tag,
-    /// Number of payload bytes received.
-    pub bytes: usize,
 }
 
 impl Comm {
@@ -104,16 +94,6 @@ impl Comm {
     /// Current virtual time of the calling process.
     pub fn now(&self) -> SimTime {
         self.core.now()
-    }
-
-    /// True if the member with communicator rank `r` has crashed.
-    pub fn is_failed(&self, r: usize) -> bool {
-        self.core.router.failures().is_failed(self.group[r])
-    }
-
-    /// Communicator ranks of all members that are still alive.
-    pub fn alive_ranks(&self) -> Vec<usize> {
-        (0..self.size()).filter(|&r| !self.is_failed(r)).collect()
     }
 
     fn validate_rank(&self, r: usize) -> MpiResult<()> {
@@ -164,8 +144,6 @@ impl Comm {
             modeled_bytes,
             arrival,
         };
-        self.core.ctr_messages_sent.incr();
-        self.core.ctr_bytes_sent.add(modeled_bytes as u64);
         self.core.router.deliver(env);
         Ok(SendRequest::new(inject_done))
     }
@@ -182,9 +160,9 @@ impl Comm {
     /// payload handle (for inline payloads a bounded memcpy, never an
     /// allocation).  Bit-identical in virtual time with one send per
     /// destination in order, but with the per-send fixed costs paid once:
-    /// one rank/tag/liveness validation, one clock acquisition, one batched
-    /// statistics update.  Receive with [`Comm::recv_framed`];
-    /// `modeled_bytes` must already include the head (the wire carries it).
+    /// one rank/tag/liveness validation and one clock acquisition.  Receive
+    /// with [`Comm::recv_framed`]; `modeled_bytes` must already include the
+    /// head (the wire carries it).
     pub fn send_framed_multi(
         &self,
         head: u64,
@@ -235,10 +213,6 @@ impl Comm {
             };
             self.core.router.deliver(env);
         }
-        self.core.ctr_messages_sent.add(dests.len() as u64);
-        self.core
-            .ctr_bytes_sent
-            .add((modeled_bytes * dests.len()) as u64);
         Ok(())
     }
 
@@ -255,32 +229,12 @@ impl Comm {
         Ok(())
     }
 
-    /// Blocking send that charges the network model for `modeled_bytes`
-    /// instead of the actual payload size.  Used by paper-scale experiments
-    /// that run the protocol on reduced arrays (see `docs/ARCHITECTURE.md`).
-    pub fn send_with_modeled_size<T: Pod>(
-        &self,
-        buf: &[T],
-        dest: usize,
-        tag: Tag,
-        modeled_bytes: usize,
-    ) -> MpiResult<()> {
-        Self::validate_tag(tag)?;
-        let bytes = datatype::to_payload(buf);
-        self.send_bytes(bytes, modeled_bytes, dest, tag)?;
-        Ok(())
-    }
-
-    /// Non-blocking send.  The returned request completes when the NIC has
-    /// finished injecting the message (`Comm::wait_send`).
-    pub fn isend<T: Pod>(&self, buf: &[T], dest: usize, tag: Tag) -> MpiResult<SendRequest> {
-        Self::validate_tag(tag)?;
-        let bytes = datatype::to_payload(buf);
-        let modeled = bytes.len();
-        self.send_bytes(bytes, modeled, dest, tag)
-    }
-
-    /// Non-blocking send with an explicit modeled size.
+    /// Non-blocking send that charges the network model for `modeled_bytes`
+    /// instead of the actual payload size (paper-scale experiments run the
+    /// protocol on reduced arrays, see `docs/ARCHITECTURE.md`).  Sends are
+    /// buffered, so the payload may be reused at once; the returned request
+    /// completes when the NIC has finished injecting the message
+    /// ([`Comm::waitall_send`]).  Drop it for a blocking send.
     pub fn isend_with_modeled_size<T: Pod>(
         &self,
         buf: &[T],
@@ -293,21 +247,12 @@ impl Comm {
         self.send_bytes(bytes, modeled_bytes, dest, tag)
     }
 
-    /// Waits for a send request: the sender's clock advances to the point
-    /// where the NIC finished injecting the message.
-    pub fn wait_send(&self, req: SendRequest) -> MpiResult<()> {
-        self.core
-            .endpoint
-            .lock()
-            .clock
-            .wait_until(req.completion_time());
-        Ok(())
-    }
-
-    /// Waits for all send requests.
+    /// Waits for all send requests: the sender's clock advances, request by
+    /// request, to the point where the NIC finished injecting each message.
     pub fn waitall_send(&self, reqs: Vec<SendRequest>) -> MpiResult<()> {
+        let mut endpoint = self.core.endpoint.lock();
         for r in reqs {
-            self.wait_send(r)?;
+            endpoint.clock.wait_until(r.completion_time());
         }
         Ok(())
     }
@@ -324,15 +269,15 @@ impl Comm {
         self.core.check_alive()?;
         let env = self.core.router.recv_blocking(self.core.world_rank, key)?;
         self.core.complete_recv(env.arrival, env.src_world);
-        self.core.ctr_messages_received.incr();
-        self.core.ctr_bytes_received.add(env.modeled_bytes as u64);
         Ok(env)
     }
 
-    /// The payload of a plain envelope; a framed one is a
-    /// [`MpiError::TypeMismatch`] (no sender produces it for a plain
-    /// receive).
-    fn plain(env: Envelope) -> MpiResult<Bytes> {
+    /// Internal blocking receive of raw bytes (used by collectives with
+    /// reserved tags, hence no tag validation).  A framed message on the
+    /// lane is a [`MpiError::TypeMismatch`] (no sender produces one for a
+    /// plain receive).
+    pub(crate) fn recv_bytes(&self, src: usize, tag: Tag) -> MpiResult<Bytes> {
+        let env = self.take(&self.lane(src, tag)?)?;
         match env.head {
             None => Ok(env.payload),
             Some(_) => Err(MpiError::TypeMismatch {
@@ -340,12 +285,6 @@ impl Comm {
                 elem_size: 8,
             }),
         }
-    }
-
-    /// Internal blocking receive of raw bytes (used by collectives with
-    /// reserved tags, hence no tag validation).
-    pub(crate) fn recv_bytes(&self, src: usize, tag: Tag) -> MpiResult<Bytes> {
-        Self::plain(self.take(&self.lane(src, tag)?)?)
     }
 
     /// Blocking receive of a raw payload from communicator rank `src`.
@@ -381,80 +320,28 @@ impl Comm {
         datatype::from_bytes(&self.recv_bytes(src, tag)?)
     }
 
-    /// Blocking receive into an existing, exactly-sized buffer.
-    pub fn recv_into<T: Pod>(&self, buf: &mut [T], src: usize, tag: Tag) -> MpiResult<RecvStatus> {
-        Self::validate_tag(tag)?;
-        let payload = self.recv_bytes(src, tag)?;
-        datatype::copy_into(&payload, buf)?;
-        Ok(RecvStatus {
-            source: src,
-            tag,
-            bytes: payload.len(),
-        })
-    }
-
-    /// Posts a non-blocking receive.  Matching happens at wait time, which is
-    /// equivalent for timing purposes because arrival times are computed on
-    /// the sender side.
-    pub fn irecv(&self, src: usize, tag: Tag) -> MpiResult<RecvRequest> {
-        Self::validate_tag(tag)?;
-        Ok(RecvRequest::new(self.lane(src, tag)?))
-    }
-
-    /// Waits for a posted receive and returns the typed payload.
-    pub fn wait_recv<T: Pod>(&self, req: RecvRequest) -> MpiResult<Vec<T>> {
-        datatype::from_bytes(&Self::plain(self.take(req.selector())?)?)
-    }
-
-    /// Waits for every posted receive, returning the payloads in request
-    /// order.
-    pub fn waitall_recv<T: Pod>(&self, reqs: Vec<RecvRequest>) -> MpiResult<Vec<Vec<T>>> {
-        reqs.into_iter().map(|r| self.wait_recv(r)).collect()
-    }
-
-    /// Convenience: sends a single scalar.
-    pub fn send_one<T: Pod>(&self, value: T, dest: usize, tag: Tag) -> MpiResult<()> {
-        self.send(&[value], dest, tag)
-    }
-
-    /// Convenience: receives a single scalar.
-    pub fn recv_one<T: Pod>(&self, src: usize, tag: Tag) -> MpiResult<T> {
-        let v: Vec<T> = self.recv(src, tag)?;
-        v.into_iter().next().ok_or(MpiError::TypeMismatch {
-            bytes: 0,
-            elem_size: T::SIZE,
-        })
-    }
-
     // ------------------------------------------------------------------
     // Communicator management
     // ------------------------------------------------------------------
 
-    /// Collectively splits the communicator by `color`; members with the same
-    /// color form a new communicator ordered by `key` (ties broken by the
-    /// parent rank).  Like `MPI_Comm_split`, every member must call this with
-    /// its own color/key.
-    ///
-    /// The membership of every color must be derivable locally, so this
-    /// implementation requires the caller to pass the full color/key table
-    /// via `colors_of_all` (an exchange the real MPI performs internally);
-    /// helpers such as [`Comm::split_by`] build the table from a function of
-    /// the rank, which is how all the code in this workspace uses it.
-    pub fn split_with_table(&self, colors_of_all: &[(u64, u64)], my_color: u64) -> MpiResult<Comm> {
-        if colors_of_all.len() != self.size() {
-            return Err(MpiError::InvalidCommunicator(format!(
-                "color table has {} entries for a communicator of size {}",
-                colors_of_all.len(),
-                self.size()
-            )));
-        }
+    /// Collectively splits the communicator: `f` maps every communicator
+    /// rank to its `(color, key)`, and members with the caller's color form
+    /// a new communicator ordered by `key` (ties broken by the parent rank).
+    /// Like `MPI_Comm_split`, every member must call this, here with an
+    /// equivalent function — the color table MPI exchanges internally is
+    /// derived locally from it.  A one-color split is MPI's `dup`: the same
+    /// group in a fresh matching context.
+    pub fn split_by<F>(&self, f: F) -> MpiResult<Comm>
+    where
+        F: Fn(usize) -> (u64, u64),
+    {
+        let (my_color, _) = f(self.rank());
         let seq = self.child_seq.fetch_add(1, Ordering::Relaxed);
         let id = mix(self.id, seq, my_color);
-        let mut members: Vec<(u64, usize)> = colors_of_all
-            .iter()
-            .enumerate()
-            .filter(|(_, (c, _))| *c == my_color)
-            .map(|(r, (_, k))| (*k, r))
+        let mut members: Vec<(u64, usize)> = (0..self.size())
+            .map(|r| (r, f(r)))
+            .filter(|&(_, (c, _))| c == my_color)
+            .map(|(r, (_, k))| (k, r))
             .collect();
         members.sort();
         let group: Vec<usize> = members.iter().map(|&(_, r)| self.group[r]).collect();
@@ -471,31 +358,6 @@ impl Comm {
             coll_seq: Arc::new(AtomicU64::new(0)),
             child_seq: Arc::new(AtomicU64::new(0)),
         })
-    }
-
-    /// Splits the communicator using a function from communicator rank to
-    /// (color, key).  Every member must pass an equivalent function.
-    pub fn split_by<F>(&self, f: F) -> MpiResult<Comm>
-    where
-        F: Fn(usize) -> (u64, u64),
-    {
-        let table: Vec<(u64, u64)> = (0..self.size()).map(&f).collect();
-        let (my_color, _) = f(self.rank());
-        self.split_with_table(&table, my_color)
-    }
-
-    /// Duplicates the communicator (same group, fresh matching context).
-    pub fn dup(&self) -> Comm {
-        let seq = self.child_seq.fetch_add(1, Ordering::Relaxed);
-        let id = mix(self.id, seq, u64::MAX);
-        Comm {
-            core: Arc::clone(&self.core),
-            id,
-            group: Arc::clone(&self.group),
-            my_rank: self.my_rank,
-            coll_seq: Arc::new(AtomicU64::new(0)),
-            child_seq: Arc::new(AtomicU64::new(0)),
-        }
     }
 
     /// Next reserved tag for an internal collective operation.

@@ -5,11 +5,13 @@
 //! (de)serialize by direct memory reinterpretation: fixed-size numeric types
 //! with no padding and no invalid bit patterns.
 //!
-//! The `unsafe` blocks in this module are the only unsafe code in the whole
-//! workspace.  They are sound because:
-//! * `Pod` is a sealed-by-convention marker implemented only for numeric
-//!   primitives (`f64`, `f32`, `i64`, `i32`, `u64`, `u32`, `u8`, `usize`),
-//!   all of which are valid for every bit pattern and have no padding;
+//! The `unsafe` blocks in this module are the workspace's only unsafe code
+//! outside the `alloc-counter` shim.  They are sound because:
+//! * `Pod` is sealed (its supertrait lives in a private module, so no other
+//!   crate can implement it) and is implemented only for the numeric
+//!   primitives `f64`, `f32`, `i64`, `i32`, `u64`, `u32`, `u16`, `i16`, `u8`
+//!   and `usize`, all of which are valid for every bit pattern and have no
+//!   padding;
 //! * byte views never outlive the borrowed slice, and typed views
 //!   ([`typed_view`]) are only produced when the byte buffer is aligned for
 //!   `T` (checked at runtime) on little-endian targets;
@@ -48,9 +50,34 @@ fn note_copied(bytes: usize) {
     COPIED_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
 }
 
+mod sealed {
+    /// The private supertrait that seals [`super::Pod`].
+    pub trait Sealed {}
+}
+
 /// Marker trait for element types that can be shipped by reinterpreting their
 /// memory.  See the module documentation for the safety argument.
-pub trait Pod: Copy + Send + Sync + 'static {
+///
+/// The trait is sealed: [`from_bytes`], [`copy_into`] and [`typed_view`]
+/// would turn arbitrary bytes into an invalid value of a type with padding or
+/// invalid bit patterns, so no type outside this module may implement it.
+///
+/// ```compile_fail
+/// #[derive(Clone, Copy)]
+/// struct Padded {
+///     flag: bool,
+///     value: u64,
+/// }
+///
+/// impl simmpi::Pod for Padded {
+///     const SIZE: usize = 16;
+///     fn write_le(&self, _out: &mut Vec<u8>) {}
+///     fn read_le(_bytes: &[u8]) -> Self {
+///         Padded { flag: false, value: 0 }
+///     }
+/// }
+/// ```
+pub trait Pod: sealed::Sealed + Copy + Send + Sync + 'static {
     /// Size of one element in bytes.
     const SIZE: usize;
     /// Serializes one element into little-endian bytes.
@@ -65,6 +92,7 @@ pub trait Pod: Copy + Send + Sync + 'static {
 macro_rules! impl_pod {
     ($($t:ty),*) => {
         $(
+            impl sealed::Sealed for $t {}
             impl Pod for $t {
                 const SIZE: usize = std::mem::size_of::<$t>();
                 fn write_le(&self, out: &mut Vec<u8>) {
@@ -82,6 +110,7 @@ macro_rules! impl_pod {
 
 impl_pod!(f64, f32, i64, i32, u64, u32, u16, i16, u8);
 
+impl sealed::Sealed for usize {}
 impl Pod for usize {
     const SIZE: usize = 8;
     fn write_le(&self, out: &mut Vec<u8>) {
@@ -105,11 +134,9 @@ pub fn to_bytes<T: Pod>(data: &[T]) -> Vec<u8> {
     out
 }
 
-/// Appends the little-endian serialization of `data` to an existing byte
-/// vector.  This is the allocation-free building block behind [`to_bytes`];
-/// callers that assemble framed messages (header + payload) use it to
-/// serialize directly into the frame instead of through a temporary vector.
-pub fn to_bytes_into<T: Pod>(data: &[T], out: &mut Vec<u8>) {
+/// Appends the little-endian serialization of `data` to `out`: the building
+/// block behind [`to_bytes`].
+fn to_bytes_into<T: Pod>(data: &[T], out: &mut Vec<u8>) {
     note_copied(data.len() * T::SIZE);
     if wire_layout_matches::<T>() {
         // SAFETY: `T: Pod` guarantees `T` is a plain numeric type valid for
@@ -127,65 +154,27 @@ pub fn to_bytes_into<T: Pod>(data: &[T], out: &mut Vec<u8>) {
     }
 }
 
-/// Serializes a typed slice directly into a payload [`bytes::Bytes`].
-///
-/// When the wire size fits [`bytes::Bytes::INLINE_CAP`] the serialization
-/// goes through a stack buffer into the inline representation — *zero* heap
-/// allocations for the whole send-side payload path.  Larger payloads take
-/// the ordinary [`to_bytes`] + `Bytes::from(Vec)` route (one allocation,
-/// moved in without re-copying).
+/// Serializes a typed slice directly into a payload [`bytes::Bytes`] with one
+/// copy: [`bytes::Bytes::with_len`] hands out the inline representation when
+/// the wire size fits [`bytes::Bytes::INLINE_CAP`] — *zero* heap allocations
+/// for the whole send-side payload path — and one buffer that becomes the
+/// payload without a further copy otherwise.
 pub fn to_payload<T: Pod>(data: &[T]) -> bytes::Bytes {
-    to_payload_framed(&[], data)
-}
-
-/// Serializes `header` followed by the little-endian serialization of `data`
-/// into a payload [`bytes::Bytes`], staying allocation-free when the whole
-/// frame fits the inline representation.  Framed protocols (e.g. the
-/// replicated channel's sequence-number prefix) build their wire frame with
-/// this instead of assembling a temporary vector.
-///
-/// # Panics
-/// Panics if `header` alone exceeds [`bytes::Bytes::INLINE_CAP`] while the
-/// total frame would have fit (cannot happen for the fixed small headers the
-/// runtime uses).
-pub fn to_payload_framed<T: Pod>(header: &[u8], data: &[T]) -> bytes::Bytes {
-    let wire = data.len() * T::SIZE;
-    let total = header.len() + wire;
-    if total <= bytes::Bytes::INLINE_CAP && wire_layout_matches::<T>() {
-        note_copied(wire);
-        let mut buf = [0u8; bytes::Bytes::INLINE_CAP];
-        buf[..header.len()].copy_from_slice(header);
+    if !wire_layout_matches::<T>() {
+        // Portable element-wise fallback (big-endian targets, wire sizes
+        // that differ from in-memory sizes).
+        return bytes::Bytes::from(to_bytes(data));
+    }
+    note_copied(data.len() * T::SIZE);
+    bytes::Bytes::with_len(std::mem::size_of_val(data), |buf| {
         // SAFETY: same argument as `to_bytes_into` — `T: Pod` is a plain
         // numeric type valid for any bit pattern with no padding, and the
         // byte view does not outlive `data`.
         let raw: &[u8] = unsafe {
             std::slice::from_raw_parts(data.as_ptr().cast::<u8>(), std::mem::size_of_val(data))
         };
-        buf[header.len()..total].copy_from_slice(raw);
-        bytes::Bytes::copy_from_slice(&buf[..total])
-    } else if wire_layout_matches::<T>() {
-        note_copied(wire);
-        // Serialize straight into the `Bytes` buffer (one zeroed `Vec` that
-        // becomes the payload without a further copy; see
-        // [`bytes::Bytes::with_len`]).
-        bytes::Bytes::with_len(total, |buf| {
-            buf[..header.len()].copy_from_slice(header);
-            // SAFETY: same argument as `to_bytes_into` — `T: Pod` is a plain
-            // numeric type valid for any bit pattern with no padding, and
-            // the byte view does not outlive `data`.
-            let raw: &[u8] = unsafe {
-                std::slice::from_raw_parts(data.as_ptr().cast::<u8>(), std::mem::size_of_val(data))
-            };
-            buf[header.len()..].copy_from_slice(raw);
-        })
-    } else {
-        // Portable element-wise fallback (big-endian targets, wire sizes
-        // that differ from in-memory sizes).
-        let mut out = Vec::with_capacity(total);
-        out.extend_from_slice(header);
-        to_bytes_into(data, &mut out);
-        bytes::Bytes::from(out)
-    }
+        buf.copy_from_slice(raw);
+    })
 }
 
 /// True when `T`'s in-memory layout equals its little-endian wire format —
@@ -200,10 +189,15 @@ fn wire_layout_matches<T: Pod>() -> bool {
 
 /// Zero-copy reinterpretation of a byte buffer as a typed slice.
 ///
-/// Returns `Some(view)` when no copy is needed to read the buffer as `[T]`:
-/// the target is little-endian, the length is an exact multiple of the
-/// element size, and the buffer happens to be aligned for `T`.  Returns
-/// `None` otherwise — callers fall back to [`from_bytes`].  Receive paths
+/// Returns `Some(view)` exactly when no copy is needed to read the buffer as
+/// `[T]`, that is when all three hold:
+/// * the target is little-endian (and `T`'s wire size is its in-memory
+///   size, true for every `Pod` type on 64-bit targets);
+/// * `bytes.len() % T::SIZE == 0`;
+/// * `bytes.as_ptr()` is aligned for `T`.
+///
+/// The view then equals [`from_bytes`]`(bytes)`.  Returns `None`
+/// otherwise — callers fall back to [`from_bytes`].  Receive paths
 /// use this to *borrow* typed data straight out of a shared payload (e.g.
 /// the reduction combine loop), skipping the deserialization copy entirely.
 pub fn typed_view<T: Pod>(bytes: &[u8]) -> Option<&[T]> {
@@ -263,51 +257,14 @@ pub fn from_bytes<T: Pod>(bytes: &[u8]) -> MpiResult<Vec<T>> {
     Ok(out)
 }
 
-/// Deserializes a byte buffer by appending to an existing typed vector.
-///
-/// The gather assembly loop uses this to decode each received part straight
-/// into the result buffer instead of materializing a temporary vector per
-/// part.  Returns [`MpiError::TypeMismatch`] on a length that is not a
-/// multiple of the element size.
-pub fn extend_from_bytes<T: Pod>(bytes: &[u8], out: &mut Vec<T>) -> MpiResult<()> {
-    if !bytes.len().is_multiple_of(T::SIZE) {
-        return Err(MpiError::TypeMismatch {
-            bytes: bytes.len(),
-            elem_size: T::SIZE,
-        });
-    }
-    note_copied(bytes.len());
-    let n = bytes.len() / T::SIZE;
-    out.reserve(n);
-    if wire_layout_matches::<T>() {
-        let old_len = out.len();
-        // SAFETY: `reserve(n)` guarantees capacity for `old_len + n`
-        // elements; exactly `n * T::SIZE == bytes.len()` bytes are copied
-        // into the spare capacity — `n` elements, because `T::SIZE ==
-        // size_of::<T>()` (`wire_layout_matches`) — and every bit pattern
-        // is a valid `T`.
-        unsafe {
-            std::ptr::copy_nonoverlapping(
-                bytes.as_ptr(),
-                out.as_mut_ptr().add(old_len).cast::<u8>(),
-                n * T::SIZE,
-            );
-            out.set_len(old_len + n);
-        }
-    } else {
-        for i in 0..n {
-            out.push(T::read_le(&bytes[i * T::SIZE..(i + 1) * T::SIZE]));
-        }
-    }
-    Ok(())
-}
-
 /// Deserializes a byte buffer into an existing typed slice.
 ///
-/// The destination must have exactly the right number of elements; a shorter
-/// destination yields [`MpiError::Truncated`], a longer one
-/// [`MpiError::TypeMismatch`] (the protocols in this workspace always size
-/// buffers exactly).
+/// The destination must have exactly the right number of elements.  Errors,
+/// checked in this order, leave `dst` untouched:
+/// * [`MpiError::TypeMismatch`] when `bytes.len()` is not a multiple of
+///   `T::SIZE`;
+/// * [`MpiError::Truncated`] when the destination is too short;
+/// * [`MpiError::TypeMismatch`] when the destination is too long.
 pub fn copy_into<T: Pod>(bytes: &[u8], dst: &mut [T]) -> MpiResult<()> {
     if !bytes.len().is_multiple_of(T::SIZE) {
         return Err(MpiError::TypeMismatch {
@@ -443,18 +400,6 @@ mod tests {
     }
 
     #[test]
-    fn extend_from_bytes_decodes_in_place() {
-        let mut out = vec![7i32];
-        extend_from_bytes(&to_bytes(&[1i32, 2, 3]), &mut out).unwrap();
-        assert_eq!(out, vec![7, 1, 2, 3]);
-        assert!(matches!(
-            extend_from_bytes::<i32>(&[0u8; 5], &mut out),
-            Err(MpiError::TypeMismatch { .. })
-        ));
-        assert_eq!(out.len(), 4, "failed extend must not change the buffer");
-    }
-
-    #[test]
     fn copied_bytes_counter_tracks_conversions() {
         // The counter is process-global and sibling unit tests run in
         // parallel in this binary, so assert only deltas large enough that
@@ -477,19 +422,15 @@ mod tests {
     }
 
     #[test]
-    fn to_payload_framed_round_trips_across_the_inline_boundary() {
-        // 7 f64 + 8-byte header = 64 bytes (inline); 8 f64 + header = 72
-        // (heap).  Both must produce identical wire content.
-        for elems in [0usize, 1, 7, 8, 100] {
+    fn to_payload_round_trips_across_the_inline_boundary() {
+        // 8 f64 = 64 bytes (inline); 9 f64 = 72 bytes (heap).  Both must
+        // produce exactly the `to_bytes` wire content.
+        for elems in [0usize, 1, 8, 9, 100] {
             let data: Vec<f64> = (0..elems).map(|i| i as f64 * 1.25 - 3.0).collect();
-            let header = 0xDEAD_BEEF_u64.to_le_bytes();
-            let payload = to_payload_framed(&header, &data);
-            assert_eq!(payload.len(), 8 + elems * 8);
-            assert_eq!(&payload[..8], &header);
-            let back: Vec<f64> = from_bytes(&payload[8..]).unwrap();
-            assert_eq!(back, data);
-            // And the unframed variant matches to_bytes exactly.
-            assert_eq!(&to_payload(&data)[..], &to_bytes(&data)[..]);
+            let payload = to_payload(&data);
+            assert_eq!(payload.len(), elems * 8);
+            assert_eq!(&payload[..], &to_bytes(&data)[..]);
+            assert_eq!(from_bytes::<f64>(&payload).unwrap(), data);
         }
     }
 

@@ -25,11 +25,13 @@
 //! ## Layering
 //!
 //! * [`cluster`] spawns the threads and collects reports;
-//! * [`comm`] implements communicators and point-to-point messaging, where
-//!   every receive names its `(communicator, source, tag)` lane — the
-//!   send-deterministic programs replication supports need no wildcard;
-//! * [`collectives`] adds barrier / bcast / reduce / allreduce / (all)gather /
-//!   scatter;
+//! * [`comm`] implements communicators (`split_by`) and point-to-point
+//!   messaging: buffered sends, non-blocking ones completed by
+//!   `waitall_send`, and receives that each name one `(communicator, source,
+//!   tag)` lane — the send-deterministic programs replication supports need
+//!   no wildcard;
+//! * [`collectives`] adds the barrier and the all-reductions (a reduction to
+//!   rank 0, then a broadcast from it);
 //! * [`router`] moves envelopes between per-rank mailboxes;
 //! * [`engine`] is the second execution strategy: cooperatively-scheduled
 //!   rank state machines on a discrete-event virtual-time core, lifting the
@@ -57,10 +59,9 @@ pub mod request;
 pub mod router;
 
 pub use cluster::{run_cluster, try_run_cluster, ClusterConfig, ClusterReport, ProcReport};
-pub use comm::{Comm, RecvStatus, WORLD_COMM_ID};
+pub use comm::{Comm, WORLD_COMM_ID};
 pub use datatype::{
-    copied_bytes, copy_into, extend_from_bytes, from_bytes, reset_copied_bytes, to_bytes,
-    to_bytes_into, to_payload, to_payload_framed, typed_view, Pod,
+    copied_bytes, copy_into, from_bytes, reset_copied_bytes, to_bytes, to_payload, typed_view, Pod,
 };
 pub use engine::{
     run_virtual_cluster, try_run_virtual_cluster, EngineConfig, RankCtx, RankEnd, RankProgram,
@@ -70,5 +71,5 @@ pub use error::{ConfigError, MpiError, MpiResult};
 pub use fxhash::{FxBuildHasher, FxHasher};
 pub use message::{CommId, Envelope, LaneKey, Tag, RESERVED_TAG_BASE};
 pub use proc::ProcHandle;
-pub use request::{RecvRequest, SendRequest};
+pub use request::SendRequest;
 pub use router::Router;

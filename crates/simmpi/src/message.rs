@@ -4,7 +4,7 @@ use bytes::Bytes;
 use simcluster::SimTime;
 
 /// Identifier of a communicator, globally consistent across the processes
-/// that are members of it (derived deterministically at `split`/`dup` time).
+/// that are members of it (derived deterministically at `split_by` time).
 pub type CommId = u64;
 
 /// Message tag.  Application tags must stay below [`RESERVED_TAG_BASE`];

@@ -3,9 +3,7 @@
 use crate::error::{MpiError, MpiResult};
 use crate::router::Router;
 use parking_lot::Mutex;
-use simcluster::{
-    Counter, Endpoint, FailureStatusBoard, MachineModel, SimTime, StatsRegistry, Topology,
-};
+use simcluster::{Endpoint, MachineModel, SimTime, Topology};
 use std::sync::Arc;
 
 /// Internal per-process state shared by every communicator owned by one
@@ -21,15 +19,6 @@ pub struct ProcCore {
     /// The rank's clock and sending channels, with the message-timing
     /// formulas — the same record the event engine keeps per rank.
     pub(crate) endpoint: Mutex<Endpoint>,
-    pub(crate) stats: StatsRegistry,
-    /// Hot-path message counters, resolved once at construction.  The
-    /// registry lookup (`RwLock` + name-keyed map) is far too expensive to
-    /// repeat per message on the fabric fast path; these handles update the
-    /// very counters the registry serves, so `stats` snapshots stay exact.
-    pub(crate) ctr_messages_sent: Arc<Counter>,
-    pub(crate) ctr_bytes_sent: Arc<Counter>,
-    pub(crate) ctr_messages_received: Arc<Counter>,
-    pub(crate) ctr_bytes_received: Arc<Counter>,
     pub(crate) seed: u64,
 }
 
@@ -42,7 +31,6 @@ impl ProcCore {
         machine: MachineModel,
         topology: Topology,
         node_population: usize,
-        stats: StatsRegistry,
         seed: u64,
     ) -> Self {
         ProcCore {
@@ -52,11 +40,6 @@ impl ProcCore {
             machine,
             topology,
             endpoint: Mutex::new(Endpoint::new(node_population)),
-            ctr_messages_sent: stats.counter("mpi.messages_sent"),
-            ctr_bytes_sent: stats.counter("mpi.bytes_sent"),
-            ctr_messages_received: stats.counter("mpi.messages_received"),
-            ctr_bytes_received: stats.counter("mpi.bytes_received"),
-            stats,
             seed,
         }
     }
@@ -120,7 +103,9 @@ impl ProcCore {
 /// Handle given to the per-process closure by the cluster launcher.
 ///
 /// It exposes the world communicator, virtual-time accounting, the machine
-/// model, statistics, and failure injection.  Cloning is cheap; all clones
+/// model, and this process's own liveness and crash injection — never a
+/// peer's: a rank sees another rank's crash only as the
+/// [`MpiError::ProcessFailed`] of a receive.  Cloning is cheap; all clones
 /// refer to the same process.
 #[derive(Clone)]
 pub struct ProcHandle {
@@ -175,13 +160,6 @@ impl ProcHandle {
         self.core.endpoint.lock().clock.advance_other(dt);
     }
 
-    /// Virtual-time breakdown: (now, compute, comm, wait).
-    pub fn time_breakdown(&self) -> (SimTime, SimTime, SimTime, SimTime) {
-        let endpoint = self.core.endpoint.lock();
-        let c = &endpoint.clock;
-        (c.now(), c.compute_time(), c.comm_time(), c.wait_time())
-    }
-
     /// The machine model in effect.
     pub fn machine(&self) -> &MachineModel {
         &self.core.machine
@@ -190,16 +168,6 @@ impl ProcHandle {
     /// The process placement in effect.
     pub fn topology(&self) -> &Topology {
         &self.core.topology
-    }
-
-    /// Shared statistics registry.
-    pub fn stats(&self) -> &StatsRegistry {
-        &self.core.stats
-    }
-
-    /// Shared failure board.
-    pub fn failures(&self) -> &FailureStatusBoard {
-        self.core.router.failures()
     }
 
     /// Global seed configured for this run (use with

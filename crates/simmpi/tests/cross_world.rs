@@ -76,9 +76,12 @@ fn run_threaded(proc: ProcHandle) {
     for step in script(world.rank(), world.size()) {
         match step {
             Step::Compute { flops, mem_bytes } => proc.charge_compute(flops, mem_bytes),
-            Step::Send { dst, tag, bytes } => world
-                .send_with_modeled_size(&[0u8], dst, tag, bytes)
-                .unwrap(),
+            Step::Send { dst, tag, bytes } => {
+                // A buffered send: the request is dropped, not waited on.
+                world
+                    .isend_with_modeled_size(&[0u8], dst, tag, bytes)
+                    .unwrap();
+            }
             Step::Recv { src, tag } => {
                 world.recv::<u8>(src.unwrap(), tag.unwrap()).unwrap();
             }

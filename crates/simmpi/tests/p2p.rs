@@ -63,53 +63,34 @@ fn tags_demultiplex_messages() {
             a + b
         }
     });
-    assert_eq!(*report.result_of(1).unwrap(), 30);
+    assert_eq!(report.unwrap_results()[1], 30);
 }
 
 #[test]
-fn isend_irecv_waitall_round_trip() {
+fn isend_recv_waitall_round_trip() {
     let report = run_cluster(&ClusterConfig::ideal(3), |proc| {
         let world = proc.world();
         let rank = world.rank();
-        // Everyone sends its rank to everyone else, non-blockingly.
-        let mut sends = Vec::new();
-        let mut recvs = Vec::new();
-        for peer in 0..world.size() {
-            if peer != rank {
-                sends.push(world.isend(&[rank as u64], peer, 5).unwrap());
-                recvs.push(world.irecv(peer, 5).unwrap());
-            }
-        }
-        let received: Vec<Vec<u64>> = world.waitall_recv(recvs).unwrap();
+        // Everyone sends its rank to everyone else, non-blockingly, then
+        // receives from everyone else before waiting for its sends.
+        let peers: Vec<usize> = (0..world.size()).filter(|&p| p != rank).collect();
+        let sends = peers
+            .iter()
+            .map(|&peer| world.isend_with_modeled_size(&[rank as u64], peer, 5, 8))
+            .collect::<Result<Vec<_>, _>>()
+            .unwrap();
+        let received: u64 = peers
+            .iter()
+            .map(|&peer| world.recv::<u64>(peer, 5).unwrap()[0])
+            .sum();
         world.waitall_send(sends).unwrap();
-        received.into_iter().map(|v| v[0]).sum::<u64>()
+        received
     });
     let results = report.unwrap_results();
     // Each rank receives the sum of the other two ranks.
     assert_eq!(results[0], 1 + 2);
     assert_eq!(results[1], 2);
     assert_eq!(results[2], 1);
-}
-
-#[test]
-fn recv_into_and_scalar_helpers() {
-    let report = run_cluster(&ClusterConfig::ideal(2), |proc| {
-        let world = proc.world();
-        if world.rank() == 0 {
-            world.send_one(41.5f64, 1, 9).unwrap();
-            world.send(&[7i64, 8, 9], 1, 10).unwrap();
-            0.0
-        } else {
-            let x: f64 = world.recv_one(0, 9).unwrap();
-            let mut buf = [0i64; 3];
-            let status = world.recv_into(&mut buf, 0, 10).unwrap();
-            assert_eq!(status.source, 0);
-            assert_eq!(status.bytes, 24);
-            assert_eq!(buf, [7, 8, 9]);
-            x
-        }
-    });
-    assert_eq!(*report.result_of(1).unwrap(), 41.5);
 }
 
 #[test]
@@ -223,7 +204,7 @@ fn modeled_size_overrides_payload_size_for_timing() {
         if world.rank() == 0 {
             // 8-byte real payload, but modeled as 1 MB.
             world
-                .send_with_modeled_size(&[1.0f64], 1, 1, 1_000_000)
+                .isend_with_modeled_size(&[1.0f64], 1, 1, 1_000_000)
                 .unwrap();
             0.0
         } else {
@@ -279,10 +260,11 @@ fn per_process_compute_charges_accumulate() {
     let report = run_cluster(&ClusterConfig::new(1), |proc| {
         proc.charge_compute(1.0e9, 0.0);
         proc.charge_compute(1.0e9, 0.0);
-        let (now, compute, _, _) = proc.time_breakdown();
-        (now.as_secs(), compute.as_secs())
     });
-    let (now, compute) = report.unwrap_results()[0];
+    let (now, compute) = (
+        report.procs[0].final_time.as_secs(),
+        report.procs[0].compute_time.as_secs(),
+    );
     assert!(compute > 0.0);
     assert!((now - compute).abs() < 1e-12);
 }

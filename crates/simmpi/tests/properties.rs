@@ -1,6 +1,7 @@
 //! Property-based tests of the simulated MPI runtime: collective results
-//! must match their sequential definitions for arbitrary inputs, sizes and
-//! roots, and the virtual clock must never run backwards.
+//! must match their sequential definitions for arbitrary inputs and sizes,
+//! the virtual clock must never run backwards, and the typed payload views
+//! hold exactly when their documented conditions do.
 
 use proptest::prelude::*;
 use simmpi::{run_cluster, ClusterConfig};
@@ -29,51 +30,6 @@ proptest! {
             for (g, v) in got.iter().zip(&values) {
                 prop_assert!((g - v * factor).abs() < 1e-6 * (1.0 + v.abs() * factor.abs()));
             }
-        }
-    }
-
-    #[test]
-    fn bcast_from_any_root_delivers_identical_data(
-        n in 2usize..9,
-        root_pick in 0usize..8,
-        payload in proptest::collection::vec(-1e6f64..1e6, 1..32),
-    ) {
-        let root = root_pick % n;
-        let payload_for_root = payload.clone();
-        let report = run_cluster(&ClusterConfig::ideal(n), move |proc| {
-            let world = proc.world();
-            let mut data = if world.rank() == root {
-                payload_for_root.clone()
-            } else {
-                vec![0.0; payload_for_root.len()]
-            };
-            world.bcast(&mut data, root).unwrap();
-            data
-        });
-        for got in report.unwrap_results() {
-            prop_assert_eq!(&got, &payload);
-        }
-    }
-
-    #[test]
-    fn gather_scatter_round_trip(
-        n in 2usize..7,
-        chunk in proptest::collection::vec(-1e3f64..1e3, 1..8),
-    ) {
-        let chunk_len = chunk.len();
-        let report = run_cluster(&ClusterConfig::ideal(n), move |proc| {
-            let world = proc.world();
-            // Each rank owns a distinct chunk; gather to root then scatter
-            // back must return the original chunk.
-            let mine: Vec<f64> = chunk.iter().map(|v| v + world.rank() as f64).collect();
-            let gathered = world.gather(&mine, 0).unwrap();
-            let back = world
-                .scatter(gathered.as_deref(), chunk_len, 0)
-                .unwrap();
-            (mine, back)
-        });
-        for (mine, back) in report.unwrap_results() {
-            prop_assert_eq!(mine, back);
         }
     }
 
@@ -158,14 +114,98 @@ proptest! {
                 assert!(now >= last, "virtual clock went backwards");
                 last = now;
             }
-            let (now, compute, comm, wait) = proc.time_breakdown();
-            (now.as_secs(), compute.as_secs(), comm.as_secs(), wait.as_secs())
         });
-        for (now, compute, comm, wait) in report.unwrap_results() {
+        for p in &report.procs {
+            let (now, compute, comm, wait) = (
+                p.final_time.as_secs(),
+                p.compute_time.as_secs(),
+                p.comm_time.as_secs(),
+                p.wait_time.as_secs(),
+            );
             prop_assert!(now >= compute);
             prop_assert!(comm >= wait);
             prop_assert!(now + 1e-12 >= compute + comm * 0.0); // sanity: all finite, non-negative
             prop_assert!(now.is_finite() && compute >= 0.0 && comm >= 0.0 && wait >= 0.0);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Typed payload views: `typed_view`, `copy_into` and `to_payload` against
+// their documented conditions, on arbitrary bytes at every offset of an
+// 8-aligned buffer.
+// ---------------------------------------------------------------------------
+
+mod payload_views {
+    use proptest::prelude::*;
+    use simmpi::{copy_into, from_bytes, to_bytes, to_payload, typed_view, MpiError, Pod};
+
+    /// Checks every documented condition for element type `T` on `bytes`;
+    /// `dst_pick` chooses a `copy_into` destination one element short,
+    /// exact, or one or two elements long.
+    fn check<T: Pod>(bytes: &[u8], dst_pick: usize) {
+        let len = bytes.len();
+        let viewable = cfg!(target_endian = "little")
+            && len.is_multiple_of(T::SIZE)
+            && (bytes.as_ptr() as usize).is_multiple_of(std::mem::align_of::<T>());
+        let view = typed_view::<T>(bytes);
+        assert_eq!(
+            view.is_some(),
+            viewable,
+            "len {len} at {:p}",
+            bytes.as_ptr()
+        );
+        if let Some(view) = view {
+            // Bitwise: arbitrary bytes include NaN payloads.
+            assert_eq!(to_bytes(view), to_bytes(&from_bytes::<T>(bytes).unwrap()));
+        }
+
+        let n = len / T::SIZE;
+        let dst_len = n.saturating_sub(1) + dst_pick;
+        let mut dst = from_bytes::<T>(&vec![0u8; dst_len * T::SIZE]).unwrap();
+        let expected = if !len.is_multiple_of(T::SIZE) || n < dst_len {
+            Err(MpiError::TypeMismatch {
+                bytes: len,
+                elem_size: T::SIZE,
+            })
+        } else if n > dst_len {
+            Err(MpiError::Truncated {
+                got: len,
+                capacity: dst_len * T::SIZE,
+            })
+        } else {
+            Ok(())
+        };
+        assert_eq!(
+            copy_into(bytes, &mut dst),
+            expected,
+            "len {len} into {dst_len}"
+        );
+        if expected.is_ok() {
+            assert_eq!(to_bytes(&dst), bytes);
+        }
+
+        let values = from_bytes::<T>(&bytes[..n * T::SIZE]).unwrap();
+        assert_eq!(&to_payload(&values)[..], &to_bytes(&values)[..]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn typed_views_and_copies_hold_exactly_their_documented_conditions(
+            data in proptest::collection::vec(any::<u8>(), 0..160),
+            offset in 0usize..8,
+            dst_pick in 0usize..4,
+        ) {
+            // Place `data` at `offset` bytes past an 8-aligned address.
+            let mut backing = vec![0u8; data.len() + offset + 8];
+            let base = backing.as_ptr().align_offset(8) + offset;
+            backing[base..base + data.len()].copy_from_slice(&data);
+            let bytes = &backing[base..base + data.len()];
+            check::<f64>(bytes, dst_pick);
+            check::<u32>(bytes, dst_pick);
+            check::<u16>(bytes, dst_pick);
         }
     }
 }
