@@ -88,9 +88,10 @@ schedulers-smoke:
 	done
 
 # The event-engine gate: the weak-scaling smoke sweep, the Weibull and
-# rack-correlated failure sweep, the 200 000-rank point and the
-# 1 000 000-rank point must each match their checked-in golden baseline
-# bit-exactly, and the 10k-logical-rank sweep must still run.  Each sweep
+# rack-correlated failure sweep (native, replicated and intra rows), the
+# 200 000-rank point and the 1 000 000-rank point must each match their
+# checked-in golden baseline bit-exactly, and the 10k-logical-rank sweep
+# must still run.  Each sweep
 # runs once: the engine is one loop, there is no second configuration to
 # compare against.
 weak-smoke:

@@ -177,16 +177,17 @@ impl WeakSweep {
         }
     }
 
-    /// Weak scaling under realistic failure pressure: 1k logical ranks,
-    /// native vs intra, with the fitted Weibull MTBF hazard per rank and
+    /// Weak scaling under realistic failure pressure: 1k logical ranks in
+    /// all three modes, with the fitted Weibull MTBF hazard per rank and
     /// rack-correlated events (one rack = 8 nodes) — the sweep that shows
-    /// replica-disjoint placement absorbing correlated losses at scale.
+    /// replica-disjoint placement absorbing correlated losses at scale, and
+    /// the only gated sweep whose replicated rows crash at that size.
     /// Gated against `crates/campaign/golden/weak_failures.json`.
     pub fn failures() -> Self {
         WeakSweep {
             name: "weak-failures".to_string(),
             logical: vec![1_000],
-            modes: vec![WeakMode::Native, WeakMode::Intra],
+            modes: vec![WeakMode::Native, WeakMode::Replicated, WeakMode::Intra],
             iters: 2,
             failures: vec![
                 FailureSpec::Poisson {
