@@ -16,9 +16,21 @@
 //! *bursts*: compute charges and sends are rank-local (the sender's channel
 //! busy-until times live with the rank), so a burst touches nothing but its
 //! own rank until the program posts a `Recv` — the engine's only
-//! continuation point; the sends it buffered are delivered when it ends.  A
-//! receive that cannot be matched parks the rank; the matching delivery
-//! later schedules a resumption at the message's virtual arrival time.
+//! continuation point; the sends it buffered are delivered when it ends.
+//! One dispatch runs a rank for as long as it can go:
+//!
+//! * a receive the rank can satisfy when it posts it — a queued match, or
+//!   `PeerFailed` from a crashed named source — is completed on the spot
+//!   and the same dispatch runs the next burst;
+//! * a receive that cannot be matched parks the rank.  A delivery that
+//!   matches a parked *exact* receive (naming both source and tag)
+//!   completes it there and then — the receiver's clock is frozen while it
+//!   is parked, so the result is the one a later dispatch would compute —
+//!   and schedules the rank's resumption at the message's virtual arrival
+//!   time; the message never enters an inbox.  A delivery matching a parked
+//!   wildcard receive is queued and schedules a resumption at its arrival,
+//!   where the match is made among everything queued by then.
+//!
 //! Where the router blocks an OS thread on a mailbox condvar, the engine
 //! parks a task and wakes it by event — the same generation/waker semantics
 //! expressed as continuations.
@@ -31,7 +43,8 @@
 //! order threaded through the slab, each entry a message plus its link (48
 //! bytes); an entry a receive vacates goes on the slab's free list for the
 //! next delivery, so the slab grows to the run's high-water mark of queued
-//! messages and no rank owns a buffer.  A burst runs under one unwind guard:
+//! messages and no rank owns a buffer.  The waiter lists of § Liveness sit
+//! beside the slots, 12 bytes per rank.  A burst runs under one unwind guard:
 //! a program that panics ends its burst as errored, the sends it made
 //! before the panic are delivered, and its message goes to a sparse error
 //! list, not the slot.
@@ -41,12 +54,19 @@
 //! A run is a pure function of its configuration and programs — every
 //! report field, the `dispatches` diagnostic included, and every program's
 //! sequence of receive outcomes.  The dispatch order is fixed (ready ranks
-//! FIFO, then resumptions by `(virtual time, insertion)`), and on top of it:
+//! FIFO, then resumptions by `(virtual time, insertion)`); `dispatches`
+//! counts one per initial start, per resumption of a parked rank and per
+//! rank a crash wakes, stale ones included (a duplicate wakeup of a
+//! wildcard receiver is a no-op dispatch), but none for a receive satisfied
+//! when it is posted.  On top of the fixed order:
 //!
 //! * every per-rank quantity (clock, channel busy-until) is touched only by
 //!   the rank itself, and a receive completes at `max(receiver clock,
 //!   arrival) + overhead` regardless of *when* in host time the match
-//!   happened (the conservative-clock rule of [`simcluster::clock`]);
+//!   happened (the conservative-clock rule of [`simcluster::clock`]).  An
+//!   exact receive's outcome is therefore the same whenever in host order
+//!   it is matched: its source's messages with its tag queue in send order,
+//!   and every message a rank sends is delivered before it retires;
 //! * a wildcard receive takes, among the matching messages *queued when it
 //!   is attempted*, the one with the smallest `(arrival, source, tag, sender
 //!   sequence)` — see `Inbox::take` — not the one delivered first.  A
@@ -64,6 +84,16 @@
 //!   rank.
 //!
 //! ## Liveness
+//!
+//! A crash (or an errored rank) must wake the ranks parked on a receive
+//! naming it, so they observe `PeerFailed` instead of waiting forever.  A
+//! rank parked on a named source is linked into that source's waiter list
+//! (intrusive and doubly linked: two links per rank plus one head per
+//! source) and unlinked when its receive completes; retiring a rank settles
+//! and readies exactly its list, in ascending rank order — a message the
+//! rank delivered before it failed if one matches, else `PeerFailed`.  A
+//! crash costs work proportional to its waiters, never a pass over the
+//! world.
 //!
 //! When the event queue drains with ranks still parked, those ranks are
 //! *provably* deadlocked (nothing can ever wake them) and are reported as
@@ -314,10 +344,11 @@ pub struct VirtualClusterReport {
     /// Failure history, sorted by `(time, rank)`.
     pub failures: Vec<FailureEvent>,
     /// Scheduler dispatches served, stale ones included (a duplicate wakeup
-    /// of a rank that already resumed is consumed as a no-op dispatch).  A
-    /// diagnostic of the engine rather than a virtual-time result, but as
-    /// deterministic as one: the dispatch order is a pure function of the
-    /// configuration and the programs.
+    /// of a rank that already resumed is consumed as a no-op dispatch); a
+    /// receive satisfied when it is posted costs none.  A diagnostic of the
+    /// engine rather than a virtual-time result, but as deterministic as
+    /// one: the dispatch order is a pure function of the configuration and
+    /// the programs.
     pub dispatches: u64,
     /// Messages injected (deterministic: each rank's send sequence is a
     /// pure function of virtual time).
@@ -385,7 +416,9 @@ impl VirtualClusterReport {
 /// Scheduling phase of one rank.
 #[derive(Debug, Clone, Copy)]
 enum Phase {
-    /// On the ready list, or running its burst right now.
+    /// Has a dispatch due — on the ready list, or its receive completed at
+    /// delivery and its resumption scheduled — or is running its burst
+    /// right now.
     Runnable,
     /// Waiting for a receive on this selector to become satisfiable.
     Parked(Selector),
@@ -512,6 +545,12 @@ impl Selector {
     fn matches(&self, msg: &Msg) -> bool {
         self.src.is_none_or(|s| s == msg.src) && self.tag.is_none_or(|t| t == msg.tag)
     }
+
+    /// Names both source and tag: at most one queued message can be its
+    /// first match, whatever else is queued.
+    fn is_exact(&self) -> bool {
+        self.src.is_some() && self.tag.is_some()
+    }
 }
 
 /// One rank's queued messages: a FIFO in delivery order, linked through the
@@ -552,7 +591,7 @@ impl Inbox {
     /// first such on ties — a pure function of the queued virtual-time
     /// stamps, whatever order the deliveries were applied in.
     fn take(&mut self, slab: &mut MsgSlab, sel: &Selector) -> Option<Msg> {
-        let exact = sel.src.is_some() && sel.tag.is_some();
+        let exact = sel.is_exact();
         // The message to take and its predecessor in the list.
         let mut best: Option<(Link, Link)> = None;
         let (mut prev, mut at) = (NIL, self.head);
@@ -581,6 +620,78 @@ impl Inbox {
     }
 }
 
+/// The ranks parked on a receive naming each source: one intrusive,
+/// doubly-linked list per source, threaded through per-rank links, so a
+/// rank joins or leaves its source's list in O(1) and a crash visits only
+/// the ranks waiting on the crashed rank.  A rank is linked exactly while
+/// it is parked on a receive naming a live, in-range source.
+struct WaiterLists {
+    /// Per source: the first rank parked on it, or [`NIL`].
+    head: Vec<Link>,
+    /// Per rank: its neighbours in the list it is linked into.
+    links: Vec<WaitLinks>,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct WaitLinks {
+    prev: Link,
+    next: Link,
+}
+
+const UNLINKED: WaitLinks = WaitLinks {
+    prev: NIL,
+    next: NIL,
+};
+
+impl WaiterLists {
+    fn new(ranks: usize) -> Self {
+        assert!(ranks < NIL as usize, "fewer than 2^32 - 1 ranks");
+        WaiterLists {
+            head: vec![NIL; ranks],
+            links: vec![UNLINKED; ranks],
+        }
+    }
+
+    /// Links `rank` at the front of `src`'s list.
+    fn push(&mut self, src: usize, rank: usize) {
+        let at = rank as Link;
+        let next = self.head[src];
+        if next != NIL {
+            self.links[next as usize].prev = at;
+        }
+        self.links[rank] = WaitLinks { prev: NIL, next };
+        self.head[src] = at;
+    }
+
+    /// Unlinks `rank` from `src`'s list, where it must be linked.
+    fn remove(&mut self, src: usize, rank: usize) {
+        let WaitLinks { prev, next } = self.links[rank];
+        match prev {
+            NIL => {
+                debug_assert_eq!(self.head[src], rank as Link);
+                self.head[src] = next;
+            }
+            prev => self.links[prev as usize].next = next,
+        }
+        if next != NIL {
+            self.links[next as usize].prev = prev;
+        }
+        self.links[rank] = UNLINKED;
+    }
+
+    /// Empties `src`'s list into `out` (cleared first), in ascending rank
+    /// order.
+    fn drain_sorted(&mut self, src: usize, out: &mut Vec<usize>) {
+        out.clear();
+        let mut at = std::mem::replace(&mut self.head[src], NIL);
+        while at != NIL {
+            out.push(at as usize);
+            at = std::mem::replace(&mut self.links[at as usize], UNLINKED).next;
+        }
+        out.sort_unstable();
+    }
+}
+
 /// Per-rank slot: scheduling state, inbox and the rank's own state.
 struct RankSlot<P> {
     phase: Phase,
@@ -594,6 +705,9 @@ struct Scheduler<P> {
     ranks: Vec<RankSlot<P>>,
     /// The queued messages of every inbox.
     slab: MsgSlab,
+    waiters: WaiterLists,
+    /// Scratch list of the ranks a retirement wakes, reused across crashes.
+    woken: Vec<usize>,
     failed: Vec<bool>,
     failures: Vec<FailureEvent>,
     /// Messages of the ranks that errored, in retirement order (sparse:
@@ -747,10 +861,49 @@ fn try_satisfy_recv<P>(
     }
 }
 
+/// Delivers one message sent to `dst`.  A message for a crashed rank is
+/// dropped, like the router drops it.  One that matches a parked *exact*
+/// receive completes it on the spot — the receiver's clock is frozen while
+/// it is parked, and no earlier match can be queued (the receive would have
+/// taken it when it was posted), so the outcome is the one a later dispatch
+/// would compute — and schedules the rank's resumption at the message's
+/// arrival; the message never enters the slab.  Any other message is
+/// queued, and one matching a parked wildcard receive schedules a
+/// resumption at its arrival that re-runs the match then (a duplicate
+/// wakeup finds nothing to do and leaves the rank parked).
+fn deliver<P>(
+    sched: &mut Scheduler<P>,
+    dst: usize,
+    msg: Msg,
+    topology: &Topology,
+    machine: &MachineModel,
+) {
+    sched.messages += 1;
+    if sched.failed[dst] {
+        return;
+    }
+    let slot = &mut sched.ranks[dst];
+    match slot.phase {
+        Phase::Parked(sel) if sel.matches(&msg) => {
+            if sel.is_exact() {
+                complete_recv(&mut slot.local, &msg, dst, topology, machine);
+                slot.phase = Phase::Runnable;
+                sched.waiters.remove(msg.src, dst);
+            } else {
+                slot.inbox.push(&mut sched.slab, msg);
+            }
+            sched.engine.schedule_at(TaskId(dst), msg.arrival);
+        }
+        _ => slot.inbox.push(&mut sched.slab, msg),
+    }
+}
+
 /// Applies a finished burst to the rest of the world: delivers the sends
-/// buffered in `outgoing` (waking parked receivers at the message arrival
-/// time) and leaves the buffer empty for the next burst, then parks,
-/// re-readies, or retires the rank.
+/// buffered in `outgoing`, leaving the buffer empty for the next burst,
+/// then settles the rank.  A receive it can satisfy at once (a queued
+/// match, or a crashed source) returns `true`: the caller runs the rank's
+/// next burst straight away.  Otherwise the rank parks — on a named source,
+/// linked into that source's waiter list — or retires.
 fn apply_burst<P>(
     sched: &mut Scheduler<P>,
     rank: usize,
@@ -758,21 +911,9 @@ fn apply_burst<P>(
     outgoing: &mut Vec<(usize, Msg)>,
     topology: &Topology,
     machine: &MachineModel,
-) {
+) -> bool {
     for (dst, msg) in outgoing.drain(..) {
-        sched.messages += 1;
-        if sched.failed[dst] {
-            continue; // crashed destination: dropped, like the router
-        }
-        let slot = &mut sched.ranks[dst];
-        let matches_parked = matches!(slot.phase, Phase::Parked(sel) if sel.matches(&msg));
-        slot.inbox.push(&mut sched.slab, msg);
-        if matches_parked {
-            // Resume the receiver no earlier than the message's virtual
-            // arrival.  Duplicate wakeups are harmless: a dispatch that
-            // finds nothing to do re-parks.
-            sched.engine.schedule_at(TaskId(dst), msg.arrival);
-        }
+        deliver(sched, dst, msg, topology, machine);
     }
     match end {
         BurstEnd::NeedRecv(sel) => {
@@ -786,41 +927,68 @@ fn apply_burst<P>(
                 topology,
                 machine,
             ) {
-                sched.engine.make_ready(TaskId(rank));
-            } else {
-                slot.phase = Phase::Parked(sel);
+                return true;
+            }
+            slot.phase = Phase::Parked(sel);
+            if let Some(src) = sel.src.filter(|&src| src < sched.failed.len()) {
+                sched.waiters.push(src, rank);
             }
         }
         BurstEnd::Done => sched.ranks[rank].phase = Phase::Done,
-        BurstEnd::Crashed(at) => retire_failed(sched, rank, at, Phase::Crashed),
+        BurstEnd::Crashed(at) => retire_failed(sched, rank, at, Phase::Crashed, topology, machine),
         BurstEnd::Errored(msg) => {
             // Mirror the thread world: a panicked rank is marked failed so
             // peers blocked on it observe the failure instead of hanging.
             let at = sched.ranks[rank].local.endpoint.clock.now();
             sched.errors.push((rank, msg));
-            retire_failed(sched, rank, at, Phase::Errored);
+            retire_failed(sched, rank, at, Phase::Errored, topology, machine);
         }
     }
+    false
 }
 
-/// Retires a rank as crashed/errored: records the failure, and wakes every
-/// rank parked on a receive naming it so the parked rank can observe
-/// `PeerFailed` (the continuation equivalent of the failure board waking
-/// blocked receivers through its registered wakers).
-fn retire_failed<P>(sched: &mut Scheduler<P>, rank: usize, at: SimTime, phase: Phase) {
+/// Retires a rank as crashed/errored: records the failure, and settles the
+/// receive of every rank in its waiter list, in ascending rank order — a
+/// message the rank delivered before it failed if one matches, else
+/// `PeerFailed` — and readies them (the continuation equivalent of the
+/// failure board waking blocked receivers through its registered wakers).
+/// The work is proportional to the waiters, not to the world.
+fn retire_failed<P>(
+    sched: &mut Scheduler<P>,
+    rank: usize,
+    at: SimTime,
+    phase: Phase,
+    topology: &Topology,
+    machine: &MachineModel,
+) {
     sched.failed[rank] = true;
     sched.failures.push(FailureEvent { rank, time: at });
     sched.ranks[rank].phase = phase;
-    for (q, slot) in sched.ranks.iter().enumerate() {
-        if matches!(slot.phase, Phase::Parked(sel) if sel.src == Some(rank)) {
-            sched.engine.make_ready(TaskId(q));
-        }
+    sched.waiters.drain_sorted(rank, &mut sched.woken);
+    for &q in &sched.woken {
+        let slot = &mut sched.ranks[q];
+        let Phase::Parked(sel) = slot.phase else {
+            unreachable!("rank {q} is linked as a waiter but not parked");
+        };
+        let settled = try_satisfy_recv(
+            slot,
+            &mut sched.slab,
+            &sched.failed,
+            &sel,
+            q,
+            topology,
+            machine,
+        );
+        debug_assert!(settled, "a receive naming a failed source settles");
+        slot.phase = Phase::Runnable;
+        sched.engine.make_ready(TaskId(q));
     }
 }
 
 /// The engine loop: pops dispatches (ready FIFO, then timers by `(time,
-/// insertion)`), runs each rank's burst in place and applies it.  Returns
-/// when the event queue is drained.
+/// insertion)`) and runs each dispatched rank's bursts in place, applying
+/// each, until the rank parks or retires.  Returns when the event queue is
+/// drained.
 fn drive<P: RankProgram>(
     sched: &mut Scheduler<P>,
     topology: &Topology,
@@ -849,20 +1017,27 @@ fn drive<P: RankProgram>(
                     continue; // spurious wakeup (e.g. a duplicate resume): stay parked
                 }
                 slot.phase = Phase::Runnable;
+                if let Some(src) = sel.src.filter(|&src| src < world) {
+                    sched.waiters.remove(src, rank);
+                }
             }
             // Stale dispatch for a rank that already retired.
             _ => continue,
         }
-        let end = run_burst(
-            &mut slot.local,
-            &mut outgoing,
-            rank,
-            world,
-            topology,
-            machine,
-            step_limit,
-        );
-        apply_burst(sched, rank, end, &mut outgoing, topology, machine);
+        loop {
+            let end = run_burst(
+                &mut sched.ranks[rank].local,
+                &mut outgoing,
+                rank,
+                world,
+                topology,
+                machine,
+                step_limit,
+            );
+            if !apply_burst(sched, rank, end, &mut outgoing, topology, machine) {
+                break;
+            }
+        }
     }
 }
 
@@ -942,6 +1117,8 @@ where
         engine,
         ranks,
         slab: MsgSlab::default(),
+        waiters: WaiterLists::new(n),
+        woken: Vec::new(),
         failed: vec![false; n],
         failures: Vec::new(),
         errors: Vec::new(),
@@ -1260,7 +1437,10 @@ mod tests {
     #[test]
     fn repeated_runs_are_identical_in_every_report_field() {
         let baseline = ring_report(&EngineConfig::new(8));
-        assert_eq!(baseline.dispatches, 16);
+        // Eight initial dispatches, rank 0's receive is the only one posted
+        // before its message is sent: completed when rank 7's token is
+        // delivered, resumed by one more dispatch.
+        assert_eq!(baseline.dispatches, 9);
         for _ in 0..3 {
             assert_eq!(ring_report(&EngineConfig::new(8)), baseline);
         }
@@ -1470,6 +1650,201 @@ mod tests {
         // The crash fired at the first step boundary past t=1.0, i.e. after
         // the 5 s elapse.
         assert_eq!(report.failures[0].time, SimTime::from_secs(5.0));
+    }
+
+    /// Shared record of `(rank, outcome)` in the order the ranks observed
+    /// their receives.
+    type Log = Rc<RefCell<Vec<(usize, RecvOutcome)>>>;
+
+    /// Rank 0 crashes while ranks 1, 3, 4 and 5 are parked on it — parked
+    /// in the order 3, 4, 5, 1 — and rank 2 is parked on rank 5.
+    struct CrashFanIn {
+        state: u8,
+        log: Log,
+    }
+
+    impl RankProgram for CrashFanIn {
+        fn step(&mut self, ctx: &RankCtx) -> Step {
+            if let Some(outcome) = ctx.last_recv() {
+                self.log.borrow_mut().push((ctx.rank(), outcome));
+            }
+            self.state += 1;
+            let on_zero = Step::Recv {
+                src: Some(0),
+                tag: Some(1),
+            };
+            match (ctx.rank(), self.state) {
+                // Parked on rank 5 until it sends, then runs past its crash
+                // time.
+                (0, 1) => Step::Recv {
+                    src: Some(5),
+                    tag: Some(5),
+                },
+                (0, 2) => Step::Elapse(SimTime::from_secs(5.0)),
+                // Parks on rank 4 first, so it joins rank 0's list last.
+                (1, 1) => Step::Recv {
+                    src: Some(4),
+                    tag: Some(4),
+                },
+                (1, 2) | (3, 1) => on_zero,
+                (2, 1) => Step::Recv {
+                    src: Some(5),
+                    tag: Some(2),
+                },
+                (4, 1) => Step::Send {
+                    dst: 1,
+                    tag: 4,
+                    bytes: 8,
+                },
+                (4, 2) => on_zero,
+                // Wakes rank 0 after rank 1 has parked on it (a later
+                // arrival), and sends to rank 2 only after the crash.
+                (5, 1) => Step::Elapse(SimTime::from_secs(0.1)),
+                (5, 2) => Step::Send {
+                    dst: 0,
+                    tag: 5,
+                    bytes: 8,
+                },
+                (5, 3) => on_zero,
+                (5, 4) => Step::Send {
+                    dst: 2,
+                    tag: 2,
+                    bytes: 8,
+                },
+                _ => Step::Done,
+            }
+        }
+    }
+
+    #[test]
+    fn a_crash_fails_exactly_its_waiters_in_rank_order() {
+        let log = Log::default();
+        let config = EngineConfig::ideal(6).with_crash(0, SimTime::from_secs(1.0));
+        let report = run_virtual_cluster(&config, |_| CrashFanIn {
+            state: 0,
+            log: Rc::clone(&log),
+        });
+        assert_eq!(report.ranks[0].end, RankEnd::Crashed);
+        assert_eq!(report.num_completed(), 5, "{:?}", report.errors());
+        let log = log.take();
+        let failed = RecvOutcome::PeerFailed { src: 0 };
+        // Rank 1's first receive, rank 0's wake-up, then the crash.
+        assert!(matches!(log[0], (1, RecvOutcome::Message(m)) if m.src == 4));
+        assert!(matches!(log[1], (0, RecvOutcome::Message(m)) if m.src == 5));
+        assert_eq!(
+            log[2..6],
+            [(1, failed), (3, failed), (4, failed), (5, failed)]
+        );
+        // Rank 2 stayed parked on rank 5 through the crash and got its
+        // message.
+        assert_eq!(log.len(), 7);
+        assert!(matches!(log[6], (2, RecvOutcome::Message(m)) if m.src == 5 && m.tag == 2));
+    }
+
+    /// The sender sends one message and crashes in the same burst; the
+    /// receiver's single receive names the sender, with the tag or any.
+    struct SendThenCrash {
+        sender: usize,
+        tag: Option<Tag>,
+        state: u8,
+        got: Option<RecvOutcome>,
+    }
+
+    impl RankProgram for SendThenCrash {
+        fn step(&mut self, ctx: &RankCtx) -> Step {
+            self.state += 1;
+            match (ctx.rank() == self.sender, self.state) {
+                (true, 1) => Step::Send {
+                    dst: 1 - self.sender,
+                    tag: 7,
+                    bytes: 8,
+                },
+                (true, 2) => Step::Elapse(SimTime::from_secs(5.0)),
+                (false, 1) => Step::Recv {
+                    src: Some(self.sender),
+                    tag: self.tag,
+                },
+                _ => {
+                    self.got = ctx.last_recv();
+                    Step::Done
+                }
+            }
+        }
+
+        fn result(&self) -> Option<f64> {
+            match self.got? {
+                RecvOutcome::Message(m) if m.src == self.sender && m.tag == 7 => Some(1.0),
+                _ => Some(0.0),
+            }
+        }
+    }
+
+    #[test]
+    fn a_message_delivered_before_its_sender_crashed_is_still_received() {
+        // Sender 1: the receiver (rank 0) runs first and is parked when the
+        // message is delivered — an exact receive completed at delivery, a
+        // named-source any-tag receive settled when the sender retires.
+        // Sender 0: the message is queued before the receive is posted.
+        for (sender, tag) in [(1, Some(7)), (1, None), (0, Some(7)), (0, None)] {
+            let config = EngineConfig::ideal(2).with_crash(sender, SimTime::from_secs(1.0));
+            let report = run_virtual_cluster(&config, |_| SendThenCrash {
+                sender,
+                tag,
+                state: 0,
+                got: None,
+            });
+            let receiver = &report.ranks[1 - sender];
+            assert_eq!(report.ranks[sender].end, RankEnd::Crashed);
+            assert_eq!(receiver.end, RankEnd::Completed);
+            assert_eq!(
+                receiver.result,
+                Some(1.0),
+                "sender {sender}, tag {tag:?}: the message, not PeerFailed"
+            );
+        }
+    }
+
+    proptest::proptest! {
+        /// Random pushes and removals across four sources' waiter lists:
+        /// draining a list yields exactly its linked ranks, ascending.
+        #[test]
+        fn waiter_lists_agree_with_a_set_per_source(
+            ops in proptest::collection::vec(0u32..64, 1..120)
+        ) {
+            const RANKS: usize = 8;
+            let mut lists = WaiterLists::new(RANKS);
+            let mut model: [std::collections::BTreeSet<usize>; 4] = Default::default();
+            // The source each rank is linked under.
+            let mut linked: [Option<usize>; RANKS] = [None; RANKS];
+            let mut out = Vec::new();
+            for op in ops {
+                let (rank, src) = ((op % 8) as usize, (op / 8 % 4) as usize);
+                match (op / 32, linked[rank]) {
+                    (0, None) => {
+                        lists.push(src, rank);
+                        model[src].insert(rank);
+                        linked[rank] = Some(src);
+                    }
+                    (0, Some(at)) => {
+                        lists.remove(at, rank);
+                        model[at].remove(&rank);
+                        linked[rank] = None;
+                    }
+                    _ => {
+                        lists.drain_sorted(src, &mut out);
+                        let want: Vec<usize> = std::mem::take(&mut model[src]).into_iter().collect();
+                        proptest::prop_assert_eq!(&out, &want);
+                        for &rank in &want {
+                            linked[rank] = None;
+                        }
+                    }
+                }
+            }
+            for (src, set) in model.iter().enumerate() {
+                lists.drain_sorted(src, &mut out);
+                proptest::prop_assert_eq!(out.clone(), set.iter().copied().collect::<Vec<_>>());
+            }
+        }
     }
 
     #[test]
