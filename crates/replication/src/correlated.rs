@@ -101,7 +101,6 @@ pub fn sample_group_trace(
 ) -> Vec<SimTime> {
     rate.over(horizon.as_secs())
         .thinned(seed, group, CORRELATED_TRACE_STREAM)
-        .into_iter()
         .filter_map(|(t, accepted)| accepted.then_some(t))
         .collect()
 }
@@ -146,7 +145,6 @@ impl CorrelatedPlan {
         for group in 0..self.domain.num_groups(topology) {
             let first = rate
                 .thinned(seed, group, CORRELATED_TRACE_STREAM)
-                .into_iter()
                 .find_map(|(t, accepted)| accepted.then_some(t));
             let Some(at) = first else {
                 continue;

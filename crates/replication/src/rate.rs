@@ -416,36 +416,56 @@ impl HorizonRate {
     /// every re-run) derives the identical trace without coordination.
     pub fn trace(&self, seed: u64, rank: usize) -> Vec<SimTime> {
         self.thinned(seed, rank, FAILURE_TRACE_STREAM)
-            .into_iter()
             .filter_map(|(t, accepted)| accepted.then_some(t))
             .collect()
     }
 
+    /// The first crash time of one physical rank: `trace(seed,
+    /// rank).first()`, bit for bit, but the thinning loop stops at the
+    /// first accepted candidate — all a crash-stop rank can use.
+    pub fn first_arrival(&self, seed: u64, rank: usize) -> Option<SimTime> {
+        self.thinned(seed, rank, FAILURE_TRACE_STREAM)
+            .find_map(|(t, accepted)| accepted.then_some(t))
+    }
+
     /// The single thinning loop behind every trace sampler: every candidate
     /// of the homogeneous majorant process on RNG stream `(seed, id,
-    /// stream)`, paired with its acceptance verdict.  Sharing the loop (and
-    /// its RNG draw order) is what makes "an inhomogeneous trace is a subset
-    /// of its majorant candidates" structural rather than conventional.
-    pub(crate) fn thinned(&self, seed: u64, id: usize, stream: usize) -> Vec<(SimTime, bool)> {
-        let max_rate = self.majorant;
-        let mut candidates = Vec::new();
-        if max_rate <= 0.0 || self.horizon_s <= 0.0 {
-            return candidates;
-        }
-        let mut rng = simcluster::rng::substream(seed, id, stream);
+    /// stream)`, in time order, paired with its acceptance verdict — drawn
+    /// lazily, so a caller that stops early draws no further.  Sharing the
+    /// loop (and its RNG draw order) is what makes "an inhomogeneous trace
+    /// is a subset of its majorant candidates" structural rather than
+    /// conventional.
+    pub(crate) fn thinned(
+        &self,
+        seed: u64,
+        id: usize,
+        stream: usize,
+    ) -> impl Iterator<Item = (SimTime, bool)> {
+        let HorizonRate {
+            rate,
+            horizon_s,
+            majorant,
+        } = *self;
+        // `None` once the process is exhausted (or empty from the start).
+        let mut rng = (majorant > 0.0 && horizon_s > 0.0)
+            .then(|| simcluster::rng::substream(seed, id, stream));
         let mut t = 0.0f64;
-        loop {
+        std::iter::from_fn(move || {
+            let draws = rng.as_mut()?;
             // Exponential inter-arrival at the majorant rate; 1 - u is in
             // (0, 1] so the logarithm is finite.
-            let u: f64 = rng.gen();
-            t += -(1.0 - u).ln() / max_rate;
-            if t >= self.horizon_s {
-                return candidates;
+            let u: f64 = draws.gen();
+            t += -(1.0 - u).ln() / majorant;
+            if t >= horizon_s {
+                rng = None;
+                return None;
             }
-            let accept: f64 = rng.gen();
-            let accepted = accept * max_rate < self.rate.at(t, self.horizon_s);
-            candidates.push((SimTime::from_secs(t), accepted));
-        }
+            let accept: f64 = draws.gen();
+            Some((
+                SimTime::from_secs(t),
+                accept * majorant < rate.at(t, horizon_s),
+            ))
+        })
     }
 }
 
@@ -472,7 +492,6 @@ pub fn majorant_candidates(
 ) -> Vec<SimTime> {
     rate.over(horizon.as_secs())
         .thinned(seed, rank, FAILURE_TRACE_STREAM)
-        .into_iter()
         .map(|(t, _)| t)
         .collect()
 }

@@ -107,6 +107,56 @@ fn thinning_keeps_a_subset_of_the_majorant_candidates() {
 }
 
 #[test]
+fn first_arrival_is_the_first_trace_time_bit_for_bit() {
+    // The crash-stop sampler stops the thinning loop early; it must still
+    // be the full trace's first element, for every rate family, whether
+    // the trace is empty, short or long.
+    let rates = [
+        FailureRate::Constant(0.05),
+        FailureRate::Constant(2.0),
+        FailureRate::Ramp {
+            start: 0.0,
+            end: 0.2,
+        },
+        FailureRate::Burst {
+            base: 0.01,
+            peak: 1.0,
+            center: 0.6,
+            width: 0.1,
+        },
+        FailureRate::weibull_hpc(HORIZON),
+        FailureRate::Weibull {
+            shape: 1.5,
+            scale_s: 4.0 * HORIZON,
+        },
+        FailureRate::lognormal_hpc(HORIZON / 2.0),
+        FailureRate::Constant(0.0),
+    ];
+    let (mut empty, mut found) = (0, 0);
+    for rate in rates {
+        let sampler = rate.over(HORIZON);
+        for seed in 0..200 {
+            for rank in [0, 5] {
+                let first = sampler.first_arrival(seed, rank);
+                let want = sampler.trace(seed, rank).first().copied();
+                assert_eq!(
+                    first.map(|t| t.as_secs().to_bits()),
+                    want.map(|t| t.as_secs().to_bits()),
+                    "{} seed {seed} rank {rank}",
+                    rate.label()
+                );
+                if first.is_some() {
+                    found += 1;
+                } else {
+                    empty += 1;
+                }
+            }
+        }
+    }
+    assert!(empty > 0 && found > 0, "{empty} empty, {found} non-empty");
+}
+
+#[test]
 fn thinning_respects_the_intensity_profile() {
     // A burst process concentrates arrivals inside its window: with base 0
     // every arrival must fall inside the burst.
