@@ -25,9 +25,8 @@ pub fn run_spec(spec: &RunSpec) -> RunResult {
     let experiment = spec
         .experiment()
         .expect("expanded grid points are valid experiments");
-    let scheduled_crashes = experiment.scheduled_crashes().len();
     let report = experiment.run().expect("experiment execution");
-    RunResult::from_run(spec, scheduled_crashes, &report)
+    RunResult::from_run(spec, report.scheduled_crashes, &report)
 }
 
 /// Executes `specs` on a transient pool of up to `jobs` workers and returns

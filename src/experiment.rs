@@ -514,7 +514,7 @@ impl Experiment {
         T: Send,
         F: Fn(&mut AppContext) -> IntraResult<T> + Send + Sync,
     {
-        let report = self.launch(body);
+        let report = self.launch(self.scheduled_crashes(), body);
         let makespan_s = report.makespan().as_secs();
         let failure_events = report.failures.len();
         let results = report
@@ -540,7 +540,9 @@ impl Experiment {
         F: Fn(&mut AppContext) -> IntraResult<AppRunReport> + Send + Sync,
     {
         let started = std::time::Instant::now();
-        let report = self.launch(body);
+        let scheduled = self.scheduled_crashes();
+        let scheduled_crashes = scheduled.len();
+        let report = self.launch(scheduled, body);
         let makespan_s = report.makespan().as_secs();
         let failure_events = report.failures.len();
         let mut ckpt = None;
@@ -564,6 +566,7 @@ impl Experiment {
             procs: self.procs(),
             makespan_s,
             failure_events,
+            scheduled_crashes,
             ranks,
             ckpt,
             // Rounded to whole microseconds so renderings stay compact.
@@ -572,14 +575,13 @@ impl Experiment {
     }
 
     /// The per-rank checkpoint session of this experiment, when it has a
-    /// plan: a pure function of the axes, so every rank's copy is
-    /// identical.
-    fn ckpt_session(&self) -> Option<CkptSession> {
+    /// plan, replaying its `scheduled` crashes: a pure function of the
+    /// axes, so every rank's copy is identical.
+    fn ckpt_session(&self, scheduled: &[(usize, SimTime)]) -> Option<CkptSession> {
         let plan = self.ckpt.as_ref()?;
-        let crashes: Vec<(usize, f64)> = self
-            .scheduled_crashes()
-            .into_iter()
-            .map(|(rank, at)| (rank, at.as_secs()))
+        let crashes: Vec<(usize, f64)> = scheduled
+            .iter()
+            .map(|&(rank, at)| (rank, at.as_secs()))
             .collect();
         Some(CkptSession::new(
             plan,
@@ -590,7 +592,14 @@ impl Experiment {
         ))
     }
 
-    fn launch<T, F>(&self, body: F) -> ClusterReport<IntraResult<(T, Option<CkptStats>)>>
+    /// Runs `body` on every rank of the experiment's cluster under the
+    /// `scheduled` crashes of its failure plan ([`Self::scheduled_crashes`],
+    /// sampled once by the caller).
+    fn launch<T, F>(
+        &self,
+        scheduled: Vec<(usize, SimTime)>,
+        body: F,
+    ) -> ClusterReport<IntraResult<(T, Option<CkptStats>)>>
     where
         T: Send,
         F: Fn(&mut AppContext) -> IntraResult<T> + Send + Sync,
@@ -602,11 +611,11 @@ impl Experiment {
         // Under a checkpoint plan the scheduled crashes are consumed by the
         // rollback-recovery replay (as restart + re-executed time) instead
         // of killing ranks, so the timed injector stays disarmed.
-        let session = self.ckpt_session();
+        let session = self.ckpt_session(&scheduled);
         let crashes = if session.is_some() {
             Vec::new()
         } else {
-            self.scheduled_crashes()
+            scheduled
         };
         run_cluster(&config, move |proc| {
             let injector = FailureInjector::none();
@@ -959,6 +968,12 @@ pub struct RunReport {
     pub makespan_s: f64,
     /// Crash-stop failure events recorded by the cluster.
     pub failure_events: usize,
+    /// Timed crashes the failure plan scheduled
+    /// ([`Experiment::scheduled_crashes`]`().len()`), counted from the
+    /// sample the run itself used.  A crash after its rank finished never
+    /// fires, and a checkpoint plan replays them as rollbacks, so this can
+    /// exceed `failure_events`.
+    pub scheduled_crashes: usize,
     /// Per-rank outcomes, in world-rank order.
     pub ranks: Vec<RankOutcome>,
     /// Checkpoint/restart accounting, when the experiment had a
@@ -1456,6 +1471,9 @@ mod tests {
         }
         // Deterministic in the seed.
         assert_eq!(crashes, e.scheduled_crashes());
+        // The run reports the count of the one sample it used.
+        assert_eq!(e.run().unwrap().scheduled_crashes, crashes.len());
+        assert_eq!(quiet.run().unwrap().scheduled_crashes, 0);
     }
 
     #[test]
