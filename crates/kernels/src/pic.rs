@@ -21,6 +21,33 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
+/// `x.rem_euclid(length)`, bit for bit, without the `fmod` call on the
+/// common path: `x % length` is exact, so it is `x` itself whenever
+/// `0 ≤ x < length`.
+#[inline]
+fn wrap(x: f64, length: f64) -> f64 {
+    if (0.0..length).contains(&x) {
+        x
+    } else {
+        x.rem_euclid(length)
+    }
+}
+
+/// The two grid cells a particle at `xp` (inside `[0, length)`) weighs
+/// onto, and its fractional offset from the first: cell `c0` is
+/// `(xp / dx).floor() as usize % ncells` and `c1 = (c0 + 1) % ncells`, bit
+/// for bit, with the integer divisions left to the rare particle that
+/// rounds onto the upper boundary.
+#[inline]
+fn cic_cells(xp: f64, dx: f64, ncells: usize) -> (usize, usize, f64) {
+    let cell = (xp / dx).floor();
+    let frac = xp / dx - cell;
+    let c = cell as usize;
+    let c0 = if c < ncells { c } else { c % ncells };
+    let c1 = if c0 + 1 == ncells { 0 } else { c0 + 1 };
+    (c0, c1, frac)
+}
+
 /// A set of charged particles in a periodic 1D domain `[0, length)`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ParticleSet {
@@ -72,11 +99,8 @@ pub fn charge_deposit(particles: &ParticleSet, range: Range<usize>, density: &mu
     assert!(range.end <= particles.len(), "particle range out of bounds");
     let dx = particles.length / ncells as f64;
     for i in range {
-        let xp = particles.x[i].rem_euclid(particles.length);
-        let cell = (xp / dx).floor();
-        let frac = xp / dx - cell;
-        let c0 = (cell as usize) % ncells;
-        let c1 = (c0 + 1) % ncells;
+        let xp = wrap(particles.x[i], particles.length);
+        let (c0, c1, frac) = cic_cells(xp, dx, ncells);
         density[c0] += 1.0 - frac;
         density[c1] += frac;
     }
@@ -110,14 +134,11 @@ pub fn push(particles: &mut ParticleSet, range: Range<usize>, field: &[f64], dt:
     let length = particles.length;
     let dx = length / ncells as f64;
     for i in range {
-        let xp = particles.x[i].rem_euclid(length);
-        let cell = (xp / dx).floor();
-        let frac = xp / dx - cell;
-        let c0 = (cell as usize) % ncells;
-        let c1 = (c0 + 1) % ncells;
+        let xp = wrap(particles.x[i], length);
+        let (c0, c1, frac) = cic_cells(xp, dx, ncells);
         let e = field[c0] * (1.0 - frac) + field[c1] * frac;
         particles.v[i] += e * dt;
-        particles.x[i] = (particles.x[i] + particles.v[i] * dt).rem_euclid(length);
+        particles.x[i] = wrap(particles.x[i] + particles.v[i] * dt, length);
     }
 }
 

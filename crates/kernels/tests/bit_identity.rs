@@ -8,13 +8,15 @@
 //! floating-point addition chains exactly, and the pool must be invisible —
 //! the same bits for any worker count and any plane-split point.
 
+use kernels::pic::{charge_deposit, push};
 use kernels::stencil::{
     stencil27, stencil27_planes, stencil27_planes_scalar, stencil27_pool, stencil7_planes,
     stencil7_planes_scalar,
 };
 use kernels::vecops::{ddot_lanes, waxpby};
-use kernels::{CsrMatrix, Grid3d, KernelPool};
+use kernels::{CsrMatrix, Grid3d, KernelPool, ParticleSet};
 use proptest::prelude::*;
+use std::ops::Range;
 
 fn arb_grid(nx: usize, ny: usize, nz: usize, seed: u64) -> Grid3d {
     // A cheap deterministic fill with enough structure that reassociated
@@ -41,6 +43,89 @@ fn grids_bit_equal(a: &Grid3d, b: &Grid3d) -> bool {
         }
     }
     true
+}
+
+/// `pic::charge_deposit` with `rem_euclid` and `%` on every particle, as it
+/// was first written: the oracle its comparison fast paths must match.
+fn charge_deposit_oracle(particles: &ParticleSet, range: Range<usize>, density: &mut [f64]) {
+    let ncells = density.len();
+    let dx = particles.length / ncells as f64;
+    for i in range {
+        let xp = particles.x[i].rem_euclid(particles.length);
+        let cell = (xp / dx).floor();
+        let frac = xp / dx - cell;
+        let c0 = (cell as usize) % ncells;
+        let c1 = (c0 + 1) % ncells;
+        density[c0] += 1.0 - frac;
+        density[c1] += frac;
+    }
+}
+
+/// `pic::push` as first written, the oracle of its fast paths.
+fn push_oracle(particles: &mut ParticleSet, range: Range<usize>, field: &[f64], dt: f64) {
+    let ncells = field.len();
+    let length = particles.length;
+    let dx = length / ncells as f64;
+    for i in range {
+        let xp = particles.x[i].rem_euclid(length);
+        let cell = (xp / dx).floor();
+        let frac = xp / dx - cell;
+        let c0 = (cell as usize) % ncells;
+        let c1 = (c0 + 1) % ncells;
+        let e = field[c0] * (1.0 - frac) + field[c1] * frac;
+        particles.v[i] += e * dt;
+        particles.x[i] = (particles.x[i] + particles.v[i] * dt).rem_euclid(length);
+    }
+}
+
+/// Particles of domain `length` in every position class the kernels
+/// branch on: inside `[0, length)`, negative, at or past `length`, and the
+/// boundary values `length − ulp`, `length`, `0` and `−0`.
+fn arb_particles(n: usize, length: f64, seed: u64) -> ParticleSet {
+    let below_length = f64::from_bits(length.to_bits() - 1);
+    let (mut x, mut v) = (Vec::with_capacity(n), Vec::with_capacity(n));
+    for i in 0..n as u64 {
+        let h = i
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            .wrapping_add(seed.wrapping_mul(0xbf58_476d_1ce4_e5b9));
+        let frac = ((h >> 11) % 10_007) as f64 / 10_007.0;
+        x.push(match (h >> 40) % 8 {
+            0..=2 => frac * length,
+            3 => -frac * 3.0 * length,
+            4 => length + frac * 3.0 * length,
+            5 => below_length,
+            6 => length,
+            _ => [0.0, -0.0][(h & 1) as usize],
+        });
+        v.push((frac - 0.5) * 4.0 * length);
+    }
+    ParticleSet { x, v, length }
+}
+
+proptest! {
+    #[test]
+    fn pic_kernels_match_their_rem_euclid_oracles(
+        n in 1usize..64, ncells in 1usize..140, length_pick in 0usize..4, seed in 0u64..1000,
+    ) {
+        let length = [1.0, 16.0, 0.3, 100.0 / 3.0][length_pick];
+        let particles = arb_particles(n, length, seed);
+        let mut density = vec![0.0; ncells];
+        let mut expect = vec![0.0; ncells];
+        charge_deposit(&particles, 0..n, &mut density);
+        charge_deposit_oracle(&particles, 0..n, &mut expect);
+        for (got, want) in density.iter().zip(&expect) {
+            prop_assert_eq!(got.to_bits(), want.to_bits());
+        }
+        let field: Vec<f64> = (0..ncells).map(|c| (c as f64 * 0.61).sin() * 3.0).collect();
+        let (mut pushed, mut oracle) = (particles.clone(), particles);
+        // A step long enough to carry particles out of the domain both ways.
+        push(&mut pushed, 0..n, &field, 0.37);
+        push_oracle(&mut oracle, 0..n, &field, 0.37);
+        for i in 0..n {
+            prop_assert_eq!(pushed.x[i].to_bits(), oracle.x[i].to_bits());
+            prop_assert_eq!(pushed.v[i].to_bits(), oracle.v[i].to_bits());
+        }
+    }
 }
 
 proptest! {
