@@ -60,23 +60,21 @@ impl WeakRunSpec {
     /// [`apps::run_weak_scaling`] places the ranks on — with the sampler,
     /// seed discipline and labels of the classic grid's failure axis.  A
     /// Poisson plan samples each rank only up to its first arrival
-    /// ([`replication::HorizonRate::first_arrival`]).
+    /// ([`replication::HorizonRate::first_arrival`]); a correlated plan's
+    /// arrivals are already one per rank.
     pub fn crashes(&self) -> Vec<(usize, SimTime)> {
         let topology = self
             .workload()
             .topology(&simcluster::MachineModel::grid5000_ib20g());
-        if let FailureSpec::Poisson { rate, horizon_s } = self.failure {
-            // The horizon of `FailureSpec::arrivals`, so the times are its
-            // bit for bit.
-            let rate = rate.over(SimTime::from_secs(horizon_s).as_secs());
-            return (0..topology.num_procs())
-                .filter_map(|rank| Some((rank, rate.first_arrival(self.seed, rank)?)))
-                .collect();
-        }
-        let mut crashes = self.failure.arrivals(&topology, self.seed);
-        // A rank's arrivals are adjacent, earliest first.
-        crashes.dedup_by_key(|&mut (rank, _)| rank);
-        crashes
+        let FailureSpec::Poisson { rate, horizon_s } = self.failure else {
+            return self.failure.arrivals(&topology, self.seed);
+        };
+        // The horizon of `FailureSpec::arrivals`, so the times are its bit
+        // for bit.
+        let rate = rate.over(SimTime::from_secs(horizon_s).as_secs());
+        (0..topology.num_procs())
+            .filter_map(|rank| Some((rank, rate.first_arrival(self.seed, rank)?)))
+            .collect()
     }
 
     /// The workload spec this run executes.
