@@ -192,9 +192,6 @@ pub struct WeakScalingProgram {
     pc: Pc,
     /// Allreduce rounds: `ceil(log2 logical)`.
     ar_rounds: u32,
-    /// Whether the previous step returned was a `Recv` (so `last_recv`
-    /// belongs to it and not to some earlier receive).
-    expect_recv: bool,
     /// Intra mode: the partner replica is still alive.  When it dies, this
     /// rank takes over the full compute share (the paper's failure
     /// handling: the surviving replica executes all tasks).
@@ -231,7 +228,6 @@ impl WeakScalingProgram {
             iter: 0,
             pc: Pc::Compute,
             ar_rounds: usize::BITS - (logical.max(1) - 1).leading_zeros(),
-            expect_recv: false,
             partner_alive: true,
             holes: 0,
             charges,
@@ -269,13 +265,10 @@ impl RankProgram for WeakScalingProgram {
         // records the hole and keeps going (crash-stop peers must not stall
         // the survivors).  In intra mode, losing the partner means this
         // replica takes over the full compute share from the next region on.
-        if self.expect_recv {
-            self.expect_recv = false;
-            if let Some(RecvOutcome::PeerFailed { src }) = ctx.last_recv() {
-                self.holes += 1;
-                if self.spec.mode == WeakMode::Intra && src == self.partner() {
-                    self.partner_alive = false;
-                }
+        if let Some(RecvOutcome::PeerFailed { src }) = ctx.last_recv() {
+            self.holes += 1;
+            if self.spec.mode == WeakMode::Intra && src == self.partner() {
+                self.partner_alive = false;
             }
         }
         loop {
@@ -303,7 +296,6 @@ impl RankProgram for WeakScalingProgram {
                 }
                 Pc::UpdateRecv => {
                     self.pc = Pc::HaloSendRight;
-                    self.expect_recv = true;
                     return Step::Recv {
                         src: Some(self.partner()),
                         tag: Some(TAG_UPDATE),
@@ -327,7 +319,6 @@ impl RankProgram for WeakScalingProgram {
                 }
                 Pc::HaloRecvLeft => {
                     self.pc = Pc::HaloRecvRight;
-                    self.expect_recv = true;
                     return Step::Recv {
                         src: Some(self.left()),
                         tag: Some(TAG_HALO_R),
@@ -335,7 +326,6 @@ impl RankProgram for WeakScalingProgram {
                 }
                 Pc::HaloRecvRight => {
                     self.pc = Pc::AllreduceSend(0);
-                    self.expect_recv = true;
                     return Step::Recv {
                         src: Some(self.right()),
                         tag: Some(TAG_HALO_L),
@@ -363,7 +353,6 @@ impl RankProgram for WeakScalingProgram {
                 }
                 Pc::AllreduceRecv(round) => {
                     self.pc = Pc::AllreduceSend(round + 1);
-                    self.expect_recv = true;
                     return Step::Recv {
                         src: Some(self.ar_peer(round).expect("peer existed at send time")),
                         tag: Some(TAG_AR + round),

@@ -255,7 +255,7 @@ pub struct WeakRow {
     pub completed: usize,
     /// Ranks that crashed.
     pub crashed: usize,
-    /// Ranks that ended in an error (deadlock, panic, step budget).
+    /// Ranks that ended in an error (deadlock, panic, invalid step).
     pub errored: usize,
     /// Crash events that actually fired within the run.
     pub failure_events: usize,

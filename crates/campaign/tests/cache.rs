@@ -185,6 +185,15 @@ fn stale_or_corrupt_entries_read_as_misses() {
         // hit carrying the saturated or truncated count.
         ("negative", line.replace(&procs, "\"procs\": -3")),
         ("fractional", line.replace(&procs, "\"procs\": 2.5")),
+        // Nested far past the parser's depth cap: a miss, not a stack
+        // overflow.
+        (
+            "too deep",
+            line.replace(
+                &procs,
+                &format!("\"procs\": {}1{}", "[".repeat(100_000), "]".repeat(100_000)),
+            ),
+        ),
     ] {
         std::fs::write(log_path(&dir), damaged).unwrap();
         assert_eq!(RunCache::open(&dir).unwrap().get(spec), None, "{what}");

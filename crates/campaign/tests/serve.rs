@@ -274,3 +274,35 @@ fn bad_jobs_fail_with_a_recorded_error() {
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
     assert_eq!(spool.status().unwrap().queued, Vec::<String>::new());
 }
+
+#[test]
+fn a_job_nested_too_deep_fails_on_record_and_the_next_job_runs() {
+    let tree = TempTree::new("deep");
+    let spool = Spool::open(tree.path("spool")).unwrap();
+    let cache = Arc::new(RunCache::open(tree.path("cache")).unwrap());
+    // Written straight into the queue, as any writer of the spool can.
+    let depth = 20_000;
+    let deep = format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+    std::fs::write(tree.path("spool/jobs/deep.json"), deep).unwrap();
+    spool.submit_specs("good", &mini_specs(&[45])).unwrap();
+    let mut summaries = serve(&spool, &cache, &drain_options()).unwrap();
+    summaries.sort_by(|a, b| a.id.cmp(&b.id));
+    assert_eq!(summaries.len(), 2);
+    let error = summaries[0].error.as_deref().unwrap();
+    assert!(
+        error.contains("unparsable") && error.contains("nesting"),
+        "{error}"
+    );
+    assert_eq!(
+        (
+            summaries[1].id.as_str(),
+            summaries[1].executed,
+            &summaries[1].error
+        ),
+        ("good", 1, &None)
+    );
+    // Nothing is left in `active/` for the next start to re-queue.
+    let status = spool.status().unwrap();
+    assert_eq!(status.done.len(), 2);
+    assert_eq!(status.active, Vec::<String>::new());
+}

@@ -20,16 +20,19 @@
 //! One dispatch runs a rank for as long as it can go:
 //!
 //! * a receive the rank can satisfy when it posts it — a queued match, or
-//!   `PeerFailed` from a crashed named source — is completed on the spot
-//!   and the same dispatch runs the next burst;
-//! * a receive that cannot be matched parks the rank.  A delivery that
-//!   matches a parked *exact* receive (naming both source and tag)
-//!   completes it there and then — the receiver's clock is frozen while it
-//!   is parked, so the result is the one a later dispatch would compute —
-//!   and schedules the rank's resumption at the message's virtual arrival
-//!   time; the message never enters an inbox.  A delivery matching a parked
-//!   wildcard receive is queued and schedules a resumption at its arrival,
-//!   where the match is made among everything queued by then.
+//!   `PeerFailed` from a crashed source — is completed on the spot and the
+//!   same dispatch runs the next burst;
+//! * a receive that cannot be matched parks the rank.  The delivery that
+//!   matches it completes it there and then — the receiver's clock is
+//!   frozen while it is parked, so the result is the one a later dispatch
+//!   would compute — and schedules the rank's resumption at the message's
+//!   virtual arrival time; the message never enters an inbox.
+//!
+//! Every receive names one source rank of the run and one tag, as every
+//! thread-world receive names one lane: the send-deterministic programs
+//! replication supports need no wildcard.  A receive that leaves either
+//! open, or names a rank outside the run, and a send to a rank outside the
+//! run, end the rank as errored.
 //!
 //! Where the router blocks an OS thread on a mailbox condvar, the engine
 //! parks a task and wakes it by event — the same generation/waker semantics
@@ -40,7 +43,7 @@
 //! A rank's slot holds its program and clock inline, its phase (a parked
 //! phase carries the receive's selector) and its inbox — two links into one
 //! message slab shared by the whole run.  Each inbox is a FIFO in delivery
-//! order threaded through the slab, each entry a message plus its link (48
+//! order threaded through the slab, each entry a message plus its link (40
 //! bytes); an entry a receive vacates goes on the slab's free list for the
 //! next delivery, so the slab grows to the run's high-water mark of queued
 //! messages and no rank owns a buffer.  The waiter lists of § Liveness sit
@@ -55,27 +58,18 @@
 //! report field, the `dispatches` diagnostic included, and every program's
 //! sequence of receive outcomes.  The dispatch order is fixed (ready ranks
 //! FIFO, then resumptions by `(virtual time, insertion)`); `dispatches`
-//! counts one per initial start, per resumption of a parked rank and per
-//! rank a crash wakes, stale ones included (a duplicate wakeup of a
-//! wildcard receiver is a no-op dispatch), but none for a receive satisfied
-//! when it is posted.  On top of the fixed order:
+//! counts one per initial start, one per receive completed at delivery and
+//! one per rank a crash wakes — every dispatch runs a rank, none is stale —
+//! but none for a receive satisfied when it is posted.  On top of the fixed
+//! order:
 //!
 //! * every per-rank quantity (clock, channel busy-until) is touched only by
 //!   the rank itself, and a receive completes at `max(receiver clock,
 //!   arrival) + overhead` regardless of *when* in host time the match
-//!   happened (the conservative-clock rule of [`simcluster::clock`]).  An
-//!   exact receive's outcome is therefore the same whenever in host order
-//!   it is matched: its source's messages with its tag queue in send order,
-//!   and every message a rank sends is delivered before it retires;
-//! * a wildcard receive takes, among the matching messages *queued when it
-//!   is attempted*, the one with the smallest `(arrival, source, tag, sender
-//!   sequence)` — see `Inbox::take` — not the one delivered first.  A
-//!   message a sender has not yet been dispatched to send is not a
-//!   candidate, however early its arrival stamp will be: a parked wildcard
-//!   receiver is resumed at the arrival time of the first delivery that
-//!   matches and then chooses among everything queued by that point.  Racing
-//!   senders therefore always resolve the same way, run after run (every
-//!   workload in `apps` still uses exact sources);
+//!   happened (the conservative-clock rule of [`simcluster::clock`]).  A
+//!   receive's outcome is therefore the same whenever in host order it is
+//!   matched: its source's messages with its tag queue in send order, and
+//!   every message a rank sends is delivered before it retires;
 //! * failure injection is rank-local: a crash scheduled at virtual time *t*
 //!   fires at the first step boundary where the rank's own clock has
 //!   reached *t*, mirroring the protocol-point semantics of the
@@ -87,13 +81,13 @@
 //!
 //! A crash (or an errored rank) must wake the ranks parked on a receive
 //! naming it, so they observe `PeerFailed` instead of waiting forever.  A
-//! rank parked on a named source is linked into that source's waiter list
-//! (intrusive and doubly linked: two links per rank plus one head per
-//! source) and unlinked when its receive completes; retiring a rank settles
-//! and readies exactly its list, in ascending rank order — a message the
-//! rank delivered before it failed if one matches, else `PeerFailed`.  A
-//! crash costs work proportional to its waiters, never a pass over the
-//! world.
+//! parked rank is linked into its source's waiter list (intrusive and
+//! doubly linked: two links per rank plus one head per source) and
+//! unlinked when its receive completes; retiring a rank hands `PeerFailed`
+//! to exactly its list and readies it, in ascending rank order.  No match
+//! can be queued for a waiter: a message its source delivered completed
+//! the receive at delivery.  A crash costs work proportional to its
+//! waiters, never a pass over the world.
 //!
 //! When the event queue drains with ranks still parked, those ranks are
 //! *provably* deadlocked (nothing can ever wake them) and are reported as
@@ -102,7 +96,7 @@
 //! are neither parked nor returned (see [`crate::router`]): when it reaches
 //! zero, every parked receive returns [`crate::MpiError::Aborted`].
 
-use crate::error::ConfigError;
+use crate::error::{ConfigError, MpiError};
 use crate::message::Tag;
 use simcluster::{Endpoint, FailureEvent, MachineModel, SimTime, TaskId, Topology, VirtualEngine};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -122,9 +116,10 @@ pub enum Step {
     /// compute or communication (like [`crate::ProcHandle::charge_other`]).
     Elapse(SimTime),
     /// Eagerly send `bytes` modeled bytes to world rank `dst`.  Sends never
-    /// block (the sender is only charged its injection occupancy); sends to
-    /// crashed or out-of-range destinations are dropped silently, exactly
-    /// like the router drops them.
+    /// block (the sender is only charged its injection occupancy); a send to
+    /// a crashed destination is dropped silently, exactly like the router
+    /// drops it.  A `dst` outside the run ends the rank as errored, with
+    /// the text of [`crate::MpiError::InvalidRank`].
     Send {
         /// Destination world rank.
         dst: usize,
@@ -133,13 +128,14 @@ pub enum Step {
         /// Modeled payload size in bytes.
         bytes: usize,
     },
-    /// Block until a message matching `(src, tag)` is available (`None` is a
-    /// wildcard).  How the receive ended is visible to the *next* step via
-    /// [`RankCtx::last_recv`].
+    /// Block until a message from `src` with `tag` is available.  Both must
+    /// be `Some`, and `src` a rank of the run: any other receive ends the
+    /// rank as errored.  How the receive ended is visible to the *next* step
+    /// via [`RankCtx::last_recv`].
     Recv {
-        /// Expected source world rank, or any.
+        /// Source world rank; `None` is an error.
         src: Option<usize>,
-        /// Expected tag, or any.
+        /// Tag; `None` is an error.
         tag: Option<Tag>,
     },
     /// The program is finished.
@@ -164,7 +160,7 @@ pub struct RecvDone {
 pub enum RecvOutcome {
     /// A message was matched and consumed.
     Message(RecvDone),
-    /// The named source crashed with no matching message queued (the
+    /// The source crashed with no matching message queued (the
     /// engine-world equivalent of [`crate::MpiError::ProcessFailed`]).
     PeerFailed {
         /// The crashed source rank.
@@ -235,9 +231,6 @@ pub struct EngineConfig {
     /// fires at the first step boundary at which the rank's clock has
     /// reached the given time.
     pub crashes: Vec<(usize, SimTime)>,
-    /// Per-rank step budget guarding against non-terminating programs
-    /// (`0` = unlimited).  A rank exceeding it is reported as errored.
-    pub step_limit: u64,
 }
 
 impl EngineConfig {
@@ -249,7 +242,6 @@ impl EngineConfig {
             machine: MachineModel::grid5000_ib20g(),
             topology: None,
             crashes: Vec::new(),
-            step_limit: 0,
         }
     }
 
@@ -289,12 +281,6 @@ impl EngineConfig {
         self
     }
 
-    /// Sets the per-rank step budget (`0` = unlimited).
-    pub fn with_step_limit(mut self, step_limit: u64) -> Self {
-        self.step_limit = step_limit;
-        self
-    }
-
     fn resolved_topology(&self) -> Topology {
         self.topology
             .clone()
@@ -309,8 +295,9 @@ pub enum RankEnd {
     Completed,
     /// The rank was crashed by failure injection.
     Crashed,
-    /// The program panicked, exceeded its step budget, or was still parked
-    /// on a receive when the event queue drained (deadlock).
+    /// The program panicked, posted a step naming no rank or a rank outside
+    /// the run, or was still parked on a receive when the event queue
+    /// drained (deadlock).
     Errored(String),
 }
 
@@ -343,9 +330,9 @@ pub struct VirtualClusterReport {
     pub ranks: Vec<VirtualRankReport>,
     /// Failure history, sorted by `(time, rank)`.
     pub failures: Vec<FailureEvent>,
-    /// Scheduler dispatches served, stale ones included (a duplicate wakeup
-    /// of a rank that already resumed is consumed as a no-op dispatch); a
-    /// receive satisfied when it is posted costs none.  A diagnostic of the
+    /// Scheduler dispatches served: one per rank start, per receive
+    /// completed at delivery and per rank a crash wakes; a receive satisfied
+    /// when it is posted costs none.  A diagnostic of the
     /// engine rather than a virtual-time result, but as deterministic as
     /// one: the dispatch order is a pure function of the configuration and
     /// the programs.
@@ -401,7 +388,7 @@ impl VirtualClusterReport {
             .count()
     }
 
-    /// Ranks that errored (panic, step budget, deadlock), with messages.
+    /// Ranks that errored (panic, invalid step, deadlock), with messages.
     pub fn errors(&self) -> Vec<(usize, &str)> {
         self.ranks
             .iter()
@@ -420,7 +407,7 @@ enum Phase {
     /// delivery and its resumption scheduled — or is running its burst
     /// right now.
     Runnable,
-    /// Waiting for a receive on this selector to become satisfiable.
+    /// Waiting for a message this selector matches, or its source's failure.
     Parked(Selector),
     /// Terminal states.
     Done,
@@ -437,9 +424,6 @@ struct RankLocal<P> {
     endpoint: Endpoint,
     last_recv: Option<RecvOutcome>,
     crash_at: Option<SimTime>,
-    steps: u64,
-    /// Sender-local envelope sequence (virtual-time tie-breaking only).
-    seq: u64,
 }
 
 /// A message in flight or queued at its destination: exactly the fields the
@@ -454,15 +438,6 @@ struct Msg {
     /// Virtual time at which the message is fully available at its
     /// destination.
     arrival: SimTime,
-    /// Sender-local sequence number (virtual-time tie-breaking only).
-    seq: u64,
-}
-
-impl Msg {
-    /// The wildcard match order: smallest first.
-    fn order(&self) -> (SimTime, usize, Tag, u64) {
-        (self.arrival, self.src, self.tag, self.seq)
-    }
 }
 
 /// Index into the [`MsgSlab`]; [`NIL`] ends a list.
@@ -481,9 +456,9 @@ struct Queued {
 // The slab and the burst buffer hold these by value, the slab one per
 // queued message of the whole run, and every rank carries a slot: keep them
 // small.
-const _: () = assert!(std::mem::size_of::<Msg>() <= 40);
-const _: () = assert!(std::mem::size_of::<Queued>() <= 48);
-const _: () = assert!(std::mem::size_of::<RankSlot<()>>() <= 168);
+const _: () = assert!(std::mem::size_of::<Msg>() <= 32);
+const _: () = assert!(std::mem::size_of::<Queued>() <= 40);
+const _: () = assert!(std::mem::size_of::<RankSlot<()>>() <= 144);
 
 /// Every queued message of a run, in one table: the inboxes are linked
 /// lists through it, and an entry a receive vacates goes on a free list for
@@ -534,22 +509,17 @@ impl MsgSlab {
     }
 }
 
-/// Receive criteria of a [`Step::Recv`]: `None` is a wildcard.
+/// Receive criteria of a valid [`Step::Recv`]: a source rank of the run
+/// and a tag.
 #[derive(Debug, Clone, Copy)]
 struct Selector {
-    src: Option<usize>,
-    tag: Option<Tag>,
+    src: usize,
+    tag: Tag,
 }
 
 impl Selector {
     fn matches(&self, msg: &Msg) -> bool {
-        self.src.is_none_or(|s| s == msg.src) && self.tag.is_none_or(|t| t == msg.tag)
-    }
-
-    /// Names both source and tag: at most one queued message can be its
-    /// first match, whatever else is queued.
-    fn is_exact(&self) -> bool {
-        self.src.is_some() && self.tag.is_some()
+        self.src == msg.src && self.tag == msg.tag
     }
 }
 
@@ -582,32 +552,17 @@ impl Inbox {
         self.tail = at;
     }
 
-    /// Removes and returns the message a receive on `sel` consumes.
-    ///
-    /// One sender's back-to-back sends serialize on its channel and are
-    /// delivered in order, so the messages of one `(src, tag)` pair queue in
-    /// arrival order: an exact selector takes its first match.  A wildcard
-    /// takes the match with the smallest `(arrival, src, tag, seq)`, the
-    /// first such on ties — a pure function of the queued virtual-time
-    /// stamps, whatever order the deliveries were applied in.
+    /// Removes and returns the first message `sel` matches.  One sender's
+    /// back-to-back sends serialize on its channel and are delivered in
+    /// order, so that is the earliest-sent match.
     fn take(&mut self, slab: &mut MsgSlab, sel: &Selector) -> Option<Msg> {
-        let exact = sel.is_exact();
-        // The message to take and its predecessor in the list.
-        let mut best: Option<(Link, Link)> = None;
         let (mut prev, mut at) = (NIL, self.head);
-        while at != NIL {
-            let Queued { msg, next } = &slab.entries[at as usize];
-            if sel.matches(msg)
-                && best.is_none_or(|(_, b)| msg.order() < slab.entries[b as usize].msg.order())
-            {
-                best = Some((prev, at));
-                if exact {
-                    break;
-                }
-            }
-            (prev, at) = (at, *next);
+        while at != NIL && !sel.matches(&slab.entries[at as usize].msg) {
+            (prev, at) = (at, slab.entries[at as usize].next);
         }
-        let (prev, at) = best?;
+        if at == NIL {
+            return None;
+        }
         let next = slab.entries[at as usize].next;
         match prev {
             NIL => self.head = next,
@@ -624,7 +579,7 @@ impl Inbox {
 /// doubly-linked list per source, threaded through per-rank links, so a
 /// rank joins or leaves its source's list in O(1) and a crash visits only
 /// the ranks waiting on the crashed rank.  A rank is linked exactly while
-/// it is parked on a receive naming a live, in-range source.
+/// it is parked on a receive whose source is live.
 struct WaiterLists {
     /// Per source: the first rank parked on it, or [`NIL`].
     head: Vec<Link>,
@@ -734,8 +689,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Injects one message on the rank's endpoint ([`Endpoint::inject`]) and
-/// stamps it with the sender-local sequence number.
+/// Injects one message on the rank's endpoint ([`Endpoint::inject`]).
 fn inject<P>(
     local: &mut RankLocal<P>,
     rank: usize,
@@ -749,15 +703,17 @@ fn inject<P>(
     let (arrival, _) = local
         .endpoint
         .inject(machine.link(same_node), same_node, bytes);
-    let seq = local.seq;
-    local.seq += 1;
     Msg {
         src: rank,
         tag,
         modeled_bytes: bytes,
         arrival,
-        seq,
     }
+}
+
+/// The thread world's error text for a rank outside the run.
+fn invalid_rank(rank: usize, world: usize) -> String {
+    MpiError::InvalidRank { rank, size: world }.to_string()
 }
 
 /// Completes a matched receive on the rank's endpoint
@@ -785,7 +741,8 @@ fn complete_recv<P>(
 /// Runs one rank as far as it can go without touching another rank: compute
 /// charges and sends are rank-local (sends are buffered in `outgoing`, the
 /// loop's reused buffer, beside their destinations), so the burst only ends
-/// on a receive, a crash, completion, or an error.
+/// on a receive, a crash, completion, or an error — a panic, or a step
+/// naming no rank or a rank outside the run.
 ///
 /// One unwind guard covers the whole burst: a program that panics ends it
 /// as `Errored`, and the sends it made before the panic stay in `outgoing`
@@ -797,7 +754,6 @@ fn run_burst<P: RankProgram>(
     world: usize,
     topology: &Topology,
     machine: &MachineModel,
-    step_limit: u64,
 ) -> BurstEnd {
     catch_unwind(AssertUnwindSafe(|| loop {
         if let Some(at) = local.crash_at {
@@ -805,10 +761,6 @@ fn run_burst<P: RankProgram>(
                 return BurstEnd::Crashed(local.endpoint.clock.now());
             }
         }
-        if step_limit > 0 && local.steps >= step_limit {
-            return BurstEnd::Errored(format!("exceeded step budget of {step_limit}"));
-        }
-        local.steps += 1;
         let ctx = RankCtx {
             rank,
             world,
@@ -821,56 +773,39 @@ fn run_burst<P: RankProgram>(
                 local.endpoint.clock.advance_compute(dt);
             }
             Step::Elapse(dt) => local.endpoint.clock.advance_other(dt),
-            Step::Send { dst, tag, bytes } => {
-                if dst < world {
-                    let msg = inject(local, rank, dst, tag, bytes, topology, machine);
-                    outgoing.push((dst, msg));
-                }
-                // Out-of-range destinations are dropped like the router
-                // drops them; crashed destinations are filtered at apply
-                // time, where liveness is known.
+            // Crashed destinations are filtered at apply time, where
+            // liveness is known.
+            Step::Send { dst, tag, bytes } if dst < world => {
+                let msg = inject(local, rank, dst, tag, bytes, topology, machine);
+                outgoing.push((dst, msg));
             }
-            Step::Recv { src, tag } => return BurstEnd::NeedRecv(Selector { src, tag }),
+            Step::Send { dst, .. } => return BurstEnd::Errored(invalid_rank(dst, world)),
+            Step::Recv {
+                src: Some(src),
+                tag: Some(tag),
+            } if src < world => return BurstEnd::NeedRecv(Selector { src, tag }),
+            Step::Recv {
+                src: Some(src),
+                tag: Some(_),
+            } => return BurstEnd::Errored(invalid_rank(src, world)),
+            Step::Recv { src, tag } => {
+                return BurstEnd::Errored(format!(
+                    "a receive must name its source and tag, got source {src:?}, tag {tag:?}"
+                ))
+            }
             Step::Done => return BurstEnd::Done,
         }
     }))
     .unwrap_or_else(|payload| BurstEnd::Errored(panic_message(payload)))
 }
 
-/// Tries to hand a parked or freshly-recv-blocked rank its receive outcome:
-/// a queued matching message (earliest virtual arrival first) or a
-/// `PeerFailed` for a crashed named source.  Returns `false` if the rank
-/// must (stay) park(ed).
-fn try_satisfy_recv<P>(
-    slot: &mut RankSlot<P>,
-    slab: &mut MsgSlab,
-    failed: &[bool],
-    sel: &Selector,
-    rank: usize,
-    topology: &Topology,
-    machine: &MachineModel,
-) -> bool {
-    if let Some(msg) = slot.inbox.take(slab, sel) {
-        complete_recv(&mut slot.local, &msg, rank, topology, machine);
-        true
-    } else if let Some(src) = sel.src.filter(|&s| s < failed.len() && failed[s]) {
-        slot.local.last_recv = Some(RecvOutcome::PeerFailed { src });
-        true
-    } else {
-        false
-    }
-}
-
 /// Delivers one message sent to `dst`.  A message for a crashed rank is
-/// dropped, like the router drops it.  One that matches a parked *exact*
-/// receive completes it on the spot — the receiver's clock is frozen while
-/// it is parked, and no earlier match can be queued (the receive would have
-/// taken it when it was posted), so the outcome is the one a later dispatch
-/// would compute — and schedules the rank's resumption at the message's
-/// arrival; the message never enters the slab.  Any other message is
-/// queued, and one matching a parked wildcard receive schedules a
-/// resumption at its arrival that re-runs the match then (a duplicate
-/// wakeup finds nothing to do and leaves the rank parked).
+/// dropped, like the router drops it.  One that matches a parked receive
+/// completes it on the spot — the receiver's clock is frozen while it is
+/// parked, and no earlier match can be queued (the receive would have taken
+/// it when it was posted), so the outcome is the one a later dispatch would
+/// compute — and schedules the rank's resumption at the message's arrival;
+/// the message never enters the slab.  Any other message is queued.
 fn deliver<P>(
     sched: &mut Scheduler<P>,
     dst: usize,
@@ -885,13 +820,9 @@ fn deliver<P>(
     let slot = &mut sched.ranks[dst];
     match slot.phase {
         Phase::Parked(sel) if sel.matches(&msg) => {
-            if sel.is_exact() {
-                complete_recv(&mut slot.local, &msg, dst, topology, machine);
-                slot.phase = Phase::Runnable;
-                sched.waiters.remove(msg.src, dst);
-            } else {
-                slot.inbox.push(&mut sched.slab, msg);
-            }
+            complete_recv(&mut slot.local, &msg, dst, topology, machine);
+            slot.phase = Phase::Runnable;
+            sched.waiters.remove(msg.src, dst);
             sched.engine.schedule_at(TaskId(dst), msg.arrival);
         }
         _ => slot.inbox.push(&mut sched.slab, msg),
@@ -902,8 +833,8 @@ fn deliver<P>(
 /// buffered in `outgoing`, leaving the buffer empty for the next burst,
 /// then settles the rank.  A receive it can satisfy at once (a queued
 /// match, or a crashed source) returns `true`: the caller runs the rank's
-/// next burst straight away.  Otherwise the rank parks — on a named source,
-/// linked into that source's waiter list — or retires.
+/// next burst straight away.  Otherwise the rank parks, linked into its
+/// source's waiter list, or retires.
 fn apply_burst<P>(
     sched: &mut Scheduler<P>,
     rank: usize,
@@ -918,68 +849,47 @@ fn apply_burst<P>(
     match end {
         BurstEnd::NeedRecv(sel) => {
             let slot = &mut sched.ranks[rank];
-            if try_satisfy_recv(
-                slot,
-                &mut sched.slab,
-                &sched.failed,
-                &sel,
-                rank,
-                topology,
-                machine,
-            ) {
+            if let Some(msg) = slot.inbox.take(&mut sched.slab, &sel) {
+                complete_recv(&mut slot.local, &msg, rank, topology, machine);
+                return true;
+            }
+            if sched.failed[sel.src] {
+                slot.local.last_recv = Some(RecvOutcome::PeerFailed { src: sel.src });
                 return true;
             }
             slot.phase = Phase::Parked(sel);
-            if let Some(src) = sel.src.filter(|&src| src < sched.failed.len()) {
-                sched.waiters.push(src, rank);
-            }
+            sched.waiters.push(sel.src, rank);
         }
         BurstEnd::Done => sched.ranks[rank].phase = Phase::Done,
-        BurstEnd::Crashed(at) => retire_failed(sched, rank, at, Phase::Crashed, topology, machine),
+        BurstEnd::Crashed(at) => retire_failed(sched, rank, at, Phase::Crashed),
         BurstEnd::Errored(msg) => {
             // Mirror the thread world: a panicked rank is marked failed so
             // peers blocked on it observe the failure instead of hanging.
             let at = sched.ranks[rank].local.endpoint.clock.now();
             sched.errors.push((rank, msg));
-            retire_failed(sched, rank, at, Phase::Errored, topology, machine);
+            retire_failed(sched, rank, at, Phase::Errored);
         }
     }
     false
 }
 
-/// Retires a rank as crashed/errored: records the failure, and settles the
-/// receive of every rank in its waiter list, in ascending rank order — a
-/// message the rank delivered before it failed if one matches, else
-/// `PeerFailed` — and readies them (the continuation equivalent of the
-/// failure board waking blocked receivers through its registered wakers).
-/// The work is proportional to the waiters, not to the world.
-fn retire_failed<P>(
-    sched: &mut Scheduler<P>,
-    rank: usize,
-    at: SimTime,
-    phase: Phase,
-    topology: &Topology,
-    machine: &MachineModel,
-) {
+/// Retires a rank as crashed/errored: records the failure, hands every
+/// rank in its waiter list `PeerFailed` and readies them, in ascending rank
+/// order (the continuation equivalent of the failure board waking blocked
+/// receivers through its registered wakers).  The work is proportional to
+/// the waiters, not to the world.
+fn retire_failed<P>(sched: &mut Scheduler<P>, rank: usize, at: SimTime, phase: Phase) {
     sched.failed[rank] = true;
     sched.failures.push(FailureEvent { rank, time: at });
     sched.ranks[rank].phase = phase;
     sched.waiters.drain_sorted(rank, &mut sched.woken);
     for &q in &sched.woken {
         let slot = &mut sched.ranks[q];
-        let Phase::Parked(sel) = slot.phase else {
-            unreachable!("rank {q} is linked as a waiter but not parked");
-        };
-        let settled = try_satisfy_recv(
-            slot,
-            &mut sched.slab,
-            &sched.failed,
-            &sel,
-            q,
-            topology,
-            machine,
+        debug_assert!(
+            matches!(slot.phase, Phase::Parked(_)),
+            "waiter {q} is parked"
         );
-        debug_assert!(settled, "a receive naming a failed source settles");
+        slot.local.last_recv = Some(RecvOutcome::PeerFailed { src: rank });
         slot.phase = Phase::Runnable;
         sched.engine.make_ready(TaskId(q));
     }
@@ -989,41 +899,15 @@ fn retire_failed<P>(
 /// insertion)`) and runs each dispatched rank's bursts in place, applying
 /// each, until the rank parks or retires.  Returns when the event queue is
 /// drained.
-fn drive<P: RankProgram>(
-    sched: &mut Scheduler<P>,
-    topology: &Topology,
-    machine: &MachineModel,
-    step_limit: u64,
-) {
+fn drive<P: RankProgram>(sched: &mut Scheduler<P>, topology: &Topology, machine: &MachineModel) {
     let world = sched.ranks.len();
     // Send buffer of every burst: filled by the burst, drained by the apply,
     // its allocation reused for the whole run.
     let mut outgoing = Vec::new();
     while let Some(dispatch) = sched.engine.next() {
         let rank = dispatch.task.0;
-        let slot = &mut sched.ranks[rank];
-        match slot.phase {
-            Phase::Runnable => {}
-            Phase::Parked(sel) => {
-                if !try_satisfy_recv(
-                    slot,
-                    &mut sched.slab,
-                    &sched.failed,
-                    &sel,
-                    rank,
-                    topology,
-                    machine,
-                ) {
-                    continue; // spurious wakeup (e.g. a duplicate resume): stay parked
-                }
-                slot.phase = Phase::Runnable;
-                if let Some(src) = sel.src.filter(|&src| src < world) {
-                    sched.waiters.remove(src, rank);
-                }
-            }
-            // Stale dispatch for a rank that already retired.
-            _ => continue,
-        }
+        // A rank has at most one dispatch due, and only a dispatch runs it.
+        debug_assert!(matches!(sched.ranks[rank].phase, Phase::Runnable));
         loop {
             let end = run_burst(
                 &mut sched.ranks[rank].local,
@@ -1032,7 +916,6 @@ fn drive<P: RankProgram>(
                 world,
                 topology,
                 machine,
-                step_limit,
             );
             if !apply_burst(sched, rank, end, &mut outgoing, topology, machine) {
                 break;
@@ -1106,8 +989,6 @@ where
                     endpoint: Endpoint::new(node_populations[topology.node_of(rank)]),
                     last_recv: None,
                     crash_at: crash_at[rank],
-                    steps: 0,
-                    seq: 0,
                 },
             }
         })
@@ -1124,7 +1005,7 @@ where
         errors: Vec::new(),
         messages: 0,
     };
-    drive(&mut sched, &topology, &config.machine, config.step_limit);
+    drive(&mut sched, &topology, &config.machine);
 
     let mut failures = std::mem::take(&mut sched.failures);
     failures.sort_by_key(|f| (f.time, f.rank));
@@ -1213,13 +1094,14 @@ mod tests {
         );
     }
 
-    fn msg_at(src: usize, tag: Tag, arrival: f64, seq: u64) -> Msg {
+    /// A message told apart from the others of its `(src, tag)` by `id`,
+    /// carried as its size.
+    fn msg(src: usize, tag: Tag, id: usize) -> Msg {
         Msg {
             src,
             tag,
-            modeled_bytes: 0,
-            arrival: SimTime::from_secs(arrival),
-            seq,
+            modeled_bytes: id,
+            arrival: SimTime::ZERO,
         }
     }
 
@@ -1233,54 +1115,22 @@ mod tests {
         len
     }
 
-    const ANY: Selector = Selector {
-        src: None,
-        tag: None,
-    };
-
-    #[test]
-    fn delivery_order_and_arrival_order_can_differ() {
-        // Source 1 delivered first but arrives later than source 0.
-        let (mut inbox, mut slab) = (Inbox::default(), MsgSlab::default());
-        inbox.push(&mut slab, msg_at(1, 5, 3.0, 0));
-        inbox.push(&mut slab, msg_at(0, 5, 1.0, 0));
-        // A wildcard returns the earliest arrival, not the first delivery.
-        assert_eq!(inbox.take(&mut slab, &ANY).unwrap().src, 0);
-        assert_eq!(inbox.take(&mut slab, &ANY).unwrap().src, 1);
-        assert_eq!((inbox.head, inbox.tail), (NIL, NIL));
-        assert_eq!(chain_len(&slab, slab.free), 2);
-    }
-
-    #[test]
-    fn arrival_order_breaks_ties_by_source_then_tag() {
-        let (mut inbox, mut slab) = (Inbox::default(), MsgSlab::default());
-        inbox.push(&mut slab, msg_at(2, 1, 1.0, 0));
-        inbox.push(&mut slab, msg_at(1, 7, 1.0, 0));
-        inbox.push(&mut slab, msg_at(1, 3, 1.0, 0));
-        let first = inbox.take(&mut slab, &ANY).unwrap();
-        assert_eq!((first.src, first.tag), (1, 3));
-        let second = inbox.take(&mut slab, &ANY).unwrap();
-        assert_eq!((second.src, second.tag), (1, 7));
-        assert_eq!(inbox.take(&mut slab, &ANY).unwrap().src, 2);
-    }
-
     #[test]
     fn arrival_order_respects_exact_lane_fifo() {
         let (mut inbox, mut slab) = (Inbox::default(), MsgSlab::default());
-        inbox.push(&mut slab, msg_at(0, 5, 1.0, 0));
-        inbox.push(&mut slab, msg_at(0, 5, 2.0, 1));
-        let sel = Selector {
-            src: Some(0),
-            tag: Some(5),
-        };
-        assert_eq!(inbox.take(&mut slab, &sel).unwrap().seq, 0);
-        assert_eq!(inbox.take(&mut slab, &sel).unwrap().seq, 1);
+        inbox.push(&mut slab, msg(0, 5, 0));
+        inbox.push(&mut slab, msg(1, 5, 0));
+        inbox.push(&mut slab, msg(0, 5, 1));
+        let sel = Selector { src: 0, tag: 5 };
+        assert_eq!(inbox.take(&mut slab, &sel).unwrap().modeled_bytes, 0);
+        assert_eq!(inbox.take(&mut slab, &sel).unwrap().modeled_bytes, 1);
         assert!(inbox.take(&mut slab, &sel).is_none());
+        assert_eq!(chain_len(&slab, inbox.head), 1);
+        assert_eq!(chain_len(&slab, slab.free), 2);
     }
 
     /// Reference model of the inbox: one FIFO lane per `(src, tag)`; a take
-    /// pops the matching lane front with the smallest `(arrival, src, tag,
-    /// seq)`.
+    /// pops the front of the lane it names.
     #[derive(Default)]
     struct LaneModel {
         lanes: std::collections::BTreeMap<(usize, Tag), std::collections::VecDeque<Msg>>,
@@ -1295,64 +1145,46 @@ mod tests {
         }
 
         fn take(&mut self, sel: &Selector) -> Option<Msg> {
-            let key = self
-                .lanes
-                .values()
-                .filter_map(|lane| lane.front())
-                .filter(|front| sel.matches(front))
-                .min_by_key(|m| (m.arrival, m.src, m.tag, m.seq))
-                .map(|m| (m.src, m.tag))?;
-            self.lanes.get_mut(&key)?.pop_front()
+            self.lanes.get_mut(&(sel.src, sel.tag))?.pop_front()
         }
     }
 
     proptest::proptest! {
         /// Three receivers share one slab.  Random interleavings of pushes
-        /// (arrivals monotone per receiver and `(src, tag)`, as one sender's
-        /// channel guarantees) and takes under all four selector shapes,
-        /// across the receivers: each inbox and its receiver's lane model
-        /// must hand out the same message every time, `None` included, and
-        /// the slab must reuse vacated entries, whichever inbox freed them,
-        /// before it grows.
+        /// and takes across the receivers: each inbox and its receiver's
+        /// lane model must hand out the same message every time, `None`
+        /// included, and the slab must reuse vacated entries, whichever
+        /// inbox freed them, before it grows.
         #[test]
         fn inboxes_sharing_a_slab_agree_with_the_lane_model(
-            ops in proptest::collection::vec(0u32..648, 1..160)
+            ops in proptest::collection::vec(0u32..162, 1..160)
         ) {
             let mut slab = MsgSlab::default();
             let mut inboxes: [Inbox; 3] = Default::default();
             let mut models: [LaneModel; 3] = Default::default();
-            // Per-sender sequence numbers and per-lane latest arrivals.
-            let mut seq = [0u64; 3];
-            let mut latest = [[[0u32; 3]; 3]; 3];
-            let (mut live, mut high_water) = (0, 0);
+            let (mut pushed, mut live, mut high_water) = (0, 0, 0);
             for op in ops {
                 // Mixed-radix digits: action (6), receiver (3), source (3),
-                // tag (3), and the arrival step or selector shape (4).
-                let (action, dst, src, tag, extra) = (
+                // tag (3).
+                let (action, dst, src, tag) = (
                     op % 6,
                     (op / 6 % 3) as usize,
                     (op / 18 % 3) as usize,
-                    op / 54 % 3,
-                    op / 162,
+                    op / 54,
                 );
                 if action < 4 {
-                    let lane = &mut latest[dst][src][tag as usize];
-                    *lane += extra % 3; // 0 keeps cross-lane ties frequent
-                    let msg = msg_at(src, tag, f64::from(*lane), seq[src]);
-                    seq[src] += 1;
+                    let msg = msg(src, tag, pushed);
+                    pushed += 1;
                     inboxes[dst].push(&mut slab, msg);
                     models[dst].push(msg);
                     live += 1;
                     high_water = high_water.max(live);
                 } else {
-                    let sel = Selector {
-                        src: (extra & 1 == 0).then_some(src),
-                        tag: (extra & 2 == 0).then_some(tag),
-                    };
+                    let sel = Selector { src, tag };
                     let (got, want) = (inboxes[dst].take(&mut slab, &sel), models[dst].take(&sel));
                     proptest::prop_assert_eq!(
-                        got.map(|m| (m.src, m.tag, m.seq)),
-                        want.map(|m| (m.src, m.tag, m.seq)),
+                        got.map(|m| (m.src, m.tag, m.modeled_bytes)),
+                        want.map(|m| (m.src, m.tag, m.modeled_bytes)),
                         "receiver {} selector {:?}", dst, sel
                     );
                     live -= usize::from(got.is_some());
@@ -1455,88 +1287,6 @@ mod tests {
         for workers in [0, 1, 8] {
             let config = EngineConfig::new(8).with_workers(workers);
             assert_eq!(ring_report(&config), baseline);
-        }
-    }
-
-    /// Two senders race a wildcard receiver.  The match rule: among the
-    /// matching messages queued when the receive is attempted, the earliest
-    /// virtual arrival wins — delivery order does not matter, and a message
-    /// whose sender has not run yet is not a candidate.
-    struct Race {
-        receiver: usize,
-        state: u8,
-        /// The receiver's `RecvDone`s in match order (the report only
-        /// carries a scalar per rank).
-        seen: Rc<RefCell<Vec<RecvDone>>>,
-    }
-
-    impl RankProgram for Race {
-        fn step(&mut self, ctx: &RankCtx) -> Step {
-            if let Some(RecvOutcome::Message(done)) = ctx.last_recv() {
-                self.seen.borrow_mut().push(done);
-            }
-            self.state += 1;
-            if ctx.rank() == self.receiver {
-                return match self.state {
-                    1 | 2 => Step::Recv {
-                        src: None,
-                        tag: Some(9),
-                    },
-                    _ => Step::Done,
-                };
-            }
-            // The lower-ranked sender runs (and delivers) first but its
-            // message arrives later in virtual time.
-            let lower = (0..3).find(|&r| r != self.receiver) == Some(ctx.rank());
-            match self.state {
-                1 => Step::Elapse(SimTime::from_secs(if lower { 2.0 } else { 1.0 })),
-                2 => Step::Send {
-                    dst: self.receiver,
-                    tag: 9,
-                    bytes: 64,
-                },
-                _ => Step::Done,
-            }
-        }
-    }
-
-    fn race(receiver: usize) -> (Vec<RecvDone>, VirtualClusterReport) {
-        let seen = Rc::new(RefCell::new(Vec::new()));
-        let report = run_virtual_cluster(&EngineConfig::new(3), |_| Race {
-            receiver,
-            state: 0,
-            seen: Rc::clone(&seen),
-        });
-        assert_eq!(report.num_completed(), 3, "{:?}", report.errors());
-        (seen.take(), report)
-    }
-
-    #[test]
-    fn racing_senders_resolve_a_wildcard_receive_identically_every_run() {
-        for receiver in 0..3 {
-            let (first, report) = race(receiver);
-            for _ in 0..9 {
-                let (again, report_again) = race(receiver);
-                assert_eq!((&again, &report_again), (&first, &report));
-            }
-            let sources: Vec<usize> = first.iter().map(|m| m.src).collect();
-            let lower = (0..3).find(|&r| r != receiver).unwrap();
-            let upper = (0..3).rfind(|&r| r != receiver).unwrap();
-            if receiver == 1 {
-                // Rank 0 has delivered, rank 2 has not run yet: the receive
-                // takes what is queued, although rank 2's message will carry
-                // the earlier arrival stamp.
-                assert_eq!(sources, vec![lower, upper]);
-                assert!(first[0].at > SimTime::from_secs(2.0));
-            } else {
-                // Both messages are queued by the time the receiver is
-                // resumed (rank 0: parked, woken at the earlier arrival;
-                // rank 2: dispatched last): earliest arrival first, although
-                // it was delivered second.
-                assert_eq!(sources, vec![upper, lower]);
-                assert!(first[0].at < SimTime::from_secs(2.0));
-            }
-            assert!(first[0].at <= first[1].at);
         }
     }
 
@@ -1742,10 +1492,9 @@ mod tests {
     }
 
     /// The sender sends one message and crashes in the same burst; the
-    /// receiver's single receive names the sender, with the tag or any.
+    /// receiver's single receive names it.
     struct SendThenCrash {
         sender: usize,
-        tag: Option<Tag>,
         state: u8,
         got: Option<RecvOutcome>,
     }
@@ -1762,7 +1511,7 @@ mod tests {
                 (true, 2) => Step::Elapse(SimTime::from_secs(5.0)),
                 (false, 1) => Step::Recv {
                     src: Some(self.sender),
-                    tag: self.tag,
+                    tag: Some(7),
                 },
                 _ => {
                     self.got = ctx.last_recv();
@@ -1782,14 +1531,12 @@ mod tests {
     #[test]
     fn a_message_delivered_before_its_sender_crashed_is_still_received() {
         // Sender 1: the receiver (rank 0) runs first and is parked when the
-        // message is delivered — an exact receive completed at delivery, a
-        // named-source any-tag receive settled when the sender retires.
-        // Sender 0: the message is queued before the receive is posted.
-        for (sender, tag) in [(1, Some(7)), (1, None), (0, Some(7)), (0, None)] {
+        // message is delivered, which completes the receive.  Sender 0: the
+        // message is queued before the receive is posted.
+        for sender in [1, 0] {
             let config = EngineConfig::ideal(2).with_crash(sender, SimTime::from_secs(1.0));
             let report = run_virtual_cluster(&config, |_| SendThenCrash {
                 sender,
-                tag,
                 state: 0,
                 got: None,
             });
@@ -1799,7 +1546,7 @@ mod tests {
             assert_eq!(
                 receiver.result,
                 Some(1.0),
-                "sender {sender}, tag {tag:?}: the message, not PeerFailed"
+                "sender {sender}: the message, not PeerFailed"
             );
         }
     }
@@ -1970,17 +1717,85 @@ mod tests {
         assert_eq!(report.ranks[1].result, Some(0.0));
     }
 
+    /// A step the engine cannot serve ends the rank that posts it as
+    /// errored — a rank outside the run with the thread world's text — and
+    /// the peer parked on that rank observes its failure.
     #[test]
-    fn step_budget_catches_non_terminating_programs() {
-        struct Spinner;
-        impl RankProgram for Spinner {
-            fn step(&mut self, _ctx: &RankCtx) -> Step {
-                Step::Elapse(SimTime::ZERO)
+    fn a_step_naming_no_rank_or_one_outside_the_run_errors_the_rank() {
+        struct Bad {
+            bad: Step,
+            state: u8,
+            got: Option<RecvOutcome>,
+        }
+        impl RankProgram for Bad {
+            fn step(&mut self, ctx: &RankCtx) -> Step {
+                self.state += 1;
+                match (ctx.rank(), self.state) {
+                    (0, 1) => Step::Recv {
+                        src: Some(1),
+                        tag: Some(1),
+                    },
+                    (0, _) => {
+                        self.got = ctx.last_recv();
+                        Step::Done
+                    }
+                    _ => self.bad,
+                }
+            }
+
+            fn result(&self) -> Option<f64> {
+                Some(f64::from(u8::from(
+                    self.got == Some(RecvOutcome::PeerFailed { src: 1 }),
+                )))
             }
         }
-        let config = EngineConfig::ideal(1).with_step_limit(1_000);
-        let report = run_virtual_cluster(&config, |_| Spinner);
-        assert!(matches!(report.ranks[0].end, RankEnd::Errored(ref m) if m.contains("budget")));
+        let open = "a receive must name its source and tag";
+        let outside = "rank 2 out of range for communicator of size 2";
+        for (bad, text) in [
+            (
+                Step::Recv {
+                    src: None,
+                    tag: Some(1),
+                },
+                open,
+            ),
+            (
+                Step::Recv {
+                    src: Some(0),
+                    tag: None,
+                },
+                open,
+            ),
+            (
+                Step::Recv {
+                    src: Some(2),
+                    tag: Some(1),
+                },
+                outside,
+            ),
+            (
+                Step::Send {
+                    dst: 2,
+                    tag: 1,
+                    bytes: 8,
+                },
+                outside,
+            ),
+        ] {
+            let report = run_virtual_cluster(&EngineConfig::ideal(2), |_| Bad {
+                bad,
+                state: 0,
+                got: None,
+            });
+            assert!(
+                matches!(report.ranks[1].end, RankEnd::Errored(ref m) if m.starts_with(text)),
+                "{bad:?}: {:?}",
+                report.ranks[1].end
+            );
+            assert_eq!(report.failures.len(), 1);
+            assert_eq!(report.ranks[0].end, RankEnd::Completed);
+            assert_eq!(report.ranks[0].result, Some(1.0), "{bad:?}: PeerFailed");
+        }
     }
 
     #[test]

@@ -35,7 +35,8 @@
 //! * [`router`] moves envelopes between per-rank mailboxes;
 //! * [`engine`] is the second execution strategy: cooperatively-scheduled
 //!   rank state machines on a discrete-event virtual-time core, lifting the
-//!   thread-per-rank ceiling to 10k–1M logical ranks;
+//!   thread-per-rank ceiling to 10k–1M logical ranks; its receives, too,
+//!   each name one source rank and one tag;
 //! * [`datatype`] converts typed slices to and from bytes.
 //!
 //! The replication layer (`replication` crate) and the intra-parallelization

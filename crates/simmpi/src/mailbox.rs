@@ -9,8 +9,8 @@
 //!
 //! The event-driven engine ([`crate::engine`]) does not queue here: its
 //! messages carry no payload and its inboxes stay a dozen messages deep, so
-//! it keeps a flat queue of its own and matches wildcards in virtual arrival
-//! order instead.
+//! it keeps a flat queue of its own and scans it for the first message from
+//! the named source with the named tag.
 
 use crate::fxhash::FxBuildHasher;
 use crate::message::{Envelope, LaneKey};

@@ -8,7 +8,7 @@
 
 use simcluster::{MachineModel, SimTime, Topology};
 use simmpi::{
-    run_cluster, run_virtual_cluster, ClusterConfig, EngineConfig, ProcHandle, RankCtx,
+    run_cluster, run_virtual_cluster, ClusterConfig, EngineConfig, MpiError, ProcHandle, RankCtx,
     RankProgram, Step,
 };
 
@@ -132,5 +132,52 @@ fn both_worlds_produce_the_same_virtual_time_records() {
             .iter()
             .all(|r| r.1 > SimTime::ZERO && r.2 > SimTime::ZERO));
         assert!(threads.iter().any(|r| r.3 > SimTime::ZERO));
+    }
+}
+
+/// A receive from and a send to rank `world`, one past the last: the thread
+/// world returns `InvalidRank` for each, and on the engine the same step
+/// ends the rank as errored with that error's text while the others
+/// complete.
+#[test]
+fn both_worlds_reject_a_rank_outside_the_run() {
+    const RANKS: usize = 4;
+    let invalid = MpiError::InvalidRank {
+        rank: RANKS,
+        size: RANKS,
+    };
+
+    let threads = run_cluster(&ClusterConfig::ideal(RANKS), |proc| {
+        let world = proc.world();
+        (
+            world.recv::<u8>(RANKS, 1).err(),
+            world.isend_with_modeled_size(&[0u8], RANKS, 1, 8).err(),
+        )
+    });
+    for outcome in threads.unwrap_results() {
+        assert_eq!(outcome, (Some(invalid.clone()), Some(invalid.clone())));
+    }
+
+    for bad in [
+        Step::Recv {
+            src: Some(RANKS),
+            tag: Some(1),
+        },
+        Step::Send {
+            dst: RANKS,
+            tag: 1,
+            bytes: 8,
+        },
+    ] {
+        // Rank 0 posts `bad`; the others do nothing.
+        let engine = run_virtual_cluster(&EngineConfig::ideal(RANKS), |rank| {
+            let steps = if rank == 0 { vec![bad] } else { Vec::new() };
+            Scripted {
+                steps: steps.into_iter(),
+            }
+        });
+        let text = invalid.to_string();
+        assert_eq!(engine.errors(), vec![(0, text.as_str())], "{bad:?}");
+        assert_eq!(engine.num_completed(), RANKS - 1, "{bad:?}");
     }
 }
