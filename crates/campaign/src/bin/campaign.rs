@@ -17,6 +17,12 @@
 //! campaign stop   --spool DIR
 //! ```
 //!
+//! Each verb declares its flags once, to [`parse`]: an unknown flag, a
+//! valued flag without its value, a number that does not parse (or a
+//! `--jobs` of 0) and an unknown grid or sweep are usage errors (exit 2),
+//! caught before anything is read, written or created.  A failure after
+//! that (I/O, a failed job, a diverging report) exits 1.
+//!
 //! `run` writes a deterministic JSON report (byte-identical for any
 //! `--jobs` value); `diff` validates the `ipr-report/1` schema tag on both
 //! documents and exits non-zero if the candidate diverges from the
@@ -31,352 +37,300 @@ use campaign::{
     diff_documents, run_campaign, run_specs_cached, run_weak_sweep, strip_informational,
     CampaignGrid, CampaignReport, Json, RunCache, ServeOptions, Spool, WeakSweep,
 };
+use std::fmt::Display;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::sync::Arc;
+
+/// A verb's outcome; the error (already reported on stderr) is the exit
+/// code: 2 for a usage error, 1 for a failure.
+type Outcome<T = ()> = Result<T, ExitCode>;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  campaign list [GRID]\n  campaign run --grid NAME [--jobs N] [--out FILE] [--csv FILE] [--cache-dir DIR] [--strip-informational]\n  campaign weak list\n  campaign weak [--sweep NAME] [--out FILE] [--strip-informational]\n  campaign diff BASELINE CANDIDATE [--tol REL]\n  campaign serve --spool DIR [--cache-dir DIR] [--jobs N] [--drain] [--poll-ms N]\n  campaign submit --spool DIR --id ID --grid NAME\n  campaign status --spool DIR\n  campaign results --spool DIR --id ID [--stream]\n  campaign stop --spool DIR\n\n--strip-informational drops the informational fields (host wall clock,\nengine dispatch count) from the JSON report (used when regenerating golden\nbaselines).\n\nbuilt-in grids: {}\nbuilt-in weak sweeps: {}",
+        "usage:\n  campaign list [GRID]\n  campaign run --grid NAME [--jobs N] [--out FILE] [--csv FILE] [--cache-dir DIR] [--strip-informational]\n  campaign weak list\n  campaign weak [--sweep NAME] [--out FILE] [--strip-informational]\n  campaign diff BASELINE CANDIDATE [--tol REL]\n  campaign serve --spool DIR [--cache-dir DIR] [--jobs N] [--drain]\n  campaign submit --spool DIR --id ID --grid NAME\n  campaign status --spool DIR\n  campaign results --spool DIR --id ID [--stream]\n  campaign stop --spool DIR\n\n--strip-informational drops the informational fields (host wall clock,\nengine dispatch count) from the JSON report (used when regenerating golden\nbaselines).\n\nbuilt-in grids: {}\nbuilt-in weak sweeps: {}",
         CampaignGrid::builtin_names().join(", "),
         WeakSweep::builtin_names().join(", ")
     );
     ExitCode::from(2)
 }
 
-fn cmd_list(args: &[String]) -> ExitCode {
-    match args {
-        [] => {
+fn usage_error(message: impl Display) -> ExitCode {
+    eprintln!("{message}");
+    ExitCode::from(2)
+}
+
+fn failure(message: impl Display) -> ExitCode {
+    eprintln!("{message}");
+    ExitCode::FAILURE
+}
+
+/// One verb's parsed command line.
+struct Flags<'a> {
+    values: Vec<(&'static str, &'a str)>,
+    switches: Vec<&'static str>,
+    positionals: Vec<&'a str>,
+}
+
+/// Parses `args` against a verb's declaration: the flags that take a
+/// value, the boolean flags, and at most `max_positionals` bare arguments.
+fn parse<'a>(
+    args: &'a [String],
+    valued: &[&'static str],
+    switches: &[&'static str],
+    max_positionals: usize,
+) -> Outcome<Flags<'a>> {
+    let mut flags = Flags {
+        values: Vec::new(),
+        switches: Vec::new(),
+        positionals: Vec::new(),
+    };
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        if let Some(&flag) = valued.iter().find(|&&f| f == arg) {
+            let value = it
+                .next()
+                .ok_or_else(|| usage_error(format_args!("{flag} needs a value")))?;
+            flags.values.push((flag, value));
+        } else if let Some(&flag) = switches.iter().find(|&&f| f == arg) {
+            flags.switches.push(flag);
+        } else if !arg.starts_with("--") && flags.positionals.len() < max_positionals {
+            flags.positionals.push(arg);
+        } else {
+            eprintln!("unknown argument '{arg}'");
+            return Err(usage());
+        }
+    }
+    Ok(flags)
+}
+
+impl Flags<'_> {
+    /// The value of `flag`; the last one wins if it is repeated.
+    fn get(&self, flag: &str) -> Option<&str> {
+        self.values
+            .iter()
+            .rev()
+            .find(|(f, _)| *f == flag)
+            .map(|(_, v)| *v)
+    }
+
+    fn required(&self, flag: &str) -> Outcome<&str> {
+        self.get(flag)
+            .ok_or_else(|| usage_error(format_args!("{flag} is required")))
+    }
+
+    fn has(&self, switch: &str) -> bool {
+        self.switches.contains(&switch)
+    }
+
+    /// The value of `flag` as a number that `valid` accepts (`what` names
+    /// the accepted range), or `default` without the flag.
+    fn number<T: FromStr>(
+        &self,
+        flag: &str,
+        default: T,
+        what: &str,
+        valid: impl Fn(&T) -> bool,
+    ) -> Outcome<T> {
+        match self.get(flag) {
+            None => Ok(default),
+            Some(v) => match v.parse() {
+                Ok(n) if valid(&n) => Ok(n),
+                _ => Err(usage_error(format_args!("{flag} needs {what}"))),
+            },
+        }
+    }
+
+    fn jobs(&self, default: usize) -> Outcome<usize> {
+        self.number("--jobs", default, "a positive integer", |&n| n > 0)
+    }
+}
+
+/// The usage error for a name that is not one of the built-in presets.
+fn unknown_preset(kind: &str, name: &str, names: &[String]) -> ExitCode {
+    usage_error(format_args!(
+        "unknown {kind} '{name}'; expected one of: {}",
+        names.join(", ")
+    ))
+}
+
+fn find_grid(name: &str) -> Outcome<CampaignGrid> {
+    CampaignGrid::by_name(name)
+        .ok_or_else(|| unknown_preset("grid", name, &CampaignGrid::builtin_names()))
+}
+
+fn find_sweep(name: &str) -> Outcome<WeakSweep> {
+    WeakSweep::by_name(name)
+        .ok_or_else(|| unknown_preset("weak sweep", name, &WeakSweep::builtin_names()))
+}
+
+fn open_spool(dir: &str) -> Outcome<Spool> {
+    Spool::open(dir).map_err(|e| failure(format_args!("cannot open spool {dir}: {e}")))
+}
+
+fn open_cache(dir: &str) -> Outcome<Arc<RunCache>> {
+    RunCache::open(dir)
+        .map(Arc::new)
+        .map_err(|e| failure(format_args!("cannot open cache {dir}: {e}")))
+}
+
+fn write_file(path: &str, text: &str) -> Outcome {
+    std::fs::write(path, text).map_err(|e| failure(format_args!("cannot write {path}: {e}")))?;
+    eprintln!("wrote {path}");
+    Ok(())
+}
+
+/// Renders a report to `--out`, or to stdout without it;
+/// `--strip-informational` first drops the host-dependent fields, so a
+/// golden baseline does not bake in wall-clock noise.
+fn write_report(mut doc: Json, flags: &Flags) -> Outcome {
+    if flags.has("--strip-informational") {
+        strip_informational(&mut doc);
+    }
+    let json = doc.render();
+    match flags.get("--out") {
+        Some(path) => write_file(path, &json),
+        None => {
+            print!("{json}");
+            Ok(())
+        }
+    }
+}
+
+fn cmd_list(args: &[String]) -> Outcome {
+    let flags = parse(args, &[], &[], 1)?;
+    match flags.positionals[..] {
+        [name] => {
+            for spec in find_grid(name)?.expand() {
+                println!("{:>4}  {} ({} procs)", spec.index, spec.id(), spec.procs());
+            }
+        }
+        _ => {
             println!("built-in campaign grids:");
             for name in CampaignGrid::builtin_names() {
-                let grid = CampaignGrid::by_name(name).expect("builtin");
+                let grid = find_grid(&name)?;
                 println!(
                     "  {name:<12} {} runs at scale {}",
                     grid.expand().len(),
                     grid.scale.name()
                 );
             }
-            ExitCode::SUCCESS
         }
-        [name] => match CampaignGrid::by_name(name) {
-            Some(grid) => {
-                for spec in grid.expand() {
-                    println!("{:>4}  {} ({} procs)", spec.index, spec.id(), spec.procs());
-                }
-                ExitCode::SUCCESS
-            }
-            None => {
-                eprintln!(
-                    "unknown grid '{name}'; expected one of: {}",
-                    CampaignGrid::builtin_names().join(", ")
-                );
-                ExitCode::from(2)
-            }
-        },
-        _ => usage(),
     }
+    Ok(())
 }
 
-fn cmd_run(args: &[String]) -> ExitCode {
-    let mut grid_name = "smoke".to_string();
-    let mut jobs = 1usize;
-    let mut out: Option<String> = None;
-    let mut csv: Option<String> = None;
-    let mut cache_dir: Option<String> = None;
-    let mut strip = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| -> Option<String> {
-            let v = it.next().cloned();
-            if v.is_none() {
-                eprintln!("{flag} needs a value");
-            }
-            v
-        };
-        match arg.as_str() {
-            "--grid" => match value("--grid") {
-                Some(v) => grid_name = v,
-                None => return ExitCode::from(2),
-            },
-            "--jobs" => match value("--jobs").and_then(|v| v.parse().ok()) {
-                Some(v) => jobs = v,
-                None => {
-                    eprintln!("--jobs needs a positive integer");
-                    return ExitCode::from(2);
-                }
-            },
-            "--out" => match value("--out") {
-                Some(v) => out = Some(v),
-                None => return ExitCode::from(2),
-            },
-            "--csv" => match value("--csv") {
-                Some(v) => csv = Some(v),
-                None => return ExitCode::from(2),
-            },
-            "--cache-dir" => match value("--cache-dir") {
-                Some(v) => cache_dir = Some(v),
-                None => return ExitCode::from(2),
-            },
-            "--strip-informational" => strip = true,
-            other => {
-                eprintln!("unknown argument '{other}'");
-                return usage();
-            }
-        }
-    }
-    let Some(grid) = CampaignGrid::by_name(&grid_name) else {
-        eprintln!(
-            "unknown grid '{grid_name}'; expected one of: {}",
-            CampaignGrid::builtin_names().join(", ")
-        );
-        return ExitCode::from(2);
-    };
-    let num_runs = grid.expand().len();
-    eprintln!("campaign '{grid_name}': {num_runs} runs, {jobs} job(s)");
+fn cmd_run(args: &[String]) -> Outcome {
+    let flags = parse(
+        args,
+        &["--grid", "--jobs", "--out", "--csv", "--cache-dir"],
+        &["--strip-informational"],
+        0,
+    )?;
+    let jobs = flags.jobs(1)?;
+    let grid = find_grid(flags.get("--grid").unwrap_or("smoke"))?;
+    let name = &grid.name;
+    eprintln!(
+        "campaign '{name}': {} runs, {jobs} job(s)",
+        grid.expand().len()
+    );
     let started = std::time::Instant::now();
-    let report = match &cache_dir {
+    let report = match flags.get("--cache-dir") {
         None => run_campaign(&grid, jobs),
         Some(dir) => {
-            let cache = match RunCache::open(dir) {
-                Ok(cache) => Arc::new(cache),
-                Err(e) => {
-                    eprintln!("cannot open cache {dir}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let specs = grid.expand();
-            let batch = match run_specs_cached(&specs, jobs, &cache) {
-                Ok(batch) => batch,
-                Err(e) => {
-                    eprintln!("campaign '{grid_name}' failed: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
+            let batch = run_specs_cached(&grid.expand(), jobs, &open_cache(dir)?)
+                .map_err(|e| failure(format_args!("campaign '{name}' failed: {e}")))?;
             eprintln!("cache: {} hit(s), {} executed", batch.hits, batch.executed);
             CampaignReport {
-                campaign: grid.name.clone(),
+                campaign: name.clone(),
                 scale: grid.scale.name().to_string(),
                 runs: batch.runs,
             }
         }
     };
     eprintln!(
-        "campaign '{grid_name}' finished in {:.2}s wall-clock",
+        "campaign '{name}' finished in {:.2}s wall-clock",
         started.elapsed().as_secs_f64()
     );
-    let mut doc = report.to_json();
-    if strip {
-        // Golden baselines must not bake in host wall-clock noise.
-        strip_informational(&mut doc);
+    write_report(report.to_json(), &flags)?;
+    match flags.get("--csv") {
+        Some(path) => write_file(path, &report.to_csv()),
+        None => Ok(()),
     }
-    let json = doc.render();
-    match &out {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, &json) {
-                eprintln!("cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("wrote {path}");
-        }
-        None => print!("{json}"),
-    }
-    if let Some(path) = &csv {
-        if let Err(e) = std::fs::write(path, report.to_csv()) {
-            eprintln!("cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("wrote {path}");
-    }
-    ExitCode::SUCCESS
 }
 
-fn cmd_weak(args: &[String]) -> ExitCode {
-    if args.len() == 1 && args[0] == "list" {
-        println!("built-in weak-scaling sweeps:");
-        for name in WeakSweep::builtin_names() {
-            let sweep = WeakSweep::by_name(name).expect("builtin");
-            let specs = sweep.expand();
-            let max_procs = specs.iter().map(|s| s.procs()).max().unwrap_or(0);
-            println!(
-                "  {name:<12} {} runs, up to {max_procs} physical ranks",
-                specs.len()
-            );
-        }
-        return ExitCode::SUCCESS;
-    }
-    let mut sweep_name = "weak-smoke".to_string();
-    let mut out: Option<String> = None;
-    let mut strip = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| -> Option<String> {
-            let v = it.next().cloned();
-            if v.is_none() {
-                eprintln!("{flag} needs a value");
-            }
-            v
-        };
-        match arg.as_str() {
-            "--sweep" => match value("--sweep") {
-                Some(v) => sweep_name = v,
-                None => return ExitCode::from(2),
-            },
-            "--out" => match value("--out") {
-                Some(v) => out = Some(v),
-                None => return ExitCode::from(2),
-            },
-            "--strip-informational" => strip = true,
-            other => {
-                eprintln!("unknown argument '{other}'");
-                return usage();
-            }
-        }
-    }
-    let Some(sweep) = WeakSweep::by_name(&sweep_name) else {
-        eprintln!(
-            "unknown weak sweep '{sweep_name}'; expected one of: {}",
-            WeakSweep::builtin_names().join(", ")
+fn cmd_weak_list() -> Outcome {
+    println!("built-in weak-scaling sweeps:");
+    for name in WeakSweep::builtin_names() {
+        let specs = find_sweep(&name)?.expand();
+        let max_procs = specs.iter().map(|s| s.procs()).max().unwrap_or(0);
+        println!(
+            "  {name:<12} {} runs, up to {max_procs} physical ranks",
+            specs.len()
         );
-        return ExitCode::from(2);
-    };
-    let num_runs = sweep.expand().len();
-    eprintln!("weak sweep '{sweep_name}': {num_runs} runs");
+    }
+    Ok(())
+}
+
+fn cmd_weak(args: &[String]) -> Outcome {
+    let flags = parse(args, &["--sweep", "--out"], &["--strip-informational"], 0)?;
+    let sweep = find_sweep(flags.get("--sweep").unwrap_or("weak-smoke"))?;
+    let name = &sweep.name;
+    eprintln!("weak sweep '{name}': {} runs", sweep.expand().len());
     let started = std::time::Instant::now();
     let report = run_weak_sweep(&sweep, 0);
     eprintln!(
-        "weak sweep '{sweep_name}' finished in {:.2}s wall-clock",
+        "weak sweep '{name}' finished in {:.2}s wall-clock",
         started.elapsed().as_secs_f64()
     );
-    let mut doc = report.to_json();
-    if strip {
-        // Golden baselines must not bake in host wall-clock noise.
-        strip_informational(&mut doc);
-    }
-    let json = doc.render();
-    match &out {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, &json) {
-                eprintln!("cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("wrote {path}");
-            ExitCode::SUCCESS
-        }
-        None => {
-            print!("{json}");
-            ExitCode::SUCCESS
-        }
-    }
+    write_report(report.to_json(), &flags)
 }
 
-fn cmd_diff(args: &[String]) -> ExitCode {
-    let mut paths = Vec::new();
-    let mut tol = 0.0f64;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--tol" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(v) if v.is_finite() && v >= 0.0 => tol = v,
-                _ => {
-                    eprintln!("--tol needs a finite non-negative number");
-                    return ExitCode::from(2);
-                }
-            },
-            other => paths.push(other.to_string()),
-        }
-    }
-    let [baseline_path, candidate_path] = paths.as_slice() else {
-        return usage();
+fn cmd_diff(args: &[String]) -> Outcome {
+    let flags = parse(args, &["--tol"], &[], 2)?;
+    let tol = flags.number("--tol", 0.0, "a finite non-negative number", |v: &f64| {
+        v.is_finite() && *v >= 0.0
+    })?;
+    let [baseline_path, candidate_path] = flags.positionals[..] else {
+        return Err(usage());
     };
-    let load = |path: &str| -> Result<Json, String> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        Json::parse(&text).map_err(|e| format!("{path}: {e}"))
+    let load = |path: &str| -> Outcome<Json> {
+        let text = std::fs::read_to_string(path)
+            .map_err(|e| failure(format_args!("cannot read {path}: {e}")))?;
+        Json::parse(&text).map_err(|e| failure(format_args!("{path}: {e}")))
     };
-    let (baseline, candidate) = match (load(baseline_path), load(candidate_path)) {
-        (Ok(b), Ok(c)) => (b, c),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let violations = match diff_documents(&baseline, &candidate, tol) {
-        Ok(v) => v,
-        Err(e) => {
-            // A schema mismatch is a usage error, not a divergence: the two
-            // documents are not comparable at all.
-            eprintln!("SCHEMA: {e}");
-            return ExitCode::from(2);
-        }
-    };
+    let (baseline, candidate) = (load(baseline_path)?, load(candidate_path)?);
+    // A schema mismatch is a usage error, not a divergence: the two
+    // documents are not comparable at all.
+    let violations = diff_documents(&baseline, &candidate, tol)
+        .map_err(|e| usage_error(format_args!("SCHEMA: {e}")))?;
     if violations.is_empty() {
         println!("OK: {candidate_path} matches {baseline_path} (relative tolerance {tol})");
-        ExitCode::SUCCESS
-    } else {
-        eprintln!(
-            "FAIL: {candidate_path} diverges from {baseline_path} ({} violation(s), relative tolerance {tol}):",
-            violations.len()
-        );
-        for v in &violations {
-            eprintln!("  {v}");
-        }
-        ExitCode::FAILURE
+        return Ok(());
     }
+    eprintln!(
+        "FAIL: {candidate_path} diverges from {baseline_path} ({} violation(s), relative tolerance {tol}):",
+        violations.len()
+    );
+    for v in &violations {
+        eprintln!("  {v}");
+    }
+    Err(ExitCode::FAILURE)
 }
 
-/// Parses `--spool DIR` plus verb-specific flags shared by the service
-/// commands; returns the remaining (flag, value-or-empty) pairs untouched.
-fn open_spool(spool: &Option<String>) -> Result<Spool, ExitCode> {
-    let Some(dir) = spool else {
-        eprintln!("--spool DIR is required");
-        return Err(ExitCode::from(2));
+fn cmd_serve(args: &[String]) -> Outcome {
+    let flags = parse(args, &["--spool", "--cache-dir", "--jobs"], &["--drain"], 0)?;
+    let options = ServeOptions {
+        workers: flags.jobs(ServeOptions::default().workers)?,
+        drain: flags.has("--drain"),
+        ..ServeOptions::default()
     };
-    Spool::open(dir).map_err(|e| {
-        eprintln!("cannot open spool {dir}: {e}");
-        ExitCode::FAILURE
-    })
-}
-
-fn cmd_serve(args: &[String]) -> ExitCode {
-    let mut spool_dir: Option<String> = None;
-    let mut cache_dir: Option<String> = None;
-    let mut options = ServeOptions::default();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--spool" => spool_dir = it.next().cloned(),
-            "--cache-dir" => cache_dir = it.next().cloned(),
-            "--jobs" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => options.workers = v,
-                None => {
-                    eprintln!("--jobs needs a positive integer");
-                    return ExitCode::from(2);
-                }
-            },
-            "--poll-ms" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => options.poll = std::time::Duration::from_millis(v),
-                None => {
-                    eprintln!("--poll-ms needs a non-negative integer");
-                    return ExitCode::from(2);
-                }
-            },
-            "--drain" => options.drain = true,
-            other => {
-                eprintln!("unknown argument '{other}'");
-                return usage();
-            }
-        }
-    }
-    let spool = match open_spool(&spool_dir) {
-        Ok(s) => s,
-        Err(code) => return code,
+    let spool = open_spool(flags.required("--spool")?)?;
+    let cache_dir = match flags.get("--cache-dir") {
+        Some(dir) => dir.to_string(),
+        None => RunCache::default_dir().display().to_string(),
     };
-    let cache_dir = cache_dir.unwrap_or_else(|| RunCache::default_dir().display().to_string());
-    let cache = match RunCache::open(&cache_dir) {
-        Ok(cache) => Arc::new(cache),
-        Err(e) => {
-            eprintln!("cannot open cache {cache_dir}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let cache = open_cache(&cache_dir)?;
     eprintln!(
         "serving spool {} with {} worker(s), cache {} ({})",
         spool.root().display(),
@@ -384,202 +338,111 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         cache_dir,
         if options.drain { "drain" } else { "resident" },
     );
-    match campaign::serve(&spool, &cache, &options) {
-        Ok(summaries) => {
-            for s in &summaries {
-                match &s.error {
-                    Some(e) => eprintln!("job {}: FAILED: {e}", s.id),
-                    None => eprintln!(
-                        "job {}: {} run(s), {} executed, {} cache hit(s), {:.1}ms",
-                        s.id, s.runs, s.executed, s.cache_hits, s.wall_ms
-                    ),
-                }
-            }
-            if summaries.iter().any(|s| s.error.is_some()) {
-                ExitCode::FAILURE
-            } else {
-                ExitCode::SUCCESS
-            }
-        }
-        Err(e) => {
-            eprintln!("serve failed: {e}");
-            ExitCode::FAILURE
+    let summaries = campaign::serve(&spool, &cache, &options)
+        .map_err(|e| failure(format_args!("serve failed: {e}")))?;
+    for s in &summaries {
+        match &s.error {
+            Some(e) => eprintln!("job {}: FAILED: {e}", s.id),
+            None => eprintln!(
+                "job {}: {} run(s), {} executed, {} cache hit(s), {:.1}ms",
+                s.id, s.runs, s.executed, s.cache_hits, s.wall_ms
+            ),
         }
     }
+    if summaries.iter().any(|s| s.error.is_some()) {
+        return Err(ExitCode::FAILURE);
+    }
+    Ok(())
 }
 
-fn cmd_submit(args: &[String]) -> ExitCode {
-    let mut spool_dir: Option<String> = None;
-    let mut id: Option<String> = None;
-    let mut grid: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--spool" => spool_dir = it.next().cloned(),
-            "--id" => id = it.next().cloned(),
-            "--grid" => grid = it.next().cloned(),
-            other => {
-                eprintln!("unknown argument '{other}'");
-                return usage();
-            }
-        }
-    }
-    let spool = match open_spool(&spool_dir) {
-        Ok(s) => s,
-        Err(code) => return code,
-    };
-    let (Some(id), Some(grid)) = (id, grid) else {
-        eprintln!("submit needs --id ID and --grid NAME");
-        return ExitCode::from(2);
-    };
-    if CampaignGrid::by_name(&grid).is_none() {
-        eprintln!(
-            "unknown grid '{grid}'; expected one of: {}",
-            CampaignGrid::builtin_names().join(", ")
-        );
-        return ExitCode::from(2);
-    }
-    match spool.submit_grid(&id, &grid) {
-        Ok(()) => {
-            eprintln!("submitted job '{id}' (grid {grid})");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("cannot submit '{id}': {e}");
-            ExitCode::FAILURE
-        }
-    }
+fn cmd_submit(args: &[String]) -> Outcome {
+    let flags = parse(args, &["--spool", "--id", "--grid"], &[], 0)?;
+    let dir = flags.required("--spool")?;
+    let id = flags.required("--id")?;
+    let name = flags.required("--grid")?;
+    find_grid(name)?;
+    open_spool(dir)?
+        .submit_grid(id, name)
+        .map_err(|e| failure(format_args!("cannot submit '{id}': {e}")))?;
+    eprintln!("submitted job '{id}' (grid {name})");
+    Ok(())
 }
 
-fn cmd_status(args: &[String]) -> ExitCode {
-    let mut spool_dir: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--spool" => spool_dir = it.next().cloned(),
-            other => {
-                eprintln!("unknown argument '{other}'");
-                return usage();
-            }
+fn cmd_status(args: &[String]) -> Outcome {
+    let flags = parse(args, &["--spool"], &[], 0)?;
+    let status = open_spool(flags.required("--spool")?)?
+        .status()
+        .map_err(|e| failure(format_args!("cannot read spool: {e}")))?;
+    println!("queued: {}", status.queued.len());
+    for id in &status.queued {
+        println!("  {id}");
+    }
+    println!("active: {}", status.active.len());
+    for id in &status.active {
+        println!("  {id}");
+    }
+    println!("done: {}", status.done.len());
+    for s in &status.done {
+        match &s.error {
+            Some(e) => println!("  {} FAILED: {e}", s.id),
+            None => println!(
+                "  {} {} {} run(s) {} executed {} cache-hit(s)",
+                s.id, s.campaign, s.runs, s.executed, s.cache_hits
+            ),
         }
     }
-    let spool = match open_spool(&spool_dir) {
-        Ok(s) => s,
-        Err(code) => return code,
-    };
-    match spool.status() {
-        Ok(status) => {
-            println!("queued: {}", status.queued.len());
-            for id in &status.queued {
-                println!("  {id}");
-            }
-            println!("active: {}", status.active.len());
-            for id in &status.active {
-                println!("  {id}");
-            }
-            println!("done: {}", status.done.len());
-            for s in &status.done {
-                match &s.error {
-                    Some(e) => println!("  {} FAILED: {e}", s.id),
-                    None => println!(
-                        "  {} {} {} run(s) {} executed {} cache-hit(s)",
-                        s.id, s.campaign, s.runs, s.executed, s.cache_hits
-                    ),
-                }
-            }
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("cannot read spool: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    Ok(())
 }
 
-fn cmd_results(args: &[String]) -> ExitCode {
-    let mut spool_dir: Option<String> = None;
-    let mut id: Option<String> = None;
-    let mut stream = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--spool" => spool_dir = it.next().cloned(),
-            "--id" => id = it.next().cloned(),
-            "--stream" => stream = true,
-            other => {
-                eprintln!("unknown argument '{other}'");
-                return usage();
-            }
-        }
-    }
-    let spool = match open_spool(&spool_dir) {
-        Ok(s) => s,
-        Err(code) => return code,
-    };
-    let Some(id) = id else {
-        eprintln!("results needs --id ID");
-        return ExitCode::from(2);
-    };
-    let path = if stream {
-        spool.stream_path(&id)
+fn cmd_results(args: &[String]) -> Outcome {
+    let flags = parse(args, &["--spool", "--id"], &["--stream"], 0)?;
+    let dir = flags.required("--spool")?;
+    let id = flags.required("--id")?;
+    let spool = open_spool(dir)?;
+    let path = if flags.has("--stream") {
+        spool.stream_path(id)
     } else {
-        spool.result_path(&id)
+        spool.result_path(id)
     };
-    match std::fs::read_to_string(&path) {
-        Ok(text) => {
-            print!("{text}");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("no results for '{id}' at {}: {e}", path.display());
-            ExitCode::FAILURE
-        }
-    }
+    let text = std::fs::read_to_string(&path).map_err(|e| {
+        failure(format_args!(
+            "no results for '{id}' at {}: {e}",
+            path.display()
+        ))
+    })?;
+    print!("{text}");
+    Ok(())
 }
 
-fn cmd_stop(args: &[String]) -> ExitCode {
-    let mut spool_dir: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--spool" => spool_dir = it.next().cloned(),
-            other => {
-                eprintln!("unknown argument '{other}'");
-                return usage();
-            }
-        }
-    }
-    let spool = match open_spool(&spool_dir) {
-        Ok(s) => s,
-        Err(code) => return code,
-    };
-    match spool.request_stop() {
-        Ok(()) => {
-            eprintln!("stop requested");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("cannot request stop: {e}");
-            ExitCode::FAILURE
-        }
-    }
+fn cmd_stop(args: &[String]) -> Outcome {
+    let flags = parse(args, &["--spool"], &[], 0)?;
+    open_spool(flags.required("--spool")?)?
+        .request_stop()
+        .map_err(|e| failure(format_args!("cannot request stop: {e}")))?;
+    eprintln!("stop requested");
+    Ok(())
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.split_first() {
-        Some((cmd, rest)) => match cmd.as_str() {
-            "list" => cmd_list(rest),
-            "run" => cmd_run(rest),
-            "weak" => cmd_weak(rest),
-            "diff" => cmd_diff(rest),
-            "serve" => cmd_serve(rest),
-            "submit" => cmd_submit(rest),
-            "status" => cmd_status(rest),
-            "results" => cmd_results(rest),
-            "stop" => cmd_stop(rest),
-            _ => usage(),
-        },
-        None => usage(),
+    let Some((verb, rest)) = args.split_first() else {
+        return usage();
+    };
+    let outcome = match (verb.as_str(), rest) {
+        ("list", _) => cmd_list(rest),
+        ("run", _) => cmd_run(rest),
+        ("weak", [sub]) if sub == "list" => cmd_weak_list(),
+        ("weak", _) => cmd_weak(rest),
+        ("diff", _) => cmd_diff(rest),
+        ("serve", _) => cmd_serve(rest),
+        ("submit", _) => cmd_submit(rest),
+        ("status", _) => cmd_status(rest),
+        ("results", _) => cmd_results(rest),
+        ("stop", _) => cmd_stop(rest),
+        _ => Err(usage()),
+    };
+    match outcome {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(code) => code,
     }
 }

@@ -25,11 +25,6 @@ use crate::report::v1::{self, FieldClass, SchemaError};
 /// One detected divergence, as a human-readable `path: message` line.
 pub type Violation = String;
 
-/// The informational field names, re-exported from the v1 schema (see
-/// [`v1::INFORMATIONAL_KEYS`]); the schema declaration, not this list, is
-/// what the diff consults.
-pub use crate::report::v1::INFORMATIONAL_KEYS;
-
 fn is_informational_key(key: &str) -> bool {
     v1::is_informational(key)
 }

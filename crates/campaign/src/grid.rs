@@ -240,21 +240,27 @@ impl CampaignGrid {
         }
     }
 
+    /// The built-in grids, in listing order; each is named once, by the
+    /// `name` its constructor sets.
+    const BUILTINS: [fn() -> Self; 5] = [
+        Self::smoke,
+        Self::failures,
+        Self::schedulers,
+        Self::full,
+        Self::ckpt,
+    ];
+
     /// Looks up a built-in grid by name.
     pub fn by_name(name: &str) -> Option<Self> {
-        match name {
-            "smoke" => Some(Self::smoke()),
-            "failures" => Some(Self::failures()),
-            "schedulers" => Some(Self::schedulers()),
-            "full" => Some(Self::full()),
-            "ckpt" => Some(Self::ckpt()),
-            _ => None,
-        }
+        Self::BUILTINS
+            .iter()
+            .map(|make| make())
+            .find(|g| g.name == name)
     }
 
     /// Names of the built-in grids.
-    pub fn builtin_names() -> &'static [&'static str] {
-        &["smoke", "failures", "schedulers", "full", "ckpt"]
+    pub fn builtin_names() -> Vec<String> {
+        Self::BUILTINS.iter().map(|make| make().name).collect()
     }
 }
 
@@ -297,8 +303,8 @@ mod tests {
     #[test]
     fn builtin_grids_resolve_by_name() {
         for name in CampaignGrid::builtin_names() {
-            let grid = CampaignGrid::by_name(name).unwrap();
-            assert_eq!(&grid.name, name);
+            let grid = CampaignGrid::by_name(&name).unwrap();
+            assert_eq!(grid.name, name);
             assert!(!grid.expand().is_empty());
         }
         assert!(CampaignGrid::by_name("nope").is_none());
@@ -309,7 +315,7 @@ mod tests {
         // The grids are typed, so the only way a spec could fail to convert
         // is an invalid axis combination; none of the built-ins has one.
         for name in CampaignGrid::builtin_names() {
-            for spec in CampaignGrid::by_name(name).unwrap().expand() {
+            for spec in CampaignGrid::by_name(&name).unwrap().expand() {
                 let experiment = spec.experiment().unwrap_or_else(|e| {
                     panic!("{}: {e}", spec.id());
                 });

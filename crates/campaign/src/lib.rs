@@ -53,7 +53,7 @@ pub mod spec;
 pub mod weak;
 
 pub use cache::{fingerprint, run_specs_cached, CachedBatch, RunCache, DETERMINISM_EPOCH};
-pub use diff::{diff_documents, diff_reports, strip_informational, INFORMATIONAL_KEYS};
+pub use diff::{diff_documents, diff_reports, strip_informational};
 pub use grid::CampaignGrid;
 pub use json::Json;
 pub use queue::ExecutorPool;

@@ -106,11 +106,6 @@ pub mod v1 {
         field("dispatches", FieldClass::Informational),
     ];
 
-    /// The informational field names, as a plain list (derived view of
-    /// [`FIELDS`]; a unit test pins the two in sync).  Kept for consumers
-    /// that strip rather than classify.
-    pub const INFORMATIONAL_KEYS: &[&str] = &["wall_time_ms", "dispatches"];
-
     /// Looks up the declared class of a field, if the schema declares it.
     pub fn field_class(name: &str) -> Option<FieldClass> {
         FIELDS.iter().find(|f| f.name == name).map(|f| f.class)
@@ -695,13 +690,6 @@ mod tests {
         } else {
             unreachable!("records serialize as objects");
         }
-        // The derived informational list matches the registry.
-        let from_registry: Vec<&str> = v1::FIELDS
-            .iter()
-            .filter(|f| f.class == FieldClass::Informational)
-            .map(|f| f.name)
-            .collect();
-        assert_eq!(from_registry, v1::INFORMATIONAL_KEYS);
         // Spot checks of the three classes.
         assert_eq!(v1::field_class("seed"), Some(FieldClass::Discrete));
         assert_eq!(v1::field_class("makespan_s"), Some(FieldClass::Metric));

@@ -212,27 +212,27 @@ impl WeakSweep {
         }
     }
 
+    /// The built-in sweeps, in listing order; each is named once, by the
+    /// `name` its constructor sets.
+    const BUILTINS: [fn() -> Self; 5] = [
+        Self::smoke,
+        Self::scale_10k,
+        Self::scale_100k,
+        Self::scale_1m,
+        Self::failures,
+    ];
+
     /// Looks up a built-in sweep by name.
     pub fn by_name(name: &str) -> Option<Self> {
-        match name {
-            "weak-smoke" => Some(Self::smoke()),
-            "weak-10k" => Some(Self::scale_10k()),
-            "weak-100k" => Some(Self::scale_100k()),
-            "weak-1m" => Some(Self::scale_1m()),
-            "weak-failures" => Some(Self::failures()),
-            _ => None,
-        }
+        Self::BUILTINS
+            .iter()
+            .map(|make| make())
+            .find(|s| s.name == name)
     }
 
     /// Names of the built-in sweeps.
-    pub fn builtin_names() -> &'static [&'static str] {
-        &[
-            "weak-smoke",
-            "weak-10k",
-            "weak-100k",
-            "weak-1m",
-            "weak-failures",
-        ]
+    pub fn builtin_names() -> Vec<String> {
+        Self::BUILTINS.iter().map(|make| make().name).collect()
     }
 }
 
@@ -319,14 +319,14 @@ fn row_to_json(r: &WeakRow) -> Json {
         ("holes", Json::Num(r.holes as f64)),
         ("messages", Json::Num(r.messages as f64)),
         // Informational (engine diagnostic): excluded from the tolerance
-        // diff, see `crate::diff::INFORMATIONAL_KEYS`.
+        // diff, see `crate::report::v1::FIELDS`.
         ("dispatches", Json::Num(r.dispatches as f64)),
         ("makespan_s", Json::Num(r.makespan_s)),
         ("mean_compute_s", Json::Num(r.mean_compute_s)),
         ("mean_comm_s", Json::Num(r.mean_comm_s)),
         ("mean_wait_s", Json::Num(r.mean_wait_s)),
         // Informational (host wall clock): excluded from the tolerance
-        // diff, see `crate::diff::INFORMATIONAL_KEYS`.
+        // diff, see `crate::report::v1::FIELDS`.
         ("wall_time_ms", Json::Num(r.wall_time_ms)),
     ])
 }
@@ -412,8 +412,8 @@ mod tests {
     #[test]
     fn builtin_sweeps_resolve_by_name() {
         for name in WeakSweep::builtin_names() {
-            let sweep = WeakSweep::by_name(name).unwrap();
-            assert_eq!(&sweep.name, name);
+            let sweep = WeakSweep::by_name(&name).unwrap();
+            assert_eq!(sweep.name, name);
             assert!(!sweep.expand().is_empty());
         }
         assert!(WeakSweep::by_name("nope").is_none());

@@ -110,6 +110,15 @@ fn weak_has_no_workers_flag() {
 }
 
 #[test]
+fn serve_has_no_poll_ms_flag() {
+    let tmp = Scratch::new("poll-ms");
+    let spool = tmp.path("spool");
+    let args = ["serve", "--spool", &spool, "--drain", "--poll-ms", "5"];
+    assert_usage_error(&args, "unknown argument '--poll-ms'");
+    assert!(!Path::new(&spool).exists());
+}
+
+#[test]
 fn a_valued_flag_without_its_value_is_a_usage_error_naming_it() {
     assert_usage_error(&["run", "--grid"], "--grid");
     assert_usage_error(&["run", "--grid", "smoke", "--out"], "--out");

@@ -136,14 +136,6 @@ impl<'a> SectionsView<'a> {
         self.sections.iter().map(SectionReport::total_time).sum()
     }
 
-    /// Total virtual time spent executing local tasks.
-    pub fn total_local_work_time(&self) -> SimTime {
-        self.sections
-            .iter()
-            .map(SectionReport::local_work_time)
-            .sum()
-    }
-
     /// Total virtual time spent draining update transfers.
     pub fn total_update_drain_time(&self) -> SimTime {
         self.sections
@@ -155,11 +147,6 @@ impl<'a> SectionsView<'a> {
     /// Total modeled update bytes sent.
     pub fn total_update_bytes_sent(&self) -> usize {
         self.sections.iter().map(|s| s.update_bytes_sent).sum()
-    }
-
-    /// Total modeled update bytes received.
-    pub fn total_update_bytes_received(&self) -> usize {
-        self.sections.iter().map(|s| s.update_bytes_received).sum()
     }
 
     /// Total tasks executed locally across all sections.
@@ -275,10 +262,8 @@ mod tests {
         assert_eq!(rr.num_sections(), 2);
         let view = rr.view();
         assert_eq!(view.total_section_time().as_secs(), 4.0);
-        assert_eq!(view.total_local_work_time().as_secs(), 1.5);
         assert_eq!(view.total_update_drain_time().as_secs(), 2.5);
         assert_eq!(view.total_update_bytes_sent(), 200);
-        assert_eq!(view.total_update_bytes_received(), 400);
         assert_eq!(view.total_tasks_executed(), 8);
         assert_eq!(view.total_tasks_reexecuted(), 0);
         assert_eq!(view.total_tasks_received(), 8);

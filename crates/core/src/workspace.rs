@@ -55,11 +55,6 @@ impl Workspace {
         self.add(name, vec![0.0; len])
     }
 
-    /// Number of variables.
-    pub fn num_vars(&self) -> usize {
-        self.vars.len()
-    }
-
     /// Name of a variable.
     pub fn name(&self, id: VarId) -> &str {
         &self.vars[id.0].name
@@ -157,7 +152,6 @@ mod tests {
         assert!(ws.is_empty());
         let x = ws.add("x", vec![1.0, 2.0, 3.0]);
         let y = ws.add_zeros("y", 2);
-        assert_eq!(ws.num_vars(), 2);
         assert_eq!(ws.name(x), "x");
         assert_eq!(ws.len(y), 2);
         assert_eq!(ws.get(x), &[1.0, 2.0, 3.0]);

@@ -109,13 +109,6 @@ impl FailureStatusBoard {
         self.failed[rank].load(Ordering::SeqCst)
     }
 
-    /// All ranks currently alive.
-    pub fn alive_ranks(&self) -> Vec<usize> {
-        (0..self.num_procs())
-            .filter(|&r| !self.is_failed(r))
-            .collect()
-    }
-
     /// Complete failure history.
     pub fn events(&self) -> Vec<FailureEvent> {
         self.events.lock().clone()
@@ -130,7 +123,7 @@ mod tests {
     fn everyone_starts_alive() {
         let b = FailureStatusBoard::new(4);
         assert_eq!(b.num_procs(), 4);
-        assert_eq!(b.alive_ranks(), vec![0, 1, 2, 3]);
+        assert!((0..4).all(|r| !b.is_failed(r)));
     }
 
     #[test]
@@ -141,11 +134,11 @@ mod tests {
         assert!(!b.is_failed(0));
         b.mark_failed(1, SimTime::from_secs(3.0));
         assert_eq!(b.events().len(), 1, "re-marking must not record an event");
-        assert_eq!(b.alive_ranks(), vec![0, 2]);
+        assert_eq!((0..3).filter(|&r| b.is_failed(r)).count(), 1);
     }
 
-    /// Both views of liveness (`is_failed`, `alive_ranks`) and the event
-    /// history agree after every transition, on every clone.
+    /// The lock-free liveness view (`is_failed`) and the event history
+    /// agree after every transition, on every clone.
     #[test]
     fn is_failed_agrees_with_the_locked_views() {
         let a = FailureStatusBoard::new(3);
@@ -155,9 +148,7 @@ mod tests {
                 for rank in 0..3 {
                     let expect = failed.contains(&rank);
                     assert_eq!(board.is_failed(rank), expect);
-                    assert_eq!(board.alive_ranks().contains(&rank), !expect);
                 }
-                assert_eq!(board.alive_ranks().len(), 3 - failed.len());
                 assert_eq!(board.events().len(), events);
             }
         };

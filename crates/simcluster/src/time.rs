@@ -36,11 +36,6 @@ impl SimTime {
         Self::from_secs(us * 1e-6)
     }
 
-    /// Creates a time from nanoseconds.
-    pub fn from_nanos(ns: f64) -> Self {
-        Self::from_secs(ns * 1e-9)
-    }
-
     /// Creates a time from milliseconds.
     pub fn from_millis(ms: f64) -> Self {
         Self::from_secs(ms * 1e-3)
@@ -172,7 +167,6 @@ mod tests {
         assert_eq!(SimTime::from_secs(2.0).as_secs(), 2.0);
         assert!((SimTime::from_micros(3.0).as_secs() - 3e-6).abs() < 1e-18);
         assert!((SimTime::from_millis(5.0).as_secs() - 5e-3).abs() < 1e-15);
-        assert!((SimTime::from_nanos(7.0).as_secs() - 7e-9).abs() < 1e-20);
     }
 
     #[test]
@@ -215,7 +209,7 @@ mod tests {
         assert_eq!(format!("{}", SimTime::from_secs(1.5)), "1.500s");
         assert_eq!(format!("{}", SimTime::from_millis(2.0)), "2.000ms");
         assert_eq!(format!("{}", SimTime::from_micros(7.0)), "7.000us");
-        assert_eq!(format!("{}", SimTime::from_nanos(12.0)), "12.0ns");
+        assert_eq!(format!("{}", SimTime::from_secs(12e-9)), "12.0ns");
     }
 
     #[test]

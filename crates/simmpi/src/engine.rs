@@ -275,12 +275,6 @@ impl EngineConfig {
         self
     }
 
-    /// Schedules a crash-stop failure of `rank` at virtual time `at`.
-    pub fn with_crash(mut self, rank: usize, at: SimTime) -> Self {
-        self.crashes.push((rank, at));
-        self
-    }
-
     fn resolved_topology(&self) -> Topology {
         self.topology
             .clone()
@@ -1387,7 +1381,10 @@ mod tests {
 
     #[test]
     fn crash_wakes_parked_receiver_with_peer_failed() {
-        let config = EngineConfig::ideal(2).with_crash(1, SimTime::from_secs(1.0));
+        let config = EngineConfig {
+            crashes: vec![(1, SimTime::from_secs(1.0))],
+            ..EngineConfig::ideal(2)
+        };
         let report = run_virtual_cluster(&config, |_| WaitForPeer {
             state: 0,
             saw_failure: false,
@@ -1469,7 +1466,10 @@ mod tests {
     #[test]
     fn a_crash_fails_exactly_its_waiters_in_rank_order() {
         let log = Log::default();
-        let config = EngineConfig::ideal(6).with_crash(0, SimTime::from_secs(1.0));
+        let config = EngineConfig {
+            crashes: vec![(0, SimTime::from_secs(1.0))],
+            ..EngineConfig::ideal(6)
+        };
         let report = run_virtual_cluster(&config, |_| CrashFanIn {
             state: 0,
             log: Rc::clone(&log),
@@ -1534,7 +1534,10 @@ mod tests {
         // message is delivered, which completes the receive.  Sender 0: the
         // message is queued before the receive is posted.
         for sender in [1, 0] {
-            let config = EngineConfig::ideal(2).with_crash(sender, SimTime::from_secs(1.0));
+            let config = EngineConfig {
+                crashes: vec![(sender, SimTime::from_secs(1.0))],
+                ..EngineConfig::ideal(2)
+            };
             let report = run_virtual_cluster(&config, |_| SendThenCrash {
                 sender,
                 state: 0,
@@ -1606,9 +1609,10 @@ mod tests {
                 }
             }
         }
-        let config = EngineConfig::ideal(2)
-            .with_crash(0, SimTime::from_secs(0.5))
-            .with_crash(1, SimTime::from_secs(0.5));
+        let config = EngineConfig {
+            crashes: vec![(0, SimTime::from_secs(0.5)), (1, SimTime::from_secs(0.5))],
+            ..EngineConfig::ideal(2)
+        };
         let report = run_virtual_cluster(&config, |_| Busy);
         assert!(report.all_crashed());
         assert_eq!(report.makespan(), report.max_time());

@@ -174,15 +174,6 @@ impl FailurePlan {
         }
     }
 
-    /// Correlated crash events with an explicit intensity and horizon.
-    pub fn correlated_process(domain: FailureDomain, rate: FailureRate, horizon_s: f64) -> Self {
-        FailurePlan::Correlated {
-            domain,
-            rate,
-            horizon_s,
-        }
-    }
-
     /// Node-level correlated failures: each event kills every rank of one
     /// node ([`FailurePlan::correlated`] with [`FailureDomain::Node`]).
     pub fn node_failures(rate: FailureRate) -> Self {
@@ -1418,16 +1409,16 @@ mod tests {
         let plans = [
             FailurePlan::node_failures(FailureRate::Constant(1.0)),
             FailurePlan::rack_failures(4, FailureRate::weibull_hpc(360.0)),
-            FailurePlan::correlated_process(
-                FailureDomain::Node,
+            FailurePlan::Correlated {
+                domain: FailureDomain::Node,
                 // Negative log-space location: the label contains `--`,
                 // which the sign-aware number parser must round-trip.
-                FailureRate::LogNormal {
+                rate: FailureRate::LogNormal {
                     mu: -0.5,
                     sigma: 1.25,
                 },
-                2.5,
-            ),
+                horizon_s: 2.5,
+            },
             FailurePlan::poisson_process(FailureRate::lognormal_hpc(360.0), 1.0),
         ];
         for plan in plans {
