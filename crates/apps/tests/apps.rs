@@ -1,8 +1,8 @@
 //! End-to-end tests of the mini-applications in the three execution modes.
 
 use apps::{
-    run_amg, run_gtc, run_hpccg, run_minighost, AmgParams, AmgSolver, AppContext, GtcParams,
-    HpccgParams, MiniGhostParams,
+    run_amg, run_gtc, run_hpccg, run_minighost, AmgParams, AmgSolver, AppContext, ExperimentScale,
+    GtcParams, HpccgParams, MiniGhostParams,
 };
 use ipr_core::IntraConfig;
 use replication::{ExecutionMode, FailureInjector, ProtocolPoint};
@@ -252,5 +252,55 @@ fn minighost_matches_across_modes_and_reports_small_section_fraction() {
             fraction < 0.35,
             "grid-sum sections should be a small fraction, got {fraction:.2}"
         );
+    }
+}
+
+/// Bits of `(total_charge, kinetic)` of each logical process of a GTC run,
+/// recorded before the particle path was optimised.  `GtcParams::small`
+/// on 2 logical processes:
+const GTC_SMALL_BITS: [(u64, u64); 2] = [
+    (0x40af_4000_0000_0001, 0x40cd_4a0a_4c32_8cfa),
+    (0x40af_4000_0000_0000, 0x40e2_1436_5a8c_4d5f),
+];
+/// The catalog's `GtcParams::paper_scale` at `ExperimentScale::Small`.
+const GTC_PAPER_SMALL_BITS: [(u64, u64); 4] = [
+    (0x40af_4000_0000_0002, 0x40d3_e67c_7174_c347),
+    (0x40af_3fff_ffff_fffc, 0x40e9_8942_1837_83ab),
+    (0x40af_4000_0000_0002, 0x40cd_0054_e841_ebda),
+    (0x40af_4000_0000_0000, 0x40e4_f116_ebf0_2c79),
+];
+
+/// The conserved total charge, which is all a golden or `sim_digest`
+/// carries, cannot see a particle move; the kinetic diagnostic can.  Every
+/// replica of a logical process, in every mode, must reproduce the same
+/// bits of both.
+#[test]
+fn gtc_physics_is_pinned_bit_for_bit() {
+    let small = ExperimentScale::Small;
+    assert_eq!(GTC_PAPER_SMALL_BITS.len(), small.fig6_logical_procs());
+    let cases: [(GtcParams, &[(u64, u64)]); 2] = [
+        (GtcParams::small(4000, 5), &GTC_SMALL_BITS),
+        (
+            GtcParams::paper_scale(small.actual_particles(), small.app_iterations()),
+            &GTC_PAPER_SMALL_BITS,
+        ),
+    ];
+    for (params, pinned) in cases {
+        for (mode, procs) in modes(pinned.len()) {
+            let report = run_cluster(&ClusterConfig::ideal(procs), move |proc| {
+                let mut ctx =
+                    AppContext::without_failures(proc, mode, IntraConfig::paper()).unwrap();
+                let out = run_gtc(&mut ctx, &params).unwrap();
+                let logical = ctx.env.rcomm().logical_rank();
+                (logical, out.total_charge.to_bits(), out.kinetic.to_bits())
+            });
+            for (logical, charge, kinetic) in report.unwrap_results() {
+                assert_eq!(
+                    (charge, kinetic),
+                    pinned[logical],
+                    "mode {mode:?}, logical process {logical}: {params:?}"
+                );
+            }
+        }
     }
 }
