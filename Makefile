@@ -11,7 +11,7 @@ CAMPAIGN_TOL ?= 0
 
 .PHONY: all build test verify bench-build docs fmt fmt-check clippy \
         campaign-smoke failures-smoke weak-smoke serve-smoke benchmark-quick \
-        stuck-smoke figures-smoke schedulers-smoke \
+        stuck-smoke bit-identity-release figures-smoke schedulers-smoke \
         ckpt-smoke golden golden-failures golden-schedulers golden-weak golden-ckpt \
         golden-figures benchmark \
         api-surface api-surface-check loc ci clean
@@ -27,6 +27,12 @@ test:
 # Tier-1 verify (ROADMAP.md): must stay green on every PR.
 verify:
 	$(CARGO) build --release && $(CARGO) test -q
+
+# The kernels' bit-identity oracles again in release mode: tier-1 runs the
+# tests in debug, and the fast paths they check (truncation for `floor`,
+# a multiply for a division) are floating-point codegen.
+bit-identity-release:
+	$(CARGO) test --release -p kernels --test bit_identity
 
 # The examples must keep compiling even when not run.
 bench-build:
@@ -248,7 +254,7 @@ golden-figures:
 loc:
 	-bash scripts/loc.sh
 
-ci: verify stuck-smoke bench-build docs fmt-check clippy api-surface-check campaign-smoke figures-smoke failures-smoke schedulers-smoke weak-smoke ckpt-smoke serve-smoke benchmark-quick loc
+ci: verify bit-identity-release stuck-smoke bench-build docs fmt-check clippy api-surface-check campaign-smoke figures-smoke failures-smoke schedulers-smoke weak-smoke ckpt-smoke serve-smoke benchmark-quick loc
 
 clean:
 	$(CARGO) clean

@@ -33,19 +33,60 @@ fn wrap(x: f64, length: f64) -> f64 {
     }
 }
 
-/// The two grid cells a particle at `xp` (inside `[0, length)`) weighs
-/// onto, and its fractional offset from the first: cell `c0` is
-/// `(xp / dx).floor() as usize % ncells` and `c1 = (c0 + 1) % ncells`, bit
-/// for bit, with the integer divisions left to the rare particle that
-/// rounds onto the upper boundary.
-#[inline]
-fn cic_cells(xp: f64, dx: f64, ncells: usize) -> (usize, usize, f64) {
-    let cell = (xp / dx).floor();
-    let frac = xp / dx - cell;
-    let c = cell as usize;
-    let c0 = if c < ncells { c } else { c % ncells };
-    let c1 = if c0 + 1 == ncells { 0 } else { c0 + 1 };
-    (c0, c1, frac)
+/// The cell grid of `[0, length)`: `ncells` cells of width `dx`.
+///
+/// [`Cells::locate`] is `(xp / dx).floor()` and `xp / dx − floor`, bit for
+/// bit, without a `floor` call and, for the widths GTC uses, without a
+/// division:
+///
+/// * after [`wrap`], `xp ∈ [+0, length)` or `xp = −0`, so `q = xp / dx` is
+///   `+0`, `−0` or positive.  `q + 0.0` turns `−0` into `+0` and leaves
+///   every other value alone, and on `[+0, 2⁵³)` the truncation `q as
+///   usize` is `floor(q)`, exactly representable, so `q − c as f64` is the
+///   fraction `q − floor(q)` (with `floor(−0) = −0` the old fraction of
+///   `−0` was `+0`, which the canonicalised `q` reproduces);
+/// * when `dx` is a power of two whose reciprocal is normal, `1 / dx` is
+///   exact and `xp · (1 / dx)` is the same real number as `xp / dx`, so
+///   both round to the same double, subnormal results included.  Other
+///   widths keep the division.  The choice is made once per call.
+#[derive(Debug, Clone, Copy)]
+struct Cells {
+    ncells: usize,
+    dx: f64,
+    /// `1 / dx` when it is exact (see above).
+    inv_dx: Option<f64>,
+}
+
+impl Cells {
+    fn new(length: f64, ncells: usize) -> Self {
+        let dx = length / ncells as f64;
+        let inv = 1.0 / dx;
+        let power_of_two = dx.is_normal() && dx.to_bits() & ((1u64 << 52) - 1) == 0;
+        Cells {
+            ncells,
+            dx,
+            inv_dx: (power_of_two && inv.is_normal()).then_some(inv),
+        }
+    }
+
+    /// The two grid cells a particle at `xp` (inside `[0, length)`)
+    /// weighs onto, and its fractional offset from the first: cell `c0` is
+    /// `(xp / dx).floor() as usize % ncells` and `c1 = (c0 + 1) % ncells`,
+    /// with the integer divisions left to the rare particle that rounds
+    /// onto the upper boundary.
+    #[inline]
+    fn locate(&self, xp: f64) -> (usize, usize, f64) {
+        let q = match self.inv_dx {
+            Some(inv) => xp * inv,
+            None => xp / self.dx,
+        } + 0.0;
+        let c = q as usize;
+        let frac = q - c as f64;
+        let ncells = self.ncells;
+        let c0 = if c < ncells { c } else { c % ncells };
+        let c1 = if c0 + 1 == ncells { 0 } else { c0 + 1 };
+        (c0, c1, frac)
+    }
 }
 
 /// A set of charged particles in a periodic 1D domain `[0, length)`.
@@ -97,10 +138,10 @@ pub fn charge_deposit(particles: &ParticleSet, range: Range<usize>, density: &mu
     let ncells = density.len();
     assert!(ncells > 0, "density grid must not be empty");
     assert!(range.end <= particles.len(), "particle range out of bounds");
-    let dx = particles.length / ncells as f64;
+    let cells = Cells::new(particles.length, ncells);
     for i in range {
         let xp = wrap(particles.x[i], particles.length);
-        let (c0, c1, frac) = cic_cells(xp, dx, ncells);
+        let (c0, c1, frac) = cells.locate(xp);
         density[c0] += 1.0 - frac;
         density[c1] += frac;
     }
@@ -132,10 +173,10 @@ pub fn push(particles: &mut ParticleSet, range: Range<usize>, field: &[f64], dt:
     assert!(ncells > 0, "field grid must not be empty");
     assert!(range.end <= particles.len(), "particle range out of bounds");
     let length = particles.length;
-    let dx = length / ncells as f64;
+    let cells = Cells::new(length, ncells);
     for i in range {
         let xp = wrap(particles.x[i], length);
-        let (c0, c1, frac) = cic_cells(xp, dx, ncells);
+        let (c0, c1, frac) = cells.locate(xp);
         let e = field[c0] * (1.0 - frac) + field[c1] * frac;
         particles.v[i] += e * dt;
         particles.x[i] = wrap(particles.x[i] + particles.v[i] * dt, length);

@@ -80,7 +80,9 @@ fn push_oracle(particles: &mut ParticleSet, range: Range<usize>, field: &[f64], 
 
 /// Particles of domain `length` in every position class the kernels
 /// branch on: inside `[0, length)`, negative, at or past `length`, and the
-/// boundary values `length − ulp`, `length`, `0` and `−0`.
+/// boundary values `length − ulp`, `length`, `0` and `−0`.  A particle at
+/// `±0` moves at `±0`, so a push that gathers a `±0` field contribution
+/// shows the sign it got in the particle's velocity.
 fn arb_particles(n: usize, length: f64, seed: u64) -> ParticleSet {
     let below_length = f64::from_bits(length.to_bits() - 1);
     let (mut x, mut v) = (Vec::with_capacity(n), Vec::with_capacity(n));
@@ -89,41 +91,70 @@ fn arb_particles(n: usize, length: f64, seed: u64) -> ParticleSet {
             .wrapping_mul(0x9e37_79b9_7f4a_7c15)
             .wrapping_add(seed.wrapping_mul(0xbf58_476d_1ce4_e5b9));
         let frac = ((h >> 11) % 10_007) as f64 / 10_007.0;
+        let zero = [0.0, -0.0][(h & 1) as usize];
         x.push(match (h >> 40) % 8 {
             0..=2 => frac * length,
             3 => -frac * 3.0 * length,
             4 => length + frac * 3.0 * length,
             5 => below_length,
             6 => length,
-            _ => [0.0, -0.0][(h & 1) as usize],
+            _ => zero,
         });
-        v.push((frac - 0.5) * 4.0 * length);
+        v.push(match (h >> 40) % 8 {
+            7 => [0.0, -0.0][((h >> 1) & 1) as usize],
+            _ => (frac - 0.5) * 4.0 * length,
+        });
     }
     ParticleSet { x, v, length }
+}
+
+/// Domain lengths for `ncells` cells.  The kernels multiply by `1 / dx`
+/// when the cell width `dx` is a power of two and divide otherwise, so the
+/// first four fix `dx` at a power of two (1, 0.5, 2⁻³, 16) and the last
+/// at `0.3 / 7`; the fixed lengths in between give a power-of-two width
+/// only for some cell counts.
+fn pic_lengths(ncells: usize) -> [f64; 9] {
+    let n = ncells as f64;
+    [
+        n,
+        0.5 * n,
+        0.125 * n,
+        16.0 * n,
+        1.0,
+        16.0,
+        0.3,
+        100.0 / 3.0,
+        0.3 / 7.0 * n,
+    ]
 }
 
 proptest! {
     #[test]
     fn pic_kernels_match_their_rem_euclid_oracles(
-        n in 1usize..64, ncells in 1usize..140, length_pick in 0usize..4, seed in 0u64..1000,
+        n in 1usize..64, ncells in 1usize..140, seed in 0u64..1000,
     ) {
-        let length = [1.0, 16.0, 0.3, 100.0 / 3.0][length_pick];
-        let particles = arb_particles(n, length, seed);
-        let mut density = vec![0.0; ncells];
-        let mut expect = vec![0.0; ncells];
-        charge_deposit(&particles, 0..n, &mut density);
-        charge_deposit_oracle(&particles, 0..n, &mut expect);
-        for (got, want) in density.iter().zip(&expect) {
-            prop_assert_eq!(got.to_bits(), want.to_bits());
-        }
-        let field: Vec<f64> = (0..ncells).map(|c| (c as f64 * 0.61).sin() * 3.0).collect();
-        let (mut pushed, mut oracle) = (particles.clone(), particles);
-        // A step long enough to carry particles out of the domain both ways.
-        push(&mut pushed, 0..n, &field, 0.37);
-        push_oracle(&mut oracle, 0..n, &field, 0.37);
-        for i in 0..n {
-            prop_assert_eq!(pushed.x[i].to_bits(), oracle.x[i].to_bits());
-            prop_assert_eq!(pushed.v[i].to_bits(), oracle.v[i].to_bits());
+        for length in pic_lengths(ncells) {
+            let particles = arb_particles(n, length, seed);
+            // A `−0` grid keeps the sign of a `±0` deposit: `−0 + −0` is
+            // `−0`, `−0 + +0` is `+0`.
+            let mut density = vec![-0.0; ncells];
+            let mut expect = vec![-0.0; ncells];
+            charge_deposit(&particles, 0..n, &mut density);
+            charge_deposit_oracle(&particles, 0..n, &mut expect);
+            for (got, want) in density.iter().zip(&expect) {
+                prop_assert_eq!(got.to_bits(), want.to_bits(), "length {}", length);
+            }
+            // `field[0]` is `−0`, so the sign of a zero fraction reaches
+            // the gathered field.
+            let field: Vec<f64> = (0..ncells).map(|c| -(c as f64 * 0.61).sin() * 3.0).collect();
+            let (mut pushed, mut oracle) = (particles.clone(), particles);
+            // A step long enough to carry particles out of the domain both ways.
+            push(&mut pushed, 0..n, &field, 0.37);
+            push_oracle(&mut oracle, 0..n, &field, 0.37);
+            for i in 0..n {
+                prop_assert_eq!(pushed.x[i].to_bits(), oracle.x[i].to_bits(), "length {}", length);
+                prop_assert_eq!(pushed.v[i].to_bits(), oracle.v[i].to_bits(), "length {}", length);
+            }
         }
     }
 }
