@@ -20,6 +20,7 @@ use kernels::pic::{self, charge_cost, push_cost, ParticleSet};
 use kernels::vecops::grid_sum;
 use simcluster::seeded_rng;
 use simmpi::Tag;
+use std::sync::Arc;
 
 const SHIFT_TAG: Tag = 121;
 
@@ -133,6 +134,8 @@ pub fn run_gtc(ctx: &mut AppContext, params: &GtcParams) -> IntraResult<GtcOutpu
     ctx.start_measurement();
 
     let mut total_charge = 0.0;
+    // The reduced charge density, reused across steps.
+    let mut density = vec![0.0; cells];
 
     for step in 0..params.steps {
         ctx.iteration_boundary(step)?;
@@ -146,17 +149,18 @@ pub fn run_gtc(ctx: &mut AppContext, params: &GtcParams) -> IntraResult<GtcOutpu
                     TaskDef::new(
                         "gtc-charge",
                         move |c| {
-                            let xs = &c.inputs[0];
                             let density = &mut c.outputs[0];
-                            for d in density.iter_mut() {
-                                *d = 0.0;
-                            }
+                            density.fill(0.0);
+                            // Deposit straight from the input buffer: it
+                            // moves into the particle set and back (the
+                            // deposit reads no velocities).
                             let p = ParticleSet {
-                                x: xs.to_vec(),
-                                v: vec![0.0; xs.len()],
+                                x: std::mem::take(&mut c.inputs[0]),
+                                v: Vec::new(),
                                 length: density.len() as f64,
                             };
                             pic::charge_deposit(&p, 0..p.len(), density);
+                            c.inputs[0] = p.x;
                         },
                         vec![
                             ArgSpec::input(x_v, chunk),
@@ -178,11 +182,10 @@ pub fn run_gtc(ctx: &mut AppContext, params: &GtcParams) -> IntraResult<GtcOutpu
                 ),
                 || (),
             );
-            let partials = ws.read_range(partial_density_v, 0..cells * tasks);
-            let mut density = vec![0.0; cells];
-            for t in 0..tasks {
-                for c in 0..cells {
-                    density[c] += partials[t * cells + c];
+            density.fill(0.0);
+            for partial in ws.get(partial_density_v).chunks_exact(cells) {
+                for (d, p) in density.iter_mut().zip(partial) {
+                    *d += p;
                 }
             }
             ws.write_range(density_v, 0..cells, &density);
@@ -191,10 +194,10 @@ pub fn run_gtc(ctx: &mut AppContext, params: &GtcParams) -> IntraResult<GtcOutpu
             let xs = ws.read_range(x_v, 0..np);
             let p = ParticleSet {
                 x: xs,
-                v: vec![0.0; np],
+                v: Vec::new(),
                 length: domain_length,
             };
-            let mut density = vec![0.0; cells];
+            density.fill(0.0);
             pic::charge_deposit(&p, 0..np, &mut density);
             ws.write_range(density_v, 0..cells, &density);
         }
@@ -213,12 +216,13 @@ pub fn run_gtc(ctx: &mut AppContext, params: &GtcParams) -> IntraResult<GtcOutpu
 
         // --- particle push (intra-parallel, `inout` particle arrays) ------
         if params.intra_kernels {
-            let field_clone = field.clone();
+            // One field shared by every push task of the step.
+            let field: Arc<[f64]> = field.into();
             let dt = params.dt;
             let mut section = ctx.rt.section(&mut ws);
             let chunks = ipr_core::split_ranges(np, tasks);
             for chunk in chunks {
-                let field = field_clone.clone();
+                let field = Arc::clone(&field);
                 section.add_task(
                     TaskDef::new(
                         "gtc-push",
