@@ -21,7 +21,9 @@
 //! valued flag without its value, a number that does not parse (or a
 //! `--jobs` of 0) and an unknown grid or sweep are usage errors (exit 2),
 //! caught before anything is read, written or created.  A failure after
-//! that (I/O, a failed job, a diverging report) exits 1.
+//! that (I/O, a failed job, a diverging report) exits 1.  Only `serve` and
+//! `submit` create a spool; `status`, `results` and `stop` on a path that
+//! holds none fail (exit 1) and create nothing.
 //!
 //! `run` writes a deterministic JSON report (byte-identical for any
 //! `--jobs` value); `diff` validates the `ipr-report/1` schema tag on both
@@ -38,6 +40,7 @@ use campaign::{
     CampaignGrid, CampaignReport, Json, RunCache, ServeOptions, Spool, WeakSweep,
 };
 use std::fmt::Display;
+use std::path::Path;
 use std::process::ExitCode;
 use std::str::FromStr;
 use std::sync::Arc;
@@ -164,8 +167,23 @@ fn find_sweep(name: &str) -> Outcome<WeakSweep> {
         .ok_or_else(|| unknown_preset("weak sweep", name, &WeakSweep::builtin_names()))
 }
 
+/// Opens (creating if needed) the spool at `dir`: `serve` and `submit`.
 fn open_spool(dir: &str) -> Outcome<Spool> {
     Spool::open(dir).map_err(|e| failure(format_args!("cannot open spool {dir}: {e}")))
+}
+
+/// Opens the spool at `dir` for `status`, `results` and `stop`, which only
+/// read it or leave a marker: a path without the spool's four directories
+/// is a failure, and nothing is created.
+fn open_existing_spool(dir: &str) -> Outcome<Spool> {
+    let root = Path::new(dir);
+    if !["jobs", "active", "results", "done"]
+        .iter()
+        .all(|sub| root.join(sub).is_dir())
+    {
+        return Err(failure(format_args!("no spool at {dir}")));
+    }
+    open_spool(dir)
 }
 
 fn open_cache(dir: &str) -> Outcome<Arc<RunCache>> {
@@ -370,7 +388,7 @@ fn cmd_submit(args: &[String]) -> Outcome {
 
 fn cmd_status(args: &[String]) -> Outcome {
     let flags = parse(args, &["--spool"], &[], 0)?;
-    let status = open_spool(flags.required("--spool")?)?
+    let status = open_existing_spool(flags.required("--spool")?)?
         .status()
         .map_err(|e| failure(format_args!("cannot read spool: {e}")))?;
     println!("queued: {}", status.queued.len());
@@ -398,7 +416,7 @@ fn cmd_results(args: &[String]) -> Outcome {
     let flags = parse(args, &["--spool", "--id"], &["--stream"], 0)?;
     let dir = flags.required("--spool")?;
     let id = flags.required("--id")?;
-    let spool = open_spool(dir)?;
+    let spool = open_existing_spool(dir)?;
     let path = if flags.has("--stream") {
         spool.stream_path(id)
     } else {
@@ -416,7 +434,7 @@ fn cmd_results(args: &[String]) -> Outcome {
 
 fn cmd_stop(args: &[String]) -> Outcome {
     let flags = parse(args, &["--spool"], &[], 0)?;
-    open_spool(flags.required("--spool")?)?
+    open_existing_spool(flags.required("--spool")?)?
         .request_stop()
         .map_err(|e| failure(format_args!("cannot request stop: {e}")))?;
     eprintln!("stop requested");

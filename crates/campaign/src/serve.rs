@@ -422,11 +422,14 @@ fn process_job(
 ///
 /// Exits when a stop marker appears ([`Spool::request_stop`]; consumed on
 /// exit) or, with [`ServeOptions::drain`], as soon as the queue is empty.
+/// A marker already there when the server starts was meant for an earlier
+/// server (or none) and is discarded.
 pub fn serve(
     spool: &Spool,
     cache: &Arc<RunCache>,
     options: &ServeOptions,
 ) -> io::Result<Vec<JobSummary>> {
+    spool.clear_stop();
     spool.recover_orphans()?;
     let pool = ExecutorPool::new(options.workers);
     let summaries: Mutex<Vec<JobSummary>> = Mutex::new(Vec::new());

@@ -198,6 +198,39 @@ fn a_usage_error_of_a_spool_verb_leaves_no_spool_behind() {
 }
 
 #[test]
+fn read_only_spool_verbs_fail_on_a_path_without_a_spool() {
+    let tmp = Scratch::new("no-such-spool");
+    let missing = tmp.path("typo");
+    let empty = tmp.path("empty");
+    std::fs::create_dir(&empty).unwrap();
+    for spool in [&missing, &empty] {
+        for args in [
+            &["status", "--spool", spool][..],
+            &["results", "--spool", spool, "--id", "a"],
+            &["stop", "--spool", spool],
+        ] {
+            let out = campaign(args);
+            let err = stderr(&out);
+            assert_eq!(code(&out), 1, "{args:?}: stderr {err}");
+            assert!(
+                err.contains(&format!("no spool at {spool}")),
+                "{args:?}: {err}"
+            );
+            assert_eq!(stdout(&out), "", "{args:?}");
+        }
+    }
+    assert!(
+        !Path::new(&missing).exists(),
+        "a read-only verb created the spool"
+    );
+    assert_eq!(
+        std::fs::read_dir(&empty).unwrap().count(),
+        0,
+        "a read-only verb wrote into a directory that holds no spool"
+    );
+}
+
+#[test]
 fn list_prints_the_built_in_grids_and_what_one_expands_into() {
     let out = campaign(&["list"]);
     assert_eq!(code(&out), 0, "{}", stderr(&out));

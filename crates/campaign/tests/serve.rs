@@ -141,6 +141,60 @@ fn warm_resubmission_replays_the_cache_byte_identically() {
 }
 
 #[test]
+fn a_stray_stop_marker_does_not_stop_the_next_server() {
+    let tree = TempTree::new("stray-stop");
+    let spool = Arc::new(Spool::open(tree.path("spool")).unwrap());
+    let cache = Arc::new(RunCache::open(tree.path("cache")).unwrap());
+    // A stop requested while no server runs...
+    spool.request_stop().unwrap();
+
+    // ...is no request to the resident server started after it.
+    let server = {
+        let spool = Arc::clone(&spool);
+        std::thread::spawn(move || {
+            serve(
+                &spool,
+                &cache,
+                &ServeOptions {
+                    workers: 2,
+                    drain: false,
+                    poll: Duration::from_millis(5),
+                },
+            )
+            .unwrap()
+        })
+    };
+    let stop_marker = spool.root().join("stop");
+    let deadline = std::time::Instant::now() + Duration::from_secs(120);
+    let wait_for = |what: &str, done: &dyn Fn() -> bool| {
+        while !done() {
+            assert!(!server.is_finished(), "the server exited before {what}");
+            assert!(std::time::Instant::now() < deadline, "no {what} in time");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    };
+    wait_for("discarding the stray marker", &|| !stop_marker.exists());
+    spool
+        .submit_specs("after-start", &mini_specs(&[70]))
+        .unwrap();
+    wait_for("serving the job", &|| {
+        spool.status().unwrap().done.len() == 1
+    });
+    // Still resident a few polls later: only a later stop ends it.
+    std::thread::sleep(Duration::from_millis(50));
+    assert!(!server.is_finished(), "the server exited without a stop");
+    spool.request_stop().unwrap();
+    let summaries = server.join().unwrap();
+    assert_eq!(summaries.len(), 1);
+    assert_eq!(summaries[0].id, "after-start");
+    assert_eq!(summaries[0].error, None);
+    assert!(
+        !stop_marker.exists(),
+        "the server consumes the stop it obeyed"
+    );
+}
+
+#[test]
 fn concurrent_submitters_get_stable_aggregate_output() {
     let tree = TempTree::new("concurrent");
     let spool = Arc::new(Spool::open(tree.path("spool")).unwrap());
