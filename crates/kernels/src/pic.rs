@@ -42,9 +42,12 @@ fn wrap(x: f64, length: f64) -> f64 {
 /// * after [`wrap`], `xp ∈ [+0, length)` or `xp = −0`, so `q = xp / dx` is
 ///   `+0`, `−0` or positive.  `q + 0.0` turns `−0` into `+0` and leaves
 ///   every other value alone, and on `[+0, 2⁵³)` the truncation `q as
-///   usize` is `floor(q)`, exactly representable, so `q − c as f64` is the
+///   i64` is `floor(q)`, exactly representable, so `q − c as f64` is the
 ///   fraction `q − floor(q)` (with `floor(−0) = −0` the old fraction of
-///   `−0` was `+0`, which the canonicalised `q` reproduces);
+///   `−0` was `+0`, which the canonicalised `q` reproduces).  `q` stays
+///   below about `ncells`, far inside that range.  The conversions go
+///   through `i64`, not `usize`: x86-64 converts signed integers to and
+///   from `f64` in one instruction each, unsigned ones in a sequence;
 /// * when `dx` is a power of two whose reciprocal is normal, `1 / dx` is
 ///   exact and `xp · (1 / dx)` is the same real number as `xp / dx`, so
 ///   both round to the same double, subnormal results included.  Other
@@ -80,8 +83,9 @@ impl Cells {
             Some(inv) => xp * inv,
             None => xp / self.dx,
         } + 0.0;
-        let c = q as usize;
+        let c = q as i64;
         let frac = q - c as f64;
+        let c = c as usize;
         let ncells = self.ncells;
         let c0 = if c < ncells { c } else { c % ncells };
         let c1 = if c0 + 1 == ncells { 0 } else { c0 + 1 };

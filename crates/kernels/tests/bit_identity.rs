@@ -91,18 +91,19 @@ fn arb_particles(n: usize, length: f64, seed: u64) -> ParticleSet {
             .wrapping_mul(0x9e37_79b9_7f4a_7c15)
             .wrapping_add(seed.wrapping_mul(0xbf58_476d_1ce4_e5b9));
         let frac = ((h >> 11) % 10_007) as f64 / 10_007.0;
-        let zero = [0.0, -0.0][(h & 1) as usize];
-        x.push(match (h >> 40) % 8 {
+        let class = (h >> 40) % 8;
+        x.push(match class {
             0..=2 => frac * length,
             3 => -frac * 3.0 * length,
             4 => length + frac * 3.0 * length,
             5 => below_length,
             6 => length,
-            _ => zero,
+            _ => [0.0, -0.0][(h & 1) as usize],
         });
-        v.push(match (h >> 40) % 8 {
-            7 => [0.0, -0.0][((h >> 1) & 1) as usize],
-            _ => (frac - 0.5) * 4.0 * length,
+        v.push(if class == 7 {
+            [0.0, -0.0][((h >> 1) & 1) as usize]
+        } else {
+            (frac - 0.5) * 4.0 * length
         });
     }
     ParticleSet { x, v, length }
