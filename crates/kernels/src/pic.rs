@@ -52,7 +52,7 @@ fn wrap(x: f64, length: f64) -> f64 {
 ///   exact and `xp · (1 / dx)` is the same real number as `xp / dx`, so
 ///   both round to the same double, subnormal results included.  Other
 ///   widths keep the division.  The choice is made once per call.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug)]
 struct Cells {
     ncells: usize,
     dx: f64,
