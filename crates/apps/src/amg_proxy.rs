@@ -54,9 +54,6 @@ pub struct AmgParams {
     pub max_iters: usize,
     /// GMRES restart length.
     pub restart: usize,
-    /// Whether the sparse matrix-vector product runs in intra-parallel
-    /// sections.
-    pub intra_spmv: bool,
     /// Whether the dot products run in intra-parallel sections.
     pub intra_dots: bool,
 }
@@ -70,7 +67,6 @@ impl AmgParams {
             n_modeled: n,
             max_iters: iters,
             restart: 10,
-            intra_spmv: true,
             intra_dots: true,
         }
     }
@@ -87,7 +83,6 @@ impl AmgParams {
             n_modeled: 100,
             max_iters: iters,
             restart: 30,
-            intra_spmv: true,
             intra_dots: matches!(solver, AmgSolver::Gmres7),
         }
     }
@@ -218,7 +213,7 @@ pub fn run_amg(ctx: &mut AppContext, params: &AmgParams) -> IntraResult<AmgOutpu
         plane,
         modeled_plane_bytes: workload.scale_count(plane) * std::mem::size_of::<f64>(),
         modeled_n,
-        matvec: kernel("amg-spmv", params.intra_spmv),
+        matvec: kernel("amg-spmv", true),
         dots: kernel("amg-dot", params.intra_dots),
         updates: kernel("amg-waxpby", false),
         partial: ws.add_zeros("partial", tasks_per_section(ctx)),

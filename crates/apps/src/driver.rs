@@ -201,14 +201,6 @@ pub struct ScaledWorkload {
 }
 
 impl ScaledWorkload {
-    /// A workload where the actual and modeled sizes coincide.
-    pub fn exact(n: usize) -> Self {
-        ScaledWorkload {
-            actual: n,
-            modeled: n,
-        }
-    }
-
     /// A workload running on `actual` elements while modeling `modeled`:
     /// `actual` must be positive and `modeled` at least as large.
     pub fn scaled(actual: usize, modeled: usize) -> IntraResult<Self> {
@@ -232,16 +224,13 @@ impl ScaledWorkload {
     }
 }
 
-/// Re-exported so applications can return `IntraResult` uniformly.
-pub type AppResult<T> = IntraResult<T>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn scaled_workload_ratios() {
-        let w = ScaledWorkload::exact(1000);
+        let w = ScaledWorkload::scaled(1000, 1000).unwrap();
         assert_eq!(w.scale(), 1.0);
         let w = ScaledWorkload::scaled(1000, 8000).unwrap();
         assert_eq!(w.scale(), 8.0);

@@ -37,8 +37,6 @@ pub struct GtcParams {
     pub steps: usize,
     /// Time-step size.
     pub dt: f64,
-    /// Whether charge and push run inside intra-parallel sections.
-    pub intra_kernels: bool,
     /// Fraction of the particle data exchanged with neighbours each step
     /// (stands in for GTC's shift phase).
     pub shift_fraction: f64,
@@ -58,7 +56,6 @@ impl GtcParams {
             grid_cells: 64,
             steps,
             dt: 0.05,
-            intra_kernels: true,
             shift_fraction: 0.05,
             other_work_fraction: 0.0,
         }
@@ -74,7 +71,6 @@ impl GtcParams {
             grid_cells: 128,
             steps,
             dt: 0.05,
-            intra_kernels: true,
             shift_fraction: 0.05,
             other_work_fraction: 1.0 / 3.0,
         }
@@ -141,66 +137,53 @@ pub fn run_gtc(ctx: &mut AppContext, params: &GtcParams) -> IntraResult<GtcOutpu
         ctx.iteration_boundary(step)?;
 
         // --- charge deposition (intra-parallel, `out` density) ------------
-        if params.intra_kernels {
-            let mut section = ctx.rt.section(&mut ws);
-            let chunks = ipr_core::split_ranges(np, tasks);
-            for (t, chunk) in chunks.into_iter().enumerate() {
-                section.add_task(
-                    TaskDef::new(
-                        "gtc-charge",
-                        move |c| {
-                            let density = &mut c.outputs[0];
-                            density.fill(0.0);
-                            // Deposit straight from the input buffer: it
-                            // moves into the particle set and back (the
-                            // deposit reads no velocities).
-                            let p = ParticleSet {
-                                x: std::mem::take(&mut c.inputs[0]),
-                                v: Vec::new(),
-                                length: density.len() as f64,
-                            };
-                            pic::charge_deposit(&p, 0..p.len(), density);
-                            c.inputs[0] = p.x;
-                        },
-                        vec![
-                            ArgSpec::input(x_v, chunk),
-                            ArgSpec::output(partial_density_v, t * cells..(t + 1) * cells),
-                        ],
-                    )
-                    .with_cost(charge_task_cost),
-                )?;
-            }
-            let _ = section.end()?;
-            // Reduce the per-task partial densities (outside the section,
-            // identical on every replica).
-            ctx.run_redundant(
-                kernels::KernelCost::new(
-                    (cells * tasks) as f64,
-                    (cells * tasks) as f64 * 8.0,
-                    cells as f64 * 8.0,
-                    0.0,
-                ),
-                || (),
-            );
-            density.fill(0.0);
-            for partial in ws.get(partial_density_v).chunks_exact(cells) {
-                for (d, p) in density.iter_mut().zip(partial) {
-                    *d += p;
-                }
-            }
-            ws.write_range(density_v, 0..cells, &density);
-        } else {
-            ctx.run_redundant(charge_cost(modeled_np, cells), || ());
-            let xs = ws.read_range(x_v, 0..np);
-            let p = ParticleSet {
-                x: xs,
-                v: Vec::new(),
-                length: domain_length,
-            };
-            density.fill(0.0);
-            pic::charge_deposit(&p, 0..np, &mut density);
-            ws.write_range(density_v, 0..cells, &density);
+        let mut section = ctx.rt.section(&mut ws);
+        let chunks = ipr_core::split_ranges(np, tasks);
+        for (t, chunk) in chunks.into_iter().enumerate() {
+            section.add_task(
+                TaskDef::new(
+                    "gtc-charge",
+                    move |c| {
+                        let density = &mut c.outputs[0];
+                        density.fill(0.0);
+                        // Deposit straight from the input buffer: it
+                        // moves into the particle set and back (the
+                        // deposit reads no velocities).
+                        let p = ParticleSet {
+                            x: std::mem::take(&mut c.inputs[0]),
+                            v: Vec::new(),
+                            length: density.len() as f64,
+                        };
+                        pic::charge_deposit(&p, 0..p.len(), density);
+                        c.inputs[0] = p.x;
+                    },
+                    vec![
+                        ArgSpec::input(x_v, chunk),
+                        ArgSpec::output(partial_density_v, t * cells..(t + 1) * cells),
+                    ],
+                )
+                .with_cost(charge_task_cost),
+            )?;
         }
+        let _ = section.end()?;
+        // Reduce the per-task partial densities (outside the section,
+        // identical on every replica).
+        ctx.run_redundant(
+            kernels::KernelCost::new(
+                (cells * tasks) as f64,
+                (cells * tasks) as f64 * 8.0,
+                cells as f64 * 8.0,
+                0.0,
+            ),
+            || (),
+        );
+        density.fill(0.0);
+        for partial in ws.get(partial_density_v).chunks_exact(cells) {
+            for (d, p) in density.iter_mut().zip(partial) {
+                *d += p;
+            }
+        }
+        ws.write_range(density_v, 0..cells, &density);
         total_charge = grid_sum(ws.get(density_v));
 
         // --- field solve and the other per-step phases (redundant, outside
@@ -212,54 +195,41 @@ pub fn run_gtc(ctx: &mut AppContext, params: &GtcParams) -> IntraResult<GtcOutpu
             let kernel_cost = charge_cost(modeled_np, cells) + push_cost(modeled_np);
             ctx.charge_other(kernel_cost * params.other_work_fraction);
         }
-        let field = pic::field_solve(ws.get(density_v), domain_length);
+        // One field shared by every push task of the step.
+        let field: Arc<[f64]> = pic::field_solve(ws.get(density_v), domain_length).into();
 
         // --- particle push (intra-parallel, `inout` particle arrays) ------
-        if params.intra_kernels {
-            // One field shared by every push task of the step.
-            let field: Arc<[f64]> = field.into();
-            let dt = params.dt;
-            let mut section = ctx.rt.section(&mut ws);
-            let chunks = ipr_core::split_ranges(np, tasks);
-            for chunk in chunks {
-                let field = Arc::clone(&field);
-                section.add_task(
-                    TaskDef::new(
-                        "gtc-push",
-                        move |c| {
-                            let length = field.len() as f64;
-                            // outputs[0] = positions (inout), outputs[1] =
-                            // velocities (inout).
-                            let n = c.outputs[0].len();
-                            let mut p = ParticleSet {
-                                x: std::mem::take(&mut c.outputs[0]),
-                                v: std::mem::take(&mut c.outputs[1]),
-                                length,
-                            };
-                            pic::push(&mut p, 0..n, &field, dt);
-                            c.outputs[0] = p.x;
-                            c.outputs[1] = p.v;
-                        },
-                        vec![
-                            ArgSpec::inout(x_v, chunk.clone()),
-                            ArgSpec::inout(v_v, chunk),
-                        ],
-                    )
-                    .with_cost(push_task_cost),
-                )?;
-            }
-            let _ = section.end()?;
-        } else {
-            ctx.run_redundant(push_cost(modeled_np), || ());
-            let mut p = ParticleSet {
-                x: ws.read_range(x_v, 0..np),
-                v: ws.read_range(v_v, 0..np),
-                length: domain_length,
-            };
-            pic::push(&mut p, 0..np, &field, params.dt);
-            ws.write_range(x_v, 0..np, &p.x);
-            ws.write_range(v_v, 0..np, &p.v);
+        let dt = params.dt;
+        let mut section = ctx.rt.section(&mut ws);
+        let chunks = ipr_core::split_ranges(np, tasks);
+        for chunk in chunks {
+            let field = Arc::clone(&field);
+            section.add_task(
+                TaskDef::new(
+                    "gtc-push",
+                    move |c| {
+                        let length = field.len() as f64;
+                        // outputs[0] = positions (inout), outputs[1] =
+                        // velocities (inout).
+                        let n = c.outputs[0].len();
+                        let mut p = ParticleSet {
+                            x: std::mem::take(&mut c.outputs[0]),
+                            v: std::mem::take(&mut c.outputs[1]),
+                            length,
+                        };
+                        pic::push(&mut p, 0..n, &field, dt);
+                        c.outputs[0] = p.x;
+                        c.outputs[1] = p.v;
+                    },
+                    vec![
+                        ArgSpec::inout(x_v, chunk.clone()),
+                        ArgSpec::inout(v_v, chunk),
+                    ],
+                )
+                .with_cost(push_task_cost),
+            )?;
         }
+        let _ = section.end()?;
 
         // --- particle shift between neighbouring logical processes --------
         // (stands in for GTC's toroidal shift; outside sections).

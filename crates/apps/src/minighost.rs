@@ -41,8 +41,6 @@ pub struct MiniGhostParams {
     /// A grid summation is performed every `sum_every` steps (MiniGhost's
     /// `percent_sum` knob; 1 = every step).
     pub sum_every: usize,
-    /// Whether the grid summation runs inside intra-parallel sections.
-    pub intra_sum: bool,
 }
 
 impl MiniGhostParams {
@@ -57,7 +55,6 @@ impl MiniGhostParams {
             modeled_nz: n,
             steps,
             sum_every: 1,
-            intra_sum: true,
         }
     }
 
@@ -72,7 +69,6 @@ impl MiniGhostParams {
             modeled_nz: 64,
             steps,
             sum_every: 2,
-            intra_sum: true,
         }
     }
 
@@ -128,7 +124,7 @@ pub fn run_minighost(
     let stencil_full_cost = stencil_cost(modeled_n, 27);
     let grid_sum = KernelSpec {
         name: "grid-sum",
-        intra: params.intra_sum,
+        intra: true,
         n,
         modeled_n,
     };

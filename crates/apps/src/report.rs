@@ -48,12 +48,6 @@ pub struct AppRunReport {
 }
 
 impl AppRunReport {
-    /// Virtual time spent outside intra-parallel sections (the "others" part
-    /// of the Figure 6 breakdown).
-    pub fn other_time(&self) -> SimTime {
-        self.total_time.saturating_sub(self.section_time)
-    }
-
     /// Fraction of the runtime covered by intra-parallel sections.
     pub fn section_fraction(&self) -> f64 {
         if self.total_time.is_zero() {
@@ -85,7 +79,6 @@ mod tests {
             update_bytes_sent: 1000,
             verification: 0.0,
         };
-        assert_eq!(r.other_time().as_secs(), 4.0);
         assert!((r.section_fraction() - 0.6).abs() < 1e-12);
     }
 

@@ -208,17 +208,12 @@ pub struct WeakScalingProgram {
 impl WeakScalingProgram {
     /// Builds the program for world rank `rank`.
     pub fn new(spec: &WeakScalingSpec, rank: usize) -> Self {
-        Self::with_charges(spec, rank, Arc::from(Vec::new()))
+        Self::sharing(Arc::new(spec.clone()), rank, Arc::from(Vec::new()))
     }
 
-    /// Builds the program with a shared per-boundary C/R charge vector
-    /// (computed once by [`ckpt_charges`] and cloned into every rank).
-    pub fn with_charges(spec: &WeakScalingSpec, rank: usize, charges: Arc<[f64]>) -> Self {
-        Self::sharing(Arc::new(spec.clone()), rank, charges)
-    }
-
-    /// [`with_charges`](Self::with_charges) on a spec the caller shares
-    /// between all ranks of the run.
+    /// Builds the program on a spec the caller shares between all ranks of
+    /// the run, with a shared per-boundary C/R charge vector (computed once
+    /// by [`ckpt_charges`] and cloned into every rank).
     fn sharing(spec: Arc<WeakScalingSpec>, rank: usize, charges: Arc<[f64]>) -> Self {
         let logical = spec.logical;
         WeakScalingProgram {

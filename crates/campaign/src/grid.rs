@@ -271,7 +271,7 @@ pub const SMOKE_FAILURE_RATE: f64 = 0.5;
 
 /// Horizon of the smoke grid's failure traces, in virtual seconds (covers
 /// the whole tiny-scale run).
-pub const SMOKE_FAILURE_HORIZON_S: f64 = 1.0;
+const SMOKE_FAILURE_HORIZON_S: f64 = 1.0;
 
 #[cfg(test)]
 mod tests {

@@ -80,14 +80,6 @@ impl Json {
         }
     }
 
-    /// The value as a bool, if a bool.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Renders the value as pretty-printed JSON (2-space indent, trailing
     /// newline), deterministically.
     pub fn render(&self) -> String {

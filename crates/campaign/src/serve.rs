@@ -42,9 +42,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// Schema tag of job files.
-pub const JOB_SCHEMA: &str = "ipr-job/1";
+const JOB_SCHEMA: &str = "ipr-job/1";
 /// Schema tag of job summaries (`done/<id>.json`).
-pub const SUMMARY_SCHEMA: &str = "ipr-serve/1";
+const SUMMARY_SCHEMA: &str = "ipr-serve/1";
 
 /// A spool directory handle: the client *and* server side of the protocol.
 pub struct Spool {

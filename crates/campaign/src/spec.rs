@@ -31,7 +31,7 @@ pub fn mode_label(mode: ExecutionMode) -> String {
 }
 
 /// Parses the output of [`mode_label`].
-pub fn parse_mode(s: &str) -> Option<ExecutionMode> {
+fn parse_mode(s: &str) -> Option<ExecutionMode> {
     if s == "native" {
         return Some(ExecutionMode::Native);
     }
@@ -338,6 +338,13 @@ mod tests {
         )
         .unwrap();
         assert!(RunSpec::from_json(0, &bad).unwrap_err().contains("app"));
+        let bad = crate::json::Json::parse(
+            r#"{"app": "hpccg", "scale": "huge", "mode": "native",
+                "scheduler": "static-block", "failure": "none", "seed": 1}"#,
+        )
+        .unwrap();
+        let err = RunSpec::from_json(0, &bad).unwrap_err();
+        assert!(err.contains("unknown scale 'huge'"), "{err}");
         // So do labels that parse but are not an experiment together.
         let text = doc.render().replace("replicated2", "replicated1");
         let bad = crate::json::Json::parse(&text).unwrap();

@@ -145,7 +145,7 @@ impl WeakSweep {
     /// 10k logical ranks (up to 20k physical), native vs intra,
     /// failure-free — the scale smoke that proves the engine runs four
     /// orders of magnitude past the thread-per-rank ceiling.
-    pub fn scale_10k() -> Self {
+    fn scale_10k() -> Self {
         WeakSweep {
             name: "weak-10k".to_string(),
             logical: vec![10_000],
@@ -158,7 +158,7 @@ impl WeakSweep {
 
     /// 100k logical ranks (200k physical), intra only, one iteration —
     /// the headline weak-scaling point (manual / bench use).
-    pub fn scale_100k() -> Self {
+    fn scale_100k() -> Self {
         WeakSweep {
             name: "weak-100k".to_string(),
             logical: vec![100_000],
@@ -174,7 +174,7 @@ impl WeakSweep {
     /// (release-mode only; measured on a 2-vCPU guest the run is about 4 s
     /// of wall clock and 0.3 GB of rank state; gated against
     /// `crates/campaign/golden/weak_1m.json`, never on wall clock).
-    pub fn scale_1m() -> Self {
+    fn scale_1m() -> Self {
         WeakSweep {
             name: "weak-1m".to_string(),
             logical: vec![1_000_000],

@@ -95,7 +95,7 @@ fn submitted_jobs_are_served_with_streaming_results() {
     assert_eq!(indices, vec![0, 1, 2]);
     assert!(lines
         .iter()
-        .all(|l| l.get("cached").and_then(Json::as_bool) == Some(false)));
+        .all(|l| l.get("cached") == Some(&Json::Bool(false))));
 
     // Status reflects the finished job.
     let status = spool.status().unwrap();
@@ -133,11 +133,9 @@ fn warm_resubmission_replays_the_cache_byte_identically() {
 
     // Every streamed line of the warm pass is marked cached.
     let stream = std::fs::read_to_string(spool.stream_path("warm")).unwrap();
-    assert!(stream.lines().all(|l| Json::parse(l)
-        .unwrap()
-        .get("cached")
-        .and_then(Json::as_bool)
-        == Some(true)));
+    assert!(stream
+        .lines()
+        .all(|l| Json::parse(l).unwrap().get("cached") == Some(&Json::Bool(true))));
 }
 
 #[test]

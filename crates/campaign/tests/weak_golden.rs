@@ -59,7 +59,7 @@ fn ten_thousand_logical_ranks_run_inside_the_test_budget() {
     // while still catching any return to thread-per-rank scaling (which
     // would abort on thread exhaustion long before the timer).
     let started = std::time::Instant::now();
-    let report = run_weak_sweep(&WeakSweep::scale_10k(), 0);
+    let report = run_weak_sweep(&WeakSweep::by_name("weak-10k").unwrap(), 0);
     let elapsed = started.elapsed();
     assert!(
         elapsed.as_secs() < 120,

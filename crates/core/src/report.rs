@@ -85,23 +85,10 @@ impl SectionReport {
         self.end_time.saturating_sub(self.start_time)
     }
 
-    /// Virtual time spent executing this replica's own tasks (the solid part
-    /// of the Figure 5a bars).
-    pub fn local_work_time(&self) -> SimTime {
-        self.local_work_done.saturating_sub(self.start_time)
-    }
-
     /// Virtual time spent finishing update transfers after the local work was
     /// done (the dashed "intra updates" part of the Figure 5a bars).
     pub fn update_drain_time(&self) -> SimTime {
         self.end_time.saturating_sub(self.local_work_done)
-    }
-
-    /// Sum of the observed per-task execution times of this section, in
-    /// virtual seconds (the perfectly parallelizable work the scheduler
-    /// distributes).
-    pub fn observed_task_seconds(&self) -> f64 {
-        self.task_costs.iter().map(|t| t.observed_seconds).sum()
     }
 }
 
@@ -248,9 +235,7 @@ mod tests {
     fn section_time_breakdown() {
         let r = report(1.0, 3.0, 4.5);
         assert_eq!(r.total_time().as_secs(), 3.5);
-        assert_eq!(r.local_work_time().as_secs(), 2.0);
         assert_eq!(r.update_drain_time().as_secs(), 1.5);
-        assert_eq!(r.observed_task_seconds(), 0.75);
         assert_eq!(r.task_costs[1].occurrence, 1);
     }
 

@@ -34,11 +34,6 @@ impl ArgTag {
     pub fn is_output(self) -> bool {
         matches!(self, ArgTag::Out | ArgTag::InOut)
     }
-
-    /// True if the argument is read by the task.
-    pub fn is_input(self) -> bool {
-        matches!(self, ArgTag::In | ArgTag::InOut)
-    }
 }
 
 /// One task argument: a tagged sub-range of a workspace variable.
@@ -141,7 +136,7 @@ pub struct CostHint(Option<TaskCost>);
 
 impl CostHint {
     /// No modeled cost: charge nothing to the virtual clock.
-    pub const NONE: CostHint = CostHint(None);
+    const NONE: CostHint = CostHint(None);
 
     /// A modeled cost descriptor.
     pub fn modeled(cost: TaskCost) -> Self {
@@ -295,16 +290,6 @@ impl TaskDef {
             .sum()
     }
 
-    /// Total number of bytes of `inout` data that must be snapshotted when
-    /// the task is instantiated.
-    pub fn inout_bytes(&self) -> usize {
-        self.args
-            .iter()
-            .filter(|a| a.tag == ArgTag::InOut)
-            .map(ArgSpec::bytes)
-            .sum()
-    }
-
     /// Relative compute weight used by cost-aware schedulers (falls back to
     /// the update size when no cost was provided).
     pub fn weight(&self) -> f64 {
@@ -325,9 +310,9 @@ mod tests {
 
     #[test]
     fn arg_tags_classify_inputs_and_outputs() {
-        assert!(ArgTag::In.is_input() && !ArgTag::In.is_output());
-        assert!(!ArgTag::Out.is_input() && ArgTag::Out.is_output());
-        assert!(ArgTag::InOut.is_input() && ArgTag::InOut.is_output());
+        assert!(!ArgTag::In.is_output());
+        assert!(ArgTag::Out.is_output());
+        assert!(ArgTag::InOut.is_output());
     }
 
     #[test]
@@ -355,7 +340,6 @@ mod tests {
             ],
         );
         assert_eq!(t.update_bytes(), (50 + 10) * 8);
-        assert_eq!(t.inout_bytes(), 10 * 8);
     }
 
     #[test]

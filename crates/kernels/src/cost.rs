@@ -62,16 +62,6 @@ impl KernelCost {
             f64::INFINITY
         }
     }
-
-    /// Flops per byte of *update* (output) — the quantity that governs
-    /// intra-parallelization efficiency.
-    pub fn flops_per_output_byte(&self) -> f64 {
-        if self.output_bytes > 0.0 {
-            self.flops / self.output_bytes
-        } else {
-            f64::INFINITY
-        }
-    }
 }
 
 impl Add for KernelCost {
@@ -128,9 +118,8 @@ mod tests {
     fn intensity_and_update_ratio() {
         let c = KernelCost::new(100.0, 100.0, 100.0, 10.0);
         assert_eq!(c.intensity(), 0.5);
-        assert_eq!(c.flops_per_output_byte(), 10.0);
+        assert_eq!(c.flops / c.output_bytes, 10.0);
         assert_eq!(KernelCost::ZERO.intensity(), f64::INFINITY);
-        assert_eq!(KernelCost::ZERO.flops_per_output_byte(), f64::INFINITY);
     }
 
     #[test]

@@ -6,7 +6,6 @@
 //! their neighbours (outside intra-parallel sections) and then apply a
 //! stencil to the interior (inside sections).
 
-use crate::cost::F64;
 use serde::{Deserialize, Serialize};
 
 /// A 3D grid of `f64` values with a one-cell ghost layer on every side.
@@ -46,18 +45,6 @@ impl Face {
         Face::Down,
         Face::Up,
     ];
-
-    /// The opposite face.
-    pub fn opposite(self) -> Face {
-        match self {
-            Face::West => Face::East,
-            Face::East => Face::West,
-            Face::South => Face::North,
-            Face::North => Face::South,
-            Face::Down => Face::Up,
-            Face::Up => Face::Down,
-        }
-    }
 }
 
 impl Grid3d {
@@ -101,13 +88,8 @@ impl Grid3d {
     }
 
     /// Number of interior cells.
-    pub fn interior_len(&self) -> usize {
+    fn interior_len(&self) -> usize {
         self.nx * self.ny * self.nz
-    }
-
-    /// Bytes occupied by the interior cells.
-    pub fn interior_bytes(&self) -> f64 {
-        self.interior_len() as f64 * F64
     }
 
     #[inline]
@@ -139,7 +121,7 @@ impl Grid3d {
 
     /// Sets a value at ghost-inclusive coordinates.
     #[inline]
-    pub fn set_raw(&mut self, x: usize, y: usize, z: usize, v: f64) {
+    pub(crate) fn set_raw(&mut self, x: usize, y: usize, z: usize, v: f64) {
         let i = self.index(x, y, z);
         self.data[i] = v;
     }
@@ -197,23 +179,6 @@ impl Grid3d {
         out
     }
 
-    /// Overwrites the interior cells from a flat vector produced by
-    /// [`Grid3d::interior_to_vec`].
-    ///
-    /// # Panics
-    /// Panics if the vector has the wrong length.
-    pub fn interior_from_vec(&mut self, v: &[f64]) {
-        assert_eq!(v.len(), self.interior_len(), "interior size mismatch");
-        let mut it = v.iter();
-        for z in 0..self.nz {
-            for y in 0..self.ny {
-                for x in 0..self.nx {
-                    self.set(x, y, z, *it.next().expect("length checked"));
-                }
-            }
-        }
-    }
-
     /// Extracts the interior layer adjacent to `face` as a flat vector (the
     /// data a process sends to its neighbour on that side).
     pub fn extract_face(&self, face: Face) -> Vec<f64> {
@@ -253,7 +218,7 @@ impl Grid3d {
     }
 
     /// Number of cells in the face perpendicular to `face`.
-    pub fn face_len(&self, face: Face) -> usize {
+    fn face_len(&self, face: Face) -> usize {
         let (nx, ny, nz) = self.dims();
         match face {
             Face::West | Face::East => ny * nz,
@@ -314,7 +279,6 @@ mod tests {
         assert_eq!(g.dims(), (2, 3, 4));
         assert_eq!(g.interior_len(), 24);
         assert_eq!(g.get(1, 2, 3), 1.5);
-        assert_eq!(g.interior_bytes(), 24.0 * 8.0);
     }
 
     #[test]
@@ -326,8 +290,7 @@ mod tests {
         assert_eq!(v[0], 0.0);
         assert_eq!(v[1], 1.0);
         assert_eq!(v[3], 10.0);
-        let mut h = Grid3d::filled(3, 2, 2, 0.0);
-        h.interior_from_vec(&v);
+        let h = Grid3d::from_fn(3, 2, 2, |x, y, z| v[x + 3 * (y + 2 * z)]);
         assert_eq!(g, h);
     }
 
@@ -347,7 +310,7 @@ mod tests {
             let f = g.extract_face(face);
             assert_eq!(f.len(), g.face_len(face), "{face:?}");
             let mut h = g.clone();
-            h.fill_ghost(face.opposite(), &f);
+            h.fill_ghost(face, &f);
         }
         // Spot-check the Up face: z = nz-1 plane.
         let up = g.extract_face(Face::Up);
@@ -365,14 +328,6 @@ mod tests {
         // Ghost cell below upper (0,0,0) = lower (0,0,1) = 104.
         assert_eq!(upper.get_raw(1, 1, 0), 104.0);
         assert_eq!(upper.get_raw(2, 2, 0), 107.0);
-    }
-
-    #[test]
-    fn opposite_faces_pair_up() {
-        for face in Face::ALL {
-            assert_eq!(face.opposite().opposite(), face);
-            assert_ne!(face.opposite(), face);
-        }
     }
 
     #[test]

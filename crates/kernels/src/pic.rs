@@ -316,6 +316,6 @@ mod tests {
         let charge_c = charge_cost(1_000_000, 1000);
         // push ships the particle arrays (large); charge ships only the grid.
         assert!(push_c.output_bytes > charge_c.output_bytes * 100.0);
-        assert!(charge_c.flops_per_output_byte() > push_c.flops_per_output_byte());
+        assert!(charge_c.flops / charge_c.output_bytes > push_c.flops / push_c.output_bytes);
     }
 }

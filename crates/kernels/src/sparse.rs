@@ -11,7 +11,6 @@
 //! those ghosts outside the intra-parallel sections).
 
 use crate::cost::{KernelCost, F64};
-use crate::pool::{KernelPool, Task};
 use std::ops::Range;
 
 /// A sparse matrix in compressed-sparse-row format.
@@ -29,7 +28,7 @@ impl CsrMatrix {
     ///
     /// # Panics
     /// Panics if any column index is out of range.
-    pub fn from_rows(ncols: usize, rows: &[Vec<(usize, f64)>]) -> Self {
+    fn from_rows(ncols: usize, rows: &[Vec<(usize, f64)>]) -> Self {
         let nrows = rows.len();
         let nnz: usize = rows.iter().map(|r| r.len()).sum();
         let mut row_ptr = Vec::with_capacity(nrows + 1);
@@ -68,11 +67,6 @@ impl CsrMatrix {
         self.col_idx.len()
     }
 
-    /// Number of nonzeros in the given row range.
-    pub fn nnz_in_rows(&self, rows: Range<usize>) -> usize {
-        self.row_ptr[rows.end] - self.row_ptr[rows.start]
-    }
-
     /// The matrix diagonal (zero where a row has no diagonal entry).
     pub fn diagonal(&self) -> Vec<f64> {
         let mut d = vec![0.0; self.nrows];
@@ -91,25 +85,14 @@ impl CsrMatrix {
     /// # Panics
     /// Panics if `x` is shorter than `ncols` or `y` shorter than `nrows`.
     pub fn spmv(&self, x: &[f64], y: &mut [f64]) {
-        self.spmv_rows(0..self.nrows, x, y);
+        self.spmv_rows_into(0..self.nrows, x, y);
     }
 
-    /// Sparse matrix-vector product restricted to a row range — this is the
-    /// unit of work one intra-parallel task executes.
-    ///
-    /// # Panics
-    /// Panics on out-of-range rows or undersized vectors.
-    pub fn spmv_rows(&self, rows: Range<usize>, x: &[f64], y: &mut [f64]) {
-        assert!(y.len() >= rows.end, "y is shorter than the row range");
-        let start = rows.start;
-        self.spmv_rows_into(rows.clone(), x, &mut y[start..rows.end]);
-    }
-
-    /// Like [`CsrMatrix::spmv_rows`], but writes the products into a
+    /// Sparse matrix-vector product restricted to a row range — the unit
+    /// of work one intra-parallel task executes — written into a
     /// zero-based chunk: `out[i - rows.start] = (A x)[rows.start + i]`.
-    /// This is the form a tile pool wants — each tile borrows its
-    /// own disjoint slice of `y` (e.g. from `chunks_mut`) with no index
-    /// offsetting at the call site.
+    /// Each task owns its output chunk, so no index offsetting happens at
+    /// the call site.
     ///
     /// The inner loop walks the row's values and column indices as zipped
     /// slices in the same `k` order as the classic indexed loop, so results
@@ -135,32 +118,6 @@ impl CsrMatrix {
             }
             out[i - start] = sum;
         }
-    }
-
-    /// Sparse matrix-vector product executed on a [`KernelPool`]: rows are
-    /// split into one contiguous block per worker (the striping the paper's
-    /// intra-parallel `sparsemv` tasks use) and each block runs as a pool
-    /// task writing its own disjoint chunk of `y`.  Bit-identical to
-    /// [`CsrMatrix::spmv`] for any worker count.
-    ///
-    /// # Panics
-    /// Panics if `x` is shorter than `ncols` or `y` shorter than `nrows`.
-    pub fn spmv_pool(&self, x: &[f64], y: &mut [f64], pool: &KernelPool) {
-        assert!(x.len() >= self.ncols, "x is shorter than ncols");
-        assert!(y.len() >= self.nrows, "y is shorter than nrows");
-        let block = self.nrows.div_ceil(pool.workers().max(1)).max(1);
-        pool.run(
-            y[..self.nrows]
-                .chunks_mut(block)
-                .enumerate()
-                .map(|(b, chunk)| {
-                    let lo = b * block;
-                    let hi = (lo + chunk.len()).min(self.nrows);
-                    let task: Task<'_> = Box::new(move || self.spmv_rows_into(lo..hi, x, chunk));
-                    task
-                })
-                .collect(),
-        );
     }
 
     /// Generates the HPCCG-style 27-point operator for a local `nx × ny × nz`
@@ -280,6 +237,10 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    fn row_nnz(a: &CsrMatrix, row: usize) -> usize {
+        a.row_ptr[row + 1] - a.row_ptr[row]
+    }
+
     #[test]
     fn from_rows_and_accessors() {
         // [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
@@ -294,7 +255,7 @@ mod tests {
         assert_eq!(a.nrows(), 3);
         assert_eq!(a.ncols(), 3);
         assert_eq!(a.nnz(), 7);
-        assert_eq!(a.nnz_in_rows(1..3), 5);
+        assert_eq!(row_nnz(&a, 1) + row_nnz(&a, 2), 5);
         assert_eq!(a.diagonal(), vec![2.0, 2.0, 2.0]);
         let mut y = vec![0.0; 3];
         a.spmv(&[1.0, 2.0, 3.0], &mut y);
@@ -309,9 +270,9 @@ mod tests {
         a.spmv(&x, &mut full);
         let mut pieces = vec![0.0; a.nrows()];
         let n = a.nrows();
-        a.spmv_rows(0..n / 3, &x, &mut pieces);
-        a.spmv_rows(n / 3..2 * n / 3, &x, &mut pieces);
-        a.spmv_rows(2 * n / 3..n, &x, &mut pieces);
+        for rows in [0..n / 3, n / 3..2 * n / 3, 2 * n / 3..n] {
+            a.spmv_rows_into(rows.clone(), &x, &mut pieces[rows]);
+        }
         assert_eq!(full, pieces);
     }
 
@@ -321,9 +282,9 @@ mod tests {
         assert_eq!(a.nrows(), 125);
         // Center point (2,2,2) has all 27 neighbours inside the local grid.
         let center = (2 * 5 + 2) * 5 + 2;
-        assert_eq!(a.nnz_in_rows(center..center + 1), 27);
+        assert_eq!(row_nnz(&a, center), 27);
         // A corner has only 8 (2x2x2 block).
-        assert_eq!(a.nnz_in_rows(0..1), 8);
+        assert_eq!(row_nnz(&a, 0), 8);
         assert_eq!(a.diagonal(), vec![27.0; 125]);
     }
 
@@ -331,8 +292,8 @@ mod tests {
     fn stencil7_interior_row_has_7_entries() {
         let a = CsrMatrix::stencil7(4, 4, 4, false, false);
         let center = (4 + 1) * 4 + 1; // grid point (1, 1, 1)
-        assert_eq!(a.nnz_in_rows(center..center + 1), 7);
-        assert_eq!(a.nnz_in_rows(0..1), 4);
+        assert_eq!(row_nnz(&a, center), 7);
+        assert_eq!(row_nnz(&a, 0), 4);
         assert_eq!(a.diagonal(), vec![6.0; 64]);
     }
 
@@ -368,7 +329,7 @@ mod tests {
         let c = spmv_cost(1000, 27_000);
         assert!(c.intensity() < 0.5, "sparsemv is memory bound");
         // ~6.75 flops per update byte vs waxpby's ~0.375.
-        assert!(c.flops_per_output_byte() > 5.0);
+        assert!(c.flops / c.output_bytes > 5.0);
     }
 
     proptest! {
@@ -394,8 +355,8 @@ mod tests {
             a.spmv(&x, &mut full);
             let s = split.min(a.nrows() - 1);
             let mut parts = vec![0.0; a.nrows()];
-            a.spmv_rows(0..s, &x, &mut parts);
-            a.spmv_rows(s..a.nrows(), &x, &mut parts);
+            a.spmv_rows_into(0..s, &x, &mut parts[..s]);
+            a.spmv_rows_into(s..a.nrows(), &x, &mut parts[s..]);
             prop_assert_eq!(full, parts);
         }
     }

@@ -74,9 +74,9 @@ pub fn ddot(x: &[f64], y: &[f64]) -> f64 {
 }
 
 /// Number of independent accumulators used by [`ddot_lanes`].
-pub const DDOT_LANES: usize = 8;
+const DDOT_LANES: usize = 8;
 
-/// Dot product with [`DDOT_LANES`] fixed-width accumulator lanes.
+/// Dot product with `DDOT_LANES` (8) fixed-width accumulator lanes.
 ///
 /// The sequential [`ddot`] carries one serial addition chain, so its
 /// throughput is capped by the FP-add latency and the compiler cannot
@@ -118,11 +118,6 @@ pub fn ddot_lanes(x: &[f64], y: &[f64]) -> f64 {
 pub fn ddot_cost(n: usize) -> KernelCost {
     let n = n as f64;
     KernelCost::new(2.0 * n, 2.0 * n * F64, F64, F64)
-}
-
-/// Special case `ddot(x, x)` used by HPCCG for residual norms.
-pub fn ddot_self(x: &[f64]) -> f64 {
-    ddot(x, x)
 }
 
 /// `y += alpha * x` (classic axpy).
@@ -171,11 +166,6 @@ pub fn grid_sum_cost(n: usize) -> KernelCost {
     KernelCost::new(n, n * F64, F64, F64)
 }
 
-/// Euclidean norm of a vector.
-pub fn norm2(x: &[f64]) -> f64 {
-    ddot(x, x).sqrt()
-}
-
 /// Fills a vector with a constant.
 pub fn fill(x: &mut [f64], value: f64) {
     for v in x.iter_mut() {
@@ -206,8 +196,6 @@ mod tests {
     fn ddot_and_norm() {
         let x = vec![3.0, 4.0];
         assert_eq!(ddot(&x, &x), 25.0);
-        assert_eq!(ddot_self(&x), 25.0);
-        assert_eq!(norm2(&x), 5.0);
         assert_eq!(ddot(&x, &[1.0, 1.0]), 7.0);
     }
 
@@ -230,9 +218,9 @@ mod tests {
         let d = ddot_cost(n);
         // waxpby ships as many bytes as it writes: ~2.7 flops per output
         // byte.  ddot ships 8 bytes total: millions of flops per output byte.
-        assert!(w.flops_per_output_byte() < 1.0);
-        assert!(d.flops_per_output_byte() > 1e5);
-        assert!(grid_sum_cost(n).flops_per_output_byte() > 1e5);
+        assert!(w.flops / w.output_bytes < 1.0);
+        assert!(d.flops / d.output_bytes > 1e5);
+        assert!(grid_sum_cost(n).flops / grid_sum_cost(n).output_bytes > 1e5);
     }
 
     #[test]
@@ -260,7 +248,7 @@ mod tests {
             let xy = ddot(&xs, &ys);
             let yx = ddot(&ys, &xs);
             prop_assert!((xy - yx).abs() < 1e-6);
-            prop_assert!(ddot_self(&xs) >= 0.0);
+            prop_assert!(ddot(&xs, &xs) >= 0.0);
         }
 
         #[test]

@@ -69,16 +69,8 @@ impl FailureDomain {
         }
     }
 
-    /// The group a node belongs to.
-    pub fn group_of_node(&self, node: usize) -> usize {
-        match *self {
-            FailureDomain::Node => node,
-            FailureDomain::Rack { nodes_per_rack } => node / nodes_per_rack.max(1),
-        }
-    }
-
     /// All ranks of `topology` that one event on `group` kills, ascending.
-    pub fn ranks_in(&self, topology: &Topology, group: usize) -> Vec<usize> {
+    fn ranks_in(&self, topology: &Topology, group: usize) -> Vec<usize> {
         match *self {
             FailureDomain::Node => topology.ranks_on(group),
             FailureDomain::Rack { nodes_per_rack } => {
@@ -124,11 +116,6 @@ impl CorrelatedPlan {
             rate,
             horizon,
         }
-    }
-
-    /// The crash-event times of one group ([`sample_group_trace`]).
-    pub fn group_trace(&self, seed: u64, group: usize) -> Vec<SimTime> {
-        sample_group_trace(self.rate, self.horizon, seed, group)
     }
 
     /// Expands the plan over `topology` into per-rank crash times: for
@@ -200,8 +187,6 @@ mod tests {
         let topo = Topology::block(16, 2); // 8 nodes of 2 ranks
         let d = FailureDomain::Rack { nodes_per_rack: 4 };
         assert_eq!(d.num_groups(&topo), 2);
-        assert_eq!(d.group_of_node(3), 0);
-        assert_eq!(d.group_of_node(4), 1);
         assert_eq!(d.ranks_in(&topo, 0), (0..8).collect::<Vec<_>>());
         assert_eq!(d.ranks_in(&topo, 1), (8..16).collect::<Vec<_>>());
     }
@@ -243,7 +228,10 @@ mod tests {
         ] {
             let plan = CorrelatedPlan::new(FailureDomain::Node, rate, SimTime::from_secs(1.37));
             let expected: Vec<_> = (0..8)
-                .filter_map(|node| Some((node, *plan.group_trace(42, node).first()?)))
+                .filter_map(|node| {
+                    let trace = sample_group_trace(rate, plan.horizon, 42, node);
+                    Some((node, *trace.first()?))
+                })
                 .flat_map(|(node, at)| topo.ranks_on(node).into_iter().map(move |r| (r, at)))
                 .collect();
             assert!(!expected.is_empty(), "{}", rate.label());

@@ -79,13 +79,6 @@ impl ReplicaMapping {
         assert!(replica < self.degree, "replica id out of range");
         replica * self.num_logical + logical
     }
-
-    /// All physical ranks hosting replicas of `logical`.
-    pub fn replicas_of(&self, logical: usize) -> Vec<usize> {
-        (0..self.degree)
-            .map(|r| self.physical_of(logical, r))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -102,7 +95,8 @@ mod tests {
         assert_eq!(m.logical_of(5), 1);
         assert_eq!(m.replica_of(5), 1);
         assert_eq!(m.physical_of(1, 1), 5);
-        assert_eq!(m.replicas_of(2), vec![2, 6]);
+        assert_eq!(m.physical_of(2, 0), 2);
+        assert_eq!(m.physical_of(2, 1), 6);
     }
 
     #[test]
@@ -145,7 +139,7 @@ mod tests {
             let m = ReplicaMapping::new(num_logical, degree);
             let mut seen = vec![false; m.num_physical()];
             for logical in 0..num_logical {
-                for p in m.replicas_of(logical) {
+                for p in (0..degree).map(|r| m.physical_of(logical, r)) {
                     prop_assert!(!seen[p], "physical rank {} assigned twice", p);
                     seen[p] = true;
                     prop_assert_eq!(m.logical_of(p), logical);

@@ -35,7 +35,7 @@ use std::sync::Arc;
 
 /// First tag reserved for the replication layer's internal collectives.
 /// Applications must keep their tags below this value.
-pub const REPLICATION_TAG_BASE: Tag = RESERVED_TAG_BASE / 2;
+const REPLICATION_TAG_BASE: Tag = RESERVED_TAG_BASE / 2;
 
 /// Shared per-`(logical rank, tag)` sequence-number map (Fx-hashed: the
 /// keys are small trusted integer tuples on the per-message hot path).

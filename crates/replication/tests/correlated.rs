@@ -48,14 +48,14 @@ fn rack_events_kill_every_node_of_the_rack() {
     for rack in 0..topo.num_racks(4) {
         let killed: Vec<usize> = crashes
             .iter()
-            .filter(|&&(r, _)| topo.rack_of(topo.node_of(r), 4) == rack)
+            .filter(|&&(r, _)| topo.node_of(r) / 4 == rack)
             .map(|&(r, _)| r)
             .collect();
         assert_eq!(killed, topo.ranks_on_rack(rack, 4));
         // All at the same instant: the rack's first event.
         let times: Vec<SimTime> = crashes
             .iter()
-            .filter(|&&(r, _)| topo.rack_of(topo.node_of(r), 4) == rack)
+            .filter(|&&(r, _)| topo.node_of(r) / 4 == rack)
             .map(|&(_, t)| t)
             .collect();
         assert!(times.windows(2).all(|w| w[0] == w[1]));

@@ -51,7 +51,7 @@ impl VirtualClock {
 
     /// Advances the clock by `dt`, attributing the time to communication
     /// overhead (e.g. sender occupancy, receiver overhead).
-    pub fn advance_comm(&mut self, dt: SimTime) {
+    fn advance_comm(&mut self, dt: SimTime) {
         self.now += dt;
         self.comm += dt;
     }
@@ -91,20 +91,7 @@ impl VirtualClock {
         self.wait
     }
 
-    /// Resets the breakdown counters (but not the current time).  Useful when
-    /// an application wants per-phase breakdowns.
-    pub fn reset_breakdown(&mut self) {
-        self.compute = SimTime::ZERO;
-        self.comm = SimTime::ZERO;
-        self.wait = SimTime::ZERO;
-    }
-
-    /// Takes a snapshot of the current time, used to measure a region.
-    pub fn mark(&self) -> SimTime {
-        self.now
-    }
-
-    /// Time elapsed since a snapshot obtained from [`VirtualClock::mark`].
+    /// Time elapsed since `mark`, an earlier [`VirtualClock::now`].
     pub fn since(&self, mark: SimTime) -> SimTime {
         self.now.saturating_sub(mark)
     }
@@ -232,19 +219,10 @@ mod tests {
     #[test]
     fn mark_and_since_measure_regions() {
         let mut c = VirtualClock::new();
-        let m = c.mark();
+        let m = c.now();
         c.advance_compute(SimTime::from_secs(1.0));
         c.advance_comm(SimTime::from_secs(0.5));
         assert_eq!(c.since(m).as_secs(), 1.5);
-    }
-
-    #[test]
-    fn reset_breakdown_keeps_now() {
-        let mut c = VirtualClock::new();
-        c.advance_compute(SimTime::from_secs(1.0));
-        c.reset_breakdown();
-        assert_eq!(c.now().as_secs(), 1.0);
-        assert_eq!(c.compute_time(), SimTime::ZERO);
     }
 
     fn link() -> NetworkModel {

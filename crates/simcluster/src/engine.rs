@@ -165,11 +165,6 @@ impl VirtualEngine {
         Some(Dispatch { task, at: self.now })
     }
 
-    /// True if neither the ready list nor the timer queue holds a task.
-    pub fn is_idle(&self) -> bool {
-        self.ready.is_empty() && self.timed == 0
-    }
-
     /// Number of tasks waiting (ready + timed).
     pub fn pending(&self) -> usize {
         self.ready.len() + self.timed
@@ -222,7 +217,7 @@ mod tests {
         let order: Vec<TaskId> = std::iter::from_fn(|| e.next().map(|d| d.task)).collect();
         assert_eq!(order, vec![TaskId(1), TaskId(2), TaskId(3)]);
         assert_eq!(e.now(), t(2.0));
-        assert!(e.is_idle());
+        assert_eq!(e.pending(), 0);
     }
 
     #[test]
@@ -241,11 +236,10 @@ mod tests {
     #[test]
     fn counters_track_pending_and_dispatched() {
         let mut e = VirtualEngine::new();
-        assert!(e.is_idle());
+        assert_eq!(e.pending(), 0);
         e.make_ready(TaskId(0));
         e.schedule_at(TaskId(1), t(1.0));
         assert_eq!(e.pending(), 2);
-        assert!(!e.is_idle());
         e.next();
         e.next();
         assert_eq!(e.pending(), 0);
@@ -340,7 +334,6 @@ mod tests {
                 proptest::prop_assert_eq!(engine.now(), model.now);
                 proptest::prop_assert_eq!(engine.pending(), model.ready.len() + model.timers.len());
                 proptest::prop_assert_eq!(engine.dispatched(), model.dispatched);
-                proptest::prop_assert_eq!(engine.is_idle(), engine.pending() == 0);
             }
             // Drain: the tails must agree too.
             loop {

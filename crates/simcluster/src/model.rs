@@ -33,7 +33,7 @@ pub struct NetworkModel {
 
 impl NetworkModel {
     /// InfiniBand 20G (4X DDR): ~1.8 GB/s sustained, ~2.5 us latency.
-    pub fn infiniband_20g() -> Self {
+    fn infiniband_20g() -> Self {
         NetworkModel {
             latency_s: 2.5e-6,
             bandwidth_bytes_per_s: 1.8e9,
@@ -43,7 +43,7 @@ impl NetworkModel {
     }
 
     /// Shared-memory transfer between two processes on the same node.
-    pub fn intra_node() -> Self {
+    fn intra_node() -> Self {
         NetworkModel {
             latency_s: 0.3e-6,
             bandwidth_bytes_per_s: 6.0e9,
@@ -67,12 +67,6 @@ impl NetworkModel {
     /// Used by the bandwidth-sensitivity ablation.
     pub fn with_bandwidth(mut self, bytes_per_s: f64) -> Self {
         self.bandwidth_bytes_per_s = bytes_per_s;
-        self
-    }
-
-    /// Returns a copy of this model with a different latency (seconds).
-    pub fn with_latency(mut self, latency_s: f64) -> Self {
-        self.latency_s = latency_s;
         self
     }
 
@@ -127,7 +121,7 @@ impl ComputeModel {
     /// One core of a 2.53 GHz Nehalem-class Xeon: ~2 flop/cycle sustained on
     /// these memory-bound kernels and ~3.2 GB/s of per-core STREAM bandwidth
     /// when all four cores are active.
-    pub fn xeon_2_53ghz() -> Self {
+    fn xeon_2_53ghz() -> Self {
         ComputeModel {
             flops_per_s: 5.0e9,
             mem_bandwidth_bytes_per_s: 3.2e9,
@@ -323,10 +317,8 @@ mod tests {
 
     #[test]
     fn with_bandwidth_and_latency_builders() {
-        let net = NetworkModel::infiniband_20g()
-            .with_bandwidth(2.0e9)
-            .with_latency(5e-6);
+        let net = NetworkModel::infiniband_20g().with_bandwidth(2.0e9);
         assert_eq!(net.bandwidth_bytes_per_s, 2.0e9);
-        assert_eq!(net.latency_s, 5e-6);
+        assert_eq!(net.latency_s, NetworkModel::infiniband_20g().latency_s);
     }
 }

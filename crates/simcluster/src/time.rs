@@ -31,11 +31,6 @@ impl SimTime {
         }
     }
 
-    /// Creates a time from microseconds.
-    pub fn from_micros(us: f64) -> Self {
-        Self::from_secs(us * 1e-6)
-    }
-
     /// Creates a time from milliseconds.
     pub fn from_millis(ms: f64) -> Self {
         Self::from_secs(ms * 1e-3)
@@ -165,7 +160,6 @@ mod tests {
     #[test]
     fn constructors_and_accessors_round_trip() {
         assert_eq!(SimTime::from_secs(2.0).as_secs(), 2.0);
-        assert!((SimTime::from_micros(3.0).as_secs() - 3e-6).abs() < 1e-18);
         assert!((SimTime::from_millis(5.0).as_secs() - 5e-3).abs() < 1e-15);
     }
 
@@ -208,7 +202,7 @@ mod tests {
     fn display_picks_sensible_units() {
         assert_eq!(format!("{}", SimTime::from_secs(1.5)), "1.500s");
         assert_eq!(format!("{}", SimTime::from_millis(2.0)), "2.000ms");
-        assert_eq!(format!("{}", SimTime::from_micros(7.0)), "7.000us");
+        assert_eq!(format!("{}", SimTime::from_secs(7e-6)), "7.000us");
         assert_eq!(format!("{}", SimTime::from_secs(12e-9)), "12.0ns");
     }
 

@@ -136,19 +136,9 @@ impl Topology {
         populations
     }
 
-    /// Rack hosting `node` when racks group `nodes_per_rack` consecutive
+    /// Number of racks in use when racks group `nodes_per_rack` consecutive
     /// nodes (rack r hosts nodes `r*n .. (r+1)*n`) — the correlated
     /// failure-domain view of the machine.
-    ///
-    /// # Panics
-    /// Panics if `nodes_per_rack` is zero.
-    pub fn rack_of(&self, node: NodeId, nodes_per_rack: usize) -> usize {
-        assert!(nodes_per_rack > 0, "nodes_per_rack must be positive");
-        node / nodes_per_rack
-    }
-
-    /// Number of racks in use when racks group `nodes_per_rack` consecutive
-    /// nodes.
     ///
     /// # Panics
     /// Panics if `nodes_per_rack` is zero.
@@ -168,16 +158,6 @@ impl Topology {
             .enumerate()
             .filter_map(|(r, &n)| (n / nodes_per_rack == rack).then_some(r))
             .collect()
-    }
-
-    /// True if the two ranks are placed on the same rack of
-    /// `nodes_per_rack` consecutive nodes.
-    ///
-    /// # Panics
-    /// Panics if `nodes_per_rack` is zero.
-    pub fn same_rack(&self, a: usize, b: usize, nodes_per_rack: usize) -> bool {
-        self.rack_of(self.placement[a], nodes_per_rack)
-            == self.rack_of(self.placement[b], nodes_per_rack)
     }
 }
 
@@ -265,13 +245,8 @@ mod tests {
         // 16 ranks, 2 per node -> 8 nodes; racks of 3 nodes -> 3 racks.
         let t = Topology::block(16, 2);
         assert_eq!(t.num_racks(3), 3);
-        assert_eq!(t.rack_of(0, 3), 0);
-        assert_eq!(t.rack_of(2, 3), 0);
-        assert_eq!(t.rack_of(3, 3), 1);
         assert_eq!(t.ranks_on_rack(0, 3), vec![0, 1, 2, 3, 4, 5]);
         assert_eq!(t.ranks_on_rack(2, 3), vec![12, 13, 14, 15]);
-        assert!(t.same_rack(0, 5, 3));
-        assert!(!t.same_rack(5, 6, 3));
         // One rack per node degenerates to the node view.
         assert_eq!(t.num_racks(1), t.num_nodes());
         assert_eq!(t.ranks_on_rack(1, 1), t.ranks_on(1));

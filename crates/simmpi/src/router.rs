@@ -259,7 +259,7 @@ impl Router {
     }
 
     /// True if the simulation has been aborted.
-    pub fn is_aborted(&self) -> bool {
+    pub(crate) fn is_aborted(&self) -> bool {
         self.aborted.load(Ordering::SeqCst)
     }
 

@@ -7,6 +7,10 @@
 # (code, comments and blanks alike — the rule is meant to be re-countable
 # by hand, not precise).  Counted trees: `crates/*/src`, `src/`,
 # `shims/*/src`; integration tests, examples and `benchmarks/` are not.
+# So a file has at most one `#[cfg(test)]` line, and test-only helpers go
+# into its `mod tests`: a second cut above the end would drop every later
+# line from this count and from the consumer search of
+# `tests/unused_pub.rs`, which fails on such a file.
 set -eu
 cd "$(dirname "$0")/.."
 

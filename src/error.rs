@@ -23,10 +23,6 @@ pub enum Error {
     /// An MPI-level error that escaped the intra runtime (converted with
     /// `?` / `From<MpiError>`).
     Mpi(MpiError),
-    /// An application name did not resolve against [`apps::AppId`].
-    UnknownApp(String),
-    /// A scale name did not resolve against [`apps::ExperimentScale`].
-    UnknownScale(String),
     /// The replication degree is invalid for the requested mode (zero, or
     /// more than one replica without replication).
     InvalidReplicas {
@@ -58,18 +54,6 @@ impl fmt::Display for Error {
         match self {
             Error::Intra(e) => write!(f, "intra runtime error: {e}"),
             Error::Mpi(e) => write!(f, "MPI error: {e}"),
-            Error::UnknownApp(name) => write!(
-                f,
-                "unknown application '{name}' (available: {})",
-                apps::AppId::ALL
-                    .iter()
-                    .map(|a| a.name())
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            ),
-            Error::UnknownScale(name) => {
-                write!(f, "unknown scale '{name}' (available: full, small, tiny)")
-            }
             Error::InvalidReplicas { mode, replicas } => write!(
                 f,
                 "invalid replica count {replicas} for mode {mode}: no-replication runs take \
@@ -133,8 +117,6 @@ mod tests {
 
     #[test]
     fn display_is_informative() {
-        assert!(Error::UnknownApp("x".into()).to_string().contains("hpccg"));
-        assert!(Error::UnknownScale("x".into()).to_string().contains("tiny"));
         assert!(Error::UnrecoverableFailurePlan
             .to_string()
             .contains("allow_unrecoverable_failures"));

@@ -82,7 +82,7 @@ impl Mode {
 
     /// Pairs the mode with a replication degree, yielding the low-level
     /// [`ExecutionMode`].
-    pub fn with_replicas(self, replicas: usize) -> ExecutionMode {
+    fn with_replicas(self, replicas: usize) -> ExecutionMode {
         match self {
             Mode::NoReplication => ExecutionMode::Native,
             Mode::Replication => ExecutionMode::Replicated { degree: replicas },
@@ -300,8 +300,8 @@ pub struct Experiment {
 }
 
 impl Experiment {
-    /// Starts building an experiment.  [`ExperimentBuilder::app`] (or
-    /// [`ExperimentBuilder::app_named`]) is the only mandatory axis.
+    /// Starts building an experiment.  [`ExperimentBuilder::app`] is the
+    /// only mandatory axis.
     pub fn builder() -> ExperimentBuilder {
         ExperimentBuilder::default()
     }
@@ -391,7 +391,7 @@ impl Experiment {
     /// The intra-runtime configuration the experiment applies on every
     /// process (the paper's configuration plus the typed scheduler and the
     /// optional granularity / modeled-scale overrides).
-    pub fn intra_config(&self) -> IntraConfig {
+    fn intra_config(&self) -> IntraConfig {
         let mut config = IntraConfig::paper().with_scheduler_kind(self.scheduler);
         if let Some(n) = self.tasks_per_section {
             config = config.with_tasks_per_section(n);
@@ -420,7 +420,7 @@ impl Experiment {
     /// The cluster configuration of the experiment: the paper's machine
     /// model (or the configured override), replica-disjoint placement when
     /// replicated, and the experiment seed.
-    pub fn cluster_config(&self) -> ClusterConfig {
+    fn cluster_config(&self) -> ClusterConfig {
         ClusterConfig::new(self.procs())
             .with_machine(self.machine)
             .with_topology(self.topology())
@@ -637,9 +637,7 @@ impl Experiment {
 #[must_use = "an ExperimentBuilder does nothing until build() is called"]
 pub struct ExperimentBuilder {
     app: Option<AppId>,
-    app_name: Option<String>,
     scale: Option<ExperimentScale>,
-    scale_name: Option<String>,
     mode: Option<Mode>,
     replicas: Option<usize>,
     scheduler: Option<SchedulerKind>,
@@ -655,35 +653,16 @@ pub struct ExperimentBuilder {
 }
 
 impl ExperimentBuilder {
-    /// Selects the application (mandatory; see also
-    /// [`ExperimentBuilder::app_named`] for the CLI edge).
+    /// Selects the application (mandatory; a name from outside the program
+    /// resolves with [`AppId::parse`]).
     pub fn app(mut self, app: AppId) -> Self {
         self.app = Some(app);
-        self.app_name = None;
-        self
-    }
-
-    /// Selects the application by its stable name (resolved at
-    /// [`ExperimentBuilder::build`]; unknown names yield
-    /// [`Error::UnknownApp`]).
-    pub fn app_named(mut self, name: &str) -> Self {
-        self.app_name = Some(name.to_string());
-        self.app = None;
         self
     }
 
     /// Selects the scale preset (default: [`ExperimentScale::Tiny`]).
     pub fn scale(mut self, scale: ExperimentScale) -> Self {
         self.scale = Some(scale);
-        self.scale_name = None;
-        self
-    }
-
-    /// Selects the scale by name (`full` / `small` / `tiny`, resolved at
-    /// build; unknown names yield [`Error::UnknownScale`]).
-    pub fn scale_named(mut self, name: &str) -> Self {
-        self.scale_name = Some(name.to_string());
-        self.scale = None;
         self
     }
 
@@ -787,24 +766,10 @@ impl ExperimentBuilder {
 
     /// Validates the axes and produces the [`Experiment`].
     pub fn build(self) -> Result<Experiment> {
-        let app = match (self.app, &self.app_name) {
-            (Some(app), _) => app,
-            (None, Some(name)) => {
-                AppId::parse(name).ok_or_else(|| Error::UnknownApp(name.clone()))?
-            }
-            (None, None) => {
-                return Err(Error::Config(
-                    "no application selected (use .app(AppId::...) or .app_named(...))".into(),
-                ))
-            }
-        };
-        let scale = match (self.scale, &self.scale_name) {
-            (Some(scale), _) => scale,
-            (None, Some(name)) => {
-                ExperimentScale::parse(name).ok_or_else(|| Error::UnknownScale(name.clone()))?
-            }
-            (None, None) => ExperimentScale::Tiny,
-        };
+        let app = self.app.ok_or_else(|| {
+            Error::Config("no application selected (use .app(AppId::...))".into())
+        })?;
+        let scale = self.scale.unwrap_or(ExperimentScale::Tiny);
         let mode = self.mode.unwrap_or(Mode::IntraReplication);
         let replicas = self.replicas.unwrap_or_else(|| mode.default_replicas());
         let valid_degree = match mode {
@@ -977,7 +942,7 @@ pub struct RunReport {
 
 impl RunReport {
     /// Iterates over the reports of the ranks that completed, in rank order.
-    pub fn completed_reports(&self) -> impl Iterator<Item = &AppRunReport> {
+    fn completed_reports(&self) -> impl Iterator<Item = &AppRunReport> {
         self.ranks.iter().filter_map(RankOutcome::report)
     }
 
@@ -1124,25 +1089,7 @@ mod tests {
     }
 
     #[test]
-    fn named_axes_resolve_or_fail_typed() {
-        let e = Experiment::builder()
-            .app_named("gtc")
-            .scale_named("small")
-            .build()
-            .unwrap();
-        assert_eq!(e.app(), AppId::Gtc);
-        assert_eq!(e.scale(), ExperimentScale::Small);
-        assert_eq!(
-            Experiment::builder().app_named("nope").build(),
-            Err(Error::UnknownApp("nope".into()))
-        );
-        assert_eq!(
-            Experiment::builder()
-                .app(AppId::Hpccg)
-                .scale_named("huge")
-                .build(),
-            Err(Error::UnknownScale("huge".into()))
-        );
+    fn build_without_an_app_is_a_config_error() {
         assert!(matches!(
             Experiment::builder().build(),
             Err(Error::Config(_))
