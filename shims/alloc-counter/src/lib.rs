@@ -18,7 +18,18 @@
 //! // ... code under budget ...
 //! let stats = alloc_counter::since(&before);
 //! assert!(stats.large_allocs <= 4);
+//!
+//! alloc_counter::reset_peak();
+//! let base = alloc_counter::live_bytes();
+//! // ... code under budget ...
+//! let footprint = alloc_counter::peak_live_bytes() - base;
 //! ```
+//!
+//! Besides counting, it tracks the bytes currently live and the largest
+//! value they have reached since [`reset_peak`], so a test can pin a
+//! *footprint*: the peak heap a computation holds at once, which, unlike
+//! the resident set, does not depend on the allocator's caching or the
+//! host.
 //!
 //! Counters are process-wide and updated with relaxed atomics; tests that
 //! measure a window spanning several threads should make the window cover
@@ -33,6 +44,10 @@ static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
 static LARGE_ALLOCS: AtomicU64 = AtomicU64::new(0);
 /// Allocations of at least this size count as "large" (payload-sized).
 static LARGE_THRESHOLD: AtomicUsize = AtomicUsize::new(usize::MAX);
+/// Bytes allocated and not yet freed.
+static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
+/// Largest value of [`LIVE_BYTES`] since the last [`reset_peak`].
+static PEAK_LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
 
 /// A `GlobalAlloc` wrapper around [`System`] that counts allocations.
 pub struct CountingAllocator;
@@ -45,27 +60,44 @@ fn note(size: usize) {
     }
 }
 
+fn grow_live(bytes: usize) {
+    let live = LIVE_BYTES.fetch_add(bytes as u64, Ordering::Relaxed) + bytes as u64;
+    PEAK_LIVE_BYTES.fetch_max(live, Ordering::Relaxed);
+}
+
+fn shrink_live(bytes: usize) {
+    LIVE_BYTES.fetch_sub(bytes as u64, Ordering::Relaxed);
+}
+
 // SAFETY: defers every allocation verbatim to `System`; the only added
 // behaviour is relaxed atomic counting, which allocates nothing.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         note(layout.size());
+        grow_live(layout.size());
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         note(layout.size());
+        grow_live(layout.size());
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         // A growing realloc materializes `new_size` fresh bytes; count it
-        // like an allocation of the new size.
+        // like an allocation of the new size.  The live bytes move by the
+        // difference only.
         note(new_size);
+        match new_size.checked_sub(layout.size()) {
+            Some(grown) => grow_live(grown),
+            None => shrink_live(layout.size() - new_size),
+        }
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        shrink_live(layout.size());
         unsafe { System.dealloc(ptr, layout) }
     }
 }
@@ -105,6 +137,21 @@ pub fn since(before: &Stats) -> Stats {
     }
 }
 
+/// Bytes currently allocated through the counting allocator and not freed.
+pub fn live_bytes() -> u64 {
+    LIVE_BYTES.load(Ordering::Relaxed)
+}
+
+/// Starts a new peak window: the peak becomes the bytes live right now.
+pub fn reset_peak() {
+    PEAK_LIVE_BYTES.store(LIVE_BYTES.load(Ordering::Relaxed), Ordering::Relaxed);
+}
+
+/// The most bytes live at once since the last [`reset_peak`].
+pub fn peak_live_bytes() -> u64 {
+    PEAK_LIVE_BYTES.load(Ordering::Relaxed)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -122,5 +169,20 @@ mod tests {
         assert_eq!(s.allocs, 2);
         assert_eq!(s.bytes, 2056);
         assert_eq!(s.large_allocs, 1);
+    }
+
+    #[test]
+    fn live_bytes_rise_and_fall_and_the_peak_remembers() {
+        reset_peak();
+        let base = live_bytes();
+        grow_live(100);
+        grow_live(50);
+        shrink_live(120);
+        assert_eq!(live_bytes(), base + 30);
+        assert_eq!(peak_live_bytes(), base + 150);
+        reset_peak();
+        assert_eq!(peak_live_bytes(), base + 30);
+        shrink_live(30);
+        assert_eq!(live_bytes(), base);
     }
 }
