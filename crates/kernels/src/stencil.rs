@@ -131,75 +131,6 @@ pub fn stencil27(input: &Grid3d, output: &mut Grid3d) {
     stencil27_planes(input, output, 0..nz);
 }
 
-/// Scalar reference for the 7-point stencil (bit-identity oracle for the
-/// blocked kernel, like [`stencil27_planes_scalar`]).
-pub fn stencil7_planes_scalar(input: &Grid3d, output: &mut Grid3d, zs: Range<usize>) {
-    let (nx, ny, nz) = input.dims();
-    assert_eq!(input.dims(), output.dims(), "grids must have equal dims");
-    assert!(zs.end <= nz, "plane range out of bounds");
-    let inv = 1.0 / 7.0;
-    for z in zs {
-        for y in 0..ny {
-            for x in 0..nx {
-                let (cx, cy, cz) = (x + 1, y + 1, z + 1);
-                let sum = input.get_raw(cx, cy, cz)
-                    + input.get_raw(cx - 1, cy, cz)
-                    + input.get_raw(cx + 1, cy, cz)
-                    + input.get_raw(cx, cy - 1, cz)
-                    + input.get_raw(cx, cy + 1, cz)
-                    + input.get_raw(cx, cy, cz - 1)
-                    + input.get_raw(cx, cy, cz + 1);
-                output.set(x, y, z, sum * inv);
-            }
-        }
-    }
-}
-
-/// Applies the 7-point average stencil to the interior z-planes in `zs`.
-///
-/// Blocked implementation: walks the five contributing input rows of each
-/// output row as slices, adding the taps in the scalar reference's order
-/// (center, x−1, x+1, y−1, y+1, z−1, z+1) — bit-identical to
-/// [`stencil7_planes_scalar`], but free of per-tap index arithmetic.
-///
-/// # Panics
-/// Panics if the grids have different dimensions or the range is out of
-/// bounds.
-pub fn stencil7_planes(input: &Grid3d, output: &mut Grid3d, zs: Range<usize>) {
-    let (nx, ny, nz) = input.dims();
-    assert_eq!(input.dims(), output.dims(), "grids must have equal dims");
-    assert!(zs.end <= nz, "plane range out of bounds");
-    let inv = 1.0 / 7.0;
-    for z in zs {
-        for y in 0..ny {
-            let c = input.raw_row(y + 1, z + 1);
-            let s = input.raw_row(y, z + 1);
-            let n = input.raw_row(y + 2, z + 1);
-            let d = input.raw_row(y + 1, z);
-            let u = input.raw_row(y + 1, z + 2);
-            let out = output.interior_row_mut(y, z);
-            let taps = out
-                .iter_mut()
-                .zip(&c[1..nx + 1])
-                .zip(&c[..nx])
-                .zip(&c[2..nx + 2])
-                .zip(&s[1..nx + 1])
-                .zip(&n[1..nx + 1])
-                .zip(&d[1..nx + 1])
-                .zip(&u[1..nx + 1]);
-            for (((((((o, c0), cw), ce), sv), nv), dv), uv) in taps {
-                *o = ((((((c0 + cw) + ce) + sv) + nv) + dv) + uv) * inv;
-            }
-        }
-    }
-}
-
-/// Applies the 7-point stencil to the whole interior.
-pub fn stencil7(input: &Grid3d, output: &mut Grid3d) {
-    let (_, _, nz) = input.dims();
-    stencil7_planes(input, output, 0..nz);
-}
-
 /// Sums the interior cells of the z-planes in `zs` (the MiniGhost grid
 /// summation, split by planes for intra-parallel tasks).
 pub fn grid_sum_planes(grid: &Grid3d, zs: Range<usize>) -> f64 {
@@ -236,7 +167,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn constant_field_is_a_fixed_point_of_both_stencils() {
+    fn constant_field_is_a_fixed_point_of_the_stencil() {
         let mut input = Grid3d::filled(4, 4, 4, 2.5);
         // Fill ghosts with the same constant so averages stay constant.
         for z in 0..6 {
@@ -247,14 +178,11 @@ mod tests {
             }
         }
         let mut out27 = Grid3d::filled(4, 4, 4, 0.0);
-        let mut out7 = Grid3d::filled(4, 4, 4, 0.0);
         stencil27(&input, &mut out27);
-        stencil7(&input, &mut out7);
         for z in 0..4 {
             for y in 0..4 {
                 for x in 0..4 {
                     assert!((out27.get(x, y, z) - 2.5).abs() < 1e-12);
-                    assert!((out7.get(x, y, z) - 2.5).abs() < 1e-12);
                 }
             }
         }
@@ -270,22 +198,6 @@ mod tests {
         stencil27_planes(&input, &mut split, 2..5);
         stencil27_planes(&input, &mut split, 5..6);
         assert_eq!(full, split);
-    }
-
-    #[test]
-    fn stencil7_uses_only_face_neighbours() {
-        // A single spike at the center: the 7-point stencil spreads it only
-        // to the 6 face neighbours.
-        let mut input = Grid3d::filled(3, 3, 3, 0.0);
-        input.set(1, 1, 1, 7.0);
-        let mut out = Grid3d::filled(3, 3, 3, 0.0);
-        stencil7(&input, &mut out);
-        assert!((out.get(1, 1, 1) - 1.0).abs() < 1e-12);
-        assert!((out.get(0, 1, 1) - 1.0).abs() < 1e-12);
-        assert!(
-            (out.get(0, 0, 1) - 0.0).abs() < 1e-12,
-            "corner must be untouched"
-        );
     }
 
     #[test]

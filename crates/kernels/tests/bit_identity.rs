@@ -9,10 +9,7 @@
 //! the same bits for any worker count and any plane-split point.
 
 use kernels::pic::{charge_deposit, push};
-use kernels::stencil::{
-    stencil27, stencil27_planes, stencil27_planes_scalar, stencil27_pool, stencil7_planes,
-    stencil7_planes_scalar,
-};
+use kernels::stencil::{stencil27, stencil27_planes, stencil27_planes_scalar, stencil27_pool};
 use kernels::vecops::{ddot_lanes, waxpby};
 use kernels::{CsrMatrix, Grid3d, KernelPool, ParticleSet};
 use proptest::prelude::*;
@@ -172,18 +169,6 @@ proptest! {
         let mut scalar = Grid3d::filled(nx, ny, nz, 0.0);
         stencil27(&input, &mut blocked);
         stencil27_planes_scalar(&input, &mut scalar, 0..nz);
-        prop_assert!(grids_bit_equal(&blocked, &scalar));
-    }
-
-    #[test]
-    fn blocked_stencil7_matches_scalar_reference(
-        nx in 1usize..9, ny in 1usize..8, nz in 1usize..7, seed in 0u64..1000,
-    ) {
-        let input = arb_grid(nx, ny, nz, seed);
-        let mut blocked = Grid3d::filled(nx, ny, nz, 0.0);
-        let mut scalar = Grid3d::filled(nx, ny, nz, 0.0);
-        stencil7_planes(&input, &mut blocked, 0..nz);
-        stencil7_planes_scalar(&input, &mut scalar, 0..nz);
         prop_assert!(grids_bit_equal(&blocked, &scalar));
     }
 
