@@ -342,13 +342,8 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                     Some(b'b') => out.push('\u{8}'),
                     Some(b'f') => out.push('\u{c}'),
                     Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or("truncated \\u escape")?;
-                        let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
-                        let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
-                        out.push(char::from_u32(code).ok_or("invalid \\u escape")?);
-                        *pos += 4;
+                        out.push(parse_unicode_escape(bytes, pos)?);
+                        continue;
                     }
                     _ => return Err(format!("invalid escape at byte {}", *pos)),
                 }
@@ -368,17 +363,76 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
+/// The four hex digits of a `\u` escape at `at` (just past the `u`).
+fn hex4(bytes: &[u8], at: usize) -> Option<u32> {
+    let digits = bytes.get(at..at + 4)?;
+    digits.iter().try_fold(0, |code, &digit| {
+        Some(code * 16 + char::from(digit).to_digit(16)?)
+    })
+}
+
+/// Decodes the `\u` escape whose `u` is at `pos`, with the low half that
+/// must follow a high surrogate, and leaves `pos` just past it.  A UTF-16
+/// surrogate pair is one character; a lone surrogate is none.
+fn parse_unicode_escape(bytes: &[u8], pos: &mut usize) -> Result<char, String> {
+    let escape = *pos - 1;
+    let invalid = || format!("invalid \\u escape at byte {escape}");
+    let high = hex4(bytes, *pos + 1).ok_or_else(invalid)?;
+    *pos += 5;
+    let code = match high {
+        0xD800..=0xDBFF => {
+            let low = match bytes.get(*pos..*pos + 2) {
+                Some(b"\\u") => hex4(bytes, *pos + 2),
+                _ => None,
+            }
+            .filter(|low| (0xDC00..=0xDFFF).contains(low))
+            .ok_or_else(|| format!("unpaired surrogate escape at byte {escape}"))?;
+            *pos += 6;
+            0x10000 + ((high - 0xD800) << 10) + (low - 0xDC00)
+        }
+        code => code,
+    };
+    char::from_u32(code).ok_or_else(|| format!("unpaired surrogate escape at byte {escape}"))
+}
+
+/// Parses a number in JSON's form — an optional minus, an integer part
+/// without leading zeros, an optional fraction and exponent, each with at
+/// least one digit — that is finite as an `f64`.
 fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     let start = *pos;
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-    {
+    let digits = |pos: &mut usize| {
+        let from = *pos;
+        while bytes.get(*pos).is_some_and(u8::is_ascii_digit) {
+            *pos += 1;
+        }
+        *pos - from
+    };
+    if bytes.get(*pos) == Some(&b'-') {
         *pos += 1;
     }
-    let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
-    text.parse::<f64>()
-        .map(Json::Num)
-        .map_err(|_| format!("invalid number `{text}` at byte {start}"))
+    let leading_zero = bytes.get(*pos) == Some(&b'0');
+    let integer = digits(pos);
+    let mut valid = integer == 1 || (integer > 1 && !leading_zero);
+    if bytes.get(*pos) == Some(&b'.') {
+        *pos += 1;
+        valid &= digits(pos) > 0;
+    }
+    if matches!(bytes.get(*pos), Some(b'e' | b'E')) {
+        *pos += 1;
+        if matches!(bytes.get(*pos), Some(b'+' | b'-')) {
+            *pos += 1;
+        }
+        valid &= digits(pos) > 0;
+    }
+    // Only ASCII was consumed.
+    let text = std::str::from_utf8(&bytes[start..*pos]).unwrap_or_default();
+    if !valid {
+        return Err(format!("invalid number `{text}` at byte {start}"));
+    }
+    match text.parse::<f64>() {
+        Ok(v) if v.is_finite() => Ok(Json::Num(v)),
+        _ => Err(format!("number `{text}` out of range at byte {start}")),
+    }
 }
 
 #[cfg(test)]
@@ -441,6 +495,139 @@ mod tests {
             let err = Json::parse(&nested(open, close, MAX_DEPTH + 1)).unwrap_err();
             assert!(err.contains("nesting deeper than 64"), "{err}");
             assert!(Json::parse(&nested(open, close, 100_000)).is_err());
+        }
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_to_one_character() {
+        // What Python's `json.dumps` writes for a character outside the BMP.
+        assert_eq!(
+            Json::parse("\"\\ud83d\\ude00\"").unwrap(),
+            Json::Str("\u{1F600}".into())
+        );
+        assert_eq!(
+            Json::parse("\"a\\uD834\\uDD1Eb\"").unwrap(),
+            Json::Str("a\u{1D11E}b".into())
+        );
+        assert_eq!(
+            Json::parse("\"\\u00e9\\u0041\"").unwrap(),
+            Json::Str("\u{e9}A".into())
+        );
+    }
+
+    #[test]
+    fn parse_refuses_what_json_forbids_naming_the_byte() {
+        for (text, want) in [
+            ("\"\\u+041\"", "invalid \\u escape at byte 1"),
+            ("\"\\u-041\"", "invalid \\u escape at byte 1"),
+            ("\"\\u12\"", "invalid \\u escape at byte 1"),
+            ("\"x\\ud83d\"", "unpaired surrogate escape at byte 2"),
+            ("\"\\ud83d\\u0041\"", "unpaired surrogate escape at byte 1"),
+            ("\"\\ude00\"", "unpaired surrogate escape at byte 1"),
+            ("01", "invalid number `01` at byte 0"),
+            ("-01", "invalid number `-01` at byte 0"),
+            ("+1", "invalid number `` at byte 0"),
+            (".5", "invalid number `.5` at byte 0"),
+            ("[1.]", "invalid number `1.` at byte 1"),
+            ("1e", "invalid number `1e` at byte 0"),
+            ("-", "invalid number `-` at byte 0"),
+            ("[0, 1e999]", "number `1e999` out of range at byte 4"),
+            ("-1e400", "number `-1e400` out of range at byte 0"),
+        ] {
+            assert_eq!(Json::parse(text), Err(want.to_string()), "{text}");
+        }
+        for (text, want) in [("-0", 0.0), ("0.5", 0.5), ("1E+2", 100.0), ("2e-3", 0.002)] {
+            assert_eq!(Json::parse(text), Ok(Json::Num(want)), "{text}");
+        }
+    }
+
+    /// A document built from a tape of random words, nested at most `depth`
+    /// levels more: every kind of value, finite numbers of every magnitude
+    /// and strings with quotes, control characters and characters outside
+    /// the BMP.  An exhausted tape yields `null`.
+    fn doc_from(tape: &mut impl Iterator<Item = u64>, depth: usize) -> Json {
+        let word = tape.next().unwrap_or(0);
+        let kinds = if depth == 0 { 4 } else { 6 };
+        let len = (word >> 8) % 4;
+        match word % kinds {
+            0 => Json::Null,
+            1 => Json::Bool(word >> 8 & 1 == 1),
+            2 => {
+                let bits = tape.next().unwrap_or(0);
+                Json::Num(match word >> 8 & 3 {
+                    0 => f64::from_bits(bits),
+                    1 => bits as i64 as f64,
+                    2 => (bits % 100_000) as f64 / 64.0,
+                    _ => -((bits % 1_000) as f64),
+                })
+                .filter_finite()
+            }
+            3 => Json::Str(string_from(tape, len as usize * 3)),
+            4 => Json::Arr((0..len).map(|_| doc_from(tape, depth - 1)).collect()),
+            _ => Json::Obj(
+                (0..len)
+                    .map(|_| (string_from(tape, 2), doc_from(tape, depth - 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    impl Json {
+        fn filter_finite(self) -> Json {
+            match self {
+                Json::Num(v) if !v.is_finite() => Json::Num(0.0),
+                other => other,
+            }
+        }
+    }
+
+    fn string_from(tape: &mut impl Iterator<Item = u64>, len: usize) -> String {
+        (0..len)
+            .filter_map(|_| {
+                let word = tape.next().unwrap_or(0);
+                let code = match word % 5 {
+                    0 => (word >> 8) % 0x20,
+                    1 => u64::from(b"\"\\/ a"[(word >> 8) as usize % 5]),
+                    2 => 0x20 + (word >> 8) % 0x60,
+                    3 => (word >> 8) % 0x1_0000,
+                    _ => 0x1_0000 + (word >> 8) % 0x10_0000,
+                };
+                char::from_u32(code as u32)
+            })
+            .collect()
+    }
+
+    /// Text that looks like JSON often enough to reach every branch of the
+    /// parser, and every other character besides.
+    fn text_from(tape: &[u64]) -> String {
+        const ALPHABET: &[u8] = b"{}[],:\" \\/u0123456789abcdefABCDEF-+.eEnultrsx\n";
+        tape.iter()
+            .filter_map(|&word| match word % 8 {
+                0 => char::from_u32((word >> 8) as u32 % 0x11_0000),
+                _ => Some(char::from(ALPHABET[(word >> 8) as usize % ALPHABET.len()])),
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn parse_never_panics_on_arbitrary_text(
+            tape in proptest::collection::vec(proptest::prelude::any::<u64>(), 0..64)
+        ) {
+            let text = text_from(&tape);
+            let _ = Json::parse(&text);
+            // Inside a string, where the escapes are.
+            let _ = Json::parse(&format!("\"{text}\""));
+        }
+
+        #[test]
+        fn every_finite_document_round_trips_through_both_renderers(
+            tape in proptest::collection::vec(proptest::prelude::any::<u64>(), 0..256),
+            depth in 0usize..MAX_DEPTH + 1,
+        ) {
+            let doc = doc_from(&mut tape.into_iter(), depth);
+            proptest::prop_assert_eq!(Json::parse(&doc.render()), Ok(doc.clone()));
+            proptest::prop_assert_eq!(Json::parse(&doc.render_compact()), Ok(doc));
         }
     }
 
