@@ -173,84 +173,110 @@ enum Pc {
     HaloSendLeft,
     HaloRecvLeft,
     HaloRecvRight,
-    AllreduceSend(u32),
-    AllreduceRecv(u32),
+    AllreduceSend(u8),
+    AllreduceRecv(u8),
     NextIter,
     Finished,
 }
 
-/// One logical rank of the weak-scaling workload, as a cooperative state
-/// machine.
-pub struct WeakScalingProgram {
-    /// One copy per run, shared by all its ranks.
-    spec: Arc<WeakScalingSpec>,
-    /// Logical id within the replica set.
-    l: usize,
-    /// Replica set (0 or 1).
-    rep: usize,
-    iter: usize,
-    pc: Pc,
-    /// Allreduce rounds: `ceil(log2 logical)`.
-    ar_rounds: u32,
-    /// Intra mode: the partner replica is still alive.  When it dies, this
-    /// rank takes over the full compute share (the paper's failure
-    /// handling: the surviving replica executes all tasks).
-    partner_alive: bool,
-    /// Receives that resolved as [`RecvOutcome::PeerFailed`] — data holes a
-    /// real solver would paper over with its recovery protocol.
-    holes: u64,
+/// What every rank of one run reads and none writes, in one allocation.
+struct RunShared {
+    spec: WeakScalingSpec,
     /// Per-boundary checkpoint/restart charges (empty without a plan):
     /// `charges[i]` is elapsed after iteration `i` completes, identically
     /// on every rank, so the C/R protocol stays coordinated.
     charges: Arc<[f64]>,
+    /// `spec.logical` and `spec.iters`, in the width of the rank fields.
+    logical: u32,
+    iters: u32,
+    /// Allreduce rounds: `ceil(log2 logical)`.
+    ar_rounds: u8,
 }
+
+/// One logical rank of the weak-scaling workload, as a cooperative state
+/// machine.  A run holds one per physical rank, so it keeps only what
+/// differs between ranks: 24 bytes.
+pub struct WeakScalingProgram {
+    run: Arc<RunShared>,
+    /// Logical id within the replica set.
+    l: u32,
+    iter: u32,
+    /// Receives that resolved as [`RecvOutcome::PeerFailed`] — data holes a
+    /// real solver would paper over with its recovery protocol.
+    holes: u32,
+    pc: Pc,
+    /// Replica set (0 or 1).
+    rep: u8,
+    /// Intra mode: the partner replica is still alive.  When it dies, this
+    /// rank takes over the full compute share (the paper's failure
+    /// handling: the surviving replica executes all tasks).
+    partner_alive: bool,
+}
+
+const _: () = assert!(std::mem::size_of::<WeakScalingProgram>() <= 32);
 
 impl WeakScalingProgram {
     /// Builds the program for world rank `rank`.
     pub fn new(spec: &WeakScalingSpec, rank: usize) -> Self {
-        Self::sharing(Arc::new(spec.clone()), rank, Arc::from(Vec::new()))
+        Self::sharing(&Self::share(spec, Arc::from(Vec::new())), rank)
     }
 
-    /// Builds the program on a spec the caller shares between all ranks of
-    /// the run, with a shared per-boundary C/R charge vector (computed once
-    /// by [`ckpt_charges`] and cloned into every rank).
-    fn sharing(spec: Arc<WeakScalingSpec>, rank: usize, charges: Arc<[f64]>) -> Self {
-        let logical = spec.logical;
-        WeakScalingProgram {
-            spec,
-            l: rank % logical,
-            rep: rank / logical,
-            iter: 0,
-            pc: Pc::Compute,
-            ar_rounds: usize::BITS - (logical.max(1) - 1).leading_zeros(),
-            partner_alive: true,
-            holes: 0,
+    /// The state all ranks of a run share: the spec and the per-boundary
+    /// C/R charge vector (computed once by [`ckpt_charges`]).
+    fn share(spec: &WeakScalingSpec, charges: Arc<[f64]>) -> Arc<RunShared> {
+        let logical = spec.logical.max(1);
+        Arc::new(RunShared {
+            spec: spec.clone(),
             charges,
+            logical: u32::try_from(logical).expect("fewer than 2^32 logical ranks"),
+            iters: u32::try_from(spec.iters).expect("fewer than 2^32 iterations"),
+            ar_rounds: (usize::BITS - (logical - 1).leading_zeros()) as u8,
+        })
+    }
+
+    /// Builds the program for world rank `rank` on state shared by all
+    /// ranks of the run.
+    fn sharing(run: &Arc<RunShared>, rank: usize) -> Self {
+        let logical = run.logical as usize;
+        WeakScalingProgram {
+            run: Arc::clone(run),
+            l: (rank % logical) as u32,
+            iter: 0,
+            holes: 0,
+            pc: Pc::Compute,
+            rep: u8::try_from(rank / logical).expect("at most two replica sets"),
+            partner_alive: true,
         }
     }
 
-    fn world_of(&self, logical_id: usize) -> usize {
-        self.rep * self.spec.logical + logical_id
+    fn world_of(&self, logical_id: u32) -> usize {
+        usize::from(self.rep) * self.run.logical as usize + logical_id as usize
     }
 
     fn left(&self) -> usize {
-        self.world_of((self.l + self.spec.logical - 1) % self.spec.logical)
+        let l = if self.l == 0 {
+            self.run.logical
+        } else {
+            self.l
+        };
+        self.world_of(l - 1)
     }
 
     fn right(&self) -> usize {
-        self.world_of((self.l + 1) % self.spec.logical)
+        let r = self.l + 1;
+        self.world_of(if r == self.run.logical { 0 } else { r })
     }
 
     fn partner(&self) -> usize {
-        (1 - self.rep) * self.spec.logical + self.l
+        usize::from(1 - self.rep) * self.run.logical as usize + self.l as usize
     }
 
     /// Allreduce partner of round `k`, if it exists (`l ^ 2^k` may fall
     /// outside a non-power-of-two rank count; both sides of a pair agree on
     /// existence, so skipped rounds cannot deadlock).
-    fn ar_peer(&self, round: u32) -> Option<usize> {
-        let p = self.l ^ (1usize << round);
-        (p < self.spec.logical).then(|| self.world_of(p))
+    fn ar_peer(&self, round: u8) -> Option<usize> {
+        let p = self.l ^ (1u32 << round);
+        (p < self.run.logical).then(|| self.world_of(p))
     }
 }
 
@@ -261,15 +287,16 @@ impl RankProgram for WeakScalingProgram {
         // the survivors).  In intra mode, losing the partner means this
         // replica takes over the full compute share from the next region on.
         if let Some(RecvOutcome::PeerFailed { src }) = ctx.last_recv() {
-            self.holes += 1;
-            if self.spec.mode == WeakMode::Intra && src == self.partner() {
+            self.holes = self.holes.checked_add(1).expect("fewer than 2^32 holes");
+            if self.run.spec.mode == WeakMode::Intra && src == self.partner() {
                 self.partner_alive = false;
             }
         }
         loop {
             match self.pc {
                 Pc::Compute => {
-                    let sharing = self.spec.mode == WeakMode::Intra && self.partner_alive;
+                    let spec = &self.run.spec;
+                    let sharing = spec.mode == WeakMode::Intra && self.partner_alive;
                     self.pc = if sharing {
                         Pc::UpdateSend
                     } else {
@@ -277,8 +304,8 @@ impl RankProgram for WeakScalingProgram {
                     };
                     let share = if sharing { 0.5 } else { 1.0 };
                     return Step::Compute {
-                        flops: self.spec.flops_per_iter * share,
-                        mem_bytes: self.spec.mem_bytes_per_iter * share,
+                        flops: spec.flops_per_iter * share,
+                        mem_bytes: spec.mem_bytes_per_iter * share,
                     };
                 }
                 Pc::UpdateSend => {
@@ -286,7 +313,7 @@ impl RankProgram for WeakScalingProgram {
                     return Step::Send {
                         dst: self.partner(),
                         tag: TAG_UPDATE,
-                        bytes: self.spec.update_bytes,
+                        bytes: self.run.spec.update_bytes,
                     };
                 }
                 Pc::UpdateRecv => {
@@ -301,7 +328,7 @@ impl RankProgram for WeakScalingProgram {
                     return Step::Send {
                         dst: self.right(),
                         tag: TAG_HALO_R,
-                        bytes: self.spec.halo_bytes,
+                        bytes: self.run.spec.halo_bytes,
                     };
                 }
                 Pc::HaloSendLeft => {
@@ -309,7 +336,7 @@ impl RankProgram for WeakScalingProgram {
                     return Step::Send {
                         dst: self.left(),
                         tag: TAG_HALO_L,
-                        bytes: self.spec.halo_bytes,
+                        bytes: self.run.spec.halo_bytes,
                     };
                 }
                 Pc::HaloRecvLeft => {
@@ -327,7 +354,7 @@ impl RankProgram for WeakScalingProgram {
                     };
                 }
                 Pc::AllreduceSend(round) => {
-                    if round >= self.ar_rounds {
+                    if round >= self.run.ar_rounds {
                         self.pc = Pc::NextIter;
                         continue;
                     }
@@ -336,8 +363,8 @@ impl RankProgram for WeakScalingProgram {
                             self.pc = Pc::AllreduceRecv(round);
                             return Step::Send {
                                 dst: peer,
-                                tag: TAG_AR + round,
-                                bytes: self.spec.allreduce_bytes,
+                                tag: TAG_AR + Tag::from(round),
+                                bytes: self.run.spec.allreduce_bytes,
                             };
                         }
                         None => {
@@ -350,16 +377,21 @@ impl RankProgram for WeakScalingProgram {
                     self.pc = Pc::AllreduceSend(round + 1);
                     return Step::Recv {
                         src: Some(self.ar_peer(round).expect("peer existed at send time")),
-                        tag: Some(TAG_AR + round),
+                        tag: Some(TAG_AR + Tag::from(round)),
                     };
                 }
                 Pc::NextIter => {
                     // Coordinated C/R boundary: every rank elapses the same
                     // precomputed charge (committed checkpoints, restarts,
                     // re-executed work), keeping the protocol in lock-step.
-                    let charge = self.charges.get(self.iter).copied().unwrap_or(0.0);
+                    let charge = self
+                        .run
+                        .charges
+                        .get(self.iter as usize)
+                        .copied()
+                        .unwrap_or(0.0);
                     self.iter += 1;
-                    self.pc = if self.iter >= self.spec.iters {
+                    self.pc = if self.iter >= self.run.iters {
                         Pc::Finished
                     } else {
                         Pc::Compute
@@ -377,7 +409,7 @@ impl RankProgram for WeakScalingProgram {
     /// far the rank got, the fraction whether any receives resolved as
     /// peer failures (`0` = clean run).
     fn result(&self) -> Option<f64> {
-        Some(self.iter as f64 + self.holes as f64 * 1e-6)
+        Some(f64::from(self.iter) + f64::from(self.holes) * 1e-6)
     }
 }
 
@@ -456,10 +488,8 @@ pub fn run_weak_scaling(
             Arc::from(Vec::new())
         }
     };
-    let spec = Arc::new(spec.clone());
-    run_virtual_cluster(&config, |rank| {
-        WeakScalingProgram::sharing(Arc::clone(&spec), rank, Arc::clone(&charges))
-    })
+    let run = WeakScalingProgram::share(spec, charges);
+    run_virtual_cluster(&config, |rank| WeakScalingProgram::sharing(&run, rank))
 }
 
 #[cfg(test)]

@@ -15,8 +15,14 @@ pub type NodeId = usize;
 /// Placement of physical ranks onto nodes.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Topology {
-    placement: Vec<NodeId>,
+    /// The node of each rank, 4 bytes a rank: a million-rank run keeps one.
+    placement: Vec<u32>,
     cores_per_node: usize,
+}
+
+/// A node id in the width [`Topology`] stores.
+fn stored(node: NodeId) -> u32 {
+    u32::try_from(node).expect("fewer than 2^32 nodes")
 }
 
 impl Topology {
@@ -24,7 +30,7 @@ impl Topology {
     /// the standard "fill one node, move to the next" MPI mapping.
     pub fn block(num_procs: usize, cores_per_node: usize) -> Self {
         assert!(cores_per_node > 0, "cores_per_node must be positive");
-        let placement = (0..num_procs).map(|r| r / cores_per_node).collect();
+        let placement = (0..num_procs).map(|r| stored(r / cores_per_node)).collect();
         Topology {
             placement,
             cores_per_node,
@@ -34,7 +40,7 @@ impl Topology {
     /// Round-robin placement: rank `r` lives on node `r % num_nodes`.
     pub fn round_robin(num_procs: usize, num_nodes: usize) -> Self {
         assert!(num_nodes > 0, "num_nodes must be positive");
-        let placement = (0..num_procs).map(|r| r % num_nodes).collect();
+        let placement = (0..num_procs).map(|r| stored(r % num_nodes)).collect();
         let cores_per_node = num_procs.div_ceil(num_nodes);
         Topology {
             placement,
@@ -63,7 +69,7 @@ impl Topology {
         for replica in 0..replication_degree {
             for logical in 0..num_logical {
                 let node = replica * nodes_per_replica_set + logical / cores_per_node;
-                placement.push(node);
+                placement.push(stored(node));
             }
         }
         Topology {
@@ -75,7 +81,7 @@ impl Topology {
     /// Places every rank on its own node (no shared-memory neighbours).
     pub fn one_per_node(num_procs: usize) -> Self {
         Topology {
-            placement: (0..num_procs).collect(),
+            placement: (0..num_procs).map(stored).collect(),
             cores_per_node: 1,
         }
     }
@@ -95,7 +101,11 @@ impl Topology {
 
     /// Number of distinct nodes in use.
     pub fn num_nodes(&self) -> usize {
-        self.placement.iter().copied().max().map_or(0, |m| m + 1)
+        self.placement
+            .iter()
+            .copied()
+            .max()
+            .map_or(0, |m| m as NodeId + 1)
     }
 
     /// Number of cores assumed per node.
@@ -108,7 +118,7 @@ impl Topology {
     /// # Panics
     /// Panics if `rank` is out of range.
     pub fn node_of(&self, rank: usize) -> NodeId {
-        self.placement[rank]
+        self.placement[rank] as NodeId
     }
 
     /// True if the two ranks are placed on the same node.
@@ -121,7 +131,7 @@ impl Topology {
         self.placement
             .iter()
             .enumerate()
-            .filter_map(|(r, &n)| (n == node).then_some(r))
+            .filter_map(|(r, &n)| (n as NodeId == node).then_some(r))
             .collect()
     }
 
@@ -131,7 +141,7 @@ impl Topology {
     pub fn node_populations(&self) -> Vec<usize> {
         let mut populations = vec![0; self.num_nodes()];
         for &node in &self.placement {
-            populations[node] += 1;
+            populations[node as NodeId] += 1;
         }
         populations
     }
@@ -156,7 +166,7 @@ impl Topology {
         self.placement
             .iter()
             .enumerate()
-            .filter_map(|(r, &n)| (n / nodes_per_rack == rack).then_some(r))
+            .filter_map(|(r, &n)| (n as NodeId / nodes_per_rack == rack).then_some(r))
             .collect()
     }
 }

@@ -40,24 +40,32 @@
 //!
 //! ## Data layout
 //!
-//! A rank's slot holds its program and clock inline, its phase (a parked
-//! phase carries the receive's selector) and its inbox — two links into one
-//! message slab shared by the whole run.  Each inbox is a FIFO in delivery
-//! order threaded through the slab, each entry a message plus its link (40
-//! bytes); an entry a receive vacates goes on the slab's free list for the
-//! next delivery, so the slab grows to the run's high-water mark of queued
-//! messages and no rank owns a buffer.  The waiter lists of § Liveness sit
-//! beside the slots, 12 bytes per rank.  A burst runs under one unwind guard:
-//! a program that panics ends its burst as errored, the sends it made
-//! before the panic are delivered, and its message goes to a sparse error
-//! list, not the slot.
+//! A rank's slot holds its program and clock inline, its crash time, its
+//! inbox — two links into one message slab shared by the whole run — and
+//! its phase, which also carries its receive state: a parked rank's
+//! selector, or the outcome a runnable rank's next burst shows its program
+//! (never both: a burst takes the outcome before it can park).  Ranks and
+//! tags are `u32`.  A slot is at most 112 bytes plus the program; the
+//! `apps` weak-scaling program adds 24, which keeps its slot within 144.
+//! Each inbox is a FIFO in delivery order threaded through the slab, each
+//! entry a message plus its link (32 bytes); an entry a receive vacates
+//! goes on the slab's free list for the next delivery, so the slab grows to
+//! the run's high-water mark of queued messages and no rank owns a buffer.
+//! Beside the slots sit only the waiter lists of § Liveness, 12 bytes per
+//! rank, a failed flag and the topology's 4-byte placement: no per-rank
+//! setup vector, and the initial starts are a cursor over the ranks, not
+//! queue entries.  A burst runs under one unwind guard: a program that
+//! panics ends its burst as errored, the sends it made before the panic
+//! are delivered, and its message goes to a sparse error list, not the
+//! slot.
 //!
 //! ## Determinism
 //!
 //! A run is a pure function of its configuration and programs — every
 //! report field, the `dispatches` diagnostic included, and every program's
-//! sequence of receive outcomes.  The dispatch order is fixed (ready ranks
-//! FIFO, then resumptions by `(virtual time, insertion)`); `dispatches`
+//! sequence of receive outcomes.  The dispatch order is fixed (every rank's
+//! start in rank order, then ready ranks FIFO, then resumptions by
+//! `(virtual time, insertion)`); `dispatches`
 //! counts one per initial start, one per receive completed at delivery and
 //! one per rank a crash wakes — every dispatch runs a rank, none is stale —
 //! but none for a receive satisfied when it is posted.  On top of the fixed
@@ -99,6 +107,7 @@
 use crate::error::{ConfigError, MpiError};
 use crate::message::Tag;
 use simcluster::{Endpoint, FailureEvent, MachineModel, SimTime, TaskId, Topology, VirtualEngine};
+use std::borrow::Cow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// One cooperative step of a rank program.
@@ -275,10 +284,14 @@ impl EngineConfig {
         self
     }
 
-    fn resolved_topology(&self) -> Topology {
-        self.topology
-            .clone()
-            .unwrap_or_else(|| Topology::block(self.num_ranks, self.machine.cores_per_node.max(1)))
+    fn resolved_topology(&self) -> Cow<'_, Topology> {
+        match &self.topology {
+            Some(topology) => Cow::Borrowed(topology),
+            None => Cow::Owned(Topology::block(
+                self.num_ranks,
+                self.machine.cores_per_node.max(1),
+            )),
+        }
     }
 }
 
@@ -394,19 +407,60 @@ impl VirtualClusterReport {
     }
 }
 
-/// Scheduling phase of one rank.
+/// Scheduling phase of one rank, with the state of its receive: a rank is
+/// parked on one receive, or runnable with at most one receive outcome for
+/// its next burst to show the program, never both (a burst takes the
+/// outcome before it can post the receive that parks it).
 #[derive(Debug, Clone, Copy)]
 enum Phase {
-    /// Has a dispatch due — on the ready list, or its receive completed at
-    /// delivery and its resumption scheduled — or is running its burst
-    /// right now.
+    /// Has a dispatch due — a start, a wake-up on the ready list or a
+    /// resumption scheduled at a message's arrival — or is running its
+    /// burst right now.  No receive outcome is pending.
     Runnable,
+    /// Runnable, and its receive matched this message.  The receiver's
+    /// clock does not move before its next burst starts, so that burst's
+    /// start time is the outcome's [`RecvDone::at`].
+    Received {
+        src: u32,
+        tag: Tag,
+        bytes: usize,
+    },
+    /// Runnable, and its receive's source failed first.
+    PeerFailed {
+        src: u32,
+    },
     /// Waiting for a message this selector matches, or its source's failure.
     Parked(Selector),
     /// Terminal states.
     Done,
     Crashed,
     Errored,
+}
+
+impl Phase {
+    /// The receive outcome a burst starting at `at` shows the program, if
+    /// one is pending; the rank is left plainly runnable.
+    fn take_outcome(&mut self, at: SimTime) -> Option<RecvOutcome> {
+        let outcome = match *self {
+            Phase::Received { src, tag, bytes } => RecvOutcome::Message(RecvDone {
+                src: src as usize,
+                tag,
+                bytes,
+                at,
+            }),
+            Phase::PeerFailed { src } => RecvOutcome::PeerFailed { src: src as usize },
+            _ => return None,
+        };
+        *self = Phase::Runnable;
+        Some(outcome)
+    }
+
+    fn is_runnable(&self) -> bool {
+        matches!(
+            self,
+            Phase::Runnable | Phase::Received { .. } | Phase::PeerFailed { .. }
+        )
+    }
 }
 
 /// Rank state only ever touched by the rank's own burst, stepped in place
@@ -416,8 +470,10 @@ struct RankLocal<P> {
     /// Clock and sending channels — the record a thread-world rank keeps in
     /// its `ProcCore`.
     endpoint: Endpoint,
-    last_recv: Option<RecvOutcome>,
-    crash_at: Option<SimTime>,
+    /// Virtual time in seconds from which the rank crashes at its next step
+    /// boundary; infinite when no crash is injected.  (Seconds, because
+    /// [`SimTime`] clamps a non-finite time to zero.)
+    crash_at_s: f64,
 }
 
 /// A message in flight or queued at its destination: exactly the fields the
@@ -426,7 +482,7 @@ struct RankLocal<P> {
 /// destination is where it is queued, or beside it in the send buffer.
 #[derive(Debug, Clone, Copy)]
 struct Msg {
-    src: usize,
+    src: u32,
     tag: Tag,
     modeled_bytes: usize,
     /// Virtual time at which the message is fully available at its
@@ -450,9 +506,9 @@ struct Queued {
 // The slab and the burst buffer hold these by value, the slab one per
 // queued message of the whole run, and every rank carries a slot: keep them
 // small.
-const _: () = assert!(std::mem::size_of::<Msg>() <= 32);
-const _: () = assert!(std::mem::size_of::<Queued>() <= 40);
-const _: () = assert!(std::mem::size_of::<RankSlot<()>>() <= 144);
+const _: () = assert!(std::mem::size_of::<Msg>() <= 24);
+const _: () = assert!(std::mem::size_of::<Queued>() <= 32);
+const _: () = assert!(std::mem::size_of::<RankSlot<()>>() <= 112);
 
 /// Every queued message of a run, in one table: the inboxes are linked
 /// lists through it, and an entry a receive vacates goes on a free list for
@@ -507,7 +563,7 @@ impl MsgSlab {
 /// and a tag.
 #[derive(Debug, Clone, Copy)]
 struct Selector {
-    src: usize,
+    src: u32,
     tag: Tag,
 }
 
@@ -698,7 +754,7 @@ fn inject<P>(
         .endpoint
         .inject(machine.link(same_node), same_node, bytes);
     Msg {
-        src: rank,
+        src: rank as u32,
         tag,
         modeled_bytes: bytes,
         arrival,
@@ -711,25 +767,22 @@ fn invalid_rank(rank: usize, world: usize) -> String {
 }
 
 /// Completes a matched receive on the rank's endpoint
-/// ([`Endpoint::complete_recv`]) and records the outcome for the program's
-/// next step.
-fn complete_recv<P>(
-    local: &mut RankLocal<P>,
+/// ([`Endpoint::complete_recv`]) and returns the phase that holds the
+/// outcome for the program's next step.
+fn complete_recv(
+    endpoint: &mut Endpoint,
     msg: &Msg,
     rank: usize,
     topology: &Topology,
     machine: &MachineModel,
-) {
-    let same_node = topology.same_node(rank, msg.src);
-    local
-        .endpoint
-        .complete_recv(machine.link(same_node), msg.arrival);
-    local.last_recv = Some(RecvOutcome::Message(RecvDone {
+) -> Phase {
+    let same_node = topology.same_node(rank, msg.src as usize);
+    endpoint.complete_recv(machine.link(same_node), msg.arrival);
+    Phase::Received {
         src: msg.src,
         tag: msg.tag,
         bytes: msg.modeled_bytes,
-        at: local.endpoint.clock.now(),
-    }));
+    }
 }
 
 /// Runs one rank as far as it can go without touching another rank: compute
@@ -740,9 +793,11 @@ fn complete_recv<P>(
 ///
 /// One unwind guard covers the whole burst: a program that panics ends it
 /// as `Errored`, and the sends it made before the panic stay in `outgoing`
-/// to be delivered like any other burst's.
+/// to be delivered like any other burst's.  `last_recv` is the outcome of
+/// the receive that ended the previous burst, shown to the first step.
 fn run_burst<P: RankProgram>(
     local: &mut RankLocal<P>,
+    mut last_recv: Option<RecvOutcome>,
     outgoing: &mut Vec<(usize, Msg)>,
     rank: usize,
     world: usize,
@@ -750,16 +805,15 @@ fn run_burst<P: RankProgram>(
     machine: &MachineModel,
 ) -> BurstEnd {
     catch_unwind(AssertUnwindSafe(|| loop {
-        if let Some(at) = local.crash_at {
-            if local.endpoint.clock.now() >= at {
-                return BurstEnd::Crashed(local.endpoint.clock.now());
-            }
+        let now = local.endpoint.clock.now();
+        if now.as_secs() >= local.crash_at_s {
+            return BurstEnd::Crashed(now);
         }
         let ctx = RankCtx {
             rank,
             world,
-            now: local.endpoint.clock.now(),
-            last_recv: local.last_recv.take(),
+            now,
+            last_recv: last_recv.take(),
         };
         match local.program.step(&ctx) {
             Step::Compute { flops, mem_bytes } => {
@@ -777,7 +831,12 @@ fn run_burst<P: RankProgram>(
             Step::Recv {
                 src: Some(src),
                 tag: Some(tag),
-            } if src < world => return BurstEnd::NeedRecv(Selector { src, tag }),
+            } if src < world => {
+                return BurstEnd::NeedRecv(Selector {
+                    src: src as u32,
+                    tag,
+                })
+            }
             Step::Recv {
                 src: Some(src),
                 tag: Some(_),
@@ -814,9 +873,8 @@ fn deliver<P>(
     let slot = &mut sched.ranks[dst];
     match slot.phase {
         Phase::Parked(sel) if sel.matches(&msg) => {
-            complete_recv(&mut slot.local, &msg, dst, topology, machine);
-            slot.phase = Phase::Runnable;
-            sched.waiters.remove(msg.src, dst);
+            slot.phase = complete_recv(&mut slot.local.endpoint, &msg, dst, topology, machine);
+            sched.waiters.remove(msg.src as usize, dst);
             sched.engine.schedule_at(TaskId(dst), msg.arrival);
         }
         _ => slot.inbox.push(&mut sched.slab, msg),
@@ -844,15 +902,15 @@ fn apply_burst<P>(
         BurstEnd::NeedRecv(sel) => {
             let slot = &mut sched.ranks[rank];
             if let Some(msg) = slot.inbox.take(&mut sched.slab, &sel) {
-                complete_recv(&mut slot.local, &msg, rank, topology, machine);
+                slot.phase = complete_recv(&mut slot.local.endpoint, &msg, rank, topology, machine);
                 return true;
             }
-            if sched.failed[sel.src] {
-                slot.local.last_recv = Some(RecvOutcome::PeerFailed { src: sel.src });
+            if sched.failed[sel.src as usize] {
+                slot.phase = Phase::PeerFailed { src: sel.src };
                 return true;
             }
             slot.phase = Phase::Parked(sel);
-            sched.waiters.push(sel.src, rank);
+            sched.waiters.push(sel.src as usize, rank);
         }
         BurstEnd::Done => sched.ranks[rank].phase = Phase::Done,
         BurstEnd::Crashed(at) => retire_failed(sched, rank, at, Phase::Crashed),
@@ -883,28 +941,36 @@ fn retire_failed<P>(sched: &mut Scheduler<P>, rank: usize, at: SimTime, phase: P
             matches!(slot.phase, Phase::Parked(_)),
             "waiter {q} is parked"
         );
-        slot.local.last_recv = Some(RecvOutcome::PeerFailed { src: rank });
-        slot.phase = Phase::Runnable;
+        slot.phase = Phase::PeerFailed { src: rank as u32 };
         sched.engine.make_ready(TaskId(q));
     }
 }
 
-/// The engine loop: pops dispatches (ready FIFO, then timers by `(time,
-/// insertion)`) and runs each dispatched rank's bursts in place, applying
-/// each, until the rank parks or retires.  Returns when the event queue is
-/// drained.
+/// The engine loop: starts every rank in rank order, then pops dispatches
+/// (ready FIFO, then timers by `(time, insertion)`), and runs each
+/// dispatched rank's bursts in place, applying each, until the rank parks
+/// or retires.  The starts need no queue entries: they are the order a
+/// ready list filled with every rank before anything else would give, since
+/// nothing is made ready before the first burst runs.  Returns when the
+/// event queue is drained.
 fn drive<P: RankProgram>(sched: &mut Scheduler<P>, topology: &Topology, machine: &MachineModel) {
     let world = sched.ranks.len();
     // Send buffer of every burst: filled by the burst, drained by the apply,
     // its allocation reused for the whole run.
     let mut outgoing = Vec::new();
-    while let Some(dispatch) = sched.engine.next() {
-        let rank = dispatch.task.0;
+    let mut starts = 0..world;
+    while let Some(rank) = starts
+        .next()
+        .or_else(|| sched.engine.next().map(|dispatch| dispatch.task.0))
+    {
         // A rank has at most one dispatch due, and only a dispatch runs it.
-        debug_assert!(matches!(sched.ranks[rank].phase, Phase::Runnable));
+        debug_assert!(sched.ranks[rank].phase.is_runnable());
         loop {
+            let slot = &mut sched.ranks[rank];
+            let last_recv = slot.phase.take_outcome(slot.local.endpoint.clock.now());
             let end = run_burst(
-                &mut sched.ranks[rank].local,
+                &mut slot.local,
+                last_recv,
                 &mut outgoing,
                 rank,
                 world,
@@ -961,38 +1027,31 @@ where
         });
     }
 
+    // Checks the rank count every `u32` rank field relies on.
+    let waiters = WaiterLists::new(n);
     let node_populations = topology.node_populations();
-
-    let mut crash_at: Vec<Option<SimTime>> = vec![None; n];
+    let mut ranks: Vec<RankSlot<P>> = (0..n)
+        .map(|rank| RankSlot {
+            phase: Phase::Runnable,
+            inbox: Inbox::default(),
+            local: RankLocal {
+                program: make(rank),
+                endpoint: Endpoint::new(node_populations[topology.node_of(rank)]),
+                crash_at_s: f64::INFINITY,
+            },
+        })
+        .collect();
     for &(rank, at) in &config.crashes {
-        if rank < n {
-            let slot = &mut crash_at[rank];
-            *slot = Some(slot.map_or(at, |t| t.min(at)));
+        if let Some(slot) = ranks.get_mut(rank) {
+            slot.local.crash_at_s = slot.local.crash_at_s.min(at.as_secs());
         }
     }
 
-    let mut engine = VirtualEngine::new();
-    let ranks: Vec<RankSlot<P>> = (0..n)
-        .map(|rank| {
-            engine.make_ready(TaskId(rank));
-            RankSlot {
-                phase: Phase::Runnable,
-                inbox: Inbox::default(),
-                local: RankLocal {
-                    program: make(rank),
-                    endpoint: Endpoint::new(node_populations[topology.node_of(rank)]),
-                    last_recv: None,
-                    crash_at: crash_at[rank],
-                },
-            }
-        })
-        .collect();
-
     let mut sched = Scheduler {
-        engine,
+        engine: VirtualEngine::new(),
         ranks,
         slab: MsgSlab::default(),
-        waiters: WaiterLists::new(n),
+        waiters,
         woken: Vec::new(),
         failed: vec![false; n],
         failures: Vec::new(),
@@ -1003,7 +1062,8 @@ where
 
     let mut failures = std::mem::take(&mut sched.failures);
     failures.sort_by_key(|f| (f.time, f.rank));
-    let dispatches = sched.engine.dispatched();
+    // The starts ran without a queue entry; they are dispatches all the same.
+    let dispatches = sched.engine.dispatched() + n as u64;
     // A rank retires at most once: one message per errored rank, in rank
     // order to be matched up with the slots.
     sched.errors.sort_unstable_by_key(|&(rank, _)| rank);
@@ -1027,7 +1087,9 @@ where
                 Phase::Parked(_) => RankEnd::Errored(
                     "deadlock: parked on a receive when the event queue drained".to_string(),
                 ),
-                Phase::Runnable => unreachable!("rank {rank} left neither parked nor retired"),
+                Phase::Runnable | Phase::Received { .. } | Phase::PeerFailed { .. } => {
+                    unreachable!("rank {rank} left neither parked nor retired")
+                }
             };
             VirtualRankReport {
                 rank,
@@ -1090,7 +1152,7 @@ mod tests {
 
     /// A message told apart from the others of its `(src, tag)` by `id`,
     /// carried as its size.
-    fn msg(src: usize, tag: Tag, id: usize) -> Msg {
+    fn msg(src: u32, tag: Tag, id: usize) -> Msg {
         Msg {
             src,
             tag,
@@ -1127,7 +1189,7 @@ mod tests {
     /// pops the front of the lane it names.
     #[derive(Default)]
     struct LaneModel {
-        lanes: std::collections::BTreeMap<(usize, Tag), std::collections::VecDeque<Msg>>,
+        lanes: std::collections::BTreeMap<(u32, Tag), std::collections::VecDeque<Msg>>,
     }
 
     impl LaneModel {
@@ -1163,7 +1225,7 @@ mod tests {
                 let (action, dst, src, tag) = (
                     op % 6,
                     (op / 6 % 3) as usize,
-                    (op / 18 % 3) as usize,
+                    op / 18 % 3,
                     op / 54,
                 );
                 if action < 4 {
