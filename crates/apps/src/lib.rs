@@ -38,6 +38,4 @@ pub use hpccg::{run_hpccg, HpccgOutput, HpccgParams, KernelSelection};
 pub use minighost::{run_minighost, MiniGhostOutput, MiniGhostParams};
 pub use report::AppRunReport;
 pub use scale::ExperimentScale;
-pub use weak_scaling::{
-    ckpt_charges, run_weak_scaling, WeakMode, WeakScalingProgram, WeakScalingSpec,
-};
+pub use weak_scaling::{ckpt_charges, run_weak_scaling, WeakMode, WeakScalingSpec};

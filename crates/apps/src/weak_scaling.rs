@@ -186,17 +186,17 @@ struct RunShared {
     /// `charges[i]` is elapsed after iteration `i` completes, identically
     /// on every rank, so the C/R protocol stays coordinated.
     charges: Arc<[f64]>,
-    /// `spec.logical` and `spec.iters`, in the width of the rank fields.
+    /// `spec.logical` and `spec.iters` in the width of the rank fields, and
+    /// the allreduce rounds, `ceil(log2 logical)`.
     logical: u32,
     iters: u32,
-    /// Allreduce rounds: `ceil(log2 logical)`.
     ar_rounds: u8,
 }
 
 /// One logical rank of the weak-scaling workload, as a cooperative state
 /// machine.  A run holds one per physical rank, so it keeps only what
 /// differs between ranks: 24 bytes.
-pub struct WeakScalingProgram {
+struct WeakScalingProgram {
     run: Arc<RunShared>,
     /// Logical id within the replica set.
     l: u32,
@@ -216,27 +216,8 @@ pub struct WeakScalingProgram {
 const _: () = assert!(std::mem::size_of::<WeakScalingProgram>() <= 32);
 
 impl WeakScalingProgram {
-    /// Builds the program for world rank `rank`.
-    pub fn new(spec: &WeakScalingSpec, rank: usize) -> Self {
-        Self::sharing(&Self::share(spec, Arc::from(Vec::new())), rank)
-    }
-
-    /// The state all ranks of a run share: the spec and the per-boundary
-    /// C/R charge vector (computed once by [`ckpt_charges`]).
-    fn share(spec: &WeakScalingSpec, charges: Arc<[f64]>) -> Arc<RunShared> {
-        let logical = spec.logical.max(1);
-        Arc::new(RunShared {
-            spec: spec.clone(),
-            charges,
-            logical: u32::try_from(logical).expect("fewer than 2^32 logical ranks"),
-            iters: u32::try_from(spec.iters).expect("fewer than 2^32 iterations"),
-            ar_rounds: (usize::BITS - (logical - 1).leading_zeros()) as u8,
-        })
-    }
-
-    /// Builds the program for world rank `rank` on state shared by all
-    /// ranks of the run.
-    fn sharing(run: &Arc<RunShared>, rank: usize) -> Self {
+    /// The program of world rank `rank` in the run `run` describes.
+    fn new(run: &Arc<RunShared>, rank: usize) -> Self {
         let logical = run.logical as usize;
         WeakScalingProgram {
             run: Arc::clone(run),
@@ -254,12 +235,7 @@ impl WeakScalingProgram {
     }
 
     fn left(&self) -> usize {
-        let l = if self.l == 0 {
-            self.run.logical
-        } else {
-            self.l
-        };
-        self.world_of(l - 1)
+        self.world_of(self.l.checked_sub(1).unwrap_or(self.run.logical - 1))
     }
 
     fn right(&self) -> usize {
@@ -384,12 +360,7 @@ impl RankProgram for WeakScalingProgram {
                     // Coordinated C/R boundary: every rank elapses the same
                     // precomputed charge (committed checkpoints, restarts,
                     // re-executed work), keeping the protocol in lock-step.
-                    let charge = self
-                        .run
-                        .charges
-                        .get(self.iter as usize)
-                        .copied()
-                        .unwrap_or(0.0);
+                    let charge = self.run.charges.get(self.iter as usize).map_or(0.0, |&c| c);
                     self.iter += 1;
                     self.pc = if self.iter >= self.run.iters {
                         Pc::Finished
@@ -488,8 +459,15 @@ pub fn run_weak_scaling(
             Arc::from(Vec::new())
         }
     };
-    let run = WeakScalingProgram::share(spec, charges);
-    run_virtual_cluster(&config, |rank| WeakScalingProgram::sharing(&run, rank))
+    let logical = spec.logical.max(1);
+    let run = Arc::new(RunShared {
+        spec: spec.clone(),
+        charges,
+        logical: u32::try_from(logical).expect("fewer than 2^32 logical ranks"),
+        iters: u32::try_from(spec.iters).expect("fewer than 2^32 iterations"),
+        ar_rounds: (usize::BITS - (logical - 1).leading_zeros()) as u8,
+    });
+    run_virtual_cluster(&config, |rank| WeakScalingProgram::new(&run, rank))
 }
 
 #[cfg(test)]

@@ -371,28 +371,24 @@ fn hex4(bytes: &[u8], at: usize) -> Option<u32> {
     })
 }
 
-/// Decodes the `\u` escape whose `u` is at `pos`, with the low half that
-/// must follow a high surrogate, and leaves `pos` just past it.  A UTF-16
-/// surrogate pair is one character; a lone surrogate is none.
+/// Decodes the `\u` escape whose `u` is at `pos` — with the low half that
+/// must follow a high surrogate: a UTF-16 pair is one character — and
+/// leaves `pos` just past it.
 fn parse_unicode_escape(bytes: &[u8], pos: &mut usize) -> Result<char, String> {
     let escape = *pos - 1;
-    let invalid = || format!("invalid \\u escape at byte {escape}");
-    let high = hex4(bytes, *pos + 1).ok_or_else(invalid)?;
+    let unpaired = || format!("unpaired surrogate escape at byte {escape}");
+    let high =
+        hex4(bytes, *pos + 1).ok_or_else(|| format!("invalid \\u escape at byte {escape}"))?;
     *pos += 5;
-    let code = match high {
-        0xD800..=0xDBFF => {
-            let low = match bytes.get(*pos..*pos + 2) {
-                Some(b"\\u") => hex4(bytes, *pos + 2),
-                _ => None,
-            }
-            .filter(|low| (0xDC00..=0xDFFF).contains(low))
-            .ok_or_else(|| format!("unpaired surrogate escape at byte {escape}"))?;
-            *pos += 6;
-            0x10000 + ((high - 0xD800) << 10) + (low - 0xDC00)
-        }
-        code => code,
-    };
-    char::from_u32(code).ok_or_else(|| format!("unpaired surrogate escape at byte {escape}"))
+    let mut code = high;
+    if (0xD800..=0xDBFF).contains(&high) {
+        let low = hex4(bytes, *pos + 2)
+            .filter(|low| bytes[*pos..].starts_with(b"\\u") && (0xDC00..=0xDFFF).contains(low))
+            .ok_or_else(unpaired)?;
+        *pos += 6;
+        code = 0x10000 + ((high - 0xD800) << 10) + (low - 0xDC00);
+    }
+    char::from_u32(code).ok_or_else(unpaired)
 }
 
 /// Parses a number in JSON's form — an optional minus, an integer part
@@ -407,9 +403,7 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         }
         *pos - from
     };
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
+    *pos += usize::from(bytes.get(*pos) == Some(&b'-'));
     let leading_zero = bytes.get(*pos) == Some(&b'0');
     let integer = digits(pos);
     let mut valid = integer == 1 || (integer > 1 && !leading_zero);
@@ -419,9 +413,7 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
     if matches!(bytes.get(*pos), Some(b'e' | b'E')) {
         *pos += 1;
-        if matches!(bytes.get(*pos), Some(b'+' | b'-')) {
-            *pos += 1;
-        }
+        *pos += usize::from(matches!(bytes.get(*pos), Some(b'+' | b'-')));
         valid &= digits(pos) > 0;
     }
     // Only ASCII was consumed.
@@ -554,13 +546,13 @@ mod tests {
             1 => Json::Bool(word >> 8 & 1 == 1),
             2 => {
                 let bits = tape.next().unwrap_or(0);
-                Json::Num(match word >> 8 & 3 {
+                let v = match word >> 8 & 3 {
                     0 => f64::from_bits(bits),
                     1 => bits as i64 as f64,
                     2 => (bits % 100_000) as f64 / 64.0,
                     _ => -((bits % 1_000) as f64),
-                })
-                .filter_finite()
+                };
+                Json::Num(if v.is_finite() { v } else { 0.0 })
             }
             3 => Json::Str(string_from(tape, len as usize * 3)),
             4 => Json::Arr((0..len).map(|_| doc_from(tape, depth - 1)).collect()),
@@ -569,15 +561,6 @@ mod tests {
                     .map(|_| (string_from(tape, 2), doc_from(tape, depth - 1)))
                     .collect(),
             ),
-        }
-    }
-
-    impl Json {
-        fn filter_finite(self) -> Json {
-            match self {
-                Json::Num(v) if !v.is_finite() => Json::Num(0.0),
-                other => other,
-            }
         }
     }
 

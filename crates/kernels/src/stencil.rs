@@ -167,7 +167,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn constant_field_is_a_fixed_point_of_the_stencil() {
+    fn constant_field_is_a_fixed_point_of_both_stencils() {
         let mut input = Grid3d::filled(4, 4, 4, 2.5);
         // Fill ghosts with the same constant so averages stay constant.
         for z in 0..6 {

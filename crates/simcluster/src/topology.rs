@@ -37,17 +37,6 @@ impl Topology {
         }
     }
 
-    /// Round-robin placement: rank `r` lives on node `r % num_nodes`.
-    pub fn round_robin(num_procs: usize, num_nodes: usize) -> Self {
-        assert!(num_nodes > 0, "num_nodes must be positive");
-        let placement = (0..num_procs).map(|r| stored(r % num_nodes)).collect();
-        let cores_per_node = num_procs.div_ceil(num_nodes);
-        Topology {
-            placement,
-            cores_per_node: cores_per_node.max(1),
-        }
-    }
-
     /// Replica-aware placement used by the replication experiments: the
     /// physical ranks are interpreted as `replica_id * num_logical +
     /// logical_rank` and the two replica sets are placed on disjoint halves
@@ -188,16 +177,6 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_spreads_ranks() {
-        let t = Topology::round_robin(8, 4);
-        assert_eq!(t.num_nodes(), 4);
-        assert_eq!(t.node_of(0), 0);
-        assert_eq!(t.node_of(1), 1);
-        assert_eq!(t.node_of(4), 0);
-        assert!(t.same_node(0, 4));
-    }
-
-    #[test]
     fn replica_disjoint_keeps_replicas_apart() {
         // 8 logical processes, degree 2, 4 cores per node -> 4 nodes.
         let t = Topology::replica_disjoint(8, 2, 4);
@@ -234,7 +213,6 @@ mod tests {
     #[test]
     fn node_populations_count_every_placed_rank() {
         assert_eq!(Topology::block(10, 4).node_populations(), vec![4, 4, 2]);
-        assert_eq!(Topology::round_robin(5, 2).node_populations(), vec![3, 2]);
         assert_eq!(Topology::single_node(3).node_populations(), vec![3]);
         assert!(Topology::block(0, 4).node_populations().is_empty());
         let t = Topology::replica_disjoint(6, 2, 4);

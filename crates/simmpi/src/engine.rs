@@ -41,23 +41,17 @@
 //! ## Data layout
 //!
 //! A rank's slot holds its program and clock inline, its crash time, its
-//! inbox — two links into one message slab shared by the whole run — and
-//! its phase, which also carries its receive state: a parked rank's
-//! selector, or the outcome a runnable rank's next burst shows its program
-//! (never both: a burst takes the outcome before it can park).  Ranks and
-//! tags are `u32`.  A slot is at most 112 bytes plus the program; the
-//! `apps` weak-scaling program adds 24, which keeps its slot within 144.
-//! Each inbox is a FIFO in delivery order threaded through the slab, each
-//! entry a message plus its link (32 bytes); an entry a receive vacates
-//! goes on the slab's free list for the next delivery, so the slab grows to
-//! the run's high-water mark of queued messages and no rank owns a buffer.
-//! Beside the slots sit only the waiter lists of § Liveness, 12 bytes per
-//! rank, a failed flag and the topology's 4-byte placement: no per-rank
-//! setup vector, and the initial starts are a cursor over the ranks, not
-//! queue entries.  A burst runs under one unwind guard: a program that
-//! panics ends its burst as errored, the sends it made before the panic
-//! are delivered, and its message goes to a sparse error list, not the
-//! slot.
+//! phase — which also holds its receive state: a parked rank's selector,
+//! or the outcome its next burst shows the program — and its inbox: two
+//! links into one message slab shared by the whole run.  Each inbox is a
+//! FIFO in delivery order threaded through the slab, each entry a message
+//! plus its link (32 bytes); an entry a receive vacates goes on the slab's
+//! free list for the next delivery, so the slab grows to the run's
+//! high-water mark of queued messages and no rank owns a buffer.  Beside
+//! the slots sit only the waiter lists of § Liveness, 12 bytes per rank.
+//! A burst runs under one unwind guard: a program that panics ends its
+//! burst as errored, the sends it made before the panic are delivered, and
+//! its message goes to a sparse error list, not the slot.
 //!
 //! ## Determinism
 //!
@@ -407,28 +401,18 @@ impl VirtualClusterReport {
     }
 }
 
-/// Scheduling phase of one rank, with the state of its receive: a rank is
-/// parked on one receive, or runnable with at most one receive outcome for
-/// its next burst to show the program, never both (a burst takes the
-/// outcome before it can post the receive that parks it).
+/// Scheduling phase of one rank.  It holds the rank's receive state too: a
+/// parked rank never has an outcome pending, since its burst took it.
 #[derive(Debug, Clone, Copy)]
 enum Phase {
-    /// Has a dispatch due — a start, a wake-up on the ready list or a
-    /// resumption scheduled at a message's arrival — or is running its
-    /// burst right now.  No receive outcome is pending.
+    /// Has a dispatch due, or is running its burst right now.
     Runnable,
-    /// Runnable, and its receive matched this message.  The receiver's
-    /// clock does not move before its next burst starts, so that burst's
-    /// start time is the outcome's [`RecvDone::at`].
-    Received {
-        src: u32,
-        tag: Tag,
-        bytes: usize,
-    },
-    /// Runnable, and its receive's source failed first.
-    PeerFailed {
-        src: u32,
-    },
+    /// Runnable; its receive matched a message from this source and tag,
+    /// of these modeled bytes.  The clock does not move before the next
+    /// burst, so that burst's start is when the receive completed.
+    Received(Selector, usize),
+    /// Runnable; its receive's source failed.
+    PeerFailed(u32),
     /// Waiting for a message this selector matches, or its source's failure.
     Parked(Selector),
     /// Terminal states.
@@ -438,28 +422,26 @@ enum Phase {
 }
 
 impl Phase {
-    /// The receive outcome a burst starting at `at` shows the program, if
-    /// one is pending; the rank is left plainly runnable.
+    /// The outcome a burst starting at `at` shows the program, if one is
+    /// pending, leaving the rank plainly runnable.
     fn take_outcome(&mut self, at: SimTime) -> Option<RecvOutcome> {
         let outcome = match *self {
-            Phase::Received { src, tag, bytes } => RecvOutcome::Message(RecvDone {
-                src: src as usize,
-                tag,
+            Phase::Received(sel, bytes) => RecvOutcome::Message(RecvDone {
+                src: sel.src as usize,
+                tag: sel.tag,
                 bytes,
                 at,
             }),
-            Phase::PeerFailed { src } => RecvOutcome::PeerFailed { src: src as usize },
+            Phase::PeerFailed(src) => RecvOutcome::PeerFailed { src: src as usize },
             _ => return None,
         };
         *self = Phase::Runnable;
         Some(outcome)
     }
 
-    fn is_runnable(&self) -> bool {
-        matches!(
-            self,
-            Phase::Runnable | Phase::Received { .. } | Phase::PeerFailed { .. }
-        )
+    /// Retired by a crash or an error: the rank's peers see it as failed.
+    fn has_failed(&self) -> bool {
+        matches!(self, Phase::Crashed | Phase::Errored)
     }
 }
 
@@ -470,9 +452,8 @@ struct RankLocal<P> {
     /// Clock and sending channels — the record a thread-world rank keeps in
     /// its `ProcCore`.
     endpoint: Endpoint,
-    /// Virtual time in seconds from which the rank crashes at its next step
-    /// boundary; infinite when no crash is injected.  (Seconds, because
-    /// [`SimTime`] clamps a non-finite time to zero.)
+    /// Seconds from which the rank crashes at a step boundary, or infinite
+    /// (a `SimTime` cannot be: it clamps a non-finite time to zero).
     crash_at_s: f64,
 }
 
@@ -713,7 +694,6 @@ struct Scheduler<P> {
     waiters: WaiterLists,
     /// Scratch list of the ranks a retirement wakes, reused across crashes.
     woken: Vec<usize>,
-    failed: Vec<bool>,
     failures: Vec<FailureEvent>,
     /// Messages of the ranks that errored, in retirement order (sparse:
     /// kept out of the slots).
@@ -778,11 +758,11 @@ fn complete_recv(
 ) -> Phase {
     let same_node = topology.same_node(rank, msg.src as usize);
     endpoint.complete_recv(machine.link(same_node), msg.arrival);
-    Phase::Received {
+    let from = Selector {
         src: msg.src,
         tag: msg.tag,
-        bytes: msg.modeled_bytes,
-    }
+    };
+    Phase::Received(from, msg.modeled_bytes)
 }
 
 /// Runs one rank as far as it can go without touching another rank: compute
@@ -867,7 +847,7 @@ fn deliver<P>(
     machine: &MachineModel,
 ) {
     sched.messages += 1;
-    if sched.failed[dst] {
+    if sched.ranks[dst].phase.has_failed() {
         return;
     }
     let slot = &mut sched.ranks[dst];
@@ -905,11 +885,11 @@ fn apply_burst<P>(
                 slot.phase = complete_recv(&mut slot.local.endpoint, &msg, rank, topology, machine);
                 return true;
             }
-            if sched.failed[sel.src as usize] {
-                slot.phase = Phase::PeerFailed { src: sel.src };
+            if sched.ranks[sel.src as usize].phase.has_failed() {
+                sched.ranks[rank].phase = Phase::PeerFailed(sel.src);
                 return true;
             }
-            slot.phase = Phase::Parked(sel);
+            sched.ranks[rank].phase = Phase::Parked(sel);
             sched.waiters.push(sel.src as usize, rank);
         }
         BurstEnd::Done => sched.ranks[rank].phase = Phase::Done,
@@ -931,7 +911,6 @@ fn apply_burst<P>(
 /// receivers through its registered wakers).  The work is proportional to
 /// the waiters, not to the world.
 fn retire_failed<P>(sched: &mut Scheduler<P>, rank: usize, at: SimTime, phase: Phase) {
-    sched.failed[rank] = true;
     sched.failures.push(FailureEvent { rank, time: at });
     sched.ranks[rank].phase = phase;
     sched.waiters.drain_sorted(rank, &mut sched.woken);
@@ -941,18 +920,16 @@ fn retire_failed<P>(sched: &mut Scheduler<P>, rank: usize, at: SimTime, phase: P
             matches!(slot.phase, Phase::Parked(_)),
             "waiter {q} is parked"
         );
-        slot.phase = Phase::PeerFailed { src: rank as u32 };
+        slot.phase = Phase::PeerFailed(rank as u32);
         sched.engine.make_ready(TaskId(q));
     }
 }
 
-/// The engine loop: starts every rank in rank order, then pops dispatches
-/// (ready FIFO, then timers by `(time, insertion)`), and runs each
-/// dispatched rank's bursts in place, applying each, until the rank parks
-/// or retires.  The starts need no queue entries: they are the order a
-/// ready list filled with every rank before anything else would give, since
-/// nothing is made ready before the first burst runs.  Returns when the
-/// event queue is drained.
+/// The engine loop: starts each rank in rank order — the order a ready list
+/// filled with every rank would give, without its entries — then pops
+/// dispatches (ready FIFO, then timers by `(time, insertion)`), and runs
+/// each dispatched rank's bursts in place, applying each, until the rank
+/// parks or retires.  Returns when the event queue is drained.
 fn drive<P: RankProgram>(sched: &mut Scheduler<P>, topology: &Topology, machine: &MachineModel) {
     let world = sched.ranks.len();
     // Send buffer of every burst: filled by the burst, drained by the apply,
@@ -964,7 +941,7 @@ fn drive<P: RankProgram>(sched: &mut Scheduler<P>, topology: &Topology, machine:
         .or_else(|| sched.engine.next().map(|dispatch| dispatch.task.0))
     {
         // A rank has at most one dispatch due, and only a dispatch runs it.
-        debug_assert!(sched.ranks[rank].phase.is_runnable());
+        debug_assert!(!matches!(sched.ranks[rank].phase, Phase::Parked(_)));
         loop {
             let slot = &mut sched.ranks[rank];
             let last_recv = slot.phase.take_outcome(slot.local.endpoint.clock.now());
@@ -1053,7 +1030,6 @@ where
         slab: MsgSlab::default(),
         waiters,
         woken: Vec::new(),
-        failed: vec![false; n],
         failures: Vec::new(),
         errors: Vec::new(),
         messages: 0,
@@ -1087,9 +1063,7 @@ where
                 Phase::Parked(_) => RankEnd::Errored(
                     "deadlock: parked on a receive when the event queue drained".to_string(),
                 ),
-                Phase::Runnable | Phase::Received { .. } | Phase::PeerFailed { .. } => {
-                    unreachable!("rank {rank} left neither parked nor retired")
-                }
+                _ => unreachable!("rank {rank} left neither parked nor retired"),
             };
             VirtualRankReport {
                 rank,
@@ -1097,7 +1071,7 @@ where
                 compute_time: local.endpoint.clock.compute_time(),
                 comm_time: local.endpoint.clock.comm_time(),
                 wait_time: local.endpoint.clock.wait_time(),
-                failed: matches!(slot.phase, Phase::Crashed | Phase::Errored),
+                failed: slot.phase.has_failed(),
                 end,
                 result: local.program.result(),
             }

@@ -18,18 +18,10 @@
 //! // ... code under budget ...
 //! let stats = alloc_counter::since(&before);
 //! assert!(stats.large_allocs <= 4);
-//!
-//! alloc_counter::reset_peak();
-//! let base = alloc_counter::live_bytes();
-//! // ... code under budget ...
-//! let footprint = alloc_counter::peak_live_bytes() - base;
 //! ```
 //!
-//! Besides counting, it tracks the bytes currently live and the largest
-//! value they have reached since [`reset_peak`], so a test can pin a
-//! *footprint*: the peak heap a computation holds at once, which, unlike
-//! the resident set, does not depend on the allocator's caching or the
-//! host.
+//! It also tracks the bytes live and their peak since [`reset_peak`]: a
+//! footprint that, unlike the resident set, does not depend on the host.
 //!
 //! Counters are process-wide and updated with relaxed atomics; tests that
 //! measure a window spanning several threads should make the window cover
@@ -44,9 +36,7 @@ static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
 static LARGE_ALLOCS: AtomicU64 = AtomicU64::new(0);
 /// Allocations of at least this size count as "large" (payload-sized).
 static LARGE_THRESHOLD: AtomicUsize = AtomicUsize::new(usize::MAX);
-/// Bytes allocated and not yet freed.
 static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
-/// Largest value of [`LIVE_BYTES`] since the last [`reset_peak`].
 static PEAK_LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
 
 /// A `GlobalAlloc` wrapper around [`System`] that counts allocations.
@@ -60,13 +50,11 @@ fn note(size: usize) {
     }
 }
 
-fn grow_live(bytes: usize) {
-    let live = LIVE_BYTES.fetch_add(bytes as u64, Ordering::Relaxed) + bytes as u64;
-    PEAK_LIVE_BYTES.fetch_max(live, Ordering::Relaxed);
-}
-
-fn shrink_live(bytes: usize) {
-    LIVE_BYTES.fetch_sub(bytes as u64, Ordering::Relaxed);
+/// Moves the live bytes by `delta` (two's complement, as the atomic add
+/// wraps) and raises the peak to match.
+fn note_live(delta: i64) {
+    let live = LIVE_BYTES.fetch_add(delta as u64, Ordering::Relaxed);
+    PEAK_LIVE_BYTES.fetch_max(live.wrapping_add(delta as u64), Ordering::Relaxed);
 }
 
 // SAFETY: defers every allocation verbatim to `System`; the only added
@@ -74,30 +62,27 @@ fn shrink_live(bytes: usize) {
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         note(layout.size());
-        grow_live(layout.size());
+        note_live(layout.size() as i64);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         note(layout.size());
-        grow_live(layout.size());
+        note_live(layout.size() as i64);
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         // A growing realloc materializes `new_size` fresh bytes; count it
-        // like an allocation of the new size.  The live bytes move by the
-        // difference only.
+        // like an allocation of the new size; the live bytes move by the
+        // difference.
         note(new_size);
-        match new_size.checked_sub(layout.size()) {
-            Some(grown) => grow_live(grown),
-            None => shrink_live(layout.size() - new_size),
-        }
+        note_live(new_size as i64 - layout.size() as i64);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        shrink_live(layout.size());
+        note_live(-(layout.size() as i64));
         unsafe { System.dealloc(ptr, layout) }
     }
 }
@@ -137,7 +122,7 @@ pub fn since(before: &Stats) -> Stats {
     }
 }
 
-/// Bytes currently allocated through the counting allocator and not freed.
+/// Bytes allocated and not yet freed.
 pub fn live_bytes() -> u64 {
     LIVE_BYTES.load(Ordering::Relaxed)
 }
@@ -175,14 +160,14 @@ mod tests {
     fn live_bytes_rise_and_fall_and_the_peak_remembers() {
         reset_peak();
         let base = live_bytes();
-        grow_live(100);
-        grow_live(50);
-        shrink_live(120);
+        note_live(100);
+        note_live(50);
+        note_live(-120);
         assert_eq!(live_bytes(), base + 30);
         assert_eq!(peak_live_bytes(), base + 150);
         reset_peak();
         assert_eq!(peak_live_bytes(), base + 30);
-        shrink_live(30);
+        note_live(-30);
         assert_eq!(live_bytes(), base);
     }
 }
