@@ -51,10 +51,15 @@ fn note(size: usize) {
 }
 
 /// Moves the live bytes by `delta` (two's complement, as the atomic add
-/// wraps) and raises the peak to match.
+/// wraps) and raises the peak to match.  The peak is written only when it
+/// grows: every allocation of the process comes through here.
 fn note_live(delta: i64) {
-    let live = LIVE_BYTES.fetch_add(delta as u64, Ordering::Relaxed);
-    PEAK_LIVE_BYTES.fetch_max(live.wrapping_add(delta as u64), Ordering::Relaxed);
+    let live = LIVE_BYTES
+        .fetch_add(delta as u64, Ordering::Relaxed)
+        .wrapping_add(delta as u64);
+    if delta > 0 && live > PEAK_LIVE_BYTES.load(Ordering::Relaxed) {
+        PEAK_LIVE_BYTES.fetch_max(live, Ordering::Relaxed);
+    }
 }
 
 // SAFETY: defers every allocation verbatim to `System`; the only added
