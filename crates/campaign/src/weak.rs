@@ -172,7 +172,7 @@ impl WeakSweep {
     /// One million logical ranks, native, one iteration — the headline
     /// scale point proving the event-driven engine holds a 1M-rank world
     /// (release-mode only; measured on a 2-vCPU guest the run is about 4 s
-    /// of wall clock and 0.3 GB of rank state; gated against
+    /// of wall clock and a 0.17 GB peak resident set; gated against
     /// `crates/campaign/golden/weak_1m.json`, never on wall clock).
     fn scale_1m() -> Self {
         WeakSweep {

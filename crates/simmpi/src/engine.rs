@@ -48,7 +48,8 @@
 //! plus its link (32 bytes); an entry a receive vacates goes on the slab's
 //! free list for the next delivery, so the slab grows to the run's
 //! high-water mark of queued messages and no rank owns a buffer.  Beside
-//! the slots sit only the waiter lists of § Liveness, 12 bytes per rank.
+//! the slots sit a failed flag and the waiter lists of § Liveness, 13
+//! bytes per rank.
 //! A burst runs under one unwind guard: a program that panics ends its
 //! burst as errored, the sends it made before the panic are delivered, and
 //! its message goes to a sparse error list, not the slot.
@@ -438,11 +439,6 @@ impl Phase {
         *self = Phase::Runnable;
         Some(outcome)
     }
-
-    /// Retired by a crash or an error: the rank's peers see it as failed.
-    fn has_failed(&self) -> bool {
-        matches!(self, Phase::Crashed | Phase::Errored)
-    }
 }
 
 /// Rank state only ever touched by the rank's own burst, stepped in place
@@ -694,6 +690,7 @@ struct Scheduler<P> {
     waiters: WaiterLists,
     /// Scratch list of the ranks a retirement wakes, reused across crashes.
     woken: Vec<usize>,
+    failed: Vec<bool>,
     failures: Vec<FailureEvent>,
     /// Messages of the ranks that errored, in retirement order (sparse:
     /// kept out of the slots).
@@ -847,7 +844,7 @@ fn deliver<P>(
     machine: &MachineModel,
 ) {
     sched.messages += 1;
-    if sched.ranks[dst].phase.has_failed() {
+    if sched.failed[dst] {
         return;
     }
     let slot = &mut sched.ranks[dst];
@@ -885,11 +882,11 @@ fn apply_burst<P>(
                 slot.phase = complete_recv(&mut slot.local.endpoint, &msg, rank, topology, machine);
                 return true;
             }
-            if sched.ranks[sel.src as usize].phase.has_failed() {
-                sched.ranks[rank].phase = Phase::PeerFailed(sel.src);
+            if sched.failed[sel.src as usize] {
+                slot.phase = Phase::PeerFailed(sel.src);
                 return true;
             }
-            sched.ranks[rank].phase = Phase::Parked(sel);
+            slot.phase = Phase::Parked(sel);
             sched.waiters.push(sel.src as usize, rank);
         }
         BurstEnd::Done => sched.ranks[rank].phase = Phase::Done,
@@ -911,6 +908,7 @@ fn apply_burst<P>(
 /// receivers through its registered wakers).  The work is proportional to
 /// the waiters, not to the world.
 fn retire_failed<P>(sched: &mut Scheduler<P>, rank: usize, at: SimTime, phase: Phase) {
+    sched.failed[rank] = true;
     sched.failures.push(FailureEvent { rank, time: at });
     sched.ranks[rank].phase = phase;
     sched.waiters.drain_sorted(rank, &mut sched.woken);
@@ -1030,6 +1028,7 @@ where
         slab: MsgSlab::default(),
         waiters,
         woken: Vec::new(),
+        failed: vec![false; n],
         failures: Vec::new(),
         errors: Vec::new(),
         messages: 0,
@@ -1071,7 +1070,7 @@ where
                 compute_time: local.endpoint.clock.compute_time(),
                 comm_time: local.endpoint.clock.comm_time(),
                 wait_time: local.endpoint.clock.wait_time(),
-                failed: slot.phase.has_failed(),
+                failed: matches!(slot.phase, Phase::Crashed | Phase::Errored),
                 end,
                 result: local.program.result(),
             }
