@@ -21,7 +21,7 @@ static ALLOC: alloc_counter::CountingAllocator = alloc_counter::CountingAllocato
 const LOGICAL: usize = 10_000;
 
 /// Peak live heap bytes per physical rank the run may reach.
-const BYTES_PER_RANK_BUDGET: u64 = 200;
+const BYTES_PER_RANK_BUDGET: i64 = 200;
 
 #[test]
 fn peak_heap_per_rank_stays_within_budget() {
@@ -31,7 +31,7 @@ fn peak_heap_per_rank_stays_within_budget() {
     let report = run_weak_scaling(&spec, &[]);
     let peak = alloc_counter::peak_live_bytes() - base;
     assert_eq!(report.num_completed(), spec.num_procs());
-    let per_rank = peak / spec.num_procs() as u64;
+    let per_rank = peak / spec.num_procs() as i64;
     println!("peak {peak} bytes, {per_rank} bytes per physical rank");
     assert!(
         per_rank <= BYTES_PER_RANK_BUDGET,

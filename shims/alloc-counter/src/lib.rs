@@ -20,8 +20,9 @@
 //! assert!(stats.large_allocs <= 4);
 //! ```
 //!
-//! It also tracks the bytes live and their peak since [`reset_peak`]: a
-//! footprint that, unlike the resident set, does not depend on the host.
+//! From the first [`reset_peak`] on, it also tracks the bytes live and
+//! their peak: a footprint that, unlike the resident set, does not depend
+//! on the host.  A binary that never calls it pays nothing for that.
 //!
 //! Counters are process-wide and updated with relaxed atomics; tests that
 //! measure a window spanning several threads should make the window cover
@@ -29,15 +30,17 @@
 //! rather than expect per-thread attribution.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
 static LARGE_ALLOCS: AtomicU64 = AtomicU64::new(0);
 /// Allocations of at least this size count as "large" (payload-sized).
 static LARGE_THRESHOLD: AtomicUsize = AtomicUsize::new(usize::MAX);
-static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
-static PEAK_LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
+static TRACK_LIVE: AtomicBool = AtomicBool::new(false);
+/// Bytes allocated minus bytes freed since tracking started.
+static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
+static PEAK_LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
 
 /// A `GlobalAlloc` wrapper around [`System`] that counts allocations.
 pub struct CountingAllocator;
@@ -50,13 +53,14 @@ fn note(size: usize) {
     }
 }
 
-/// Moves the live bytes by `delta` (two's complement, as the atomic add
-/// wraps) and raises the peak to match.  The peak is written only when it
-/// grows: every allocation of the process comes through here.
+/// Moves the live bytes by `delta` and raises the peak to match, once
+/// tracking is on.  The peak is written only when it grows: every
+/// allocation of the process comes through here.
 fn note_live(delta: i64) {
-    let live = LIVE_BYTES
-        .fetch_add(delta as u64, Ordering::Relaxed)
-        .wrapping_add(delta as u64);
+    if !TRACK_LIVE.load(Ordering::Relaxed) {
+        return;
+    }
+    let live = LIVE_BYTES.fetch_add(delta, Ordering::Relaxed) + delta;
     if delta > 0 && live > PEAK_LIVE_BYTES.load(Ordering::Relaxed) {
         PEAK_LIVE_BYTES.fetch_max(live, Ordering::Relaxed);
     }
@@ -127,18 +131,21 @@ pub fn since(before: &Stats) -> Stats {
     }
 }
 
-/// Bytes allocated and not yet freed.
-pub fn live_bytes() -> u64 {
+/// Bytes allocated minus bytes freed since the first [`reset_peak`]
+/// (negative when more was freed than allocated since).
+pub fn live_bytes() -> i64 {
     LIVE_BYTES.load(Ordering::Relaxed)
 }
 
-/// Starts a new peak window: the peak becomes the bytes live right now.
+/// Starts a new peak window, and live-byte tracking on the first call: the
+/// peak becomes the bytes live right now.
 pub fn reset_peak() {
+    TRACK_LIVE.store(true, Ordering::Relaxed);
     PEAK_LIVE_BYTES.store(LIVE_BYTES.load(Ordering::Relaxed), Ordering::Relaxed);
 }
 
 /// The most bytes live at once since the last [`reset_peak`].
-pub fn peak_live_bytes() -> u64 {
+pub fn peak_live_bytes() -> i64 {
     PEAK_LIVE_BYTES.load(Ordering::Relaxed)
 }
 
