@@ -49,10 +49,9 @@
 //! free list for the next delivery, so the slab grows to the run's
 //! high-water mark of queued messages and no rank owns a buffer.  Beside
 //! the slots sit a failed flag and the waiter lists of § Liveness, 13
-//! bytes per rank.
-//! A burst runs under one unwind guard: a program that panics ends its
-//! burst as errored, the sends it made before the panic are delivered, and
-//! its message goes to a sparse error list, not the slot.
+//! bytes per rank.  A burst runs under one unwind guard: a program that
+//! panics ends its burst as errored, the sends it made before the panic
+//! are delivered, and its message goes to a sparse error list, not the slot.
 //!
 //! ## Determinism
 //!
