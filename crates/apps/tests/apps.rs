@@ -1,11 +1,15 @@
 //! End-to-end tests of the mini-applications in the three execution modes.
 
 use apps::{
-    run_amg, run_gtc, run_hpccg, run_minighost, AmgParams, AmgSolver, AppContext, ExperimentScale,
-    GtcParams, HpccgParams, MiniGhostParams,
+    run_amg, run_gtc, run_hpccg, run_minighost, AmgParams, AmgSolver, AppContext, AppRunReport,
+    ExperimentScale, GtcParams, HpccgParams, MiniGhostParams,
 };
-use ipr_core::IntraConfig;
+use ipr_core::{
+    split_ranges, ArgSpec, IntraConfig, IntraResult, SectionReport, TaskCost, TaskDef, VarId,
+    Workspace,
+};
 use replication::{ExecutionMode, FailureInjector, ProtocolPoint};
+use simcluster::SimTime;
 use simmpi::{run_cluster, ClusterConfig};
 
 fn modes(logical: usize) -> Vec<(ExecutionMode, usize)> {
@@ -300,6 +304,129 @@ fn gtc_physics_is_pinned_bit_for_bit() {
                     pinned[logical],
                     "mode {mode:?}, logical process {logical}: {params:?}"
                 );
+            }
+        }
+    }
+}
+
+const TASKS: usize = 8;
+const N: usize = 64;
+
+/// One section of eight tasks of uneven cost (so that summed times round),
+/// each scaling its chunk of `x` in place and saving the old values in `w`.
+fn uneven_section(
+    ctx: &mut AppContext,
+    ws: &mut Workspace,
+    (x, w): (VarId, VarId),
+    index: usize,
+) -> IntraResult<SectionReport> {
+    let mut section = ctx.rt.section(ws);
+    for (t, chunk) in split_ranges(N, TASKS).into_iter().enumerate() {
+        let flops = 1e6 * (1 + index * TASKS + t) as f64 / 3.0;
+        let task = TaskDef::new(
+            "scale",
+            |c| {
+                for i in 0..c.outputs[0].len() {
+                    c.outputs[1][i] = c.outputs[0][i];
+                    c.outputs[0][i] *= 1.5;
+                }
+            },
+            vec![ArgSpec::inout(x, chunk.clone()), ArgSpec::output(w, chunk)],
+        );
+        section.add_task(task.with_cost(TaskCost::new(flops, flops)))?;
+    }
+    section.end()
+}
+
+/// Runs `before` sections, starts the measurement, runs `measured` more,
+/// and returns what `finish` reports with the measured sections' reports.
+fn measured_region(
+    ctx: &mut AppContext,
+    before: usize,
+    measured: usize,
+) -> IntraResult<(AppRunReport, Vec<SectionReport>)> {
+    let mut ws = Workspace::new();
+    let x = ws.add("x", (0..N).map(|i| i as f64).collect());
+    let w = ws.add_zeros("w", N);
+    for index in 0..before {
+        let _ = uneven_section(ctx, &mut ws, (x, w), index)?;
+    }
+    ctx.start_measurement();
+    let reports = (before..before + measured)
+        .map(|index| uneven_section(ctx, &mut ws, (x, w), index))
+        .collect::<IntraResult<Vec<_>>>()?;
+    Ok((ctx.finish(measured, 0.0), reports))
+}
+
+/// `finish` reports the measured region only: after `start_measurement`,
+/// its section totals are the field-wise sums of the reports the measured
+/// sections returned, times to the bit (summed from zero in section
+/// order), whether work is shared or not and whether a replica crashes
+/// inside the region.
+#[test]
+fn finish_sums_exactly_the_sections_after_start_measurement() {
+    const BEFORE: usize = 2;
+    const MEASURED: usize = 3;
+    let intra2 = ExecutionMode::IntraParallel { degree: 2 };
+    // Static block scheduling gives replica 1 tasks 4..8; it dies in the
+    // second measured section after shipping the first of task 4's two
+    // outputs.
+    let crash = ProtocolPoint::MidUpdateSend {
+        section: BEFORE + 1,
+        task: 4,
+        vars_sent: 1,
+    };
+    for (label, mode, crash) in [
+        ("native", ExecutionMode::Native, None),
+        ("intra2", intra2, None),
+        ("intra2, replica 1 crashes", intra2, Some(crash)),
+    ] {
+        let report = run_cluster(&ClusterConfig::new(mode.degree()), move |proc| {
+            let injector = FailureInjector::none();
+            if let Some(point) = crash {
+                injector.arm(1, point);
+            }
+            let mut ctx = AppContext::new(proc, mode, IntraConfig::paper(), injector)?;
+            measured_region(&mut ctx, BEFORE, MEASURED)
+        });
+        for (rank, result) in report.unwrap_results().into_iter().enumerate() {
+            let (finished, sections) = match result {
+                Ok(out) => out,
+                Err(e) => {
+                    assert!(crash.is_some() && rank == 1, "{label}: rank {rank}: {e}");
+                    continue;
+                }
+            };
+            let time = |f: fn(&SectionReport) -> SimTime| {
+                let sum = sections.iter().map(f).fold(SimTime::ZERO, |a, t| a + t);
+                sum.as_secs().to_bits()
+            };
+            let count = |f: fn(&SectionReport) -> usize| sections.iter().map(f).sum::<usize>();
+            let totals = (
+                finished.sections,
+                finished.section_time.as_secs().to_bits(),
+                finished.update_drain_time.as_secs().to_bits(),
+                finished.tasks_executed,
+                finished.tasks_received,
+                finished.tasks_reexecuted,
+                finished.replica_failures_observed,
+                finished.update_bytes_sent,
+            );
+            let sums = (
+                MEASURED,
+                time(SectionReport::total_time),
+                time(SectionReport::update_drain_time),
+                count(|s| s.tasks_executed_locally),
+                count(|s| s.tasks_received),
+                count(|s| s.tasks_reexecuted),
+                count(|s| s.replica_failures_observed),
+                count(|s| s.update_bytes_sent),
+            );
+            assert_eq!(totals, sums, "{label}: rank {rank}");
+            assert!(finished.section_time > SimTime::ZERO, "{label}");
+            if crash.is_some() {
+                assert!(finished.tasks_reexecuted > 0, "{label}");
+                assert!(finished.replica_failures_observed > 0, "{label}");
             }
         }
     }
