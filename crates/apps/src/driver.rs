@@ -9,9 +9,7 @@
 
 use crate::report::AppRunReport;
 use ckpt::{CkptSession, CkptStats};
-use ipr_core::{
-    IntraConfig, IntraError, IntraResult, IntraRuntime, SectionsView, TaskCost, VarId, Workspace,
-};
+use ipr_core::{IntraConfig, IntraError, IntraResult, IntraRuntime, TaskCost, VarId, Workspace};
 use kernels::KernelCost;
 use replication::{ExecutionMode, FailureInjector, ProtocolPoint, ReplicatedEnv};
 use simcluster::SimTime;
@@ -39,9 +37,6 @@ pub struct AppContext {
     pub rt: IntraRuntime,
     /// Virtual time at which the measured region started.
     start: SimTime,
-    /// Section count / drain time already consumed by previous measured
-    /// regions (so a context can be reused).
-    sections_at_start: usize,
     /// The coordinated checkpoint/restart session, when the experiment has
     /// a checkpoint plan.  Every rank holds its own copy built from the
     /// same inputs, advanced with allreduce-synchronized timestamps, so
@@ -66,7 +61,6 @@ impl AppContext {
             env,
             rt,
             start,
-            sections_at_start: 0,
             ckpt: None,
         })
     }
@@ -143,10 +137,11 @@ impl AppContext {
         Ok(Some(session.stats()))
     }
 
-    /// Marks the beginning of the measured region (e.g. after problem setup).
+    /// Marks the beginning of the measured region (e.g. after problem
+    /// setup): restarts the clock mark and the runtime's section totals.
     pub fn start_measurement(&mut self) {
         self.start = self.env.now();
-        self.sections_at_start = self.rt.report().num_sections();
+        self.rt.take_totals();
     }
 
     /// Executes a kernel redundantly on every replica (no work sharing),
@@ -167,22 +162,12 @@ impl AppContext {
     /// carries measurements only — the configuration axes (app name, mode,
     /// scheduler) are known to the caller that configured the run.
     pub fn finish(&self, iterations: usize, verification: f64) -> AppRunReport {
-        let total_time = self.env.now().saturating_sub(self.start);
-        let report = self.rt.report();
-        let measured = SectionsView::new(&report.sections()[self.sections_at_start..]);
         AppRunReport {
             logical_rank: self.env.logical_rank(),
             replica_id: self.env.replica_id(),
             iterations,
-            total_time,
-            section_time: measured.total_section_time(),
-            update_drain_time: measured.total_update_drain_time(),
-            sections: measured.num_sections(),
-            tasks_executed: measured.total_tasks_executed(),
-            tasks_received: measured.total_tasks_received(),
-            tasks_reexecuted: measured.total_tasks_reexecuted(),
-            replica_failures_observed: measured.total_replica_failures_observed(),
-            update_bytes_sent: measured.total_update_bytes_sent(),
+            total_time: self.env.now().saturating_sub(self.start),
+            sections: self.rt.totals(),
             verification,
         }
     }

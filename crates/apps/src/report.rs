@@ -1,5 +1,6 @@
 //! Per-process application run reports.
 
+use ipr_core::SectionTotals;
 use simcluster::SimTime;
 
 /// Summary of one application run on one physical process, in virtual time.
@@ -24,24 +25,10 @@ pub struct AppRunReport {
     pub iterations: usize,
     /// Virtual time spent in the measured region of the application.
     pub total_time: SimTime,
-    /// Virtual time spent inside intra-parallel sections (the "sections"
-    /// part of the Figure 6 breakdown).
-    pub section_time: SimTime,
-    /// Virtual time spent draining update transfers after local task
-    /// execution (subset of `section_time`; the dashed area of Figure 5a).
-    pub update_drain_time: SimTime,
-    /// Number of sections executed.
-    pub sections: usize,
-    /// Number of tasks executed locally.
-    pub tasks_executed: usize,
-    /// Number of tasks whose result was received from a peer replica.
-    pub tasks_received: usize,
-    /// Number of tasks re-executed locally because their owner crashed.
-    pub tasks_reexecuted: usize,
-    /// Replica failures of this logical process observed inside sections.
-    pub replica_failures_observed: usize,
-    /// Modeled bytes of replica updates sent.
-    pub update_bytes_sent: usize,
+    /// Totals of the sections of the measured region: their time (the
+    /// "sections" part of the Figure 6 breakdown), update drain and task
+    /// counts.
+    pub sections: SectionTotals,
     /// Application-specific verification value (residual norm, conserved
     /// charge, …) used by tests to check numerical correctness.
     pub verification: f64,
@@ -53,7 +40,7 @@ impl AppRunReport {
         if self.total_time.is_zero() {
             0.0
         } else {
-            self.section_time / self.total_time
+            self.sections.section_time / self.total_time
         }
     }
 }
@@ -69,14 +56,11 @@ mod tests {
             replica_id: 0,
             iterations: 10,
             total_time: SimTime::from_secs(10.0),
-            section_time: SimTime::from_secs(6.0),
-            update_drain_time: SimTime::from_secs(1.0),
-            sections: 30,
-            tasks_executed: 120,
-            tasks_received: 60,
-            tasks_reexecuted: 0,
-            replica_failures_observed: 0,
-            update_bytes_sent: 1000,
+            sections: SectionTotals {
+                count: 30,
+                section_time: SimTime::from_secs(6.0),
+                ..SectionTotals::default()
+            },
             verification: 0.0,
         };
         assert!((r.section_fraction() - 0.6).abs() < 1e-12);
@@ -89,14 +73,7 @@ mod tests {
             replica_id: 0,
             iterations: 0,
             total_time: SimTime::ZERO,
-            section_time: SimTime::ZERO,
-            update_drain_time: SimTime::ZERO,
-            sections: 0,
-            tasks_executed: 0,
-            tasks_received: 0,
-            tasks_reexecuted: 0,
-            replica_failures_observed: 0,
-            update_bytes_sent: 0,
+            sections: SectionTotals::default(),
             verification: 0.0,
         };
         assert_eq!(r.section_fraction(), 0.0);

@@ -43,7 +43,7 @@ fn hpccg_converges_in_all_modes() {
             // caller's configuration); intra mode shares section work, so
             // it must have executed sections.
             if matches!(mode, ExecutionMode::IntraParallel { .. }) {
-                assert!(out.report.sections > 0, "mode {mode:?}: no sections");
+                assert!(out.report.sections.count > 0, "mode {mode:?}: no sections");
             }
         }
     }
@@ -86,11 +86,12 @@ fn hpccg_intra_shares_sections_between_replicas() {
         run_hpccg(&mut ctx, &params).unwrap().report
     });
     for r in report.unwrap_results() {
-        assert!(r.sections > 0);
+        let r = r.sections;
+        assert!(r.count > 0);
         assert!(r.update_bytes_sent > 0, "intra mode must ship updates");
         // ddot + sparsemv sections: each replica executes about half of the
         // tasks of every section.
-        assert!(r.tasks_executed < r.sections * 8);
+        assert!(r.tasks_executed < r.count * 8);
     }
 }
 
@@ -205,14 +206,7 @@ fn gtc_replicas_agree_and_ship_inout_snapshots() {
         .unwrap();
         let params = GtcParams::small(2000, 4);
         let out = run_gtc(&mut ctx, &params).unwrap();
-        let snapshot_bytes: usize = ctx
-            .rt
-            .report()
-            .sections()
-            .iter()
-            .map(|s| s.inout_snapshot_bytes)
-            .sum();
-        (out.kinetic, snapshot_bytes)
+        (out.kinetic, out.report.sections.inout_snapshot_bytes)
     });
     let results = report.unwrap_results();
     assert_eq!(results[0].0.to_bits(), results[1].0.to_bits());
@@ -403,14 +397,14 @@ fn finish_sums_exactly_the_sections_after_start_measurement() {
             };
             let count = |f: fn(&SectionReport) -> usize| sections.iter().map(f).sum::<usize>();
             let totals = (
-                finished.sections,
-                finished.section_time.as_secs().to_bits(),
-                finished.update_drain_time.as_secs().to_bits(),
-                finished.tasks_executed,
-                finished.tasks_received,
-                finished.tasks_reexecuted,
-                finished.replica_failures_observed,
-                finished.update_bytes_sent,
+                finished.sections.count,
+                finished.sections.section_time.as_secs().to_bits(),
+                finished.sections.update_drain_time.as_secs().to_bits(),
+                finished.sections.tasks_executed,
+                finished.sections.tasks_received,
+                finished.sections.tasks_reexecuted,
+                finished.sections.replica_failures_observed,
+                finished.sections.update_bytes_sent,
             );
             let sums = (
                 MEASURED,
@@ -423,10 +417,10 @@ fn finish_sums_exactly_the_sections_after_start_measurement() {
                 count(|s| s.update_bytes_sent),
             );
             assert_eq!(totals, sums, "{label}: rank {rank}");
-            assert!(finished.section_time > SimTime::ZERO, "{label}");
+            assert!(finished.sections.section_time > SimTime::ZERO, "{label}");
             if crash.is_some() {
-                assert!(finished.tasks_reexecuted > 0, "{label}");
-                assert!(finished.replica_failures_observed > 0, "{label}");
+                assert!(finished.sections.tasks_reexecuted > 0, "{label}");
+                assert!(finished.sections.replica_failures_observed > 0, "{label}");
             }
         }
     }

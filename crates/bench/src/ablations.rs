@@ -80,7 +80,7 @@ pub fn granularity(scale: ExperimentScale, task_counts: &[usize]) -> Vec<Granula
                 for _ in 0..reps {
                     sparsemv.spmv(ctx, &mut ws, &matrix, x, w)?;
                 }
-                Ok(ctx.rt.report().view().total_section_time().as_secs() / reps as f64)
+                Ok(ctx.rt.totals().section_time.as_secs() / reps as f64)
             })
             .expect("ablation experiments execute");
         let results = run.unwrap_results();
@@ -180,7 +180,7 @@ pub fn scheduler(scale: ExperimentScale) -> Vec<SchedulerRow> {
                     }
                     let _ = section.end()?;
                 }
-                Ok(ctx.rt.report().view().total_section_time().as_secs() / reps as f64)
+                Ok(ctx.rt.totals().section_time.as_secs() / reps as f64)
             })
             .expect("ablation experiments execute");
         let results = run.unwrap_results();
@@ -252,6 +252,7 @@ pub fn adaptive(scale: ExperimentScale) -> Vec<AdaptiveRow> {
                 let mut ws = Workspace::new();
                 let tasks = adaptive_task_set();
                 let out = ws.add_zeros("out", tasks.len());
+                let mut times = Vec::with_capacity(iters);
                 for _ in 0..iters {
                     let mut section = ctx.rt.section(&mut ws);
                     for (t, (task_name, flops, mem)) in tasks.iter().enumerate() {
@@ -264,15 +265,9 @@ pub fn adaptive(scale: ExperimentScale) -> Vec<AdaptiveRow> {
                             .with_cost(TaskCost::new(*flops, *mem)),
                         )?;
                     }
-                    let _ = section.end()?;
+                    times.push(section.end()?.total_time().as_secs());
                 }
-                Ok(ctx
-                    .rt
-                    .report()
-                    .sections()
-                    .iter()
-                    .map(|s| s.total_time().as_secs())
-                    .collect::<Vec<f64>>())
+                Ok(times)
             })
             .expect("ablation experiments execute");
         let per_proc = run.unwrap_results();

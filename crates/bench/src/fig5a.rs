@@ -122,11 +122,11 @@ fn kernel_time(
                     Kernel::Sparsemv => spec.spmv(ctx, &mut ws, &matrix, x, w)?,
                 }
             }
-            let sections = ctx.rt.report().view();
+            let sections = ctx.rt.totals();
             let rep_count = reps.max(1) as f64;
             Ok((
-                sections.total_section_time().as_secs() / rep_count,
-                sections.total_update_drain_time().as_secs() / rep_count,
+                sections.section_time.as_secs() / rep_count,
+                sections.update_drain_time.as_secs() / rep_count,
             ))
         })
         .expect("figure experiments execute");

@@ -75,7 +75,7 @@ pub mod workspace;
 pub use api::{IntraSession, TaskHandle};
 pub use cost::{CostEstimate, CostModel};
 pub use error::{IntraError, IntraResult};
-pub use report::{RuntimeReport, SectionReport, SectionsView, TaskCostSample};
+pub use report::{SectionReport, SectionTotals, TaskCostSample};
 pub use runtime::{IntraConfig, IntraRuntime};
 pub use sched::{assignment_makespan, SchedulerKind};
 pub use section::{split_ranges, Section, MAX_ARGS_PER_TASK, MAX_TASKS_PER_SECTION};
@@ -87,7 +87,7 @@ pub mod prelude {
     pub use crate::api::{IntraSession, TaskHandle};
     pub use crate::cost::{CostEstimate, CostModel};
     pub use crate::error::{IntraError, IntraResult};
-    pub use crate::report::{RuntimeReport, SectionReport, SectionsView, TaskCostSample};
+    pub use crate::report::{SectionReport, SectionTotals, TaskCostSample};
     pub use crate::runtime::{IntraConfig, IntraRuntime};
     pub use crate::sched::SchedulerKind;
     pub use crate::section::{split_ranges, Section};

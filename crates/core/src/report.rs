@@ -92,103 +92,52 @@ impl SectionReport {
     }
 }
 
-/// Aggregated view over any slice of [`SectionReport`]s: the one place the
-/// per-section metrics are summed.  [`RuntimeReport`] is a thin owner over
-/// this view, and consumers that aggregate a *sub-range* of sections (the
-/// app driver sums only the measured region) borrow the same arithmetic
-/// instead of duplicating it.
-#[derive(Debug, Clone, Copy)]
-pub struct SectionsView<'a> {
-    sections: &'a [SectionReport],
+/// What the sections of a run add up to: the additive quantities of
+/// [`SectionReport`], summed as each section ends.  The one place a
+/// section's metrics are totalled: [`crate::runtime::IntraRuntime`] keeps
+/// one, the app driver copies it into its per-process report, and the
+/// campaign sums those over ranks.
+///
+/// Times are summed from zero in section order, so a total is bit-identical
+/// to folding the sections' own times; a region's totals are taken by
+/// zeroing them at its start ([`crate::runtime::IntraRuntime::take_totals`]),
+/// never by subtracting two totals.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct SectionTotals {
+    /// Number of sections.
+    pub count: usize,
+    /// Virtual time spent inside the sections.
+    pub section_time: SimTime,
+    /// Virtual time spent draining update transfers after the local work
+    /// (part of `section_time`; the dashed area of Figure 5a).
+    pub update_drain_time: SimTime,
+    /// Tasks executed locally, re-executions included.
+    pub tasks_executed: usize,
+    /// Tasks whose result was received from a peer replica.
+    pub tasks_received: usize,
+    /// Tasks re-executed because their owner crashed.
+    pub tasks_reexecuted: usize,
+    /// Peer replica failures observed (a crash spanning several sections
+    /// counts once per section that observed it).
+    pub replica_failures_observed: usize,
+    /// Modeled bytes of update data sent to other replicas.
+    pub update_bytes_sent: usize,
+    /// Modeled bytes snapshotted for `inout` arguments.
+    pub inout_snapshot_bytes: usize,
 }
 
-impl<'a> SectionsView<'a> {
-    /// Wraps a slice of section reports.
-    pub fn new(sections: &'a [SectionReport]) -> Self {
-        SectionsView { sections }
-    }
-
-    /// The underlying sections.
-    pub fn sections(&self) -> &'a [SectionReport] {
-        self.sections
-    }
-
-    /// Number of sections in the view.
-    pub fn num_sections(&self) -> usize {
-        self.sections.len()
-    }
-
-    /// Total virtual time spent inside sections.
-    pub fn total_section_time(&self) -> SimTime {
-        self.sections.iter().map(SectionReport::total_time).sum()
-    }
-
-    /// Total virtual time spent draining update transfers.
-    pub fn total_update_drain_time(&self) -> SimTime {
-        self.sections
-            .iter()
-            .map(SectionReport::update_drain_time)
-            .sum()
-    }
-
-    /// Total modeled update bytes sent.
-    pub fn total_update_bytes_sent(&self) -> usize {
-        self.sections.iter().map(|s| s.update_bytes_sent).sum()
-    }
-
-    /// Total tasks executed locally across all sections.
-    pub fn total_tasks_executed(&self) -> usize {
-        self.sections.iter().map(|s| s.tasks_executed_locally).sum()
-    }
-
-    /// Total tasks re-executed after failures.
-    pub fn total_tasks_reexecuted(&self) -> usize {
-        self.sections.iter().map(|s| s.tasks_reexecuted).sum()
-    }
-
-    /// Total tasks whose result was received from a peer replica.
-    pub fn total_tasks_received(&self) -> usize {
-        self.sections.iter().map(|s| s.tasks_received).sum()
-    }
-
-    /// Total replica failures of this logical process observed inside
-    /// sections (a crash spanning several sections counts once per section
-    /// that observed it).
-    pub fn total_replica_failures_observed(&self) -> usize {
-        self.sections
-            .iter()
-            .map(|s| s.replica_failures_observed)
-            .sum()
-    }
-}
-
-/// Accumulated metrics over every section executed by one
-/// [`crate::runtime::IntraRuntime`] — a thin owner over [`SectionsView`],
-/// which holds the aggregation arithmetic.
-#[derive(Debug, Clone, Default)]
-pub struct RuntimeReport {
-    sections: Vec<SectionReport>,
-}
-
-impl RuntimeReport {
-    /// Records a section report.
-    pub fn push(&mut self, report: SectionReport) {
-        self.sections.push(report);
-    }
-
-    /// All recorded sections.
-    pub fn sections(&self) -> &[SectionReport] {
-        &self.sections
-    }
-
-    /// The aggregated view over every recorded section.
-    pub fn view(&self) -> SectionsView<'_> {
-        SectionsView::new(&self.sections)
-    }
-
-    /// Number of sections executed.
-    pub fn num_sections(&self) -> usize {
-        self.sections.len()
+impl SectionTotals {
+    /// Adds one finished section.
+    pub(crate) fn add(&mut self, section: &SectionReport) {
+        self.count += 1;
+        self.section_time += section.total_time();
+        self.update_drain_time += section.update_drain_time();
+        self.tasks_executed += section.tasks_executed_locally;
+        self.tasks_received += section.tasks_received;
+        self.tasks_reexecuted += section.tasks_reexecuted;
+        self.replica_failures_observed += section.replica_failures_observed;
+        self.update_bytes_sent += section.update_bytes_sent;
+        self.inout_snapshot_bytes += section.inout_snapshot_bytes;
     }
 }
 
@@ -240,37 +189,68 @@ mod tests {
     }
 
     #[test]
-    fn runtime_report_accumulates() {
-        let mut rr = RuntimeReport::default();
-        rr.push(report(0.0, 1.0, 2.0));
-        rr.push(report(2.0, 2.5, 4.0));
-        assert_eq!(rr.num_sections(), 2);
-        let view = rr.view();
-        assert_eq!(view.total_section_time().as_secs(), 4.0);
-        assert_eq!(view.total_update_drain_time().as_secs(), 2.5);
-        assert_eq!(view.total_update_bytes_sent(), 200);
-        assert_eq!(view.total_tasks_executed(), 8);
-        assert_eq!(view.total_tasks_reexecuted(), 0);
-        assert_eq!(view.total_tasks_received(), 8);
-        assert_eq!(view.total_replica_failures_observed(), 0);
-        assert_eq!(rr.sections().len(), 2);
+    fn totals_accumulate_every_additive_field() {
+        let mut totals = SectionTotals::default();
+        totals.add(&report(0.0, 1.0, 2.0));
+        totals.add(&report(2.0, 2.5, 4.0));
+        assert_eq!(
+            totals,
+            SectionTotals {
+                count: 2,
+                section_time: SimTime::from_secs(4.0),
+                update_drain_time: SimTime::from_secs(2.5),
+                tasks_executed: 8,
+                tasks_received: 8,
+                tasks_reexecuted: 0,
+                replica_failures_observed: 0,
+                update_bytes_sent: 200,
+                inout_snapshot_bytes: 0,
+            }
+        );
     }
 
     #[test]
-    fn sections_view_aggregates_sub_ranges() {
-        // The view is the shared aggregation arithmetic: summing a
-        // sub-range (what the app driver's measured region does) must agree
-        // with summing the parts.
-        let sections = vec![report(0.0, 1.0, 2.0), report(2.0, 2.5, 4.0)];
-        let all = SectionsView::new(&sections);
-        let tail = SectionsView::new(&sections[1..]);
-        assert_eq!(all.num_sections(), 2);
-        assert_eq!(tail.num_sections(), 1);
-        assert_eq!(tail.total_section_time().as_secs(), 2.0);
-        assert_eq!(tail.total_update_drain_time().as_secs(), 1.5);
+    fn totals_of_a_sub_range_add_up_bit_for_bit() {
+        // A measured region zeroes the totals at its start, so its totals
+        // are those of its own sections: the parts add up to the whole, and
+        // a summed time has the bits of the sections' times folded from
+        // zero in order.
+        let totals = |sections: &[SectionReport]| {
+            let mut totals = SectionTotals::default();
+            sections.iter().for_each(|s| totals.add(s));
+            totals
+        };
+        let sections = [report(0.0, 1.0, 2.0), report(2.0, 2.5, 4.0)];
+        let (all, head, tail) = (
+            totals(&sections),
+            totals(&sections[..1]),
+            totals(&sections[1..]),
+        );
+        assert_eq!((all.count, tail.count), (2, 1));
+        assert_eq!(tail.section_time.as_secs(), 2.0);
+        assert_eq!(tail.update_drain_time.as_secs(), 1.5);
         assert_eq!(
-            all.total_tasks_executed(),
-            SectionsView::new(&sections[..1]).total_tasks_executed() + tail.total_tasks_executed()
+            all.tasks_executed,
+            head.tasks_executed + tail.tasks_executed
+        );
+
+        let uneven = [
+            report(0.0, 0.1, 0.3),
+            report(0.3, 0.7, 1.1),
+            report(1.1, 1.2, 1.7),
+        ];
+        let summed = totals(&uneven);
+        let folded = |f: fn(&SectionReport) -> SimTime| {
+            let sum: SimTime = uneven.iter().map(f).sum();
+            sum.as_secs().to_bits()
+        };
+        assert_eq!(
+            summed.section_time.as_secs().to_bits(),
+            folded(SectionReport::total_time)
+        );
+        assert_eq!(
+            summed.update_drain_time.as_secs().to_bits(),
+            folded(SectionReport::update_drain_time)
         );
     }
 }

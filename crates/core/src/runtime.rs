@@ -1,7 +1,7 @@
 //! The intra-parallelization runtime owned by one physical process.
 
 use crate::cost::CostModel;
-use crate::report::RuntimeReport;
+use crate::report::{SectionReport, SectionTotals};
 use crate::sched::SchedulerKind;
 use crate::section::Section;
 use crate::task::TaskCtx;
@@ -79,12 +79,12 @@ impl IntraConfig {
 ///
 /// One `IntraRuntime` is created per physical process (replica).  It hands
 /// out [`Section`]s, executes the work-sharing protocol when a section ends,
-/// and accumulates per-section metrics.
+/// and totals the sections' metrics.
 pub struct IntraRuntime {
     env: ReplicatedEnv,
     config: IntraConfig,
     section_count: usize,
-    report: RuntimeReport,
+    totals: SectionTotals,
     cost_model: CostModel,
     /// The one task context of this process: every section borrows it and
     /// refills its buffers for each task it executes.
@@ -98,7 +98,7 @@ impl IntraRuntime {
             env,
             config,
             section_count: 0,
-            report: RuntimeReport::default(),
+            totals: SectionTotals::default(),
             cost_model: CostModel::default(),
             task_ctx: TaskCtx::default(),
         }
@@ -120,14 +120,21 @@ impl IntraRuntime {
         Section::new(self, workspace)
     }
 
-    /// Number of sections executed so far.
+    /// Number of sections executed so far, failed ones included.
     pub fn sections_executed(&self) -> usize {
         self.section_count
     }
 
-    /// Accumulated per-section metrics.
-    pub fn report(&self) -> &RuntimeReport {
-        &self.report
+    /// The totals of the sections that completed since the runtime was
+    /// built or the totals were last taken.
+    pub fn totals(&self) -> SectionTotals {
+        self.totals
+    }
+
+    /// Returns the totals and restarts them from zero (the start of a
+    /// measured region).
+    pub fn take_totals(&mut self) -> SectionTotals {
+        std::mem::take(&mut self.totals)
     }
 
     /// The measured-cost history learned from the sections executed so far.
@@ -153,7 +160,7 @@ impl IntraRuntime {
         self.task_ctx = ctx;
     }
 
-    pub(crate) fn record(&mut self, report: &crate::report::SectionReport) {
+    pub(crate) fn record(&mut self, report: &SectionReport) {
         // Fold the section's per-task costs into the EMA history, in task
         // order (the order is part of the replica-determinism contract —
         // including the first-sighting order of interned names).
@@ -161,9 +168,7 @@ impl IntraRuntime {
             self.cost_model
                 .observe(sample.name, sample.occurrence, sample.observed_seconds);
         }
-        // The one per-section copy: `Section::end` returns the report by
-        // value and `IntraRuntime::report` keeps every section's.
-        self.report.push(report.clone());
+        self.totals.add(report);
     }
 }
 

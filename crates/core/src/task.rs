@@ -282,7 +282,7 @@ impl TaskDef {
 
     /// Total number of bytes of `out`/`inout` data this task ships to the
     /// other replicas.
-    pub fn update_bytes(&self) -> usize {
+    fn update_bytes(&self) -> usize {
         self.args
             .iter()
             .filter(|a| a.tag.is_output())

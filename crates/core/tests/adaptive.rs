@@ -57,6 +57,7 @@ fn run_hetero(
         let mut ws = Workspace::new();
         let tasks = hetero_tasks();
         let out = ws.add_zeros("out", tasks.len());
+        let mut times = Vec::with_capacity(reps);
         for _ in 0..reps {
             let mut section = rt.section(&mut ws);
             for (t, (name, flops, mem)) in tasks.iter().enumerate() {
@@ -71,16 +72,11 @@ fn run_hetero(
                     )
                     .unwrap();
             }
-            if let Err(e) = section.end() {
-                return Err(format!("{e}"));
+            match section.end() {
+                Ok(report) => times.push(report.total_time().as_secs()),
+                Err(e) => return Err(format!("{e}")),
             }
         }
-        let times: Vec<f64> = rt
-            .report()
-            .sections()
-            .iter()
-            .map(|s| s.total_time().as_secs())
-            .collect();
         let learned: Vec<(String, f64)> = tasks
             .iter()
             .map(|(name, _, _)| {
@@ -264,6 +260,7 @@ fn same_named_chunks_learn_independent_histories() {
         let mut rt = IntraRuntime::new(env, intra);
         let mut ws = Workspace::new();
         let out = ws.add_zeros("out", chunks2.len());
+        let mut times = Vec::with_capacity(reps);
         for _ in 0..reps {
             let mut section = rt.section(&mut ws);
             for (t, (flops, mem)) in chunks2.iter().enumerate() {
@@ -278,14 +275,8 @@ fn same_named_chunks_learn_independent_histories() {
                     )
                     .unwrap();
             }
-            let _ = section.end().unwrap();
+            times.push(section.end().unwrap().total_time().as_secs());
         }
-        let times: Vec<f64> = rt
-            .report()
-            .sections()
-            .iter()
-            .map(|s| s.total_time().as_secs())
-            .collect();
         let keys: Vec<Option<f64>> = (0..chunks2.len())
             .map(|k| rt.cost_model().predict("chunk", k as u32))
             .collect();

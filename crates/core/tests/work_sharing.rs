@@ -208,11 +208,7 @@ fn multiple_sections_reuse_the_runtime() {
             let w_now = ws.get(w).to_vec();
             ws.get_mut(x).copy_from_slice(&w_now);
         }
-        (
-            ws.get(x)[0],
-            rt.sections_executed(),
-            rt.report().num_sections(),
-        )
+        (ws.get(x)[0], rt.sections_executed(), rt.totals().count)
     });
     for (value, sections, recorded) in report.unwrap_results() {
         // x = 1 * 1 * 2 * 3 * 4 * 5 = 120

@@ -113,11 +113,6 @@ impl ReplicatedComm {
         &self.world
     }
 
-    /// The rank mapping in effect.
-    pub fn mapping(&self) -> &ReplicaMapping {
-        &self.mapping
-    }
-
     /// Communicator over the logical ranks of this process's replica set.
     pub fn logical_comm(&self) -> &Comm {
         &self.logical_comm

@@ -17,7 +17,6 @@ pub type NodeId = usize;
 pub struct Topology {
     /// The node of each rank, 4 bytes a rank: a million-rank run keeps one.
     placement: Vec<u32>,
-    cores_per_node: usize,
 }
 
 /// A node id in the width [`Topology`] stores.
@@ -31,10 +30,7 @@ impl Topology {
     pub fn block(num_procs: usize, cores_per_node: usize) -> Self {
         assert!(cores_per_node > 0, "cores_per_node must be positive");
         let placement = (0..num_procs).map(|r| stored(r / cores_per_node)).collect();
-        Topology {
-            placement,
-            cores_per_node,
-        }
+        Topology { placement }
     }
 
     /// Replica-aware placement used by the replication experiments: the
@@ -61,17 +57,13 @@ impl Topology {
                 placement.push(stored(node));
             }
         }
-        Topology {
-            placement,
-            cores_per_node,
-        }
+        Topology { placement }
     }
 
     /// Places every rank on its own node (no shared-memory neighbours).
     pub fn one_per_node(num_procs: usize) -> Self {
         Topology {
             placement: (0..num_procs).map(stored).collect(),
-            cores_per_node: 1,
         }
     }
 
@@ -79,7 +71,6 @@ impl Topology {
     pub fn single_node(num_procs: usize) -> Self {
         Topology {
             placement: vec![0; num_procs],
-            cores_per_node: num_procs.max(1),
         }
     }
 
@@ -95,11 +86,6 @@ impl Topology {
             .copied()
             .max()
             .map_or(0, |m| m as NodeId + 1)
-    }
-
-    /// Number of cores assumed per node.
-    pub fn cores_per_node(&self) -> usize {
-        self.cores_per_node
     }
 
     /// Node hosting physical rank `rank`.

@@ -37,6 +37,8 @@ fn run(scheduler: SchedulerKind, iterations: usize) -> Vec<f64> {
             let mut ws = Workspace::new();
             let set = tasks();
             let out = ws.add_zeros("out", set.len());
+            // Per-iteration section times, then what the cost model learned.
+            let mut times = Vec::with_capacity(iterations);
             for _ in 0..iterations {
                 let mut section = ctx.rt.section(&mut ws);
                 for (t, (name, flops, mem)) in set.iter().enumerate() {
@@ -49,16 +51,8 @@ fn run(scheduler: SchedulerKind, iterations: usize) -> Vec<f64> {
                         .with_cost(TaskCost::new(*flops, *mem)),
                     )?;
                 }
-                let _ = section.end()?;
+                times.push(section.end()?.total_time().as_secs());
             }
-            // Per-iteration section times plus what the cost model learned.
-            let times: Vec<f64> = ctx
-                .rt
-                .report()
-                .sections()
-                .iter()
-                .map(|s| s.total_time().as_secs())
-                .collect();
             if ctx.env.replica_id() == 0 {
                 println!("  learned costs (replica 0 of '{scheduler}'):");
                 for (name, _, _) in &set {

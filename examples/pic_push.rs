@@ -44,7 +44,7 @@ fn main() {
                 println!(
                     "physical rank {rank}: charge = {:.1} (expected {particles_per_rank}), \
                      kinetic diagnostic = {:.3}, sections = {}",
-                    out.total_charge, out.kinetic, out.report.sections
+                    out.total_charge, out.kinetic, out.report.sections.count
                 );
                 assert!(
                     (out.total_charge - particles_per_rank as f64).abs() < 1e-6,

@@ -22,7 +22,7 @@
 use std::borrow::Borrow;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::ops::{Deref, RangeBounds};
+use std::ops::Deref;
 use std::sync::Arc;
 
 /// A cheaply-clonable immutable contiguous slice of memory.
@@ -53,7 +53,7 @@ enum Repr {
 impl Bytes {
     /// Largest payload the inline representation holds.  Constructing a
     /// `Bytes` of at most this many bytes via [`Bytes::copy_from_slice`]
-    /// (or slicing one) allocates nothing.
+    /// allocates nothing.
     pub const INLINE_CAP: usize = 64;
 
     /// Creates an empty `Bytes` (no allocation).
@@ -64,11 +64,6 @@ impl Bytes {
                 buf: InlineBuf([0; Self::INLINE_CAP]),
             },
         }
-    }
-
-    /// Creates `Bytes` from a static slice (copied; semantics are identical).
-    pub fn from_static(bytes: &'static [u8]) -> Self {
-        Self::copy_from_slice(bytes)
     }
 
     /// Creates `Bytes` by copying `data`; inline (allocation-free) when the
@@ -137,40 +132,6 @@ impl Bytes {
     /// Whether the buffer is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Returns a zero-copy sub-slice: inline payloads are re-inlined (a
-    /// bounded memcpy, no allocation), shared payloads share the backing
-    /// allocation.
-    pub fn slice(&self, range: impl RangeBounds<usize>) -> Self {
-        use std::ops::Bound;
-        let len = self.len();
-        let start = match range.start_bound() {
-            Bound::Included(&n) => n,
-            Bound::Excluded(&n) => n + 1,
-            Bound::Unbounded => 0,
-        };
-        let end = match range.end_bound() {
-            Bound::Included(&n) => n + 1,
-            Bound::Excluded(&n) => n,
-            Bound::Unbounded => len,
-        };
-        assert!(
-            start <= end && end <= len,
-            "slice {start}..{end} out of bounds of {len}"
-        );
-        match &self.repr {
-            Repr::Inline { buf, .. } => Self::copy_from_slice(&buf.0[start..end]),
-            Repr::Shared {
-                data, start: base, ..
-            } => Self {
-                repr: Repr::Shared {
-                    data: Arc::clone(data),
-                    start: base + start,
-                    end: base + end,
-                },
-            },
-        }
     }
 
     /// Copies the contents into a fresh `Vec<u8>`.
@@ -300,26 +261,11 @@ mod tests {
     }
 
     #[test]
-    fn slicing_is_zero_copy_and_correct() {
-        let b = Bytes::from(vec![0u8, 1, 2, 3, 4, 5]);
-        let s = b.slice(2..5);
-        assert_eq!(&s[..], &[2, 3, 4]);
-        let s2 = s.slice(1..);
-        assert_eq!(&s2[..], &[3, 4]);
-    }
-
-    #[test]
-    fn empty_and_from_static() {
-        assert!(Bytes::new().is_empty());
-        assert_eq!(&Bytes::from_static(b"xy")[..], b"xy");
-    }
-
-    #[test]
     fn equality_is_by_content_across_representations() {
         // An inline value and an equal-content shared view compare equal,
         // hash equal, and order consistently.
         let inline = Bytes::copy_from_slice(&[9u8, 8, 7]);
-        let shared = Bytes::from(vec![0u8, 9, 8, 7, 1]).slice(1..4);
+        let shared = Bytes::from(vec![9u8, 8, 7]);
         assert_eq!(inline, shared);
         assert_eq!(inline.cmp(&shared), std::cmp::Ordering::Equal);
         use std::collections::hash_map::DefaultHasher;
@@ -351,9 +297,6 @@ mod tests {
             });
             assert_eq!(b.len(), n);
             assert!(b.iter().enumerate().all(|(i, &x)| x == (i % 251) as u8));
-            // Slicing stays correct on either representation.
-            let s = b.slice(n / 3..n - n / 3);
-            assert_eq!(&s[..], &b[n / 3..n - n / 3]);
             let c = b.clone();
             assert_eq!(b, c);
         }
@@ -381,8 +324,7 @@ mod tests {
             let b = Bytes::copy_from_slice(&v);
             assert_eq!(b.len(), n);
             assert_eq!(b, v);
-            let s = b.slice(n / 4..n - n / 4);
-            assert_eq!(&s[..], &v[n / 4..n - n / 4]);
+            assert_eq!(b.is_empty(), n == 0);
         }
     }
 }

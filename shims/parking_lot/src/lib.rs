@@ -1,16 +1,16 @@
 //! In-tree shim for `parking_lot`.
 //!
 //! The build environment has no crates.io access, so this crate reproduces
-//! the subset of the parking_lot API the workspace uses — `Mutex`, `RwLock`
-//! and `Condvar` with *non-poisoning* lock methods returning guards directly
-//! — on top of `std::sync`.  Poisoned std locks are recovered transparently
+//! the subset of the parking_lot API the workspace uses — `Mutex` and
+//! `Condvar` with *non-poisoning* lock methods returning guards directly —
+//! on top of `std::sync`.  Poisoned std locks are recovered transparently
 //! (`PoisonError::into_inner`), matching parking_lot's behaviour of never
 //! poisoning.
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::PoisonError;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// A mutual-exclusion primitive; `lock()` returns the guard directly.
 pub struct Mutex<T: ?Sized> {
@@ -97,92 +97,6 @@ impl<'a, T: ?Sized> DerefMut for MutexGuard<'a, T> {
     }
 }
 
-/// A reader-writer lock; `read()`/`write()` return guards directly.
-pub struct RwLock<T: ?Sized> {
-    inner: std::sync::RwLock<T>,
-}
-
-/// Shared-access RAII guard for [`RwLock`].
-pub struct RwLockReadGuard<'a, T: ?Sized> {
-    inner: std::sync::RwLockReadGuard<'a, T>,
-}
-
-/// Exclusive-access RAII guard for [`RwLock`].
-pub struct RwLockWriteGuard<'a, T: ?Sized> {
-    inner: std::sync::RwLockWriteGuard<'a, T>,
-}
-
-impl<T> RwLock<T> {
-    /// Creates a new reader-writer lock protecting `value`.
-    pub const fn new(value: T) -> Self {
-        Self {
-            inner: std::sync::RwLock::new(value),
-        }
-    }
-
-    /// Consumes the lock, returning the protected value.
-    pub fn into_inner(self) -> T {
-        self.inner
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquires shared read access, blocking until available.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        RwLockReadGuard {
-            inner: self.inner.read().unwrap_or_else(PoisonError::into_inner),
-        }
-    }
-
-    /// Acquires exclusive write access, blocking until available.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        RwLockWriteGuard {
-            inner: self.inner.write().unwrap_or_else(PoisonError::into_inner),
-        }
-    }
-
-    /// Returns a mutable reference to the protected value (requires `&mut`).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-impl<T: Default> Default for RwLock<T> {
-    fn default() -> Self {
-        Self::new(T::default())
-    }
-}
-
-impl<T: ?Sized + fmt::Debug> fmt::Debug for RwLock<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("RwLock")
-            .field("data", &&*self.read())
-            .finish()
-    }
-}
-
-impl<'a, T: ?Sized> Deref for RwLockReadGuard<'a, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<'a, T: ?Sized> Deref for RwLockWriteGuard<'a, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<'a, T: ?Sized> DerefMut for RwLockWriteGuard<'a, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.inner
-    }
-}
-
 /// Result of a timed [`Condvar`] wait.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WaitTimeoutResult(bool);
@@ -233,32 +147,6 @@ impl Condvar {
         WaitTimeoutResult(result.timed_out())
     }
 
-    /// Blocks until notified or the `deadline` instant passes.
-    pub fn wait_until<T>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        deadline: Instant,
-    ) -> WaitTimeoutResult {
-        let timeout = deadline.saturating_duration_since(Instant::now());
-        self.wait_for(guard, timeout)
-    }
-
-    /// Blocks until `condition` returns false or `timeout` elapses.
-    pub fn wait_while_for<T, F: FnMut(&mut T) -> bool>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        mut condition: F,
-        timeout: Duration,
-    ) -> WaitTimeoutResult {
-        let deadline = Instant::now() + timeout;
-        while condition(&mut *guard) {
-            if self.wait_until(guard, deadline).timed_out() {
-                return WaitTimeoutResult(true);
-            }
-        }
-        WaitTimeoutResult(false)
-    }
-
     /// Wakes one waiting thread.
     pub fn notify_one(&self) {
         self.inner.notify_one();
@@ -288,18 +176,6 @@ mod tests {
         *m.lock() += 1;
         assert_eq!(*m.lock(), 42);
         assert_eq!(m.into_inner(), 42);
-    }
-
-    #[test]
-    fn rwlock_readers_and_writer() {
-        let l = RwLock::new(vec![1, 2, 3]);
-        {
-            let a = l.read();
-            let b = l.read();
-            assert_eq!(a.len() + b.len(), 6);
-        }
-        l.write().push(4);
-        assert_eq!(l.read().len(), 4);
     }
 
     #[test]

@@ -209,14 +209,11 @@ pub mod rngs {
             result
         }
     }
-
-    /// Alias: the workspace never needs a cryptographic generator.
-    pub type StdRng = SmallRng;
 }
 
 /// Prelude mirroring `rand::prelude`.
 pub mod prelude {
-    pub use crate::rngs::{SmallRng, StdRng};
+    pub use crate::rngs::SmallRng;
     pub use crate::{Rng, RngCore, SeedableRng};
 }
 

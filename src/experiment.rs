@@ -972,7 +972,7 @@ impl RunReport {
     pub fn mean_section_s(&self) -> f64 {
         let sum: f64 = self
             .completed_reports()
-            .map(|r| r.section_time.as_secs())
+            .map(|r| r.sections.section_time.as_secs())
             .sum();
         sum / self.completed().max(1) as f64
     }
@@ -981,7 +981,7 @@ impl RunReport {
     pub fn mean_update_drain_s(&self) -> f64 {
         let sum: f64 = self
             .completed_reports()
-            .map(|r| r.update_drain_time.as_secs())
+            .map(|r| r.sections.update_drain_time.as_secs())
             .sum();
         sum / self.completed().max(1) as f64
     }
@@ -997,30 +997,30 @@ impl RunReport {
 
     /// Total tasks executed locally, summed over completed ranks.
     pub fn tasks_executed(&self) -> usize {
-        self.completed_reports().map(|r| r.tasks_executed).sum()
+        self.completed_reports()
+            .map(|r| r.sections.tasks_executed)
+            .sum()
     }
 
     /// Total task results received from peer replicas.
     pub fn tasks_received(&self) -> usize {
-        self.completed_reports().map(|r| r.tasks_received).sum()
+        self.completed_reports()
+            .map(|r| r.sections.tasks_received)
+            .sum()
     }
 
     /// Total tasks re-executed because their owner crashed.
     pub fn tasks_reexecuted(&self) -> usize {
-        self.completed_reports().map(|r| r.tasks_reexecuted).sum()
-    }
-
-    /// Replica failures observed inside sections, summed over completed
-    /// ranks.
-    pub fn replica_failures_observed(&self) -> usize {
         self.completed_reports()
-            .map(|r| r.replica_failures_observed)
+            .map(|r| r.sections.tasks_reexecuted)
             .sum()
     }
 
     /// Total modeled update bytes sent between replicas.
     pub fn update_bytes_sent(&self) -> usize {
-        self.completed_reports().map(|r| r.update_bytes_sent).sum()
+        self.completed_reports()
+            .map(|r| r.sections.update_bytes_sent)
+            .sum()
     }
 
     /// Application verification value: the maximum absolute value over
