@@ -96,7 +96,7 @@ impl SectionReport {
 /// [`SectionReport`], summed as each section ends.  The one place a
 /// section's metrics are totalled: [`crate::runtime::IntraRuntime`] keeps
 /// one, the app driver copies it into its per-process report, and the
-/// campaign sums those over ranks.
+/// experiment facade's run report sums those over ranks.
 ///
 /// Times are summed from zero in section order, so a total is bit-identical
 /// to folding the sections' own times; a region's totals are taken by
