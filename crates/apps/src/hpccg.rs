@@ -24,38 +24,6 @@ use std::sync::Arc;
 const HALO_TAG_UP: Tag = 101;
 const HALO_TAG_DOWN: Tag = 102;
 
-/// Which kernels are executed inside intra-parallel sections.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct KernelSelection {
-    /// Intra-parallelize `waxpby` (the paper only does this in the
-    /// kernel-level study of Figure 5a, not in the full application).
-    pub waxpby: bool,
-    /// Intra-parallelize `ddot`.
-    pub ddot: bool,
-    /// Intra-parallelize `sparsemv`.
-    pub sparsemv: bool,
-}
-
-impl KernelSelection {
-    /// The paper's Figure 5b configuration: ddot and sparsemv only.
-    pub fn paper_application() -> Self {
-        KernelSelection {
-            waxpby: false,
-            ddot: true,
-            sparsemv: true,
-        }
-    }
-
-    /// All three kernels (used by the Figure 5a kernel study).
-    pub fn all() -> Self {
-        KernelSelection {
-            waxpby: true,
-            ddot: true,
-            sparsemv: true,
-        }
-    }
-}
-
 /// Parameters of an HPCCG run.
 #[derive(Debug, Clone, Copy)]
 pub struct HpccgParams {
@@ -73,8 +41,6 @@ pub struct HpccgParams {
     pub modeled_nz: usize,
     /// Number of CG iterations to run.
     pub max_iters: usize,
-    /// Which kernels run inside intra-parallel sections.
-    pub kernels: KernelSelection,
 }
 
 impl HpccgParams {
@@ -88,7 +54,6 @@ impl HpccgParams {
             modeled_ny: n,
             modeled_nz: n,
             max_iters: iters,
-            kernels: KernelSelection::paper_application(),
         }
     }
 
@@ -103,7 +68,6 @@ impl HpccgParams {
             modeled_ny: 128,
             modeled_nz: 128,
             max_iters: iters,
-            kernels: KernelSelection::paper_application(),
         }
     }
 
@@ -152,16 +116,19 @@ pub fn run_hpccg(ctx: &mut AppContext, params: &HpccgParams) -> IntraResult<Hpcc
     ));
     let ncols = matrix.ncols();
 
-    // The three kernels, costed at paper scale.
+    // The three kernels, costed at paper scale.  As in the paper's full
+    // application (Figure 5b), only `ddot` and `sparsemv` run in
+    // intra-parallel sections: intra-parallelizing `waxpby` does not pay,
+    // so only the kernel study of Figure 5a does it.
     let kernel = |name, intra| KernelSpec {
         name,
         intra,
         n,
         modeled_n: params.modeled_n(),
     };
-    let updates = kernel("waxpby", params.kernels.waxpby);
-    let dots = kernel("ddot", params.kernels.ddot);
-    let matvec = kernel("sparsemv", params.kernels.sparsemv);
+    let updates = kernel("waxpby", false);
+    let dots = kernel("ddot", true);
+    let matvec = kernel("sparsemv", true);
 
     // b = A * ones  => the exact solution of A x = b is the all-ones vector.
     let ones = vec![1.0; ncols];

@@ -34,7 +34,7 @@ pub use amg_proxy::{run_amg, AmgOutput, AmgParams, AmgSolver};
 pub use catalog::{run_app, AppId, AppWorkload};
 pub use driver::{task_cost, AppContext, ScaledWorkload};
 pub use gtc_proxy::{run_gtc, GtcOutput, GtcParams};
-pub use hpccg::{run_hpccg, HpccgOutput, HpccgParams, KernelSelection};
+pub use hpccg::{run_hpccg, HpccgOutput, HpccgParams};
 pub use minighost::{run_minighost, MiniGhostOutput, MiniGhostParams};
 pub use report::AppRunReport;
 pub use scale::ExperimentScale;

@@ -204,18 +204,8 @@ pub fn replica_fanout(degree: usize, messages: usize, payload_elems: usize) -> F
     )
 }
 
-/// A reduced suite for the structural unit test.
-pub fn smoke_suite() -> Vec<FabricBench> {
-    vec![
-        p2p_throughput(2_000, 64),
-        mailbox_depth(256, 2, 16),
-        replica_fanout(2, 200, 64),
-        replica_fanout(4, 100, 64),
-    ]
-}
-
 /// Structural invariant on a finished benchmark.  Wall-clock numbers are
-/// never asserted, so the unit test over [`smoke_suite`] holds on any host.
+/// never asserted, so the unit test over a reduced suite holds on any host.
 ///
 /// Copying benchmarks (plain send path) must have copied each logical
 /// payload at least once (serialization is real) but no more than O(degree)
@@ -273,6 +263,16 @@ pub fn check_copy_budget(b: &FabricBench) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A reduced suite for the structural unit test.
+    fn smoke_suite() -> Vec<FabricBench> {
+        vec![
+            p2p_throughput(2_000, 64),
+            mailbox_depth(256, 2, 16),
+            replica_fanout(2, 200, 64),
+            replica_fanout(4, 100, 64),
+        ]
+    }
 
     #[test]
     fn microbenchmarks_move_the_advertised_messages() {

@@ -15,7 +15,7 @@
 
 use crate::scale::ExperimentScale;
 use crate::MODES;
-use apps::{run_hpccg, AppId, HpccgParams, KernelSelection};
+use apps::{run_hpccg, AppId, HpccgParams};
 use intra_replication::Experiment;
 use ipr_core::SchedulerKind;
 use replication::ExecutionMode;
@@ -64,7 +64,6 @@ fn hpccg_time(
                 modeled_ny: 128,
                 modeled_nz: 128 * degree,
                 max_iters: iters,
-                kernels: KernelSelection::paper_application(),
             };
             let out = run_hpccg(ctx, &params)?;
             Ok(out.report.total_time.as_secs())

@@ -184,18 +184,6 @@ pub fn ddot_lanes_throughput(n: usize, iters: usize) -> KernelBench {
     )
 }
 
-/// A reduced suite for the structural unit test.
-pub fn smoke_suite() -> Vec<KernelBench> {
-    vec![
-        stencil27_throughput(12, 2),
-        stencil27_pool_throughput(12, 2),
-        spmv_throughput(8, 8, 8, 2),
-        waxpby_throughput(1 << 12, 4),
-        ddot_throughput(1 << 12, 4),
-        ddot_lanes_throughput(1 << 12, 4),
-    ]
-}
-
 /// Structural invariant on a finished kernel benchmark: the kernel did real
 /// work and produced a finite result.  Never a wall-clock assertion.
 pub fn check_kernel_result(b: &KernelBench) -> Result<(), String> {
@@ -214,6 +202,18 @@ pub fn check_kernel_result(b: &KernelBench) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A reduced suite for the structural unit test.
+    fn smoke_suite() -> Vec<KernelBench> {
+        vec![
+            stencil27_throughput(12, 2),
+            stencil27_pool_throughput(12, 2),
+            spmv_throughput(8, 8, 8, 2),
+            waxpby_throughput(1 << 12, 4),
+            ddot_throughput(1 << 12, 4),
+            ddot_lanes_throughput(1 << 12, 4),
+        ]
+    }
 
     #[test]
     fn kernel_microbenchmarks_do_real_work() {

@@ -79,11 +79,6 @@ impl ExecutorPool {
         self.workers.len()
     }
 
-    /// Jobs submitted and not yet finished.
-    pub fn pending(&self) -> usize {
-        self.shared.state.lock().pending
-    }
-
     /// Enqueues a job; callable from any thread, a running job included.
     pub fn submit(&self, job: impl FnOnce() + Send + 'static) {
         let mut state = self.shared.state.lock();
@@ -136,7 +131,7 @@ mod tests {
         }
         pool.drain();
         assert_eq!(counter.load(Ordering::SeqCst), 100);
-        assert_eq!(pool.pending(), 0);
+        assert_eq!(pool.shared.state.lock().pending, 0);
         pool.shutdown();
     }
 
@@ -248,7 +243,7 @@ mod tests {
                 });
             }
             pool.drain();
-            assert_eq!(pool.pending(), 0);
+            assert_eq!(pool.shared.state.lock().pending, 0);
             // 100 further jobs that only complete in pairs: every worker
             // must still be serving.
             let counter = Arc::new(AtomicUsize::new(0));

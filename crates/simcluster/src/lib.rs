@@ -4,9 +4,7 @@
 //! (`simmpi`): a description of the compute nodes and the interconnect (the
 //! paper's testbed is a 128-node cluster of 2.53 GHz 4-core Xeons linked by
 //! InfiniBand 20G), virtual clocks used to account for compute and
-//! communication time, the placement of physical processes on nodes, and a
-//! shared failure status board used by the replication layer to inject and
-//! detect crash-stop failures.
+//! communication time, and the placement of physical processes on nodes.
 //!
 //! Nothing in this crate spawns threads or moves messages; it only *models*
 //! time and topology.  The execution engine lives in `simmpi`.
@@ -27,7 +25,6 @@
 
 pub mod clock;
 pub mod engine;
-pub mod failure;
 pub mod model;
 pub mod rng;
 pub mod time;
@@ -35,7 +32,6 @@ pub mod topology;
 
 pub use clock::{Endpoint, VirtualClock};
 pub use engine::{Dispatch, TaskId, VirtualEngine};
-pub use failure::{FailureEvent, FailureStatusBoard, FailureWaker};
 pub use model::{ComputeModel, MachineModel, NetworkModel};
 pub use rng::seeded_rng;
 pub use time::SimTime;

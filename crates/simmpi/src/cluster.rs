@@ -5,17 +5,19 @@
 //! and the host scheduler runs them as it sees fit: a rank blocked in a
 //! receive sleeps on its mailbox's condvar and costs nothing until a
 //! matching delivery wakes it.  A run whose ranks have all parked or
-//! returned cannot make progress; the router notices the moment the last
-//! runner stops and ends every parked receive with `MpiError::Aborted`
-//! ([`crate::router`], § Liveness), so a stuck run returns at once and the
-//! same way every time.  That model serves the rank counts the
+//! returned cannot make progress: the run's router counts the rank threads
+//! that are neither parked in a receive nor returned, notices the moment
+//! the last runner stops and ends every parked receive with
+//! `MpiError::Aborted`, so a stuck run returns at once and the same way
+//! every time.  That model serves the rank counts the
 //! figures need (4–128); beyond that, use the event-driven engine
 //! ([`crate::engine`]), which drops the thread-per-rank model entirely.
 
+use crate::engine::{panic_message, placement, FailureEvent};
 use crate::error::ConfigError;
 use crate::proc::{ProcCore, ProcHandle};
 use crate::router::Router;
-use simcluster::{FailureEvent, FailureStatusBoard, MachineModel, SimTime, Topology};
+use simcluster::{MachineModel, SimTime, Topology};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -71,12 +73,6 @@ impl ClusterConfig {
         self.seed = seed;
         self
     }
-
-    fn resolved_topology(&self) -> Topology {
-        self.topology
-            .clone()
-            .unwrap_or_else(|| Topology::block(self.num_procs, self.machine.cores_per_node.max(1)))
-    }
 }
 
 /// Per-process summary collected after the run.
@@ -113,13 +109,10 @@ impl<R> ClusterReport<R> {
     /// that did *not* crash (crashed processes stop early by construction).
     ///
     /// When *every* process crashed there are no survivors to take the
-    /// maximum over; the makespan then falls back to [`max_time`] over the
-    /// crashed processes instead of reporting `SimTime::ZERO` — a total-loss
-    /// run must not look like an instantaneous perfect one in reports and
-    /// benches.  Use [`all_crashed`] to detect the case explicitly.
-    ///
-    /// [`max_time`]: ClusterReport::max_time
-    /// [`all_crashed`]: ClusterReport::all_crashed
+    /// maximum over; the makespan then falls back to the largest final time
+    /// over the crashed processes instead of reporting `SimTime::ZERO` — a
+    /// total-loss run must not look like an instantaneous perfect one in
+    /// reports and benches.
     pub fn makespan(&self) -> SimTime {
         self.procs
             .iter()
@@ -129,17 +122,8 @@ impl<R> ClusterReport<R> {
             .unwrap_or_else(|| self.max_time())
     }
 
-    /// True if every process crashed (total loss): there are processes, and
-    /// all of them were marked failed.  In this case [`makespan`] reports
-    /// the time the last process reached before dying.
-    ///
-    /// [`makespan`]: ClusterReport::makespan
-    pub fn all_crashed(&self) -> bool {
-        !self.procs.is_empty() && self.procs.iter().all(|p| p.failed)
-    }
-
     /// Largest final virtual time over all processes.
-    pub fn max_time(&self) -> SimTime {
+    fn max_time(&self) -> SimTime {
         self.procs
             .iter()
             .map(|p| p.final_time)
@@ -163,16 +147,6 @@ impl<R> ClusterReport<R> {
     /// True if at least one process panicked.
     pub fn any_panicked(&self) -> bool {
         self.results.iter().any(|r| r.is_err())
-    }
-}
-
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "unknown panic payload".to_string()
     }
 }
 
@@ -205,18 +179,8 @@ where
     R: Send,
     F: Fn(ProcHandle) -> R + Send + Sync,
 {
-    if config.num_procs == 0 {
-        return Err(ConfigError::NoProcesses);
-    }
-    let topology = config.resolved_topology();
-    if topology.num_procs() < config.num_procs {
-        return Err(ConfigError::TopologyTooSmall {
-            covers: topology.num_procs(),
-            ranks: config.num_procs,
-        });
-    }
-    let failures = FailureStatusBoard::new(config.num_procs);
-    let router = Arc::new(Router::for_rank_threads(config.num_procs, failures.clone()));
+    let topology = placement(config.num_procs, config.topology.as_ref(), &config.machine)?;
+    let router = Arc::new(Router::new(config.num_procs));
     let node_populations = topology.node_populations();
 
     let cores: Vec<Arc<ProcCore>> = (0..config.num_procs)
@@ -225,7 +189,7 @@ where
                 rank,
                 Arc::clone(&router),
                 config.machine,
-                topology.clone(),
+                Topology::clone(&topology),
                 node_populations[topology.node_of(rank)],
                 config.seed,
             ))
@@ -243,8 +207,7 @@ where
                             .map_err(|payload| {
                                 // Mark the rank as failed so peers blocked on it
                                 // observe ProcessFailed instead of hanging.
-                                let failures = core.router.failures();
-                                failures.mark_failed(core.world_rank, core.now());
+                                core.router.mark_failed(core.world_rank, core.now());
                                 panic_message(payload)
                             });
                     core.router.rank_returned();
@@ -270,7 +233,7 @@ where
                 compute_time: clock.compute_time(),
                 comm_time: clock.comm_time(),
                 wait_time: clock.wait_time(),
-                failed: failures.is_failed(rank),
+                failed: router.is_failed(rank),
             }
         })
         .collect();
@@ -278,7 +241,7 @@ where
     Ok(ClusterReport {
         results,
         procs,
-        failures: failures.events(),
+        failures: router.events(),
     })
 }
 
@@ -345,7 +308,7 @@ mod tests {
             proc.charge_other(SimTime::from_secs(1.0 + proc.rank() as f64));
             proc.fail_here();
         });
-        assert!(report.all_crashed());
+        assert!(report.procs.iter().all(|p| p.failed));
         assert_eq!(report.makespan(), report.max_time());
         assert_eq!(report.makespan().as_secs(), 2.0);
     }
@@ -362,7 +325,7 @@ mod tests {
                 proc.charge_other(SimTime::from_secs(3.0));
             }
         });
-        assert!(!report.all_crashed());
+        assert!(!report.procs[1].failed);
         assert_eq!(report.makespan().as_secs(), 3.0);
         assert_eq!(report.max_time().as_secs(), 9.0);
     }

@@ -141,7 +141,6 @@ impl Comm {
             tag,
             payload,
             head: None,
-            modeled_bytes,
             arrival,
         };
         self.core.router.deliver(env);
@@ -153,7 +152,7 @@ impl Comm {
     /// layer).
     ///
     /// Logically sends `head.to_le_bytes() ++ payload` to every destination,
-    /// but carries the head in the envelope (see [`Envelope::head`]) so the
+    /// but carries the head out of band in the envelope so the
     /// shared payload buffer is never rewritten: a protocol that stamps a
     /// per-message sequence number onto an otherwise reused buffer performs
     /// zero payload copies per send.  Each destination's envelope clones the
@@ -208,7 +207,6 @@ impl Comm {
                 tag,
                 payload: payload.clone(),
                 head: Some(head),
-                modeled_bytes,
                 arrival,
             };
             self.core.router.deliver(env);

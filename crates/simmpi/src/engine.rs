@@ -95,12 +95,12 @@
 //! *provably* deadlocked (nothing can ever wake them) and are reported as
 //! errored — deadlock detection falls out of the scheduler for free.  The
 //! thread world applies the same rule with a count of the rank threads that
-//! are neither parked nor returned (see [`crate::router`]): when it reaches
+//! are neither parked nor returned (see [`crate::cluster`]): when it reaches
 //! zero, every parked receive returns [`crate::MpiError::Aborted`].
 
 use crate::error::{ConfigError, MpiError};
 use crate::message::Tag;
-use simcluster::{Endpoint, FailureEvent, MachineModel, SimTime, TaskId, Topology, VirtualEngine};
+use simcluster::{Endpoint, MachineModel, SimTime, TaskId, Topology, VirtualEngine};
 use std::borrow::Cow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -277,15 +277,41 @@ impl EngineConfig {
     pub fn with_workers(self, _workers: usize) -> Self {
         self
     }
+}
 
-    fn resolved_topology(&self) -> Cow<'_, Topology> {
-        match &self.topology {
-            Some(topology) => Cow::Borrowed(topology),
-            None => Cow::Owned(Topology::block(
-                self.num_ranks,
-                self.machine.cores_per_node.max(1),
-            )),
-        }
+/// The placement of a run of `ranks` ranks, checked the same way by both
+/// launchers: the explicit `topology`, else block placement with
+/// `machine.cores_per_node` ranks per node; an empty run or a topology that
+/// places fewer ranks than the run has is a [`ConfigError`].
+pub(crate) fn placement<'a>(
+    ranks: usize,
+    topology: Option<&'a Topology>,
+    machine: &MachineModel,
+) -> Result<Cow<'a, Topology>, ConfigError> {
+    if ranks == 0 {
+        return Err(ConfigError::NoProcesses);
+    }
+    let topology = match topology {
+        Some(topology) => Cow::Borrowed(topology),
+        None => Cow::Owned(Topology::block(ranks, machine.cores_per_node.max(1))),
+    };
+    if topology.num_procs() < ranks {
+        return Err(ConfigError::TopologyTooSmall {
+            covers: topology.num_procs(),
+            ranks,
+        });
+    }
+    Ok(topology)
+}
+
+/// The text of a caught panic's payload, as both launchers report it.
+pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "unknown panic payload".to_string()
     }
 }
 
@@ -323,6 +349,23 @@ pub struct VirtualRankReport {
     pub result: Option<f64>,
 }
 
+/// A crash-stop failure of one rank, as both launchers report it
+/// ([`VirtualClusterReport::failures`], [`crate::ClusterReport::failures`]).
+///
+/// A crashed rank stops at the injection point.  The messages it sent
+/// before the crash stay deliverable (they were already handed to the
+/// network); nothing sent after it exists.  A receive naming the crashed
+/// rank fails ([`MpiError::ProcessFailed`], [`RecvOutcome::PeerFailed`])
+/// once nothing from it is queued.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FailureEvent {
+    /// Physical rank that failed.
+    pub rank: usize,
+    /// Virtual time at which the failure was injected (as observed by the
+    /// failing process's own clock).
+    pub time: SimTime,
+}
+
 /// Result of an event-driven virtual cluster run.  Two runs of one
 /// configuration compare equal, `dispatches` included.
 #[derive(Debug, PartialEq)]
@@ -345,11 +388,9 @@ pub struct VirtualClusterReport {
 
 impl VirtualClusterReport {
     /// Virtual makespan: the largest final virtual time over the ranks that
-    /// did *not* crash, falling back to [`max_time`] when every rank crashed
-    /// — the same total-loss semantics as
+    /// did *not* crash, falling back to the largest final time over all
+    /// ranks when every rank crashed — the same total-loss semantics as
     /// [`ClusterReport::makespan`](crate::ClusterReport::makespan).
-    ///
-    /// [`max_time`]: VirtualClusterReport::max_time
     pub fn makespan(&self) -> SimTime {
         self.ranks
             .iter()
@@ -360,17 +401,12 @@ impl VirtualClusterReport {
     }
 
     /// Largest final virtual time over all ranks.
-    pub fn max_time(&self) -> SimTime {
+    fn max_time(&self) -> SimTime {
         self.ranks
             .iter()
             .map(|r| r.final_time)
             .max()
             .unwrap_or(SimTime::ZERO)
-    }
-
-    /// True if every rank crashed (total loss).
-    pub fn all_crashed(&self) -> bool {
-        !self.ranks.is_empty() && self.ranks.iter().all(|r| r.failed)
     }
 
     /// Number of ranks that ran to completion.
@@ -705,16 +741,6 @@ enum BurstEnd {
     Errored(String),
 }
 
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "unknown panic payload".to_string()
-    }
-}
-
 /// Injects one message on the rank's endpoint ([`Endpoint::inject`]).
 fn inject<P>(
     local: &mut RankLocal<P>,
@@ -990,16 +1016,7 @@ where
     F: Fn(usize) -> P,
 {
     let n = config.num_ranks;
-    if n == 0 {
-        return Err(ConfigError::NoProcesses);
-    }
-    let topology = config.resolved_topology();
-    if topology.num_procs() < n {
-        return Err(ConfigError::TopologyTooSmall {
-            covers: topology.num_procs(),
-            ranks: n,
-        });
-    }
+    let topology = placement(n, config.topology.as_ref(), &config.machine)?;
 
     // Checks the rank count every `u32` rank field relies on.
     let waiters = WaiterLists::new(n);
@@ -1648,7 +1665,7 @@ mod tests {
             ..EngineConfig::ideal(2)
         };
         let report = run_virtual_cluster(&config, |_| Busy);
-        assert!(report.all_crashed());
+        assert!(report.ranks.iter().all(|r| r.failed));
         assert_eq!(report.makespan(), report.max_time());
         // Rank 0 died at 1.0 (first boundary past 0.5), rank 1 at 2.0.
         assert_eq!(report.makespan(), SimTime::from_secs(2.0));

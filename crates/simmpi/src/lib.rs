@@ -32,7 +32,8 @@
 //!   no wildcard;
 //! * [`collectives`] adds the barrier and the all-reductions (a reduction to
 //!   rank 0, then a broadcast from it);
-//! * [`router`] moves envelopes between per-rank mailboxes;
+//! * a private router moves envelopes between the per-rank mailboxes of a
+//!   [`cluster`] run and holds the run's failure state;
 //! * [`engine`] is the second execution strategy: cooperatively-scheduled
 //!   rank state machines on a discrete-event virtual-time core, lifting the
 //!   thread-per-rank ceiling to 10k–1M logical ranks; its receives, too,
@@ -57,7 +58,7 @@ mod mailbox;
 pub mod message;
 pub mod proc;
 pub mod request;
-pub mod router;
+mod router;
 
 pub use cluster::{run_cluster, try_run_cluster, ClusterConfig, ClusterReport, ProcReport};
 pub use comm::{Comm, WORLD_COMM_ID};
@@ -65,12 +66,11 @@ pub use datatype::{
     copied_bytes, copy_into, from_bytes, reset_copied_bytes, to_bytes, to_payload, typed_view, Pod,
 };
 pub use engine::{
-    run_virtual_cluster, try_run_virtual_cluster, EngineConfig, RankCtx, RankEnd, RankProgram,
-    RecvDone, RecvOutcome, Step, VirtualClusterReport, VirtualRankReport,
+    run_virtual_cluster, try_run_virtual_cluster, EngineConfig, FailureEvent, RankCtx, RankEnd,
+    RankProgram, RecvDone, RecvOutcome, Step, VirtualClusterReport, VirtualRankReport,
 };
 pub use error::{ConfigError, MpiError, MpiResult};
 pub use fxhash::{FxBuildHasher, FxHasher};
-pub use message::{CommId, Envelope, LaneKey, Tag, RESERVED_TAG_BASE};
+pub use message::{CommId, Tag, RESERVED_TAG_BASE};
 pub use proc::ProcHandle;
 pub use request::SendRequest;
-pub use router::Router;

@@ -31,11 +31,6 @@ impl MailboxState {
         self.lanes.entry(env.lane_key()).or_default().push_back(env);
     }
 
-    /// Number of envelopes currently queued (diagnostic; O(lanes)).
-    pub(crate) fn queued(&self) -> usize {
-        self.lanes.values().map(VecDeque::len).sum()
-    }
-
     /// True if an envelope of lane `key` is queued.
     pub(crate) fn has(&self, key: &LaneKey) -> bool {
         self.lanes.contains_key(key)
@@ -49,5 +44,14 @@ impl MailboxState {
             self.lanes.remove(key);
         }
         env
+    }
+}
+
+#[cfg(test)]
+impl MailboxState {
+    /// Number of envelopes currently queued (O(lanes)); the router's tests
+    /// check it.
+    pub(crate) fn queued(&self) -> usize {
+        self.lanes.values().map(VecDeque::len).sum()
     }
 }

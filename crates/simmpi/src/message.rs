@@ -16,17 +16,17 @@ pub const RESERVED_TAG_BASE: Tag = 1 << 30;
 
 /// A message in flight or queued at the destination's mailbox.
 #[derive(Debug, Clone)]
-pub struct Envelope {
+pub(crate) struct Envelope {
     /// World rank of the sender.
-    pub src_world: usize,
+    pub(crate) src_world: usize,
     /// World rank of the destination.
-    pub dst_world: usize,
+    pub(crate) dst_world: usize,
     /// Communicator the message was sent on.
-    pub comm: CommId,
+    pub(crate) comm: CommId,
     /// Application or internal tag.
-    pub tag: Tag,
+    pub(crate) tag: Tag,
     /// Actual payload carried (used for correctness).
-    pub payload: Bytes,
+    pub(crate) payload: Bytes,
     /// 8-byte frame head carried out-of-band, `Some` exactly for the
     /// envelopes of [`Comm::send_framed_multi`](crate::Comm::send_framed_multi).
     ///
@@ -38,14 +38,12 @@ pub struct Envelope {
     /// reference-counted payload with **zero** per-send copies.  A framed
     /// envelope is received with `Comm::recv_framed`, a plain one with the
     /// other receives; the other way round is a `TypeMismatch`.
-    pub head: Option<u64>,
-    /// Number of bytes charged to the network model.  Usually equal to
-    /// `payload.len()`, but paper-scale experiments can run the protocol on
-    /// reduced actual arrays while charging the modeled size (see
-    /// `docs/ARCHITECTURE.md`, "Timing / efficiency methodology").
-    pub modeled_bytes: usize,
-    /// Virtual time at which the message is fully available at the receiver.
-    pub arrival: SimTime,
+    pub(crate) head: Option<u64>,
+    /// Virtual time at which the message is fully available at the receiver:
+    /// the sender charged the network model when it injected the message,
+    /// for the modeled size (see `docs/ARCHITECTURE.md`, "Timing /
+    /// efficiency methodology"), so the envelope carries only the result.
+    pub(crate) arrival: SimTime,
 }
 
 impl Envelope {
@@ -53,7 +51,7 @@ impl Envelope {
     /// in.  Envelopes of one lane are delivered and consumed strictly FIFO
     /// (MPI's non-overtaking guarantee); the router keeps one indexed queue
     /// per lane.
-    pub fn lane_key(&self) -> LaneKey {
+    pub(crate) fn lane_key(&self) -> LaneKey {
         (self.comm, self.src_world, self.tag)
     }
 }
@@ -62,7 +60,7 @@ impl Envelope {
 /// Every envelope belongs to exactly one lane (see [`Envelope::lane_key`]),
 /// and every thread-world receive names exactly one: replication needs
 /// send-deterministic programs, whose receives all name their source.
-pub type LaneKey = (CommId, usize, Tag);
+pub(crate) type LaneKey = (CommId, usize, Tag);
 
 #[cfg(test)]
 mod tests {
@@ -76,7 +74,6 @@ mod tests {
             tag,
             payload: Bytes::new(),
             head: None,
-            modeled_bytes: 0,
             arrival: SimTime::ZERO,
         }
     }

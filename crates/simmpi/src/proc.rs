@@ -92,7 +92,7 @@ impl ProcCore {
 
     /// Returns an error if this process has been marked as failed.
     pub(crate) fn check_alive(&self) -> MpiResult<()> {
-        if self.router.failures().is_failed(self.world_rank) {
+        if self.router.is_failed(self.world_rank) {
             Err(MpiError::SelfFailed)
         } else {
             Ok(())
@@ -179,16 +179,16 @@ impl ProcHandle {
 
     /// True if this process has been marked as crashed.
     pub fn is_failed(&self) -> bool {
-        self.core.router.failures().is_failed(self.rank())
+        self.core.router.is_failed(self.rank())
     }
 
     /// Injects a crash-stop failure of this process at the current virtual
-    /// time: the failure board is updated and every blocked receiver in the
-    /// cluster is woken so it can observe the failure.  The caller is
+    /// time: the run records the failure and wakes every blocked receiver in
+    /// the cluster so it can observe it.  The caller is
     /// expected to stop communicating afterwards (the runtime layers return
     /// early when they see `SelfFailed`).
     pub fn fail_here(&self) {
         let now = self.now();
-        self.core.router.failures().mark_failed(self.rank(), now);
+        self.core.router.mark_failed(self.rank(), now);
     }
 }

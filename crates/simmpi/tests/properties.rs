@@ -209,272 +209,3 @@ mod payload_views {
         }
     }
 }
-
-// ---------------------------------------------------------------------------
-// Mailbox-lane properties of the indexed router (PR 4).
-// ---------------------------------------------------------------------------
-
-mod mailbox_lanes {
-    use bytes::Bytes;
-    use proptest::prelude::*;
-    use simcluster::{FailureStatusBoard, SimTime};
-    use simmpi::{Envelope, LaneKey, MpiError, Router};
-    use std::sync::{Arc, Barrier};
-    use std::thread;
-    use std::time::Duration;
-
-    /// An envelope to rank 0 whose payload is `id`, the identity the tests
-    /// check.
-    fn env(src: usize, tag: u32, id: u64) -> Envelope {
-        Envelope {
-            src_world: src,
-            dst_world: 0,
-            comm: 1,
-            tag,
-            payload: Bytes::copy_from_slice(&id.to_le_bytes()),
-            head: None,
-            modeled_bytes: 8,
-            arrival: SimTime::ZERO,
-        }
-    }
-
-    fn id(env: &Envelope) -> u64 {
-        u64::from_le_bytes(env.payload.to_vec().try_into().unwrap())
-    }
-
-    fn lane(src: usize, tag: u32) -> LaneKey {
-        (1, src, tag)
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        /// Per-(source, tag) FIFO is preserved no matter how receives on
-        /// different lanes interleave with each other: every lane hands out
-        /// its envelopes in delivery order, a receive takes exactly one
-        /// envelope of the lane it names or none when the lane is empty,
-        /// and draining every lane afterwards returns the rest.
-        #[test]
-        fn lane_fifo_survives_interleaved_receives(
-            // Delivery schedule: each element encodes (src in 0..3, tag in
-            // 0..3) as src * 3 + tag (the shim proptest has no tuple strategy).
-            delivery_codes in proptest::collection::vec(0u8..9, 1..40),
-            // Receive schedule: the lane each receive names, same encoding.
-            recv_codes in proptest::collection::vec(0u8..9, 0..60),
-        ) {
-            let decode = |c: u8| (1 + (c / 3) as usize, (c % 3) as u32);
-            let router = Router::new(4, FailureStatusBoard::new(4));
-            // Shadow model: the delivery indices queued per lane.
-            let mut model = std::collections::HashMap::<(usize, u32), Vec<u64>>::new();
-            for (i, &code) in delivery_codes.iter().enumerate() {
-                let (src, tag) = decode(code);
-                router.deliver(env(src, tag, i as u64));
-                model.entry((src, tag)).or_default().push(i as u64);
-            }
-
-            let mut received = 0usize;
-            for &code in &recv_codes {
-                let (src, tag) = decode(code);
-                let before = router.queued(0);
-                let expected = model.get_mut(&(src, tag)).filter(|q| !q.is_empty());
-                match (router.try_match(0, &lane(src, tag)), expected) {
-                    (Some(got), Some(queue)) => {
-                        received += 1;
-                        prop_assert_eq!(router.queued(0), before - 1);
-                        prop_assert_eq!((got.src_world, got.tag), (src, tag));
-                        prop_assert_eq!(id(&got), queue.remove(0));
-                    }
-                    (None, None) => prop_assert_eq!(router.queued(0), before),
-                    (got, want) => panic!("lane ({src}, {tag}) gave {got:?}, model {want:?}"),
-                }
-            }
-
-            // Drain lane by lane: each hands out exactly its remainder, in
-            // delivery order.
-            for ((src, tag), queue) in model {
-                for want in queue {
-                    let got = router.try_match(0, &lane(src, tag));
-                    prop_assert_eq!(got.map(|e| id(&e)), Some(want));
-                    received += 1;
-                }
-                prop_assert!(router.try_match(0, &lane(src, tag)).is_none());
-            }
-            prop_assert_eq!(received, delivery_codes.len());
-            prop_assert_eq!(router.queued(0), 0);
-        }
-    }
-
-    /// Four receivers parked on one mailbox under one lock, one per lane,
-    /// while four sender threads interleave deliveries into all of them.
-    /// Each receiver must get exactly its own messages, in per-lane FIFO
-    /// order, and the mailbox must end empty; a lost or misdirected wake-up
-    /// hangs a receiver.
-    #[test]
-    fn receivers_parked_on_one_mailbox_each_get_exactly_their_messages() {
-        const PER_LANE: u64 = 200;
-        let router = Arc::new(Router::new(5, FailureStatusBoard::new(5)));
-
-        // Sources 1 and 2 feed tags 0 and 7 alternately; 3 and 4 only tag 7.
-        let lanes = [lane(1, 0), lane(2, 0), lane(3, 7), lane(4, 7)];
-        let receivers: Vec<_> = lanes
-            .iter()
-            .map(|&key| {
-                let router = Arc::clone(&router);
-                thread::spawn(move || {
-                    (0..PER_LANE)
-                        .map(|_| router.recv_blocking(0, &key).unwrap())
-                        .collect::<Vec<Envelope>>()
-                })
-            })
-            .collect();
-        // Let the receivers park before the first delivery.
-        thread::sleep(Duration::from_millis(10));
-
-        let senders: Vec<_> = (1..=4usize)
-            .map(|src| {
-                let router = Arc::clone(&router);
-                thread::spawn(move || {
-                    for n in 0..PER_LANE {
-                        if src <= 2 {
-                            router.deliver(env(src, 0, n));
-                        }
-                        router.deliver(env(src, 7, n));
-                    }
-                })
-            })
-            .collect();
-        for sender in senders {
-            sender.join().unwrap();
-        }
-
-        for (key, got) in lanes.iter().zip(receivers) {
-            let got: Vec<_> = got
-                .join()
-                .unwrap()
-                .iter()
-                .map(|e| (e.src_world, e.tag, id(e)))
-                .collect();
-            let want: Vec<_> = (0..PER_LANE).map(|n| (key.1, key.2, n)).collect();
-            assert_eq!(got, want);
-        }
-        // Sources 1 and 2's tag-7 lanes had no receiver: still queued.
-        assert_eq!(router.queued(0), 2 * PER_LANE as usize);
-        for src in 1..=2 {
-            for n in 0..PER_LANE {
-                assert_eq!(router.try_match(0, &lane(src, 7)).map(|e| id(&e)), Some(n));
-            }
-        }
-        assert_eq!(router.queued(0), 0);
-    }
-
-    /// Failures signalled on the board while two receivers naming different
-    /// sources are parked on the same mailbox: each crash ends only the
-    /// receive that names the crashed rank (`ProcessFailed`), and the other
-    /// keeps waiting until its own source crashes.
-    #[test]
-    fn board_failure_ends_only_the_receives_it_concerns() {
-        let board = FailureStatusBoard::new(3);
-        let router = Arc::new(Router::new(3, board.clone()));
-        let park = |key: LaneKey| {
-            let router = Arc::clone(&router);
-            thread::spawn(move || router.recv_blocking(0, &key))
-        };
-        let from_one = park(lane(1, 3));
-        let from_two = park(lane(2, 3));
-        thread::sleep(Duration::from_millis(30));
-
-        board.mark_failed(1, SimTime::ZERO);
-        assert_eq!(
-            from_one.join().unwrap().unwrap_err(),
-            MpiError::ProcessFailed { rank: 1 }
-        );
-        thread::sleep(Duration::from_millis(10));
-        assert!(!from_two.is_finished(), "rank 2 is alive, nothing to fail");
-
-        board.mark_failed(2, SimTime::ZERO);
-        assert_eq!(
-            from_two.join().unwrap().unwrap_err(),
-            MpiError::ProcessFailed { rank: 2 }
-        );
-    }
-
-    /// A receive checks, yields a bounded number of times, then parks.  A
-    /// delivery can land in any of the three phases; the barrier releases
-    /// receiver and sender together each round and the sender gives up a
-    /// varying number of time slices first, so over the rounds the delivery
-    /// falls before the first check, between two yields and after the park.
-    /// Wherever it lands the envelope comes back exactly once, in order, and
-    /// the mailbox ends empty; a wake-up lost between the last check and the
-    /// park hangs the receiver.
-    #[test]
-    fn delivery_in_any_receive_phase_is_returned_exactly_once() {
-        const ROUNDS: u64 = 600;
-        let router = Arc::new(Router::new(2, FailureStatusBoard::new(2)));
-        let start = Arc::new(Barrier::new(2));
-        let receiver = {
-            let (router, start) = (Arc::clone(&router), Arc::clone(&start));
-            thread::spawn(move || {
-                for round in 0..ROUNDS {
-                    start.wait();
-                    let got = router.recv_blocking(0, &lane(1, 3)).unwrap();
-                    assert_eq!(id(&got), round);
-                }
-            })
-        };
-        for round in 0..ROUNDS {
-            start.wait();
-            for _ in 0..round % 6 {
-                thread::yield_now();
-            }
-            router.deliver(env(1, 3, round));
-        }
-        receiver.join().unwrap();
-        assert_eq!(router.queued(0), 0);
-        assert!(router.try_match(0, &lane(1, 3)).is_none());
-    }
-
-    /// The three terminal conditions of a receive, raised while the receiver
-    /// may be anywhere between its first check and its park (same barrier
-    /// and varying head start as above, a fresh router per round): each
-    /// surfaces its documented error — the yield phase re-runs the failure
-    /// checks itself, the parked phase is woken by the board or by `abort`.
-    #[test]
-    fn failure_in_any_receive_phase_surfaces_the_documented_error() {
-        const ROUNDS: usize = 150;
-        type Raise = fn(&Router, &FailureStatusBoard);
-        let cases: [(LaneKey, Raise, MpiError); 3] = [
-            (
-                lane(1, 3),
-                |_, board| board.mark_failed(1, SimTime::ZERO),
-                MpiError::ProcessFailed { rank: 1 },
-            ),
-            (
-                lane(1, 3),
-                |_, board| board.mark_failed(0, SimTime::ZERO),
-                MpiError::SelfFailed,
-            ),
-            (lane(1, 3), |router, _| router.abort(), MpiError::Aborted),
-        ];
-        for (selector, raise, expected) in cases {
-            for round in 0..ROUNDS {
-                let board = FailureStatusBoard::new(2);
-                let router = Router::new(2, board.clone());
-                let start = Barrier::new(2);
-                let got = thread::scope(|scope| {
-                    let receiver = scope.spawn(|| {
-                        start.wait();
-                        router.recv_blocking(0, &selector)
-                    });
-                    start.wait();
-                    for _ in 0..round % 6 {
-                        thread::yield_now();
-                    }
-                    raise(&router, &board);
-                    receiver.join().unwrap()
-                });
-                assert_eq!(got.unwrap_err(), expected, "round {round}");
-                assert_eq!(router.queued(0), 0);
-            }
-        }
-    }
-}

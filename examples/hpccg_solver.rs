@@ -17,7 +17,7 @@
 //! mode axis; only the per-process problem size is custom, so the body
 //! goes through `Experiment::run_with`.
 
-use apps::{run_hpccg, HpccgParams, KernelSelection};
+use apps::{run_hpccg, HpccgParams};
 use intra_replication::prelude::*;
 
 fn run_mode(mode: ExecutionMode, procs: usize) -> (f64, f64) {
@@ -37,7 +37,6 @@ fn run_mode(mode: ExecutionMode, procs: usize) -> (f64, f64) {
                 modeled_ny: 128,
                 modeled_nz: 128 * degree,
                 max_iters: 15,
-                kernels: KernelSelection::paper_application(),
             };
             let out = run_hpccg(ctx, &params)?;
             Ok((out.report.total_time.as_secs(), out.residual))

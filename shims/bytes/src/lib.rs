@@ -42,12 +42,8 @@ struct InlineBuf([u8; Bytes::INLINE_CAP]);
 enum Repr {
     /// Small payloads stored in the value itself; no heap allocation.
     Inline { len: u8, buf: InlineBuf },
-    /// Reference-counted view into a shared backing vector.
-    Shared {
-        data: Arc<Vec<u8>>,
-        start: usize,
-        end: usize,
-    },
+    /// A reference-counted backing vector, shared by every clone.
+    Shared(Arc<Vec<u8>>),
 }
 
 impl Bytes {
@@ -111,13 +107,8 @@ impl Bytes {
     }
 
     fn from_vec(v: Vec<u8>) -> Self {
-        let end = v.len();
         Self {
-            repr: Repr::Shared {
-                data: Arc::new(v),
-                start: 0,
-                end,
-            },
+            repr: Repr::Shared(Arc::new(v)),
         }
     }
 
@@ -125,7 +116,7 @@ impl Bytes {
     pub fn len(&self) -> usize {
         match &self.repr {
             Repr::Inline { len, .. } => *len as usize,
-            Repr::Shared { start, end, .. } => end - start,
+            Repr::Shared(data) => data.len(),
         }
     }
 
@@ -151,7 +142,7 @@ impl Deref for Bytes {
     fn deref(&self) -> &[u8] {
         match &self.repr {
             Repr::Inline { len, buf } => &buf.0[..*len as usize],
-            Repr::Shared { data, start, end } => &data[*start..*end],
+            Repr::Shared(data) => data,
         }
     }
 }

@@ -10,7 +10,6 @@
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::PoisonError;
-use std::time::Duration;
 
 /// A mutual-exclusion primitive; `lock()` returns the guard directly.
 pub struct Mutex<T: ?Sized> {
@@ -97,17 +96,6 @@ impl<'a, T: ?Sized> DerefMut for MutexGuard<'a, T> {
     }
 }
 
-/// Result of a timed [`Condvar`] wait.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WaitTimeoutResult(bool);
-
-impl WaitTimeoutResult {
-    /// Whether the wait ended because the timeout elapsed.
-    pub fn timed_out(&self) -> bool {
-        self.0
-    }
-}
-
 /// A condition variable usable with [`MutexGuard`] by `&mut` reference.
 #[derive(Debug)]
 pub struct Condvar {
@@ -130,21 +118,6 @@ impl Condvar {
             .wait(inner)
             .unwrap_or_else(PoisonError::into_inner);
         guard.inner = Some(inner);
-    }
-
-    /// Blocks until notified or `timeout` elapses; reports which happened.
-    pub fn wait_for<T>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        timeout: Duration,
-    ) -> WaitTimeoutResult {
-        let inner = guard.inner.take().expect("guard already taken");
-        let (inner, result) = self
-            .inner
-            .wait_timeout(inner, timeout)
-            .unwrap_or_else(PoisonError::into_inner);
-        guard.inner = Some(inner);
-        WaitTimeoutResult(result.timed_out())
     }
 
     /// Wakes one waiting thread.
@@ -195,14 +168,5 @@ mod tests {
             cv.notify_all();
         }
         t.join().unwrap();
-    }
-
-    #[test]
-    fn condvar_wait_for_times_out() {
-        let m = Mutex::new(());
-        let cv = Condvar::new();
-        let mut g = m.lock();
-        let r = cv.wait_for(&mut g, Duration::from_millis(10));
-        assert!(r.timed_out());
     }
 }

@@ -10,6 +10,9 @@
 //! cut `scripts/loc.sh` counts by, so a second `#[cfg(test)]` line, which
 //! would hide every later line from both, fails here too.
 //!
+//! The name a line declares (the identifier after `fn`, `struct`, `enum`,
+//! `trait`, `type`, `mod`, `const` or `static`) is not a use of it.
+//!
 //! An unused item that is public on purpose is listed in
 //! `docs/api-intended.txt` as `<file>: <name> — <reason>`.  The test fails
 //! on an item that is neither used nor listed, and on an entry that names
@@ -76,17 +79,37 @@ fn is_test_cut(line: &str) -> bool {
     line.trim_start().starts_with(TEST_CUT)
 }
 
-/// The identifiers of a file's non-test, non-comment code.
+/// The keywords whose next identifier, after white space only, is the name
+/// a line declares.
+const DECLARATORS: [&str; 8] = [
+    "fn", "struct", "enum", "trait", "type", "mod", "const", "static",
+];
+
+/// The identifiers of a file's non-test, non-comment code, less the names
+/// it declares: a file's own `pub fn all_crashed` is not a use of another
+/// file's `all_crashed`.
 fn identifiers(source: &str) -> HashSet<&str> {
-    source
-        .lines()
-        .take_while(|line| !is_test_cut(line))
-        .flat_map(|line| {
-            let code = line.split("//").next().unwrap();
-            code.split(|c: char| !(c.is_alphanumeric() || c == '_'))
-        })
-        .filter(|word| !word.is_empty())
-        .collect()
+    let mut words = HashSet::new();
+    for line in source.lines().take_while(|line| !is_test_cut(line)) {
+        let mut rest = line.split("//").next().unwrap();
+        let mut declared = false;
+        loop {
+            let start = rest.find(|c: char| c.is_alphanumeric() || c == '_');
+            let Some(start) = start else { break };
+            let gap = &rest[..start];
+            rest = &rest[start..];
+            let end = rest
+                .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+                .unwrap_or(rest.len());
+            let word = &rest[..end];
+            rest = &rest[end..];
+            if !(declared && gap.trim().is_empty()) {
+                words.insert(word);
+            }
+            declared = DECLARATORS.contains(&word);
+        }
+    }
+    words
 }
 
 /// The declared name of a dump line's item, or `None` for a re-export.
@@ -100,7 +123,7 @@ fn item_name(decl: &str) -> Option<&str> {
             "use" => return None,
             "async" | "unsafe" => {}
             "const" if matches!(words.peek(), Some(&"fn" | &"unsafe")) => {}
-            "fn" | "struct" | "enum" | "trait" | "type" | "mod" | "const" | "static" => break,
+            word if DECLARATORS.contains(&word) => break,
             other => panic!("unexpected `{other}` in `{decl}`"),
         }
     }
