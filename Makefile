@@ -14,7 +14,7 @@ CAMPAIGN_TOL ?= 0
         stuck-smoke bit-identity-release figures-smoke schedulers-smoke \
         ckpt-smoke golden golden-failures golden-schedulers golden-weak golden-ckpt \
         golden-figures benchmark \
-        api-surface api-surface-check loc ci clean
+        api-surface api-surface-check narrow-probe loc ci clean
 
 all: build
 
@@ -248,6 +248,15 @@ golden-ckpt:
 golden-figures:
 	$(CARGO) run --release -q -p ipr-bench --bin figures -- all small \
 		> crates/bench/golden/figures_small.txt
+
+# Manual, not part of `make ci` (about 3 minutes on 2 vCPUs): lists the
+# public declarations no other crate, test, example, doc example or the
+# benchmark needs, by narrowing each to `pub(crate)` on a scratch copy under
+# target/narrow-probe until every check builds again (see
+# scripts/narrow-probe.sh).  Every item it prints should be narrowed, or
+# listed with its reason in docs/api-intended.txt.  Never edits the checkout.
+narrow-probe:
+	bash scripts/narrow-probe.sh
 
 # The two sizes ROADMAP.md says must go down (non-test Rust lines, API
 # surface lines), printed for every PR to see; never gating.

@@ -5,7 +5,7 @@
 //! [`ExecutionMode`]: intra-parallel sections degrade gracefully to local
 //! execution when work is not shared, and kernels that are *not*
 //! intra-parallelized are executed redundantly on every replica through
-//! [`AppContext::run_redundant`].
+//! `AppContext::run_redundant`.
 
 use crate::report::AppRunReport;
 use ckpt::{CkptSession, CkptStats};
@@ -86,7 +86,7 @@ impl AppContext {
     /// like the former inline `maybe_fail` blocks, then (when a C/R
     /// session is attached) runs the checkpoint protocol.  Behaviourally
     /// identical to the plain `maybe_fail` check when no session is set.
-    pub fn iteration_boundary(&mut self, iteration: usize) -> IntraResult<()> {
+    pub(crate) fn iteration_boundary(&mut self, iteration: usize) -> IntraResult<()> {
         if self
             .env
             .maybe_fail(ProtocolPoint::IterationStart { iteration })
@@ -101,7 +101,7 @@ impl AppContext {
     /// session, and charges the identical extra virtual time (restarts,
     /// re-executed work, a committed checkpoint) on every rank.  A no-op
     /// without an attached session.
-    pub fn checkpoint_boundary(&mut self) -> IntraResult<()> {
+    pub(crate) fn checkpoint_boundary(&mut self) -> IntraResult<()> {
         let Some(session) = self.ckpt.as_mut() else {
             return Ok(());
         };
@@ -147,14 +147,14 @@ impl AppContext {
     /// Executes a kernel redundantly on every replica (no work sharing),
     /// charging its modeled cost.  This is how the applications run the
     /// kernels that are *not* intra-parallelized.
-    pub fn run_redundant<R>(&self, cost: KernelCost, f: impl FnOnce() -> R) -> R {
+    pub(crate) fn run_redundant<R>(&self, cost: KernelCost, f: impl FnOnce() -> R) -> R {
         self.env.charge_compute(cost.flops, cost.mem_bytes());
         f()
     }
 
     /// Charges communication-free "other" work (e.g. problem setup phases
     /// that are modeled but not executed).
-    pub fn charge_other(&self, cost: KernelCost) {
+    pub(crate) fn charge_other(&self, cost: KernelCost) {
         self.env.charge_compute(cost.flops, cost.mem_bytes());
     }
 
@@ -188,7 +188,7 @@ pub struct ScaledWorkload {
 impl ScaledWorkload {
     /// A workload running on `actual` elements while modeling `modeled`:
     /// `actual` must be positive and `modeled` at least as large.
-    pub fn scaled(actual: usize, modeled: usize) -> IntraResult<Self> {
+    pub(crate) fn scaled(actual: usize, modeled: usize) -> IntraResult<Self> {
         if actual == 0 || modeled < actual {
             return Err(IntraError::InvalidConfig(format!(
                 "a scaled workload needs 0 < actual <= modeled, got actual {actual}, modeled {modeled}"
@@ -199,12 +199,12 @@ impl ScaledWorkload {
 
     /// The ratio modeled / actual, used as the `modeled_scale` of the intra
     /// runtime and for scaling halo-exchange message sizes.
-    pub fn scale(&self) -> f64 {
+    pub(crate) fn scale(&self) -> f64 {
         self.modeled as f64 / self.actual as f64
     }
 
     /// Scales an element count from actual to modeled size.
-    pub fn scale_count(&self, actual_count: usize) -> usize {
+    pub(crate) fn scale_count(&self, actual_count: usize) -> usize {
         (actual_count as f64 * self.scale()).round() as usize
     }
 }

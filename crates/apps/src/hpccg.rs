@@ -59,7 +59,7 @@ impl HpccgParams {
 
     /// The paper-scale configuration: a 128^3 modeled grid per logical
     /// process, executed on a reduced `actual^3` grid.
-    pub fn paper_scale(actual: usize, iters: usize) -> Self {
+    pub(crate) fn paper_scale(actual: usize, iters: usize) -> Self {
         HpccgParams {
             nx: actual,
             ny: actual,
@@ -72,12 +72,12 @@ impl HpccgParams {
     }
 
     /// Local problem size actually allocated.
-    pub fn local_n(&self) -> usize {
+    pub(crate) fn local_n(&self) -> usize {
         self.nx * self.ny * self.nz
     }
 
     /// Modeled local problem size.
-    pub fn modeled_n(&self) -> usize {
+    pub(crate) fn modeled_n(&self) -> usize {
         self.modeled_nx * self.modeled_ny * self.modeled_nz
     }
 

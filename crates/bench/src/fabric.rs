@@ -204,65 +204,65 @@ pub fn replica_fanout(degree: usize, messages: usize, payload_elems: usize) -> F
     )
 }
 
-/// Structural invariant on a finished benchmark.  Wall-clock numbers are
-/// never asserted, so the unit test over a reduced suite holds on any host.
-///
-/// Copying benchmarks (plain send path) must have copied each logical
-/// payload at least once (serialization is real) but no more than O(degree)
-/// times — a copy-per-destination fan-out would show up as O(degree²)
-/// copied bytes.  Zero-copy benchmarks (persistent-payload path) must show
-/// copied bytes *independent of the message count*: one serialization per
-/// sender replica for the whole run, nothing per message.
-pub fn check_copy_budget(b: &FabricBench) -> Result<(), String> {
-    if b.messages == 0 || b.wall_s <= 0.0 || !b.msgs_per_sec.is_finite() {
-        return Err(format!("{}: degenerate measurement", b.name));
-    }
-    let per_msg = b.payload_bytes / b.messages.max(1);
-    if b.zero_copy {
-        if b.bytes_copied < per_msg {
-            return Err(format!(
-                "{}: copied {} < one payload {} — the body was never \
-                 serialized at all",
-                b.name, b.bytes_copied, per_msg
-            ));
-        }
-        // One body serialization per sender replica, plus fixed slack for
-        // control traffic; crucially this does NOT scale with `messages` —
-        // any per-message copy creeping back into the persistent-payload
-        // path trips this bound at bench scale.
-        let budget = b.degree as u64 * per_msg + (1 << 20);
-        if b.bytes_copied > budget {
-            return Err(format!(
-                "{}: copied {} bytes > zero-copy budget {} — the \
-                 persistent-payload path is copying per message again",
-                b.name, b.bytes_copied, budget
-            ));
-        }
-        return Ok(());
-    }
-    if b.bytes_copied < b.payload_bytes {
-        return Err(format!(
-            "{}: copied {} < moved {} — payloads are not being serialized",
-            b.name, b.bytes_copied, b.payload_bytes
-        ));
-    }
-    // One serialization per sender replica plus one deserialization per
-    // consuming receiver replica is 2·degree payload-sized copies; the +1
-    // and the fixed slack absorb framing and control traffic.
-    let budget = (2 * b.degree as u64 + 1) * b.payload_bytes + (1 << 20);
-    if b.bytes_copied > budget {
-        return Err(format!(
-            "{}: copied {} bytes > O(degree) budget {} — the fan-out is \
-             copying per destination again",
-            b.name, b.bytes_copied, budget
-        ));
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Structural invariant on a finished benchmark.  Wall-clock numbers are
+    /// never asserted, so the unit test over a reduced suite holds on any host.
+    ///
+    /// Copying benchmarks (plain send path) must have copied each logical
+    /// payload at least once (serialization is real) but no more than O(degree)
+    /// times — a copy-per-destination fan-out would show up as O(degree²)
+    /// copied bytes.  Zero-copy benchmarks (persistent-payload path) must show
+    /// copied bytes *independent of the message count*: one serialization per
+    /// sender replica for the whole run, nothing per message.
+    fn check_copy_budget(b: &FabricBench) -> Result<(), String> {
+        if b.messages == 0 || b.wall_s <= 0.0 || !b.msgs_per_sec.is_finite() {
+            return Err(format!("{}: degenerate measurement", b.name));
+        }
+        let per_msg = b.payload_bytes / b.messages.max(1);
+        if b.zero_copy {
+            if b.bytes_copied < per_msg {
+                return Err(format!(
+                    "{}: copied {} < one payload {} — the body was never \
+                     serialized at all",
+                    b.name, b.bytes_copied, per_msg
+                ));
+            }
+            // One body serialization per sender replica, plus fixed slack for
+            // control traffic; crucially this does NOT scale with `messages` —
+            // any per-message copy creeping back into the persistent-payload
+            // path trips this bound at bench scale.
+            let budget = b.degree as u64 * per_msg + (1 << 20);
+            if b.bytes_copied > budget {
+                return Err(format!(
+                    "{}: copied {} bytes > zero-copy budget {} — the \
+                     persistent-payload path is copying per message again",
+                    b.name, b.bytes_copied, budget
+                ));
+            }
+            return Ok(());
+        }
+        if b.bytes_copied < b.payload_bytes {
+            return Err(format!(
+                "{}: copied {} < moved {} — payloads are not being serialized",
+                b.name, b.bytes_copied, b.payload_bytes
+            ));
+        }
+        // One serialization per sender replica plus one deserialization per
+        // consuming receiver replica is 2·degree payload-sized copies; the +1
+        // and the fixed slack absorb framing and control traffic.
+        let budget = (2 * b.degree as u64 + 1) * b.payload_bytes + (1 << 20);
+        if b.bytes_copied > budget {
+            return Err(format!(
+                "{}: copied {} bytes > O(degree) budget {} — the fan-out is \
+                 copying per destination again",
+                b.name, b.bytes_copied, budget
+            ));
+        }
+        Ok(())
+    }
 
     /// A reduced suite for the structural unit test.
     fn smoke_suite() -> Vec<FabricBench> {

@@ -31,7 +31,7 @@ use std::sync::Arc;
 
 /// The kernel under study.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Kernel {
+pub(crate) enum Kernel {
     /// `w = alpha x + beta y`.
     Waxpby,
     /// Local dot product.
@@ -42,10 +42,10 @@ pub enum Kernel {
 
 impl Kernel {
     /// All three kernels, in the order of the figure.
-    pub const ALL: [Kernel; 3] = [Kernel::Waxpby, Kernel::Ddot, Kernel::Sparsemv];
+    pub(crate) const ALL: [Kernel; 3] = [Kernel::Waxpby, Kernel::Ddot, Kernel::Sparsemv];
 
     /// Display name.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             Kernel::Waxpby => "waxpby",
             Kernel::Ddot => "ddot",
@@ -145,7 +145,7 @@ pub fn run(scale: ExperimentScale) -> Vec<KernelRow> {
 
 /// Same as [`run`] but with an explicit machine model (used by the bandwidth
 /// ablation).
-pub fn run_with_machine(scale: ExperimentScale, machine: MachineModel) -> Vec<KernelRow> {
+pub(crate) fn run_with_machine(scale: ExperimentScale, machine: MachineModel) -> Vec<KernelRow> {
     let mut rows = Vec::new();
     for kernel in Kernel::ALL {
         let times = MODES.map(|(_, mode)| kernel_time(kernel, mode, scale, machine));

@@ -184,24 +184,24 @@ pub fn ddot_lanes_throughput(n: usize, iters: usize) -> KernelBench {
     )
 }
 
-/// Structural invariant on a finished kernel benchmark: the kernel did real
-/// work and produced a finite result.  Never a wall-clock assertion.
-pub fn check_kernel_result(b: &KernelBench) -> Result<(), String> {
-    if b.n == 0 || b.iters == 0 {
-        return Err(format!("{}: no work configured", b.name));
-    }
-    if b.wall_s <= 0.0 || !b.per_sec.is_finite() || b.per_sec <= 0.0 {
-        return Err(format!("{}: degenerate measurement", b.name));
-    }
-    if !b.checksum.is_finite() {
-        return Err(format!("{}: non-finite checksum {}", b.name, b.checksum));
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Structural invariant on a finished kernel benchmark: the kernel did real
+    /// work and produced a finite result.  Never a wall-clock assertion.
+    fn check_kernel_result(b: &KernelBench) -> Result<(), String> {
+        if b.n == 0 || b.iters == 0 {
+            return Err(format!("{}: no work configured", b.name));
+        }
+        if b.wall_s <= 0.0 || !b.per_sec.is_finite() || b.per_sec <= 0.0 {
+            return Err(format!("{}: degenerate measurement", b.name));
+        }
+        if !b.checksum.is_finite() {
+            return Err(format!("{}: non-finite checksum {}", b.name, b.checksum));
+        }
+        Ok(())
+    }
 
     /// A reduced suite for the structural unit test.
     fn smoke_suite() -> Vec<KernelBench> {

@@ -16,7 +16,7 @@
 //! | — | [`kernels`] | wall-clock throughput of the compute kernels at HPCCG/MiniGhost scales (called by `benchmarks/`) |
 //!
 //! Every thread-world generator (5a, 5b, 6, the ablations) is a set of
-//! `intra_replication::Experiment` runs over [`MODES`]; the kernel-level
+//! `intra_replication::Experiment` runs over the paper's three modes; the kernel-level
 //! ones call the applications' own section code, `apps::sections`.
 //!
 //! The `figures` binary prints the rows in the same form as the paper
@@ -41,7 +41,7 @@ use replication::ExecutionMode;
 /// The paper's three configurations in bar order, with their figure labels:
 /// the unmodified library, classic active replication and
 /// intra-parallelization (both at the paper's degree 2).
-pub const MODES: [(&str, ExecutionMode); 3] = [
+pub(crate) const MODES: [(&str, ExecutionMode); 3] = [
     ("Open MPI", ExecutionMode::Native),
     ("SDR-MPI", ExecutionMode::Replicated { degree: 2 }),
     ("intra", ExecutionMode::IntraParallel { degree: 2 }),

@@ -39,7 +39,7 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufRead as _, Read as _, Seek as _, SeekFrom, Write as _};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Arc;
 
 /// The code-determinism epoch.  Part of every fingerprint: bump it (with
@@ -196,11 +196,6 @@ impl RunCache {
     /// The conventional in-repo cache location (`target/campaign-cache`).
     pub fn default_dir() -> PathBuf {
         PathBuf::from("target/campaign-cache")
-    }
-
-    /// The cache root.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// Looks up the cached result of `spec`, if present.  Any malformed,

@@ -6,7 +6,7 @@
 //! crash counts.  The relative tolerance applies only to *metric* fields,
 //! and *informational* fields (host wall clocks, dispatch counts) are
 //! ignored entirely.  A field's class comes from the versioned report
-//! schema ([`crate::report::v1::FIELDS`]); for keys the schema does not
+//! schema (`report::v1::FIELDS`); for keys the schema does not
 //! declare, the historical spelling heuristic (`*_s` / `verification` ⇒
 //! metric, everything else discrete) still applies, and *no* unknown key
 //! is ever treated as informational — a new wall-clock-ish field must be
@@ -23,7 +23,7 @@ use crate::json::Json;
 use crate::report::v1::{self, FieldClass, SchemaError};
 
 /// One detected divergence, as a human-readable `path: message` line.
-pub type Violation = String;
+pub(crate) type Violation = String;
 
 fn is_informational_key(key: &str) -> bool {
     v1::is_informational(key)

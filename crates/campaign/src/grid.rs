@@ -163,7 +163,7 @@ impl CampaignGrid {
     }
 
     /// Scheduler comparison on every application, intra mode only.
-    pub fn schedulers() -> Self {
+    pub(crate) fn schedulers() -> Self {
         CampaignGrid {
             name: "schedulers".to_string(),
             scale: ExperimentScale::Tiny,
@@ -267,7 +267,7 @@ impl CampaignGrid {
 /// Failure rate of the smoke grid's Poisson axis (crashes per rank per
 /// virtual second), calibrated so that a tiny run (virtual makespan
 /// 0.2–0.9 s) sees roughly one crash across its ranks.
-pub const SMOKE_FAILURE_RATE: f64 = 0.5;
+pub(crate) const SMOKE_FAILURE_RATE: f64 = 0.5;
 
 /// Horizon of the smoke grid's failure traces, in virtual seconds (covers
 /// the whole tiny-scale run).

@@ -74,11 +74,6 @@ impl ExecutorPool {
         ExecutorPool { shared, workers }
     }
 
-    /// Number of worker threads.
-    pub fn workers(&self) -> usize {
-        self.workers.len()
-    }
-
     /// Enqueues a job; callable from any thread, a running job included.
     pub fn submit(&self, job: impl FnOnce() + Send + 'static) {
         let mut state = self.shared.state.lock();

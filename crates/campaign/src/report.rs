@@ -5,7 +5,7 @@
 //! protocol's streaming results — serializes through the [`v1`] model: a
 //! schema-tagged envelope (`"schema": "ipr-report/1"`) around
 //! [`v1::RunRecord`] rows whose field semantics are declared once in
-//! [`v1::FIELDS`].  The declaration carries each field's *class*
+//! `v1::FIELDS`.  The declaration carries each field's *class*
 //! (discrete / metric / informational), which is what the tolerance diff
 //! ([`crate::diff`]) and the golden gates consult instead of ad-hoc name
 //! lists: a new field cannot silently become ungated (or gated) by its
@@ -32,7 +32,7 @@ pub mod v1 {
 
     /// Semantic class of a report field, declared per field in [`FIELDS`].
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum FieldClass {
+    pub(crate) enum FieldClass {
         /// Deterministic and discrete (ids, labels, seeds, counts):
         /// compared exactly by the diff, at any tolerance.
         Discrete,
@@ -46,7 +46,7 @@ pub mod v1 {
 
     /// Declaration of one report field: its stable name and class.
     #[derive(Debug, Clone, Copy)]
-    pub struct FieldSpec {
+    pub(crate) struct FieldSpec {
         /// Stable field name, as it appears in JSON and CSV.
         pub name: &'static str,
         /// Semantic class (see [`FieldClass`]).
@@ -61,7 +61,7 @@ pub mod v1 {
     /// classic campaign rows and of the weak-scaling rows, with its class.
     /// Envelope fields (`schema`, `campaign`, `scale`, `sweep`, `runs`) are
     /// structural and compared exactly.
-    pub const FIELDS: &[FieldSpec] = &[
+    pub(crate) const FIELDS: &[FieldSpec] = &[
         // -- shared identity / axis fields ------------------------------
         field("id", FieldClass::Discrete),
         field("app", FieldClass::Discrete),
@@ -107,18 +107,18 @@ pub mod v1 {
     ];
 
     /// Looks up the declared class of a field, if the schema declares it.
-    pub fn field_class(name: &str) -> Option<FieldClass> {
+    pub(crate) fn field_class(name: &str) -> Option<FieldClass> {
         FIELDS.iter().find(|f| f.name == name).map(|f| f.class)
     }
 
     /// True if the schema declares `name` as informational.
-    pub fn is_informational(name: &str) -> bool {
+    pub(crate) fn is_informational(name: &str) -> bool {
         field_class(name) == Some(FieldClass::Informational)
     }
 
     /// A typed schema-envelope violation: the version tag of a document is
     /// missing, unknown, or does not match its counterpart.  Produced by
-    /// [`check_envelope`] and [`crate::diff::diff_documents`] so that tools
+    /// `check_envelope` and [`crate::diff::diff_documents`] so that tools
     /// reject incompatible reports instead of silently comparing them.
     #[derive(Debug, Clone, PartialEq, Eq)]
     pub enum SchemaError {
@@ -177,7 +177,7 @@ pub mod v1 {
     }
 
     /// Validates that `doc` carries this build's schema tag.
-    pub fn check_envelope(doc: &Json, which: &str) -> Result<(), SchemaError> {
+    pub(crate) fn check_envelope(doc: &Json, which: &str) -> Result<(), SchemaError> {
         match document_schema(doc) {
             None => Err(SchemaError::Missing {
                 which: which.to_string(),
@@ -191,7 +191,7 @@ pub mod v1 {
     }
 
     /// The checkpoint/restart columns of one run, present only on
-    /// checkpointed runs: their fields are declared in [`FIELDS`] but
+    /// checkpointed runs: their fields are declared in `FIELDS` but
     /// serialized conditionally, so checkpoint-free reports (and their
     /// golden baselines) stay byte-identical across campaign versions.
     #[derive(Debug, Clone, PartialEq)]
@@ -270,7 +270,7 @@ pub mod v1 {
         /// Checkpoint/restart columns, for checkpointed runs only.
         pub ckpt: Option<CkptColumns>,
         /// Host wall-clock time this run took to simulate, in milliseconds.
-        /// *Informational only* (see [`FieldClass::Informational`]): a cache
+        /// *Informational only* (see `FieldClass::Informational`): a cache
         /// hit replays the value recorded when the run actually executed.
         pub wall_time_ms: f64,
     }
@@ -369,7 +369,7 @@ pub mod v1 {
         /// Parses a record serialized by [`RunRecord::to_json`].  A missing
         /// `wall_time_ms` (stripped documents) parses as `0.0`; every
         /// deterministic field is required.
-        pub fn from_json(doc: &Json) -> Result<Self, String> {
+        pub(crate) fn from_json(doc: &Json) -> Result<Self, String> {
             let str_field = |name: &str| -> Result<String, String> {
                 doc.get(name)
                     .and_then(Json::as_str)

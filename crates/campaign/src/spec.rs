@@ -30,24 +30,37 @@ pub fn mode_label(mode: ExecutionMode) -> String {
     }
 }
 
-/// Parses the output of [`mode_label`].
-fn parse_mode(s: &str) -> Option<ExecutionMode> {
+/// The largest replication degree a mode label may carry.  Labels come
+/// from outside the program (spool jobs, `RunSpec` documents), and a
+/// thread-world run starts one OS thread per physical rank, `logical ×
+/// degree` of them.
+const MAX_DEGREE: usize = 8;
+
+/// Why a label names no execution mode.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ModeLabelError {
+    /// Not `native`, `replicated<degree>` or `intra<degree>`.
+    Unknown,
+    /// A degree above [`MAX_DEGREE`].
+    DegreeAbove(usize),
+}
+
+/// Parses the output of [`mode_label`], up to degree [`MAX_DEGREE`].
+fn parse_mode(s: &str) -> Result<ExecutionMode, ModeLabelError> {
+    let degree = |digits: &str| match digits.parse() {
+        Ok(degree) if degree > MAX_DEGREE => Err(ModeLabelError::DegreeAbove(degree)),
+        Ok(degree) => Ok(degree),
+        Err(_) => Err(ModeLabelError::Unknown),
+    };
     if s == "native" {
-        return Some(ExecutionMode::Native);
+        Ok(ExecutionMode::Native)
+    } else if let Some(d) = s.strip_prefix("replicated") {
+        degree(d).map(|degree| ExecutionMode::Replicated { degree })
+    } else if let Some(d) = s.strip_prefix("intra") {
+        degree(d).map(|degree| ExecutionMode::IntraParallel { degree })
+    } else {
+        Err(ModeLabelError::Unknown)
     }
-    if let Some(d) = s.strip_prefix("replicated") {
-        return d
-            .parse()
-            .ok()
-            .map(|degree| ExecutionMode::Replicated { degree });
-    }
-    if let Some(d) = s.strip_prefix("intra") {
-        return d
-            .parse()
-            .ok()
-            .map(|degree| ExecutionMode::IntraParallel { degree });
-    }
-    None
 }
 
 /// One fully-determined, self-contained simulation run.  Expanding a
@@ -179,8 +192,13 @@ impl RunSpec {
                 label("scale").unwrap_or("?")
             )
         })?;
-        let mode = parse_mode(&parse("mode", "unknown mode")?)
-            .ok_or_else(|| format!("run spec: unknown mode '{}'", label("mode").unwrap_or("?")))?;
+        let mode_text = parse("mode", "unknown mode")?;
+        let mode = parse_mode(&mode_text).map_err(|e| match e {
+            ModeLabelError::Unknown => format!("run spec: unknown mode '{mode_text}'"),
+            ModeLabelError::DegreeAbove(degree) => format!(
+                "run spec: mode '{mode_text}': replication degree {degree} is above {MAX_DEGREE}"
+            ),
+        })?;
         let scheduler: SchedulerKind =
             parse("scheduler", "unknown scheduler")?
                 .parse()
@@ -285,10 +303,10 @@ mod tests {
             ExecutionMode::Replicated { degree: 2 },
             ExecutionMode::IntraParallel { degree: 3 },
         ] {
-            assert_eq!(parse_mode(&mode_label(mode)), Some(mode));
+            assert_eq!(parse_mode(&mode_label(mode)), Ok(mode));
         }
-        assert_eq!(parse_mode("intra"), None);
-        assert_eq!(parse_mode("weird2"), None);
+        assert_eq!(parse_mode("intra"), Err(ModeLabelError::Unknown));
+        assert_eq!(parse_mode("weird2"), Err(ModeLabelError::Unknown));
     }
 
     #[test]
@@ -397,5 +415,99 @@ mod tests {
             ..spec
         };
         assert!(bad.experiment().is_err());
+    }
+
+    #[test]
+    fn degrees_above_the_bound_are_rejected_at_parse() {
+        let top = format!("intra{MAX_DEGREE}");
+        assert_eq!(
+            parse_mode(&top),
+            Ok(ExecutionMode::IntraParallel { degree: MAX_DEGREE })
+        );
+        assert_eq!(
+            parse_mode("intra100000"),
+            Err(ModeLabelError::DegreeAbove(100_000))
+        );
+        assert_eq!(
+            parse_mode("replicated18446744073709551615"),
+            Err(ModeLabelError::DegreeAbove(usize::MAX))
+        );
+        // The wire form goes through the same parse: an error, no run.
+        for label in ["intra100000", "intra18446744073709551615"] {
+            let doc = crate::json::Json::obj(vec![
+                ("app", crate::json::Json::Str("hpccg".into())),
+                ("scale", crate::json::Json::Str("tiny".into())),
+                ("mode", crate::json::Json::Str(label.into())),
+                ("scheduler", crate::json::Json::Str("static-block".into())),
+                ("failure", crate::json::Json::Str("none".into())),
+                ("seed", crate::json::Json::Num(1.0)),
+            ]);
+            let err = RunSpec::from_json(0, &doc).unwrap_err();
+            assert!(
+                err.contains(&format!("is above {MAX_DEGREE}")),
+                "{label}: {err}"
+            );
+        }
+    }
+
+    /// Text built from the pieces of the label grammars often enough to
+    /// reach every branch of their parsers, and from any character besides.
+    fn label_from(tape: &[u64]) -> String {
+        let pieces: Vec<&str> = "none poisson- corr- node rack -h const- ramp- burst- weibull- \
+             lognormal- young daly fixed- -c -r intra replicated static-block - . e inf 1"
+            .split_whitespace()
+            .collect();
+        tape.iter()
+            .filter_map(|&word| match word % 4 {
+                0 => char::from_u32((word >> 8) as u32 % 0x11_0000).map(String::from),
+                1 => Some(((word >> 8) % 1000).to_string()),
+                _ => Some(pieces[(word >> 8) as usize % pieces.len()].to_string()),
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn label_parsers_never_panic_on_arbitrary_text(
+            tape in proptest::collection::vec(proptest::prelude::any::<u64>(), 0..24)
+        ) {
+            let text = label_from(&tape);
+            let _ = FailureSpec::parse(&text);
+            let _ = CheckpointPlan::parse(&text);
+            let _ = text.parse::<SchedulerKind>();
+            let _ = parse_mode(&text);
+        }
+
+        #[test]
+        fn from_json_never_panics_on_arbitrary_string_fields(
+            picks in proptest::collection::vec(proptest::prelude::any::<u64>(), 6..7),
+            tape in proptest::collection::vec(proptest::prelude::any::<u64>(), 0..24),
+        ) {
+            // Each field is its valid label or arbitrary text, so the parse
+            // reaches the experiment check behind the labels too.
+            let fields = [
+                ("app", "hpccg"),
+                ("scale", "tiny"),
+                ("mode", "intra2"),
+                ("scheduler", "static-block"),
+                ("failure", "poisson-weibull-0.7-50-h100"),
+                ("ckpt", "young-c0.1-r0.2"),
+            ];
+            let mut doc: Vec<(&str, crate::json::Json)> = fields
+                .iter()
+                .zip(&picks)
+                .enumerate()
+                .map(|(i, (&(name, valid), &pick))| {
+                    let text = match pick % 3 {
+                        0 => valid.to_string(),
+                        1 => label_from(&tape[i.min(tape.len())..]),
+                        _ => format!("{valid}{}", label_from(&tape[..i.min(tape.len())])),
+                    };
+                    (name, crate::json::Json::Str(text))
+                })
+                .collect();
+            doc.push(("seed", crate::json::Json::Num((picks[0] >> 11) as f64)));
+            let _ = RunSpec::from_json(0, &crate::json::Json::obj(doc));
+        }
     }
 }

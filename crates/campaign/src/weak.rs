@@ -191,7 +191,7 @@ impl WeakSweep {
     /// replica-disjoint placement absorbing correlated losses at scale, and
     /// the only gated sweep whose replicated rows crash at that size.
     /// Gated against `crates/campaign/golden/weak_failures.json`.
-    pub fn failures() -> Self {
+    pub(crate) fn failures() -> Self {
         WeakSweep {
             name: "weak-failures".to_string(),
             logical: vec![1_000],

@@ -29,7 +29,7 @@ pub enum IntervalPolicy {
 /// A plan is deliberately independent of the failure plan it is paired
 /// with: the same plan swept against several MTBF hazards is exactly the
 /// replication-vs-C/R crossover campaign of the paper's Figure 5.  The MTBF
-/// enters through [`CheckpointPlan::interval_for`] at session-construction
+/// enters through `CheckpointPlan::interval_for` at session-construction
 /// time.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CheckpointPlan {
@@ -74,7 +74,7 @@ impl CheckpointPlan {
     /// resolves Young/Daly to `f64::INFINITY` — never checkpoint — which is
     /// what makes a pure cross-product campaign grid valid: the
     /// failure-free × Young grid point degenerates to the native baseline.
-    pub fn interval_for(&self, mtbf_s: f64) -> f64 {
+    pub(crate) fn interval_for(&self, mtbf_s: f64) -> f64 {
         let c = self.ckpt_cost_s;
         match self.policy {
             IntervalPolicy::Fixed { interval_s } => interval_s,

@@ -109,12 +109,6 @@ impl CkptSession {
         }
     }
 
-    /// The resolved checkpoint interval, in virtual seconds
-    /// (`f64::INFINITY` = never checkpoint).
-    pub fn interval_s(&self) -> f64 {
-        self.interval_s
-    }
-
     /// Advances the session to the coordinated protocol point at
     /// allreduce-synchronized virtual time `synced_now_s` and returns the
     /// extra virtual seconds (restarts, re-executed work, a committed

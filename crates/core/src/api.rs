@@ -137,11 +137,6 @@ impl<'a> IntraSession<'a> {
         self.section.add_task(task)
     }
 
-    /// Number of task instances launched so far.
-    pub fn num_tasks(&self) -> usize {
-        self.section.num_tasks()
-    }
-
     /// `Intra_Section_end`: runs the work-sharing protocol.
     pub fn end(self) -> IntraResult<SectionReport> {
         self.section.end()
@@ -188,7 +183,7 @@ mod tests {
                     TaskCost::new(1.0, 2.0),
                 )
                 .unwrap();
-            session.num_tasks() == 2
+            session.section.num_tasks() == 2
         });
         assert!(ok);
     }

@@ -135,21 +135,23 @@ impl CostModel {
             _ => declared,
         }
     }
-
-    /// Number of distinct task instances with history.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True if no observation has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl CostModel {
+        /// Number of distinct task instances with history.
+        fn len(&self) -> usize {
+            self.entries.len()
+        }
+
+        /// True if no observation has been recorded yet.
+        fn is_empty(&self) -> bool {
+            self.entries.is_empty()
+        }
+    }
 
     #[test]
     fn first_observation_initializes_the_mean() {

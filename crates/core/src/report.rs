@@ -31,7 +31,7 @@ pub struct TaskCostSample {
     /// histories.  `(name, occurrence)` is the cost-model identity of the
     /// instance ([`crate::cost::CostModel`]).
     pub occurrence: u32,
-    /// The declared scheduling weight ([`crate::task::TaskDef::weight`]).
+    /// The declared scheduling weight (`TaskDef::weight`).
     pub declared_weight: f64,
     /// Execution time in virtual seconds (see the type-level docs).
     pub observed_seconds: f64,

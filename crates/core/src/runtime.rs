@@ -105,7 +105,7 @@ impl IntraRuntime {
     }
 
     /// The replication environment of this process.
-    pub fn env(&self) -> &ReplicatedEnv {
+    pub(crate) fn env(&self) -> &ReplicatedEnv {
         &self.env
     }
 

@@ -120,16 +120,6 @@ impl<'a> Section<'a> {
         Ok(())
     }
 
-    /// Number of tasks launched so far.
-    pub fn num_tasks(&self) -> usize {
-        self.tasks.len()
-    }
-
-    /// Read access to the workspace (e.g. to compute argument ranges).
-    pub fn workspace(&self) -> &Workspace {
-        self.ws
-    }
-
     /// Ends the section (`Intra_Section_end`): runs the work-sharing
     /// protocol and returns the section report.
     pub fn end(self) -> IntraResult<SectionReport> {
@@ -603,6 +593,13 @@ fn run_protocol(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Section<'_> {
+        /// Number of tasks launched so far.
+        pub(crate) fn num_tasks(&self) -> usize {
+            self.tasks.len()
+        }
+    }
 
     #[test]
     fn split_ranges_cover_the_index_space() {

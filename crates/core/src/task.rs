@@ -31,7 +31,7 @@ pub enum ArgTag {
 
 impl ArgTag {
     /// True if the argument is written by the task (and therefore shipped).
-    pub fn is_output(self) -> bool {
+    pub(crate) fn is_output(self) -> bool {
         matches!(self, ArgTag::Out | ArgTag::InOut)
     }
 }
@@ -76,17 +76,12 @@ impl ArgSpec {
     }
 
     /// Number of elements in the range.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.range.end - self.range.start
     }
 
-    /// True if the range is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Number of bytes in the range.
-    pub fn bytes(&self) -> usize {
+    pub(crate) fn bytes(&self) -> usize {
         self.len() * std::mem::size_of::<f64>()
     }
 }
@@ -139,7 +134,7 @@ impl CostHint {
     const NONE: CostHint = CostHint(None);
 
     /// A modeled cost descriptor.
-    pub fn modeled(cost: TaskCost) -> Self {
+    pub(crate) fn modeled(cost: TaskCost) -> Self {
         CostHint(Some(cost))
     }
 
@@ -267,7 +262,7 @@ impl TaskDef {
     }
 
     /// Validates the argument ranges against a workspace.
-    pub fn validate(&self, ws: &Workspace) -> IntraResult<()> {
+    pub(crate) fn validate(&self, ws: &Workspace) -> IntraResult<()> {
         if self.args.is_empty() {
             return Err(IntraError::InvalidTask(format!(
                 "task '{}' has no arguments",
@@ -292,7 +287,7 @@ impl TaskDef {
 
     /// Relative compute weight used by cost-aware schedulers (falls back to
     /// the update size when no cost was provided).
-    pub fn weight(&self) -> f64 {
+    pub(crate) fn weight(&self) -> f64 {
         match self.cost {
             Some(c) => c.flops.max(c.mem_bytes),
             None => self.update_bytes().max(1) as f64,
@@ -303,6 +298,12 @@ impl TaskDef {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ArgSpec {
+        fn is_empty(&self) -> bool {
+            self.len() == 0
+        }
+    }
 
     fn noop() -> TaskDef {
         TaskDef::new("noop", |_ctx| {}, vec![])

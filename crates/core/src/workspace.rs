@@ -15,13 +15,6 @@ use std::ops::Range;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VarId(pub(crate) usize);
 
-impl VarId {
-    /// The raw index of the variable (diagnostic).
-    pub fn index(&self) -> usize {
-        self.0
-    }
-}
-
 #[derive(Debug, Clone)]
 struct Var {
     name: String,
@@ -55,21 +48,6 @@ impl Workspace {
         self.add(name, vec![0.0; len])
     }
 
-    /// Name of a variable.
-    pub fn name(&self, id: VarId) -> &str {
-        &self.vars[id.0].name
-    }
-
-    /// Length (in elements) of a variable.
-    pub fn len(&self, id: VarId) -> usize {
-        self.vars[id.0].data.len()
-    }
-
-    /// True if the workspace has no variables.
-    pub fn is_empty(&self) -> bool {
-        self.vars.is_empty()
-    }
-
     /// Read access to a variable.
     pub fn get(&self, id: VarId) -> &[f64] {
         &self.vars[id.0].data
@@ -92,7 +70,7 @@ impl Workspace {
     }
 
     /// Validates that `range` lies within variable `id`.
-    pub fn check_range(&self, id: VarId, range: &Range<usize>) -> IntraResult<()> {
+    pub(crate) fn check_range(&self, id: VarId, range: &Range<usize>) -> IntraResult<()> {
         if id.0 >= self.vars.len() {
             return Err(IntraError::InvalidVariable(format!(
                 "variable id {} out of range ({} vars)",
@@ -144,6 +122,20 @@ impl Workspace {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Workspace {
+        fn name(&self, id: VarId) -> &str {
+            &self.vars[id.0].name
+        }
+
+        fn len(&self, id: VarId) -> usize {
+            self.vars[id.0].data.len()
+        }
+
+        fn is_empty(&self) -> bool {
+            self.vars.is_empty()
+        }
+    }
     use proptest::prelude::*;
 
     #[test]

@@ -31,14 +31,6 @@ pub struct KernelCost {
 }
 
 impl KernelCost {
-    /// A zero cost.
-    pub const ZERO: KernelCost = KernelCost {
-        flops: 0.0,
-        bytes_read: 0.0,
-        bytes_written: 0.0,
-        output_bytes: 0.0,
-    };
-
     /// Creates a cost descriptor.
     pub fn new(flops: f64, bytes_read: f64, bytes_written: f64, output_bytes: f64) -> Self {
         KernelCost {
@@ -95,7 +87,7 @@ impl Mul<f64> for KernelCost {
 }
 
 /// Size of one `f64` in bytes, used by the per-kernel cost functions.
-pub const F64: f64 = 8.0;
+pub(crate) const F64: f64 = 8.0;
 
 #[cfg(test)]
 mod tests {
@@ -119,12 +111,12 @@ mod tests {
         let c = KernelCost::new(100.0, 100.0, 100.0, 10.0);
         assert_eq!(c.intensity(), 0.5);
         assert_eq!(c.flops / c.output_bytes, 10.0);
-        assert_eq!(KernelCost::ZERO.intensity(), f64::INFINITY);
+        assert_eq!(KernelCost::default().intensity(), f64::INFINITY);
     }
 
     #[test]
     fn add_assign_accumulates() {
-        let mut acc = KernelCost::ZERO;
+        let mut acc = KernelCost::default();
         for _ in 0..3 {
             acc += KernelCost::new(1.0, 2.0, 3.0, 4.0);
         }

@@ -35,18 +35,6 @@ pub enum Face {
     Up,
 }
 
-impl Face {
-    /// All six faces.
-    pub const ALL: [Face; 6] = [
-        Face::West,
-        Face::East,
-        Face::South,
-        Face::North,
-        Face::Down,
-        Face::Up,
-    ];
-}
-
 impl Grid3d {
     /// Creates a grid filled with `value` (ghost cells included).
     pub fn filled(nx: usize, ny: usize, nz: usize, value: f64) -> Self {
@@ -107,7 +95,7 @@ impl Grid3d {
 
     /// Sets the interior cell `(x, y, z)`.
     #[inline]
-    pub fn set(&mut self, x: usize, y: usize, z: usize, v: f64) {
+    pub(crate) fn set(&mut self, x: usize, y: usize, z: usize, v: f64) {
         let i = self.index(x + 1, y + 1, z + 1);
         self.data[i] = v;
     }
@@ -115,7 +103,7 @@ impl Grid3d {
     /// Value at ghost-inclusive coordinates (`0..=nx+1` etc.), used by the
     /// stencil kernels.
     #[inline]
-    pub fn get_raw(&self, x: usize, y: usize, z: usize) -> f64 {
+    pub(crate) fn get_raw(&self, x: usize, y: usize, z: usize) -> f64 {
         self.data[self.index(x, y, z)]
     }
 
@@ -132,7 +120,7 @@ impl Grid3d {
     /// compile to bounds-check-free, vectorizable code instead of one
     /// indexed load per stencil point.
     #[inline]
-    pub fn raw_row(&self, y: usize, z: usize) -> &[f64] {
+    pub(crate) fn raw_row(&self, y: usize, z: usize) -> &[f64] {
         let start = self.index(0, y, z);
         &self.data[start..start + self.nx + 2]
     }
@@ -140,7 +128,7 @@ impl Grid3d {
     /// The interior cells of row `(y, z)` (interior coordinates, length
     /// `nx`) as a mutable slice.
     #[inline]
-    pub fn interior_row_mut(&mut self, y: usize, z: usize) -> &mut [f64] {
+    pub(crate) fn interior_row_mut(&mut self, y: usize, z: usize) -> &mut [f64] {
         let start = self.index(1, y + 1, z + 1);
         let nx = self.nx;
         &mut self.data[start..start + nx]
@@ -149,7 +137,7 @@ impl Grid3d {
     /// Length of one ghost-inclusive x-row (`nx + 2`); the row stride of
     /// the plane slabs returned by [`Grid3d::interior_plane_slabs_mut`].
     #[inline]
-    pub fn raw_row_len(&self) -> usize {
+    pub(crate) fn raw_row_len(&self) -> usize {
         self.nx + 2
     }
 
@@ -160,7 +148,7 @@ impl Grid3d {
     /// The slabs are disjoint, so a task pool can hand each tile of planes
     /// to a different worker without any aliasing: this is the mutable
     /// surface behind the pool-parallel stencil sweeps.
-    pub fn interior_plane_slabs_mut(&mut self) -> Vec<&mut [f64]> {
+    pub(crate) fn interior_plane_slabs_mut(&mut self) -> Vec<&mut [f64]> {
         let plane = (self.nx + 2) * (self.ny + 2);
         self.data.chunks_mut(plane).skip(1).take(self.nz).collect()
     }
@@ -272,6 +260,17 @@ impl Grid3d {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Face {
+        const ALL: [Face; 6] = [
+            Face::West,
+            Face::East,
+            Face::South,
+            Face::North,
+            Face::Down,
+            Face::Up,
+        ];
+    }
 
     #[test]
     fn construction_and_accessors() {

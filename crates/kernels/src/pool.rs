@@ -3,7 +3,7 @@
 //! The paper's intra-parallelization executes a kernel as a set of
 //! independent tiles (plane ranges, row ranges) inside one rank.  This pool
 //! is the host-side executor for that shape of work: the tiles of one
-//! [`KernelPool::run`] call go into one locked queue and scoped workers pop
+//! `KernelPool::run` call go into one locked queue and scoped workers pop
 //! it, first tile first — the queue discipline of the campaign crate's
 //! `ExecutorPool`, but scoped: tasks may borrow the caller's data (the
 //! grids and vectors being swept), which a long-lived `'static` pool cannot
@@ -23,7 +23,7 @@ use std::sync::Mutex;
 
 /// One unit of kernel work: a closure borrowing the caller's data for the
 /// lifetime of a single [`KernelPool::run`] call.
-pub type Task<'scope> = Box<dyn FnOnce() + Send + 'scope>;
+pub(crate) type Task<'scope> = Box<dyn FnOnce() + Send + 'scope>;
 
 /// A fork-join executor for kernel tiles.
 #[derive(Debug, Clone)]
@@ -48,17 +48,12 @@ impl KernelPool {
         )
     }
 
-    /// Number of workers.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
     /// Executes every task, returning when all have finished.
     ///
     /// The calling thread is one of the workers and no more workers start
     /// than there are tasks, so one worker — or an empty or single-task
     /// set — is in-order sequential execution on the calling thread.
-    pub fn run(&self, tasks: Vec<Task<'_>>) {
+    pub(crate) fn run(&self, tasks: Vec<Task<'_>>) {
         let workers = self.workers.min(tasks.len());
         let queue = Mutex::new(tasks.into_iter());
         let work = || loop {
@@ -82,6 +77,12 @@ impl KernelPool {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+
+    impl KernelPool {
+        fn workers(&self) -> usize {
+            self.workers
+        }
+    }
 
     #[test]
     fn runs_every_task_exactly_once() {

@@ -74,7 +74,7 @@ fn stencil27_row_into(input: &Grid3d, y: usize, z: usize, inv: f64, out: &mut [f
 /// [`stencil27_pool`] tiles over).
 ///
 /// Blocked implementation: sweeps row by row with slice-based inner loops
-/// (see [`Grid3d::raw_row`]); bit-identical to
+/// (see `Grid3d::raw_row`); bit-identical to
 /// [`stencil27_planes_scalar`].
 ///
 /// # Panics
@@ -157,11 +157,6 @@ pub fn stencil_cost(n: usize, points: usize) -> KernelCost {
     KernelCost::new(p * n, 2.0 * n * F64, n * F64, n * F64)
 }
 
-/// Cost of summing `n` grid cells (ships a single scalar).
-pub fn grid_sum_cost(n: usize) -> KernelCost {
-    crate::vecops::grid_sum_cost(n)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,7 +208,7 @@ mod tests {
     #[test]
     fn stencil_cost_is_update_heavy_and_sum_cost_is_not() {
         let s = stencil_cost(1_000_000, 27);
-        let g = grid_sum_cost(1_000_000);
+        let g = crate::vecops::grid_sum_cost(1_000_000);
         assert!(s.flops / s.output_bytes < 4.0);
         assert!(g.flops / g.output_bytes > 1e4);
     }

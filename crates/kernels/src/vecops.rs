@@ -166,13 +166,6 @@ pub fn grid_sum_cost(n: usize) -> KernelCost {
     KernelCost::new(n, n * F64, F64, F64)
 }
 
-/// Fills a vector with a constant.
-pub fn fill(x: &mut [f64], value: f64) {
-    for v in x.iter_mut() {
-        *v = value;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -207,7 +200,7 @@ mod tests {
         scale(0.5, &mut y);
         assert_eq!(y, vec![2.0, 3.5, 5.0]);
         assert_eq!(grid_sum(&y), 10.5);
-        fill(&mut y, 0.0);
+        y.fill(0.0);
         assert_eq!(grid_sum(&y), 0.0);
     }
 

@@ -105,11 +105,6 @@ impl ReplicatedEnv {
         self.mode
     }
 
-    /// The failure injector for this run.
-    pub fn injector(&self) -> &FailureInjector {
-        &self.injector
-    }
-
     /// Logical rank of this process (what the application considers its MPI
     /// rank).
     pub fn logical_rank(&self) -> usize {

@@ -22,7 +22,7 @@ impl ReplicaMapping {
     ///
     /// # Panics
     /// Panics if either argument is zero.
-    pub fn new(num_logical: usize, degree: usize) -> Self {
+    pub(crate) fn new(num_logical: usize, degree: usize) -> Self {
         assert!(num_logical > 0, "need at least one logical process");
         assert!(degree > 0, "replication degree must be at least 1");
         ReplicaMapping {
@@ -37,7 +37,7 @@ impl ReplicaMapping {
     /// # Panics
     /// Panics if the number of physical processes is not a multiple of the
     /// degree.
-    pub fn from_physical(num_physical: usize, degree: usize) -> Self {
+    pub(crate) fn from_physical(num_physical: usize, degree: usize) -> Self {
         assert!(degree > 0, "replication degree must be at least 1");
         assert!(
             num_physical.is_multiple_of(degree),
@@ -47,34 +47,34 @@ impl ReplicaMapping {
     }
 
     /// Number of logical processes (MPI ranks seen by the application).
-    pub fn num_logical(&self) -> usize {
+    pub(crate) fn num_logical(&self) -> usize {
         self.num_logical
     }
 
     /// Replication degree.
-    pub fn degree(&self) -> usize {
+    pub(crate) fn degree(&self) -> usize {
         self.degree
     }
 
     /// Total number of physical processes.
-    pub fn num_physical(&self) -> usize {
+    pub(crate) fn num_physical(&self) -> usize {
         self.num_logical * self.degree
     }
 
     /// Logical rank of a physical rank.
-    pub fn logical_of(&self, physical: usize) -> usize {
+    pub(crate) fn logical_of(&self, physical: usize) -> usize {
         assert!(physical < self.num_physical(), "physical rank out of range");
         physical % self.num_logical
     }
 
     /// Replica id of a physical rank.
-    pub fn replica_of(&self, physical: usize) -> usize {
+    pub(crate) fn replica_of(&self, physical: usize) -> usize {
         assert!(physical < self.num_physical(), "physical rank out of range");
         physical / self.num_logical
     }
 
     /// Physical rank hosting replica `replica` of logical process `logical`.
-    pub fn physical_of(&self, logical: usize, replica: usize) -> usize {
+    pub(crate) fn physical_of(&self, logical: usize, replica: usize) -> usize {
         assert!(logical < self.num_logical, "logical rank out of range");
         assert!(replica < self.degree, "replica id out of range");
         replica * self.num_logical + logical

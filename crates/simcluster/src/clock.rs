@@ -34,7 +34,7 @@ pub struct VirtualClock {
 
 impl VirtualClock {
     /// A clock starting at time zero.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -89,11 +89,6 @@ impl VirtualClock {
     /// Virtual time spent blocked waiting for remote progress.
     pub fn wait_time(&self) -> SimTime {
         self.wait
-    }
-
-    /// Time elapsed since `mark`, an earlier [`VirtualClock::now`].
-    pub fn since(&self, mark: SimTime) -> SimTime {
-        self.now.saturating_sub(mark)
     }
 }
 
@@ -181,6 +176,12 @@ impl Endpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl VirtualClock {
+        fn since(&self, mark: SimTime) -> SimTime {
+            self.now.saturating_sub(mark)
+        }
+    }
 
     #[test]
     fn starts_at_zero() {

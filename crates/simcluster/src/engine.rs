@@ -62,8 +62,8 @@ const POOLED_CAPACITY: usize = 1 << 12;
 /// // Ready tasks dispatch first (virtual now does not move)…
 /// assert_eq!(engine.next().unwrap().task, TaskId(2));
 /// // …then timers in virtual-time order, advancing now.
-/// assert_eq!(engine.next().unwrap().task, TaskId(1));
-/// assert_eq!(engine.now(), SimTime::from_secs(1.0));
+/// let timer = engine.next().unwrap();
+/// assert_eq!((timer.task, timer.at), (TaskId(1), SimTime::from_secs(1.0)));
 /// assert_eq!(engine.next().unwrap().task, TaskId(0));
 /// assert!(engine.next().is_none());
 /// ```
@@ -114,12 +114,6 @@ impl VirtualEngine {
     /// An empty engine at virtual time zero.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Current virtual time: the time of the latest timer dispatched.
-    /// Monotonically non-decreasing.
-    pub fn now(&self) -> SimTime {
-        self.now
     }
 
     /// Appends `task` to the ready list: it dispatches (FIFO) before any
@@ -174,11 +168,6 @@ impl VirtualEngine {
         Some(Dispatch { task, at: self.now })
     }
 
-    /// Number of tasks waiting (ready + timed).
-    pub fn pending(&self) -> usize {
-        self.ready.len() + self.timed
-    }
-
     /// Total dispatches served so far (diagnostic; one per `next`).
     pub fn dispatched(&self) -> u64 {
         self.dispatched
@@ -188,6 +177,18 @@ impl VirtualEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl VirtualEngine {
+        /// Current virtual time: the time of the latest timer dispatched.
+        fn now(&self) -> SimTime {
+            self.now
+        }
+
+        /// Number of tasks waiting (ready + timed).
+        fn pending(&self) -> usize {
+            self.ready.len() + self.timed
+        }
+    }
 
     fn t(secs: f64) -> SimTime {
         SimTime::from_secs(secs)

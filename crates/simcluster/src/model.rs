@@ -54,7 +54,7 @@ impl NetworkModel {
 
     /// An idealized, infinitely fast network.  Useful in unit tests that only
     /// care about protocol correctness, not timing.
-    pub fn ideal() -> Self {
+    pub(crate) fn ideal() -> Self {
         NetworkModel {
             latency_s: 0.0,
             bandwidth_bytes_per_s: f64::INFINITY,
@@ -72,7 +72,7 @@ impl NetworkModel {
 
     /// Wire time for a message of `bytes` bytes (latency + serialization),
     /// excluding sender/receiver CPU overheads.
-    pub fn wire_time(&self, bytes: usize) -> SimTime {
+    pub(crate) fn wire_time(&self, bytes: usize) -> SimTime {
         let ser = if self.bandwidth_bytes_per_s.is_finite() && self.bandwidth_bytes_per_s > 0.0 {
             bytes as f64 / self.bandwidth_bytes_per_s
         } else {

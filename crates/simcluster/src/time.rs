@@ -31,32 +31,9 @@ impl SimTime {
         }
     }
 
-    /// Creates a time from milliseconds.
-    pub fn from_millis(ms: f64) -> Self {
-        Self::from_secs(ms * 1e-3)
-    }
-
     /// The raw number of seconds.
     pub fn as_secs(self) -> f64 {
         self.0
-    }
-
-    /// Returns the maximum of two times.
-    pub fn max(self, other: SimTime) -> SimTime {
-        if self.0 >= other.0 {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// Returns the minimum of two times.
-    pub fn min(self, other: SimTime) -> SimTime {
-        if self.0 <= other.0 {
-            self
-        } else {
-            other
-        }
     }
 
     /// Saturating subtraction: never goes below zero.
@@ -156,6 +133,12 @@ impl fmt::Display for SimTime {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl SimTime {
+        fn from_millis(ms: f64) -> Self {
+            Self::from_secs(ms * 1e-3)
+        }
+    }
 
     #[test]
     fn constructors_and_accessors_round_trip() {

@@ -81,19 +81,9 @@ impl Comm {
         self.group.len()
     }
 
-    /// Identifier of this communicator (diagnostic).
-    pub fn id(&self) -> CommId {
-        self.id
-    }
-
     /// The underlying per-process core (used by higher layers for timing).
     pub(crate) fn core(&self) -> &Arc<ProcCore> {
         &self.core
-    }
-
-    /// Current virtual time of the calling process.
-    pub fn now(&self) -> SimTime {
-        self.core.now()
     }
 
     fn validate_rank(&self, r: usize) -> MpiResult<()> {

@@ -176,7 +176,6 @@ pub enum RecvOutcome {
 pub struct RankCtx {
     rank: usize,
     world: usize,
-    now: SimTime,
     last_recv: Option<RecvOutcome>,
 }
 
@@ -189,11 +188,6 @@ impl RankCtx {
     /// Total number of logical ranks.
     pub fn world(&self) -> usize {
         self.world
-    }
-
-    /// Current virtual time of this rank.
-    pub fn now(&self) -> SimTime {
-        self.now
     }
 
     /// How the previous [`Step::Recv`] ended.  `Some` exactly on the first
@@ -814,7 +808,6 @@ fn run_burst<P: RankProgram>(
         let ctx = RankCtx {
             rank,
             world,
-            now,
             last_recv: last_recv.take(),
         };
         match local.program.step(&ctx) {
@@ -1650,11 +1643,15 @@ mod tests {
 
     #[test]
     fn total_loss_makespan_reports_last_death_not_zero() {
-        struct Busy;
+        /// Elapses in steps of `1 + rank` seconds until its own clock
+        /// reads 10 s.
+        struct Busy(SimTime);
         impl RankProgram for Busy {
             fn step(&mut self, ctx: &RankCtx) -> Step {
-                if ctx.now() < SimTime::from_secs(10.0) {
-                    Step::Elapse(SimTime::from_secs(1.0 + ctx.rank() as f64))
+                if self.0 < SimTime::from_secs(10.0) {
+                    let dt = SimTime::from_secs(1.0 + ctx.rank() as f64);
+                    self.0 += dt;
+                    Step::Elapse(dt)
                 } else {
                     Step::Done
                 }
@@ -1664,7 +1661,7 @@ mod tests {
             crashes: vec![(0, SimTime::from_secs(0.5)), (1, SimTime::from_secs(0.5))],
             ..EngineConfig::ideal(2)
         };
-        let report = run_virtual_cluster(&config, |_| Busy);
+        let report = run_virtual_cluster(&config, |_| Busy(SimTime::ZERO));
         assert!(report.ranks.iter().all(|r| r.failed));
         assert_eq!(report.makespan(), report.max_time());
         // Rank 0 died at 1.0 (first boundary past 0.5), rank 1 at 2.0.

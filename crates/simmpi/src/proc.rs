@@ -10,7 +10,7 @@ use std::sync::Arc;
 /// simulated process.  One `ProcCore` exists per physical rank; it is only
 /// ever touched from that rank's thread plus (read-only) from the report
 /// collector once the run has finished, hence the plain mutex.
-pub struct ProcCore {
+pub(crate) struct ProcCore {
     pub(crate) world_rank: usize,
     pub(crate) num_procs: usize,
     pub(crate) router: Arc<Router>,
@@ -117,19 +117,9 @@ impl ProcHandle {
         ProcHandle { core }
     }
 
-    #[allow(dead_code)]
-    pub(crate) fn core(&self) -> &Arc<ProcCore> {
-        &self.core
-    }
-
     /// World rank of this process.
     pub fn rank(&self) -> usize {
         self.core.world_rank
-    }
-
-    /// Total number of physical processes in the cluster.
-    pub fn num_procs(&self) -> usize {
-        self.core.num_procs
     }
 
     /// The world communicator (all physical processes).
@@ -165,11 +155,6 @@ impl ProcHandle {
         &self.core.machine
     }
 
-    /// The process placement in effect.
-    pub fn topology(&self) -> &Topology {
-        &self.core.topology
-    }
-
     /// Global seed configured for this run (use with
     /// [`simcluster::seeded_rng`] and the local rank for deterministic
     /// per-process randomness).
@@ -190,5 +175,17 @@ impl ProcHandle {
     pub fn fail_here(&self) {
         let now = self.now();
         self.core.router.mark_failed(self.rank(), now);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    impl ProcHandle {
+        /// The process's shared state, for the launcher's unit tests.
+        pub(crate) fn core(&self) -> &Arc<ProcCore> {
+            &self.core
+        }
     }
 }

@@ -19,7 +19,7 @@ impl SendRequest {
     }
 
     /// Virtual time at which the send completes locally.
-    pub fn completion_time(&self) -> SimTime {
+    pub(crate) fn completion_time(&self) -> SimTime {
         self.complete_at
     }
 }

@@ -23,8 +23,9 @@ pub enum Error {
     /// An MPI-level error that escaped the intra runtime (converted with
     /// `?` / `From<MpiError>`).
     Mpi(MpiError),
-    /// The replication degree is invalid for the requested mode (zero, or
-    /// more than one replica without replication).
+    /// The replication degree is invalid for the requested mode: below 2
+    /// with replication, or so large that the physical process count
+    /// (logical processes × degree) overflows.
     InvalidReplicas {
         /// The requested execution mode.
         mode: crate::experiment::Mode,
@@ -56,8 +57,8 @@ impl fmt::Display for Error {
             Error::Mpi(e) => write!(f, "MPI error: {e}"),
             Error::InvalidReplicas { mode, replicas } => write!(
                 f,
-                "invalid replica count {replicas} for mode {mode}: no-replication runs take \
-                 exactly 1, replicated modes at least 2"
+                "invalid replica count {replicas} for mode {mode}: replicated modes take at \
+                 least 2, and logical processes × replicas must fit in a usize"
             ),
             Error::UnrecoverableFailurePlan => write!(
                 f,

@@ -46,8 +46,9 @@ use simmpi::{run_cluster, ClusterConfig, ClusterReport};
 use std::fmt;
 use std::str::FromStr;
 
-/// Replication mode of an experiment, without its degree (the degree is the
-/// separate [`ExperimentBuilder::replicas`] axis).
+/// Replication mode of an experiment, without its degree
+/// ([`ExperimentBuilder::mode`] takes the mode's default degree,
+/// [`ExperimentBuilder::execution_mode`] any other).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Mode {
     /// Plain MPI: one physical process per logical rank, no fault
@@ -72,21 +73,13 @@ impl Mode {
         }
     }
 
-    /// The degree this mode takes when none is configured explicitly.
-    fn default_replicas(self) -> usize {
-        match self {
-            Mode::NoReplication => 1,
-            Mode::Replication | Mode::IntraReplication => 2,
-        }
-    }
-
-    /// Pairs the mode with a replication degree, yielding the low-level
-    /// [`ExecutionMode`].
-    fn with_replicas(self, replicas: usize) -> ExecutionMode {
+    /// The mode at its default degree: 1 without replication, the paper's
+    /// 2 with it.
+    fn default_execution(self) -> ExecutionMode {
         match self {
             Mode::NoReplication => ExecutionMode::Native,
-            Mode::Replication => ExecutionMode::Replicated { degree: replicas },
-            Mode::IntraReplication => ExecutionMode::IntraParallel { degree: replicas },
+            Mode::Replication => ExecutionMode::Replicated { degree: 2 },
+            Mode::IntraReplication => ExecutionMode::IntraParallel { degree: 2 },
         }
     }
 }
@@ -166,7 +159,7 @@ impl FailurePlan {
 
     /// Correlated crash events at the given per-group intensity over the
     /// default horizon.
-    pub fn correlated(domain: FailureDomain, rate: FailureRate) -> Self {
+    pub(crate) fn correlated(domain: FailureDomain, rate: FailureRate) -> Self {
         FailurePlan::Correlated {
             domain,
             rate,
@@ -175,7 +168,7 @@ impl FailurePlan {
     }
 
     /// Node-level correlated failures: each event kills every rank of one
-    /// node ([`FailurePlan::correlated`] with [`FailureDomain::Node`]).
+    /// node (a correlated plan over [`FailureDomain::Node`]).
     pub fn node_failures(rate: FailureRate) -> Self {
         Self::correlated(FailureDomain::Node, rate)
     }
@@ -286,8 +279,7 @@ impl FromStr for FailurePlan {
 pub struct Experiment {
     app: AppId,
     scale: ExperimentScale,
-    mode: Mode,
-    replicas: usize,
+    mode: ExecutionMode,
     scheduler: SchedulerKind,
     failures: FailurePlan,
     seed: u64,
@@ -318,12 +310,7 @@ impl Experiment {
 
     /// The replication mode.
     pub fn mode(&self) -> Mode {
-        self.mode
-    }
-
-    /// The replication degree (1 for [`Mode::NoReplication`]).
-    pub fn replicas(&self) -> usize {
-        self.replicas
+        Mode::from(self.mode)
     }
 
     /// The scheduler used inside intra-parallel sections.
@@ -351,7 +338,7 @@ impl Experiment {
     /// summed over its independent streams (physical ranks for a Poisson
     /// plan, failure groups for a correlated plan).  Infinite without a
     /// failure plan.
-    pub fn system_mtbf_s(&self) -> f64 {
+    pub(crate) fn system_mtbf_s(&self) -> f64 {
         match self.failures {
             FailurePlan::None => f64::INFINITY,
             FailurePlan::Poisson { rate, horizon_s } => system_mtbf(rate, horizon_s, self.procs()),
@@ -365,7 +352,7 @@ impl Experiment {
 
     /// The low-level execution mode (mode + degree).
     pub fn execution_mode(&self) -> ExecutionMode {
-        self.mode.with_replicas(self.replicas)
+        self.mode
     }
 
     /// Number of logical processes the experiment simulates.
@@ -376,11 +363,11 @@ impl Experiment {
 
     /// Number of physical processes the experiment simulates.
     pub fn procs(&self) -> usize {
-        self.logical_procs() * self.replicas
+        self.logical_procs() * self.mode.degree()
     }
 
     /// The catalog workload the scale maps to.
-    pub fn workload(&self) -> AppWorkload {
+    pub(crate) fn workload(&self) -> AppWorkload {
         AppWorkload {
             grid_edge: self.scale.actual_grid_edge(),
             particles: self.scale.actual_particles(),
@@ -406,10 +393,10 @@ impl Experiment {
     /// replicated (so replicas of one logical rank never share a node,
     /// mirroring the paper), block placement otherwise.
     pub fn topology(&self) -> Topology {
-        if self.replicas > 1 {
+        if self.mode.degree() > 1 {
             Topology::replica_disjoint(
                 self.logical_procs(),
-                self.replicas,
+                self.mode.degree(),
                 self.machine.cores_per_node,
             )
         } else {
@@ -450,8 +437,8 @@ impl Experiment {
             "|app={}|scale={}|mode={}|replicas={}|scheduler={}|failures={}|seed={}",
             self.app.name(),
             self.scale.name(),
-            self.mode.label(),
-            self.replicas,
+            self.mode().label(),
+            self.mode.degree(),
             self.scheduler,
             self.failures.label(),
             self.seed
@@ -579,7 +566,7 @@ impl Experiment {
             self.system_mtbf_s(),
             &crashes,
             self.logical_procs(),
-            self.replicas,
+            self.mode.degree(),
         ))
     }
 
@@ -638,8 +625,7 @@ impl Experiment {
 pub struct ExperimentBuilder {
     app: Option<AppId>,
     scale: Option<ExperimentScale>,
-    mode: Option<Mode>,
-    replicas: Option<usize>,
+    mode: Option<ExecutionMode>,
     scheduler: Option<SchedulerKind>,
     failures: Option<FailurePlan>,
     seed: Option<u64>,
@@ -666,22 +652,16 @@ impl ExperimentBuilder {
         self
     }
 
-    /// Selects the replication mode (default: [`Mode::IntraReplication`]).
+    /// Selects the replication mode at its default degree, 1 without
+    /// replication and 2 with it (default: [`Mode::IntraReplication`]).
     pub fn mode(mut self, mode: Mode) -> Self {
-        self.mode = Some(mode);
+        self.mode = Some(mode.default_execution());
         self
     }
 
     /// Sets the mode and degree together from a low-level [`ExecutionMode`].
     pub fn execution_mode(mut self, mode: ExecutionMode) -> Self {
-        self.mode = Some(Mode::from(mode));
-        self.replicas = Some(mode.degree());
-        self
-    }
-
-    /// Sets the replication degree (default: 1 without replication, 2 with).
-    pub fn replicas(mut self, replicas: usize) -> Self {
-        self.replicas = Some(replicas);
+        self.mode = Some(mode);
         self
     }
 
@@ -770,20 +750,21 @@ impl ExperimentBuilder {
             Error::Config("no application selected (use .app(AppId::...))".into())
         })?;
         let scale = self.scale.unwrap_or(ExperimentScale::Tiny);
-        let mode = self.mode.unwrap_or(Mode::IntraReplication);
-        let replicas = self.replicas.unwrap_or_else(|| mode.default_replicas());
-        let valid_degree = match mode {
-            Mode::NoReplication => replicas == 1,
-            Mode::Replication | Mode::IntraReplication => replicas >= 2,
+        let mode = self
+            .mode
+            .unwrap_or_else(|| Mode::IntraReplication.default_execution());
+        let invalid_replicas = Error::InvalidReplicas {
+            mode: Mode::from(mode),
+            replicas: mode.degree(),
         };
-        if !valid_degree {
-            return Err(Error::InvalidReplicas { mode, replicas });
+        if mode != ExecutionMode::Native && mode.degree() < 2 {
+            return Err(invalid_replicas);
         }
         let failures = self.failures.unwrap_or(FailurePlan::None);
         // A checkpoint plan makes every crash recoverable (rollback instead
         // of rank death), so it lifts the native-mode opt-in requirement.
         if !failures.is_none()
-            && mode == Mode::NoReplication
+            && mode == ExecutionMode::Native
             && !self.allow_unrecoverable_failures
             && self.ckpt.is_none()
         {
@@ -806,6 +787,13 @@ impl ExperimentBuilder {
         if self.logical_procs == Some(0) {
             return Err(Error::NoLogicalProcs);
         }
+        // `procs()` multiplies the two unchecked.
+        let logical_procs = self
+            .logical_procs
+            .unwrap_or_else(|| scale.fig6_logical_procs());
+        if logical_procs.checked_mul(mode.degree()).is_none() {
+            return Err(invalid_replicas);
+        }
         if self.tasks_per_section == Some(0) {
             return Err(Error::Config("tasks_per_section must be at least 1".into()));
         }
@@ -821,7 +809,6 @@ impl ExperimentBuilder {
             app,
             scale,
             mode,
-            replicas,
             scheduler: self.scheduler.unwrap_or(SchedulerKind::StaticBlock),
             failures,
             seed: self.seed.unwrap_or(42),
@@ -1059,11 +1046,6 @@ impl<T> CustomRun<T> {
             })
             .collect()
     }
-
-    /// Number of ranks that completed the body.
-    pub fn completed(&self) -> usize {
-        self.results.iter().filter(|r| r.is_ok()).count()
-    }
 }
 
 #[cfg(test)]
@@ -1076,7 +1058,6 @@ mod tests {
         assert_eq!(e.app(), AppId::Hpccg);
         assert_eq!(e.scale(), ExperimentScale::Tiny);
         assert_eq!(e.mode(), Mode::IntraReplication);
-        assert_eq!(e.replicas(), 2);
         assert_eq!(e.scheduler(), SchedulerKind::StaticBlock);
         assert_eq!(e.failures(), FailurePlan::None);
         assert_eq!(e.seed(), 42);
@@ -1098,27 +1079,24 @@ mod tests {
 
     #[test]
     fn replica_validation_is_typed() {
-        for (mode, replicas) in [
-            (Mode::NoReplication, 0),
-            (Mode::NoReplication, 2),
-            (Mode::Replication, 0),
-            (Mode::Replication, 1),
-            (Mode::IntraReplication, 0),
-            (Mode::IntraReplication, 1),
-        ] {
-            let err = Experiment::builder()
-                .app(AppId::Hpccg)
-                .mode(mode)
-                .replicas(replicas)
-                .build()
-                .unwrap_err();
-            assert_eq!(err, Error::InvalidReplicas { mode, replicas });
+        for replicas in [0, 1] {
+            for mode in [
+                ExecutionMode::Replicated { degree: replicas },
+                ExecutionMode::IntraParallel { degree: replicas },
+            ] {
+                let err = Experiment::builder()
+                    .app(AppId::Hpccg)
+                    .execution_mode(mode)
+                    .build()
+                    .unwrap_err();
+                let mode = Mode::from(mode);
+                assert_eq!(err, Error::InvalidReplicas { mode, replicas });
+            }
         }
         // Degree 3 intra-replication is fine.
         let e = Experiment::builder()
             .app(AppId::Hpccg)
-            .mode(Mode::IntraReplication)
-            .replicas(3)
+            .execution_mode(ExecutionMode::IntraParallel { degree: 3 })
             .build()
             .unwrap();
         assert_eq!(e.procs(), 3 * e.logical_procs());
@@ -1459,7 +1437,10 @@ mod tests {
             base().app(AppId::Gtc).build().unwrap(),
             base().scale(ExperimentScale::Small).build().unwrap(),
             base().mode(Mode::Replication).build().unwrap(),
-            base().replicas(3).build().unwrap(),
+            base()
+                .execution_mode(ExecutionMode::IntraParallel { degree: 3 })
+                .build()
+                .unwrap(),
             base().scheduler(SchedulerKind::Adaptive).build().unwrap(),
             base().failures(FailurePlan::poisson(0.5)).build().unwrap(),
             base().seed(8).build().unwrap(),
@@ -1600,11 +1581,37 @@ mod tests {
         for (mode, replicas) in [
             (Mode::NoReplication, 1),
             (Mode::Replication, 2),
-            (Mode::IntraReplication, 3),
+            (Mode::IntraReplication, 2),
         ] {
-            let exec = mode.with_replicas(replicas);
+            let exec = mode.default_execution();
             assert_eq!(Mode::from(exec), mode);
             assert_eq!(exec.degree(), replicas);
+            let e = Experiment::builder()
+                .app(AppId::Hpccg)
+                .mode(mode)
+                .build()
+                .unwrap();
+            assert_eq!(e.execution_mode(), exec);
         }
+    }
+
+    #[test]
+    fn a_degree_whose_process_count_overflows_is_rejected_at_build() {
+        let build = |degree| {
+            Experiment::builder()
+                .app(AppId::Hpccg)
+                .execution_mode(ExecutionMode::IntraParallel { degree })
+                .build()
+        };
+        // Built, never run: a thread-world run starts one thread per rank.
+        let e = build(100_000).unwrap();
+        assert_eq!(e.procs(), 100_000 * e.logical_procs());
+        assert_eq!(
+            build(usize::MAX).unwrap_err(),
+            Error::InvalidReplicas {
+                mode: Mode::IntraReplication,
+                replicas: usize::MAX
+            }
+        );
     }
 }

@@ -17,6 +17,13 @@
 //! `docs/api-intended.txt` as `<file>: <name> — <reason>`.  The test fails
 //! on an item that is neither used nor listed, and on an entry that names
 //! no unused item of the dump, so the list cannot go stale.
+//!
+//! The compiler's own dead-code lint sees what a name count cannot, so it
+//! must not be switched off quietly either: a `dead_code` attribute
+//! (`#[allow(dead_code)]` and the like) in the non-test code of
+//! `crates/*/src`, `src/` or `shims/*/src` fails here unless the list has
+//! `<file>: allow(dead_code) — <reason>` for its file, and such an entry
+//! for a file without one is stale.
 
 use std::collections::{BTreeSet, HashSet};
 use std::path::{Path, PathBuf};
@@ -77,6 +84,47 @@ fn sources(root: &Path, trees: &[&str]) -> Vec<(String, String)> {
 
 fn is_test_cut(line: &str) -> bool {
     line.trim_start().starts_with(TEST_CUT)
+}
+
+/// The name an `api-intended.txt` entry gives a file's `dead_code`
+/// attributes.
+const DEAD_CODE_ALLOW: &str = "allow(dead_code)";
+
+/// The files whose non-test code carries an attribute that names
+/// `dead_code` (`allow`, `expect`, `cfg_attr` alike); comments do not count.
+fn dead_code_allows(files: &[(String, String)]) -> BTreeSet<&str> {
+    files
+        .iter()
+        .filter(|(_, text)| {
+            text.lines()
+                .take_while(|line| !is_test_cut(line))
+                .map(|line| line.split("//").next().unwrap().trim_start())
+                .any(|code| code.starts_with('#') && code.contains("dead_code"))
+        })
+        .map(|(path, _)| path.as_str())
+        .collect()
+}
+
+/// The `(file, name)` entries of `docs/api-intended.txt`.
+fn intended_entries(text: &str) -> BTreeSet<(&str, &str)> {
+    let mut intended = BTreeSet::new();
+    for line in text.lines() {
+        if line.trim().is_empty() || line.starts_with('#') {
+            continue;
+        }
+        let entry = line.split_once(": ").and_then(|(file, rest)| {
+            let (name, reason) = rest.split_once(" — ")?;
+            (!reason.trim().is_empty()).then_some((file, name.trim()))
+        });
+        let entry = entry.unwrap_or_else(|| {
+            panic!("api-intended.txt: `{line}` is not `<file>: <name> — <reason>`")
+        });
+        assert!(
+            intended.insert(entry),
+            "api-intended.txt lists {entry:?} twice"
+        );
+    }
+    intended
 }
 
 /// The keywords whose next identifier, after white space only, is the name
@@ -169,23 +217,8 @@ fn every_public_item_is_used_or_intended() {
         .collect();
 
     let intended_text = std::fs::read_to_string(root.join("docs/api-intended.txt")).unwrap();
-    let mut intended = BTreeSet::new();
-    for line in intended_text.lines() {
-        if line.trim().is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let entry = line.split_once(": ").and_then(|(file, rest)| {
-            let (name, reason) = rest.split_once(" — ")?;
-            (!reason.trim().is_empty()).then_some((file, name.trim()))
-        });
-        let entry = entry.unwrap_or_else(|| {
-            panic!("api-intended.txt: `{line}` is not `<file>: <name> — <reason>`")
-        });
-        assert!(
-            intended.insert(entry),
-            "api-intended.txt lists {entry:?} twice"
-        );
-    }
+    let mut intended = intended_entries(&intended_text);
+    intended.retain(|&(_, name)| name != DEAD_CODE_ALLOW);
 
     let unlisted: Vec<String> = unused
         .difference(&intended)
@@ -223,5 +256,59 @@ fn test_code_starts_at_one_cut_per_file() {
         "files with more than one `{TEST_CUT}` line (test-only helpers go into the \
          file's `mod tests`):\n{}",
         offenders.join("\n")
+    );
+}
+
+#[test]
+fn non_test_code_has_no_unlisted_dead_code_allow() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let files = sources(root, &ONE_CUT_TREES);
+    let allows = dead_code_allows(&files);
+    let intended_text = std::fs::read_to_string(root.join("docs/api-intended.txt")).unwrap();
+    let listed: BTreeSet<&str> = intended_entries(&intended_text)
+        .into_iter()
+        .filter(|&(_, name)| name == DEAD_CODE_ALLOW)
+        .map(|(file, _)| file)
+        .collect();
+    let unlisted: Vec<&str> = allows.difference(&listed).copied().collect();
+    let stale: Vec<&str> = listed.difference(&allows).copied().collect();
+    assert!(
+        unlisted.is_empty(),
+        "`dead_code` attributes in non-test code: delete the dead item, move a test-only \
+         one into the file's `mod tests`, or list the file in docs/api-intended.txt as \
+         `<file>: {DEAD_CODE_ALLOW} — <reason>`:\n{}",
+        unlisted.join("\n")
+    );
+    assert!(
+        stale.is_empty(),
+        "docs/api-intended.txt lists {DEAD_CODE_ALLOW} for files without one:\n{}",
+        stale.join("\n")
+    );
+}
+
+#[test]
+fn a_dead_code_allow_above_the_test_cut_is_caught() {
+    let fixture = |path: &str, text: &str| (path.to_string(), text.to_string());
+    let files = [
+        fixture(
+            "crates/a/src/hidden.rs",
+            "pub(crate) struct P;\nimpl P {\n    #[allow(dead_code)]\n    pub(crate) fn core(&self) {}\n}\n",
+        ),
+        fixture(
+            "crates/a/src/inner.rs",
+            "#![allow(unused, dead_code)]\nfn f() {}\n",
+        ),
+        fixture(
+            "crates/a/src/tested.rs",
+            "fn f() {}\n#[cfg(test)]\nmod tests {\n    #[allow(dead_code)]\n    fn helper() {}\n}\n",
+        ),
+        fixture(
+            "crates/a/src/commented.rs",
+            "fn f() {} // #[allow(dead_code)] would hide it\n",
+        ),
+    ];
+    assert_eq!(
+        dead_code_allows(&files).into_iter().collect::<Vec<_>>(),
+        ["crates/a/src/hidden.rs", "crates/a/src/inner.rs"]
     );
 }
