@@ -303,6 +303,70 @@ fn gtc_physics_is_pinned_bit_for_bit() {
     }
 }
 
+/// Figure 2b's hazard on a real application: GTC's push tasks are the
+/// catalog's only ones with two `inout` outputs (positions, velocities).
+/// Replica 1 of logical process 0 dies in the push section of step 1 after
+/// shipping the positions of task 4 but not its velocities; its survivor
+/// must re-execute that task from the untouched pre-section particles, adopt
+/// the dead replica's tasks from then on, and end with the failure-free
+/// run's physics bits.  The run executes under a wall deadline, so a hang
+/// fails here instead of stalling the suite.
+#[test]
+fn gtc_survives_a_partial_push_update_bit_for_bit() {
+    const STEPS: usize = 5;
+    // Sections alternate charge, push: step 1's push section is number 3.
+    const CRASH_SECTION: usize = 3;
+    // Static block scheduling gives replica 1 tasks 4..8 of every section.
+    let crash = ProtocolPoint::MidUpdateSend {
+        section: CRASH_SECTION,
+        task: 4,
+        vars_sent: 1,
+    };
+    let logical = GTC_SMALL_BITS.len();
+    let (tx, rx) = std::sync::mpsc::channel();
+    let helper = std::thread::spawn(move || {
+        let report = run_cluster(&ClusterConfig::ideal(2 * logical), move |proc| {
+            let injector = FailureInjector::none();
+            // Physical rank `logical` is replica 1 of logical process 0.
+            injector.arm(logical, crash);
+            let mode = ExecutionMode::IntraParallel { degree: 2 };
+            let mut ctx = AppContext::new(proc, mode, IntraConfig::paper(), injector).unwrap();
+            let ids = (ctx.env.logical_rank(), ctx.env.replica_id());
+            (ids, run_gtc(&mut ctx, &GtcParams::small(4000, STEPS)))
+        });
+        let _ = tx.send(report.unwrap_results());
+    });
+    let results = rx
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .expect("the run did not end");
+    helper.join().unwrap();
+    let tasks = IntraConfig::paper().tasks_per_section;
+    for (rank, ((logical_rank, replica), result)) in results.into_iter().enumerate() {
+        if rank == logical {
+            assert_eq!((logical_rank, replica), (0, 1));
+            assert!(result.is_err(), "rank {rank} was to crash");
+            continue;
+        }
+        let out = result.unwrap_or_else(|e| panic!("rank {rank} failed: {e}"));
+        assert_eq!(
+            (out.total_charge.to_bits(), out.kinetic.to_bits()),
+            GTC_SMALL_BITS[logical_rank],
+            "rank {rank}, logical process {logical_rank}"
+        );
+        // The survivor re-executes the dead replica's half of the crash
+        // section and of every later one; nobody else re-executes anything.
+        let expected = if logical_rank == 0 {
+            (2 * STEPS - CRASH_SECTION) * tasks / 2
+        } else {
+            0
+        };
+        assert_eq!(
+            out.report.sections.tasks_reexecuted, expected,
+            "rank {rank}, logical process {logical_rank}"
+        );
+    }
+}
+
 const TASKS: usize = 8;
 const N: usize = 64;
 
