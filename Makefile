@@ -1,7 +1,9 @@
 # Tier-1 verify and CI entry points for the intra-replication workspace.
 #
-#   make verify   — exactly the tier-1 gate from ROADMAP.md
-#   make ci       — everything CI runs (verify + examples + gates + fmt)
+#   make verify     — exactly the tier-1 gate from ROADMAP.md
+#   make ci         — everything CI runs (verify + examples + gates + fmt)
+#   make footprint  — manual, not in `make ci`: peak live heap per physical
+#                     rank of every app × mode (thread world, `full` scale)
 
 CARGO ?= cargo
 CAMPAIGN_JOBS ?= 4
@@ -13,7 +15,7 @@ CAMPAIGN_TOL ?= 0
         campaign-smoke failures-smoke weak-smoke serve-smoke benchmark-quick \
         stuck-smoke bit-identity-release figures-smoke schedulers-smoke \
         ckpt-smoke golden golden-failures golden-schedulers golden-weak golden-ckpt \
-        golden-figures benchmark \
+        golden-figures benchmark footprint \
         api-surface api-surface-check narrow-probe loc ci clean
 
 all: build
@@ -257,6 +259,16 @@ golden-figures:
 # listed with its reason in docs/api-intended.txt.  Never edits the checkout.
 narrow-probe:
 	bash scripts/narrow-probe.sh
+
+# Manual, not part of `make ci` (about a second after the build): the peak
+# live heap bytes per physical rank of every application in native,
+# replicated2 and intra2 at the `full` scale on 4 logical processes, counted
+# by shims/alloc-counter, so host memory is attributable per layer.  Only
+# GTC is gated (tier-1, crates/apps/tests/thread_footprint.rs); this prints
+# the whole table and gates nothing.
+footprint:
+	$(CARGO) test --release -q -p apps --test thread_footprint -- \
+		--ignored --nocapture
 
 # The two sizes ROADMAP.md says must go down (non-test Rust lines, API
 # surface lines), printed for every PR to see; never gating.

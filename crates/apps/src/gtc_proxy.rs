@@ -105,15 +105,16 @@ pub fn run_gtc(ctx: &mut AppContext, params: &GtcParams) -> IntraResult<GtcOutpu
     // Deterministic per-logical-process particle load (identical on every
     // replica of the same logical process).
     let mut rng = seeded_rng(ctx.env.proc().seed(), logical);
-    let particles = ParticleSet::random(params.particles, domain_length, &mut rng);
-    let np = particles.len();
+    let ParticleSet { x, v, .. } = ParticleSet::random(params.particles, domain_length, &mut rng);
+    let np = x.len();
     let cells = params.grid_cells;
 
-    // Workspace: particle positions and velocities (inout in push), the
-    // charge density (written by charge), and the per-task partial densities.
+    // Workspace: particle positions and velocities (inout in push; its only
+    // copy), the charge density (written by charge), and the per-task
+    // partial densities.
     let mut ws = Workspace::new();
-    let x_v = ws.add("px", particles.x.clone());
-    let v_v = ws.add("pv", particles.v.clone());
+    let x_v = ws.add("px", x);
+    let v_v = ws.add("pv", v);
     let density_v = ws.add_zeros("density", cells);
     let partial_density_v = ws.add_zeros("partial_density", cells * tasks);
 

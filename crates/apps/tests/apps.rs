@@ -210,7 +210,8 @@ fn gtc_replicas_agree_and_ship_inout_snapshots() {
     });
     let results = report.unwrap_results();
     assert_eq!(results[0].0.to_bits(), results[1].0.to_bits());
-    // The push kernel's inout particle arrays must have been snapshotted.
+    // The snapshot of the push kernel's inout particle arrays must have
+    // been charged.
     assert!(results[0].1 > 0);
 }
 

@@ -212,21 +212,33 @@ fn write_number(out: &mut String, v: f64) {
     }
 }
 
+/// Whether `b` may stand in a JSON string as itself: anything but a quote,
+/// a backslash or a control character (RFC 8259 §7).  Every byte of a
+/// multi-byte UTF-8 character is plain.
+fn is_plain(b: u8) -> bool {
+    b != b'"' && b != b'\\' && b >= 0x20
+}
+
+/// Copies each run of plain bytes in one step: runs end at ASCII bytes, so on
+/// character boundaries.
 fn write_string(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    let mut run = 0;
+    for (at, b) in s.bytes().enumerate().filter(|&(_, b)| !is_plain(b)) {
+        out.push_str(&s[run..at]);
+        run = at + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            b => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
         }
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -324,6 +336,11 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     *pos += 1;
     let mut out = String::new();
     loop {
+        // Copy the run of plain bytes in one step (it starts and ends next to
+        // ASCII bytes, so on character boundaries of the input `&str`).
+        let run = *pos;
+        *pos += bytes[run..].iter().take_while(|&&b| is_plain(b)).count();
+        out.push_str(std::str::from_utf8(&bytes[run..*pos]).map_err(|e| e.to_string())?);
         match bytes.get(*pos) {
             None => return Err("unterminated string".to_string()),
             Some(b'"') => {
@@ -349,15 +366,10 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 }
                 *pos += 1;
             }
-            Some(_) => {
-                // Consume one UTF-8 scalar (the input is a &str, so byte
-                // boundaries are valid).
-                let start = *pos;
-                *pos += 1;
-                while *pos < bytes.len() && (bytes[*pos] & 0xC0) == 0x80 {
-                    *pos += 1;
-                }
-                out.push_str(std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?);
+            Some(b) => {
+                return Err(format!(
+                    "unescaped control character 0x{b:02x} at byte {pos}"
+                ))
             }
         }
     }
@@ -525,6 +537,16 @@ mod tests {
             ("-", "invalid number `-` at byte 0"),
             ("[0, 1e999]", "number `1e999` out of range at byte 4"),
             ("-1e400", "number `-1e400` out of range at byte 0"),
+            ("\"a\nb\"", "unescaped control character 0x0a at byte 2"),
+            ("\"a\u{1}b\"", "unescaped control character 0x01 at byte 2"),
+            (
+                "{\"k\u{7}\": 1}",
+                "unescaped control character 0x07 at byte 3",
+            ),
+            (
+                "[\"\u{e9}\t\"]",
+                "unescaped control character 0x09 at byte 4",
+            ),
         ] {
             assert_eq!(Json::parse(text), Err(want.to_string()), "{text}");
         }

@@ -21,8 +21,10 @@
 //!   computation) and applies the peers' updates, so all replicas are
 //!   consistent again when the section returns;
 //! * if a replica crashes, its unfinished tasks are re-executed by the
-//!   survivors; `inout` ranges are snapshotted at launch time so
-//!   re-execution after a partial update is safe (Figure 2 of the paper).
+//!   survivors; an update is applied only once all of it has arrived, so
+//!   re-execution after a partial update starts from the pre-section
+//!   `inout` values (Figure 2 of the paper; the snapshot that guarantees
+//!   this there is charged to the virtual clock).
 //!
 //! ## Quick example
 //!

@@ -3,9 +3,10 @@
 //! A [`Section`] collects task instances between `Intra_Section_begin` and
 //! `Intra_Section_end`.  When the section ends, the protocol runs:
 //!
-//! 1. every replica snapshots the `inout` ranges of every task (the extra
-//!    copy of Section III-B2 that makes re-execution safe after a partial
-//!    update);
+//! 1. every replica charges the snapshot of the `inout` ranges of every task
+//!    to its virtual clock (the extra copy of Section III-B2 that makes
+//!    re-execution safe after a partial update).  The copy is charged, not
+//!    made: steps 4 and 5 keep the pre-section values intact without it;
 //! 2. a deterministic scheduler assigns every task to one replica.  The
 //!    assignment is computed over the *full* replica set (dead replicas
 //!    included) so that every replica derives exactly the same assignment
@@ -17,12 +18,15 @@
 //!    completes (so update transfers overlap with the remaining computation,
 //!    as in the paper's Open MPI implementation);
 //! 4. each replica then receives the updates of the tasks it did not
-//!    execute and applies them to its workspace;
+//!    execute and applies each update whole: every output argument of a
+//!    task is received before any is written to the workspace;
 //! 5. if the owner of a pending task is detected as crashed (a receive
 //!    returns an error, as Algorithm 1 assumes), the task is *re-executed
-//!    locally* after restoring the `inout` snapshots — this is the "execute
-//!    the task locally" option of the paper's failure case 2 and is always
-//!    correct because tasks of one section are only input-dependent;
+//!    locally* from its untouched `inout` values — no part of its update was
+//!    applied, which is the state the paper restores from the snapshot.
+//!    This is the "execute the task locally" option of the paper's failure
+//!    case 2 and is always correct because tasks of one section are only
+//!    input-dependent;
 //! 6. the section completes once every task is done and all posted sends
 //!    have drained (`MPI_Waitall` in the paper's implementation).
 //!
@@ -174,50 +178,21 @@ fn write_back(ws: &mut Workspace, task: &TaskDef, ctx: &TaskCtx) -> IntraResult<
     Ok(())
 }
 
-/// The `inout` snapshots of one work-sharing section (the extra copy of
-/// Section III-B2): every `inout` range of every task, back to back in one
-/// buffer, in launch order.
-struct Snapshots {
-    data: Vec<f64>,
-    /// Offset in `data` of each task's first `inout` range.
-    start: Vec<usize>,
-    /// Modeled size of the copy, as charged to the virtual clock.
-    modeled_bytes: usize,
-}
-
-impl Snapshots {
-    /// Copies the `inout` ranges of `tasks` out of the workspace and charges
-    /// the copy to the virtual clock.
-    fn take(rt: &IntraRuntime, ws: &Workspace, tasks: &[TaskDef]) -> Self {
-        let modeled_scale = rt.config().modeled_scale;
-        let mut data = Vec::new();
-        let mut start = Vec::with_capacity(tasks.len());
-        let mut modeled_bytes = 0usize;
-        for task in tasks {
-            start.push(data.len());
-            for arg in task.args.iter().filter(|arg| arg.tag == ArgTag::InOut) {
-                data.extend_from_slice(&ws.get(arg.var)[arg.range.clone()]);
-                let bytes = (arg.bytes() as f64 * modeled_scale) as usize;
-                modeled_bytes += bytes;
-                rt.env().proc().charge_memcpy(bytes);
-            }
-        }
-        Snapshots {
-            data,
-            start,
-            modeled_bytes,
-        }
+/// Charges the `inout` snapshots of one work-sharing section (the extra copy
+/// of Section III-B2) to the virtual clock, one copy per `inout` range in
+/// launch order, and returns their modeled size.  The copy is not made:
+/// updates are applied whole (steps 4 and 5 of the module docs), so nothing
+/// would ever read it back.
+fn charge_snapshots(rt: &IntraRuntime, tasks: &[TaskDef]) -> usize {
+    let modeled_scale = rt.config().modeled_scale;
+    let mut modeled_bytes = 0usize;
+    let inouts = tasks.iter().flat_map(|task| &task.args);
+    for arg in inouts.filter(|arg| arg.tag == ArgTag::InOut) {
+        let bytes = (arg.bytes() as f64 * modeled_scale) as usize;
+        modeled_bytes += bytes;
+        rt.env().proc().charge_memcpy(bytes);
     }
-
-    /// Loads the pre-section values of task `i`'s `inout` ranges back into
-    /// the workspace ("loading a' into a" in Figure 2c).
-    fn restore(&self, ws: &mut Workspace, task: &TaskDef, i: usize) {
-        let mut at = self.start[i];
-        for arg in task.args.iter().filter(|arg| arg.tag == ArgTag::InOut) {
-            ws.write_range(arg.var, arg.range.clone(), &self.data[at..at + arg.len()]);
-            at += arg.len();
-        }
-    }
+    modeled_bytes
 }
 
 /// Occurrence indices for the tasks of one section, in launch order: the
@@ -364,7 +339,7 @@ fn run_protocol(
 
     // --- work-sharing protocol ------------------------------------------
     let modeled_scale = rt.config().modeled_scale;
-    let snapshots = Snapshots::take(rt, ws, tasks);
+    let inout_snapshot_bytes = charge_snapshots(rt, tasks);
     let rc = rcomm.replica_comm();
     let my = rcomm.replica_id();
 
@@ -463,7 +438,6 @@ fn run_protocol(
             continue;
         }
         let task_started = rt.env().now();
-        snapshots.restore(ws, &tasks[i], i);
         run_task(rt, ws, &tasks[i], ctx)?;
         // The clock delta of a locally executed task must agree with the
         // modeled time fed to the cost model (the determinism contract).
@@ -498,8 +472,11 @@ fn run_protocol(
         // the receive returns an error immediately if nothing was sent.
         let mut adopt = owner == my;
         if !adopt {
-            // Receive every output argument of the task from its owner,
-            // straight from the payload into the workspace.
+            // Receive every output argument of the task from its owner
+            // before writing any into the workspace, so a partial update
+            // leaves it untouched (Figure 2b).  The payloads wait in a fixed
+            // array: staging allocates nothing.
+            let mut staged = [const { None }; MAX_ARGS_PER_TASK];
             let mut receive_failed = false;
             for (ai, arg) in tasks[i].args.iter().enumerate() {
                 if !arg.tag.is_output() {
@@ -516,8 +493,7 @@ fn run_protocol(
                                 arg.bytes()
                             )));
                         }
-                        let dst = &mut ws.get_mut(arg.var)[arg.range.clone()];
-                        simmpi::datatype::copy_into(&payload, dst)?;
+                        staged[ai] = Some(payload);
                         update_bytes_received += (arg.bytes() as f64 * modeled_scale) as usize;
                     }
                     Err(MpiError::ProcessFailed { .. }) => {
@@ -532,6 +508,12 @@ fn run_protocol(
                 }
             }
             if !receive_failed {
+                for (arg, payload) in tasks[i].args.iter().zip(&staged) {
+                    if let Some(payload) = payload {
+                        let dst = &mut ws.get_mut(arg.var)[arg.range.clone()];
+                        simmpi::datatype::copy_into(payload, dst)?;
+                    }
+                }
                 done[i] = true;
                 tasks_received += 1;
                 continue;
@@ -540,10 +522,9 @@ fn run_protocol(
         }
         if adopt {
             assignment[i] = my;
-            // Re-execute locally, from the restored inout snapshots, so a
-            // partial update applied above cannot create the true-dependence
-            // problem of Figure 2b.
-            snapshots.restore(ws, &tasks[i], i);
+            // Re-execute locally: no update of this task was applied, so it
+            // starts from the pre-section `inout` values and the
+            // true-dependence problem of Figure 2b cannot arise.
             run_task(rt, ws, &tasks[i], ctx)?;
             tasks_local += 1;
             tasks_reexecuted += 1;
@@ -581,7 +562,7 @@ fn run_protocol(
         tasks_reexecuted,
         update_bytes_sent,
         update_bytes_received,
-        inout_snapshot_bytes: snapshots.modeled_bytes,
+        inout_snapshot_bytes,
         replica_failures_observed: dead_owners.len(),
         start_time,
         local_work_done,

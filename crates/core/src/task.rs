@@ -4,10 +4,11 @@
 //! process" (Definition 2).  It reads and writes sub-ranges of workspace
 //! variables, declared with `in` / `out` / `inout` tags exactly like the
 //! parameters of the paper's `Intra_Task_register`.  All `out` and `inout`
-//! ranges are transferred to the other replicas after the task executes; all
-//! `inout` ranges are snapshotted when the task is instantiated so the task
-//! can be re-executed safely after a partial update (Section III-B2,
-//! Figure 2c).
+//! ranges are transferred to the other replicas after the task executes; the
+//! snapshot of every `inout` range that lets the task be re-executed safely
+//! after a partial update (Section III-B2, Figure 2c) is charged to the
+//! virtual clock, and received updates are applied whole, so re-execution
+//! starts from the pre-section values without the copy being made.
 
 use crate::error::{IntraError, IntraResult};
 use crate::workspace::{VarId, Workspace};
@@ -23,9 +24,9 @@ pub enum ArgTag {
     In,
     /// Write-only: fully written by the task, shipped to the other replicas.
     Out,
-    /// Read and written: shipped to the other replicas *and* snapshotted at
-    /// instantiation time so re-execution after a failure starts from the
-    /// correct value.
+    /// Read and written: shipped to the other replicas *and* charged a
+    /// snapshot copy; re-execution after a failure starts from the correct
+    /// value because updates are applied whole.
     InOut,
 }
 

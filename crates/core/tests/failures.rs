@@ -110,9 +110,10 @@ fn failure_before_any_update_send_triggers_local_reexecution() {
 #[test]
 fn figure2_partial_update_does_not_corrupt_inout_variables() {
     // The exact scenario of Figure 2b/2c: replica 0 executes task1, sends the
-    // update of `a` but crashes before sending `b`.  Replica 1 must
-    // re-execute task1 starting from the snapshotted value of `a`, ending
-    // with a = 2, b = 4 — not the corrupted a = 3, b = 6.
+    // update of `a` but crashes before sending `b`.  Replica 1 must apply
+    // no part of that update and re-execute task1 from the pre-section
+    // value of `a`, ending with a = 2, b = 4 — not the corrupted a = 3,
+    // b = 6.
     let results = run_pair(
         |inj| {
             inj.arm(
@@ -141,7 +142,7 @@ fn figure2_partial_update_does_not_corrupt_inout_variables() {
     assert_eq!(
         (*a, *b),
         (2.0, 4.0),
-        "re-execution must start from the snapshot"
+        "re-execution must start from the pre-section value of `a`, not a partial update"
     );
 }
 

@@ -8,9 +8,9 @@
 //! The example executes the paper's Figure 2 scenario: a single task reads
 //! and writes variable `a` (inout) and writes variable `b` (out).  Replica 0
 //! executes the task, manages to send the update of `a`, and crashes before
-//! sending `b`.  The surviving replica re-executes the task starting from the
-//! snapshot of `a` taken when the task was launched, ending with the correct
-//! state (a = 2, b = 4) instead of the corrupted one (a = 3, b = 6) that a
+//! sending `b`.  The surviving replica applies no part of that update and
+//! re-executes the task from the pre-section value of `a`, ending with the
+//! correct state (a = 2, b = 4) instead of the corrupted one (a = 3, b = 6) that a
 //! naive re-execution would produce.  It then runs a second, larger section
 //! to show that work continues (entirely on the survivor) after the crash.
 //!
@@ -68,7 +68,7 @@ fn main() {
                     assert_eq!(
                         ws.get(a)[0],
                         2.0,
-                        "re-execution must start from the snapshot"
+                        "re-execution must start from the pre-section value of `a`"
                     );
                     assert_eq!(ws.get(b)[0], 4.0);
                 }

@@ -7,9 +7,9 @@
 //! ```
 //!
 //! This exercises the part of the paper's design that the other examples do
-//! not: tasks whose arguments are read *and* written (`inout`), which the
-//! runtime snapshots at launch time so they can be re-executed safely after
-//! a failure (Section III-B2; in GTC these are the particle positions).  The
+//! not: tasks whose arguments are read *and* written (`inout`), which must
+//! be re-executed from their pre-section values after a failure (Section
+//! III-B2; in GTC these are the particle positions).  The
 //! example runs a few PIC steps on 4 physical processes (2 logical ranks × 2
 //! replicas), injects a crash of one replica midway through the
 //! `Experiment` builder's `inject_failure` knob, and checks that the total
