@@ -186,8 +186,8 @@ fn write_back(ws: &mut Workspace, task: &TaskDef, ctx: &TaskCtx) -> IntraResult<
 fn charge_snapshots(rt: &IntraRuntime, tasks: &[TaskDef]) -> usize {
     let modeled_scale = rt.config().modeled_scale;
     let mut modeled_bytes = 0usize;
-    let inouts = tasks.iter().flat_map(|task| &task.args);
-    for arg in inouts.filter(|arg| arg.tag == ArgTag::InOut) {
+    let args = tasks.iter().flat_map(|task| &task.args);
+    for arg in args.filter(|arg| arg.tag == ArgTag::InOut) {
         let bytes = (arg.bytes() as f64 * modeled_scale) as usize;
         modeled_bytes += bytes;
         rt.env().proc().charge_memcpy(bytes);
