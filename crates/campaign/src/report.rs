@@ -750,6 +750,177 @@ mod tests {
     }
 
     #[test]
+    fn csv_and_compact_json_bytes_are_pinned() {
+        // One checkpoint-free row and one checkpointed row whose numbers
+        // need the shortest round-trip form (`0.1 + 0.2`, `1e-7`) and whose
+        // seed is above 2^53: the CSV prints the seed exactly, the JSON
+        // number form cannot.
+        let checkpointed = RunRecord {
+            seed: (1 << 53) + 1,
+            makespan_s: 0.1 + 0.2,
+            verification: 1e-7,
+            ..checkpointed_record()
+        };
+        let report = CampaignReport {
+            campaign: "ckpt".into(),
+            scale: "tiny".into(),
+            runs: vec![sample_record(), checkpointed],
+        };
+        assert_eq!(
+            report.to_csv(),
+            "id,app,scale,mode,scheduler,failure,seed,procs,completed,crashed,errored,\
+             failure_events,scheduled_crashes,makespan_s,section_s,update_drain_s,\
+             tasks_executed,tasks_received,tasks_reexecuted,update_bytes_sent,verification,\
+             ckpt,checkpoints,recoveries,time_lost_s,ckpt_overhead_s,efficiency,wall_time_ms\n\
+             hpccg-tiny-native-static-block-none-s42,hpccg,tiny,native,static-block,none,\
+             42,2,2,0,0,0,0,1.5,0.75,0.25,64,0,0,0,0.000001,,0,0,0,0,0,12.5\n\
+             hpccg-tiny-native-static-block-none-s42-daly-c0.005-r0.01,hpccg,tiny,native,\
+             static-block,poisson-weibull-0.7-1-h1,9007199254740993,2,2,0,0,0,0,\
+             0.30000000000000004,0.75,0.25,64,0,0,0,0.0000001,daly-c0.005-r0.01,3,1,0.04,\
+             0.015,0.9,12.5\n"
+        );
+        assert_eq!(
+            report.runs[0].to_json().render_compact(),
+            "{\"id\": \"hpccg-tiny-native-static-block-none-s42\", \"app\": \"hpccg\", \
+             \"scale\": \"tiny\", \"mode\": \"native\", \"scheduler\": \"static-block\", \
+             \"failure\": \"none\", \"seed\": 42, \"procs\": 2, \"completed\": 2, \
+             \"crashed\": 0, \"errored\": 0, \"failure_events\": 0, \"scheduled_crashes\": 0, \
+             \"makespan_s\": 1.5, \"section_s\": 0.75, \"update_drain_s\": 0.25, \
+             \"tasks_executed\": 64, \"tasks_received\": 0, \"tasks_reexecuted\": 0, \
+             \"update_bytes_sent\": 0, \"verification\": 0.000001, \"wall_time_ms\": 12.5}"
+        );
+        assert_eq!(
+            report.runs[1].to_json().render_compact(),
+            "{\"id\": \"hpccg-tiny-native-static-block-none-s42-daly-c0.005-r0.01\", \
+             \"app\": \"hpccg\", \"scale\": \"tiny\", \"mode\": \"native\", \
+             \"scheduler\": \"static-block\", \"failure\": \"poisson-weibull-0.7-1-h1\", \
+             \"seed\": 9007199254740992, \"procs\": 2, \"completed\": 2, \"crashed\": 0, \
+             \"errored\": 0, \"failure_events\": 0, \"scheduled_crashes\": 0, \
+             \"makespan_s\": 0.30000000000000004, \"section_s\": 0.75, \
+             \"update_drain_s\": 0.25, \"tasks_executed\": 64, \"tasks_received\": 0, \
+             \"tasks_reexecuted\": 0, \"update_bytes_sent\": 0, \"verification\": 0.0000001, \
+             \"ckpt\": \"daly-c0.005-r0.01\", \"checkpoints\": 3, \"recoveries\": 1, \
+             \"time_lost_s\": 0.04, \"ckpt_overhead_s\": 0.015, \"efficiency\": 0.9, \
+             \"wall_time_ms\": 12.5}"
+        );
+    }
+
+    /// The outcome of damaging one field of a serialized record.
+    fn damaged(pick: u64) -> Option<Option<Json>> {
+        let value = match pick % 16 {
+            0 => return Some(None),
+            1 => Json::Str("x".into()),
+            2 => Json::Bool(true),
+            3 => Json::Null,
+            4 => Json::Arr(vec![]),
+            5 => Json::Num(-3.0),
+            6 => Json::Num(2.5),
+            7 => Json::Num(((1u64 << 53) + 2) as f64),
+            8 => Json::Num(f64::from_bits(pick)),
+            _ => return None,
+        };
+        Some(Some(value))
+    }
+
+    /// A string of three arbitrary characters drawn from `word`.
+    fn text(word: u64) -> String {
+        (0..3)
+            .filter_map(|i| char::from_u32((word >> (21 * i)) as u32 % 0x11_0000))
+            .collect()
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn from_json_never_panics_on_damaged_fields(
+            picks in proptest::collection::vec(proptest::prelude::any::<u64>(), 28..29)
+        ) {
+            // Each field of a checkpointed record is kept, removed, or given
+            // a wrong type, a negative number, a fraction, a value above
+            // 2^53 or any f64.  The sample's counts are whole numbers and
+            // its metrics are not, which tells the two apart below.
+            let Json::Obj(fields) = checkpointed_record().to_json() else {
+                unreachable!("records serialize as objects");
+            };
+            let at = fields.iter().position(|(k, _)| k == "ckpt").unwrap();
+            let ckpt_kept = !matches!(damaged(picks[at]), Some(None));
+            let mut doc = Vec::new();
+            let mut must_fail = false;
+            for ((name, original), &pick) in fields.into_iter().zip(&picks) {
+                let Some(damage) = damaged(pick) else {
+                    doc.push((name, original));
+                    continue;
+                };
+                let ckpt_column = matches!(
+                    name.as_str(),
+                    "ckpt" | "checkpoints" | "recoveries" | "time_lost_s" | "ckpt_overhead_s"
+                        | "efficiency"
+                );
+                let rejected = match (&original, &damage) {
+                    _ if name == "wall_time_ms" || (ckpt_column && !ckpt_kept) => false,
+                    (_, None) => true,
+                    (Json::Str(_), Some(v)) => v.as_str().is_none(),
+                    (Json::Num(x), Some(v)) if x.fract() == 0.0 => v.as_exact_u64().is_none(),
+                    (_, Some(v)) => v.as_f64().is_none(),
+                };
+                must_fail |= rejected;
+                if let Some(v) = damage {
+                    doc.push((name, v));
+                }
+            }
+            let parsed = RunRecord::from_json(&Json::Obj(doc));
+            proptest::prop_assert_eq!(parsed.is_err(), must_fail, "{parsed:?}");
+        }
+
+        #[test]
+        fn records_json_can_carry_exactly_round_trip(
+            words in proptest::collection::vec(proptest::prelude::any::<u64>(), 30..31)
+        ) {
+            let count = |i: usize| (words[i] % ((1 << 53) + 1)) as usize;
+            let metric = |i: usize| {
+                let v = f64::from_bits(words[i]);
+                if v.is_finite() { v } else { words[i] as f64 }
+            };
+            let record = RunRecord {
+                id: text(words[0]),
+                app: text(words[1]),
+                scale: text(words[2]),
+                mode: text(words[3]),
+                scheduler: text(words[4]),
+                failure: text(words[5]),
+                seed: count(6) as u64,
+                procs: count(7),
+                completed: count(8),
+                crashed: count(9),
+                errored: count(10),
+                failure_events: count(11),
+                scheduled_crashes: count(12),
+                makespan_s: metric(13),
+                section_s: metric(14),
+                update_drain_s: metric(15),
+                tasks_executed: count(16),
+                tasks_received: count(17),
+                tasks_reexecuted: count(18),
+                update_bytes_sent: count(19),
+                verification: metric(20),
+                ckpt: (words[21] % 2 == 0).then(|| v1::CkptColumns {
+                    ckpt: text(words[22]),
+                    checkpoints: count(23),
+                    recoveries: count(24),
+                    time_lost_s: metric(25),
+                    ckpt_overhead_s: metric(26),
+                    efficiency: metric(27),
+                }),
+                wall_time_ms: metric(28),
+            };
+            let doc = record.to_json();
+            for rendered in [doc.render(), doc.render_compact()] {
+                let parsed = Json::parse(&rendered).unwrap();
+                proptest::prop_assert_eq!(RunRecord::from_json(&parsed), Ok(record.clone()));
+            }
+        }
+    }
+
+    #[test]
     fn csv_has_a_row_per_run() {
         let csv = sample().to_csv();
         let lines: Vec<&str> = csv.lines().collect();

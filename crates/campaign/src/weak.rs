@@ -493,6 +493,43 @@ mod tests {
     }
 
     #[test]
+    fn compact_json_bytes_are_pinned() {
+        let report = WeakReport {
+            sweep: "weak-smoke".into(),
+            rows: vec![WeakRow {
+                id: "weak8-intra2-none-s42".into(),
+                logical: 8,
+                mode: "intra2".into(),
+                failure: "none".into(),
+                seed: 42,
+                procs: 16,
+                completed: 15,
+                crashed: 1,
+                errored: 0,
+                failure_events: 1,
+                holes: 2,
+                messages: 96,
+                dispatches: 400,
+                makespan_s: 0.1 + 0.2,
+                mean_compute_s: 1e-7,
+                mean_comm_s: 0.125,
+                mean_wait_s: 0.0,
+                wall_time_ms: 3.5,
+            }],
+        };
+        assert_eq!(
+            report.to_json().render_compact(),
+            "{\"schema\": \"ipr-report/1\", \"sweep\": \"weak-smoke\", \"runs\": [\
+             {\"id\": \"weak8-intra2-none-s42\", \"logical\": 8, \"mode\": \"intra2\", \
+             \"failure\": \"none\", \"seed\": 42, \"procs\": 16, \"completed\": 15, \
+             \"crashed\": 1, \"errored\": 0, \"failure_events\": 1, \"holes\": 2, \
+             \"messages\": 96, \"dispatches\": 400, \"makespan_s\": 0.30000000000000004, \
+             \"mean_compute_s\": 0.0000001, \"mean_comm_s\": 0.125, \"mean_wait_s\": 0, \
+             \"wall_time_ms\": 3.5}]}"
+        );
+    }
+
+    #[test]
     fn a_small_row_is_reproducible_across_worker_counts() {
         let spec = WeakRunSpec {
             index: 0,
