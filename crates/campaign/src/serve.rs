@@ -94,7 +94,7 @@ impl JobSummary {
         if doc.get("schema").and_then(Json::as_str) != Some(SUMMARY_SCHEMA) {
             return None;
         }
-        let count = |k: &str| doc.get(k).and_then(Json::as_f64).map(|v| v as usize);
+        let count = |k: &str| doc.get(k).and_then(Json::as_exact_u64).map(|v| v as usize);
         Some(JobSummary {
             id: doc.get("id").and_then(Json::as_str)?.to_string(),
             campaign: doc.get("campaign").and_then(Json::as_str)?.to_string(),
@@ -507,5 +507,31 @@ mod tests {
         // Wrong schema tag: not a summary.
         let alien = Json::obj(vec![("schema", Json::Str("ipr-report/1".into()))]);
         assert_eq!(JobSummary::from_json(&alien), None);
+    }
+
+    #[test]
+    fn summary_counts_are_read_exactly_or_not_at_all() {
+        // A damaged `done/<id>.json` whose count no JSON number names
+        // exactly is not a summary: an `as` cast would read -3 as 0, 2.5 as
+        // 2 and 1e300 as usize::MAX.
+        let doc = JobSummary {
+            id: "first".into(),
+            campaign: "smoke".into(),
+            runs: 12,
+            executed: 12,
+            cache_hits: 0,
+            wall_ms: 81.5,
+            error: None,
+        }
+        .to_json();
+        for key in ["runs", "executed", "cache_hits"] {
+            for value in [-3.0, 2.5, 1e300] {
+                let mut damaged = doc.clone();
+                if let Json::Obj(fields) = &mut damaged {
+                    fields.iter_mut().find(|(k, _)| k == key).unwrap().1 = Json::Num(value);
+                }
+                assert_eq!(JobSummary::from_json(&damaged), None, "{key} = {value}");
+            }
+        }
     }
 }
