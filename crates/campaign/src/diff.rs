@@ -5,14 +5,13 @@
 //! agreement on everything discrete — run ids, labels, seeds, task and
 //! crash counts.  The relative tolerance applies only to *metric* fields,
 //! and *informational* fields (host wall clocks, dispatch counts) are
-//! ignored entirely.  A field's class comes from the versioned report
-//! schema (`report::v1::FIELDS`); for keys the schema does not
-//! declare, the historical spelling heuristic (`*_s` / `verification` ⇒
-//! metric, everything else discrete) still applies, and *no* unknown key
-//! is ever treated as informational — a new wall-clock-ish field must be
-//! declared in the schema before the gate will ignore it.  With the
-//! default tolerance of zero the gate is bit-exact, so it also catches any
-//! determinism violation.
+//! ignored entirely.  A field's class comes from the column tables of the
+//! versioned report schema (`report::v1::RUN_COLUMNS` and the weak-scaling
+//! rows' `weak::COLUMNS`).  A key no table declares is compared exactly,
+//! whatever its spelling, and is never informational: a new column must be
+//! declared in a table before the gate will give it a tolerance or ignore
+//! it.  With the default tolerance of zero the gate is bit-exact, so it
+//! also catches any determinism violation.
 //!
 //! [`diff_documents`] is the schema-checked entry point the CLI uses: it
 //! validates the `schema` version tag on both documents and rejects
@@ -25,17 +24,13 @@ use crate::report::v1::{self, FieldClass, SchemaError};
 /// One detected divergence, as a human-readable `path: message` line.
 pub(crate) type Violation = String;
 
-fn is_informational_key(key: &str) -> bool {
-    v1::is_informational(key)
-}
-
 /// Removes every informational field (recursively) from a JSON document.
 /// Used by determinism checks that want byte-identical renderings of two
 /// reports modulo the host wall clock.
 pub fn strip_informational(json: &mut Json) {
     match json {
         Json::Obj(fields) => {
-            fields.retain(|(k, _)| !is_informational_key(k));
+            fields.retain(|(k, _)| !v1::is_informational(k));
             for (_, v) in fields {
                 strip_informational(v);
             }
@@ -49,22 +44,10 @@ pub fn strip_informational(json: &mut Json) {
     }
 }
 
-/// True if the field named `key` is a continuous metric (eligible for the
-/// relative tolerance).  The schema declaration wins; keys the schema does
-/// not know fall back to the spelling heuristic (virtual-time fields end in
-/// `_s`; `verification` is a residual).  Everything else — counts, seeds,
-/// ids — is discrete and compared exactly.
-fn is_metric_key(key: &str) -> bool {
-    match v1::field_class(key) {
-        Some(class) => class == FieldClass::Metric,
-        None => key.ends_with("_s") || key == "verification",
-    }
-}
-
 /// Compares two reports; an empty result means the candidate matches the
-/// baseline within `tol` — a relative tolerance applied to metric fields
-/// only (virtual times, keys ending `_s`, and `verification`); everything
-/// discrete is compared exactly.
+/// baseline within `tol` — a relative tolerance applied to the declared
+/// metric columns only (virtual times and `verification`); everything else
+/// is compared exactly.
 pub fn diff_reports(baseline: &Json, candidate: &Json, tol: f64) -> Vec<Violation> {
     let mut violations = Vec::new();
     diff_value("$", None, baseline, candidate, tol, &mut violations);
@@ -126,7 +109,9 @@ fn diff_value(
 ) {
     match (a, b) {
         (Json::Num(x), Json::Num(y)) => {
-            if key.is_some_and(is_metric_key) {
+            // Only a declared metric column gets the tolerance; counts,
+            // seeds, ids and undeclared keys are compared exactly.
+            if key.and_then(v1::field_class) == Some(FieldClass::Metric) {
                 // Strictly relative: the allowed drift scales with the value
                 // itself, so small metrics (sub-second times, residuals) are
                 // not silently ungated.  A baseline of exactly 0 therefore
@@ -169,7 +154,7 @@ fn diff_value(
         }
         (Json::Obj(xs), Json::Obj(ys)) => {
             for (k, x) in xs {
-                if is_informational_key(k) {
+                if v1::is_informational(k) {
                     continue;
                 }
                 match ys.iter().find(|(yk, _)| yk == k) {
@@ -178,7 +163,7 @@ fn diff_value(
                 }
             }
             for (k, _) in ys {
-                if is_informational_key(k) {
+                if v1::is_informational(k) {
                     continue;
                 }
                 if !xs.iter().any(|(xk, _)| xk == k) {
@@ -306,6 +291,15 @@ mod tests {
         let a = j(r#"{"elapsed_wall_ms": 12.0}"#);
         let b = j(r#"{"elapsed_wall_ms": 99.0}"#);
         assert_eq!(diff_reports(&a, &b, 0.0).len(), 1);
+    }
+
+    #[test]
+    fn undeclared_keys_are_compared_exactly() {
+        // No spelling makes a key a metric: an undeclared `*_s` key that
+        // moves within the tolerance is still a violation.
+        let a = j(r#"{"extra_s": 1.0}"#);
+        let b = j(r#"{"extra_s": 1.0001}"#);
+        assert_eq!(diff_reports(&a, &b, 1e-3).len(), 1);
     }
 
     #[test]

@@ -8,12 +8,16 @@
 //! thousands of ranks, in the paper's three configurations.
 //!
 //! Everything follows the campaign conventions: rows are deterministic
-//! (byte-identical JSON run after run), metric fields end in
-//! `_s` so [`crate::diff::diff_reports`] applies its relative tolerance, and
-//! the host wall clock lives in the informational `wall_time_ms` field that
-//! the golden gate ignores.
+//! (byte-identical JSON run after run), their columns are declared once in
+//! `COLUMNS` with the class [`crate::diff::diff_reports`] reads (virtual
+//! times get its relative tolerance), and the host wall clock lives in the
+//! informational `wall_time_ms` column that the golden gate ignores.
 
 use crate::json::Json;
+use crate::report::v1::{
+    self, col, Cell, Column,
+    FieldClass::{Discrete, Informational, Metric},
+};
 use crate::spec::FailureSpec;
 use apps::{run_weak_scaling, WeakMode, WeakScalingSpec};
 use simcluster::SimTime;
@@ -293,43 +297,39 @@ impl WeakReport {
     /// (modulo the informational `wall_time_ms`), which is what the golden
     /// weak-scaling gates compare against.
     pub fn to_json(&self) -> Json {
+        let rows = self.rows.iter().map(|r| v1::row_to_json(COLUMNS, r));
         Json::obj(vec![
-            ("schema", Json::Str(crate::report::v1::SCHEMA.to_string())),
+            ("schema", Json::Str(v1::SCHEMA.to_string())),
             ("sweep", Json::Str(self.sweep.clone())),
-            (
-                "runs",
-                Json::Arr(self.rows.iter().map(row_to_json).collect()),
-            ),
+            ("runs", Json::Arr(rows.collect())),
         ])
     }
 }
 
-fn row_to_json(r: &WeakRow) -> Json {
-    Json::obj(vec![
-        ("id", Json::Str(r.id.clone())),
-        ("logical", Json::Num(r.logical as f64)),
-        ("mode", Json::Str(r.mode.clone())),
-        ("failure", Json::Str(r.failure.clone())),
-        ("seed", Json::Num(r.seed as f64)),
-        ("procs", Json::Num(r.procs as f64)),
-        ("completed", Json::Num(r.completed as f64)),
-        ("crashed", Json::Num(r.crashed as f64)),
-        ("errored", Json::Num(r.errored as f64)),
-        ("failure_events", Json::Num(r.failure_events as f64)),
-        ("holes", Json::Num(r.holes as f64)),
-        ("messages", Json::Num(r.messages as f64)),
-        // Informational (engine diagnostic): excluded from the tolerance
-        // diff, see `crate::report::v1::FIELDS`.
-        ("dispatches", Json::Num(r.dispatches as f64)),
-        ("makespan_s", Json::Num(r.makespan_s)),
-        ("mean_compute_s", Json::Num(r.mean_compute_s)),
-        ("mean_comm_s", Json::Num(r.mean_comm_s)),
-        ("mean_wait_s", Json::Num(r.mean_wait_s)),
-        // Informational (host wall clock): excluded from the tolerance
-        // diff, see `crate::report::v1::FIELDS`.
-        ("wall_time_ms", Json::Num(r.wall_time_ms)),
-    ])
-}
+/// The columns of a [`WeakRow`], in JSON order.  `dispatches` (an engine
+/// diagnostic) and `wall_time_ms` (the host clock) are informational: the
+/// golden gates ignore them.
+#[rustfmt::skip]
+pub(crate) const COLUMNS: &[Column<WeakRow>] = &[
+    col("id", Discrete, |r| Cell::Text(&r.id)),
+    col("logical", Discrete, |r| Cell::Count(r.logical as u64)),
+    col("mode", Discrete, |r| Cell::Text(&r.mode)),
+    col("failure", Discrete, |r| Cell::Text(&r.failure)),
+    col("seed", Discrete, |r| Cell::Count(r.seed)),
+    col("procs", Discrete, |r| Cell::Count(r.procs as u64)),
+    col("completed", Discrete, |r| Cell::Count(r.completed as u64)),
+    col("crashed", Discrete, |r| Cell::Count(r.crashed as u64)),
+    col("errored", Discrete, |r| Cell::Count(r.errored as u64)),
+    col("failure_events", Discrete, |r| Cell::Count(r.failure_events as u64)),
+    col("holes", Discrete, |r| Cell::Count(r.holes)),
+    col("messages", Discrete, |r| Cell::Count(r.messages)),
+    col("dispatches", Informational, |r| Cell::Count(r.dispatches)),
+    col("makespan_s", Metric, |r| Cell::Num(r.makespan_s)),
+    col("mean_compute_s", Metric, |r| Cell::Num(r.mean_compute_s)),
+    col("mean_comm_s", Metric, |r| Cell::Num(r.mean_comm_s)),
+    col("mean_wait_s", Metric, |r| Cell::Num(r.mean_wait_s)),
+    col("wall_time_ms", Informational, |r| Cell::Num(r.wall_time_ms)),
+];
 
 /// Executes one weak-scaling run.
 ///
