@@ -13,11 +13,10 @@
 //! that decides whether a kernel benefits from intra-parallelization (the
 //! paper's Section V-C discussion of waxpby vs ddot vs sparsemv).
 
-use serde::{Deserialize, Serialize};
 use std::ops::{Add, AddAssign, Mul};
 
 /// Flop count and memory traffic of a computational region.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct KernelCost {
     /// Floating-point operations performed.
     pub flops: f64,

@@ -6,10 +6,8 @@
 //! their neighbours (outside intra-parallel sections) and then apply a
 //! stencil to the interior (inside sections).
 
-use serde::{Deserialize, Serialize};
-
 /// A 3D grid of `f64` values with a one-cell ghost layer on every side.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Grid3d {
     nx: usize,
     ny: usize,
@@ -19,7 +17,7 @@ pub struct Grid3d {
 }
 
 /// The six faces of a 3D block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Face {
     /// −x face.
     West,

@@ -18,7 +18,6 @@
 
 use crate::cost::{KernelCost, F64};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
 /// `x.rem_euclid(length)`, bit for bit, without the `fmod` call on the
@@ -94,7 +93,7 @@ impl Cells {
 }
 
 /// A set of charged particles in a periodic 1D domain `[0, length)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ParticleSet {
     /// Positions in `[0, length)`.
     pub x: Vec<f64>,

@@ -7,10 +7,8 @@
 //! replica set 0 and ranks `L..2L` form replica set 1, and the two replicas
 //! of any logical process land on different nodes.
 
-use serde::{Deserialize, Serialize};
-
 /// Mapping between physical and logical ranks for a given replication degree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReplicaMapping {
     num_logical: usize,
     degree: usize,

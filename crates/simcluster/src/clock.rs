@@ -16,11 +16,10 @@
 
 use crate::model::NetworkModel;
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// A monotonically non-decreasing virtual clock owned by one simulated
 /// process.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct VirtualClock {
     now: SimTime,
     /// Total time attributed to compute regions.

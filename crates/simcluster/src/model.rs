@@ -15,11 +15,10 @@
 //! and ddot a perfect one (its update is a single scalar).
 
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Point-to-point link model: `transfer_time = latency + bytes / bandwidth`
 /// plus a fixed per-message CPU overhead charged to the sender.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkModel {
     /// One-way message latency in seconds.
     pub latency_s: f64,
@@ -107,7 +106,7 @@ impl Default for NetworkModel {
 }
 
 /// Per-core compute model (roofline).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ComputeModel {
     /// Peak achievable floating-point rate per core, in flop/s.
     pub flops_per_s: f64,
@@ -175,7 +174,7 @@ impl Default for ComputeModel {
 
 /// Full machine model: compute per core plus the two relevant interconnect
 /// classes (inter-node and intra-node).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MachineModel {
     /// Per-core compute model.
     pub compute: ComputeModel,

@@ -5,7 +5,6 @@
 //! prevents accidentally mixing virtual durations with byte counts or flop
 //! counts, which are also carried around as `f64` in the cost model.
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 use std::iter::Sum;
@@ -15,7 +14,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 ///
 /// `SimTime` is totally ordered (NaN is considered a programming error and
 /// compares as equal to itself so that sorting never panics).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SimTime(f64);
 
 impl SimTime {

@@ -7,13 +7,11 @@
 //! intra-node or inter-node link model, and which the replication layer uses
 //! to validate replica placement.
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a compute node in the virtual cluster.
 pub type NodeId = usize;
 
 /// Placement of physical ranks onto nodes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Topology {
     /// The node of each rank, 4 bytes a rank: a million-rank run keeps one.
     placement: Vec<u32>,

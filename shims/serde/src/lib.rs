@@ -1,11 +1,11 @@
 //! In-tree shim for `serde`.
 //!
-//! The build environment has no crates.io access.  Workspace types carry
-//! `#[derive(Serialize, Deserialize)]` to declare serialization intent, but
-//! no code path serializes anything yet, so this shim provides just enough
-//! surface for those derives to compile: blanket marker traits plus no-op
-//! derive macros (from the in-tree `serde_derive` shim).  Swapping in the
-//! real serde later requires no source changes outside `Cargo.toml`.
+//! The build environment has no crates.io access.  No workspace source
+//! uses this crate: nothing serializes through serde, and the campaign
+//! reports carry their own JSON layer.  What remains is eight crate
+//! manifests' `serde` line and this shim (blanket marker traits plus the
+//! no-op derives of the in-tree `serde_derive` shim), kept until the
+//! manifests drop the edge.
 
 pub use serde_derive::{Deserialize, Serialize};
 

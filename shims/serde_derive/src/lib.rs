@@ -1,10 +1,9 @@
 //! In-tree shim for the `serde_derive` proc-macro crate.
 //!
-//! The build environment has no crates.io access, and nothing in this
-//! workspace actually serializes data yet — the `#[derive(Serialize,
-//! Deserialize)]` attributes on model types only declare intent.  These
-//! derives therefore expand to nothing; the marker traits live in the
-//! sibling `serde` shim and are blanket-implemented.
+//! The build environment has no crates.io access, and no workspace source
+//! derives `Serialize` or `Deserialize`.  These derives expand to nothing;
+//! the marker traits live in the sibling `serde` shim and are
+//! blanket-implemented.
 
 use proc_macro::TokenStream;
 
