@@ -22,9 +22,9 @@
 //! machine model.
 
 use crate::fig5a;
-use crate::scale::ExperimentScale;
 use apps::sections::KernelSpec;
 use apps::AppId;
+use apps::ExperimentScale;
 use intra_replication::Experiment;
 use ipr_core::{ArgSpec, SchedulerKind, TaskCost, TaskDef, Workspace};
 use kernels::sparse::CsrMatrix;

@@ -17,9 +17,9 @@
 //! the application figures (fig5b / fig6): `static-block` (paper default),
 //! `round-robin`, `cost-aware`, `adaptive` or `locality`.
 
-use apps::AppId;
+use apps::{AppId, ExperimentScale};
 use ipr_bench::table::{f2, f3, render};
-use ipr_bench::{ablations, fig5, fig5a, fig5b, fig6, ExperimentScale};
+use ipr_bench::{ablations, fig5, fig5a, fig5b, fig6};
 use ipr_core::SchedulerKind;
 
 fn print_fig5(scale: ExperimentScale) {

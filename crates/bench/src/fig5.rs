@@ -23,8 +23,8 @@
 //! which replication wins — is interpolated between the two bracketing
 //! grid points.
 
-use crate::scale::ExperimentScale;
 use apps::AppId;
+use apps::ExperimentScale;
 use intra_replication::{CheckpointPlan, Experiment, FailurePlan};
 use ipr_core::SchedulerKind;
 use replication::{ExecutionMode, FailureRate};

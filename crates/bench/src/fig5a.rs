@@ -18,10 +18,10 @@
 //! applications' own section code (`apps::sections`), so the figure
 //! measures what Figures 5b and 6 execute.
 
-use crate::scale::ExperimentScale;
 use crate::MODES;
 use apps::sections::{KernelSpec, Reduction};
 use apps::AppId;
+use apps::ExperimentScale;
 use intra_replication::Experiment;
 use ipr_core::Workspace;
 use kernels::sparse::CsrMatrix;

@@ -13,8 +13,8 @@
 //! custom, because the weak-scaling study overrides the per-rank problem
 //! size instead of using the catalog workload.
 
-use crate::scale::ExperimentScale;
 use crate::MODES;
+use apps::ExperimentScale;
 use apps::{run_hpccg, AppId, HpccgParams};
 use intra_replication::Experiment;
 use ipr_core::SchedulerKind;

@@ -13,9 +13,9 @@
 //! Published outcomes: AMG2013/PCG-27pt ≈ 0.61, AMG2013/GMRES-7pt ≈ 0.59,
 //! GTC ≈ 0.71, MiniGhost ≈ 0.51 (plain replication ≈ 0.48–0.49 everywhere).
 
-use crate::scale::ExperimentScale;
 use crate::MODES;
 use apps::AppId;
+use apps::ExperimentScale;
 use intra_replication::Experiment;
 use ipr_core::SchedulerKind;
 use replication::ExecutionMode;

@@ -31,10 +31,7 @@ pub mod fig5a;
 pub mod fig5b;
 pub mod fig6;
 pub mod kernels;
-pub mod scale;
 pub mod table;
-
-pub use scale::ExperimentScale;
 
 use replication::ExecutionMode;
 
