@@ -57,8 +57,7 @@ pub mod v1 {
         Count(u64),
         /// A continuous value.
         Num(f64),
-        /// A column this row leaves out: no JSON key, and the given text in
-        /// the CSV.
+        /// Left out of this row: no JSON key, and this text in the CSV.
         Absent(&'static str),
     }
 
@@ -100,11 +99,13 @@ pub mod v1 {
 
     /// A row as a JSON object: the columns it carries, in table order.
     pub(crate) fn row_to_json<R>(columns: &[Column<R>], row: &R) -> Json {
-        let fields = columns.iter().filter_map(|c| {
-            let value = (c.cell)(row).to_json()?;
-            Some((c.name.to_string(), value))
-        });
-        Json::Obj(fields.collect())
+        let mut fields = Vec::with_capacity(columns.len());
+        for c in columns {
+            if let Some(value) = (c.cell)(row).to_json() {
+                fields.push((c.name.to_string(), value));
+            }
+        }
+        Json::Obj(fields)
     }
 
     /// A checkpoint column's cell; absent, written as `zero` in the CSV, on
