@@ -46,7 +46,7 @@ pub mod v1 {
         Informational,
     }
 
-    use FieldClass::{Discrete, Informational, Metric};
+    pub(crate) use FieldClass::{Discrete, Informational, Metric};
 
     /// One row's value in one column.
     #[derive(Debug, Clone, Copy)]

@@ -14,10 +14,7 @@
 //! informational `wall_time_ms` column that the golden gate ignores.
 
 use crate::json::Json;
-use crate::report::v1::{
-    self, col, Cell, Column,
-    FieldClass::{Discrete, Informational, Metric},
-};
+use crate::report::v1::{self, col, Cell, Column, Discrete, Informational, Metric};
 use crate::spec::FailureSpec;
 use apps::{run_weak_scaling, WeakMode, WeakScalingSpec};
 use simcluster::SimTime;
