@@ -846,7 +846,7 @@ mod tests {
 
         #[test]
         fn records_json_can_carry_exactly_round_trip(
-            words in proptest::collection::vec(proptest::prelude::any::<u64>(), 30..31)
+            words in proptest::collection::vec(proptest::prelude::any::<u64>(), 29..30)
         ) {
             let count = |i: usize| (words[i] % ((1 << 53) + 1)) as usize;
             let metric = |i: usize| {
